@@ -25,7 +25,7 @@ from .semiring import (AlphabetSemiring, PowersetMonoidSemiring,
                        alphabet_semiring, powerset_semiring, product_semiring,
                        relation_semiring, sr_idempotent_power, sr_leq,
                        validate_semiring)
-from .imprints import ImprintSet, PointedImprintSet
+from .imprints import ImprintSet
 from .rating import (Extension, RatingMap, imprint_pullback,
                      rm_alphabet_augment, rm_eval, rm_from_morphism,
                      rm_from_multiset, rm_from_nfa)

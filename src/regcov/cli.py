@@ -82,8 +82,12 @@ class Verdict:
 
 
 def _masks_to_lists(masks) -> list:
-    out = [sorted(i for i in range(64) if m >> i & 1) for m in masks]
+    out = [[i for i in range(m.bit_length()) if m >> i & 1] for m in masks]
     return sorted(out, key=lambda s: (len(s), s))
+
+
+def _ms_since(t0: float) -> float:
+    return round((time.perf_counter() - t0) * 1000.0, 3)
 
 
 # -- instance parsing ----------------------------------------------------------------
@@ -210,7 +214,7 @@ def run_cover(inst: Instance) -> Verdict:
             }
             cover_doc["verified"] = verified_doc
     stats = dict(decision.stats)
-    stats["wall_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
+    stats["wall_ms"] = _ms_since(t0)
     return Verdict(
         class_name=class_id.value,
         coverable=decision.coverable,
@@ -223,6 +227,7 @@ def run_cover(inst: Instance) -> Verdict:
 
 
 def run_separate(inst: Instance) -> Verdict:
+    t0 = time.perf_counter()
     if len(inst.against) != 1:
         raise InputError("separation takes exactly one language to avoid")
     want_cover = inst.emit_cover or inst.class_id.synthesizable
@@ -253,10 +258,12 @@ def run_separate(inst: Instance) -> Verdict:
         verdict.separator = rx.regex_to_text(sep)
     if not inst.emit_cover:
         verdict.cover = None
+    verdict.stats["wall_ms"] = _ms_since(t0)
     return verdict
 
 
 def run_member(inst: Instance) -> Verdict:
+    t0 = time.perf_counter()
     if inst.target is None or inst.target is UNIVERSAL:
         raise InputError("membership needs a concrete target language")
     complement = nfa_complement(inst.target, inst.caps)
@@ -265,6 +272,7 @@ def run_member(inst: Instance) -> Verdict:
         against=[complement], emit_cover=inst.emit_cover, verify=inst.verify,
         json_output=inst.json_output, caps=inst.caps, seed=inst.seed))
     verdict.member = verdict.coverable
+    verdict.stats["wall_ms"] = _ms_since(t0)
     return verdict
 
 
@@ -286,7 +294,7 @@ def run_imprint(inst: Instance) -> Verdict:
     else:
         decision = decide_universal_covering(ext, inst.class_id, inst.caps, None)
     stats.update(decision.stats)
-    stats["wall_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
+    stats["wall_ms"] = _ms_since(t0)
     return Verdict(
         class_name=inst.class_id.value,
         coverable=decision.coverable,
@@ -406,6 +414,7 @@ def _emit(doc, as_json: bool):
 
 
 def main(argv=None) -> int:
+    t0 = time.perf_counter()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -430,6 +439,7 @@ def main(argv=None) -> int:
             return 0
         else:  # pragma: no cover
             raise InputError(f"unknown command {args.command!r}")
+        verdict.stats["wall_ms"] = _ms_since(t0)  # the whole command, parsing included
         _emit(verdict.to_json() if inst.json_output else verdict, inst.json_output)
         return 0
     except InputError as exc:

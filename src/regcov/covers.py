@@ -200,7 +200,7 @@ def bsigma1_cover(rho: RatingMap, goal: ImprintSet,
         pa = pt_partition(k, alphabet, caps)
         images = _partition_images(pa, rho, caps)
         best = (k, pa, images)
-        if all(img in goal.members for img in images.values()):
+        if all(img in goal for img in images.values()):
             return _partition_cover(pa, optimal=True)
     k, pa, images = best
     return _partition_cover(pa, optimal=False)
@@ -251,7 +251,7 @@ def fo2_cover(rho: RatingMap, saturated: ImprintSet,
     subset = tuple(sorted(subset)) if subset is not None else tuple(rho.alphabet.symbols)
     left = left if left is not None else sr.one
     right = right if right is not None else sr.one
-    if left not in saturated.members or right not in saturated.members:
+    if left not in saturated or right not in saturated:
         raise ValueError("context elements must lie in the saturated set")
 
     state = _Fo2State(rho, saturated, caps)
@@ -261,7 +261,7 @@ def fo2_cover(rho: RatingMap, saturated: ImprintSet,
     pieces = _dedup_pieces(_prune_empty(pieces), caps)
     for p in pieces:
         image = sr.mul(sr.mul(left, rho.eval_nfa(p.nfa, caps)), right)
-        if image not in saturated.members:
+        if image not in saturated:
             raise AssertionError("fo2 synthesis produced a piece outside the saturated set")
     target = alphabet_star(rho.alphabet, subset)
     return Cover(ClassId.FO2, target, pieces,
@@ -275,10 +275,11 @@ class _Fo2State:
     def __init__(self, rho: RatingMap, saturated: ImprintSet, caps: Caps):
         self.rho = rho
         self.sr = rho.semiring
-        self.sat = saturated.members
+        self.sat = saturated
         self.caps = caps
         self.count = 0
         self._sb_cache: dict = {}
+        self._sb_sat_cache: dict = {}
         self._reach_cache: dict = {}
         self._build_memo: dict = {}
 
@@ -313,7 +314,12 @@ class _Fo2State:
         return self._sb_cache[subset]
 
     def s_b(self, subset: tuple) -> frozenset:
-        return frozenset(self.language_sums(subset) & self.sat)
+        """Language images over B* that lie in the saturated set."""
+        if subset not in self._sb_sat_cache:
+            sat = self.sat
+            self._sb_sat_cache[subset] = frozenset(
+                x for x in self.language_sums(subset) if x in sat)
+        return self._sb_sat_cache[subset]
 
     def right_reach(self, t, subset: tuple) -> frozenset:
         key = ("r", t, subset)

@@ -1,14 +1,21 @@
-"""Downward-closed element sets over rating semirings.
+"""Downward-closed element sets over rating semirings, stored as antichains.
 
-Sets are stored explicitly, downset closure included, so that rules that
-quantify over arbitrary members (idempotents anywhere in the set) stay
-trivially complete.  Every insertion enumerates the downset of the new
-element and is guarded by the element cap.
+An imprint is a downward-closed subset of a finite rating set, so its
+maximal elements determine it.  `ImprintSet` keeps only those maxima: `r in
+imprint` means "r lies below some maximal element", and inserting an element
+drops the maxima it dominates.  Pointed imprints (subsets of M x R for a
+monoid M, downward closed in the R component only) are the same structure
+keyed by the discrete monoid element.
+
+Comparisons go through `RatingSet.mask`, which embeds every kind of rating
+set into integer bitmasks ordered by inclusion, so `x <= m` is `x | m == m`.
+The element cap counts maxima.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Optional
 
 from .errors import DEFAULT_CAPS, SaturationCapError
 from .fa import MonoidMorphism
@@ -16,86 +23,103 @@ from .semiring import RatingSet, Semiring
 
 
 class ImprintSet:
-    """Subset of a rating set, closed under downset.
+    """Downward-closed subset of a rating set, or of monoid x rating-set
+    pairs when `monoid` is given, held as its antichain of maximal elements.
 
-    `tops` holds the explicitly inserted generators; `members` additionally
-    holds their downsets.  For sets produced by the saturation engines the
-    members form a multiplicative submonoid containing the trivial imprint.
+    Items are rating-set elements in universal mode and (monoid element,
+    rating-set element) pairs in pointed mode.  For sets produced by the
+    saturation engines the set is a multiplicative submonoid containing the
+    trivial imprint.
     """
 
-    def __init__(self, semiring: RatingSet, cap: int = DEFAULT_CAPS.max_elements,
-                 label: str = "imprint", lifo: bool = False):
+    def __init__(self, semiring: RatingSet, monoid: Optional[MonoidMorphism] = None,
+                 cap: int = DEFAULT_CAPS.max_elements, label: str = "imprint",
+                 lifo: bool = False):
         self.semiring = semiring
+        self.monoid = monoid
         self.cap = cap
         self.label = label
         self.lifo = lifo
-        self.members: set = set()
-        self.tops: list = []
+        self._fibers: dict = {}   # monoid element (None when universal) -> {mask: item}
+        self._widest: dict = {}   # monoid element -> most bits of a maximum in its fiber
+        self._count = 0
         self.queue: deque = deque()
         self.sweeps = 0
 
-    def pop_pending(self):
-        return self.queue.pop() if self.lifo else self.queue.popleft()
+    def _split(self, item):
+        """(fiber key, mask) of an item."""
+        if self.monoid is None:
+            return None, self.semiring.mask(item)
+        return item[0], self.semiring.mask(item[1])
 
-    def __contains__(self, r) -> bool:
-        return r in self.members
+    def __contains__(self, item) -> bool:
+        key, x = self._split(item)
+        fiber = self._fibers.get(key)
+        # a mask with more bits than every maximum is below none of them,
+        # which settles most failed lookups without a scan
+        return (fiber is not None and x.bit_count() <= self._widest[key]
+                and any(x | m == m for m in fiber))
 
     def __len__(self) -> int:
-        return len(self.members)
+        """Number of maximal elements."""
+        return self._count
 
-    def insert(self, r) -> bool:
-        """Insert r and its downset; True if r was new."""
-        if r in self.members:
-            return False
-        sr = self.semiring
-        members = self.members
-        members.add(r)
-        if len(members) > self.cap:
-            raise SaturationCapError(self.cap, self.label, f"{len(members)} elements")
-        for r2 in sr.downset(r):
-            if r2 not in members:
-                members.add(r2)
-                if len(members) > self.cap:
-                    raise SaturationCapError(self.cap, self.label, f"{len(members)} elements")
-        self.tops.append(r)
-        self.queue.append(r)
+    def insert(self, item) -> bool:
+        """Add item unless it is dominated; True if it became maximal."""
+        key, x = self._split(item)
+        fiber = self._fibers.setdefault(key, {})
+        below = []
+        for m in fiber:
+            if x | m == m:
+                return False
+            if x | m == x:
+                below.append(m)
+        for m in below:
+            del fiber[m]
+        fiber[x] = item
+        self._widest[key] = max(m.bit_count() for m in fiber)
+        self._count += 1 - len(below)
+        if self._count > self.cap:
+            raise SaturationCapError(self.cap, self.label, f"{self._count} maximal elements")
+        self.queue.append((key, x, item))
         return True
 
+    def pop_pending(self):
+        """Next inserted item still maximal, or None when none is pending.
+
+        An item dropped since its insertion needs no processing: the item
+        that dominates it was queued when it was inserted.
+        """
+        queue = self.queue
+        while queue:
+            key, x, item = queue.pop() if self.lifo else queue.popleft()
+            if x in self._fibers[key]:
+                return item
+        return None
+
     def maximal_elements(self) -> list:
-        """Antichain of maximal members (computed over tops; every member is
-        below some top)."""
-        sr = self.semiring
-        out: list = []
-        for r in sorted(set(self.tops), key=sr.downset_size, reverse=True):
-            if not any(sr.leq(r, m) for m in out):
-                out.append(r)
-        return out
+        """The antichain of maximal items."""
+        return [item for fiber in self._fibers.values() for item in fiber.values()]
 
     def issubset(self, other: "ImprintSet") -> bool:
-        return self.members <= other.members
+        return all(item in other for item in self.maximal_elements())
+
+    def _antichain(self) -> dict:
+        return {key: set(fiber) for key, fiber in self._fibers.items() if fiber}
 
     def __eq__(self, other):
-        return isinstance(other, ImprintSet) and self.members == other.members
+        """Equal downsets; the antichain of a downset is unique."""
+        return (isinstance(other, ImprintSet) and (self.monoid is None) == (other.monoid is None)
+                and self._antichain() == other._antichain())
 
     def __hash__(self):  # pragma: no cover
         raise TypeError("ImprintSet is unhashable")
 
     # -- invariant checks (structural, post-hoc) --------------------------------
 
-    def check_downward_closed(self) -> bool:
-        """True iff members are downset-closed.
-
-        Every member lies below a maximal element, so checking the downsets
-        of the maximal elements is exhaustive.
-        """
-        for m in self.maximal_elements():
-            for r in self.semiring.downset(m):
-                if r not in self.members:
-                    return False
-        return True
-
     def check_submonoid(self) -> bool:
-        """True iff 1 ∈ members and members are closed under multiplication.
+        """True iff the unit lies in the set and the set is closed under
+        multiplication.
 
         Products are monotone in both arguments, so closure over the maximal
         elements together with downward closure implies full closure.
@@ -103,110 +127,13 @@ class ImprintSet:
         sr = self.semiring
         if not isinstance(sr, Semiring):
             return True
-        if sr.one not in self.members:
-            return False
         maxes = self.maximal_elements()
-        for x in maxes:
-            for y in maxes:
-                if sr.mul(x, y) not in self.members:
-                    return False
-        return True
-
-    def check_contains(self, elems) -> bool:
-        return all(r in self.members for r in elems)
-
-
-class PointedImprintSet:
-    """Subset of M x R, downward closed in the R component only."""
-
-    def __init__(self, monoid: MonoidMorphism, semiring: RatingSet,
-                 cap: int = DEFAULT_CAPS.max_elements, label: str = "pointed-imprint",
-                 lifo: bool = False):
-        self.monoid = monoid
-        self.semiring = semiring
-        self.cap = cap
-        self.label = label
-        self.lifo = lifo
-        self.members: set = set()
-        self.tops: list = []
-        self.queue: deque = deque()
-        self.sweeps = 0
-
-    def pop_pending(self):
-        return self.queue.pop() if self.lifo else self.queue.popleft()
-
-    def __contains__(self, pair) -> bool:
-        return pair in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def insert(self, pair) -> bool:
-        if pair in self.members:
-            return False
-        m, r = pair
-        sr = self.semiring
-        members = self.members
-        members.add(pair)
-        if len(members) > self.cap:
-            raise SaturationCapError(self.cap, self.label, f"{len(members)} elements")
-        for r2 in sr.downset(r):
-            p2 = (m, r2)
-            if p2 not in members:
-                members.add(p2)
-                if len(members) > self.cap:
-                    raise SaturationCapError(self.cap, self.label, f"{len(members)} elements")
-        self.tops.append(pair)
-        self.queue.append(pair)
-        return True
-
-    def fiber(self, m) -> set:
-        """All r with (m, r) in the set."""
-        return {r for (m2, r) in self.members if m2 == m}
-
-    def maximal_elements(self) -> list:
-        sr = self.semiring
-        by_m: dict = {}
-        for (m, r) in set(self.tops):
-            by_m.setdefault(m, []).append(r)
-        out = []
-        for m, rs in by_m.items():
-            keep: list = []
-            for r in sorted(rs, key=sr.downset_size, reverse=True):
-                if not any(sr.leq(r, k) for k in keep):
-                    keep.append(r)
-            out.extend((m, r) for r in keep)
-        return out
-
-    def issubset(self, other: "PointedImprintSet") -> bool:
-        return self.members <= other.members
-
-    def __eq__(self, other):
-        return isinstance(other, PointedImprintSet) and self.members == other.members
-
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("PointedImprintSet is unhashable")
-
-    def check_downward_closed(self) -> bool:
-        for (m, r) in self.maximal_elements():
-            for r2 in self.semiring.downset(r):
-                if (m, r2) not in self.members:
-                    return False
-        return True
-
-    def check_submonoid(self) -> bool:
-        sr = self.semiring
+        if self.monoid is None:
+            return sr.one in self and all(sr.mul(x, y) in self for x in maxes for y in maxes)
         mon = self.monoid
-        if not isinstance(sr, Semiring):
-            return True
-        if (mon.identity, sr.one) not in self.members:
-            return False
-        maxes = self.maximal_elements()
-        for (m1, r1) in maxes:
-            for (m2, r2) in maxes:
-                if (mon.product(m1, m2), sr.mul(r1, r2)) not in self.members:
-                    return False
-        return True
+        return ((mon.identity, sr.one) in self
+                and all((mon.product(m1, m2), sr.mul(r1, r2)) in self
+                        for (m1, r1) in maxes for (m2, r2) in maxes))
 
-    def check_contains(self, pairs) -> bool:
-        return all(p in self.members for p in pairs)
+    def check_contains(self, items) -> bool:
+        return all(item in self for item in items)

@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 from .errors import Caps, DEFAULT_CAPS, DeterminizationCapError, InputError, SaturationCapError
 from .fa import Alphabet, MonoidMorphism, Nfa, minimize, transition_monoid
-from .imprints import ImprintSet, PointedImprintSet
+from .imprints import ImprintSet
 from .semiring import (Semiring, SemiringMorphism, SubsetLattice,
                        alphabet_semiring, powerset_semiring, product_semiring,
                        relation_semiring)
@@ -257,10 +257,10 @@ def rm_from_multiset(items, caps: Caps = DEFAULT_CAPS) -> Extension:
 def _extension_for_nfa(nfa: Nfa, caps: Caps) -> Extension:
     """Pick the per-language construction with the smallest element width.
 
-    Element downsets are enumerated explicitly during saturation, so the bit
-    width of the rating-set encoding is the quantity to minimize: minimal-DFA
-    relations (states²), raw-NFA relations (states²) and monoid powersets
-    (monoid size) compete.
+    Semiring products and the word-image closures grow with the bit width of
+    the rating-set encoding, so that width is the quantity to minimize:
+    minimal-DFA relations (states²), raw-NFA relations (states²) and monoid
+    powersets (monoid size) compete.
     """
     from .errors import MonoidCapError, RelationCapError
 
@@ -304,23 +304,27 @@ def rm_alphabet_augment(rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> Extension:
     return Extension(tau, delta)
 
 
-def imprint_pullback(ext: Extension, imprint):
+def with_content(r, sub_mask: int):
+    """Element of an alphabet-compatible map with r's value and content
+    exactly {B}, for the sub-alphabet mask B."""
+    return (r[0], 1 << sub_mask)
+
+
+def imprint_pullback(ext: Extension, imprint: ImprintSet) -> ImprintSet:
     """Image of an imprint under the extending morphism, downset-closed.
 
-    Accepts ImprintSet or PointedImprintSet over the extension's rating set;
-    returns the same kind over the extended map's rating set.
+    Works for universal and pointed imprints over the extension's rating set;
+    returns the same kind over the extended map's rating set.  The morphism
+    is monotone, so the images of the maxima generate the result.
     """
+    if not isinstance(imprint, ImprintSet):
+        raise InputError(f"cannot pull back {type(imprint).__name__}")
     delta = ext.delta
-    target = delta.target
-    if isinstance(imprint, ImprintSet):
-        out = ImprintSet(target, cap=imprint.cap, label=imprint.label + "-pullback")
-        for r in imprint.maximal_elements():
-            out.insert(delta.apply(r))
-        return out
-    if isinstance(imprint, PointedImprintSet):
-        out = PointedImprintSet(imprint.monoid, target, cap=imprint.cap,
-                                label=imprint.label + "-pullback")
-        for (m, r) in imprint.maximal_elements():
-            out.insert((m, delta.apply(r)))
-        return out
-    raise InputError(f"cannot pull back {type(imprint).__name__}")
+    out = ImprintSet(delta.target, imprint.monoid, cap=imprint.cap,
+                     label=imprint.label + "-pullback")
+    for item in imprint.maximal_elements():
+        if imprint.monoid is None:
+            out.insert(delta.apply(item))
+        else:
+            out.insert((item[0], delta.apply(item[1])))
+    return out

@@ -5,6 +5,31 @@ multiplication and one class-specific rule; the pointed engine does the same
 over monoid/semiring pairs.  Both start from the trivial imprint (the word
 images, downset-closed) and are monotone, so the least fixpoint is
 independent of scheduling.
+
+Both run one loop over the antichain of maximal elements (`ImprintSet`);
+no rule ever looks below a maximum.  This is complete because products are
+monotone in both arguments and so is the idempotent power: s <= t implies
+s^n <= t^n for every n, and s^ω = s^N, t^ω = t^N for any N that is a large
+enough common multiple of both idempotent exponents, so s^ω <= t^ω.
+
+- Multiplication: a downset is closed under products iff the product of any
+  two maxima lies in it; every pair of maxima is multiplied once, by the
+  later-processed of the two.
+- FO (e + e·s with e = s^ω): the right-hand side is monotone in s, so the
+  rule over the maxima dominates the rule over the whole set.
+- FO2 (e·B*·f for idempotents e, f of content exactly {B}): let (r, C) be
+  maximal, with content C, and (r^ω, D) its idempotent power, which lies in
+  the fixpoint by multiplicative closure.  For B ∈ D the pair (r^ω, {B}) is
+  below (r^ω, D), hence in the fixpoint, and it is an idempotent of content
+  {B}.  Any idempotent e = (x, {B}) of the fixpoint lies below some maximum
+  (r, C); then e = e^ω <= (r^ω, D), so x <= r^ω and B ∈ D, i.e. e lies below
+  the candidate (r^ω, {B}).  The rule is monotone in e and f, so ranging
+  over pairs of candidates is complete, and every candidate pair is a real
+  instance of the rule.
+- Σ2 ((m, r·B*·r) for idempotent m and r, B ∈ cont(r)): for a maximal
+  (m, r) with m idempotent, (m, r)^k = (m, r^k), so (m, r^ω) lies in the
+  fixpoint.  Any idempotent (m, s) below (m, r) has s = s^ω <= r^ω and
+  cont(s) ⊆ cont(r^ω), so (m, r^ω) with every B in cont(r^ω) dominates it.
 """
 
 from __future__ import annotations
@@ -15,8 +40,8 @@ from typing import Iterable, Optional
 
 from .errors import Caps, DEFAULT_CAPS, InputError
 from .fa import MonoidMorphism, Nfa, alphabet_exact, nfa_intersection, is_empty
-from .imprints import ImprintSet, PointedImprintSet
-from .rating import Extension, RatingMap, rm_alphabet_augment
+from .imprints import ImprintSet
+from .rating import Extension, RatingMap, rm_alphabet_augment, with_content
 from .semiring import AlphabetSemiring
 
 
@@ -52,21 +77,22 @@ class ClassId(enum.Enum):
 # -- trivial imprints -----------------------------------------------------------
 
 def rm_trivial_imprint(rho: RatingMap, alpha: Optional[MonoidMorphism] = None,
-                       caps: Caps = DEFAULT_CAPS):
+                       caps: Caps = DEFAULT_CAPS) -> ImprintSet:
     """Trivial imprint: word images, downset-closed.
 
-    Universal mode returns an ImprintSet; passing a morphism returns the
-    pointed variant over monoid/value pairs.
+    Passing a morphism gives the pointed variant over monoid/value pairs.
     """
-    if alpha is None:
-        out = ImprintSet(rho.semiring, cap=caps.max_elements, label="trivial")
-        for w in rho.word_image_monoid(caps):
-            out.insert(w)
-        return out
-    out = PointedImprintSet(alpha, rho.semiring, cap=caps.max_elements, label="trivial")
-    for pair in _pair_monoid(alpha, rho, caps):
-        out.insert(pair)
+    out = ImprintSet(rho.semiring, alpha, cap=caps.max_elements, label="trivial")
+    for item in _word_images(rho, alpha, caps):
+        out.insert(item)
     return out
+
+
+def _word_images(rho: RatingMap, alpha: Optional[MonoidMorphism], caps: Caps):
+    """Rating images of words, or (monoid image, rating image) pairs."""
+    if alpha is None:
+        return rho.word_image_monoid(caps)
+    return _pair_monoid(alpha, rho, caps)
 
 
 def _pair_monoid(alpha: MonoidMorphism, rho: RatingMap, caps: Caps) -> set:
@@ -92,7 +118,7 @@ def _pair_monoid(alpha: MonoidMorphism, rho: RatingMap, caps: Caps) -> set:
     return seen
 
 
-# -- universal engine --------------------------------------------------------------
+# -- fixpoint engines ----------------------------------------------------------------
 
 def saturate_universal(rho: RatingMap, class_id: ClassId,
                        caps: Caps = DEFAULT_CAPS, lifo: bool = False) -> ImprintSet:
@@ -108,64 +134,45 @@ def saturate_universal(rho: RatingMap, class_id: ClassId,
                          "augment it first")
     sr = rho.semiring
     out = ImprintSet(sr, cap=caps.max_elements, label=class_id.value, lifo=lifo)
-    for w in rho.word_image_monoid(caps):
-        out.insert(w)
 
     if class_id is ClassId.BSIGMA1:
         # unconditional rule: fires once per sub-alphabet
         for mask in range(1 << len(rho.alphabet)):
             exact = rho.image_of_exact(rho.alphabet.from_mask(mask), caps)
             out.insert(sr.idempotent_power(exact))
-
-    def fo_rule(snapshot):
-        added = False
-        for s in snapshot:
-            e = sr.idempotent_power(s)
-            added |= out.insert(sr.add(e, sr.mul(e, s)))
-        return added
-
-    def fo2_rule(snapshot):
-        cont = rho.cont
-        alph_sr = cont.target
+        rule = None
+    elif class_id is ClassId.FO:
+        def rule(maxima):
+            added = False
+            for s in maxima:
+                e = sr.idempotent_power(s)
+                added |= out.insert(sr.add(e, sr.mul(e, s)))
+            return added
+    else:
+        alph_sr = rho.cont.target
         assert isinstance(alph_sr, AlphabetSemiring)
-        groups: dict = {}
-        for s in snapshot:
-            if sr.mul(s, s) != s:
-                continue
-            c = cont.apply(s)
-            members = alph_sr.members(c)
-            if len(members) == 1:
-                groups.setdefault(members[0], []).append(s)
-        added = False
-        for bmask, idems in groups.items():
-            star = rho.image_of_star(rho.alphabet.from_mask(bmask), caps)
-            for e in idems:
-                for f in idems:
-                    added |= out.insert(sr.mul(sr.mul(e, star), f))
-        return added
 
-    rule = {ClassId.BSIGMA1: None, ClassId.FO: fo_rule, ClassId.FO2: fo2_rule}[class_id]
-    _run_universal(out, sr, rule)
+        def rule(maxima):
+            candidates: dict = {}   # B -> the idempotents (r^ω, {B})
+            for s in maxima:
+                e = sr.idempotent_power(s)
+                for bmask in alph_sr.members(rho.cont.apply(e)):
+                    candidates.setdefault(bmask, set()).add(with_content(e, bmask))
+            added = False
+            for bmask, idems in candidates.items():
+                star = rho.image_of_star(rho.alphabet.from_mask(bmask), caps)
+                for e in idems:
+                    es = sr.mul(e, star)
+                    for f in idems:
+                        added |= out.insert(sr.mul(es, f))
+            return added
+
+    _saturate(out, rho, None, sr.mul, rule, caps)
     return out
 
 
-def _run_universal(out: ImprintSet, sr, rule):
-    while True:
-        out.sweeps += 1
-        while out.queue:
-            x = out.pop_pending()
-            for y in list(out.tops):
-                out.insert(sr.mul(x, y))
-                out.insert(sr.mul(y, x))
-        if rule is None or not rule(list(out.members)):
-            if not out.queue:
-                break
-
-
-# -- pointed engine -----------------------------------------------------------------
-
 def saturate_pointed(alpha: MonoidMorphism, rho: RatingMap, class_id: ClassId,
-                     caps: Caps = DEFAULT_CAPS, lifo: bool = False) -> PointedImprintSet:
+                     caps: Caps = DEFAULT_CAPS, lifo: bool = False) -> ImprintSet:
     """Least class-saturated subset of monoid x rating-semiring pairs."""
     if class_id not in (ClassId.SIGMA1, ClassId.SIGMA2):
         raise InputError(f"{class_id.value} is not handled by the pointed engine")
@@ -173,38 +180,53 @@ def saturate_pointed(alpha: MonoidMorphism, rho: RatingMap, class_id: ClassId,
         raise InputError("sigma2 saturation needs an alphabet-compatible rating map; "
                          "augment it first")
     sr = rho.semiring
-    out = PointedImprintSet(alpha, sr, cap=caps.max_elements, label=class_id.value, lifo=lifo)
-    for pair in _pair_monoid(alpha, rho, caps):
-        out.insert(pair)
+    out = ImprintSet(sr, alpha, cap=caps.max_elements, label=class_id.value, lifo=lifo)
 
     if class_id is ClassId.SIGMA1:
         star_all = rho.image_of_star(rho.alphabet.symbols, caps)
         out.insert((alpha.identity, star_all))
         rule = None
     else:
-        def rule(snapshot):
-            cont = rho.cont
-            alph_sr = cont.target
+        cont = rho.cont
+
+        def rule(maxima):
             added = False
-            for (m, r) in snapshot:
-                if alpha.mul[m][m] != m or sr.mul(r, r) != r:
+            for (m, r) in maxima:
+                if alpha.mul[m][m] != m:
                     continue
-                for bmask in alph_sr.members(cont.apply(r)):
+                e = sr.idempotent_power(r)
+                for bmask in cont.target.members(cont.apply(e)):
                     star = rho.image_of_star(rho.alphabet.from_mask(bmask), caps)
-                    added |= out.insert((m, sr.mul(sr.mul(r, star), r)))
+                    added |= out.insert((m, sr.mul(sr.mul(e, star), e)))
             return added
 
+    def mul(x, y):
+        return (alpha.mul[x[0]][y[0]], sr.mul(x[1], y[1]))
+
+    _saturate(out, rho, alpha, mul, rule, caps)
+    return out
+
+
+def _saturate(out: ImprintSet, rho: RatingMap, alpha: Optional[MonoidMorphism],
+              mul, rule, caps: Caps):
+    """Close `out` under `mul` and `rule`, starting from the word images.
+
+    Every newly maximal item is multiplied on both sides with every current
+    maximum; the class rule then runs over a snapshot of the maxima, until
+    neither adds anything.
+    """
+    for item in _word_images(rho, alpha, caps):
+        out.insert(item)
     while True:
         out.sweeps += 1
-        while out.queue:
-            (m1, r1) = out.pop_pending()
-            for (m2, r2) in list(out.tops):
-                out.insert((alpha.mul[m1][m2], sr.mul(r1, r2)))
-                out.insert((alpha.mul[m2][m1], sr.mul(r2, r1)))
-        if rule is None or not rule(list(out.members)):
-            if not out.queue:
-                break
-    return out
+        x = out.pop_pending()
+        while x is not None:
+            for y in out.maximal_elements():
+                out.insert(mul(x, y))
+                out.insert(mul(y, x))
+            x = out.pop_pending()
+        if rule is None or not rule(out.maximal_elements()):
+            break
 
 
 # -- exact finite-class imprint -----------------------------------------------------

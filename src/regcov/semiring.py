@@ -2,29 +2,20 @@
 
 Elements are value-encoded (ints for bit-vector kinds, tuples for products);
 operations are computed structurally on demand and memoized per instance.
-The canonical order is r <= s iff r + s = s; for all bit-vector kinds it
-coincides with mask containment, which makes downsets enumerable.
+The canonical order is r <= s iff r + s = s.  `mask` embeds every kind into
+integer bitmasks ordered by inclusion: bit-vector kinds are their own masks,
+products concatenate the masks of their parts, and table elements are
+encoded by their principal downsets.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (AlphabetCapError, Caps, DEFAULT_CAPS, InputError,
                      PowersetCapError, RelationCapError)
 from .fa import Alphabet, MonoidMorphism
-
-
-def _submasks(x: int) -> Iterator[int]:
-    """All submasks of x, including 0 and x."""
-    sub = x
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & x
 
 
 class RatingSet:
@@ -40,11 +31,12 @@ class RatingSet:
     def leq(self, x, y) -> bool:
         return self.add(x, y) == y
 
-    def downset(self, x) -> Iterator:
-        raise NotImplementedError
+    def mask(self, x) -> int:
+        """Order embedding into bitmasks: x <= y iff mask(x) | mask(y) == mask(y).
 
-    def downset_size(self, x) -> int:
-        raise NotImplementedError
+        Bit-vector kinds, whose order is containment, are their own masks.
+        """
+        return x
 
     def sum(self, elems: Iterable):
         out = self.zero
@@ -125,7 +117,8 @@ class TableSemiring(Semiring):
         self._mul_table = tuple(tuple(row) for row in mul_table)
         self._zero = zero
         self._one = one
-        self._down: dict = {}
+        self.nbits = size
+        self._masks: dict = {}
 
     @property
     def zero(self):
@@ -144,15 +137,11 @@ class TableSemiring(Semiring):
     def elements(self):
         return range(self.size)
 
-    def downset(self, x):
-        if x not in self._down:
-            self._down[x] = tuple(r for r in range(self.size) if self.leq(r, x))
-        return iter(self._down[x])
-
-    def downset_size(self, x):
-        if x not in self._down:
-            list(self.downset(x))
-        return len(self._down[x])
+    def mask(self, x):
+        """Bitmask of the principal downset of x."""
+        if x not in self._masks:
+            self._masks[x] = sum(1 << r for r in range(self.size) if self.leq(r, x))
+        return self._masks[x]
 
     def describe(self):
         return f"table[{self.size}]"
@@ -208,12 +197,6 @@ class PowersetMonoidSemiring(Semiring):
     def leq(self, x, y):
         return x | y == y
 
-    def downset(self, x):
-        return _submasks(x)
-
-    def downset_size(self, x):
-        return 1 << bin(x).count("1")
-
     def singleton(self, m: int) -> int:
         return 1 << m
 
@@ -268,12 +251,6 @@ class RelationSemiring(Semiring):
     def leq(self, x, y):
         return x | y == y
 
-    def downset(self, x):
-        return _submasks(x)
-
-    def downset_size(self, x):
-        return 1 << bin(x).count("1")
-
     def pair(self, i: int, j: int) -> int:
         return 1 << (i * self.q + j)
 
@@ -327,12 +304,6 @@ class AlphabetSemiring(Semiring):
     def leq(self, x, y):
         return x | y == y
 
-    def downset(self, x):
-        return _submasks(x)
-
-    def downset_size(self, x):
-        return 1 << bin(x).count("1")
-
     def singleton(self, sub_mask: int) -> int:
         return 1 << sub_mask
 
@@ -356,6 +327,7 @@ class ProductSemiring(Semiring):
         if not parts:
             raise InputError("product of zero semirings")
         self.parts = parts
+        self.nbits = sum(p.nbits for p in parts)
 
     @property
     def zero(self):
@@ -374,14 +346,12 @@ class ProductSemiring(Semiring):
     def leq(self, x, y):
         return all(p.leq(a, b) for p, a, b in zip(self.parts, x, y))
 
-    def downset(self, x):
-        return itertools.product(*(p.downset(a) for p, a in zip(self.parts, x)))
-
-    def downset_size(self, x):
-        n = 1
+    def mask(self, x):
+        """The parts' masks side by side."""
+        out = 0
         for p, a in zip(self.parts, x):
-            n *= p.downset_size(a)
-        return n
+            out = out << p.nbits | p.mask(a)
+        return out
 
     def describe(self):
         return "x".join(p.describe() for p in self.parts)
@@ -399,6 +369,7 @@ class SubsetLattice(RatingSet):
 
     def __init__(self, size: int):
         self.size = size
+        self.nbits = size
         self.full = (1 << size) - 1
 
     @property
@@ -410,12 +381,6 @@ class SubsetLattice(RatingSet):
 
     def leq(self, x, y):
         return x | y == y
-
-    def downset(self, x):
-        return _submasks(x)
-
-    def downset_size(self, x):
-        return 1 << bin(x).count("1")
 
     def describe(self):
         return f"subsets({self.size})"

@@ -1,8 +1,15 @@
 """CLI subcommands, verdict serialization and exit codes."""
 
 import json
+import time
 
-from regcov.cli import Verdict, main
+import pytest
+
+from regcov import DEFAULT_CAPS, Alphabet, ClassId
+from regcov import cli
+from regcov.cli import Instance, Verdict, _masks_to_lists, main
+
+from helpers import nfa_of
 
 
 def run(capsys, argv):
@@ -251,3 +258,46 @@ def test_cover_doc_carries_verification(capsys):
     doc = json.loads(out)
     assert doc["cover"]["k"] is not None
     assert doc["cover"]["verified"]["separating"] is True
+
+
+@pytest.mark.parametrize("command", ["separate", "member"])
+def test_wall_ms_covers_the_retry_after_a_cap(monkeypatch, command):
+    # max_pieces=1 makes the opportunistic separator synthesis hit its cap,
+    # so run_separate retries run_cover without a cover
+    attempts = []
+    real_run_cover = cli.run_cover
+
+    def timed_run_cover(inst):
+        t0 = time.perf_counter()
+        try:
+            return real_run_cover(inst)
+        finally:
+            attempts.append(time.perf_counter() - t0)
+
+    monkeypatch.setattr(cli, "run_cover", timed_run_cover)
+    inst = Instance(alphabet=Alphabet("ab"), class_id=ClassId.FO2, target=nfa_of("a+", "ab"),
+                    against=[nfa_of("b+", "ab")] if command == "separate" else [],
+                    caps=DEFAULT_CAPS.with_overrides(max_pieces=1))
+    run = cli.run_separate if command == "separate" else cli.run_member
+    verdict = run(inst)
+    assert verdict.coverable and verdict.separator is None
+    assert len(attempts) == 2
+    assert verdict.stats["wall_ms"] >= round(sum(attempts) * 1000.0, 3) - 0.001
+
+
+def test_masks_to_lists_keeps_high_indices():
+    assert _masks_to_lists([1 << 70 | 1, 0b10, 0]) == [[], [1], [0, 70]]
+
+
+def test_wall_ms_covers_parsing_the_instance(monkeypatch, capsys):
+    real_load = cli.load_instance
+
+    def slow_load(args):
+        time.sleep(0.05)
+        return real_load(args)
+
+    monkeypatch.setattr(cli, "load_instance", slow_load)
+    code, out, _ = run(capsys, ["member", "--class", "at", "--alphabet", "ab",
+                                "--target", "a*", "--json"])
+    assert code == 0
+    assert json.loads(out)["stats"]["wall_ms"] >= 50.0

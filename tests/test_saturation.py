@@ -10,6 +10,8 @@ from regcov import (Alphabet, ClassId, InputError, at_imprint,
                     regex_to_nfa, rm_alphabet_augment, rm_from_multiset,
                     rm_trivial_imprint, saturate_pointed, saturate_universal,
                     transition_monoid, upward_closure)
+import explicit_engine as explicit
+from explicit_engine import downset, members, same_imprint
 from helpers import nfa_of, random_nfa, random_regex
 
 AB = Alphabet("ab")
@@ -31,15 +33,15 @@ def test_single_letter_all_classes_full_lattice():
     tau = ext.tau
     triv = rm_trivial_imprint(tau)
     star = tau.image_of_star("a")
-    want = set(triv.members)
-    want.update(tau.semiring.downset(star))
+    want = members(triv)
+    want.update(downset(tau.semiring, star))
     for cid in (ClassId.BSIGMA1, ClassId.FO):
         got = saturate_universal(tau, cid)
-        assert got.members == want, cid
+        assert members(got) == want, cid
     aug = rm_alphabet_augment(tau)
     got2 = saturate_universal(aug.tau, ClassId.FO2)
     pulled = imprint_pullback(aug, got2)
-    assert pulled.members == want
+    assert members(pulled) == want
 
 
 def test_bsigma1_rule_fires_for_every_subalphabet():
@@ -49,7 +51,7 @@ def test_bsigma1_rule_fires_for_every_subalphabet():
     sr = tau.semiring
     for mask in range(4):
         exact = tau.image_of_exact(AB.from_mask(mask))
-        assert sr.idempotent_power(exact) in got.members
+        assert sr.idempotent_power(exact) in got
 
 
 def test_fo2_requires_alphabet_compatibility():
@@ -76,14 +78,14 @@ def test_structural_invariants_universal():
         triv = rm_trivial_imprint(ext.tau)
         for cid in (ClassId.BSIGMA1, ClassId.FO):
             got = saturate_universal(ext.tau, cid)
-            assert got.check_downward_closed()
+            assert same_imprint(explicit.saturate_universal(ext.tau, cid), got)
             assert got.check_submonoid()
-            assert got.check_contains(triv.members)
+            assert got.check_contains(members(triv))
         aug = rm_alphabet_augment(ext.tau)
         got = saturate_universal(aug.tau, ClassId.FO2)
-        assert got.check_downward_closed()
+        assert same_imprint(explicit.saturate_universal(aug.tau, ClassId.FO2), got)
         assert got.check_submonoid()
-        assert got.check_contains(rm_trivial_imprint(aug.tau).members)
+        assert got.check_contains(members(rm_trivial_imprint(aug.tau)))
 
 
 def test_structural_invariants_pointed():
@@ -93,12 +95,12 @@ def test_structural_invariants_pointed():
         alpha, _ = transition_monoid(target)
         ext = rm_from_multiset(nfas)
         p1 = saturate_pointed(alpha, ext.tau, ClassId.SIGMA1)
-        assert p1.check_downward_closed()
+        assert same_imprint(explicit.saturate_pointed(alpha, ext.tau, ClassId.SIGMA1), p1)
         assert p1.check_submonoid()
-        assert p1.check_contains(rm_trivial_imprint(ext.tau, alpha).members)
+        assert p1.check_contains(members(rm_trivial_imprint(ext.tau, alpha)))
         aug = rm_alphabet_augment(ext.tau)
         p2 = saturate_pointed(alpha, aug.tau, ClassId.SIGMA2)
-        assert p2.check_downward_closed()
+        assert same_imprint(explicit.saturate_pointed(alpha, aug.tau, ClassId.SIGMA2), p2)
         assert p2.check_submonoid()
 
 
@@ -114,11 +116,11 @@ def test_determinism_under_reversed_worklist():
         ext = rm_from_multiset(nfas)
         a = saturate_universal(ext.tau, ClassId.BSIGMA1, lifo=False)
         b = saturate_universal(ext.tau, ClassId.BSIGMA1, lifo=True)
-        assert a.members == b.members
+        assert members(a) == members(b)
         aug = rm_alphabet_augment(ext.tau)
         a2 = saturate_universal(aug.tau, ClassId.FO2, lifo=False)
         b2 = saturate_universal(aug.tau, ClassId.FO2, lifo=True)
-        assert a2.members == b2.members
+        assert members(a2) == members(b2)
 
 
 def test_class_chain_monotone():
@@ -130,10 +132,10 @@ def test_class_chain_monotone():
         i_bs1 = saturate_universal(tau, ClassId.BSIGMA1)
         aug = rm_alphabet_augment(tau)
         i_fo2 = imprint_pullback(aug, saturate_universal(aug.tau, ClassId.FO2))
-        assert i_fo.members <= i_fo2.members
-        assert i_fo.members <= i_bs1.members
-        assert i_fo2.members <= i_at.members
-        assert i_bs1.members <= i_at.members
+        assert members(i_fo) <= members(i_fo2)
+        assert members(i_fo) <= members(i_bs1)
+        assert members(i_fo2) <= members(i_at)
+        assert members(i_bs1) <= members(i_at)
 
 
 def test_pointed_chain_sigma2_below_sigma1():
@@ -146,7 +148,7 @@ def test_pointed_chain_sigma2_below_sigma1():
         aug = rm_alphabet_augment(ext.tau)
         p2raw = saturate_pointed(alpha, aug.tau, ClassId.SIGMA2)
         p2 = imprint_pullback(aug, p2raw)
-        assert p2.members <= p1.members
+        assert members(p2) <= members(p1)
 
 
 def test_fixpoint_minimality_small_instance():
@@ -154,14 +156,14 @@ def test_fixpoint_minimality_small_instance():
     tau = ext.tau
     sr = tau.semiring
     got = saturate_universal(tau, ClassId.BSIGMA1)
-    assert len(got) <= 30
-    seeds = set(rm_trivial_imprint(tau).members)
+    members_got = members(got)
+    assert len(members_got) <= 30
+    seeds = members(rm_trivial_imprint(tau))
     for mask in range(4):
         seeds.add(sr.idempotent_power(tau.image_of_exact(AB.from_mask(mask))))
-    members = got.members
-    for x in members - seeds:
+    for x in members_got - seeds:
         derivable = False
-        rest = members - {x}
+        rest = members_got - {x}
         for y in rest:
             if sr.leq(x, y):
                 derivable = True
@@ -192,10 +194,10 @@ def test_at_imprint_scopes():
             sub = (sub - 1) & m
     assert closed == {0b000, 0b001, 0b010, 0b011, 0b100}
     scoped = at_imprint(ext.tau, scope=nfa_of("%empty", "abc"))
-    assert scoped.members == {ext.tau.semiring.zero}
+    assert members(scoped) == {ext.tau.semiring.zero}
     # language scope is contained in the universal imprint
     scoped2 = at_imprint(ext.tau, scope=nfa_of("(ab)+", "abc"))
-    assert scoped2.members <= universal.members
+    assert members(scoped2) <= members(universal)
 
 
 def test_concatenation_compatibility_via_at():
@@ -211,7 +213,7 @@ def test_concatenation_compatibility_via_at():
         i12 = at_imprint(tau, scope=nfa_concat(l1, l2))
         for r1 in i1.maximal_elements():
             for r2 in i2.maximal_elements():
-                assert sr.mul(r1, r2) in i12.members
+                assert sr.mul(r1, r2) in i12
 
 
 def test_decide_universal_examples():
@@ -292,5 +294,41 @@ def test_at_imprint_single_letter_atoms():
     sr = tau.semiring
     want = {sr.zero}
     for image in (tau.eval_word(""), tau.image_of_exact("a")):
-        want.update(sr.downset(image))
-    assert imp.members == want
+        want.update(downset(sr, image))
+    assert members(imp) == want
+
+
+def _engine_pairs(target, other):
+    """(antichain imprint, explicit oracle imprint) for all six classes of
+    the pair, built the way the CLI decides it."""
+    ext = rm_from_multiset([target, other])
+    tau = ext.tau
+    aug = rm_alphabet_augment(tau)
+    pointed_tau = rm_from_multiset([other]).tau
+    pointed_aug = rm_alphabet_augment(pointed_tau)
+    alpha, _ = transition_monoid(target)
+    yield at_imprint(tau), explicit.at_imprint(tau)
+    for cid in (ClassId.BSIGMA1, ClassId.FO):
+        yield saturate_universal(tau, cid), explicit.saturate_universal(tau, cid)
+    yield (saturate_universal(aug.tau, ClassId.FO2),
+           explicit.saturate_universal(aug.tau, ClassId.FO2))
+    yield (saturate_pointed(alpha, pointed_tau, ClassId.SIGMA1),
+           explicit.saturate_pointed(alpha, pointed_tau, ClassId.SIGMA1))
+    yield (saturate_pointed(alpha, pointed_aug.tau, ClassId.SIGMA2),
+           explicit.saturate_pointed(alpha, pointed_aug.tau, ClassId.SIGMA2))
+
+
+def test_antichain_engine_matches_explicit_engine():
+    """Antichain and explicit engines give equal imprints on random pairs of
+    NFAs with at most four states.  The acceptance corpus is compared in
+    criteria 4-6.  The explicit engine is exponential in the rating width,
+    so pairs wider than 16 bits are skipped to keep the oracle cheap."""
+    rng = random.Random(4)
+    checked = 0
+    while checked < 40:
+        target, other = random_nfa(rng, AB, 4), random_nfa(rng, AB, 4)
+        if rm_from_multiset([target, other]).tau.semiring.log2_size() > 16:
+            continue
+        checked += 1
+        for new, old in _engine_pairs(target, other):
+            assert same_imprint(old, new), (target, other, new.label)

@@ -10,6 +10,8 @@ from regcov import (Alphabet, MonoidMorphism, PowersetCapError,
                     sr_idempotent_power, sr_leq, validate_semiring)
 from regcov.semiring import SubsetLattice, TableSemiring
 
+from explicit_engine import downset
+
 Z2 = MonoidMorphism(2, 0, ((0, 1), (1, 0)), {"a": 1})
 
 
@@ -133,12 +135,16 @@ def test_idempotent_power():
 def test_downsets():
     sr = relation_semiring(2)
     x = sr.pair(0, 0) | sr.pair(1, 1)
-    down = set(sr.downset(x))
+    down = set(downset(sr, x))
     assert down == {0, sr.pair(0, 0), sr.pair(1, 1), x}
-    assert sr.downset_size(x) == 4
     p = product_semiring([sr, sr])
-    assert p.downset_size((x, sr.pair(0, 0))) == 8
-    assert set(p.downset((x, 0))) == {(d, 0) for d in down}
+    assert len(set(downset(p, (x, sr.pair(0, 0))))) == 8
+    assert set(downset(p, (x, 0))) == {(d, 0) for d in down}
+    # mask is an order embedding: x <= y iff mask(x) | mask(y) == mask(y)
+    elems = [(a, b) for a in range(16) for b in (0, 1, 8, 9)]
+    for u in elems:
+        for v in elems:
+            assert p.leq(u, v) == (p.mask(u) | p.mask(v) == p.mask(v))
 
 
 def test_table_semiring_from_json():
@@ -147,7 +153,8 @@ def test_table_semiring_from_json():
            "zero": 0, "one": 1}
     sr = TableSemiring.from_json(doc)
     assert validate_semiring(sr, sr.elements()) == []
-    assert set(sr.downset(1)) == {0, 1}
+    assert set(downset(sr, 1)) == {0, 1}
+    assert sr.mask(0) | sr.mask(1) == sr.mask(1) != sr.mask(0)
     assert sr.idempotent_power(1) == 1
 
 
