@@ -14,21 +14,18 @@ from .errors import (AlphabetCapError, Caps, DEFAULT_CAPS,
 from .rx import Regex, regex_parse, regex_to_text
 from .fa import (Alphabet, Dfa, MonoidMorphism, Nfa, alphabet_exact,
                  alphabet_languages, alphabet_star, determinize, equivalent,
-                 includes, is_empty, minimize, monoid_validate, nfa_combine,
-                 nfa_complement, nfa_concat, nfa_decide, nfa_from_json,
-                 nfa_intersection, nfa_to_json, nfa_to_regex, nfa_union,
-                 regex_to_nfa, transition_monoid, universal_language,
-                 upward_closure)
+                 includes, is_empty, minimize, monoid_validate, nfa_complement,
+                 nfa_concat, nfa_from_json, nfa_intersection, nfa_to_json,
+                 nfa_to_regex, nfa_union, regex_to_nfa, transition_monoid,
+                 universal_language, upward_closure)
 from .semiring import (AlphabetSemiring, PowersetMonoidSemiring,
                        ProductSemiring, RatingSet, RelationSemiring, Semiring,
                        SemiringMorphism, SubsetLattice, TableSemiring,
-                       alphabet_semiring, powerset_semiring, product_semiring,
-                       relation_semiring, sr_idempotent_power, sr_leq,
                        validate_semiring)
 from .imprints import ImprintSet
 from .rating import (Extension, RatingMap, imprint_pullback,
-                     rm_alphabet_augment, rm_eval, rm_from_morphism,
-                     rm_from_multiset, rm_from_nfa)
+                     rm_alphabet_augment, rm_from_morphism, rm_from_multiset,
+                     rm_from_nfa)
 from .saturation import (ClassId, CoverDecision, at_imprint,
                          decide_pointed_covering, decide_universal_covering,
                          rm_trivial_imprint, saturate_pointed,
@@ -37,7 +34,7 @@ from .pieces import (PieceAutomaton, bsigma1_template_witness,
                      is_k_piecewise_testable, is_piece, pieces_upto,
                      pt_partition, template_regex, template_unambiguous)
 from .covers import (Cover, CoverPiece, VerifyReport, at_cover, bsigma1_cover,
-                     cover_assemble, fo2_cover, restrict_cover, sigma1_cover,
-                     union_covers, verify_cover)
+                     fo2_cover, restrict_cover, sigma1_cover, union_covers,
+                     verify_cover)
 
 __version__ = "0.1.0"

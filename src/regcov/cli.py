@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .errors import Caps, DEFAULT_CAPS, InputError, ResourceCapError
@@ -21,8 +21,8 @@ from .fa import (Alphabet, Nfa, alphabet_exact, includes, is_empty,
 from .covers import (Cover, at_cover, bsigma1_cover, fo2_cover, restrict_cover,
                      sigma1_cover, verify_cover)
 from .rating import Extension, rm_from_multiset
-from .saturation import (ClassId, CoverDecision, decide_pointed_covering,
-                         decide_universal_covering)
+from .saturation import (ClassId, CoverDecision, _mask_subsets,
+                         decide_pointed_covering, decide_universal_covering)
 from .pieces import is_k_piecewise_testable, pt_partition
 
 UNIVERSAL = "%universal"
@@ -31,14 +31,13 @@ UNIVERSAL = "%universal"
 @dataclass
 class Instance:
     alphabet: Alphabet
-    class_id: ClassId
+    class_id: Optional[ClassId]   # None: every class of the imprint chain
     target: object                # Nfa or UNIVERSAL
     against: list                 # list of Nfa
     emit_cover: bool = False
     verify: bool = False
     json_output: bool = False
     caps: Caps = DEFAULT_CAPS
-    seed: int = 0
 
 
 @dataclass
@@ -46,7 +45,6 @@ class Verdict:
     class_name: str
     coverable: bool
     imprint: list = field(default_factory=list)
-    noncoverable_subsets: list = field(default_factory=list)
     cover: Optional[dict] = None
     verified: Optional[dict] = None
     separator: Optional[str] = None
@@ -58,7 +56,6 @@ class Verdict:
             "class": self.class_name,
             "coverable": self.coverable,
             "imprint": self.imprint,
-            "noncoverable_subsets": self.noncoverable_subsets,
             "cover": self.cover,
             "verified": self.verified,
             "separator": self.separator,
@@ -72,7 +69,6 @@ class Verdict:
             class_name=doc["class"],
             coverable=doc["coverable"],
             imprint=[list(m) for m in doc["imprint"]],
-            noncoverable_subsets=[list(m) for m in doc["noncoverable_subsets"]],
             cover=doc.get("cover"),
             verified=doc.get("verified"),
             separator=doc.get("separator"),
@@ -106,11 +102,34 @@ def parse_language(spec, alphabet: Alphabet):
     raise InputError(f"cannot interpret language spec {spec!r}")
 
 
-def load_instance(args) -> Instance:
-    doc = {}
-    if args.instance:
-        with open(args.instance, "r", encoding="utf-8") as fh:
+_FIELD_TYPES = (("alphabet", str, "string"), ("class", str, "string"),
+                ("against", list, "array"), ("options", dict, "object"))
+
+
+def _read_instance(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read instance file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError("an instance file must hold a JSON object")
+    for key, kind, name in _FIELD_TYPES:
+        if key in doc and not isinstance(doc[key], kind):
+            raise InputError(f"instance field {key!r} must be a JSON {name}")
+    return doc
+
+
+def _cap_value(key: str, flag, options: dict, least: int):
+    """A cap from its flag, else from the instance options; None if unset."""
+    value = flag if flag is not None else options.get(key)
+    if value is not None and (type(value) is not int or value < least):
+        raise InputError(f"{key} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def load_instance(args) -> Instance:
+    doc = _read_instance(args.instance) if args.instance else {}
     alphabet_text = args.alphabet or doc.get("alphabet")
     if not alphabet_text:
         raise InputError("an alphabet is required (--alphabet or instance file)")
@@ -118,14 +137,15 @@ def load_instance(args) -> Instance:
     class_name = args.cls or doc.get("class")
     if not class_name:
         raise InputError("a class is required (--class or instance file)")
-    class_id = ClassId.parse(class_name)
+    chain = args.command == "imprint" and class_name.lower() == "chain"
+    class_id = None if chain else ClassId.parse(class_name)
     target_spec = args.target if args.target is not None else doc.get("target")
-    against_specs = list(args.against or []) or list(doc.get("against", []))
+    against_specs = args.against or doc.get("against", [])
     options = doc.get("options", {})
     caps = DEFAULT_CAPS.with_overrides(
-        max_elements=args.max_elements or options.get("max_elements"),
-        max_det_states=args.max_states or options.get("max_states"),
-        max_k=args.max_k or options.get("max_k"),
+        max_elements=_cap_value("max_elements", args.max_elements, options, 1),
+        max_det_states=_cap_value("max_states", args.max_states, options, 1),
+        max_k=_cap_value("max_k", args.max_k, options, 0),
     )
     target = parse_language(target_spec, alphabet) if target_spec is not None else None
     against = [parse_language(s, alphabet) for s in against_specs]
@@ -140,7 +160,6 @@ def load_instance(args) -> Instance:
         verify=bool(args.verify or options.get("verify")),
         json_output=bool(args.json or options.get("json")),
         caps=caps,
-        seed=args.seed if args.seed is not None else options.get("seed", 0),
     )
 
 
@@ -195,6 +214,7 @@ def run_cover(inst: Instance) -> Verdict:
             if cover is not None and target_index is not None:
                 cover = restrict_cover(cover, target_nfa)
 
+    stats = dict(decision.stats)
     if cover is not None:
         report = verify_cover(cover, target_nfa, inst.against, caps=inst.caps)
         if not report.ok:
@@ -202,6 +222,7 @@ def run_cover(inst: Instance) -> Verdict:
                 raise AssertionError("synthesized cover failed verification")
             # depth cap hit before the imprint converged; drop the cover
             cover = None
+            stats["synthesis"] = {"dropped": "not optimal"}
     if cover is not None:
         cover_doc = cover.to_json()
         if inst.verify:
@@ -213,13 +234,11 @@ def run_cover(inst: Instance) -> Verdict:
                 "class_note": report.class_note,
             }
             cover_doc["verified"] = verified_doc
-    stats = dict(decision.stats)
     stats["wall_ms"] = _ms_since(t0)
     return Verdict(
         class_name=class_id.value,
         coverable=decision.coverable,
         imprint=_masks_to_lists(decision.imprint_masks),
-        noncoverable_subsets=_masks_to_lists(decision.noncoverable_masks),
         cover=cover_doc,
         verified=verified_doc,
         stats=stats,
@@ -232,19 +251,14 @@ def run_separate(inst: Instance) -> Verdict:
         raise InputError("separation takes exactly one language to avoid")
     want_cover = inst.emit_cover or inst.class_id.synthesizable
 
-    def attempt(emit: bool) -> Verdict:
-        return run_cover(Instance(
-            alphabet=inst.alphabet, class_id=inst.class_id, target=inst.target,
-            against=inst.against, emit_cover=emit, verify=inst.verify,
-            json_output=inst.json_output, caps=inst.caps, seed=inst.seed))
-
     try:
-        verdict = attempt(want_cover)
-    except ResourceCapError:
+        verdict = run_cover(replace(inst, emit_cover=want_cover))
+    except ResourceCapError as exc:
         if inst.emit_cover:
             raise
         # separator synthesis was opportunistic; the decision still stands
-        verdict = attempt(False)
+        verdict = run_cover(replace(inst, emit_cover=False))
+        verdict.stats["synthesis"] = {"skipped": exc.cap_name}
     if verdict.coverable and verdict.cover is not None:
         sep = rx.union_all(
             rx.regex_parse(p["regex"], inst.alphabet.symbols)
@@ -267,10 +281,7 @@ def run_member(inst: Instance) -> Verdict:
     if inst.target is None or inst.target is UNIVERSAL:
         raise InputError("membership needs a concrete target language")
     complement = nfa_complement(inst.target, inst.caps)
-    verdict = run_separate(Instance(
-        alphabet=inst.alphabet, class_id=inst.class_id, target=inst.target,
-        against=[complement], emit_cover=inst.emit_cover, verify=inst.verify,
-        json_output=inst.json_output, caps=inst.caps, seed=inst.seed))
+    verdict = run_separate(replace(inst, against=[complement]))
     verdict.member = verdict.coverable
     verdict.stats["wall_ms"] = _ms_since(t0)
     return verdict
@@ -280,28 +291,11 @@ _CHAIN = (ClassId.FO, ClassId.FO2, ClassId.BSIGMA1, ClassId.AT)
 
 
 def run_imprint(inst: Instance) -> Verdict:
-    t0 = time.perf_counter()
-    if not inst.against:
-        raise InputError("imprint needs at least one language (--against)")
-    ext = rm_from_multiset(inst.against, inst.caps)
-    stats = {"rating_set_log2": ext.tau.semiring.log2_size()}
-    if inst.class_id.pointed:
-        if inst.target is None:
-            raise InputError("pointed imprints need a target language (--target)")
-        target_nfa = inst.target if inst.target is not UNIVERSAL else universal_language(inst.alphabet)
-        alpha, accepting = transition_monoid(target_nfa, inst.caps)
-        decision = decide_pointed_covering(alpha, accepting, ext, inst.class_id, inst.caps)
-    else:
-        decision = decide_universal_covering(ext, inst.class_id, inst.caps, None)
-    stats.update(decision.stats)
-    stats["wall_ms"] = _ms_since(t0)
-    return Verdict(
-        class_name=inst.class_id.value,
-        coverable=decision.coverable,
-        imprint=_masks_to_lists(decision.imprint_masks),
-        noncoverable_subsets=_masks_to_lists(decision.noncoverable_masks),
-        stats=stats,
-    )
+    """The decision alone: `run_cover` without synthesis, over the whole word
+    set for the Boolean classes and over the given target for the pointed
+    ones."""
+    target = inst.target if inst.class_id.pointed else UNIVERSAL
+    return run_cover(replace(inst, target=target, emit_cover=False))
 
 
 def run_imprint_chain(inst: Instance) -> dict:
@@ -309,9 +303,7 @@ def run_imprint_chain(inst: Instance) -> dict:
     out = {}
     masks = {}
     for cid in _CHAIN:
-        sub = Instance(alphabet=inst.alphabet, class_id=cid, target=None,
-                       against=inst.against, caps=inst.caps)
-        verdict = run_imprint(sub)
+        verdict = run_imprint(replace(inst, class_id=cid))
         out[cid.value] = verdict.to_json()
         masks[cid] = {frozenset(s) for s in map(tuple, verdict.imprint)}
     out["inclusions"] = {
@@ -340,12 +332,7 @@ def oracle_at_imprint(alphabet: Alphabet, langs: list) -> list:
         for i, lang in enumerate(langs):
             if not is_empty(nfa_intersection(atom, lang)):
                 hit |= 1 << i
-        sub = hit
-        while True:
-            masks.add(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & hit
+        masks.update(_mask_subsets(hit))
     return _masks_to_lists(masks)
 
 
@@ -392,7 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-elements", type=int)
         p.add_argument("--max-k", type=int)
         p.add_argument("--max-states", type=int)
-        p.add_argument("--seed", type=int)
         if name == "oracle":
             p.add_argument("--which", required=True,
                            choices=["sigma1-sep", "pt-k", "at"])
@@ -418,13 +404,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "imprint" and (args.cls or "").lower() == "chain":
-            args.cls = "at"  # placeholder; the chain runs every class itself
-            inst = load_instance(args)
-            doc = run_imprint_chain(inst)
-            _emit(doc, True)
-            return 0
         inst = load_instance(args)
+        if inst.class_id is None:
+            _emit(run_imprint_chain(inst), True)
+            return 0
         if args.command == "cover":
             verdict = run_cover(inst)
         elif args.command == "separate":

@@ -21,10 +21,10 @@ from .fa import (Alphabet, MonoidMorphism, Nfa, alphabet_exact, alphabet_star,
                  piece_closure_regex, regex_to_nfa, universal_language,
                  upward_closure)
 from .imprints import ImprintSet
-from .pieces import PieceAutomaton, is_piece, pt_partition
+from .pieces import PieceAutomaton, is_piece, is_union_of_classes, pt_partition
 from .rating import RatingMap
 from .rx import Regex
-from .saturation import ClassId
+from .saturation import ClassId, _mask_subsets
 
 
 @dataclass
@@ -438,14 +438,6 @@ def union_covers(covers: Iterable[Cover]) -> Cover:
                  provenance="union of per-element covers")
 
 
-def cover_assemble(mode: str, *args) -> Cover:
-    if mode == "restrict":
-        return restrict_cover(*args)
-    if mode == "union":
-        return union_covers(*args)
-    raise ValueError(f"unknown assembly mode {mode!r}")
-
-
 @dataclass
 class VerifyReport:
     covers_target: bool
@@ -499,48 +491,25 @@ def verify_cover(cover: Cover, target: Nfa, against: list,
 
     class_ok: Optional[bool] = None
     note = "class membership certified by construction, not machine-checked"
+    alphabet = cover.target.alphabet
+    classes = None
     if class_check:
         if cover.class_id is ClassId.SIGMA1:
             class_ok = all(equivalent(upward_closure(p.nfa), p.nfa, caps) for p in cover.pieces)
             note = "each piece closed under superwords"
         elif cover.class_id is ClassId.AT:
-            class_ok = _pieces_are_atom_unions(cover, caps)
+            classes = [alphabet_exact(alphabet, alphabet.from_mask(mask))
+                       for mask in range(1 << len(alphabet))]
             note = "each piece a union of alphabet atoms"
         elif cover.class_id is ClassId.BSIGMA1 and cover.k is not None:
-            class_ok = _pieces_are_class_unions(cover, caps)
+            classes = pt_partition(cover.k, alphabet, caps).classes()
             note = f"each piece a union of {cover.k}-piece-equivalence classes"
+    if classes is not None:
+        class_ok = all(is_union_of_classes(p.nfa, classes, caps) for p in cover.pieces)
 
     masks = None
     if ext is not None:
-        closed = set()
-        for p in cover.pieces:
-            m = ext.index_set(ext.tau.eval_nfa(p.nfa, caps))
-            sub = m
-            while True:
-                closed.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & m
-        masks = frozenset(closed)
+        masks = frozenset(sub for p in cover.pieces
+                          for sub in _mask_subsets(ext.index_set(ext.tau.eval_nfa(p.nfa, caps))))
 
     return VerifyReport(covers_target, separating, witnesses, class_ok, note, masks)
-
-
-def _pieces_are_atom_unions(cover: Cover, caps: Caps) -> bool:
-    alphabet = cover.target.alphabet
-    for p in cover.pieces:
-        for mask in range(1 << len(alphabet)):
-            atom = alphabet_exact(alphabet, alphabet.from_mask(mask))
-            if not is_empty(nfa_intersection(atom, p.nfa)) and not includes(atom, p.nfa, caps):
-                return False
-    return True
-
-
-def _pieces_are_class_unions(cover: Cover, caps: Caps) -> bool:
-    pa = pt_partition(cover.k, cover.target.alphabet, caps)
-    classes = [pa.class_nfa(q) for q in range(len(pa.states))]
-    for p in cover.pieces:
-        for cls in classes:
-            if not is_empty(nfa_intersection(cls, p.nfa)) and not includes(cls, p.nfa, caps):
-                return False
-    return True

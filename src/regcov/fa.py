@@ -156,10 +156,6 @@ def empty_language(alphabet: Alphabet) -> Nfa:
     return Nfa(alphabet, 1, frozenset([0]), frozenset(), frozenset())
 
 
-def epsilon_language(alphabet: Alphabet) -> Nfa:
-    return Nfa(alphabet, 1, frozenset([0]), frozenset([0]), frozenset())
-
-
 def universal_language(alphabet: Alphabet) -> Nfa:
     trans = {(0, a, 0) for a in alphabet}
     return Nfa(alphabet, 1, frozenset([0]), frozenset([0]), frozenset(trans))
@@ -230,16 +226,6 @@ def nfa_concat(lhs: Nfa, rhs: Nfa) -> Nfa:
     initials = set(lhs.initials) | ({q + off for q in rhs.initials} if lhs_accepts_eps else set())
     return Nfa(lhs.alphabet, lhs.state_count + rhs.state_count,
                frozenset(initials), frozenset(finals), frozenset(trans))
-
-
-def nfa_combine(op: str, lhs: Nfa, rhs: Nfa) -> Nfa:
-    if op == "union":
-        return nfa_union(lhs, rhs)
-    if op == "intersection":
-        return nfa_intersection(lhs, rhs)
-    if op == "concatenation":
-        return nfa_concat(lhs, rhs)
-    raise InputError(f"unknown combine op {op!r}")
 
 
 # -- determinization and friends ------------------------------------------------
@@ -369,23 +355,6 @@ def equivalent(lhs: Nfa, rhs: Nfa, caps: Caps = DEFAULT_CAPS) -> bool:
     return includes(lhs, rhs, caps) and includes(rhs, lhs, caps)
 
 
-def disjoint(lhs: Nfa, rhs: Nfa) -> bool:
-    return is_empty(nfa_intersection(lhs, rhs))
-
-
-def nfa_decide(query: str, n: Nfa, arg=None, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Dispatcher form of the decision procedures."""
-    if query == "emptiness":
-        return is_empty(n)
-    if query == "membership":
-        return n.accepts(arg)
-    if query == "inclusion":
-        return includes(n, arg, caps)
-    if query == "equivalence":
-        return equivalent(n, arg, caps)
-    raise InputError(f"unknown query {query!r}")
-
-
 # -- transition monoid -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -410,12 +379,6 @@ class MonoidMorphism:
         for a in word:
             m = self.mul[m][self.letter_image[a]]
         return m
-
-    def product(self, x: int, y: int) -> int:
-        return self.mul[x][y]
-
-    def idempotents(self):
-        return [e for e in range(self.size) if self.mul[e][e] == e]
 
 
 def monoid_validate(m: MonoidMorphism) -> list:

@@ -132,7 +132,7 @@ class ImprintSet:
             return sr.one in self and all(sr.mul(x, y) in self for x in maxes for y in maxes)
         mon = self.monoid
         return ((mon.identity, sr.one) in self
-                and all((mon.product(m1, m2), sr.mul(r1, r2)) in self
+                and all((mon.mul[m1][m2], sr.mul(r1, r2)) in self
                         for (m1, r1) in maxes for (m2, r2) in maxes))
 
     def check_contains(self, items) -> bool:

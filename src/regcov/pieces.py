@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Caps, DEFAULT_CAPS, PtStateCapError
-from .fa import Alphabet, Nfa, exact_alphabet_regex
+from .fa import (Alphabet, Nfa, exact_alphabet_regex, includes, is_empty,
+                 nfa_intersection)
 from . import rx
 from .rx import Regex
 
@@ -85,16 +86,17 @@ def pt_partition(k: int, alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> Piece
     return PieceAutomaton(k, alphabet, order, delta)
 
 
+def is_union_of_classes(nfa: Nfa, classes, caps: Caps = DEFAULT_CAPS) -> bool:
+    """True iff the language is a union of the given disjoint classes: every
+    class meeting it lies inside it."""
+    return all(is_empty(nfa_intersection(cls, nfa)) or includes(cls, nfa, caps)
+               for cls in classes)
+
+
 def is_k_piecewise_testable(nfa: Nfa, k: int, caps: Caps = DEFAULT_CAPS) -> bool:
     """True iff the language is a union of k-equivalence classes."""
-    from .fa import includes, is_empty, nfa_intersection
-
     pa = pt_partition(k, nfa.alphabet, caps)
-    for q in range(len(pa.states)):
-        cls = pa.class_nfa(q)
-        if not is_empty(nfa_intersection(cls, nfa)) and not includes(cls, nfa, caps):
-            return False
-    return True
+    return is_union_of_classes(nfa, (pa.class_nfa(q) for q in range(len(pa.states))), caps)
 
 
 # -- templates ----------------------------------------------------------------------

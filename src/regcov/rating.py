@@ -14,9 +14,9 @@ from typing import Iterable, Optional
 from .errors import Caps, DEFAULT_CAPS, DeterminizationCapError, InputError, SaturationCapError
 from .fa import Alphabet, MonoidMorphism, Nfa, minimize, transition_monoid
 from .imprints import ImprintSet
-from .semiring import (Semiring, SemiringMorphism, SubsetLattice,
-                       alphabet_semiring, powerset_semiring, product_semiring,
-                       relation_semiring)
+from .semiring import (AlphabetSemiring, PowersetMonoidSemiring,
+                       ProductSemiring, RelationSemiring, Semiring,
+                       SemiringMorphism, SubsetLattice)
 
 
 @dataclass
@@ -145,18 +145,13 @@ class RatingMap:
         return self._monoid_cache
 
 
-def rm_eval(rho: RatingMap, language, caps: Caps = DEFAULT_CAPS):
-    return rho.eval(language, caps)
-
-
 @dataclass
 class Extension:
     """Rating map `tau` together with the morphism pulling its values back to
     the rating set it extends.
 
     For multiset-built extensions the target is the subset lattice over the
-    language indices and `language_count` is set; `hits_all(r)` is the marker
-    predicate for tuples meeting every language.
+    language indices and `language_count` is set.
     """
 
     tau: RatingMap
@@ -169,15 +164,12 @@ class Extension:
             raise InputError("extension was not built from a language multiset")
         return self.delta.apply(r)
 
-    def hits_all(self, r) -> bool:
-        return self.index_set(r) == (1 << self.language_count) - 1
-
 
 def rm_from_morphism(alpha: MonoidMorphism, accepting: Iterable[int],
                      caps: Caps = DEFAULT_CAPS) -> Extension:
     """Canonical rating map over the powerset of the monoid, extending the
     single-language map of image⁻¹(accepting)."""
-    sr = powerset_semiring(alpha, caps)
+    sr = PowersetMonoidSemiring(alpha, caps)
     letter_image = {a: sr.singleton(m) for a, m in alpha.letter_image.items()}
     tau = RatingMap(_alphabet_of_letters(alpha), sr, letter_image)
     acc_mask = 0
@@ -194,7 +186,7 @@ def _alphabet_of_letters(alpha: MonoidMorphism) -> Alphabet:
 
 def rm_from_nfa(nfa: Nfa, caps: Caps = DEFAULT_CAPS) -> Extension:
     """Canonical rating map over state relations of the automaton."""
-    sr = relation_semiring(nfa.state_count, caps)
+    sr = RelationSemiring(nfa.state_count, caps)
     letter_image = {a: 0 for a in nfa.alphabet}
     for (q, a, r) in nfa.transitions:
         letter_image[a] |= sr.pair(q, r)
@@ -237,7 +229,7 @@ def rm_from_multiset(items, caps: Caps = DEFAULT_CAPS) -> Extension:
             alpha, accepting = item
             exts.append(rm_from_morphism(alpha, accepting, caps))
     parts = [e.tau.semiring for e in exts]
-    sr = product_semiring(parts)
+    sr = ProductSemiring(parts)
     letter_image = {a: tuple(e.tau.letter_image[a] for e in exts) for a in alphabet}
     tau = RatingMap(alphabet, sr, letter_image)
     n = len(items)
@@ -294,8 +286,8 @@ def _extension_for_nfa(nfa: Nfa, caps: Caps) -> Extension:
 def rm_alphabet_augment(rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> Extension:
     """Alphabet-compatible extension: pair every value with the set of word
     alphabets it accounts for."""
-    alph_sr = alphabet_semiring(rho.alphabet, caps)
-    sr = product_semiring([rho.semiring, alph_sr])
+    alph_sr = AlphabetSemiring(rho.alphabet, caps)
+    sr = ProductSemiring([rho.semiring, alph_sr])
     letter_image = {a: (rho.letter_image[a], alph_sr.singleton(1 << rho.alphabet.index(a)))
                     for a in rho.alphabet}
     cont = SemiringMorphism(sr, alph_sr, lambda t: t[1])

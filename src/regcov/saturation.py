@@ -262,8 +262,7 @@ class CoverDecision:
 
     class_id: ClassId
     coverable: bool
-    imprint_masks: frozenset      # index masks: the imprint over the against set
-    noncoverable_masks: frozenset  # masks H with (target, H) not coverable
+    imprint_masks: frozenset      # index masks H with (target, H) not coverable
     raw_imprint: object
     rating_map: object = None     # map the raw imprint was computed over
     stats: dict = field(default_factory=dict)
@@ -341,7 +340,6 @@ def decide_universal_covering(ext: Extension, class_id: ClassId,
         class_id=class_id,
         coverable=not hit_full,
         imprint_masks=noncov,
-        noncoverable_masks=noncov,
         raw_imprint=imprint,
         rating_map=rating_map,
         stats={"elements": len(imprint), "sweeps": imprint.sweeps,
@@ -369,15 +367,11 @@ def decide_pointed_covering(alpha: MonoidMorphism, accepting: Iterable[int],
     else:
         raise InputError(f"{class_id.value} does not route through pointed covering")
     images = {index_of(r) for (m, r) in pointed.maximal_elements() if m in accepting}
-    full = (1 << ext.language_count) - 1
-    closed = set()
-    for msk in images:
-        closed.update(_mask_subsets(msk))
+    noncov, hit_full = _against_table(images, ext.language_count, None)
     return CoverDecision(
         class_id=class_id,
-        coverable=full not in closed,
-        imprint_masks=frozenset(closed),
-        noncoverable_masks=frozenset(closed),
+        coverable=not hit_full,
+        imprint_masks=noncov,
         raw_imprint=pointed,
         rating_map=rating_map,
         stats={"elements": len(pointed), "sweeps": pointed.sweeps,

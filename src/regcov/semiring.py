@@ -19,17 +19,23 @@ from .fa import Alphabet, MonoidMorphism
 
 
 class RatingSet:
-    """Finite commutative idempotent monoid (addition only)."""
+    """Finite commutative idempotent monoid (addition only).
 
-    def add(self, x, y):
-        raise NotImplementedError
+    The defaults are those of the bit-vector kinds: elements are bitmasks of
+    `nbits` bits, added by union and ordered by inclusion.
+    """
+
+    nbits: int
 
     @property
     def zero(self):
-        raise NotImplementedError
+        return 0
+
+    def add(self, x, y):
+        return x | y
 
     def leq(self, x, y) -> bool:
-        return self.add(x, y) == y
+        return x | y == y
 
     def mask(self, x) -> int:
         """Order embedding into bitmasks: x <= y iff mask(x) | mask(y) == mask(y).
@@ -48,7 +54,7 @@ class RatingSet:
         raise NotImplementedError
 
     def log2_size(self) -> float:
-        raise NotImplementedError
+        return float(self.nbits)
 
 
 class Semiring(RatingSet):
@@ -90,20 +96,6 @@ class Semiring(RatingSet):
                 return e
         raise AssertionError("no idempotent in power cycle")  # pragma: no cover
 
-    def power(self, s, n: int):
-        out = self.one
-        for _ in range(n):
-            out = self.mul(out, s)
-        return out
-
-
-def sr_leq(semiring: RatingSet, r, s) -> bool:
-    return semiring.leq(r, s)
-
-
-def sr_idempotent_power(semiring: Semiring, s):
-    return semiring.idempotent_power(s)
-
 
 # -- concrete kinds -----------------------------------------------------------
 
@@ -130,6 +122,9 @@ class TableSemiring(Semiring):
 
     def add(self, x, y):
         return self._add[x][y]
+
+    def leq(self, x, y):
+        return self._add[x][y] == y
 
     def _mul(self, x, y):
         return self._mul_table[x][y]
@@ -173,15 +168,8 @@ class PowersetMonoidSemiring(Semiring):
         self.nbits = monoid.size
 
     @property
-    def zero(self):
-        return 0
-
-    @property
     def one(self):
         return 1 << self.monoid.identity
-
-    def add(self, x, y):
-        return x | y
 
     def _mul(self, x, y):
         mul = self.monoid.mul
@@ -194,17 +182,11 @@ class PowersetMonoidSemiring(Semiring):
                 out |= 1 << row[j]
         return out
 
-    def leq(self, x, y):
-        return x | y == y
-
     def singleton(self, m: int) -> int:
         return 1 << m
 
     def describe(self):
         return f"powerset(monoid[{self.monoid.size}])"
-
-    def log2_size(self):
-        return float(self.nbits)
 
 
 class RelationSemiring(Semiring):
@@ -223,15 +205,8 @@ class RelationSemiring(Semiring):
         self._rowmask = (1 << state_count) - 1
 
     @property
-    def zero(self):
-        return 0
-
-    @property
     def one(self):
         return sum(1 << (i * self.q + i) for i in range(self.q))
-
-    def add(self, x, y):
-        return x | y
 
     def _mul(self, x, y):
         q = self.q
@@ -248,9 +223,6 @@ class RelationSemiring(Semiring):
             out |= orow << (i * q)
         return out
 
-    def leq(self, x, y):
-        return x | y == y
-
     def pair(self, i: int, j: int) -> int:
         return 1 << (i * self.q + j)
 
@@ -260,9 +232,6 @@ class RelationSemiring(Semiring):
 
     def describe(self):
         return f"relations({self.q})"
-
-    def log2_size(self):
-        return float(self.nbits)
 
 
 class AlphabetSemiring(Semiring):
@@ -282,15 +251,8 @@ class AlphabetSemiring(Semiring):
         self.nbits = self.nsub
 
     @property
-    def zero(self):
-        return 0
-
-    @property
     def one(self):
         return 1  # the set {∅}
-
-    def add(self, x, y):
-        return x | y
 
     def _mul(self, x, y):
         out = 0
@@ -301,9 +263,6 @@ class AlphabetSemiring(Semiring):
                 out |= 1 << (b | c)
         return out
 
-    def leq(self, x, y):
-        return x | y == y
-
     def singleton(self, sub_mask: int) -> int:
         return 1 << sub_mask
 
@@ -313,9 +272,6 @@ class AlphabetSemiring(Semiring):
 
     def describe(self):
         return f"alphabet-sets({self.alphabet.symbols})"
-
-    def log2_size(self):
-        return float(self.nbits)
 
 
 class ProductSemiring(Semiring):
@@ -372,39 +328,8 @@ class SubsetLattice(RatingSet):
         self.nbits = size
         self.full = (1 << size) - 1
 
-    @property
-    def zero(self):
-        return 0
-
-    def add(self, x, y):
-        return x | y
-
-    def leq(self, x, y):
-        return x | y == y
-
     def describe(self):
         return f"subsets({self.size})"
-
-    def log2_size(self):
-        return float(self.size)
-
-
-# -- spec-level constructors ----------------------------------------------------
-
-def powerset_semiring(monoid: MonoidMorphism, caps: Caps = DEFAULT_CAPS) -> PowersetMonoidSemiring:
-    return PowersetMonoidSemiring(monoid, caps)
-
-
-def relation_semiring(state_count: int, caps: Caps = DEFAULT_CAPS) -> RelationSemiring:
-    return RelationSemiring(state_count, caps)
-
-
-def product_semiring(parts) -> ProductSemiring:
-    return ProductSemiring(parts)
-
-
-def alphabet_semiring(alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> AlphabetSemiring:
-    return AlphabetSemiring(alphabet, caps)
 
 
 # -- morphisms -------------------------------------------------------------------
@@ -419,14 +344,6 @@ class SemiringMorphism:
 
     def apply(self, x):
         return self.fn(x)
-
-    def compose(self, inner: "SemiringMorphism") -> "SemiringMorphism":
-        """self ∘ inner."""
-        return SemiringMorphism(inner.source, self.target, lambda x: self.fn(inner.fn(x)))
-
-
-def identity_morphism(semiring: RatingSet) -> SemiringMorphism:
-    return SemiringMorphism(semiring, semiring, lambda x: x)
 
 
 # -- validation -------------------------------------------------------------------

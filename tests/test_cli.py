@@ -39,7 +39,7 @@ def test_cover_not_coverable(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["coverable"] is False
-    assert [0] in doc["noncoverable_subsets"]
+    assert [0] in doc["imprint"]
     assert doc["cover"] is None
 
 
@@ -281,8 +281,48 @@ def test_wall_ms_covers_the_retry_after_a_cap(monkeypatch, command):
     run = cli.run_separate if command == "separate" else cli.run_member
     verdict = run(inst)
     assert verdict.coverable and verdict.separator is None
+    assert verdict.stats["synthesis"] == {"skipped": "max_pieces"}
     assert len(attempts) == 2
     assert verdict.stats["wall_ms"] >= round(sum(attempts) * 1000.0, 3) - 0.001
+
+
+def test_dropped_cover_says_why(capsys):
+    # at k = 1 the piece partition cannot tell ab from ba, and the depth cap
+    # stops the deepening there: the non-optimal cover fails verification
+    for command in (["cover", "--emit-cover"], ["separate"]):
+        code, out, _ = run(capsys, command + [
+            "--class", "bsigma1", "--alphabet", "ab", "--target", "ab",
+            "--against", "ba", "--max-k", "1", "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["coverable"] is True and doc["cover"] is None and doc["separator"] is None
+        assert doc["stats"]["synthesis"] == {"dropped": "not optimal"}
+
+
+GOOD_INSTANCE = {"alphabet": "ab", "class": "at", "target": "a+", "against": ["b+"]}
+FLAGS = ["--class", "bsigma1", "--alphabet", "ab", "--target", "a+", "--against", "b+"]
+
+
+@pytest.mark.parametrize("instance, flags", [
+    ("missing", []),
+    ("not json", []),
+    ([1, 2], []),
+    ({**GOOD_INSTANCE, "options": 5}, []),
+    ({**GOOD_INSTANCE, "options": {"max_elements": "x"}}, []),
+    ({**GOOD_INSTANCE, "against": "ab"}, []),
+    (None, FLAGS + ["--emit-cover", "--max-k", "-3"]),
+    (None, FLAGS + ["--max-elements", "0"]),
+])
+def test_bad_input_is_an_input_error(tmp_path, capsys, instance, flags):
+    argv = ["cover"] + flags
+    if instance is not None:
+        path = tmp_path / "instance.json"
+        if instance != "missing":
+            path.write_text(instance if isinstance(instance, str) else json.dumps(instance))
+        argv += ["--instance", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and "Traceback" not in err
 
 
 def test_masks_to_lists_keeps_high_indices():

@@ -5,11 +5,11 @@ import random
 import pytest
 
 from regcov import (Alphabet, ClassId, at_cover, at_imprint, bsigma1_cover,
-                    cover_assemble, decide_universal_covering, equivalent,
-                    fo2_cover, includes, is_empty, nfa_intersection,
-                    restrict_cover, rm_alphabet_augment, rm_from_multiset,
-                    saturate_pointed, saturate_universal, sigma1_cover,
-                    transition_monoid, universal_language, upward_closure,
+                    decide_universal_covering, equivalent, fo2_cover,
+                    includes, is_empty, nfa_intersection, restrict_cover,
+                    rm_alphabet_augment, rm_from_multiset, saturate_pointed,
+                    saturate_universal, sigma1_cover, transition_monoid,
+                    union_covers, universal_language, upward_closure,
                     verify_cover)
 from regcov import rx
 
@@ -179,7 +179,7 @@ def test_union_covers():
     lang = nfa_of("a+|ab", "ab")
     alpha, acc = transition_monoid(lang)
     per_element = [sigma1_cover(alpha, s, AB) for s in sorted(acc)]
-    merged = cover_assemble("union", per_element)
+    merged = union_covers(per_element)
     assert includes(lang, merged.union_nfa())
 
 

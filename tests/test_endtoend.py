@@ -57,10 +57,10 @@ def test_bsigma1_decide_iff_cover_separating():
 def test_large_semiring_sampled_axioms():
     # the product of two 3-state relation semirings is too large to sweep;
     # axioms are checked on sampled triples instead
-    from regcov import product_semiring, relation_semiring
+    from regcov import ProductSemiring, RelationSemiring
 
     rng = random.Random(99)
-    sr = product_semiring([relation_semiring(3), relation_semiring(3)])
+    sr = ProductSemiring([RelationSemiring(3), RelationSemiring(3)])
     elems = [(rng.randrange(1 << 9), rng.randrange(1 << 9)) for _ in range(200)]
     assert validate_semiring(sr, elems, exhaustive_limit=0, samples=10_000,
                              rng=rng) == []
@@ -150,7 +150,7 @@ def test_sigma1_full_covering_matches_downclosure_oracle():
         for mask in range(1, 1 << n):
             subset = [langs[i] for i in range(n) if mask >> i & 1]
             want_coverable = oracles.sigma1_coverable(target, subset)
-            got_coverable = mask not in dec.noncoverable_masks
+            got_coverable = mask not in dec.imprint_masks
             assert got_coverable == want_coverable, (mask, n)
         assert dec.coverable == oracles.sigma1_coverable(target, langs)
 
@@ -189,14 +189,14 @@ def test_decisions_independent_of_rating_construction():
     from regcov import (ClassId, decide_pointed_covering, minimize,
                         rm_from_morphism, rm_from_nfa, transition_monoid)
     from regcov.rating import Extension, rm_from_multiset
-    from regcov.semiring import SubsetLattice, SemiringMorphism, product_semiring
+    from regcov.semiring import ProductSemiring, SubsetLattice, SemiringMorphism
     from regcov.rating import RatingMap
 
     def multiset_ext(items):
         # same combination as rm_from_multiset but with caller-chosen parts
         exts = list(items)
         parts = [e.tau.semiring for e in exts]
-        sr = product_semiring(parts)
+        sr = ProductSemiring(parts)
         alphabet = exts[0].tau.alphabet
         letter_image = {a: tuple(e.tau.letter_image[a] for e in exts) for a in alphabet}
         tau = RatingMap(alphabet, sr, letter_image)
@@ -232,11 +232,24 @@ def test_decisions_independent_of_rating_construction():
             assert d1.coverable == d2.coverable
 
 
+def six_class_verdicts(target, langs):
+    """Whether the target is coverable against langs, for all six classes."""
+    from regcov import decide_pointed_covering, transition_monoid
+
+    ext = rm_from_multiset([target] + langs)
+    verdicts = {cid: decide_universal_covering(ext, cid, target_index=0).coverable
+                for cid in (ClassId.AT, ClassId.BSIGMA1, ClassId.FO, ClassId.FO2)}
+    alpha, acc = transition_monoid(target)
+    ext2 = rm_from_multiset(langs)
+    for cid in (ClassId.SIGMA1, ClassId.SIGMA2):
+        verdicts[cid] = decide_pointed_covering(alpha, acc, ext2, cid).coverable
+    return verdicts
+
+
 def test_coverable_implies_empty_common_intersection():
     # a separating cover can exist only when the target misses the
     # intersection of the whole multiset, whatever the class
-    from regcov import (ClassId, decide_pointed_covering, is_empty,
-                        nfa_intersection, transition_monoid)
+    from regcov import is_empty, nfa_intersection
 
     rng = random.Random(890)
     for _ in range(10):
@@ -245,15 +258,37 @@ def test_coverable_implies_empty_common_intersection():
         common = target
         for lang in langs:
             common = nfa_intersection(common, lang)
-        items = [target] + langs
-        ext = rm_from_multiset(items)
-        for cid in (ClassId.AT, ClassId.BSIGMA1, ClassId.FO, ClassId.FO2):
-            dec = decide_universal_covering(ext, cid, target_index=0)
-            if dec.coverable:
+        for cid, coverable in six_class_verdicts(target, langs).items():
+            if coverable:
                 assert is_empty(common), cid
-        alpha, acc = transition_monoid(target)
-        ext2 = rm_from_multiset(langs)
-        for cid in (ClassId.SIGMA1, ClassId.SIGMA2):
-            dec = decide_pointed_covering(alpha, acc, ext2, cid)
-            if dec.coverable:
-                assert is_empty(common), cid
+
+
+# (smaller, larger): coverable in the smaller class implies coverable in the larger
+LATTICE = ((ClassId.AT, ClassId.BSIGMA1), (ClassId.BSIGMA1, ClassId.FO),
+           (ClassId.AT, ClassId.FO2), (ClassId.FO2, ClassId.FO),
+           (ClassId.SIGMA1, ClassId.BSIGMA1), (ClassId.SIGMA1, ClassId.SIGMA2),
+           (ClassId.SIGMA2, ClassId.FO))
+
+
+def test_class_lattice_on_coverings():
+    # the frozen-seed instances of the tests above, plus two pairs that
+    # some classes separate and others do not
+    from helpers import nfa_of
+
+    cases = [(nfa_of("ab", "ab"), [nfa_of("ba", "ab")]),
+             (nfa_of("(ab)+", "ab"), [nfa_of("b(ab)+", "ab")])]
+    assert six_class_verdicts(*cases[0]) == {cid: cid is not ClassId.AT for cid in ClassId}
+    assert six_class_verdicts(*cases[1]) == {
+        cid: cid in (ClassId.SIGMA2, ClassId.FO2, ClassId.FO) for cid in ClassId}
+    rng = random.Random(885)
+    cases += [(random_nfa(rng, AB, 2, 0.35), [random_nfa(rng, AB, 2, 0.35)]) for _ in range(12)]
+    for seed, count, most in ((887, 15, 3), (890, 10, 2)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            target = random_nfa(rng, AB, 2, 0.4)
+            cases.append((target, [random_nfa(rng, AB, 2, 0.35)
+                                   for _ in range(rng.randint(1, most))]))
+    for target, langs in cases:
+        verdicts = six_class_verdicts(target, langs)
+        for small, large in LATTICE:
+            assert not verdicts[small] or verdicts[large], (small, large)

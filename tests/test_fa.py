@@ -7,8 +7,8 @@ import pytest
 
 from regcov import (Alphabet, InputError, alphabet_exact, alphabet_languages,
                     alphabet_star, equivalent, includes, is_empty, minimize,
-                    monoid_validate, nfa_combine, nfa_complement, nfa_concat,
-                    nfa_decide, nfa_from_json, nfa_intersection, nfa_to_json,
+                    monoid_validate, nfa_complement, nfa_concat,
+                    nfa_from_json, nfa_intersection, nfa_to_json,
                     nfa_to_regex, nfa_union, regex_to_nfa, transition_monoid,
                     universal_language, upward_closure)
 from regcov.fa import empty_language, exact_alphabet_regex
@@ -44,10 +44,10 @@ def test_epsilon_and_empty_and_plus():
 def test_combine_union_intersection():
     l1 = nfa_of("a+|b+", "abc")
     l2 = nfa_of("b+|c+", "abc")
-    both = nfa_combine("intersection", l1, l2)
+    both = nfa_intersection(l1, l2)
     assert both.accepts("b") and both.accepts("bb")
     assert not both.accepts("a") and not both.accepts("c")
-    same = nfa_combine("union", l1, nfa_of("%empty", "abc"))
+    same = nfa_union(l1, nfa_of("%empty", "abc"))
     assert equivalent(same, l1)
 
 
@@ -89,10 +89,10 @@ def test_de_morgan():
 
 
 def test_decisions():
-    assert nfa_decide("emptiness", nfa_of("%empty", "ab"))
-    assert nfa_decide("inclusion", nfa_of("a+", "ab"), nfa_of("(a|b)*a(a|b)*", "ab"))
-    assert nfa_decide("equivalence", nfa_of("(a|b)*", "ab"), universal_language(AB))
-    assert nfa_decide("membership", nfa_of("a+", "ab"), "aa")
+    assert is_empty(nfa_of("%empty", "ab"))
+    assert includes(nfa_of("a+", "ab"), nfa_of("(a|b)*a(a|b)*", "ab"))
+    assert equivalent(nfa_of("(a|b)*", "ab"), universal_language(AB))
+    assert nfa_of("a+", "ab").accepts("aa")
     # cross-check inclusion by word sampling
     for w in words_upto("ab", 5):
         if nfa_of("a+", "ab").accepts(w):

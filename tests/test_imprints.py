@@ -3,7 +3,7 @@
 import pytest
 
 from regcov import ImprintSet, MonoidMorphism, SaturationCapError
-from regcov.semiring import SubsetLattice, relation_semiring
+from regcov.semiring import RelationSemiring, SubsetLattice
 
 from explicit_engine import members
 
@@ -24,7 +24,7 @@ def test_insert_keeps_only_maxima():
 
 
 def test_pointed_fibers_are_separate():
-    sr = relation_semiring(2)
+    sr = RelationSemiring(2)
     z2 = MonoidMorphism(2, 0, ((0, 1), (1, 0)), {"a": 1})
     imp = ImprintSet(sr, monoid=z2)
     x = sr.pair(0, 0) | sr.pair(1, 1)

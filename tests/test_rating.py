@@ -6,7 +6,7 @@ import pytest
 
 from regcov import (Alphabet, InputError, at_imprint, imprint_pullback,
                     is_empty, nfa_intersection, nfa_union, regex_to_nfa,
-                    rm_alphabet_augment, rm_eval, rm_from_morphism,
+                    rm_alphabet_augment, rm_from_morphism,
                     rm_from_multiset, rm_from_nfa, rm_trivial_imprint,
                     transition_monoid, universal_language)
 from regcov.fa import alphabet_exact
@@ -101,7 +101,7 @@ def test_rm_multiset_per_language_intersection():
             assert bool(mask >> i & 1) == (not is_empty(nfa_intersection(k, lang)))
 
 
-def test_rm_eval_additive_multiplicative_monotone():
+def test_eval_nfa_additive_multiplicative_monotone():
     ext = rm_from_multiset([nfa_of("a+", "ab"), nfa_of("(ab)+", "ab")])
     tau = ext.tau
     sr = tau.semiring
@@ -227,12 +227,12 @@ def test_extension_pullback_at_imprint():
     assert members(pulled) == want
 
 
-def test_rm_eval_dispatch():
+def test_rating_map_eval_dispatch():
     ext = rm_from_multiset([nfa_of("a+", "ab")])
-    assert rm_eval(ext.tau, "aa") == ext.tau.eval_word("aa")
-    assert rm_eval(ext.tau, nfa_of("a+", "ab")) == ext.tau.eval_nfa(nfa_of("a+", "ab"))
+    assert ext.tau.eval("aa") == ext.tau.eval_word("aa")
+    assert ext.tau.eval(nfa_of("a+", "ab")) == ext.tau.eval_nfa(nfa_of("a+", "ab"))
     with pytest.raises(InputError):
-        rm_eval(ext.tau, 42)
+        ext.tau.eval(42)
 
 
 def test_rm_from_multiset_mixed_items():

@@ -237,7 +237,7 @@ def test_decide_remark_instances():
     bad1 = decide_universal_covering(rm_from_multiset([l, l1]), ClassId.AT, target_index=0)
     bad2 = decide_universal_covering(rm_from_multiset([l, l2]), ClassId.AT, target_index=0)
     assert not bad1.coverable and not bad2.coverable
-    assert 0b1 in bad1.noncoverable_masks
+    assert 0b1 in bad1.imprint_masks
 
 
 def test_decide_pointed_examples():

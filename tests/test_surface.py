@@ -1,0 +1,55 @@
+"""The names that the benchmark in perfbench/ reaches for in regcov still
+resolve: the layer boundaries its tracer wraps, the functions its gate calls
+through `rc`, and the regcov imports of the benchmark and of the oracles it
+loads.  The files are only read, never imported or changed."""
+
+import ast
+import importlib
+import os
+import re
+
+import regcov
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def source(*parts):
+    with open(os.path.join(ROOT, *parts), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def regcov_imports(*parts):
+    """(module, name) of every `from regcov... import name` in a file."""
+    return [(node.module, alias.name)
+            for node in ast.walk(ast.parse(source(*parts)))
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "regcov"
+            for alias in node.names]
+
+
+def test_traced_layer_boundaries_resolve():
+    tree = ast.parse(source("perfbench", "spans.py"))
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+    assert "cli" in layers
+    missing = [(module, name) for module, names in layers.values() for name in names
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert missing == []
+
+
+def test_gate_names_resolve():
+    names = set(re.findall(r"\brc\.(\w+)", source("perfbench", "gate.py")))
+    assert "nfa_intersection" in names
+    assert sorted(name for name in names if not hasattr(regcov, name)) == []
+
+
+def test_benchmark_and_oracle_imports_resolve():
+    files = [("tests", "oracles.py")] + [
+        ("perfbench", f) for f in sorted(os.listdir(os.path.join(ROOT, "perfbench")))
+        if f.endswith(".py")]
+    imports = [imp for f in files for imp in regcov_imports(*f)]
+    assert ("regcov", "transition_monoid") in imports
+    missing = [(module, name) for module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
