@@ -16,10 +16,10 @@ from typing import Iterable, Optional
 from .errors import Caps, DEFAULT_CAPS, PieceCapError, WordBudgetError
 from . import rx
 from .fa import (Alphabet, MonoidMorphism, Nfa, alphabet_exact, alphabet_star,
-                 equivalent, exact_alphabet_regex, includes, is_empty,
-                 nfa_concat, nfa_intersection, nfa_to_regex, nfa_union,
-                 piece_closure_regex, regex_to_nfa, universal_language,
-                 upward_closure)
+                 empty_language, equivalent, exact_alphabet_regex, includes,
+                 is_empty, minimize, nfa_intersection,
+                 nfa_to_regex, nfa_union, piece_closure_regex, regex_to_nfa,
+                 trim, universal_language, upward_closure)
 from .imprints import ImprintSet
 from .pieces import PieceAutomaton, is_piece, is_union_of_classes, pt_partition
 from .rating import RatingMap
@@ -52,13 +52,9 @@ class Cover:
     provenance: str = ""
 
     def union_nfa(self) -> Nfa:
-        out = None
-        for p in self.pieces:
-            out = p.nfa if out is None else nfa_union(out, p.nfa)
-        if out is None:
-            from .fa import empty_language
+        if not self.pieces:
             return empty_language(self.target.alphabet)
-        return out
+        return nfa_union(*(p.nfa for p in self.pieces))
 
     def imprint(self, rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> ImprintSet:
         out = ImprintSet(rho.semiring, cap=caps.max_elements, label="cover-imprint")
@@ -82,21 +78,6 @@ class Cover:
 
 def _prune_empty(pieces: list) -> list:
     return [p for p in pieces if not is_empty(p.nfa)]
-
-
-def _dedup_pieces(pieces: list, caps: Caps = DEFAULT_CAPS) -> list:
-    """Drop pieces denoting a language already present (canonical minimal
-    DFAs as keys); neither coverage nor the imprint changes."""
-    from .fa import minimize
-
-    seen = set()
-    out = []
-    for p in pieces:
-        key = minimize(p.nfa, caps)
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
 
 
 # -- alphabet-testable covers ---------------------------------------------------------
@@ -243,7 +224,9 @@ def fo2_cover(rho: RatingMap, saturated: ImprintSet,
     saturated set.
 
     Top level (defaults) covers the full word set with ρ(K) in the saturated
-    set for every piece.  Requires an alphabet-compatible rating map.
+    set for every piece.  Requires an alphabet-compatible rating map.  The
+    pieces have pairwise distinct images; each image is re-evaluated on the
+    piece's automaton and checked against the saturated set.
     """
     if rho.cont is None:
         raise ValueError("fo2 cover synthesis needs an alphabet-compatible rating map")
@@ -254,11 +237,7 @@ def fo2_cover(rho: RatingMap, saturated: ImprintSet,
     if left not in saturated or right not in saturated:
         raise ValueError("context elements must lie in the saturated set")
 
-    state = _Fo2State(rho, saturated, caps)
-    pieces = state.build(subset, left, right)
-    if len(pieces) > caps.max_pieces:
-        raise PieceCapError("max_pieces", caps.max_pieces, "fo2 cover assembly")
-    pieces = _dedup_pieces(_prune_empty(pieces), caps)
+    pieces = [p for _, p in _Fo2State(rho, saturated, caps).build(subset, left, right)]
     for p in pieces:
         image = sr.mul(sr.mul(left, rho.eval_nfa(p.nfa, caps)), right)
         if image not in saturated:
@@ -269,8 +248,28 @@ def fo2_cover(rho: RatingMap, saturated: ImprintSet,
 
 
 class _Fo2State:
-    """Recursion state: caches per-sub-alphabet generated sums and
-    reachability sets; counts pieces against the cap."""
+    """Recursion state of the FO2 synthesis, carried over rating images.
+
+    A piece's image is computed by multiplication, never read off its
+    automaton: ρ(H·b·K) = ρ(H)·ρ(b)·ρ(K) for a nice multiplicative map, and
+    the recursion evaluates no automaton but the one-state B* of each base
+    case.
+
+    At every recursion node the pieces with equal images are merged into
+    one, their union.  This keeps the cover correct and optimal:
+
+    - addition is idempotent, so the union of pieces of image r has image
+      r + ... + r = r, and left·r·right stays in the saturated set;
+    - a union of FO2 languages is FO2;
+    - the merged pieces still cover what their members covered, and a merged
+      left factor still lies in (B∖b)*, so every word of (B∖b)*·b·B* still
+      splits uniquely at its first (or last) b and the product argument of
+      the recursion is unchanged.
+
+    Hence a node emits at most one piece per distinct image, and pieces with
+    distinct images denote distinct languages.  Identical subproblems are
+    shared; the piece cap counts the merged pieces of every node.
+    """
 
     def __init__(self, rho: RatingMap, saturated: ImprintSet, caps: Caps):
         self.rho = rho
@@ -278,48 +277,57 @@ class _Fo2State:
         self.sat = saturated
         self.caps = caps
         self.count = 0
-        self._sb_cache: dict = {}
-        self._sb_sat_cache: dict = {}
+        self._sb_memo: dict = {}
         self._reach_cache: dict = {}
         self._build_memo: dict = {}
 
-    def language_sums(self, subset: tuple) -> frozenset:
-        """Images of nonempty languages over B*: nonempty sums of word
-        images (niceness makes this exhaustive)."""
-        if subset not in self._sb_cache:
-            sr = self.sr
-            gens = [self.rho.letter_image[a] for a in subset]
-            words = {sr.one}
-            work = [sr.one]
-            while work:
-                e = work.pop()
-                for g in gens:
-                    x = sr.mul(e, g)
-                    if x not in words:
-                        words.add(x)
-                        work.append(x)
-            sums = set(words)
-            work = list(words)
-            while work:
-                e = work.pop()
-                for w in words:
-                    x = sr.add(e, w)
-                    if x not in sums:
-                        if len(sums) > self.caps.max_elements:
-                            from .errors import SaturationCapError
-                            raise SaturationCapError(self.caps.max_elements, "fo2-language-sums")
-                        sums.add(x)
-                        work.append(x)
-            self._sb_cache[subset] = frozenset(sums)
-        return self._sb_cache[subset]
+    def _word_images(self, subset: tuple) -> set:
+        """Images of the words over B: the monoid generated by B's letters."""
+        sr = self.sr
+        gens = [self.rho.letter_image[a] for a in subset]
+        words = {sr.one}
+        work = [sr.one]
+        while work:
+            e = work.pop()
+            for g in gens:
+                x = sr.mul(e, g)
+                if x not in words:
+                    words.add(x)
+                    work.append(x)
+        return words
 
     def s_b(self, subset: tuple) -> frozenset:
-        """Language images over B* that lie in the saturated set."""
-        if subset not in self._sb_sat_cache:
-            sat = self.sat
-            self._sb_sat_cache[subset] = frozenset(
-                x for x in self.language_sums(subset) if x in sat)
-        return self._sb_sat_cache[subset]
+        """Images of the nonempty languages over B* that lie in the saturated
+        set.
+
+        Such an image is a nonempty sum of word images over B (niceness), and
+        a sum lies below a maximum m of the saturated set exactly when each
+        of its terms does.  So the set is the union, over the maxima m, of
+        the sums of the word images below m.
+        """
+        if subset not in self._sb_memo:
+            sr = self.sr
+            words = [(w, sr.mask(w)) for w in self._word_images(subset)]
+            out: set = set()
+            for m in self.sat.maximal_elements():
+                top = sr.mask(m)
+                below = [w for w, x in words if x | top == top]
+                sums = set(below)
+                work = list(below)
+                while work:
+                    e = work.pop()
+                    for w in below:
+                        x = sr.add(e, w)
+                        if x not in sums:
+                            if len(sums) > self.caps.max_elements:
+                                from .errors import SaturationCapError
+                                raise SaturationCapError(self.caps.max_elements,
+                                                         "fo2-language-sums")
+                            sums.add(x)
+                            work.append(x)
+                out |= sums
+            self._sb_memo[subset] = frozenset(out)
+        return self._sb_memo[subset]
 
     def right_reach(self, t, subset: tuple) -> frozenset:
         key = ("r", t, subset)
@@ -360,58 +368,94 @@ class _Fo2State:
             raise PieceCapError("max_pieces", self.caps.max_pieces, "fo2 cover synthesis")
 
     def build(self, subset: tuple, left, right) -> list:
-        """Pieces of a cover of B* with left·ρ(piece)·right in the saturated
-        set; recursion on (|B|, right-index of left, left-index of right).
-
-        Identical subproblems are shared, so the recursion is a DAG; the cap
-        counts distinct constructed pieces.
-        """
+        """(image, piece) pairs of a cover of B* with left·image·right in
+        the saturated set, with pairwise distinct images; recursion on (|B|,
+        right-index of left, left-index of right)."""
         key = (subset, left, right)
         if key in self._build_memo:
             return self._build_memo[key]
         sr, rho = self.sr, self.rho
+        # image -> members, in order of first appearance: pieces, and
+        # (left, right) pairs of pieces that stand for left·b·right
+        groups: dict = {}
+        b = None
         b_right = self.right_saturated(left, subset)
-        if b_right is None:
-            b_left = self.left_saturated(right, subset)
-            if b_left is None:
-                bstar_nfa = alphabet_star(rho.alphabet, subset)
-                bstar_rx = rx.star(rx.union_all(rx.Letter(a) for a in subset))
-                self._bump(1)
-                out = [CoverPiece(bstar_nfa, bstar_rx)]
-            else:
-                # peel the rightmost occurrence of the violating letter
-                b = b_left
-                rest = tuple(x for x in subset if x != b)
-                suffixes = self.build(rest, sr.one, sr.one)
-                out = list(suffixes)
-                bimg = rho.letter_image[b]
-                for h in suffixes:
-                    t_h = sr.mul(bimg, sr.mul(rho.eval_nfa(h.nfa, self.caps), right))
-                    for k in self.build(subset, left, t_h):
-                        out.append(_concat_piece(k, b, h))
-                        self._bump(1)
+        b_left = self.left_saturated(right, subset) if b_right is None else None
+        if b_right is None and b_left is None:
+            bstar = alphabet_star(rho.alphabet, subset)
+            groups[rho.eval_nfa(bstar, self.caps)] = [
+                CoverPiece(bstar, rx.star(rx.union_all(rx.Letter(a) for a in subset)))]
         else:
-            # peel the leftmost occurrence of the violating letter
-            b = b_right
-            rest = tuple(x for x in subset if x != b)
-            prefixes = self.build(rest, sr.one, sr.one)
-            out = list(prefixes)
+            b = b_right if b_right is not None else b_left
             bimg = rho.letter_image[b]
-            for h in prefixes:
-                t_h = sr.mul(sr.mul(left, rho.eval_nfa(h.nfa, self.caps)), bimg)
-                for k in self.build(subset, t_h, right):
-                    out.append(_concat_piece(h, b, k))
-                    self._bump(1)
+            factors = self.build(tuple(x for x in subset if x != b), sr.one, sr.one)
+            for img, h in factors:
+                groups.setdefault(img, []).append(h)
+            for img_h, h in factors:
+                if b_right is not None:
+                    # peel the leftmost occurrence of the violating letter
+                    t_h = sr.mul(sr.mul(left, img_h), bimg)
+                    for img_k, k in self.build(subset, t_h, right):
+                        groups.setdefault(sr.mul(sr.mul(img_h, bimg), img_k), []).append((h, k))
+                else:
+                    # peel the rightmost occurrence of the violating letter
+                    t_h = sr.mul(bimg, sr.mul(img_h, right))
+                    for img_k, k in self.build(subset, left, t_h):
+                        groups.setdefault(sr.mul(sr.mul(img_k, bimg), img_h), []).append((k, h))
+        out = [(img, _merge_pieces(group, b, rho.alphabet, self.caps))
+               for img, group in groups.items()]
+        self._bump(len(out))
         self._build_memo[key] = out
         return out
 
 
-def _concat_piece(left: CoverPiece, letter: str, right: CoverPiece) -> CoverPiece:
-    alphabet = left.nfa.alphabet
-    mid = regex_to_nfa(rx.Letter(letter), alphabet)
-    nfa = nfa_concat(nfa_concat(left.nfa, mid), right.nfa)
-    reg = rx.concat(rx.concat(left.regex, rx.Letter(letter)), right.regex)
-    return CoverPiece(nfa, reg)
+def _merge_pieces(group: list, letter: Optional[str], alphabet: Alphabet,
+                  caps: Caps) -> CoverPiece:
+    """One piece for the union of the group's members (pieces, and (left,
+    right) pairs standing for left·letter·right), with the union of their
+    regexes.
+
+    The automaton of the union holds one copy of each factor per side: the
+    letter leads from the final states of a left copy to the initial states
+    of the right copies it is paired with.  A lone piece is kept as it is, a
+    lone pair is that concatenation, and a larger group is minimized, without
+    the sink.
+    """
+    if len(group) == 1 and isinstance(group[0], CoverPiece):
+        return group[0]
+    trans: set = set()
+    initials: set = set()
+    finals: set = set()
+    offsets: dict = {}   # (side, id of piece) -> offset of its copy
+    size = 0
+
+    def copy(side: int, piece: CoverPiece) -> int:
+        nonlocal size
+        key = (side, id(piece))
+        if key not in offsets:
+            offsets[key] = size
+            trans.update((q + size, a, r + size) for (q, a, r) in piece.nfa.transitions)
+            size += piece.nfa.state_count
+        return offsets[key]
+
+    regexes = []
+    for m in group:
+        if isinstance(m, CoverPiece):
+            off = copy(0, m)
+            initials.update(q + off for q in m.nfa.initials)
+            finals.update(q + off for q in m.nfa.finals)
+            regexes.append(m.regex)
+            continue
+        lhs, rhs = m
+        lo, ro = copy(1, lhs), copy(2, rhs)
+        initials.update(q + lo for q in lhs.nfa.initials)
+        finals.update(q + ro for q in rhs.nfa.finals)
+        trans.update((f + lo, letter, q + ro) for f in lhs.nfa.finals for q in rhs.nfa.initials)
+        regexes.append(rx.concat(rx.concat(lhs.regex, rx.Letter(letter)), rhs.regex))
+    nfa = Nfa(alphabet, size, frozenset(initials), frozenset(finals), frozenset(trans))
+    if len(group) > 1:
+        nfa = trim(minimize(nfa, caps).as_nfa())
+    return CoverPiece(nfa, rx.union_all(regexes))
 
 
 # -- assembly and verification --------------------------------------------------------------
@@ -430,9 +474,7 @@ def union_covers(covers: Iterable[Cover]) -> Cover:
     if not covers:
         raise ValueError("no covers to combine")
     pieces = list(itertools.chain.from_iterable(c.pieces for c in covers))
-    target = covers[0].target
-    for c in covers[1:]:
-        target = nfa_union(target, c.target)
+    target = nfa_union(*(c.target for c in covers))
     return Cover(covers[0].class_id, target, pieces,
                  k=covers[0].k, optimal=all(c.optimal for c in covers),
                  provenance="union of per-element covers")
@@ -456,8 +498,6 @@ def _covers_incrementally(target: Nfa, pieces: list, caps: Caps) -> bool:
     """target ⊆ union of pieces, with the running union kept minimal and an
     early exit once inclusion holds (unions of many pieces usually collapse
     long before all of them are accumulated)."""
-    from .fa import minimize
-
     if not pieces:
         return is_empty(target)
     union = None

@@ -85,7 +85,9 @@ class Caps:
     max_relation_states: int = 6       # |Q| for relation semirings
     max_alphabet_sets: int = 8         # |A| for alphabet-set semirings
     max_elements: int = 200_000        # saturated-set elements
-    max_pieces: int = 10_000           # pieces per synthesized cover
+    max_pieces: int = 10_000           # pieces per synthesized cover; for fo2,
+                                       # merged pieces summed over the recursion
+                                       # nodes (one per distinct image per node)
     max_word_budget: int = 1_000_000   # word enumeration budget
     max_pt_states: int = 50_000        # piece-automaton states
     max_k: int = 0                     # piece-length bound; 0 = per-alphabet default

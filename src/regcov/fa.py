@@ -85,11 +85,20 @@ class Nfa:
                 raise InputError(f"transition symbol {a!r} not in alphabet")
 
     def step_map(self) -> dict:
-        """dict (state, symbol) -> set of successor states."""
-        out: dict = {}
-        for (q, a, r) in self.transitions:
-            out.setdefault((q, a), set()).add(r)
-        return out
+        """dict (state, symbol) -> set of successor states.
+
+        Built once per automaton and shared by every caller, so it must not
+        be mutated.  The cache is an instance attribute, not a field, so it
+        takes no part in equality or hashing.
+        """
+        try:
+            return self._step_map
+        except AttributeError:
+            out: dict = {}
+            for (q, a, r) in self.transitions:
+                out.setdefault((q, a), set()).add(r)
+            object.__setattr__(self, "_step_map", out)
+            return out
 
     def accepts(self, word: str) -> bool:
         step = self.step_map()
@@ -168,17 +177,18 @@ def _check_same_alphabet(lhs: Nfa, rhs: Nfa):
         raise InputError("alphabet mismatch between automata")
 
 
-def nfa_union(lhs: Nfa, rhs: Nfa) -> Nfa:
-    _check_same_alphabet(lhs, rhs)
-    off = lhs.state_count
-    trans = set(lhs.transitions) | {(q + off, a, r + off) for (q, a, r) in rhs.transitions}
-    return Nfa(
-        lhs.alphabet,
-        lhs.state_count + rhs.state_count,
-        frozenset(lhs.initials) | frozenset(q + off for q in rhs.initials),
-        frozenset(lhs.finals) | frozenset(q + off for q in rhs.finals),
-        frozenset(trans),
-    )
+def nfa_union(first: Nfa, *rest: Nfa) -> Nfa:
+    """Disjoint union of one or more automata."""
+    trans = set(first.transitions)
+    initials, finals = set(first.initials), set(first.finals)
+    off = first.state_count
+    for n in rest:
+        _check_same_alphabet(first, n)
+        trans |= {(q + off, a, r + off) for (q, a, r) in n.transitions}
+        initials |= {q + off for q in n.initials}
+        finals |= {q + off for q in n.finals}
+        off += n.state_count
+    return Nfa(first.alphabet, off, frozenset(initials), frozenset(finals), frozenset(trans))
 
 
 def nfa_intersection(lhs: Nfa, rhs: Nfa) -> Nfa:
@@ -254,19 +264,34 @@ class Dfa:
 
 
 def determinize(n: Nfa, caps: Caps = DEFAULT_CAPS) -> Dfa:
-    """Subset construction, completed (the empty subset is the sink)."""
-    step = n.step_map()
+    """Subset construction, completed (the empty subset is the sink).
+
+    Subsets are bitmasks of NFA states, numbered in order of discovery.
+    """
     syms = n.alphabet.symbols
-    init = frozenset(n.initials)
+    succ = {a: [0] * n.state_count for a in syms}
+    for (q, a, r) in n.transitions:
+        succ[a][q] |= 1 << r
+    tables = [succ[a] for a in syms]
+    init = 0
+    for q in n.initials:
+        init |= 1 << q
     ids = {init: 0}
     order = [init]
     rows = []
     i = 0
     while i < len(order):
-        subset = order[i]
+        members = []
+        rest = order[i]
+        while rest:
+            low = rest & -rest
+            members.append(low.bit_length() - 1)
+            rest ^= low
         row = []
-        for a in syms:
-            nxt = frozenset().union(*(step.get((q, a), ()) for q in subset)) if subset else frozenset()
+        for table in tables:
+            nxt = 0
+            for q in members:
+                nxt |= table[q]
             if nxt not in ids:
                 if len(order) >= caps.max_det_states:
                     raise DeterminizationCapError("max_det_states", caps.max_det_states,
@@ -276,14 +301,16 @@ def determinize(n: Nfa, caps: Caps = DEFAULT_CAPS) -> Dfa:
             row.append(ids[nxt])
         rows.append(tuple(row))
         i += 1
-    finals = frozenset(i for i, subset in enumerate(order) if subset & n.finals)
+    final_mask = 0
+    for q in n.finals:
+        final_mask |= 1 << q
+    finals = frozenset(i for i, subset in enumerate(order) if subset & final_mask)
     return Dfa(n.alphabet, len(order), 0, finals, tuple(rows))
 
 
 def minimize(n: Nfa, caps: Caps = DEFAULT_CAPS) -> Dfa:
     """Minimal complete DFA with canonical (BFS) state numbering."""
     dfa = determinize(n, caps)
-    nsyms = len(dfa.alphabet)
     # Moore partition refinement
     block = [0 if q in dfa.finals else 1 for q in range(dfa.state_count)]
     nblocks = 2 if 0 < len(dfa.finals) < dfa.state_count else 1
@@ -292,19 +319,16 @@ def minimize(n: Nfa, caps: Caps = DEFAULT_CAPS) -> Dfa:
     while True:
         sig = {}
         newblock = [0] * dfa.state_count
-        for q in range(dfa.state_count):
-            key = (block[q],) + tuple(block[dfa.delta[q][i]] for i in range(nsyms))
-            if key not in sig:
-                sig[key] = len(sig)
-            newblock[q] = sig[key]
+        for q, row in enumerate(dfa.delta):
+            newblock[q] = sig.setdefault((block[q], *[block[t] for t in row]), len(sig))
         if len(sig) == nblocks:
             break
         block = newblock
         nblocks = len(sig)
     # collapse and renumber canonically by BFS from the initial block
     rep_delta = {}
-    for q in range(dfa.state_count):
-        rep_delta[block[q]] = tuple(block[dfa.delta[q][i]] for i in range(nsyms))
+    for q, row in enumerate(dfa.delta):
+        rep_delta[block[q]] = tuple([block[t] for t in row])
     start = block[dfa.initial]
     number = {start: 0}
     order = [start]
@@ -319,6 +343,40 @@ def minimize(n: Nfa, caps: Caps = DEFAULT_CAPS) -> Dfa:
     delta = tuple(tuple(number[t] for t in rep_delta[b]) for b in order)
     finals = frozenset(number[block[q]] for q in dfa.finals if block[q] in number)
     return Dfa(dfa.alphabet, len(order), 0, finals, delta)
+
+
+def trim(n: Nfa) -> Nfa:
+    """The same language on the states that are reachable and co-reachable.
+
+    Dead states, such as the sink of a complete DFA, make every later subset
+    construction carry them along and can double its subsets.
+    """
+    succ: dict = {}
+    pred: dict = {}
+    for (q, a, r) in n.transitions:
+        succ.setdefault(q, set()).add(r)
+        pred.setdefault(r, set()).add(q)
+
+    def closure(start, edges) -> set:
+        seen = set(start)
+        work = list(start)
+        while work:
+            for r in edges.get(work.pop(), ()):
+                if r not in seen:
+                    seen.add(r)
+                    work.append(r)
+        return seen
+
+    live = closure(n.initials, succ) & closure(n.finals, pred)
+    if len(live) == n.state_count:
+        return n
+    if not live:
+        return empty_language(n.alphabet)
+    num = {q: i for i, q in enumerate(sorted(live))}
+    return Nfa(n.alphabet, len(num), frozenset(num[q] for q in n.initials if q in live),
+               frozenset(num[q] for q in n.finals if q in live),
+               frozenset((num[q], a, num[r]) for (q, a, r) in n.transitions
+                         if q in live and r in live))
 
 
 def nfa_complement(n: Nfa, caps: Caps = DEFAULT_CAPS) -> Nfa:
@@ -538,15 +596,24 @@ def nfa_from_json(doc: dict) -> Nfa:
 def nfa_to_regex(n: Nfa) -> Regex:
     """State elimination.  The result can be large; it is meant for
     serializing synthesized covers, not for human consumption."""
-    # generalized automaton with fresh initial/final, edges labeled by regexes
+    # generalized automaton with fresh initial/final, edges labeled by regexes;
+    # succ/pred list the non-loop edges of each state in the order of `edges`
     start, end = n.state_count, n.state_count + 1
     edges: dict = {}
+    succ: dict = {q: {} for q in range(n.state_count + 2)}
+    pred: dict = {q: {} for q in range(n.state_count + 2)}
 
     def add(q, r, e: Regex):
         if isinstance(e, rx.Empty):
             return
-        cur = edges.get((q, r), rx.EMPTY)
-        edges[(q, r)] = rx.union(cur, e)
+        cur = edges.get((q, r))
+        if cur is None:
+            edges[(q, r)] = e
+            if q != r:
+                succ[q][r] = None
+                pred[r][q] = None
+        else:
+            edges[(q, r)] = rx.union(cur, e)
 
     for (q, a, r) in n.transitions:
         add(q, r, rx.Letter(a))
@@ -558,21 +625,16 @@ def nfa_to_regex(n: Nfa) -> Regex:
     states = list(range(n.state_count))
     # eliminate low-degree states first to keep expressions smaller
     while states:
-        degree = {}
-        for s in states:
-            ins = sum(1 for (q, r) in edges if r == s and q != s)
-            outs = sum(1 for (q, r) in edges if q == s and r != s)
-            degree[s] = ins * outs
-        s = min(states, key=lambda x: (degree[x], x))
+        s = min(states, key=lambda x: (len(pred[x]) * len(succ[x]), x))
         states.remove(s)
         loop = edges.pop((s, s), rx.EMPTY)
         loopstar = rx.star(loop) if not isinstance(loop, rx.Empty) else rx.EPSILON
-        incoming = [(q, e) for (q, r), e in edges.items() if r == s]
-        outgoing = [(r, e) for (q, r), e in edges.items() if q == s]
+        incoming = [(q, edges.pop((q, s))) for q in pred[s]]
+        outgoing = [(r, edges.pop((s, r))) for r in succ[s]]
         for (q, _) in incoming:
-            edges.pop((q, s))
+            del succ[q][s]
         for (r, _) in outgoing:
-            edges.pop((s, r))
+            del pred[r][s]
         for (q, ein) in incoming:
             for (r, eout) in outgoing:
                 add(q, r, rx.concat(rx.concat(ein, loopstar), eout))

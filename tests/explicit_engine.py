@@ -193,3 +193,30 @@ def at_imprint(rho) -> ExplicitImprint:
     for mask in range(1 << len(rho.alphabet)):
         out.insert(rho.image_of_exact(rho.alphabet.from_mask(mask)))
     return out
+
+
+def fo2_language_sums(rho, subset) -> frozenset:
+    """Images of the nonempty languages over B*: every nonempty sum of word
+    images over B, closed in full.  This is the closure the FO2 synthesis
+    used before it took sums per maximum of the saturated set."""
+    sr = rho.semiring
+    gens = [rho.letter_image[a] for a in subset]
+    words = {sr.one}
+    work = [sr.one]
+    while work:
+        e = work.pop()
+        for g in gens:
+            x = sr.mul(e, g)
+            if x not in words:
+                words.add(x)
+                work.append(x)
+    sums = set(words)
+    work = list(words)
+    while work:
+        e = work.pop()
+        for w in words:
+            x = sr.add(e, w)
+            if x not in sums:
+                sums.add(x)
+                work.append(x)
+    return frozenset(sums)

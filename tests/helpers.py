@@ -91,3 +91,9 @@ def words_upto(symbols: str, maxlen: int):
 
 def nfa_of(text: str, symbols: str) -> Nfa:
     return regex_to_nfa(regex_parse(text, symbols), Alphabet(symbols))
+
+
+def piece_images_distinct(cover, rho) -> bool:
+    """True when no two pieces of the cover have the same image under rho."""
+    images = [rho.eval_nfa(p.nfa) for p in cover.pieces]
+    return len(set(images)) == len(images)

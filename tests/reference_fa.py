@@ -1,0 +1,74 @@
+"""Earlier automaton algorithms: the references for the faster ones in
+`regcov.fa`, which must give identical results.
+
+`determinize` keeps subsets as frozensets of states; `nfa_to_regex`
+recomputes every state's degree from the full edge list at each
+elimination.
+"""
+
+from __future__ import annotations
+
+from regcov import rx
+from regcov.fa import Dfa, Nfa
+
+
+def determinize(n: Nfa) -> Dfa:
+    step: dict = {}
+    for (q, a, r) in n.transitions:
+        step.setdefault((q, a), set()).add(r)
+    init = frozenset(n.initials)
+    ids = {init: 0}
+    order = [init]
+    rows = []
+    i = 0
+    while i < len(order):
+        subset = order[i]
+        row = []
+        for a in n.alphabet.symbols:
+            nxt = frozenset().union(*(step.get((q, a), ()) for q in subset)) if subset else frozenset()
+            if nxt not in ids:
+                ids[nxt] = len(order)
+                order.append(nxt)
+            row.append(ids[nxt])
+        rows.append(tuple(row))
+        i += 1
+    finals = frozenset(i for i, subset in enumerate(order) if subset & n.finals)
+    return Dfa(n.alphabet, len(order), 0, finals, tuple(rows))
+
+
+def nfa_to_regex(n: Nfa) -> rx.Regex:
+    start, end = n.state_count, n.state_count + 1
+    edges: dict = {}
+
+    def add(q, r, e):
+        if isinstance(e, rx.Empty):
+            return
+        edges[(q, r)] = rx.union(edges.get((q, r), rx.EMPTY), e)
+
+    for (q, a, r) in n.transitions:
+        add(q, r, rx.Letter(a))
+    for q in n.initials:
+        add(start, q, rx.EPSILON)
+    for q in n.finals:
+        add(q, end, rx.EPSILON)
+    states = list(range(n.state_count))
+    while states:
+        degree = {}
+        for s in states:
+            ins = sum(1 for (q, r) in edges if r == s and q != s)
+            outs = sum(1 for (q, r) in edges if q == s and r != s)
+            degree[s] = ins * outs
+        s = min(states, key=lambda x: (degree[x], x))
+        states.remove(s)
+        loop = edges.pop((s, s), rx.EMPTY)
+        loopstar = rx.star(loop) if not isinstance(loop, rx.Empty) else rx.EPSILON
+        incoming = [(q, e) for (q, r), e in edges.items() if r == s]
+        outgoing = [(r, e) for (q, r), e in edges.items() if q == s]
+        for (q, _) in incoming:
+            edges.pop((q, s))
+        for (r, _) in outgoing:
+            edges.pop((s, r))
+        for (q, ein) in incoming:
+            for (r, eout) in outgoing:
+                add(q, r, rx.concat(rx.concat(ein, loopstar), eout))
+    return edges.get((start, end), rx.EMPTY)

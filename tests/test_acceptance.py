@@ -20,7 +20,7 @@ from regcov.fa import alphabet_exact
 
 import explicit_engine as explicit
 from explicit_engine import members, same_imprint, submasks
-from helpers import random_nfa, random_regex
+from helpers import piece_images_distinct, random_nfa, random_regex
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -204,6 +204,8 @@ def test_criterion_7_fo2_cover_optimality(capsys):
         if members(cover.imprint(aug.tau)) != members(sat):
             failures += 1
         if not includes(universal_language(AB), cover.union_nfa()):
+            failures += 1
+        if not piece_images_distinct(cover, aug.tau):
             failures += 1
     elapsed = time.perf_counter() - t0
     with capsys.disabled():

@@ -1,7 +1,11 @@
 """CLI subcommands, verdict serialization and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +301,53 @@ def test_dropped_cover_says_why(capsys):
         doc = json.loads(out)
         assert doc["coverable"] is True and doc["cover"] is None and doc["separator"] is None
         assert doc["stats"]["synthesis"] == {"dropped": "not optimal"}
+
+
+WORKED = ["--class", "fo2", "--alphabet", "abc", "--target", "(ab)+", "--against", "c(ac)+"]
+
+
+def test_fo2_worked_example_cover_is_verified_optimal(capsys):
+    # the fo2 worked example used to stop on max_pieces (exit 3)
+    code, out, _ = run(capsys, ["cover"] + WORKED + ["--emit-cover", "--verify", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["coverable"] is True
+    assert doc["cover"]["optimal"] is True and doc["cover"]["pieces"]
+    verified = doc["cover"]["verified"]
+    assert verified["covers_target"] and verified["separating"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["separate"] + WORKED,
+    ["member", "--class", "fo2", "--alphabet", "abc", "--target", "a*"],
+])
+def test_fo2_separators_are_synthesized(capsys, argv):
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["coverable"] is True and doc["separator"]
+    assert "synthesis" not in doc["stats"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["separate"] + WORKED,
+    # many merged pieces: their order shows in the separator
+    ["member", "--class", "fo2", "--alphabet", "abc", "--target", "(a|b)*c(a|b)*"],
+])
+def test_fo2_separator_does_not_follow_the_hash_seed(argv):
+    # piece order must come from insertion order, never from set order
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "regcov"] + argv + ["--json"],
+                              env=env, capture_output=True, text=True, check=True)
+        doc = json.loads(proc.stdout)
+        del doc["stats"]["wall_ms"]
+        outs.append(json.dumps(doc, sort_keys=True))
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["separator"]
 
 
 GOOD_INSTANCE = {"alphabet": "ab", "class": "at", "target": "a+", "against": ["b+"]}

@@ -1,20 +1,21 @@
 """Cover synthesis, assembly and verification."""
 
+import itertools
 import random
 
 import pytest
 
-from regcov import (Alphabet, ClassId, at_cover, at_imprint, bsigma1_cover,
-                    decide_universal_covering, equivalent, fo2_cover,
-                    includes, is_empty, nfa_intersection, restrict_cover,
+from regcov import (DEFAULT_CAPS, Alphabet, ClassId, at_cover, at_imprint,
+                    bsigma1_cover, decide_universal_covering, equivalent,
+                    fo2_cover, includes, is_empty, nfa_intersection, restrict_cover,
                     rm_alphabet_augment, rm_from_multiset, saturate_pointed,
                     saturate_universal, sigma1_cover, transition_monoid,
                     union_covers, universal_language, upward_closure,
                     verify_cover)
 from regcov import rx
 
-from explicit_engine import downset, members
-from helpers import nfa_of, random_nfa
+from explicit_engine import downset, fo2_language_sums, members
+from helpers import nfa_of, piece_images_distinct, random_nfa
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -131,6 +132,7 @@ def test_fo2_cover_base_case_emits_whole_star():
     # the top-level cover is optimal regardless of how many pieces it takes
     top = fo2_cover(tau, sat)
     assert members(top.imprint(tau)) == members(sat)
+    assert piece_images_distinct(top, tau)
     assert includes(universal_language(A1), top.union_nfa())
 
 
@@ -154,6 +156,37 @@ def test_fo2_cover_top_level_imprint_equals_saturation():
         cov = fo2_cover(aug.tau, sat)
         assert members(cov.imprint(aug.tau)) == members(sat)
         assert includes(universal_language(AB), cov.union_nfa())
+        assert piece_images_distinct(cov, aug.tau)
+
+
+def test_fo2_cover_merges_same_image_pieces():
+    # the worked example: before merging, the recursion built more than
+    # max_pieces pieces; now each node keeps one piece per image
+    langs = [nfa_of("(ab)+", "abc"), nfa_of("c(ac)+", "abc")]
+    aug = rm_alphabet_augment(rm_from_multiset(langs).tau)
+    sat = saturate_universal(aug.tau, ClassId.FO2)
+    cov = fo2_cover(aug.tau, sat)
+    assert piece_images_distinct(cov, aug.tau)
+    assert members(cov.imprint(aug.tau)) == members(sat)
+    assert includes(universal_language(ABC), cov.union_nfa())
+
+
+def test_fo2_per_maximum_sums_equal_the_full_closure():
+    # s_b sums the word images below each maximum of the saturated set; the
+    # reference closes every sum of word images and keeps those in the set
+    from regcov.covers import _Fo2State
+
+    rng = random.Random(3141)
+    for alphabet in (AB, ABC):
+        for _ in range(12):
+            langs = [random_nfa(rng, alphabet, 2, 0.35) for _ in range(rng.randint(1, 2))]
+            aug = rm_alphabet_augment(rm_from_multiset(langs).tau)
+            sat = saturate_universal(aug.tau, ClassId.FO2)
+            state = _Fo2State(aug.tau, sat, DEFAULT_CAPS)
+            for n in range(len(alphabet) + 1):
+                for subset in itertools.combinations(alphabet.symbols, n):
+                    expected = {x for x in fo2_language_sums(aug.tau, subset) if x in sat}
+                    assert state.s_b(subset) == expected
 
 
 def test_fo2_cover_rejects_incompatible_map():

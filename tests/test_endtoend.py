@@ -9,7 +9,7 @@ from regcov import (Alphabet, ClassId, at_cover, bsigma1_cover,
                     rm_from_multiset, saturate_universal, universal_language,
                     validate_semiring, verify_cover)
 
-from helpers import random_nfa
+from helpers import piece_images_distinct, random_nfa
 
 AB = Alphabet("ab")
 
@@ -38,6 +38,7 @@ def test_fo2_decide_iff_cover_separating():
         aug = rm_alphabet_augment(ext.tau)
         sat = saturate_universal(aug.tau, ClassId.FO2)
         cover = fo2_cover(aug.tau, sat)
+        assert piece_images_distinct(cover, aug.tau)
         report = verify_cover(cover, universal_language(AB), langs, class_check=False)
         assert report.covers_target
         assert report.separating == dec.coverable
@@ -178,6 +179,7 @@ def test_cover_mask_imprints_equal_decision_tables():
         dec_f2 = decide_universal_covering(ext, ClassId.FO2)
         aug = rm_alphabet_augment(ext.tau)
         cov = fo2_cover(aug.tau, saturate_universal(aug.tau, ClassId.FO2))
+        assert piece_images_distinct(cov, aug.tau)
         rep = verify_cover(cov, universal_language(AB), langs,
                            class_check=False, ext=ext)
         assert rep.imprint_masks == dec_f2.imprint_masks

@@ -6,14 +6,16 @@ import random
 import pytest
 
 from regcov import (Alphabet, InputError, alphabet_exact, alphabet_languages,
-                    alphabet_star, equivalent, includes, is_empty, minimize,
-                    monoid_validate, nfa_complement, nfa_concat,
+                    alphabet_star, determinize, equivalent, includes, is_empty,
+                    minimize, monoid_validate, nfa_complement, nfa_concat,
                     nfa_from_json, nfa_intersection, nfa_to_json,
                     nfa_to_regex, nfa_union, regex_to_nfa, transition_monoid,
                     universal_language, upward_closure)
-from regcov.fa import empty_language, exact_alphabet_regex
+from regcov import rx
+from regcov.fa import Nfa, empty_language, exact_alphabet_regex, trim
 
-from helpers import denote_upto, nfa_of, random_regex, words_upto
+import reference_fa
+from helpers import denote_upto, nfa_of, random_nfa, random_regex, words_upto
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -49,6 +51,10 @@ def test_combine_union_intersection():
     assert not both.accepts("a") and not both.accepts("c")
     same = nfa_union(l1, nfa_of("%empty", "abc"))
     assert equivalent(same, l1)
+    three = nfa_union(l1, l2, nfa_of("c(ac)+", "abc"))
+    assert three.accepts("a") and three.accepts("c") and three.accepts("cac")
+    assert not three.accepts("ab")
+    assert nfa_union(l1) == l1
 
 
 def test_pairwise_intersections_meet_but_triple_is_empty():
@@ -205,6 +211,17 @@ def test_nfa_to_regex_roundtrip():
         assert equivalent(nfa, back)
 
 
+def test_determinize_and_nfa_to_regex_match_the_references():
+    # bitmask subsets and degrees kept up to date must reproduce the earlier
+    # algorithms exactly: same state numbering, same regex text
+    rng = random.Random(31)
+    for _ in range(150):
+        nfa = random_nfa(rng, rng.choice([AB, ABC]), 7)
+        assert determinize(nfa) == reference_fa.determinize(nfa)
+        assert (rx.regex_to_text(nfa_to_regex(nfa))
+                == rx.regex_to_text(reference_fa.nfa_to_regex(nfa)))
+
+
 def test_broken_monoid_reports_violation():
     from regcov import MonoidMorphism
     bad = MonoidMorphism(2, 0, ((0, 1), (1, 1)), {"a": 1})
@@ -218,3 +235,24 @@ def test_upward_closure_of_empty_and_universal():
     from regcov.fa import empty_language
     assert is_empty(upward_closure(empty_language(AB)))
     assert equivalent(upward_closure(universal_language(AB)), universal_language(AB))
+
+
+def test_trim_drops_dead_and_unreachable_states():
+    lang = nfa_of("(ab)+", "abc")
+    complete = minimize(lang).as_nfa()      # has a sink
+    trimmed = trim(complete)
+    assert trimmed.state_count == complete.state_count - 1
+    assert equivalent(trimmed, lang)
+    assert trim(trimmed) is trimmed
+    # state 2 is unreachable, state 3 cannot reach a final state
+    n = Nfa(AB, 4, {0}, {1}, {(0, "a", 1), (2, "b", 1), (0, "b", 3)})
+    assert trim(n) == Nfa(AB, 2, {0}, {1}, {(0, "a", 1)})
+    assert trim(nfa_of("%empty", "ab")) == empty_language(AB)
+
+
+def test_step_map_is_cached_outside_the_fields():
+    n = nfa_of("a(b|c)*", "abc")
+    fresh = nfa_of("a(b|c)*", "abc")
+    assert n.step_map() is n.step_map()
+    assert n == fresh and hash(n) == hash(fresh)
+    assert repr(n) == repr(fresh)
