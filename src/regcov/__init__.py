@@ -30,9 +30,9 @@ from .saturation import (ClassId, CoverDecision, at_imprint,
                          decide_pointed_covering, decide_universal_covering,
                          rm_trivial_imprint, saturate_pointed,
                          saturate_universal)
-from .pieces import (PieceAutomaton, bsigma1_template_witness,
-                     is_k_piecewise_testable, is_piece, pieces_upto,
-                     pt_partition, template_regex, template_unambiguous)
+from .pieces import (bsigma1_template_witness, is_k_piecewise_testable,
+                     is_piece, pieces_upto, pt_partition, template_regex,
+                     template_unambiguous)
 from .covers import (Cover, CoverPiece, VerifyReport, at_cover, bsigma1_cover,
                      fo2_cover, restrict_cover, sigma1_cover, union_covers,
                      verify_cover)

@@ -346,7 +346,7 @@ def run_oracle(inst: Instance, which: str, k: Optional[int]) -> dict:
         if k is None:
             raise InputError("pt-k needs --max-k (the piece bound)")
         pa = pt_partition(k, inst.alphabet, inst.caps)
-        doc = {"oracle": which, "k": k, "classes": len(pa.states)}
+        doc = {"oracle": which, "k": k, "classes": pa.state_count}
         if inst.target is not None and inst.target is not UNIVERSAL:
             doc["target_is_ptk"] = is_k_piecewise_testable(inst.target, k, inst.caps)
         return doc

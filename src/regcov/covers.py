@@ -10,18 +10,19 @@ closure, and the recursive left-factor construction for two-variable logic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .errors import Caps, DEFAULT_CAPS, PieceCapError, WordBudgetError
+from .errors import (Caps, DEFAULT_CAPS, PieceCapError, SaturationCapError,
+                     WordBudgetError)
 from . import rx
-from .fa import (Alphabet, MonoidMorphism, Nfa, alphabet_exact, alphabet_star,
+from .fa import (Alphabet, Dfa, MonoidMorphism, Nfa, alphabet_exact, alphabet_star,
                  empty_language, equivalent, exact_alphabet_regex, includes,
                  is_empty, minimize, nfa_intersection,
                  nfa_to_regex, nfa_union, piece_closure_regex, regex_to_nfa,
                  trim, universal_language, upward_closure)
 from .imprints import ImprintSet
-from .pieces import PieceAutomaton, is_piece, is_union_of_classes, pt_partition
+from .pieces import is_piece, is_union_of_classes, pt_partition
 from .rating import RatingMap
 from .rx import Regex
 from .saturation import ClassId, _mask_subsets
@@ -168,51 +169,62 @@ def _fiber_nfa(alpha: MonoidMorphism, targets: frozenset, alphabet: Alphabet) ->
 
 def bsigma1_cover(rho: RatingMap, goal: ImprintSet,
                   caps: Caps = DEFAULT_CAPS) -> Cover:
-    """Universal cover by piece-equivalence classes, deepening k until the
-    cover's imprint matches the saturated goal.
+    """Universal cover by unions of piece-equivalence classes, deepening k
+    until the classes' images all lie in the saturated goal.
 
     Every k-class cover is piecewise testable and its imprint shrinks as k
     grows; equality with the goal certifies optimality.  If the depth cap is
-    reached first the best cover is returned flagged non-optimal.
+    reached first the last cover is returned flagged non-optimal.
     """
-    alphabet = rho.alphabet
-    best: Optional[tuple] = None
-    for k in range(caps.pt_depth_cap(len(alphabet)) + 1):
-        pa = pt_partition(k, alphabet, caps)
+    for k in range(caps.pt_depth_cap(len(rho.alphabet)) + 1):
+        pa = pt_partition(k, rho.alphabet, caps)
         images = _partition_images(pa, rho, caps)
-        best = (k, pa, images)
         if all(img in goal for img in images.values()):
-            return _partition_cover(pa, optimal=True)
-    k, pa, images = best
-    return _partition_cover(pa, optimal=False)
+            return _partition_cover(pa, k, images, optimal=True)
+    return _partition_cover(pa, k, images, optimal=False)
 
 
-def _partition_images(pa: PieceAutomaton, rho: RatingMap, caps: Caps) -> dict:
+def _partition_images(pa: Dfa, rho: RatingMap, caps: Caps) -> dict:
     """Rating image of every partition class, in one reachability pass."""
     sr = rho.semiring
-    start = (pa.start, sr.one)
+    start = (pa.initial, sr.one)
     seen = {start}
     work = [start]
     sums: dict = {}
     while work:
         (q, elem) = work.pop()
         sums[q] = sr.add(sums.get(q, sr.zero), elem)
-        for a in pa.alphabet:
-            pair = (pa.delta[q][a], sr.mul(elem, rho.letter_image[a]))
+        for a, q2 in zip(pa.alphabet, pa.delta[q]):
+            pair = (q2, sr.mul(elem, rho.letter_image[a]))
             if pair not in seen:
                 if len(seen) >= caps.max_elements:
-                    from .errors import SaturationCapError
                     raise SaturationCapError(caps.max_elements, "partition-imprint")
                 seen.add(pair)
                 work.append(pair)
     return sums
 
 
-def _partition_cover(pa: PieceAutomaton, optimal: bool) -> Cover:
-    pieces = [CoverPiece(pa.class_nfa(q)) for q in range(len(pa.states))]
+def _partition_cover(pa: Dfa, k: int, images: dict, optimal: bool) -> Cover:
+    """One piece per distinct image: the union of the k-classes of that
+    image, which is the partition DFA with those classes as finals.
+
+    This covers as the per-class cover did, with the same imprint:
+
+    - addition is idempotent, so the union of classes of image r has image
+      r, the cover's images are the classes' images, and the cover is
+      optimal exactly when the per-class one was;
+    - a union of k-classes is k-piecewise testable;
+    - classes with equal images meet the same languages, so separation and
+      `restrict_cover` are unchanged.
+    """
+    by_image: dict = {}
+    for q in range(pa.state_count):
+        by_image.setdefault(images[q], []).append(q)
+    pieces = [CoverPiece(trim(replace(pa, finals=frozenset(states)).as_nfa()))
+              for states in by_image.values()]
     return Cover(ClassId.BSIGMA1, universal_language(pa.alphabet), pieces,
-                 k=pa.k, optimal=optimal,
-                 provenance=f"piece-equivalence partition at k={pa.k}")
+                 k=k, optimal=optimal,
+                 provenance=f"piece-equivalence partition at k={k}")
 
 
 # -- two-variable covers -----------------------------------------------------------------
@@ -320,7 +332,6 @@ class _Fo2State:
                         x = sr.add(e, w)
                         if x not in sums:
                             if len(sums) > self.caps.max_elements:
-                                from .errors import SaturationCapError
                                 raise SaturationCapError(self.caps.max_elements,
                                                          "fo2-language-sums")
                             sums.add(x)
@@ -532,20 +543,20 @@ def verify_cover(cover: Cover, target: Nfa, against: list,
     class_ok: Optional[bool] = None
     note = "class membership certified by construction, not machine-checked"
     alphabet = cover.target.alphabet
-    classes = None
+    partition = None
     if class_check:
         if cover.class_id is ClassId.SIGMA1:
             class_ok = all(equivalent(upward_closure(p.nfa), p.nfa, caps) for p in cover.pieces)
             note = "each piece closed under superwords"
         elif cover.class_id is ClassId.AT:
-            classes = [alphabet_exact(alphabet, alphabet.from_mask(mask))
-                       for mask in range(1 << len(alphabet))]
+            # the 1-piece classes are the alphabet atoms
+            partition = pt_partition(1, alphabet, caps)
             note = "each piece a union of alphabet atoms"
         elif cover.class_id is ClassId.BSIGMA1 and cover.k is not None:
-            classes = pt_partition(cover.k, alphabet, caps).classes()
+            partition = pt_partition(cover.k, alphabet, caps)
             note = f"each piece a union of {cover.k}-piece-equivalence classes"
-    if classes is not None:
-        class_ok = all(is_union_of_classes(p.nfa, classes, caps) for p in cover.pieces)
+    if partition is not None:
+        class_ok = all(is_union_of_classes(p.nfa, partition, caps) for p in cover.pieces)
 
     masks = None
     if ext is not None:

@@ -595,7 +595,8 @@ def nfa_from_json(doc: dict) -> Nfa:
 
 def nfa_to_regex(n: Nfa) -> Regex:
     """State elimination.  The result can be large; it is meant for
-    serializing synthesized covers, not for human consumption."""
+    serializing synthesized covers, not for human consumption.  Edges are
+    read in sorted order, so the text does not depend on the hash seed."""
     # generalized automaton with fresh initial/final, edges labeled by regexes;
     # succ/pred list the non-loop edges of each state in the order of `edges`
     start, end = n.state_count, n.state_count + 1
@@ -615,11 +616,11 @@ def nfa_to_regex(n: Nfa) -> Regex:
         else:
             edges[(q, r)] = rx.union(cur, e)
 
-    for (q, a, r) in n.transitions:
+    for (q, a, r) in sorted(n.transitions):
         add(q, r, rx.Letter(a))
-    for q in n.initials:
+    for q in sorted(n.initials):
         add(start, q, rx.EPSILON)
-    for q in n.finals:
+    for q in sorted(n.finals):
         add(q, end, rx.EPSILON)
 
     states = list(range(n.state_count))

@@ -2,18 +2,15 @@
 template witnesses for piecewise-testable covers.
 
 Two words are k-equivalent when they contain the same pieces of length at
-most k; the partition automaton tracks the reachable piece sets.  Template
+most k; the partition DFA tracks the reachable piece sets.  Template
 witnesses assign every word a short unambiguous template whose language
 contains it and is k-piecewise testable for small k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import Caps, DEFAULT_CAPS, PtStateCapError
-from .fa import (Alphabet, Nfa, exact_alphabet_regex, includes, is_empty,
-                 nfa_intersection)
+from .fa import Alphabet, Dfa, Nfa, determinize, exact_alphabet_regex
 from . import rx
 from .rx import Regex
 
@@ -32,46 +29,17 @@ def pieces_upto(word: str, k: int) -> frozenset:
     return frozenset(out)
 
 
-@dataclass
-class PieceAutomaton:
-    """Deterministic automaton of reachable piece sets for a fixed bound k.
-
-    Words reach the same state exactly when they are k-equivalent, so the
-    states induce the k-equivalence partition.
-    """
-
-    k: int
-    alphabet: Alphabet
-    states: list          # frozensets of pieces
-    delta: list           # list of dicts symbol -> state
-    start: int = 0
-
-    def state_of(self, word: str) -> int:
-        q = self.start
-        for a in word:
-            q = self.delta[q][a]
-        return q
-
-    def class_nfa(self, state: int) -> Nfa:
-        """The k-equivalence class reaching `state`, as an automaton."""
-        trans = {(q, a, row[a]) for q, row in enumerate(self.delta) for a in self.alphabet}
-        return Nfa(self.alphabet, len(self.states), frozenset([self.start]),
-                   frozenset([state]), frozenset(trans))
-
-    def classes(self):
-        return [self.class_nfa(q) for q in range(len(self.states))]
-
-
-def pt_partition(k: int, alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> PieceAutomaton:
-    """Partition of all words into k-piece-equivalence classes."""
+def pt_partition(k: int, alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> Dfa:
+    """Partition of all words into k-piece-equivalence classes: the complete
+    DFA of reachable piece sets, without finals, one state per class."""
     start = frozenset([""])
     ids = {start: 0}
     order = [start]
-    delta = []
+    rows = []
     i = 0
     while i < len(order):
         cur = order[i]
-        row = {}
+        row = []
         for a in alphabet:
             nxt = frozenset(cur | {u + a for u in cur if len(u) < k})
             if nxt not in ids:
@@ -80,23 +48,37 @@ def pt_partition(k: int, alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> Piece
                                           f"piece automaton at k={k}")
                 ids[nxt] = len(order)
                 order.append(nxt)
-            row[a] = ids[nxt]
-        delta.append(row)
+            row.append(ids[nxt])
+        rows.append(tuple(row))
         i += 1
-    return PieceAutomaton(k, alphabet, order, delta)
+    return Dfa(alphabet, len(order), 0, frozenset(), tuple(rows))
 
 
-def is_union_of_classes(nfa: Nfa, classes, caps: Caps = DEFAULT_CAPS) -> bool:
-    """True iff the language is a union of the given disjoint classes: every
-    class meeting it lies inside it."""
-    return all(is_empty(nfa_intersection(cls, nfa)) or includes(cls, nfa, caps)
-               for cls in classes)
+def is_union_of_classes(nfa: Nfa, partition: Dfa, caps: Caps = DEFAULT_CAPS) -> bool:
+    """True iff the language is a union of the partition's classes.
+
+    One product of the partition with the language's DFA: every class lies
+    inside the language or misses it exactly when all reachable pairs that
+    share a partition state agree on acceptance.
+    """
+    dfa = determinize(nfa, caps)
+    accepts = {partition.initial: dfa.initial in dfa.finals}
+    seen = {(partition.initial, dfa.initial)}
+    work = list(seen)
+    while work:
+        p, d = work.pop()
+        for p2, d2 in zip(partition.delta[p], dfa.delta[d]):
+            if (p2, d2) not in seen:
+                if accepts.setdefault(p2, d2 in dfa.finals) != (d2 in dfa.finals):
+                    return False
+                seen.add((p2, d2))
+                work.append((p2, d2))
+    return True
 
 
 def is_k_piecewise_testable(nfa: Nfa, k: int, caps: Caps = DEFAULT_CAPS) -> bool:
     """True iff the language is a union of k-equivalence classes."""
-    pa = pt_partition(k, nfa.alphabet, caps)
-    return is_union_of_classes(nfa, (pa.class_nfa(q) for q in range(len(pa.states))), caps)
+    return is_union_of_classes(nfa, pt_partition(k, nfa.alphabet, caps), caps)
 
 
 # -- templates ----------------------------------------------------------------------

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
-from regcov import Alphabet, Nfa, regex_parse, regex_to_nfa
+from regcov import (Alphabet, DEFAULT_CAPS, Nfa, includes, is_empty,
+                    nfa_intersection, regex_parse, regex_to_nfa)
 from regcov import rx
 
 
@@ -97,3 +99,24 @@ def piece_images_distinct(cover, rho) -> bool:
     """True when no two pieces of the cover have the same image under rho."""
     images = [rho.eval_nfa(p.nfa) for p in cover.pieces]
     return len(set(images)) == len(images)
+
+
+def partition_classes(pa) -> list:
+    """Every class of a partition DFA as an automaton: the DFA with that one
+    state final."""
+    return [replace(pa, finals=frozenset([q])).as_nfa() for q in range(pa.state_count)]
+
+
+def state_of(pa, word: str) -> int:
+    """The partition state, hence the class, that the word reaches."""
+    q = pa.initial
+    for a in word:
+        q = pa.delta[q][pa.alphabet.index(a)]
+    return q
+
+
+def is_union_of_classes_per_class(nfa: Nfa, classes, caps=DEFAULT_CAPS) -> bool:
+    """Reference for `regcov.pieces.is_union_of_classes`: every class
+    meeting the language lies inside it, checked class by class."""
+    return all(is_empty(nfa_intersection(cls, nfa)) or includes(cls, nfa, caps)
+               for cls in classes)

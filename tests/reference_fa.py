@@ -3,7 +3,7 @@
 
 `determinize` keeps subsets as frozensets of states; `nfa_to_regex`
 recomputes every state's degree from the full edge list at each
-elimination.
+elimination (it reads the edges in the same sorted order as `regcov.fa`).
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ def nfa_to_regex(n: Nfa) -> rx.Regex:
             return
         edges[(q, r)] = rx.union(edges.get((q, r), rx.EMPTY), e)
 
-    for (q, a, r) in n.transitions:
+    for (q, a, r) in sorted(n.transitions):
         add(q, r, rx.Letter(a))
-    for q in n.initials:
+    for q in sorted(n.initials):
         add(start, q, rx.EPSILON)
-    for q in n.finals:
+    for q in sorted(n.finals):
         add(q, end, rx.EPSILON)
     states = list(range(n.state_count))
     while states:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -329,25 +330,66 @@ def test_fo2_separators_are_synthesized(capsys, argv):
     assert "synthesis" not in doc["stats"]
 
 
+def regcov_env(**extra) -> dict:
+    """Environment for a `python -m regcov` subprocess on this source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 @pytest.mark.parametrize("argv", [
     ["separate"] + WORKED,
     # many merged pieces: their order shows in the separator
     ["member", "--class", "fo2", "--alphabet", "abc", "--target", "(a|b)*c(a|b)*"],
+    # the state elimination must read the automaton's edges in a fixed order
+    ["separate", "--class", "bsigma1", "--alphabet", "abc", "--target", "c+(c|b)+",
+     "--against", "b"],
 ])
 def test_fo2_separator_does_not_follow_the_hash_seed(argv):
     # piece order must come from insertion order, never from set order
-    src = str(Path(cli.__file__).resolve().parents[1])
     outs = []
     for seed in ("1", "2"):
-        env = {**os.environ, "PYTHONHASHSEED": seed,
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run([sys.executable, "-m", "regcov"] + argv + ["--json"],
-                              env=env, capture_output=True, text=True, check=True)
+                              env=regcov_env(PYTHONHASHSEED=seed),
+                              capture_output=True, text=True, check=True)
         doc = json.loads(proc.stdout)
         del doc["stats"]["wall_ms"]
         outs.append(json.dumps(doc, sort_keys=True))
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["separator"]
+
+
+def run_limited(argv):
+    """Run the CLI in a subprocess whose address space is capped at 384 MiB,
+    so that a blow-up ends in MemoryError instead of exhausting the machine."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (384 << 20, 384 << 20))
+    return subprocess.run([sys.executable, "-m", "regcov"] + argv + ["--json"],
+                          env=regcov_env(), preexec_fn=limit,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_bsigma1_member_on_a_large_partition():
+    # k=3 over abc has 5,312 piece classes; one automaton per class ran out of memory
+    proc = run_limited(["member", "--class", "bsigma1", "--alphabet", "abc",
+                        "--target", "b|ac|a(a|c)"])
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["coverable"] is True and doc["separator"]
+
+
+def test_bsigma1_cover_on_a_large_partition_is_verified():
+    # the depth cap for three letters (k=3) comes before the imprint
+    # converges, so the cover is not flagged optimal; it must still verify
+    proc = run_limited(["separate", "--class", "bsigma1", "--alphabet", "abc",
+                        "--target", "a+", "--against", "(ba|bc)b+c*",
+                        "--emit-cover", "--verify"])
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["coverable"] is True and doc["separator"]
+    assert doc["cover"]["k"] == 3 and doc["cover"]["pieces"]
+    verified = doc["cover"]["verified"]
+    assert verified["covers_target"] and verified["separating"] and verified["class_ok"]
 
 
 GOOD_INSTANCE = {"alphabet": "ab", "class": "at", "target": "a+", "against": ["b+"]}

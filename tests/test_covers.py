@@ -98,6 +98,7 @@ def test_bsigma1_cover_small_k_and_optimal():
     goal = saturate_universal(ext.tau, ClassId.BSIGMA1)
     cov = bsigma1_cover(ext.tau, goal)
     assert cov.optimal and cov.k is not None and cov.k <= 2
+    assert piece_images_distinct(cov, ext.tau)
     assert members(cov.imprint(ext.tau)) == members(goal)
     report = verify_cover(cov, universal_language(AB),
                           [nfa_of("a+", "ab"), nfa_of("b+", "ab")])
@@ -113,6 +114,7 @@ def test_bsigma1_cover_separating_iff_coverable():
         goal = dec.raw_imprint
         cov = bsigma1_cover(ext.tau, goal)
         assert cov.optimal  # these instances converge at small k
+        assert piece_images_distinct(cov, ext.tau)
         report = verify_cover(cov, universal_language(AB), langs)
         assert report.covers_target and report.class_ok
         assert report.separating == dec.coverable
@@ -273,4 +275,5 @@ def test_bsigma1_cover_single_letter_trivial():
     goal = saturate_universal(ext.tau, ClassId.BSIGMA1)
     cov = bsigma1_cover(ext.tau, goal)
     assert cov.optimal and cov.k <= 1
+    assert piece_images_distinct(cov, ext.tau)
     assert members(cov.imprint(ext.tau)) == members(goal)

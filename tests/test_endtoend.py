@@ -50,6 +50,7 @@ def test_bsigma1_decide_iff_cover_separating():
         dec = decide_universal_covering(ext, ClassId.BSIGMA1)
         cover = bsigma1_cover(ext.tau, dec.raw_imprint)
         assert cover.optimal
+        assert piece_images_distinct(cover, ext.tau)
         report = verify_cover(cover, universal_language(AB), langs)
         assert report.covers_target and report.class_ok
         assert report.separating == dec.coverable
@@ -88,6 +89,7 @@ def test_bsigma1_engine_agrees_with_class_partition_oracle():
     # if the engine denies separability, no small depth may separate
     from regcov import ClassId, is_empty, nfa_intersection
     from regcov.pieces import pt_partition
+    from helpers import partition_classes
 
     rng = random.Random(885)
     for _ in range(12):
@@ -100,7 +102,7 @@ def test_bsigma1_engine_agrees_with_class_partition_oracle():
             pa = pt_partition(k, AB)
             if all(is_empty(nfa_intersection(cls, l1))
                    or is_empty(nfa_intersection(cls, l2))
-                   for cls in pa.classes()):
+                   for cls in partition_classes(pa)):
                 oracle_k = k
                 break
         if oracle_k is not None:
@@ -119,6 +121,7 @@ def test_bsigma1_three_letter_alphabet_end_to_end():
         dec = decide_universal_covering(ext, ClassId.BSIGMA1)
         cover = bsigma1_cover(ext.tau, dec.raw_imprint)
         assert cover.optimal
+        assert piece_images_distinct(cover, ext.tau)
         report = verify_cover(cover, universal_language(abc), langs)
         assert report.covers_target and report.separating == dec.coverable
 
@@ -173,6 +176,7 @@ def test_cover_mask_imprints_equal_decision_tables():
         dec_b1 = decide_universal_covering(ext, ClassId.BSIGMA1)
         cov = bsigma1_cover(ext.tau, dec_b1.raw_imprint)
         assert cov.optimal
+        assert piece_images_distinct(cov, ext.tau)
         rep = verify_cover(cov, universal_language(AB), langs, ext=ext)
         assert rep.imprint_masks == dec_b1.imprint_masks
 

@@ -4,13 +4,17 @@ import random
 
 import pytest
 
-from regcov import (Alphabet, equivalent, is_empty, is_piece,
-                    nfa_intersection, nfa_union, pieces_upto, pt_partition,
-                    regex_to_nfa, template_regex, template_unambiguous,
-                    universal_language)
-from regcov.pieces import bsigma1_template_witness, is_k_piecewise_testable
+from dataclasses import replace
 
-from helpers import words_upto
+from regcov import (Alphabet, alphabet_exact, equivalent, is_empty, is_piece,
+                    nfa_intersection, nfa_union, pieces_upto,
+                    pt_partition, regex_to_nfa, template_regex,
+                    template_unambiguous, universal_language)
+from regcov.pieces import (bsigma1_template_witness, is_k_piecewise_testable,
+                           is_union_of_classes)
+
+from helpers import (is_union_of_classes_per_class, partition_classes,
+                     random_nfa, state_of, words_upto)
 
 AB = Alphabet("ab")
 
@@ -26,16 +30,16 @@ def test_pieces_upto_brute_force():
 
 def test_pt_partition_k0():
     pa = pt_partition(0, AB)
-    assert len(pa.states) == 1
-    assert equivalent(pa.class_nfa(0), universal_language(AB))
+    assert pa.state_count == 1
+    assert equivalent(partition_classes(pa)[0], universal_language(AB))
 
 
 def test_pt_partition_k1_classifies_by_alphabet():
     pa = pt_partition(1, AB)
-    assert len(pa.states) == 4
+    assert pa.state_count == 4
     for w in words_upto("ab", 4):
         for v in words_upto("ab", 4):
-            same = pa.state_of(w) == pa.state_of(v)
+            same = state_of(pa, w) == state_of(pa, v)
             assert same == (set(w) == set(v))
 
 
@@ -43,13 +47,13 @@ def test_pt_partition_is_piece_equivalence():
     pa = pt_partition(2, AB)
     for w in words_upto("ab", 4):
         for v in words_upto("ab", 4):
-            same = pa.state_of(w) == pa.state_of(v)
+            same = state_of(pa, w) == state_of(pa, v)
             assert same == (pieces_upto(w, 2) == pieces_upto(v, 2))
 
 
 def test_pt_partition_classes_partition_all_words():
     pa = pt_partition(2, AB)
-    classes = pa.classes()
+    classes = partition_classes(pa)
     union = classes[0]
     for cls in classes[1:]:
         union = nfa_union(union, cls)
@@ -57,6 +61,42 @@ def test_pt_partition_classes_partition_all_words():
     for i, c1 in enumerate(classes):
         for c2 in classes[i + 1:]:
             assert is_empty(nfa_intersection(c1, c2))
+
+
+def test_product_class_check_matches_the_per_class_check():
+    rng = random.Random(19)
+    verdicts = []
+    for symbols, depths, count in (("ab", range(4), 6), ("abc", range(3), 3)):
+        alphabet = Alphabet(symbols)
+        for k in depths:
+            pa = pt_partition(k, alphabet)
+            unions = [replace(pa, finals=frozenset(q for q in range(pa.state_count)
+                                                   if rng.random() < 0.5)).as_nfa()
+                      for _ in range(count)]
+            assert all(is_union_of_classes(nfa, pa) for nfa in unions)
+            langs = [random_nfa(rng, alphabet, 3) for _ in range(count)] + unions
+            # the unions of k-classes are also checked against the coarser (k-1)-classes
+            for part in [pa] + ([pt_partition(k - 1, alphabet)] if k else []):
+                classes = partition_classes(part)
+                for nfa in langs:
+                    got = is_union_of_classes(nfa, part)
+                    assert got == is_union_of_classes_per_class(nfa, classes), (symbols, k)
+                    verdicts.append(got)
+    assert verdicts.count(False) > 20 and verdicts.count(True) > 20
+
+
+def test_one_piece_classes_are_the_alphabet_atoms():
+    rng = random.Random(23)
+    for symbols in ("ab", "abc"):
+        alphabet = Alphabet(symbols)
+        pa = pt_partition(1, alphabet)
+        atoms = [alphabet_exact(alphabet, alphabet.from_mask(m))
+                 for m in range(1 << len(alphabet))]
+        langs = [random_nfa(rng, alphabet, 3) for _ in range(8)]
+        langs += [nfa_union(*rng.sample(atoms, rng.randint(1, len(atoms))))
+                  for _ in range(8)]
+        for nfa in langs:
+            assert is_union_of_classes(nfa, pa) == is_union_of_classes_per_class(nfa, atoms)
 
 
 def test_is_k_piecewise_testable():
@@ -133,4 +173,4 @@ def test_template_witness_adjacent_incomparable_triples():
 
 
 def test_pt_partition_class_counts():
-    assert [len(pt_partition(k, AB).states) for k in range(5)] == [1, 4, 16, 68, 312]
+    assert [pt_partition(k, AB).state_count for k in range(5)] == [1, 4, 16, 68, 312]
