@@ -8,9 +8,8 @@ separating covers for the constructive classes.
 
 from .errors import (AlphabetCapError, Caps, DEFAULT_CAPS,
                      DeterminizationCapError, InputError, MonoidCapError,
-                     PieceCapError, PowersetCapError, PtStateCapError,
-                     RegcovError, RelationCapError, ResourceCapError,
-                     SaturationCapError, WordBudgetError)
+                     PieceCapError, PtStateCapError, RegcovError,
+                     ResourceCapError, SaturationCapError, WordBudgetError)
 from .rx import Regex, regex_parse, regex_to_text
 from .fa import (Alphabet, Dfa, MonoidMorphism, Nfa, alphabet_exact,
                  alphabet_languages, alphabet_star, determinize, equivalent,

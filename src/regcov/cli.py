@@ -7,6 +7,7 @@ Exit codes: 0 decided (either way), 2 input error, 3 resource cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -360,7 +361,9 @@ def run_oracle(inst: Instance, which: str, k: Optional[int]) -> dict:
 
 # -- entry point -------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="regcov",
         description="Decide covering, separation and membership of regular "
@@ -401,8 +404,7 @@ def _emit(doc, as_json: bool):
 
 def main(argv=None) -> int:
     t0 = time.perf_counter()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         inst = load_instance(args)
         if inst.class_id is None:

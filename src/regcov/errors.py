@@ -39,14 +39,6 @@ class MonoidCapError(ResourceCapError):
     pass
 
 
-class PowersetCapError(ResourceCapError):
-    pass
-
-
-class RelationCapError(ResourceCapError):
-    pass
-
-
 class AlphabetCapError(ResourceCapError):
     pass
 
@@ -75,15 +67,16 @@ class PtStateCapError(ResourceCapError):
 class Caps:
     """Resource limits shared by all operations.
 
-    The defaults are sized for desk-scale instances; every field can be
-    overridden per call or through the CLI flags.
+    The defaults are sized for desk-scale instances.  Every field can be
+    overridden per call; `max_elements`, `max_det_states` (`--max-states`)
+    and `max_k` also through the CLI flags or an instance file's options.
     """
 
     max_det_states: int = 1 << 20      # subset-construction states
     max_monoid: int = 4096             # transition-monoid elements
-    max_powerset_monoid: int = 20      # |M| for powerset semirings
-    max_relation_states: int = 6       # |Q| for relation semirings
-    max_alphabet_sets: int = 8         # |A| for alphabet-set semirings
+    max_alphabet_sets: int = 8         # |A| for alphabet-set semirings; bounds
+                                       # real work, as the saturation rules
+                                       # visit all 2^|A| sub-alphabets
     max_elements: int = 200_000        # saturated-set elements
     max_pieces: int = 10_000           # pieces per synthesized cover; for fo2,
                                        # merged pieces summed over the recursion

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .errors import Caps, DEFAULT_CAPS, DeterminizationCapError, InputError, SaturationCapError
+from .errors import (Caps, DEFAULT_CAPS, DeterminizationCapError, InputError,
+                     MonoidCapError, SaturationCapError)
 from .fa import Alphabet, MonoidMorphism, Nfa, minimize, transition_monoid
 from .imprints import ImprintSet
 from .semiring import (AlphabetSemiring, PowersetMonoidSemiring,
@@ -165,11 +166,10 @@ class Extension:
         return self.delta.apply(r)
 
 
-def rm_from_morphism(alpha: MonoidMorphism, accepting: Iterable[int],
-                     caps: Caps = DEFAULT_CAPS) -> Extension:
+def rm_from_morphism(alpha: MonoidMorphism, accepting: Iterable[int]) -> Extension:
     """Canonical rating map over the powerset of the monoid, extending the
     single-language map of image⁻¹(accepting)."""
-    sr = PowersetMonoidSemiring(alpha, caps)
+    sr = PowersetMonoidSemiring(alpha)
     letter_image = {a: sr.singleton(m) for a, m in alpha.letter_image.items()}
     tau = RatingMap(_alphabet_of_letters(alpha), sr, letter_image)
     acc_mask = 0
@@ -184,9 +184,9 @@ def _alphabet_of_letters(alpha: MonoidMorphism) -> Alphabet:
     return Alphabet("".join(sorted(alpha.letter_image)))
 
 
-def rm_from_nfa(nfa: Nfa, caps: Caps = DEFAULT_CAPS) -> Extension:
+def rm_from_nfa(nfa: Nfa) -> Extension:
     """Canonical rating map over state relations of the automaton."""
-    sr = RelationSemiring(nfa.state_count, caps)
+    sr = RelationSemiring(nfa.state_count)
     letter_image = {a: 0 for a in nfa.alphabet}
     for (q, a, r) in nfa.transitions:
         letter_image[a] |= sr.pair(q, r)
@@ -204,9 +204,8 @@ def rm_from_multiset(items, caps: Caps = DEFAULT_CAPS) -> Extension:
     """Nice multiplicative rating map extending the canonical map of a
     finite multiset of regular languages.
 
-    Items are NFAs or (morphism, accepting) pairs; per item the relation
-    construction is used when the automaton is small enough (minimizing
-    first when that helps) and the monoid construction otherwise.
+    Items are NFAs or (morphism, accepting) pairs; per NFA the narrowest of
+    the relation and monoid constructions is used (`_extension_for_nfa`).
     """
     items = list(items)
     if not items:
@@ -227,7 +226,7 @@ def rm_from_multiset(items, caps: Caps = DEFAULT_CAPS) -> Extension:
             exts.append(_extension_for_nfa(item, caps))
         else:
             alpha, accepting = item
-            exts.append(rm_from_morphism(alpha, accepting, caps))
+            exts.append(rm_from_morphism(alpha, accepting))
     parts = [e.tau.semiring for e in exts]
     sr = ProductSemiring(parts)
     letter_image = {a: tuple(e.tau.letter_image[a] for e in exts) for a in alphabet}
@@ -249,38 +248,28 @@ def rm_from_multiset(items, caps: Caps = DEFAULT_CAPS) -> Extension:
 def _extension_for_nfa(nfa: Nfa, caps: Caps) -> Extension:
     """Pick the per-language construction with the smallest element width.
 
-    Semiring products and the word-image closures grow with the bit width of
-    the rating-set encoding, so that width is the quantity to minimize:
-    minimal-DFA relations (states²), raw-NFA relations (states²) and monoid
-    powersets (monoid size) compete.
+    Every nice multiplicative rating map recognizing the language yields the
+    same pulled-back imprints, so the choice only sets the cost.  Semiring
+    products and the word-image closures grow with the bit width of the
+    rating-set encoding, so that width is the quantity to minimize:
+    minimal-DFA relations (states²) and raw-NFA relations (states²) always
+    compete, and monoid powersets (monoid size) join them unless the
+    transition monoid outgrows `max_monoid`.  No encoding is refused for its
+    width; a blow-up ends on the caps that count the work itself.
     """
-    from .errors import MonoidCapError, RelationCapError
-
-    candidates = []
     dfa = minimize(nfa, caps)
-    if dfa.state_count <= caps.max_relation_states:
-        candidates.append((dfa.state_count ** 2, 0, "dfa"))
-    if nfa.state_count <= caps.max_relation_states:
-        candidates.append((nfa.state_count ** 2, 2, "nfa"))
-    alpha = accepting = None
+    candidates = [(dfa.state_count ** 2, 0, "dfa"), (nfa.state_count ** 2, 2, "nfa")]
     try:
         alpha, accepting = transition_monoid(nfa, caps)
-        if alpha.size <= caps.max_powerset_monoid:
-            candidates.append((alpha.size, 1, "monoid"))
+        candidates.append((alpha.size, 1, "monoid"))
     except MonoidCapError:
-        if not candidates:
-            raise
-    if not candidates:
-        raise RelationCapError(
-            "max_relation_states", caps.max_relation_states,
-            f"no compact rating construction for a {nfa.state_count}-state automaton "
-            f"(minimal DFA has {dfa.state_count} states)")
+        pass
     _, _, kind = min(candidates)
     if kind == "dfa":
-        return rm_from_nfa(dfa.as_nfa(), caps)
+        return rm_from_nfa(dfa.as_nfa())
     if kind == "nfa":
-        return rm_from_nfa(nfa, caps)
-    return rm_from_morphism(alpha, accepting, caps)
+        return rm_from_nfa(nfa)
+    return rm_from_morphism(alpha, accepting)
 
 
 def rm_alphabet_augment(rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> Extension:

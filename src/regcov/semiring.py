@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (AlphabetCapError, Caps, DEFAULT_CAPS, InputError,
-                     PowersetCapError, RelationCapError)
+from .errors import AlphabetCapError, Caps, DEFAULT_CAPS, InputError
 from .fa import Alphabet, MonoidMorphism
 
 
@@ -159,11 +158,8 @@ class PowersetMonoidSemiring(Semiring):
     Elements are bitmasks over the monoid elements; order is inclusion.
     """
 
-    def __init__(self, monoid: MonoidMorphism, caps: Caps = DEFAULT_CAPS):
+    def __init__(self, monoid: MonoidMorphism):
         super().__init__()
-        if monoid.size > caps.max_powerset_monoid:
-            raise PowersetCapError("max_powerset_monoid", caps.max_powerset_monoid,
-                                   f"monoid has {monoid.size} elements")
         self.monoid = monoid
         self.nbits = monoid.size
 
@@ -195,11 +191,8 @@ class RelationSemiring(Semiring):
     Bit q*|Q|+r encodes the pair (q, r).
     """
 
-    def __init__(self, state_count: int, caps: Caps = DEFAULT_CAPS):
+    def __init__(self, state_count: int):
         super().__init__()
-        if state_count > caps.max_relation_states:
-            raise RelationCapError("max_relation_states", caps.max_relation_states,
-                                   f"automaton has {state_count} states")
         self.q = state_count
         self.nbits = state_count * state_count
         self._rowmask = (1 << state_count) - 1

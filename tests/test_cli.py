@@ -71,6 +71,18 @@ def test_separate_self_never(capsys):
     assert json.loads(out)["coverable"] is False
 
 
+def test_consecutive_calls_get_their_own_lists(capsys):
+    # the parser is built once per process; repeated flags must not leak
+    # from one call into the next
+    base = ["cover", "--class", "at", "--alphabet", "ab", "--target", "%universal", "--json"]
+    code, out, _ = run(capsys, base + ["--against", "a+", "--against", "b+"])
+    assert code == 0
+    assert json.loads(out)["imprint"] == [[], [0], [1]]
+    code, out, _ = run(capsys, base + ["--against", "a+"])
+    assert code == 0
+    assert json.loads(out)["imprint"] == [[], [0]]
+
+
 def test_member_examples(capsys):
     code, out, _ = run(capsys, [
         "member", "--class", "sigma1", "--alphabet", "ab",

@@ -9,7 +9,7 @@ from regcov import (Alphabet, ClassId, at_cover, bsigma1_cover,
                     rm_from_multiset, saturate_universal, universal_language,
                     validate_semiring, verify_cover)
 
-from helpers import piece_images_distinct, random_nfa
+from helpers import nfa_of, piece_images_distinct, random_nfa
 
 AB = Alphabet("ab")
 
@@ -190,8 +190,9 @@ def test_cover_mask_imprints_equal_decision_tables():
 
 
 def test_decisions_independent_of_rating_construction():
-    # the pulled-back tables are canonical: routing languages through state
-    # relations or monoid powersets must produce identical verdicts
+    # the pulled-back tables are canonical: routing languages through the
+    # relations of the minimal DFA or of the NFA itself, or through monoid
+    # powersets, must produce identical verdicts
     from regcov import (ClassId, decide_pointed_covering, minimize,
                         rm_from_morphism, rm_from_nfa, transition_monoid)
     from regcov.rating import Extension, rm_from_multiset
@@ -219,23 +220,26 @@ def test_decisions_independent_of_rating_construction():
         return Extension(tau, SemiringMorphism(sr, lattice, apply),
                          language_count=len(exts))
 
+    constructions = (lambda l: rm_from_nfa(minimize(l).as_nfa()), rm_from_nfa,
+                     lambda l: rm_from_morphism(*transition_monoid(l)))
     rng = random.Random(889)
+    cases = []
     for _ in range(8):
         langs = [random_nfa(rng, AB, 2, 0.35) for _ in range(rng.randint(1, 2))]
-        via_rel = multiset_ext([rm_from_nfa(minimize(l).as_nfa()) for l in langs])
-        via_mon = multiset_ext([rm_from_morphism(*transition_monoid(l)) for l in langs])
+        cases.append((langs, random_nfa(rng, AB, 2, 0.4)))
+    # minimal DFAs of 7 states: 49-bit relations
+    wide = [nfa_of("(aab|bba)+", "ab"), random_nfa(random.Random(129), AB, 8, 0.3)]
+    assert all(minimize(l).state_count >= 7 for l in wide)
+    cases += [([wide[0]], nfa_of("a(ab)*b(ba)*a", "ab")), ([wide[1]], wide[0])]
+    for langs, target in cases:
+        exts = [multiset_ext([build(l) for l in langs]) for build in constructions]
         for cid in (ClassId.AT, ClassId.BSIGMA1, ClassId.FO, ClassId.FO2):
-            d1 = decide_universal_covering(via_rel, cid)
-            d2 = decide_universal_covering(via_mon, cid)
-            assert d1.imprint_masks == d2.imprint_masks, cid
-            assert d1.coverable == d2.coverable
-        target = random_nfa(rng, AB, 2, 0.4)
+            ds = [decide_universal_covering(ext, cid) for ext in exts]
+            assert len({(d.imprint_masks, d.coverable) for d in ds}) == 1, cid
         alpha, acc = transition_monoid(target)
         for cid in (ClassId.SIGMA1, ClassId.SIGMA2):
-            d1 = decide_pointed_covering(alpha, acc, via_rel, cid)
-            d2 = decide_pointed_covering(alpha, acc, via_mon, cid)
-            assert d1.imprint_masks == d2.imprint_masks, cid
-            assert d1.coverable == d2.coverable
+            ds = [decide_pointed_covering(alpha, acc, ext, cid) for ext in exts]
+            assert len({(d.imprint_masks, d.coverable) for d in ds}) == 1, cid
 
 
 def six_class_verdicts(target, langs):

@@ -2,14 +2,16 @@
 characterizations of each class (computed on the syntactic monoid,
 independently of the semiring engines)."""
 
+import json
 import random
 
 import pytest
 
-from regcov import Alphabet, ClassId, equivalent, regex_to_nfa, upward_closure
-from regcov.cli import Instance, run_member
+from regcov import (Alphabet, ClassId, equivalent, minimize, nfa_to_json,
+                    regex_to_nfa, upward_closure)
+from regcov.cli import Instance, main, run_member
 
-from helpers import nfa_of, random_regex
+from helpers import nfa_of, random_nfa, random_regex
 import oracles
 
 AB = Alphabet("ab")
@@ -62,8 +64,6 @@ def test_sigma1_oracle_is_upward_closedness():
 
 @pytest.mark.parametrize("class_id", list(ORACLES))
 def test_engine_member_matches_algebraic_oracle(class_id):
-    from regcov import ResourceCapError
-
     rng = random.Random(1000 + sum(map(ord, class_id.value)))
     checked = 0
     for _ in range(40):
@@ -71,11 +71,7 @@ def test_engine_member_matches_algebraic_oracle(class_id):
         alpha, _ = oracles.syntactic(nfa)
         if alpha.size > 24:  # keep the O(n^4) order computation cheap
             continue
-        try:
-            got = engine_member(class_id, nfa)
-        except ResourceCapError:
-            continue  # the engine refuses oversized instances rather than guess
-        assert got == ORACLES[class_id](nfa)
+        assert engine_member(class_id, nfa) == ORACLES[class_id](nfa)
         checked += 1
     assert checked >= 20
 
@@ -92,3 +88,30 @@ def test_class_hierarchy_on_memberships():
             assert member[ClassId.BSIGMA1] and member[ClassId.SIGMA2]
         if member[ClassId.BSIGMA1] or member[ClassId.FO2]:
             assert member[ClassId.FO]
+
+
+# Minimal DFAs of 7 to 16 states with transition monoids of 25 to 44
+# elements: no relation or powerset encoding is refused for its width, so
+# each of these must decide.
+WIDE_REGEXES = [(ClassId.SIGMA1, "a(ab)*b(ba)*a"), (ClassId.FO2, "(aab|ba)*abb"),
+                (ClassId.BSIGMA1, "(aab|bba)+"), (ClassId.SIGMA2, "(a|b)*a(a|b)(a|b)(a|b)")]
+WIDE_NFA_SEEDS = (17, 129, 132)  # random_nfa(Random(seed), ab, 8, 0.3)
+
+
+def cli_member(capsys, tmp_path, class_id, nfa) -> bool:
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"alphabet": "ab", "target": nfa_to_json(nfa)}))
+    code = main(["member", "--class", class_id.value, "--instance", str(path), "--json"])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    return json.loads(out.out)["member"]
+
+
+def test_member_decides_wide_encodings(capsys, tmp_path):
+    cases = [(cid, nfa_of(text, "ab")) for cid, text in WIDE_REGEXES]
+    for seed in WIDE_NFA_SEEDS:
+        nfa = random_nfa(random.Random(seed), AB, 8, 0.3)
+        cases += [(cid, nfa) for cid in ORACLES]
+    for cid, nfa in cases:
+        assert minimize(nfa).state_count > 6
+        assert cli_member(capsys, tmp_path, cid, nfa) == ORACLES[cid](nfa), cid

@@ -2,12 +2,9 @@
 
 import random
 
-import pytest
-
 from regcov import (Alphabet, AlphabetSemiring, MonoidMorphism,
-                    PowersetCapError, PowersetMonoidSemiring, ProductSemiring,
-                    RelationCapError, RelationSemiring, SemiringMorphism,
-                    validate_semiring)
+                    PowersetMonoidSemiring, ProductSemiring, RelationSemiring,
+                    SemiringMorphism, validate_semiring)
 from regcov.semiring import SubsetLattice, TableSemiring
 
 from explicit_engine import downset
@@ -30,11 +27,16 @@ def test_powerset_axioms_exhaustive():
     assert validate_semiring(sr, range(1 << sr.nbits)) == []
 
 
-def test_powerset_cap():
-    big = MonoidMorphism(21, 0, tuple(tuple((i + j) % 21 for j in range(21)) for i in range(21)),
+def test_powerset_of_21_element_cyclic_monoid():
+    # no width limit: the powerset of Z21 (21 bits) is a semiring like any other
+    z21 = MonoidMorphism(21, 0, tuple(tuple((i + j) % 21 for j in range(21)) for i in range(21)),
                          {"a": 1})
-    with pytest.raises(PowersetCapError):
-        PowersetMonoidSemiring(big)
+    sr = PowersetMonoidSemiring(z21)
+    assert sr.nbits == 21
+    rng = random.Random(21)
+    elems = [sr.zero, sr.one] + [rng.randrange(1 << 21) for _ in range(40)]
+    assert validate_semiring(sr, elems, exhaustive_limit=0, rng=rng, samples=300) == []
+    assert sr.mul(sr.singleton(20), sr.singleton(2)) == sr.singleton(1)
 
 
 def test_relation_compose():
@@ -56,11 +58,15 @@ def test_relation_compose():
         assert sr.mul(x, y) == want
 
 
-def test_relation_axioms_and_cap():
+def test_relation_axioms():
     sr = RelationSemiring(2)
     assert validate_semiring(sr, range(1 << 4), exhaustive_limit=16) == []
-    with pytest.raises(RelationCapError):
-        RelationSemiring(7)
+    # no state limit: seven states give 49-bit relations
+    big = RelationSemiring(7)
+    assert big.nbits == 49
+    rng = random.Random(7)
+    elems = [big.zero, big.one] + [rng.randrange(1 << 49) for _ in range(40)]
+    assert validate_semiring(big, elems, exhaustive_limit=0, rng=rng, samples=300) == []
 
 
 def test_alphabet_semiring():

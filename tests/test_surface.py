@@ -4,6 +4,7 @@ through `rc`, and the regcov imports of the benchmark and of the oracles it
 loads.  The files are only read, never imported or changed."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import re
@@ -53,3 +54,30 @@ def test_benchmark_and_oracle_imports_resolve():
     missing = [(module, name) for module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def caps_reads(tree) -> set:
+    """Names read off a `caps` value (`caps.x`, `self.caps.x`, ...)."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and (getattr(node.value, "id", None) == "caps"
+                 or getattr(node.value, "attr", None) == "caps")}
+
+
+def test_every_cap_is_read():
+    # a cap that no code reads is a knob that does nothing; reads inside a
+    # Caps method count when the method itself is called from the library
+    package = os.path.join(ROOT, "src", "regcov")
+    read = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "errors.py":
+            read |= caps_reads(ast.parse(source("src", "regcov", name)))
+    caps_class = next(node for node in ast.parse(source("src", "regcov", "errors.py")).body
+                      if isinstance(node, ast.ClassDef) and node.name == "Caps")
+    for method in caps_class.body:
+        if isinstance(method, ast.FunctionDef) and method.name in read:
+            read |= {node.attr for node in ast.walk(method)
+                     if isinstance(node, ast.Attribute)
+                     and getattr(node.value, "id", None) == "self"}
+    fields = [f.name for f in dataclasses.fields(regcov.Caps)]
+    assert [f for f in fields if f not in read] == []
