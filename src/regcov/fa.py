@@ -429,7 +429,8 @@ class MonoidMorphism:
     letter_image: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "mul", tuple(tuple(row) for row in self.mul))
+        if type(self.mul) is not tuple or any(type(row) is not tuple for row in self.mul):
+            object.__setattr__(self, "mul", tuple(tuple(row) for row in self.mul))
         object.__setattr__(self, "letter_image", dict(self.letter_image))
 
     def image(self, word: str) -> int:
@@ -460,36 +461,53 @@ def transition_monoid(n: Nfa, caps: Caps = DEFAULT_CAPS):
     """Transition monoid of the minimal complete DFA of L(n).
 
     Returns (morphism, accepting) with L(n) = image⁻¹(accepting).
-    """
-    dfa = minimize(n, caps)
-    m = dfa.state_count
-    ident = tuple(range(m))
-    letter_tf = {a: tuple(dfa.delta[q][i] for q in range(m))
-                 for i, a in enumerate(dfa.alphabet.symbols)}
 
+    Elements are the state transformations of words, numbered in BFS order
+    from the identity (element 0), letters in alphabet order.  Element j > 0
+    is first reached as parent[j]·letter[j] with parent[j] < j, and the
+    enumeration records the right Cayley graph, right[k][i] = i·(letter k).
+    The table is then filled column by column (Froidure and Pin, 1997):
+
+        mul[x][j] = right[letter[j]][mul[x][parent[j]]]
+
+    since x·j = (x·parent[j])·letter[j].  In BFS order column parent[j] is
+    complete before column j, so the fill is |M|² integer lookups and no
+    composition of transformations.
+    """
+    return _dfa_monoid(minimize(n, caps), caps)
+
+
+def _dfa_monoid(dfa: Dfa, caps: Caps):
+    """`transition_monoid` from a complete DFA that is already minimal."""
+    m = dfa.state_count
+    letters = range(len(dfa.alphabet))
+    letter_tf = [tuple(row[k] for row in dfa.delta) for k in letters]
+    ident = tuple(range(m))
     ids = {ident: 0}
     order = [ident]
-    i = 0
-    while i < len(order):
-        t = order[i]
-        for a in dfa.alphabet.symbols:
-            ta = letter_tf[a]
-            nt = tuple(ta[q] for q in t)  # apply t, then a
-            if nt not in ids:
+    right = [[] for _ in letters]
+    parent = [0]
+    letter = [0]
+    for i, t in enumerate(order):          # order grows while it is read
+        for k in letters:
+            nt = tuple(map(letter_tf[k].__getitem__, t))  # apply t, then letter k
+            j = ids.get(nt)
+            if j is None:
                 if len(order) >= caps.max_monoid:
                     raise MonoidCapError("max_monoid", caps.max_monoid,
                                          f"transition monoid of {m}-state minimal DFA")
-                ids[nt] = len(order)
+                j = ids[nt] = len(order)
                 order.append(nt)
-        i += 1
+                parent.append(i)
+                letter.append(k)
+            right[k].append(j)
     size = len(order)
-    mul = [[0] * size for _ in range(size)]
-    for i, t in enumerate(order):
-        for j, u in enumerate(order):
-            tu = tuple(u[q] for q in t)  # apply t, then u
-            mul[i][j] = ids[tu]
-    letter_image = {a: ids[letter_tf[a]] for a in dfa.alphabet.symbols}
-    morphism = MonoidMorphism(size, 0, tuple(tuple(r) for r in mul), letter_image)
+    cols = [range(size)]
+    for j in range(1, size):
+        step = right[letter[j]]
+        cols.append([step[v] for v in cols[parent[j]]])
+    letter_image = {a: right[k][0] for k, a in enumerate(dfa.alphabet.symbols)}
+    morphism = MonoidMorphism(size, 0, tuple(zip(*cols)), letter_image)
     accepting = frozenset(i for i, t in enumerate(order) if t[dfa.initial] in dfa.finals)
     return morphism, accepting
 

@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 from .errors import (Caps, DEFAULT_CAPS, DeterminizationCapError, InputError,
                      MonoidCapError, SaturationCapError)
-from .fa import Alphabet, MonoidMorphism, Nfa, minimize, transition_monoid
+from .fa import Alphabet, MonoidMorphism, Nfa, _dfa_monoid, minimize
 from .imprints import ImprintSet
 from .semiring import (AlphabetSemiring, PowersetMonoidSemiring,
                        ProductSemiring, RelationSemiring, Semiring,
@@ -260,7 +260,7 @@ def _extension_for_nfa(nfa: Nfa, caps: Caps) -> Extension:
     dfa = minimize(nfa, caps)
     candidates = [(dfa.state_count ** 2, 0, "dfa"), (nfa.state_count ** 2, 2, "nfa")]
     try:
-        alpha, accepting = transition_monoid(nfa, caps)
+        alpha, accepting = _dfa_monoid(dfa, caps)
         candidates.append((alpha.size, 1, "monoid"))
     except MonoidCapError:
         pass

@@ -3,13 +3,15 @@
 
 `determinize` keeps subsets as frozensets of states; `nfa_to_regex`
 recomputes every state's degree from the full edge list at each
-elimination (it reads the edges in the same sorted order as `regcov.fa`).
+elimination (it reads the edges in the same sorted order as `regcov.fa`);
+`transition_monoid` composes and hashes the two transformations of every
+product in its table.
 """
 
 from __future__ import annotations
 
 from regcov import rx
-from regcov.fa import Dfa, Nfa
+from regcov.fa import Dfa, MonoidMorphism, Nfa, minimize
 
 
 def determinize(n: Nfa) -> Dfa:
@@ -72,3 +74,33 @@ def nfa_to_regex(n: Nfa) -> rx.Regex:
             for (r, eout) in outgoing:
                 add(q, r, rx.concat(rx.concat(ein, loopstar), eout))
     return edges.get((start, end), rx.EMPTY)
+
+
+def transition_monoid(n: Nfa):
+    dfa = minimize(n)
+    m = dfa.state_count
+    ident = tuple(range(m))
+    letter_tf = {a: tuple(dfa.delta[q][i] for q in range(m))
+                 for i, a in enumerate(dfa.alphabet.symbols)}
+    ids = {ident: 0}
+    order = [ident]
+    i = 0
+    while i < len(order):
+        t = order[i]
+        for a in dfa.alphabet.symbols:
+            ta = letter_tf[a]
+            nt = tuple(ta[q] for q in t)  # apply t, then a
+            if nt not in ids:
+                ids[nt] = len(order)
+                order.append(nt)
+        i += 1
+    size = len(order)
+    mul = [[0] * size for _ in range(size)]
+    for i, t in enumerate(order):
+        for j, u in enumerate(order):
+            tu = tuple(u[q] for q in t)  # apply t, then u
+            mul[i][j] = ids[tu]
+    letter_image = {a: ids[letter_tf[a]] for a in dfa.alphabet.symbols}
+    morphism = MonoidMorphism(size, 0, tuple(tuple(r) for r in mul), letter_image)
+    accepting = frozenset(i for i, t in enumerate(order) if t[dfa.initial] in dfa.finals)
+    return morphism, accepting

@@ -222,6 +222,30 @@ def test_determinize_and_nfa_to_regex_match_the_references():
                 == rx.regex_to_text(reference_fa.nfa_to_regex(nfa)))
 
 
+def test_transition_monoid_matches_the_reference():
+    # the table filled from the right Cayley graph must reproduce the table of
+    # composed transformations: same numbering, products and accepting set
+    rng = random.Random(37)
+    nfas = [random_nfa(rng, rng.choice([AB, ABC]), 6) for _ in range(80)]
+    nfas.append(random_nfa(random.Random(98), AB, 8, 0.3))
+    sizes = []
+    for nfa in nfas:
+        alpha, acc = transition_monoid(nfa)
+        ref, ref_acc = reference_fa.transition_monoid(nfa)
+        assert (alpha.size, alpha.mul, alpha.letter_image, acc) == (
+            ref.size, ref.mul, ref.letter_image, ref_acc)
+        if alpha.size <= 40:
+            assert monoid_validate(alpha) == []
+        sizes.append(alpha.size)
+    assert max(sizes) == 262 and sum(s > 40 for s in sizes) >= 10
+
+
+def test_monoid_table_is_normalised_to_tuples():
+    from regcov import MonoidMorphism
+    z2 = MonoidMorphism(2, 0, [[0, 1], (1, 0)], {"a": 1})
+    assert z2.mul == ((0, 1), (1, 0)) and type(z2.mul[0]) is tuple
+
+
 def test_broken_monoid_reports_violation():
     from regcov import MonoidMorphism
     bad = MonoidMorphism(2, 0, ((0, 1), (1, 1)), {"a": 1})
