@@ -10,7 +10,7 @@ closure, and the recursive left-factor construction for two-variable logic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import (Caps, DEFAULT_CAPS, PieceCapError, SaturationCapError,
@@ -216,12 +216,34 @@ def _partition_cover(pa: Dfa, k: int, images: dict, optimal: bool) -> Cover:
     - a union of k-classes is k-piecewise testable;
     - classes with equal images meet the same languages, so separation and
       `restrict_cover` are unchanged.
+
+    Each piece is the trimmed partition DFA with those finals, built on the
+    trimmed states alone.  Every class is reachable, so the trimmed states
+    are the classes that reach a final, found backwards from the finals,
+    and they are numbered in sorted order as `trim` numbers them.
     """
     by_image: dict = {}
     for q in range(pa.state_count):
         by_image.setdefault(images[q], []).append(q)
-    pieces = [CoverPiece(trim(replace(pa, finals=frozenset(states)).as_nfa()))
-              for states in by_image.values()]
+    preds: list = [[] for _ in range(pa.state_count)]
+    for q, row in enumerate(pa.delta):
+        for r in set(row):
+            preds[r].append(q)
+    symbols = pa.alphabet.symbols
+    pieces = []
+    for states in by_image.values():
+        live = set(states)
+        work = list(states)
+        while work:
+            for q in preds[work.pop()]:
+                if q not in live:
+                    live.add(q)
+                    work.append(q)
+        num = {q: i for i, q in enumerate(sorted(live))}
+        trans = frozenset((num[q], a, num[r]) for q in num
+                          for a, r in zip(symbols, pa.delta[q]) if r in num)
+        pieces.append(CoverPiece(Nfa(pa.alphabet, len(num), frozenset([num[pa.initial]]),
+                                     frozenset(num[q] for q in states), trans)))
     return Cover(ClassId.BSIGMA1, universal_language(pa.alphabet), pieces,
                  k=k, optimal=optimal,
                  provenance=f"piece-equivalence partition at k={k}")
@@ -292,6 +314,7 @@ class _Fo2State:
         self._sb_memo: dict = {}
         self._reach_cache: dict = {}
         self._build_memo: dict = {}
+        self._merge_memo: dict = {}
 
     def _word_images(self, subset: tuple) -> set:
         """Images of the words over B: the monoid generated by B's letters."""
@@ -378,6 +401,20 @@ class _Fo2State:
         if self.count > self.caps.max_pieces:
             raise PieceCapError("max_pieces", self.caps.max_pieces, "fo2 cover synthesis")
 
+    def _merge(self, group: list, letter: Optional[str]) -> CoverPiece:
+        """`_merge_pieces`, once per letter and sequence of members.
+
+        Nodes of the recursion often regroup the same members; they share
+        one merged piece.  The memo keeps the group, so no member is freed
+        and no id in a key is reused while the synthesis runs.
+        """
+        key = (letter, tuple(id(m) if isinstance(m, CoverPiece) else (id(m[0]), id(m[1]))
+                             for m in group))
+        if key not in self._merge_memo:
+            self._merge_memo[key] = (group, _merge_pieces(group, letter, self.rho.alphabet,
+                                                          self.caps))
+        return self._merge_memo[key][1]
+
     def build(self, subset: tuple, left, right) -> list:
         """(image, piece) pairs of a cover of B* with left·image·right in
         the saturated set, with pairwise distinct images; recursion on (|B|,
@@ -413,8 +450,7 @@ class _Fo2State:
                     t_h = sr.mul(bimg, sr.mul(img_h, right))
                     for img_k, k in self.build(subset, left, t_h):
                         groups.setdefault(sr.mul(sr.mul(img_k, bimg), img_h), []).append((k, h))
-        out = [(img, _merge_pieces(group, b, rho.alphabet, self.caps))
-               for img, group in groups.items()]
+        out = [(img, self._merge(group, b)) for img, group in groups.items()]
         self._bump(len(out))
         self._build_memo[key] = out
         return out

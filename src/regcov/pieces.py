@@ -31,17 +31,41 @@ def pieces_upto(word: str, k: int) -> frozenset:
 
 def pt_partition(k: int, alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> Dfa:
     """Partition of all words into k-piece-equivalence classes: the complete
-    DFA of reachable piece sets, without finals, one state per class."""
-    start = frozenset([""])
-    ids = {start: 0}
-    order = [start]
+    DFA of reachable piece sets, without finals, one state per class.
+
+    A piece set is a bitmask over the pieces of length at most k, shortest
+    first.  Reading a letter a adds u·a for every member u shorter than k;
+    those members fill the low bits, and per-byte tables map each byte of
+    them to the bits of their extensions.
+    """
+    pieces = [""]
+    for u in pieces:
+        if len(u) < k:
+            pieces.extend(u + a for a in alphabet)
+    bit = {u: 1 << i for i, u in enumerate(pieces)}
+    short = sum(1 for u in pieces if len(u) < k)
+    tables = []
+    for a in alphabet:
+        per_byte = []
+        for lo in range(0, short, 8):
+            ext = [bit[u + a] for u in pieces[lo:min(lo + 8, short)]]
+            table = [0] * (1 << len(ext))
+            for v in range(1, len(table)):
+                low = v & -v
+                table[v] = table[v ^ low] | ext[low.bit_length() - 1]
+            per_byte.append((lo, (1 << len(ext)) - 1, table))
+        tables.append(per_byte)
+    ids = {1: 0}
+    order = [1]
     rows = []
     i = 0
     while i < len(order):
         cur = order[i]
         row = []
-        for a in alphabet:
-            nxt = frozenset(cur | {u + a for u in cur if len(u) < k})
+        for per_byte in tables:
+            nxt = cur
+            for lo, mask, table in per_byte:
+                nxt |= table[cur >> lo & mask]
             if nxt not in ids:
                 if len(order) >= caps.max_pt_states:
                     raise PtStateCapError("max_pt_states", caps.max_pt_states,

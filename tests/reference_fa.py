@@ -5,13 +5,17 @@
 recomputes every state's degree from the full edge list at each
 elimination (it reads the edges in the same sorted order as `regcov.fa`);
 `transition_monoid` composes and hashes the two transformations of every
-product in its table.
+product in its table; `pt_partition` keeps piece sets as frozensets of
+strings; `partition_piece` trims the whole partition DFA with the given
+finals.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from regcov import rx
-from regcov.fa import Dfa, MonoidMorphism, Nfa, minimize
+from regcov.fa import Alphabet, Dfa, MonoidMorphism, Nfa, minimize, trim
 
 
 def determinize(n: Nfa) -> Dfa:
@@ -104,3 +108,27 @@ def transition_monoid(n: Nfa):
     morphism = MonoidMorphism(size, 0, tuple(tuple(r) for r in mul), letter_image)
     accepting = frozenset(i for i, t in enumerate(order) if t[dfa.initial] in dfa.finals)
     return morphism, accepting
+
+
+def pt_partition(k: int, alphabet: Alphabet) -> Dfa:
+    start = frozenset([""])
+    ids = {start: 0}
+    order = [start]
+    rows = []
+    i = 0
+    while i < len(order):
+        cur = order[i]
+        row = []
+        for a in alphabet:
+            nxt = frozenset(cur | {u + a for u in cur if len(u) < k})
+            if nxt not in ids:
+                ids[nxt] = len(order)
+                order.append(nxt)
+            row.append(ids[nxt])
+        rows.append(tuple(row))
+        i += 1
+    return Dfa(alphabet, len(order), 0, frozenset(), tuple(rows))
+
+
+def partition_piece(pa: Dfa, finals) -> Nfa:
+    return trim(replace(pa, finals=frozenset(finals)).as_nfa())

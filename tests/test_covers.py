@@ -13,7 +13,11 @@ from regcov import (DEFAULT_CAPS, Alphabet, ClassId, at_cover, at_imprint,
                     union_covers, universal_language, upward_closure,
                     verify_cover)
 from regcov import rx
+from regcov import covers
+from regcov.covers import _partition_images
+from regcov.pieces import pt_partition
 
+import reference_fa
 from explicit_engine import downset, fo2_language_sums, members
 from helpers import nfa_of, piece_images_distinct, random_nfa
 
@@ -105,6 +109,24 @@ def test_bsigma1_cover_small_k_and_optimal():
     assert report.covers_target and report.class_ok
 
 
+@pytest.mark.parametrize("target, against", [
+    ("a+", "(ba|bc)b+c*"),
+    ("b|a*|(c*)+", "c+c*caa"),
+])
+def test_partition_cover_pieces_match_trimmed_partition(target, against):
+    ext = rm_from_multiset([nfa_of(target, "abc"), nfa_of(against, "abc")])
+    dec = decide_universal_covering(ext, ClassId.BSIGMA1, target_index=0)
+    cov = bsigma1_cover(ext.tau, dec.raw_imprint)
+    assert cov.k == 3
+    pa = pt_partition(cov.k, ABC)
+    by_image: dict = {}
+    for q, img in sorted(_partition_images(pa, ext.tau, DEFAULT_CAPS).items()):
+        by_image.setdefault(img, []).append(q)
+    assert len(cov.pieces) == len(by_image) > 1
+    for piece, states in zip(cov.pieces, by_image.values()):
+        assert piece.nfa == reference_fa.partition_piece(pa, states)
+
+
 def test_bsigma1_cover_separating_iff_coverable():
     rng = random.Random(412)
     for _ in range(8):
@@ -171,6 +193,38 @@ def test_fo2_cover_merges_same_image_pieces():
     assert piece_images_distinct(cov, aug.tau)
     assert members(cov.imprint(aug.tau)) == members(sat)
     assert includes(universal_language(ABC), cov.union_nfa())
+
+
+@pytest.mark.parametrize("target, against", [
+    ("(ab)+", "c(ac)+"),            # the worked example
+    ("((a|c)bb)+", "((ac)*)*"),
+])
+def test_fo2_merges_once_per_group(monkeypatch, target, against):
+    # the pieces are compared as automata, and as JSON once restricted to
+    # the target as the CLI prints them
+    target_nfa = nfa_of(target, "abc")
+    ext = rm_from_multiset([target_nfa, nfa_of(against, "abc")])
+    dec = decide_universal_covering(ext, ClassId.FO2, target_index=0)
+    real_merge = covers._merge_pieces
+    keys = []
+
+    def counted(group, letter, alphabet, caps):
+        keys.append((letter, tuple(id(m) if isinstance(m, covers.CoverPiece)
+                                   else (id(m[0]), id(m[1])) for m in group)))
+        return real_merge(group, letter, alphabet, caps)
+
+    monkeypatch.setattr(covers, "_merge_pieces", counted)
+    memoized = fo2_cover(dec.rating_map, dec.raw_imprint)
+    merges = len(keys)
+    assert merges == len(set(keys))
+
+    monkeypatch.setattr(covers._Fo2State, "_merge", lambda self, group, letter:
+                        counted(group, letter, self.rho.alphabet, self.caps))
+    plain = fo2_cover(dec.rating_map, dec.raw_imprint)
+    assert len(keys) - merges > merges
+    assert [p.nfa for p in plain.pieces] == [p.nfa for p in memoized.pieces]
+    assert (restrict_cover(plain, target_nfa).to_json()
+            == restrict_cover(memoized, target_nfa).to_json())
 
 
 def test_fo2_per_maximum_sums_equal_the_full_closure():

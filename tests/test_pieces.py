@@ -13,6 +13,7 @@ from regcov import (Alphabet, alphabet_exact, equivalent, is_empty, is_piece,
 from regcov.pieces import (bsigma1_template_witness, is_k_piecewise_testable,
                            is_union_of_classes)
 
+import reference_fa
 from helpers import (is_union_of_classes_per_class, partition_classes,
                      random_nfa, state_of, words_upto)
 
@@ -174,3 +175,10 @@ def test_template_witness_adjacent_incomparable_triples():
 
 def test_pt_partition_class_counts():
     assert [pt_partition(k, AB).state_count for k in range(5)] == [1, 4, 16, 68, 312]
+
+
+@pytest.mark.parametrize("symbols, k", [(ab, k) for ab in ("a", "ab", "abc") for k in range(4)]
+                         + [("ab", 4)])
+def test_pt_partition_matches_the_reference(symbols, k):
+    alphabet = Alphabet(symbols)
+    assert pt_partition(k, alphabet) == reference_fa.pt_partition(k, alphabet)
