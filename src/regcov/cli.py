@@ -90,11 +90,17 @@ def _ms_since(t0: float) -> float:
 # -- instance parsing ----------------------------------------------------------------
 
 def parse_language(spec, alphabet: Alphabet):
-    """Regex text, %universal, or an NFA JSON object."""
+    """Regex text, %universal, or an NFA JSON object.
+
+    Parsing and compiling recurse along the regex, so a regex nested
+    deeper than the interpreter's recursion limit is an input error."""
     if isinstance(spec, str):
         if spec.strip() == UNIVERSAL:
             return UNIVERSAL
-        return regex_to_nfa(rx.regex_parse(spec, alphabet.symbols), alphabet)
+        try:
+            return regex_to_nfa(rx.regex_parse(spec, alphabet.symbols), alphabet)
+        except RecursionError:
+            raise InputError("regex nested too deeply") from None
     if isinstance(spec, dict):
         nfa = nfa_from_json(spec.get("nfa", spec))
         if nfa.alphabet != alphabet:

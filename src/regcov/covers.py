@@ -31,7 +31,12 @@ from .saturation import ClassId, _mask_subsets
 @dataclass
 class CoverPiece:
     """One cover member; the regex is materialized lazily from the automaton
-    when it was not supplied by the synthesizer."""
+    when it was not supplied by the synthesizer.
+
+    The regex comes from the trimmed minimal DFA: a union of piece classes
+    can span thousands of classes and yet have a minimal DFA of a dozen
+    states, and state elimination on the large one nests deeper than any
+    printer can follow."""
 
     nfa: Nfa
     _regex: Optional[Regex] = None
@@ -39,7 +44,7 @@ class CoverPiece:
     @property
     def regex(self) -> Regex:
         if self._regex is None:
-            self._regex = nfa_to_regex(self.nfa)
+            self._regex = nfa_to_regex(trim(minimize(self.nfa).as_nfa()))
         return self._regex
 
 

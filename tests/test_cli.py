@@ -404,6 +404,28 @@ def test_bsigma1_cover_on_a_large_partition_is_verified():
     assert verified["covers_target"] and verified["separating"] and verified["class_ok"]
 
 
+def test_bsigma1_universal_cover_renders_from_the_minimal_dfa():
+    # the unrestricted cover keeps the piece that unites most of the 5,312
+    # classes at k=3; state elimination on all of them nested too deeply to
+    # print, while its minimal DFA has 12 states
+    proc = run_limited(["cover", "--class", "bsigma1", "--alphabet", "abc",
+                        "--target", "%universal", "--against", "a+",
+                        "--against", "(ba|bc)b+c*", "--emit-cover", "--verify"])
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["coverable"] is True and doc["cover"]["k"] == 3
+    verified = doc["cover"]["verified"]
+    assert verified["covers_target"] and verified["separating"] and verified["class_ok"]
+
+
+@pytest.mark.parametrize("target", ["|".join(["ab"] * 1500), "(" * 1200 + "a" + ")" * 1200])
+def test_deeply_nested_regex_is_an_input_error(capsys, target):
+    code, out, err = run(capsys, ["member", "--class", "at", "--alphabet", "ab",
+                                  "--target", target])
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
 GOOD_INSTANCE = {"alphabet": "ab", "class": "at", "target": "a+", "against": ["b+"]}
 FLAGS = ["--class", "bsigma1", "--alphabet", "ab", "--target", "a+", "--against", "b+"]
 
