@@ -35,8 +35,8 @@ class CoverPiece:
 
     The regex comes from the trimmed minimal DFA: a union of piece classes
     can span thousands of classes and yet have a minimal DFA of a dozen
-    states, and state elimination on the large one nests deeper than any
-    printer can follow."""
+    states, and state elimination on the large automaton builds a regex
+    nested too deeply to print."""
 
     nfa: Nfa
     _regex: Optional[Regex] = None

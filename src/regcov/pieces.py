@@ -55,7 +55,7 @@ def pt_partition(k: int, alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> Dfa:
                 table[v] = table[v ^ low] | ext[low.bit_length() - 1]
             per_byte.append((lo, (1 << len(ext)) - 1, table))
         tables.append(per_byte)
-    ids = {1: 0}
+    ids = {1: 0}   # bit 0 is the empty piece
     order = [1]
     rows = []
     i = 0

@@ -220,10 +220,10 @@ def test_fo2_merges_once_per_group(monkeypatch, target, against):
 
     monkeypatch.setattr(covers._Fo2State, "_merge", lambda self, group, letter:
                         counted(group, letter, self.rho.alphabet, self.caps))
-    plain = fo2_cover(dec.rating_map, dec.raw_imprint)
+    unmemoized = fo2_cover(dec.rating_map, dec.raw_imprint)
     assert len(keys) - merges > merges
-    assert [p.nfa for p in plain.pieces] == [p.nfa for p in memoized.pieces]
-    assert (restrict_cover(plain, target_nfa).to_json()
+    assert [p.nfa for p in unmemoized.pieces] == [p.nfa for p in memoized.pieces]
+    assert (restrict_cover(unmemoized, target_nfa).to_json()
             == restrict_cover(memoized, target_nfa).to_json())
 
 
