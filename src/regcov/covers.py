@@ -13,12 +13,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import (Caps, DEFAULT_CAPS, PieceCapError, SaturationCapError,
-                     WordBudgetError)
+from .errors import (Caps, DEFAULT_CAPS, DeterminizationCapError, PieceCapError,
+                     SaturationCapError, WordBudgetError)
 from . import rx
 from .fa import (Alphabet, Dfa, MonoidMorphism, Nfa, alphabet_exact, alphabet_star,
                  empty_language, equivalent, exact_alphabet_regex, includes,
-                 is_empty, minimize, nfa_intersection,
+                 is_empty, minimize, minimize_labelled, nfa_intersection,
                  nfa_to_regex, nfa_union, piece_closure_regex, regex_to_nfa,
                  trim, universal_language, upward_closure)
 from .imprints import ImprintSet
@@ -221,22 +221,35 @@ def _partition_cover(pa: Dfa, k: int, images: dict, optimal: bool) -> Cover:
     - a union of k-classes is k-piecewise testable;
     - classes with equal images meet the same languages, so separation and
       `restrict_cover` are unchanged.
-
-    Each piece is the trimmed partition DFA with those finals, built on the
-    trimmed states alone.  Every class is reachable, so the trimmed states
-    are the classes that reach a final, found backwards from the finals,
-    and they are numbered in sorted order as `trim` numbers them.
     """
-    by_image: dict = {}
-    for q in range(pa.state_count):
-        by_image.setdefault(images[q], []).append(q)
-    preds: list = [[] for _ in range(pa.state_count)]
-    for q, row in enumerate(pa.delta):
+    labels = [images[q] for q in range(pa.state_count)]
+    pieces = _label_pieces(pa.alphabet, pa.delta, pa.initial, labels)
+    return Cover(ClassId.BSIGMA1, universal_language(pa.alphabet), pieces,
+                 k=k, optimal=optimal,
+                 provenance=f"piece-equivalence partition at k={k}")
+
+
+def _label_pieces(alphabet: Alphabet, delta: tuple, initial: int, labels: list) -> list:
+    """One piece for each distinct label but None of a complete DFA's
+    states, in order of first appearance: the words that lead to a state of
+    that label.
+
+    Each is the DFA with those states as finals, built on its trimmed
+    states alone.  Every state is reachable, so the trimmed states are the
+    ones that reach a final, found backwards from the finals, and they are
+    numbered in sorted order as `trim` numbers them.
+    """
+    by_label: dict = {}
+    for q, x in enumerate(labels):
+        if x is not None:
+            by_label.setdefault(x, []).append(q)
+    preds: list = [[] for _ in delta]
+    for q, row in enumerate(delta):
         for r in set(row):
             preds[r].append(q)
-    symbols = pa.alphabet.symbols
-    pieces = []
-    for states in by_image.values():
+    symbols = alphabet.symbols
+    out = []
+    for states in by_label.values():
         live = set(states)
         work = list(states)
         while work:
@@ -246,12 +259,10 @@ def _partition_cover(pa: Dfa, k: int, images: dict, optimal: bool) -> Cover:
                     work.append(q)
         num = {q: i for i, q in enumerate(sorted(live))}
         trans = frozenset((num[q], a, num[r]) for q in num
-                          for a, r in zip(symbols, pa.delta[q]) if r in num)
-        pieces.append(CoverPiece(Nfa(pa.alphabet, len(num), frozenset([num[pa.initial]]),
-                                     frozenset(num[q] for q in states), trans)))
-    return Cover(ClassId.BSIGMA1, universal_language(pa.alphabet), pieces,
-                 k=k, optimal=optimal,
-                 provenance=f"piece-equivalence partition at k={k}")
+                          for a, r in zip(symbols, delta[q]) if r in num)
+        out.append(CoverPiece(Nfa(alphabet, len(num), frozenset([num[initial]]),
+                                  frozenset(num[q] for q in states), trans)))
+    return out
 
 
 # -- two-variable covers -----------------------------------------------------------------
@@ -276,7 +287,8 @@ def fo2_cover(rho: RatingMap, saturated: ImprintSet,
     if left not in saturated or right not in saturated:
         raise ValueError("context elements must lie in the saturated set")
 
-    pieces = [p for _, p in _Fo2State(rho, saturated, caps).build(subset, left, right)]
+    delta, labels = _Fo2State(rho, saturated, caps).machine(subset, left, right, True)
+    pieces = _label_pieces(rho.alphabet, delta, 0, labels)
     for p in pieces:
         image = sr.mul(sr.mul(left, rho.eval_nfa(p.nfa, caps)), right)
         if image not in saturated:
@@ -287,27 +299,61 @@ def fo2_cover(rho: RatingMap, saturated: ImprintSet,
 
 
 class _Fo2State:
-    """Recursion state of the FO2 synthesis, carried over rating images.
+    """Recursion state of the FO2 synthesis: one labelled DFA per node.
 
-    A piece's image is computed by multiplication, never read off its
-    automaton: ρ(H·b·K) = ρ(H)·ρ(b)·ρ(K) for a nice multiplicative map, and
-    the recursion evaluates no automaton but the one-state B* of each base
-    case.
+    A node (B, left, right) stands for a partition of B* into pieces K, each
+    with left·ρ(K)·right in the saturated set and with pairwise distinct
+    images ρ(K).  The piece of a word w is fixed by its label λ(w) = ρ(K),
+    so the node is one DFA over A whose states carry labels (a Moore
+    machine): the state a word leads to has the word's label, and the words
+    outside B* lead to a sink labelled None.  A piece is the set of words of
+    one label.  Labels are computed by multiplication, never read off an
+    automaton; the recursion evaluates no automaton but the one-state B* of
+    each base case.
 
-    At every recursion node the pieces with equal images are merged into
-    one, their union.  This keeps the cover correct and optimal:
+    The recursion, on (|B|, right-index of left, left-index of right):
 
-    - addition is idempotent, so the union of pieces of image r has image
-      r + ... + r = r, and left·r·right stays in the saturated set;
-    - a union of FO2 languages is FO2;
-    - the merged pieces still cover what their members covered, and a merged
-      left factor still lies in (B∖b)*, so every word of (B∖b)*·b·B* still
-      splits uniquely at its first (or last) b and the product argument of
-      the recursion is unchanged.
+    - Base case, both contexts saturated: the one piece B*.
+    - Right peel, the first occurrence of a letter b.  Every word of B* is
+      either in (B∖b)* or splits uniquely as h·b·k with h in (B∖b)*.  The
+      factor node F = (B∖b, 1, 1) labels h, and the child node
+      C = (B, left·λ_F(h)·ρ(b), right) labels k:
 
-    Hence a node emits at most one piece per distinct image, and pieces with
-    distinct images denote distinct languages.  Identical subproblems are
-    shared; the piece cap counts the merged pieces of every node.
+          λ(h·b·k) = λ_F(h)·ρ(b)·λ_C(k),   λ(h) = λ_F(h).
+
+    - Left peel, the last occurrence of b: the mirror image, with
+      w = k·b·h, C = (B, left, ρ(b)·λ_F(h)·right) and
+      λ(k·b·h) = λ_C(k)·ρ(b)·λ_F(h).
+
+    These are the pieces of the left-factor recursion with the pieces of
+    equal image united at every node.  A label is the image of its piece:
+    addition is idempotent, so a union of languages of image r has image r,
+    and a union of FO2 languages is FO2.  So a node has one piece per
+    distinct label; `fo2_cover` re-evaluates every top-level piece and
+    checks that left·image·right lies in the saturated set.
+
+    A right-peel node reads left to right, and its machine is deterministic
+    without a subset construction: the first b read is the peeled one, and
+    F's state at that point holds λ_F(h), which fixes the multiplier
+    p = λ_F(h)·ρ(b) and so the child.  The machine is a copy of F and, for
+    each multiplier p, a copy of the child C for p, in which C's state c
+    has label p·λ_C(c).  In F's states the letter b leads to the initial
+    state of p's copy; every other letter follows F, or C within a copy.
+    A left-peel node reads right to left, so that the last b is read first,
+    and labels c by λ_C(c)·p.  Either way the machine is minimized by Moore
+    refinement from its labels (`fa.minimize_labelled`).
+
+    A factor or child needed in the other direction is converted once
+    (`_flip`), by the label-vector form of Brzozowski's reversal: after the
+    suffix u the converted machine is in the state L_u, the vector of
+    labels λ(q·u) over the states q, and L_{a·u} = L_u ∘ δ_a, with label
+    L_u[initial].  As every state of the source is reachable, distinct
+    vectors are told apart by some word, so the converted machine is
+    minimal as explored.
+
+    Every node is built once per synthesis; `max_det_states` bounds the
+    states of each node machine before minimization and of each conversion,
+    and `max_pieces` the distinct labels of the nodes, summed.
     """
 
     def __init__(self, rho: RatingMap, saturated: ImprintSet, caps: Caps):
@@ -318,8 +364,8 @@ class _Fo2State:
         self.count = 0
         self._sb_memo: dict = {}
         self._reach_cache: dict = {}
-        self._build_memo: dict = {}
-        self._merge_memo: dict = {}
+        self._nodes: dict = {}
+        self._machines: dict = {}
 
     def _word_images(self, subset: tuple) -> set:
         """Images of the words over B: the monoid generated by B's letters."""
@@ -406,108 +452,96 @@ class _Fo2State:
         if self.count > self.caps.max_pieces:
             raise PieceCapError("max_pieces", self.caps.max_pieces, "fo2 cover synthesis")
 
-    def _merge(self, group: list, letter: Optional[str]) -> CoverPiece:
-        """`_merge_pieces`, once per letter and sequence of members.
+    def machine(self, subset: tuple, left, right, forward: bool):
+        """The node's (delta, labels), reading left to right when forward,
+        else right to left; built once, and converted once if need be."""
+        key = (subset, left, right, forward)
+        if key not in self._machines:
+            natural, m = self.node(subset, left, right)
+            self._machines[key] = m if natural in (None, forward) else self._flip(m)
+        return self._machines[key]
 
-        Nodes of the recursion often regroup the same members; they share
-        one merged piece.  The memo keeps the group, so no member is freed
-        and no id in a key is reused while the synthesis runs.
-        """
-        key = (letter, tuple(id(m) if isinstance(m, CoverPiece) else (id(m[0]), id(m[1]))
-                             for m in group))
-        if key not in self._merge_memo:
-            self._merge_memo[key] = (group, _merge_pieces(group, letter, self.rho.alphabet,
-                                                          self.caps))
-        return self._merge_memo[key][1]
-
-    def build(self, subset: tuple, left, right) -> list:
-        """(image, piece) pairs of a cover of B* with left·image·right in
-        the saturated set, with pairwise distinct images; recursion on (|B|,
-        right-index of left, left-index of right)."""
+    def node(self, subset: tuple, left, right):
+        """(direction, (delta, labels)) of the node's minimal labelled DFA:
+        True for a right-peel node, read left to right, False for a
+        left-peel node, read right to left, None for a base case (B* reads
+        the same both ways)."""
         key = (subset, left, right)
-        if key in self._build_memo:
-            return self._build_memo[key]
-        sr, rho = self.sr, self.rho
-        # image -> members, in order of first appearance: pieces, and
-        # (left, right) pairs of pieces that stand for left·b·right
-        groups: dict = {}
-        b = None
-        b_right = self.right_saturated(left, subset)
-        b_left = self.left_saturated(right, subset) if b_right is None else None
-        if b_right is None and b_left is None:
-            bstar = alphabet_star(rho.alphabet, subset)
-            groups[rho.eval_nfa(bstar, self.caps)] = [
-                CoverPiece(bstar, rx.star(rx.union_all(rx.Letter(a) for a in subset)))]
+        if key in self._nodes:
+            return self._nodes[key]
+        rho = self.rho
+        b = self.right_saturated(left, subset)
+        forward = b is not None
+        if not forward:
+            b = self.left_saturated(right, subset)
+        if b is None:
+            forward = None
+            img = rho.eval_nfa(alphabet_star(rho.alphabet, subset), self.caps)
+            # one state for the words of B*, and a sink for the letters outside B
+            inside = tuple(0 if a in subset else 1 for a in rho.alphabet)
+            delta, labels = minimize_labelled((inside, (1,) * len(inside)), 0, [img, None])
         else:
-            b = b_right if b_right is not None else b_left
-            bimg = rho.letter_image[b]
-            factors = self.build(tuple(x for x in subset if x != b), sr.one, sr.one)
-            for img, h in factors:
-                groups.setdefault(img, []).append(h)
-            for img_h, h in factors:
-                if b_right is not None:
-                    # peel the leftmost occurrence of the violating letter
-                    t_h = sr.mul(sr.mul(left, img_h), bimg)
-                    for img_k, k in self.build(subset, t_h, right):
-                        groups.setdefault(sr.mul(sr.mul(img_h, bimg), img_k), []).append((h, k))
-                else:
-                    # peel the rightmost occurrence of the violating letter
-                    t_h = sr.mul(bimg, sr.mul(img_h, right))
-                    for img_k, k in self.build(subset, left, t_h):
-                        groups.setdefault(sr.mul(sr.mul(img_k, bimg), img_h), []).append((k, h))
-        out = [(img, self._merge(group, b)) for img, group in groups.items()]
-        self._bump(len(out))
-        self._build_memo[key] = out
-        return out
+            delta, labels = self._peel(subset, left, right, b, forward)
+        self._bump(len(set(labels) - {None}))
+        self._nodes[key] = (forward, (delta, labels))
+        return self._nodes[key]
 
+    def _peel(self, subset: tuple, left, right, b: str, forward: bool):
+        """The minimal machine of a peel node: a copy of F, whose letter b
+        leads to a copy of the child of each multiplier, minimized."""
+        mul = self.sr.mul
+        bimg = self.rho.letter_image[b]
+        bi = self.rho.alphabet.index(b)
+        f_delta, labels = self.machine(tuple(x for x in subset if x != b),
+                                       self.sr.one, self.sr.one, forward)
+        rows = [list(row) for row in f_delta]
+        labels = list(labels)
+        starts: dict = {}                  # multiplier -> its child's initial state
+        for s in range(len(f_delta)):
+            if labels[s] is None:          # the sink of F
+                continue
+            p = mul(labels[s], bimg) if forward else mul(bimg, labels[s])
+            if p not in starts:
+                c_delta, c_labels = (self.machine(subset, mul(left, p), right, True) if forward
+                                     else self.machine(subset, left, mul(p, right), False))
+                off = starts[p] = len(rows)
+                if off + len(c_delta) > self.caps.max_det_states:
+                    raise DeterminizationCapError(
+                        "max_det_states", self.caps.max_det_states,
+                        f"fo2 node machine over {''.join(subset)}")
+                rows += [[t + off for t in row] for row in c_delta]
+                products = {x: mul(p, x) if forward else mul(x, p)
+                            for x in dict.fromkeys(c_labels) if x is not None}
+                labels += [products.get(x) for x in c_labels]
+            rows[s][bi] = starts[p]
+        return minimize_labelled(rows, 0, labels)
 
-def _merge_pieces(group: list, letter: Optional[str], alphabet: Alphabet,
-                  caps: Caps) -> CoverPiece:
-    """One piece for the union of the group's members (pieces, and (left,
-    right) pairs standing for left·letter·right), with the union of their
-    regexes.
-
-    The automaton of the union holds one copy of each factor per side: the
-    letter leads from the final states of a left copy to the initial states
-    of the right copies it is paired with.  A lone piece is kept as it is, a
-    lone pair is that concatenation, and a larger group is minimized, without
-    the sink.
-    """
-    if len(group) == 1 and isinstance(group[0], CoverPiece):
-        return group[0]
-    trans: set = set()
-    initials: set = set()
-    finals: set = set()
-    offsets: dict = {}   # (side, id of piece) -> offset of its copy
-    size = 0
-
-    def copy(side: int, piece: CoverPiece) -> int:
-        nonlocal size
-        key = (side, id(piece))
-        if key not in offsets:
-            offsets[key] = size
-            trans.update((q + size, a, r + size) for (q, a, r) in piece.nfa.transitions)
-            size += piece.nfa.state_count
-        return offsets[key]
-
-    regexes = []
-    for m in group:
-        if isinstance(m, CoverPiece):
-            off = copy(0, m)
-            initials.update(q + off for q in m.nfa.initials)
-            finals.update(q + off for q in m.nfa.finals)
-            regexes.append(m.regex)
-            continue
-        lhs, rhs = m
-        lo, ro = copy(1, lhs), copy(2, rhs)
-        initials.update(q + lo for q in lhs.nfa.initials)
-        finals.update(q + ro for q in rhs.nfa.finals)
-        trans.update((f + lo, letter, q + ro) for f in lhs.nfa.finals for q in rhs.nfa.initials)
-        regexes.append(rx.concat(rx.concat(lhs.regex, rx.Letter(letter)), rhs.regex))
-    nfa = Nfa(alphabet, size, frozenset(initials), frozenset(finals), frozenset(trans))
-    if len(group) > 1:
-        nfa = trim(minimize(nfa, caps).as_nfa())
-    return CoverPiece(nfa, rx.union_all(regexes))
+    def _flip(self, m):
+        """The machine reading in the other direction (see the class
+        docstring); labels are numbered by first appearance in the vectors."""
+        delta, labels = m
+        ids: dict = {}
+        start = tuple(ids.setdefault(x, len(ids)) for x in labels)
+        names = list(ids)
+        cols = list(zip(*delta))
+        index = {start: 0}
+        order = [start]
+        rows = []
+        for vec in order:                  # order grows while it is read
+            row = []
+            for col in cols:
+                nv = tuple(map(vec.__getitem__, col))
+                j = index.get(nv)
+                if j is None:
+                    if len(order) >= self.caps.max_det_states:
+                        raise DeterminizationCapError(
+                            "max_det_states", self.caps.max_det_states,
+                            f"reversing a {len(delta)}-state fo2 node machine")
+                    j = index[nv] = len(order)
+                    order.append(nv)
+                row.append(j)
+            rows.append(tuple(row))
+        return tuple(rows), [names[vec[0]] for vec in order]
 
 
 # -- assembly and verification --------------------------------------------------------------

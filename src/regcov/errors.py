@@ -72,15 +72,18 @@ class Caps:
     and `max_k` also through the CLI flags or an instance file's options.
     """
 
-    max_det_states: int = 1 << 20      # subset-construction states
+    max_det_states: int = 1 << 20      # subset-construction states; for fo2
+                                       # covers, the states of each node
+                                       # machine before minimization and of
+                                       # each conversion between directions
     max_monoid: int = 4096             # transition-monoid elements
     max_alphabet_sets: int = 8         # |A| for alphabet-set semirings; bounds
                                        # real work, as the saturation rules
                                        # visit all 2^|A| sub-alphabets
     max_elements: int = 200_000        # saturated-set elements
     max_pieces: int = 10_000           # pieces per synthesized cover; for fo2,
-                                       # merged pieces summed over the recursion
-                                       # nodes (one per distinct image per node)
+                                       # the distinct labels of each recursion
+                                       # node (its pieces), summed over the nodes
     max_word_budget: int = 1_000_000   # word enumeration budget
     max_pt_states: int = 50_000        # piece-automaton states
     max_k: int = 0                     # piece-length bound; 0 = per-alphabet default

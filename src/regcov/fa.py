@@ -311,38 +311,48 @@ def determinize(n: Nfa, caps: Caps = DEFAULT_CAPS) -> Dfa:
 def minimize(n: Nfa, caps: Caps = DEFAULT_CAPS) -> Dfa:
     """Minimal complete DFA with canonical (BFS) state numbering."""
     dfa = determinize(n, caps)
-    # Moore partition refinement
-    block = [0 if q in dfa.finals else 1 for q in range(dfa.state_count)]
-    nblocks = 2 if 0 < len(dfa.finals) < dfa.state_count else 1
-    if nblocks == 1:
-        block = [0] * dfa.state_count
+    delta, finals = minimize_labelled(dfa.delta, dfa.initial,
+                                      [q in dfa.finals for q in range(dfa.state_count)])
+    return Dfa(dfa.alphabet, len(delta), 0,
+               frozenset(q for q, final in enumerate(finals) if final), delta)
+
+
+def minimize_labelled(delta: tuple, initial: int, labels: list) -> tuple:
+    """Minimal form of a complete DFA whose states carry labels (a Moore
+    machine; a plain DFA labels its states final or not).
+
+    Moore partition refinement from the partition by label, then the blocks
+    reachable from the initial state, numbered by BFS in letter order.
+    Returns (delta, labels) of the result, whose initial state is 0.
+    """
+    ids: dict = {}
+    block = [ids.setdefault(x, len(ids)) for x in labels]
+    nblocks = len(ids)
+    cols = list(zip(*delta))
     while True:
-        sig = {}
-        newblock = [0] * dfa.state_count
-        for q, row in enumerate(dfa.delta):
-            newblock[q] = sig.setdefault((block[q], *[block[t] for t in row]), len(sig))
-        if len(sig) == nblocks:
+        # a state's signature: its block and the blocks of its successors
+        sigs = list(zip(block, *[map(block.__getitem__, col) for col in cols]))
+        ids = {}
+        newblock = [ids.setdefault(sig, len(ids)) for sig in sigs]
+        if len(ids) == nblocks:
             break
         block = newblock
-        nblocks = len(sig)
+        nblocks = len(ids)
     # collapse and renumber canonically by BFS from the initial block
-    rep_delta = {}
-    for q, row in enumerate(dfa.delta):
-        rep_delta[block[q]] = tuple([block[t] for t in row])
-    start = block[dfa.initial]
+    rep: dict = {}
+    for sig, x in zip(sigs, labels):
+        if sig[0] not in rep:
+            rep[sig[0]] = (sig[1:], x)
+    start = block[initial]
     number = {start: 0}
     order = [start]
-    i = 0
-    while i < len(order):
-        b = order[i]
-        for t in rep_delta[b]:
+    for b in order:                        # order grows while it is read
+        for t in rep[b][0]:
             if t not in number:
                 number[t] = len(order)
                 order.append(t)
-        i += 1
-    delta = tuple(tuple(number[t] for t in rep_delta[b]) for b in order)
-    finals = frozenset(number[block[q]] for q in dfa.finals if block[q] in number)
-    return Dfa(dfa.alphabet, len(order), 0, finals, delta)
+    return (tuple(tuple(number[t] for t in rep[b][0]) for b in order),
+            [rep[b][1] for b in order])
 
 
 def trim(n: Nfa) -> Nfa:
@@ -377,6 +387,12 @@ def trim(n: Nfa) -> Nfa:
                frozenset(num[q] for q in n.finals if q in live),
                frozenset((num[q], a, num[r]) for (q, a, r) in n.transitions
                          if q in live and r in live))
+
+
+def reverse(n: Nfa) -> Nfa:
+    """The mirror image: the words of n spelled backwards."""
+    return Nfa(n.alphabet, n.state_count, n.finals, n.initials,
+               frozenset((r, a, q) for (q, a, r) in n.transitions))
 
 
 def nfa_complement(n: Nfa, caps: Caps = DEFAULT_CAPS) -> Nfa:

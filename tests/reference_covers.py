@@ -1,0 +1,100 @@
+"""The earlier FO2 recursion: the reference for the labelled-DFA one in
+`regcov.covers`, which must give the same images and equivalent pieces.
+
+At every node, the pieces with equal images are merged into one: a union
+automaton of copies of the members (pieces, and (left, right) pairs that
+stand for left·letter·right) is determinized, minimized and trimmed.
+Pieces carry no regex here.
+"""
+
+from __future__ import annotations
+
+from regcov import DEFAULT_CAPS
+from regcov.covers import _Fo2State
+from regcov.fa import Nfa, alphabet_star, minimize, trim
+
+
+class MergingFo2(_Fo2State):
+    """`_Fo2State` whose `build` merges pieces per image."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._build_memo: dict = {}
+
+    def build(self, subset: tuple, left, right) -> list:
+        """(image, automaton) pairs of a cover of B* with left·image·right
+        in the saturated set, with pairwise distinct images."""
+        key = (subset, left, right)
+        memo = self._build_memo
+        if key in memo:
+            return memo[key]
+        sr, rho = self.sr, self.rho
+        groups: dict = {}
+        b = None
+        b_right = self.right_saturated(left, subset)
+        b_left = self.left_saturated(right, subset) if b_right is None else None
+        if b_right is None and b_left is None:
+            bstar = alphabet_star(rho.alphabet, subset)
+            groups[rho.eval_nfa(bstar, self.caps)] = [bstar]
+        else:
+            b = b_right if b_right is not None else b_left
+            bimg = rho.letter_image[b]
+            factors = self.build(tuple(x for x in subset if x != b), sr.one, sr.one)
+            for img, h in factors:
+                groups.setdefault(img, []).append(h)
+            for img_h, h in factors:
+                if b_right is not None:
+                    t_h = sr.mul(sr.mul(left, img_h), bimg)
+                    for img_k, k in self.build(subset, t_h, right):
+                        groups.setdefault(sr.mul(sr.mul(img_h, bimg), img_k), []).append((h, k))
+                else:
+                    t_h = sr.mul(bimg, sr.mul(img_h, right))
+                    for img_k, k in self.build(subset, left, t_h):
+                        groups.setdefault(sr.mul(sr.mul(img_k, bimg), img_h), []).append((k, h))
+        out = [(img, merge(group, b, rho.alphabet)) for img, group in groups.items()]
+        memo[key] = out
+        return out
+
+
+def merge(group: list, letter, alphabet) -> Nfa:
+    """The union of the group's members, minimized and trimmed."""
+    if len(group) == 1 and isinstance(group[0], Nfa):
+        return group[0]
+    trans: set = set()
+    initials: set = set()
+    finals: set = set()
+    offsets: dict = {}
+    size = 0
+
+    def copy(side: int, nfa: Nfa) -> int:
+        nonlocal size
+        if (side, id(nfa)) not in offsets:
+            offsets[side, id(nfa)] = size
+            trans.update((q + size, a, r + size) for (q, a, r) in nfa.transitions)
+            size += nfa.state_count
+        return offsets[side, id(nfa)]
+
+    for m in group:
+        if isinstance(m, Nfa):
+            off = copy(0, m)
+            initials.update(q + off for q in m.initials)
+            finals.update(q + off for q in m.finals)
+            continue
+        lhs, rhs = m
+        lo, ro = copy(1, lhs), copy(2, rhs)
+        initials.update(q + lo for q in lhs.initials)
+        finals.update(q + ro for q in rhs.finals)
+        trans.update((f + lo, letter, q + ro) for f in lhs.finals for q in rhs.initials)
+    nfa = Nfa(alphabet, size, frozenset(initials), frozenset(finals), frozenset(trans))
+    if len(group) > 1:
+        nfa = trim(minimize(nfa).as_nfa())
+    return nfa
+
+
+def fo2_pieces(rho, saturated, subset=None, left=None, right=None) -> dict:
+    """image -> piece automaton of the top-level merged cover."""
+    sr = rho.semiring
+    subset = tuple(sorted(subset)) if subset is not None else tuple(rho.alphabet.symbols)
+    state = MergingFo2(rho, saturated, DEFAULT_CAPS)
+    return dict(state.build(subset, left if left is not None else sr.one,
+                            right if right is not None else sr.one))

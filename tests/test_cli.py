@@ -418,6 +418,20 @@ def test_bsigma1_universal_cover_renders_from_the_minimal_dfa():
     assert verified["covers_target"] and verified["separating"] and verified["class_ok"]
 
 
+def test_fo2_universal_cover_renders_every_piece():
+    # every fo2 piece is printed from its trimmed minimal DFA; the union of
+    # the members' regexes of a merged piece nested too deeply to print
+    proc = run_limited(["cover", "--class", "fo2", "--alphabet", "abc",
+                        "--target", "%universal", "--against", "((a|c)bb)+",
+                        "--against", "((ac)*)*", "--emit-cover", "--verify"])
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["coverable"] is True and doc["cover"]["optimal"] is True
+    assert len(doc["cover"]["pieces"]) == 73
+    verified = doc["cover"]["verified"]
+    assert verified["covers_target"] and verified["separating"]
+
+
 @pytest.mark.parametrize("target", ["|".join(["ab"] * 1500), "(" * 1200 + "a" + ")" * 1200])
 def test_deeply_nested_regex_is_an_input_error(capsys, target):
     code, out, err = run(capsys, ["member", "--class", "at", "--alphabet", "ab",

@@ -13,10 +13,11 @@ from regcov import (DEFAULT_CAPS, Alphabet, ClassId, at_cover, at_imprint,
                     union_covers, universal_language, upward_closure,
                     verify_cover)
 from regcov import rx
-from regcov import covers
+from regcov import covers, fa
 from regcov.covers import _partition_images
 from regcov.pieces import pt_partition
 
+import reference_covers
 import reference_fa
 from explicit_engine import downset, fo2_language_sums, members
 from helpers import nfa_of, piece_images_distinct, random_nfa
@@ -195,36 +196,79 @@ def test_fo2_cover_merges_same_image_pieces():
     assert includes(universal_language(ABC), cov.union_nfa())
 
 
-@pytest.mark.parametrize("target, against", [
-    ("(ab)+", "c(ac)+"),            # the worked example
-    ("((a|c)bb)+", "((ac)*)*"),
-])
-def test_fo2_merges_once_per_group(monkeypatch, target, against):
-    # the pieces are compared as automata, and as JSON once restricted to
-    # the target as the CLI prints them
-    target_nfa = nfa_of(target, "abc")
-    ext = rm_from_multiset([target_nfa, nfa_of(against, "abc")])
-    dec = decide_universal_covering(ext, ClassId.FO2, target_index=0)
-    real_merge = covers._merge_pieces
-    keys = []
+def fo2_instances():
+    """The fo2 worked example, the fo2 queries `43:fo2` and `63:fo2` of the
+    benchmark's synth corpus, and frozen-seed pairs and triples over ab and
+    abc (with target index 0, as the CLI poses them)."""
+    cases = [[nfa_of("(ab)+", "abc"), nfa_of("c(ac)+", "abc")],
+             [nfa_of("((a|c)bb)+", "abc"), nfa_of("((ac)*)*", "abc")],
+             [nfa_of("(a*|bc)*", "abc"), nfa_of("cc(b|c)c", "abc")]]
+    for alphabet, seed, most in ((AB, 9001, 3), (ABC, 9002, 2)):
+        rng = random.Random(seed)
+        cases += [[random_nfa(rng, alphabet, most, 0.35) for _ in range(rng.randint(2, 3))]
+                  for _ in range(10)]
+    return cases
 
-    def counted(group, letter, alphabet, caps):
-        keys.append((letter, tuple(id(m) if isinstance(m, covers.CoverPiece)
-                                   else (id(m[0]), id(m[1])) for m in group)))
-        return real_merge(group, letter, alphabet, caps)
 
-    monkeypatch.setattr(covers, "_merge_pieces", counted)
-    memoized = fo2_cover(dec.rating_map, dec.raw_imprint)
-    merges = len(keys)
-    assert merges == len(set(keys))
+def test_fo2_pieces_match_the_merging_reference(monkeypatch):
+    # same images and equivalent pieces as the recursion that merged the
+    # pieces of equal image at every node; every node machine is built once
+    # and converted at most once, and each instance has nodes that peel on
+    # either side
+    peeled, flipped = [], []
+    peel, flip = covers._Fo2State._peel, covers._Fo2State._flip
 
-    monkeypatch.setattr(covers._Fo2State, "_merge", lambda self, group, letter:
-                        counted(group, letter, self.rho.alphabet, self.caps))
-    unmemoized = fo2_cover(dec.rating_map, dec.raw_imprint)
-    assert len(keys) - merges > merges
-    assert [p.nfa for p in unmemoized.pieces] == [p.nfa for p in memoized.pieces]
-    assert (restrict_cover(unmemoized, target_nfa).to_json()
-            == restrict_cover(memoized, target_nfa).to_json())
+    def counted_peel(self, subset, left, right, b, forward):
+        peeled.append(((subset, left, right), forward))
+        return peel(self, subset, left, right, b, forward)
+
+    def counted_flip(self, m):
+        flipped.append(id(m))
+        return flip(self, m)
+
+    monkeypatch.setattr(covers._Fo2State, "_peel", counted_peel)
+    monkeypatch.setattr(covers._Fo2State, "_flip", counted_flip)
+    for langs in fo2_instances():
+        dec = decide_universal_covering(rm_from_multiset(langs), ClassId.FO2, target_index=0)
+        rho = dec.rating_map
+        peeled.clear()
+        flipped.clear()
+        cov = fo2_cover(rho, dec.raw_imprint)
+        keys = [key for key, _ in peeled]
+        assert len(set(keys)) == len(keys) and len(set(flipped)) == len(flipped)
+        assert {forward for _, forward in peeled} == {True, False}
+        want = reference_covers.fo2_pieces(rho, dec.raw_imprint)
+        images = [rho.eval_nfa(p.nfa) for p in cov.pieces]
+        assert len(images) == len(want) and set(images) == set(want)
+        for img, piece in zip(images, cov.pieces):   # equal minimal DFAs: equivalent
+            assert fa.minimize(piece.nfa) == fa.minimize(want[img])
+
+
+def test_fo2_cover_builds_no_subset_construction(monkeypatch):
+    langs = [nfa_of("(ab)+", "abc"), nfa_of("c(ac)+", "abc")]
+    dec = decide_universal_covering(rm_from_multiset(langs), ClassId.FO2, target_index=0)
+    calls = []
+    real = fa.determinize
+    monkeypatch.setattr(fa, "determinize", lambda *a: calls.append(a) or real(*a))
+    cov = fo2_cover(dec.rating_map, dec.raw_imprint)
+    assert cov.pieces and calls == []
+    fa.minimize(langs[0])
+    assert len(calls) == 1          # the counter sees the calls of fa.minimize
+
+
+def test_flipped_node_machine_is_minimal():
+    # the label-vector conversion of a reachable machine needs no
+    # minimization, and converting twice gives the machine back
+    langs = [nfa_of("(a*|bc)*", "abc"), nfa_of("cc(b|c)c", "abc")]
+    dec = decide_universal_covering(rm_from_multiset(langs), ClassId.FO2, target_index=0)
+    state = covers._Fo2State(dec.rating_map, dec.raw_imprint, DEFAULT_CAPS)
+    state.node(tuple("abc"), dec.rating_map.semiring.one, dec.rating_map.semiring.one)
+    machines = [m for _, m in state._nodes.values()]
+    assert len(machines) > 20
+    for delta, labels in machines:
+        flipped = state._flip((delta, labels))
+        assert fa.minimize_labelled(flipped[0], 0, flipped[1]) == flipped
+        assert state._flip(flipped) == (delta, labels)
 
 
 def test_fo2_per_maximum_sums_equal_the_full_closure():

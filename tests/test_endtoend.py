@@ -280,16 +280,13 @@ LATTICE = ((ClassId.AT, ClassId.BSIGMA1), (ClassId.BSIGMA1, ClassId.FO),
            (ClassId.SIGMA2, ClassId.FO))
 
 
-def test_class_lattice_on_coverings():
-    # the frozen-seed instances of the tests above, plus two pairs that
-    # some classes separate and others do not
+def lattice_cases():
+    """The frozen-seed instances of the tests above, plus two pairs that
+    some classes separate and others do not."""
     from helpers import nfa_of
 
     cases = [(nfa_of("ab", "ab"), [nfa_of("ba", "ab")]),
              (nfa_of("(ab)+", "ab"), [nfa_of("b(ab)+", "ab")])]
-    assert six_class_verdicts(*cases[0]) == {cid: cid is not ClassId.AT for cid in ClassId}
-    assert six_class_verdicts(*cases[1]) == {
-        cid: cid in (ClassId.SIGMA2, ClassId.FO2, ClassId.FO) for cid in ClassId}
     rng = random.Random(885)
     cases += [(random_nfa(rng, AB, 2, 0.35), [random_nfa(rng, AB, 2, 0.35)]) for _ in range(12)]
     for seed, count, most in ((887, 15, 3), (890, 10, 2)):
@@ -298,7 +295,33 @@ def test_class_lattice_on_coverings():
             target = random_nfa(rng, AB, 2, 0.4)
             cases.append((target, [random_nfa(rng, AB, 2, 0.35)
                                    for _ in range(rng.randint(1, most))]))
+    return cases
+
+
+def test_class_lattice_on_coverings():
+    cases = lattice_cases()
+    assert six_class_verdicts(*cases[0]) == {cid: cid is not ClassId.AT for cid in ClassId}
+    assert six_class_verdicts(*cases[1]) == {
+        cid: cid in (ClassId.SIGMA2, ClassId.FO2, ClassId.FO) for cid in ClassId}
     for target, langs in cases:
         verdicts = six_class_verdicts(target, langs)
         for small, large in LATTICE:
             assert not verdicts[small] or verdicts[large], (small, large)
+
+
+def test_coverings_are_invariant_under_reversal():
+    # all six classes are closed under mirror image, so the mirrored
+    # instance gets the same verdicts; the mirrored fo2 synthesis swaps the
+    # nodes that peel on the left and on the right
+    from regcov import restrict_cover
+    from regcov.fa import reverse
+
+    for target, langs in lattice_cases():
+        verdicts = six_class_verdicts(target, langs)
+        target, langs = reverse(target), [reverse(lang) for lang in langs]
+        assert six_class_verdicts(target, langs) == verdicts
+        ext = rm_from_multiset([target] + langs)
+        dec = decide_universal_covering(ext, ClassId.FO2, target_index=0)
+        cover = restrict_cover(fo2_cover(dec.rating_map, dec.raw_imprint), target)
+        report = verify_cover(cover, target, langs, class_check=False)
+        assert report.covers_target and report.separating == verdicts[ClassId.FO2]
