@@ -244,6 +244,42 @@ def test_fo2_pieces_match_the_merging_reference(monkeypatch):
             assert fa.minimize(piece.nfa) == fa.minimize(want[img])
 
 
+@pytest.mark.parametrize("target, against", [
+    ("(ab)+", "c(ac)+"),            # the worked example
+    ("((a|c)bb)+", "((ac)*)*"),
+])
+def test_fo2_merges_once_per_group(monkeypatch, target, against):
+    # every recursion node is built once and each group of words of equal
+    # image comes out as one piece; the pieces are compared with the merging
+    # reference as automata, and as JSON once restricted to the target as
+    # the CLI prints them
+    target_nfa = nfa_of(target, "abc")
+    ext = rm_from_multiset([target_nfa, nfa_of(against, "abc")])
+    dec = decide_universal_covering(ext, ClassId.FO2, target_index=0)
+    rho = dec.rating_map
+    keys = []
+    peel = covers._Fo2State._peel
+
+    def counted(self, subset, left, right, b, forward):
+        keys.append((subset, left, right))
+        return peel(self, subset, left, right, b, forward)
+
+    monkeypatch.setattr(covers._Fo2State, "_peel", counted)
+    cov = fo2_cover(rho, dec.raw_imprint)
+    assert keys and len(keys) == len(set(keys))
+    assert piece_images_distinct(cov, rho)
+    want = reference_covers.fo2_pieces(rho, dec.raw_imprint)
+    images = [rho.eval_nfa(p.nfa) for p in cov.pieces]
+    assert set(images) == set(want)
+    for img, piece in zip(images, cov.pieces):
+        assert fa.minimize(piece.nfa) == fa.minimize(want[img])
+    merged = covers.Cover(cov.class_id, cov.target,
+                          [covers.CoverPiece(want[img]) for img in images],
+                          k=cov.k, optimal=cov.optimal, provenance=cov.provenance)
+    assert (restrict_cover(merged, target_nfa).to_json()
+            == restrict_cover(cov, target_nfa).to_json())
+
+
 def test_fo2_cover_builds_no_subset_construction(monkeypatch):
     langs = [nfa_of("(ab)+", "abc"), nfa_of("c(ac)+", "abc")]
     dec = decide_universal_covering(rm_from_multiset(langs), ClassId.FO2, target_index=0)
