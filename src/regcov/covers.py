@@ -389,15 +389,15 @@ class _Fo2State:
         Such an image is a nonempty sum of word images over B (niceness), and
         a sum lies below a maximum m of the saturated set exactly when each
         of its terms does.  So the set is the union, over the maxima m, of
-        the sums of the word images below m.
+        the sums of the word images below m.  Elements of the augmented
+        product are their own masks: w <= m is w | m == m.
         """
         if subset not in self._sb_memo:
             sr = self.sr
-            words = [(w, sr.mask(w)) for w in self._word_images(subset)]
+            words = self._word_images(subset)
             out: set = set()
             for m in self.sat.maximal_elements():
-                top = sr.mask(m)
-                below = [w for w, x in words if x | top == top]
+                below = [w for w in words if w | m == m]
                 sums = set(below)
                 work = list(below)
                 while work:

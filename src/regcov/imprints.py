@@ -9,7 +9,8 @@ keyed by the discrete monoid element.
 
 Comparisons go through `RatingSet.mask`, which embeds every kind of rating
 set into integer bitmasks ordered by inclusion, so `x <= m` is `x | m == m`.
-The element cap counts maxima.
+Bit-vector kinds and their products, whose elements are packed ints, are
+their own masks.  The element cap counts maxima.
 """
 
 from __future__ import annotations
@@ -45,12 +46,13 @@ class ImprintSet:
         self._count = 0
         self.queue: deque = deque()
         self.sweeps = 0
+        self._mask = semiring.mask
 
     def _split(self, item):
         """(fiber key, mask) of an item."""
         if self.monoid is None:
-            return None, self.semiring.mask(item)
-        return item[0], self.semiring.mask(item[1])
+            return None, self._mask(item)
+        return item[0], self._mask(item[1])
 
     def __contains__(self, item) -> bool:
         key, x = self._split(item)
@@ -67,7 +69,12 @@ class ImprintSet:
     def insert(self, item) -> bool:
         """Add item unless it is dominated; True if it became maximal."""
         key, x = self._split(item)
-        fiber = self._fibers.setdefault(key, {})
+        fiber = self._fibers.get(key)
+        if fiber is None:
+            fiber = self._fibers[key] = {}
+            self._widest[key] = 0
+        elif x in fiber:
+            return False
         below = []
         for m in fiber:
             if x | m == m:
@@ -77,7 +84,8 @@ class ImprintSet:
         for m in below:
             del fiber[m]
         fiber[x] = item
-        self._widest[key] = max(m.bit_count() for m in fiber)
+        # the dropped maxima lie below x, so they were no wider than x
+        self._widest[key] = max(self._widest[key], x.bit_count())
         self._count += 1 - len(below)
         if self._count > self.cap:
             raise SaturationCapError(self.cap, self.label, f"{self._count} maximal elements")

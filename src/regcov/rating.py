@@ -227,17 +227,16 @@ def rm_from_multiset(items, caps: Caps = DEFAULT_CAPS) -> Extension:
         else:
             alpha, accepting = item
             exts.append(rm_from_morphism(alpha, accepting))
-    parts = [e.tau.semiring for e in exts]
-    sr = ProductSemiring(parts)
-    letter_image = {a: tuple(e.tau.letter_image[a] for e in exts) for a in alphabet}
+    sr = ProductSemiring(e.tau.semiring for e in exts)
+    letter_image = {a: sr.pack(e.tau.letter_image[a] for e in exts) for a in alphabet}
     tau = RatingMap(alphabet, sr, letter_image)
     n = len(items)
     lattice = SubsetLattice(n)
     deltas = [e.delta for e in exts]
 
-    def apply(tup):
+    def apply(x):
         mask = 0
-        for i, (d, r) in enumerate(zip(deltas, tup)):
+        for i, (d, r) in enumerate(zip(deltas, sr.unpack(x))):
             if d.apply(r):
                 mask |= 1 << i
         return mask
@@ -274,21 +273,28 @@ def _extension_for_nfa(nfa: Nfa, caps: Caps) -> Extension:
 
 def rm_alphabet_augment(rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> Extension:
     """Alphabet-compatible extension: pair every value with the set of word
-    alphabets it accounts for."""
+    alphabets it accounts for.
+
+    The content is the lowest field of the augmented element, `nbits` of the
+    alphabet semiring wide; the value sits above it.
+    """
     alph_sr = AlphabetSemiring(rho.alphabet, caps)
     sr = ProductSemiring([rho.semiring, alph_sr])
-    letter_image = {a: (rho.letter_image[a], alph_sr.singleton(1 << rho.alphabet.index(a)))
+    width = alph_sr.nbits
+    content = (1 << width) - 1
+    letter_image = {a: rho.letter_image[a] << width | alph_sr.singleton(1 << rho.alphabet.index(a))
                     for a in rho.alphabet}
-    cont = SemiringMorphism(sr, alph_sr, lambda t: t[1])
+    cont = SemiringMorphism(sr, alph_sr, lambda x: x & content)
     tau = RatingMap(rho.alphabet, sr, letter_image, cont=cont)
-    delta = SemiringMorphism(sr, rho.semiring, lambda t: t[0])
+    delta = SemiringMorphism(sr, rho.semiring, lambda x: x >> width)
     return Extension(tau, delta)
 
 
-def with_content(r, sub_mask: int):
+def with_content(r: int, sub_mask: int, width: int) -> int:
     """Element of an alphabet-compatible map with r's value and content
-    exactly {B}, for the sub-alphabet mask B."""
-    return (r[0], 1 << sub_mask)
+    exactly {B}, for the sub-alphabet mask B; `width` is the width of the
+    content field."""
+    return r >> width << width | 1 << sub_mask
 
 
 def imprint_pullback(ext: Extension, imprint: ImprintSet) -> ImprintSet:

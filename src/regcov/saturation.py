@@ -151,13 +151,14 @@ def saturate_universal(rho: RatingMap, class_id: ClassId,
     else:
         alph_sr = rho.cont.target
         assert isinstance(alph_sr, AlphabetSemiring)
+        width = alph_sr.nbits
 
         def rule(maxima):
             candidates: dict = {}   # B -> the idempotents (r^ω, {B})
             for s in maxima:
                 e = sr.idempotent_power(s)
                 for bmask in alph_sr.members(rho.cont.apply(e)):
-                    candidates.setdefault(bmask, set()).add(with_content(e, bmask))
+                    candidates.setdefault(bmask, set()).add(with_content(e, bmask, width))
             added = False
             for bmask, idems in candidates.items():
                 star = rho.image_of_star(rho.alphabet.from_mask(bmask), caps)

@@ -1,11 +1,13 @@
 """Finite idempotent semirings and rating sets.
 
-Elements are value-encoded (ints for bit-vector kinds, tuples for products);
-operations are computed structurally on demand and memoized per instance.
-The canonical order is r <= s iff r + s = s.  `mask` embeds every kind into
-integer bitmasks ordered by inclusion: bit-vector kinds are their own masks,
-products concatenate the masks of their parts, and table elements are
-encoded by their principal downsets.
+Elements are ints.  Every kind but the table kind is a bit-vector kind:
+an element is a bitmask, addition is union and the order is inclusion.  A
+product of bit-vector kinds is one too: its element holds the parts'
+elements side by side in one int.  Multiplication is computed structurally
+on demand and memoized per instance.  The canonical order is r <= s iff
+r + s = s.  `mask` embeds every kind into integer bitmasks ordered by
+inclusion: bit-vector kinds, products included, are their own masks, and
+table elements are encoded by their principal downsets.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ class RatingSet:
     def mask(self, x) -> int:
         """Order embedding into bitmasks: x <= y iff mask(x) | mask(y) == mask(y).
 
-        Bit-vector kinds, whose order is containment, are their own masks.
+        Bit-vector kinds, products of them included, are ordered by
+        containment and are their own masks.
         """
         return x
 
@@ -69,10 +72,10 @@ class Semiring(RatingSet):
 
     def mul(self, x, y):
         key = (x, y)
-        memo = self._mul_memo
-        if key not in memo:
-            memo[key] = self._mul(x, y)
-        return memo[key]
+        out = self._mul_memo.get(key)
+        if out is None:
+            out = self._mul_memo[key] = self._mul(x, y)
+        return out
 
     def _mul(self, x, y):
         raise NotImplementedError
@@ -94,6 +97,16 @@ class Semiring(RatingSet):
                 self._omega_memo[s] = e
                 return e
         raise AssertionError("no idempotent in power cycle")  # pragma: no cover
+
+
+def _bits(x: int) -> list:
+    """Positions of the set bits of x, lowest first."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
 
 # -- concrete kinds -----------------------------------------------------------
@@ -169,10 +182,9 @@ class PowersetMonoidSemiring(Semiring):
 
     def _mul(self, x, y):
         mul = self.monoid.mul
+        ys = _bits(y)
         out = 0
-        xs = [i for i in range(self.nbits) if x >> i & 1]
-        ys = [j for j in range(self.nbits) if y >> j & 1]
-        for i in xs:
+        for i in _bits(x):
             row = mul[i]
             for j in ys:
                 out |= 1 << row[j]
@@ -196,24 +208,32 @@ class RelationSemiring(Semiring):
         self.q = state_count
         self.nbits = state_count * state_count
         self._rowmask = (1 << state_count) - 1
+        self._colmask = sum(1 << (i * state_count) for i in range(state_count))
+        self._one = sum(1 << (i * state_count + i) for i in range(state_count))
 
     @property
     def one(self):
-        return sum(1 << (i * self.q + i) for i in range(self.q))
+        return self._one
 
     def _mul(self, x, y):
+        """Row i of x·y is the union of the rows j of y with (i, j) in x.
+
+        So each nonempty row j of y is copied into the rows that column j of
+        x picks: x >> j masked to the column has bit i*|Q| for each picked
+        row i, and times the row (below 2^|Q|) it holds one copy of the row
+        at each of them, with no carries.
+        """
         q = self.q
         rm = self._rowmask
+        col = self._colmask
         out = 0
-        for i in range(q):
-            xrow = (x >> (i * q)) & rm
-            if not xrow:
-                continue
-            orow = 0
-            for j in range(q):
-                if xrow >> j & 1:
-                    orow |= (y >> (j * q)) & rm
-            out |= orow << (i * q)
+        j = 0
+        while y:
+            yrow = y & rm
+            if yrow:
+                out |= (x >> j & col) * yrow
+            y >>= q
+            j += 1
         return out
 
     def pair(self, i: int, j: int) -> int:
@@ -248,10 +268,9 @@ class AlphabetSemiring(Semiring):
         return 1  # the set {∅}
 
     def _mul(self, x, y):
+        ys = _bits(y)
         out = 0
-        xs = [b for b in range(self.nsub) if x >> b & 1]
-        ys = [c for c in range(self.nsub) if y >> c & 1]
-        for b in xs:
+        for b in _bits(x):
             for c in ys:
                 out |= 1 << (b | c)
         return out
@@ -261,45 +280,64 @@ class AlphabetSemiring(Semiring):
 
     def members(self, x: int):
         """The sub-alphabet masks collected in x."""
-        return [b for b in range(self.nsub) if x >> b & 1]
+        return _bits(x)
 
     def describe(self):
         return f"alphabet-sets({self.alphabet.symbols})"
 
 
 class ProductSemiring(Semiring):
-    """Componentwise product of semirings; elements are tuples."""
+    """Componentwise product of bit-vector semirings.
+
+    An element is one int holding the parts' elements side by side, the
+    first part in the highest bits.  Addition is union and the order is
+    inclusion, so an element is its own mask.  A product part contributes
+    its own parts, so a product never nests another.
+    """
 
     def __init__(self, parts):
         super().__init__()
-        parts = tuple(parts)
-        if not parts:
+        flat = []
+        for p in parts:
+            if isinstance(p, ProductSemiring):
+                flat.extend(p.parts)
+            elif isinstance(p, Semiring) and not isinstance(p, TableSemiring):
+                flat.append(p)
+            else:
+                raise InputError(f"cannot pack a {type(p).__name__} into a product: "
+                                 "parts must be bit-vector semirings")
+        if not flat:
             raise InputError("product of zero semirings")
-        self.parts = parts
-        self.nbits = sum(p.nbits for p in parts)
-
-    @property
-    def zero(self):
-        return tuple(p.zero for p in self.parts)
+        self.parts = tuple(flat)
+        fields = []
+        shift = one = 0
+        for p in reversed(flat):
+            fields.append((p.mul, shift, (1 << p.nbits) - 1))
+            one |= p.one << shift
+            shift += p.nbits
+        self.nbits = shift
+        self._fields = tuple(reversed(fields))
+        self._one = one
 
     @property
     def one(self):
-        return tuple(p.one for p in self.parts)
+        return self._one
 
-    def add(self, x, y):
-        return tuple(p.add(a, b) for p, a, b in zip(self.parts, x, y))
+    def pack(self, elems: Iterable[int]) -> int:
+        """The element whose parts are elems, in the order of `parts`."""
+        out = 0
+        for p, a in zip(self.parts, elems):
+            out = out << p.nbits | a
+        return out
+
+    def unpack(self, x: int) -> tuple:
+        """The parts' elements of x, in the order of `parts`."""
+        return tuple(x >> shift & m for _, shift, m in self._fields)
 
     def _mul(self, x, y):
-        return tuple(p.mul(a, b) for p, a, b in zip(self.parts, x, y))
-
-    def leq(self, x, y):
-        return all(p.leq(a, b) for p, a, b in zip(self.parts, x, y))
-
-    def mask(self, x):
-        """The parts' masks side by side."""
         out = 0
-        for p, a in zip(self.parts, x):
-            out = out << p.nbits | p.mask(a)
+        for mul, shift, m in self._fields:
+            out |= mul(x >> shift & m, y >> shift & m) << shift
         return out
 
     def describe(self):

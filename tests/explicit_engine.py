@@ -9,11 +9,10 @@ for small instances.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 
 from regcov import DEFAULT_CAPS, ClassId, ImprintSet
-from regcov.semiring import AlphabetSemiring, ProductSemiring, TableSemiring
+from regcov.semiring import AlphabetSemiring, TableSemiring
 from regcov.saturation import _pair_monoid
 
 CAP = 2_000_000
@@ -31,9 +30,8 @@ def submasks(x: int):
 
 
 def downset(sr, x):
-    """Every element below x, enumerated per semiring kind."""
-    if isinstance(sr, ProductSemiring):
-        return itertools.product(*(downset(p, a) for p, a in zip(sr.parts, x)))
+    """Every element below x: the submasks of x, except for table kinds,
+    whose order is not containment.  A product element is its own mask."""
     if isinstance(sr, TableSemiring):
         return (r for r in range(sr.size) if sr.leq(r, x))
     return submasks(x)

@@ -63,7 +63,7 @@ def test_large_semiring_sampled_axioms():
 
     rng = random.Random(99)
     sr = ProductSemiring([RelationSemiring(3), RelationSemiring(3)])
-    elems = [(rng.randrange(1 << 9), rng.randrange(1 << 9)) for _ in range(200)]
+    elems = [sr.pack((rng.randrange(1 << 9), rng.randrange(1 << 9))) for _ in range(200)]
     assert validate_semiring(sr, elems, exhaustive_limit=0, samples=10_000,
                              rng=rng) == []
 
@@ -205,14 +205,14 @@ def test_decisions_independent_of_rating_construction():
         parts = [e.tau.semiring for e in exts]
         sr = ProductSemiring(parts)
         alphabet = exts[0].tau.alphabet
-        letter_image = {a: tuple(e.tau.letter_image[a] for e in exts) for a in alphabet}
+        letter_image = {a: sr.pack(e.tau.letter_image[a] for e in exts) for a in alphabet}
         tau = RatingMap(alphabet, sr, letter_image)
         lattice = SubsetLattice(len(exts))
         deltas = [e.delta for e in exts]
 
-        def apply(tup):
+        def apply(x):
             mask = 0
-            for i, (d, r) in enumerate(zip(deltas, tup)):
+            for i, (d, r) in enumerate(zip(deltas, sr.unpack(x))):
                 if d.apply(r):
                     mask |= 1 << i
             return mask
@@ -325,3 +325,17 @@ def test_coverings_are_invariant_under_reversal():
         cover = restrict_cover(fo2_cover(dec.rating_map, dec.raw_imprint), target)
         report = verify_cover(cover, target, langs, class_check=False)
         assert report.covers_target and report.separating == verdicts[ClassId.FO2]
+
+
+def test_separation_is_symmetric_for_boolean_classes():
+    # a Boolean class separates L1 from L2 exactly when it separates L2
+    # from L1: the complement of a separator is one
+    from regcov.cli import Instance, run_cover
+
+    pairs = [(target, langs[0]) for target, langs in lattice_cases() if len(langs) == 1]
+    assert len(pairs) == 21
+    for cid in (ClassId.AT, ClassId.BSIGMA1, ClassId.FO2, ClassId.FO):
+        for l1, l2 in pairs:
+            there = run_cover(Instance(alphabet=AB, class_id=cid, target=l1, against=[l2]))
+            back = run_cover(Instance(alphabet=AB, class_id=cid, target=l2, against=[l1]))
+            assert there.coverable == back.coverable, (cid, l1, l2)

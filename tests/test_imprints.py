@@ -1,5 +1,7 @@
 """Antichain imprints: dominance, membership, pointed fibers and the cap."""
 
+import random
+
 import pytest
 
 from regcov import ImprintSet, MonoidMorphism, SaturationCapError
@@ -58,3 +60,27 @@ def test_cap_counts_maxima():
     spread.insert(0b010)
     with pytest.raises(SaturationCapError, match="3 maximal elements"):
         spread.insert(0b100)
+
+
+def test_inserting_a_maximum_again_queues_nothing():
+    sr = RelationSemiring(2)
+    z2 = MonoidMorphism(2, 0, ((0, 1), (1, 0)), {"a": 1})
+    for imp, item in ((ImprintSet(SubsetLattice(4)), 0b0110),
+                      (ImprintSet(sr, monoid=z2), (1, sr.pair(0, 1)))):
+        assert imp.insert(item)
+        queued = len(imp.queue)
+        assert not imp.insert(item)
+        assert len(imp.queue) == queued and len(imp) == 1
+
+
+def test_widest_tracks_the_widest_maximum_of_each_fiber():
+    sr = RelationSemiring(3)
+    z3 = MonoidMorphism(3, 0, ((0, 1, 2), (1, 2, 0), (2, 0, 1)), {"a": 1})
+    imp = ImprintSet(sr, monoid=z3)
+    rng = random.Random(4242)
+    for _ in range(400):
+        bits = rng.getrandbits(9) & rng.getrandbits(9)
+        imp.insert((rng.randrange(3), bits))
+        for key, fiber in imp._fibers.items():
+            assert imp._widest[key] == max(m.bit_count() for m in fiber)
+    assert len(imp._fibers) == 3

@@ -80,16 +80,17 @@ def test_alphabet_semiring():
 
 def test_product_semiring():
     p = ProductSemiring([PowersetMonoidSemiring(Z2), RelationSemiring(2)])
-    x = (1, p.parts[1].pair(0, 1))
-    y = (2, p.parts[1].pair(1, 0))
-    assert p.mul(x, y) == (p.parts[0].mul(1, 2), p.parts[1].pair(0, 0))
+    x = p.pack((1, p.parts[1].pair(0, 1)))
+    y = p.pack((2, p.parts[1].pair(1, 0)))
+    assert p.mul(x, y) == p.pack((p.parts[0].mul(1, 2), p.parts[1].pair(0, 0)))
     assert p.leq(p.zero, x) and p.leq(x, p.add(x, y))
     assert not p.leq(x, y)
     # axioms on a sample
     elems = [p.zero, p.one, x, y, p.add(x, y)]
     assert validate_semiring(p, elems) == []
     single = ProductSemiring([PowersetMonoidSemiring(Z2)])
-    assert single.mul((1,), (2,)) == (PowersetMonoidSemiring(Z2).mul(1, 2),)
+    assert (single.mul(single.pack((1,)), single.pack((2,)))
+            == single.pack((PowersetMonoidSemiring(Z2).mul(1, 2),)))
 
 
 def test_canonical_order():
@@ -144,10 +145,10 @@ def test_downsets():
     down = set(downset(sr, x))
     assert down == {0, sr.pair(0, 0), sr.pair(1, 1), x}
     p = ProductSemiring([sr, sr])
-    assert len(set(downset(p, (x, sr.pair(0, 0))))) == 8
-    assert set(downset(p, (x, 0))) == {(d, 0) for d in down}
+    assert len(set(downset(p, p.pack((x, sr.pair(0, 0)))))) == 8
+    assert set(downset(p, p.pack((x, 0)))) == {p.pack((d, 0)) for d in down}
     # mask is an order embedding: x <= y iff mask(x) | mask(y) == mask(y)
-    elems = [(a, b) for a in range(16) for b in (0, 1, 8, 9)]
+    elems = [p.pack((a, b)) for a in range(16) for b in (0, 1, 8, 9)]
     for u in elems:
         for v in elems:
             assert p.leq(u, v) == (p.mask(u) | p.mask(v) == p.mask(v))
@@ -178,5 +179,71 @@ def test_morphism_monotone():
 
 def test_product_of_powersets_axioms_exhaustive():
     p = ProductSemiring([PowersetMonoidSemiring(Z2), PowersetMonoidSemiring(Z2)])
-    elems = [(x, y) for x in range(4) for y in range(4)]
+    elems = [p.pack((x, y)) for x in range(4) for y in range(4)]
     assert validate_semiring(p, elems, exhaustive_limit=16) == []
+
+
+def random_part_element(rng, part):
+    """A sparse, a middling or a dense element of a bit-vector part."""
+    roll = rng.random()
+    if roll < 0.1:
+        return 0
+    if roll < 0.4 and isinstance(part, RelationSemiring):
+        # a partial function: the word images of a DFA
+        return sum(part.pair(i, rng.randrange(part.q)) for i in range(part.q)
+                   if rng.random() < 0.8)
+    bits = rng.getrandbits(part.nbits)
+    for _ in range(rng.randrange(3)):
+        bits &= rng.getrandbits(part.nbits)
+    return bits
+
+
+def test_packed_product_matches_tuple_reference():
+    from helpers import nfa_of, random_nfa
+    from regcov import (minimize, rm_alphabet_augment, rm_from_multiset, rm_from_nfa,
+                        transition_monoid)
+
+    from reference_semiring import TupleProductSemiring, scan_twin
+
+    ab, abc = Alphabet("ab"), Alphabet("abc")
+    monoid, _ = transition_monoid(nfa_of("(ab)+", "ab"))
+    # a 6-state NFA whose minimal DFA has 14 states
+    wide = random_nfa(random.Random(98), ab, 8, 0.3)
+    dfa14 = rm_from_nfa(minimize(wide).as_nfa()).tau
+    products = [
+        ProductSemiring([RelationSemiring(14), PowersetMonoidSemiring(monoid),
+                         AlphabetSemiring(ab)]),
+        ProductSemiring([ProductSemiring([RelationSemiring(3), RelationSemiring(5)]),
+                         AlphabetSemiring(abc)]),
+        rm_alphabet_augment(rm_from_multiset([wide, nfa_of("(ab)+", "ab")]).tau).tau.semiring,
+        rm_alphabet_augment(dfa14).tau.semiring,
+    ]
+    assert [len(p.parts) for p in products] == [3, 3, 3, 2]
+    assert products[3].parts[0].nbits == 14 * 14
+    rng = random.Random(1010)
+    for p in products:
+        assert not any(isinstance(q, ProductSemiring) for q in p.parts)
+        ref = TupleProductSemiring([scan_twin(q) for q in p.parts])
+        assert p.unpack(p.zero) == ref.zero and p.unpack(p.one) == ref.one
+        tuples = [tuple(random_part_element(rng, q) for q in p.parts) for _ in range(40)]
+        tuples += [ref.add(u, v) for u, v in zip(tuples, tuples[1:])]
+        for u in tuples:
+            x = p.pack(u)
+            assert p.unpack(x) == u and x == ref.mask(u)
+            for v in rng.sample(tuples, 12):
+                y = p.pack(v)
+                assert p.unpack(p.mul(x, y)) == ref.mul(u, v)
+                assert p.unpack(p.add(x, y)) == ref.add(u, v)
+                assert p.leq(x, y) == ref.leq(u, v)
+                assert p.leq(x, p.add(x, y))
+
+
+def test_product_refuses_table_parts():
+    import pytest
+    from regcov import InputError
+
+    table = TableSemiring(2, [[0, 1], [1, 1]], [[0, 0], [0, 1]], 0, 1)
+    with pytest.raises(InputError):
+        ProductSemiring([RelationSemiring(2), table])
+    with pytest.raises(InputError):
+        ProductSemiring([])

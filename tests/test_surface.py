@@ -81,3 +81,41 @@ def test_every_cap_is_read():
                      and getattr(node.value, "id", None) == "self"}
     fields = [f.name for f in dataclasses.fields(regcov.Caps)]
     assert [f for f in fields if f not in read] == []
+
+
+def test_rating_probe_reads_resolve():
+    # the benchmark's probe on `rm_from_multiset` reads the chosen
+    # constructions off the product's parts: the attribute chains it reads
+    # off the result must resolve, and the classes it imports must be the
+    # classes of those parts
+    import random
+
+    from helpers import nfa_of, random_nfa
+    from regcov import Alphabet, rm_from_multiset, transition_monoid
+
+    tree = ast.parse(source("perfbench", "spans.py"))
+    probe = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_rating_shape")
+    chains = set()
+    for node in ast.walk(probe):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if names and getattr(node, "id", None) == "result":
+            chains.add(tuple(reversed(names)))
+    assert ("tau", "semiring", "parts") in chains
+    assert ("tau", "semiring", "log2_size") in chains
+    # a 6-state NFA takes the relation construction, a morphism the powerset
+    wide = random_nfa(random.Random(98), Alphabet("ab"), 8, 0.3)
+    ext = rm_from_multiset([wide, transition_monoid(nfa_of("(ab)+", "ab"))])
+    for chain in chains:
+        obj = ext
+        for name in chain:
+            obj = getattr(obj, name)
+    sr = ext.tau.semiring
+    assert sr.log2_size() == sum(p.log2_size() for p in sr.parts)
+    kinds = {getattr(importlib.import_module(node.module), alias.name)
+             for node in ast.walk(probe) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    assert {type(p) for p in sr.parts} == kinds
