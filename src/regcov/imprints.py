@@ -31,6 +31,11 @@ class ImprintSet:
     rating-set element) pairs in pointed mode.  For sets produced by the
     saturation engines the set is a multiplicative submonoid containing the
     trivial imprint.
+
+    Runs of inserts tend to be dominated by the same maximum, so each fiber
+    keeps the last mask that dominated an insert as a hint, tested before
+    the scan.  The hint need not still be maximal: the set only grows, so
+    whatever lies below a mask that was in it stays in it.
     """
 
     def __init__(self, semiring: RatingSet, monoid: Optional[MonoidMorphism] = None,
@@ -43,6 +48,7 @@ class ImprintSet:
         self.lifo = lifo
         self._fibers: dict = {}   # monoid element (None when universal) -> {mask: item}
         self._widest: dict = {}   # monoid element -> most bits of a maximum in its fiber
+        self._hint: dict = {}     # monoid element -> last mask that dominated an insert
         self._count = 0
         self.queue: deque = deque()
         self.sweeps = 0
@@ -73,11 +79,18 @@ class ImprintSet:
         if fiber is None:
             fiber = self._fibers[key] = {}
             self._widest[key] = 0
+            self._hint[key] = x
         elif x in fiber:
             return False
+        else:
+            # below a mask that was once in the set, so still in it
+            hint = self._hint[key]
+            if x | hint == hint:
+                return False
         below = []
         for m in fiber:
             if x | m == m:
+                self._hint[key] = m
                 return False
             if x | m == x:
                 below.append(m)

@@ -33,7 +33,6 @@ class RatingMap:
     letter_image: dict
     cont: Optional[SemiringMorphism] = None
     _star_cache: dict = field(default_factory=dict, repr=False)
-    _monoid_cache: Optional[frozenset] = field(default=None, repr=False)
 
     def __post_init__(self):
         for a in self.alphabet:
@@ -124,26 +123,6 @@ class RatingMap:
     def image_of_exact(self, subset: Iterable[str], caps: Caps = DEFAULT_CAPS):
         """Image of the words whose alphabet is exactly B."""
         return self._star_exact(self.alphabet.mask_of(subset), caps)[1]
-
-    def word_image_monoid(self, caps: Caps = DEFAULT_CAPS) -> frozenset:
-        """All images of words (the multiplicative submonoid generated by the
-        letter images, unit included)."""
-        if self._monoid_cache is None:
-            sr = self.semiring
-            gens = [self.letter_image[a] for a in self.alphabet]
-            seen = {sr.one}
-            work = [sr.one]
-            while work:
-                e = work.pop()
-                for g in gens:
-                    n = sr.mul(e, g)
-                    if n not in seen:
-                        if len(seen) >= caps.max_elements:
-                            raise SaturationCapError(caps.max_elements, "word-image closure")
-                        seen.add(n)
-                        work.append(n)
-            self._monoid_cache = frozenset(seen)
-        return self._monoid_cache
 
 
 @dataclass
@@ -249,7 +228,7 @@ def _extension_for_nfa(nfa: Nfa, caps: Caps) -> Extension:
 
     Every nice multiplicative rating map recognizing the language yields the
     same pulled-back imprints, so the choice only sets the cost.  Semiring
-    products and the word-image closures grow with the bit width of the
+    products and antichain comparisons grow with the bit width of the
     rating-set encoding, so that width is the quantity to minimize:
     minimal-DFA relations (states²) and raw-NFA relations (states²) always
     compete, and monoid powersets (monoid size) join them unless the

@@ -2,7 +2,7 @@
 
 The universal engine closes a subset of the rating semiring under downset,
 multiplication and one class-specific rule; the pointed engine does the same
-over monoid/semiring pairs.  Both start from the trivial imprint (the word
+over monoid/semiring pairs.  Both contain the trivial imprint (the word
 images, downset-closed) and are monotone, so the least fixpoint is
 independent of scheduling.
 
@@ -12,9 +12,22 @@ monotone in both arguments and so is the idempotent power: s <= t implies
 s^n <= t^n for every n, and s^ω = s^N, t^ω = t^N for any N that is a large
 enough common multiple of both idempotent exponents, so s^ω <= t^ω.
 
-- Multiplication: a downset is closed under products iff the product of any
-  two maxima lies in it; every pair of maxima is multiplied once, by the
-  later-processed of the two.
+- Multiplication, by generators.  Let G hold the letter images, the seeds
+  (the BΣ1 idempotents, Σ1's (1, ρ(A*))) and every rule output that became
+  maximal, and ⟨G⟩ the submonoid it generates.  ↓⟨G⟩ is closed under
+  products: x <= a and y <= b with a, b in ⟨G⟩ give xy <= ab, which lies
+  in ⟨G⟩.  Every downset that holds G and is closed under products holds
+  ↓⟨G⟩, so ↓⟨G⟩ is the least one.  A rule output h that is dominated when
+  inserted lies in ↓⟨G⟩ already, so ⟨G ∪ {h}⟩ lies in ↓⟨G⟩ and h need not
+  join G.  ⟨G⟩ is the right closure of the unit under G, as in the
+  Froidure–Pin enumeration of `fa.transition_monoid`: every element is
+  1·g1···gk.  So the loop inserts the unit and multiplies each new maximum
+  x by every g in G, and, when h joins G, every maximum from before by h.
+  That stays on maxima: if p <= x then p·g <= x·g.  At the end every
+  maximum x has x·g below a maximum for each g in G, and so has the unit,
+  so by induction on k every 1·g1···gk lies below a maximum.  That is
+  O(N·|G|) products for N maxima, against O(N²) for multiplying every pair
+  of maxima.
 - FO (e + e·s with e = s^ω): the right-hand side is monotone in s, so the
   rule over the maxima dominates the rule over the whole set.
 - FO2 (e·B*·f for idempotents e, f of content exactly {B}): let (r, C) be
@@ -83,39 +96,25 @@ def rm_trivial_imprint(rho: RatingMap, alpha: Optional[MonoidMorphism] = None,
     Passing a morphism gives the pointed variant over monoid/value pairs.
     """
     out = ImprintSet(rho.semiring, alpha, cap=caps.max_elements, label="trivial")
-    for item in _word_images(rho, alpha, caps):
-        out.insert(item)
+    _saturate(out, *_words(rho, alpha), None)
     return out
 
 
-def _word_images(rho: RatingMap, alpha: Optional[MonoidMorphism], caps: Caps):
-    """Rating images of words, or (monoid image, rating image) pairs."""
+def _words(rho: RatingMap, alpha: Optional[MonoidMorphism]):
+    """(unit, letter images, product) of the word images: rating-set
+    elements, or (monoid image, rating image) pairs when `alpha` is given."""
+    sr = rho.semiring
     if alpha is None:
-        return rho.word_image_monoid(caps)
-    return _pair_monoid(alpha, rho, caps)
-
-
-def _pair_monoid(alpha: MonoidMorphism, rho: RatingMap, caps: Caps) -> set:
-    """All pairs (monoid image, rating image) of words."""
-    from .errors import SaturationCapError
-
+        return sr.one, [rho.letter_image[a] for a in rho.alphabet], sr.mul
     if set(alpha.letter_image) != set(rho.alphabet.symbols):
         raise InputError("morphism and rating map alphabets differ")
-    sr = rho.semiring
-    gens = [(alpha.letter_image[a], rho.letter_image[a]) for a in rho.alphabet]
-    start = (alpha.identity, sr.one)
-    seen = {start}
-    work = [start]
-    while work:
-        (m, r) = work.pop()
-        for (gm, gr) in gens:
-            nxt = (alpha.mul[m][gm], sr.mul(r, gr))
-            if nxt not in seen:
-                if len(seen) >= caps.max_elements:
-                    raise SaturationCapError(caps.max_elements, "word-pair closure")
-                seen.add(nxt)
-                work.append(nxt)
-    return seen
+    mmul = alpha.mul
+
+    def mul(x, y):
+        return (mmul[x[0]][y[0]], sr.mul(x[1], y[1]))
+
+    letters = [(alpha.letter_image[a], rho.letter_image[a]) for a in rho.alphabet]
+    return (alpha.identity, sr.one), letters, mul
 
 
 # -- fixpoint engines ----------------------------------------------------------------
@@ -134,20 +133,20 @@ def saturate_universal(rho: RatingMap, class_id: ClassId,
                          "augment it first")
     sr = rho.semiring
     out = ImprintSet(sr, cap=caps.max_elements, label=class_id.value, lifo=lifo)
+    one, gens, mul = _words(rho, None)
 
     if class_id is ClassId.BSIGMA1:
-        # unconditional rule: fires once per sub-alphabet
+        # unconditional rule: fires once per sub-alphabet, so its outputs
+        # are generators from the start
         for mask in range(1 << len(rho.alphabet)):
             exact = rho.image_of_exact(rho.alphabet.from_mask(mask), caps)
-            out.insert(sr.idempotent_power(exact))
+            gens.append(sr.idempotent_power(exact))
         rule = None
     elif class_id is ClassId.FO:
         def rule(maxima):
-            added = False
             for s in maxima:
                 e = sr.idempotent_power(s)
-                added |= out.insert(sr.add(e, sr.mul(e, s)))
-            return added
+                yield sr.add(e, sr.mul(e, s))
     else:
         alph_sr = rho.cont.target
         assert isinstance(alph_sr, AlphabetSemiring)
@@ -159,16 +158,14 @@ def saturate_universal(rho: RatingMap, class_id: ClassId,
                 e = sr.idempotent_power(s)
                 for bmask in alph_sr.members(rho.cont.apply(e)):
                     candidates.setdefault(bmask, set()).add(with_content(e, bmask, width))
-            added = False
             for bmask, idems in candidates.items():
                 star = rho.image_of_star(rho.alphabet.from_mask(bmask), caps)
                 for e in idems:
                     es = sr.mul(e, star)
                     for f in idems:
-                        added |= out.insert(sr.mul(es, f))
-            return added
+                        yield sr.mul(es, f)
 
-    _saturate(out, rho, None, sr.mul, rule, caps)
+    _saturate(out, one, gens, mul, rule)
     return out
 
 
@@ -182,52 +179,56 @@ def saturate_pointed(alpha: MonoidMorphism, rho: RatingMap, class_id: ClassId,
                          "augment it first")
     sr = rho.semiring
     out = ImprintSet(sr, alpha, cap=caps.max_elements, label=class_id.value, lifo=lifo)
+    one, gens, mul = _words(rho, alpha)
 
     if class_id is ClassId.SIGMA1:
-        star_all = rho.image_of_star(rho.alphabet.symbols, caps)
-        out.insert((alpha.identity, star_all))
+        gens.append((alpha.identity, rho.image_of_star(rho.alphabet.symbols, caps)))
         rule = None
     else:
         cont = rho.cont
 
         def rule(maxima):
-            added = False
             for (m, r) in maxima:
                 if alpha.mul[m][m] != m:
                     continue
                 e = sr.idempotent_power(r)
                 for bmask in cont.target.members(cont.apply(e)):
                     star = rho.image_of_star(rho.alphabet.from_mask(bmask), caps)
-                    added |= out.insert((m, sr.mul(sr.mul(e, star), e)))
-            return added
+                    yield (m, sr.mul(sr.mul(e, star), e))
 
-    def mul(x, y):
-        return (alpha.mul[x[0]][y[0]], sr.mul(x[1], y[1]))
-
-    _saturate(out, rho, alpha, mul, rule, caps)
+    _saturate(out, one, gens, mul, rule)
     return out
 
 
-def _saturate(out: ImprintSet, rho: RatingMap, alpha: Optional[MonoidMorphism],
-              mul, rule, caps: Caps):
-    """Close `out` under `mul` and `rule`, starting from the word images.
+def _saturate(out: ImprintSet, one, gens: list, mul, rule):
+    """Fill `out` with the least downset that holds `one` and is closed under
+    right multiplication by the generators and under `rule`.
 
-    Every newly maximal item is multiplied on both sides with every current
-    maximum; the class rule then runs over a snapshot of the maxima, until
-    neither adds anything.
+    Each newly maximal item is multiplied by every generator.  Once no item
+    is pending, `rule` (None for none) runs over the maxima and yields its
+    outputs; those that become maximal join the generators, and every
+    maximum from before is multiplied by each of them.  `out.sweeps` counts
+    these rounds; the loop ends when the rule adds nothing.
     """
-    for item in _word_images(rho, alpha, caps):
-        out.insert(item)
+    gens = list(gens)
+    out.insert(one)
     while True:
         out.sweeps += 1
         x = out.pop_pending()
         while x is not None:
-            for y in out.maximal_elements():
-                out.insert(mul(x, y))
-                out.insert(mul(y, x))
+            for g in gens:
+                out.insert(mul(x, g))
             x = out.pop_pending()
-        if rule is None or not rule(out.maximal_elements()):
-            break
+        if rule is None:
+            return
+        done = out.maximal_elements()
+        new = [h for h in rule(done) if out.insert(h)]
+        if not new:
+            return
+        gens += new
+        for y in done:
+            for h in new:
+                out.insert(mul(y, h))
 
 
 # -- exact finite-class imprint -----------------------------------------------------

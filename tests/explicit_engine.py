@@ -11,12 +11,43 @@ from __future__ import annotations
 
 from collections import deque
 
-from regcov import DEFAULT_CAPS, ClassId, ImprintSet
+from regcov import ClassId, ImprintSet
 from regcov.semiring import AlphabetSemiring, TableSemiring
-from regcov.saturation import _pair_monoid
 
 CAP = 2_000_000
-CAPS = DEFAULT_CAPS.with_overrides(max_elements=CAP)
+
+
+def word_images(rho) -> set:
+    """All images of words: the submonoid generated by the letter images."""
+    sr = rho.semiring
+    gens = [rho.letter_image[a] for a in rho.alphabet]
+    seen = {sr.one}
+    work = [sr.one]
+    while work:
+        e = work.pop()
+        for g in gens:
+            n = sr.mul(e, g)
+            if n not in seen:
+                seen.add(n)
+                work.append(n)
+    return seen
+
+
+def word_pairs(alpha, rho) -> set:
+    """All pairs (monoid image, rating image) of words."""
+    sr = rho.semiring
+    gens = [(alpha.letter_image[a], rho.letter_image[a]) for a in rho.alphabet]
+    start = (alpha.identity, sr.one)
+    seen = {start}
+    work = [start]
+    while work:
+        (m, r) = work.pop()
+        for (gm, gr) in gens:
+            nxt = (alpha.mul[m][gm], sr.mul(r, gr))
+            if nxt not in seen:
+                seen.add(nxt)
+                work.append(nxt)
+    return seen
 
 
 def submasks(x: int):
@@ -103,7 +134,7 @@ def saturate_universal(rho, class_id: ClassId, lifo: bool = False) -> ExplicitIm
     """Least class-saturated subset of the rating semiring, member by member."""
     sr = rho.semiring
     out = ExplicitImprint(sr, lifo=lifo)
-    for w in rho.word_image_monoid():
+    for w in word_images(rho):
         out.insert(w)
 
     if class_id is ClassId.BSIGMA1:
@@ -154,7 +185,7 @@ def saturate_pointed(alpha, rho, class_id: ClassId, lifo: bool = False) -> Expli
     """Least class-saturated subset of monoid x rating-semiring pairs."""
     sr = rho.semiring
     out = ExplicitImprint(sr, pointed=True, lifo=lifo)
-    for pair in _pair_monoid(alpha, rho, CAPS):
+    for pair in word_pairs(alpha, rho):
         out.insert(pair)
 
     if class_id is ClassId.SIGMA1:

@@ -3,12 +3,13 @@ characterizations over the syntactic monoid.
 
 These never touch the semiring/saturation machinery: they work on the
 transition monoid of the minimal automaton (which is the syntactic monoid)
-and, where needed, the syntactic order computed from contexts.
+and, where needed, the syntactic order, read off residual inclusion in the
+minimal automaton.
 """
 
 from __future__ import annotations
 
-from regcov import Alphabet, MonoidMorphism, Nfa, transition_monoid
+from regcov import Alphabet, MonoidMorphism, Nfa, minimize, transition_monoid
 
 
 def syntactic(nfa: Nfa):
@@ -31,7 +32,10 @@ def monoid_omega(alpha: MonoidMorphism, s: int) -> int:
 
 
 def syntactic_order(alpha: MonoidMorphism, accepting) -> list:
-    """leq[s][t] iff every accepting context of s also accepts t."""
+    """leq[s][t] iff every accepting context of s also accepts t.
+
+    O(|M|⁴): the cross-check of `residual_order` on small monoids.
+    """
     n = alpha.size
     mul = alpha.mul
     acc = set(accepting)
@@ -48,6 +52,45 @@ def syntactic_order(alpha: MonoidMorphism, accepting) -> list:
                 if not ok:
                     break
             leq[s][t] = ok
+    return leq
+
+
+def residual_order(nfa: Nfa, alpha: MonoidMorphism):
+    """The syntactic order of `syntactic_order` as a test leq(s, t), read off
+    the minimal DFA, whose transition monoid `alpha` is.
+
+    Every state of the minimal DFA is reachable, so p·s·q is accepted iff q
+    lies in the residual at (initial·p)·s: s <= t iff for every state i the
+    residual at i·s is contained in the residual at i·t.  Residual
+    inclusion is one greatest fixpoint over state pairs; each test then
+    costs one pass over the states.
+    """
+    dfa = minimize(nfa)
+    n, delta = dfa.state_count, dfa.delta
+    sub = [[p not in dfa.finals or q in dfa.finals for q in range(n)] for p in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for p in range(n):
+            for q in range(n):
+                if sub[p][q] and not all(sub[p2][q2] for p2, q2 in zip(delta[p], delta[q])):
+                    sub[p][q] = False
+                    changed = True
+    # the state map of every element, from a word reaching it
+    maps = {alpha.identity: tuple(range(n))}
+    work = [alpha.identity]
+    while work:
+        m = work.pop()
+        for k, a in enumerate(dfa.alphabet.symbols):
+            m2 = alpha.mul[m][alpha.letter_image[a]]
+            if m2 not in maps:
+                maps[m2] = tuple(delta[q][k] for q in maps[m])
+                work.append(m2)
+    assert len(maps) == alpha.size
+
+    def leq(s: int, t: int) -> bool:
+        return all(sub[p][q] for p, q in zip(maps[s], maps[t]))
+
     return leq
 
 
@@ -107,17 +150,17 @@ def member_bsigma1(nfa: Nfa) -> bool:
 
 def member_sigma1(nfa: Nfa) -> bool:
     """Upward closure: the syntactic order satisfies 1 <= x for all x."""
-    alpha, acc = syntactic(nfa)
-    leq = syntactic_order(alpha, acc)
+    alpha, _ = syntactic(nfa)
+    leq = residual_order(nfa, alpha)
     one = alpha.identity
-    return all(leq[one][x] for x in range(alpha.size))
+    return all(leq(one, x) for x in range(alpha.size))
 
 
 def member_sigma2(nfa: Nfa) -> bool:
     """Half-level two: the syntactic order satisfies x^ω <= x^ω y x^ω for
     all x, y with some preimage words u, v such that alph(v) ⊆ alph(u)."""
-    alpha, acc = syntactic(nfa)
-    leq = syntactic_order(alpha, acc)
+    alpha, _ = syntactic(nfa)
+    leq = residual_order(nfa, alpha)
     mul = alpha.mul
     pairs = element_alphabets(alpha, nfa.alphabet)
     for (x, bx) in pairs:
@@ -125,7 +168,7 @@ def member_sigma2(nfa: Nfa) -> bool:
         for (y, by) in pairs:
             if by | bx != bx:
                 continue
-            if not leq[e][mul[mul[e][y]][e]]:
+            if not leq(e, mul[mul[e][y]][e]):
                 return False
     return True
 

@@ -15,6 +15,7 @@ from helpers import nfa_of, random_nfa, random_regex
 import oracles
 
 AB = Alphabet("ab")
+ABC = Alphabet("abc")
 
 ORACLES = {
     ClassId.AT: oracles.member_at,
@@ -76,6 +77,23 @@ def test_engine_member_matches_algebraic_oracle(class_id):
     assert checked >= 20
 
 
+def test_residual_order_matches_context_order():
+    """The residual order agrees with the O(|M|⁴) context order on every
+    pair of elements of small syntactic monoids."""
+    rng = random.Random(77)
+    nfas = [nfa_of(row[0], "ab") for row in KNOWN]
+    nfas += [regex_to_nfa(random_regex(rng, "ab", 3), AB) for _ in range(30)]
+    nfas += [random_nfa(rng, ABC, 3, 0.3) for _ in range(10)]
+    for nfa in nfas:
+        alpha, acc = oracles.syntactic(nfa)
+        if alpha.size > 30:
+            continue
+        slow = oracles.syntactic_order(alpha, acc)
+        fast = oracles.residual_order(nfa, alpha)
+        assert all(fast(s, t) == slow[s][t] for s in range(alpha.size)
+                   for t in range(alpha.size)), nfa
+
+
 def test_class_hierarchy_on_memberships():
     # memberships respect the class inclusions on a random batch
     rng = random.Random(606)
@@ -115,3 +133,41 @@ def test_member_decides_wide_encodings(capsys, tmp_path):
     for cid, nfa in cases:
         assert minimize(nfa).state_count > 6
         assert cli_member(capsys, tmp_path, cid, nfa) == ORACLES[cid](nfa), cid
+
+
+def sweep_draws() -> dict:
+    """(n, i) -> the i-th of the first 8 draws of random_nfa(Random(1000 + n),
+    abc, n, 0.3), for n = 5, 7, 9: the NFAs of the membership sweep whose
+    large monoids once ran past the all-pairs saturation's time."""
+    draws = {}
+    for n in (5, 7, 9):
+        rng = random.Random(1000 + n)
+        for i in range(8):
+            draws[n, i] = random_nfa(rng, ABC, n, 0.3)
+    return draws
+
+
+def test_member_decides_large_sweep_monoids():
+    """`fo` on the 811- and 1,101-element monoids of draws (7, 1) and (7, 6),
+    and `sigma1` on (7, 1), each against its algebraic oracle."""
+    draws = sweep_draws()
+    cases = [((7, 1), 811, ClassId.FO, False), ((7, 6), 1101, ClassId.FO, True),
+             ((7, 1), 811, ClassId.SIGMA1, False)]
+    for key, size, cid, want in cases:
+        nfa = draws[key]
+        assert oracles.syntactic(nfa)[0].size == size
+        assert ORACLES[cid](nfa) == want, (key, cid)
+        assert engine_member(cid, nfa) == want, (key, cid)
+
+
+def test_member_matches_oracles_on_sweep_draws():
+    """All six classes on the sweep draws whose monoids have at most 150
+    elements."""
+    checked = 0
+    for key, nfa in sweep_draws().items():
+        if oracles.syntactic(nfa)[0].size > 150:
+            continue
+        checked += 1
+        for cid, oracle in ORACLES.items():
+            assert engine_member(cid, nfa) == oracle(nfa), (key, cid)
+    assert checked == 19
