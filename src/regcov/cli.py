@@ -32,7 +32,7 @@ UNIVERSAL = "%universal"
 @dataclass
 class Instance:
     alphabet: Alphabet
-    class_id: Optional[ClassId]   # None: every class of the imprint chain
+    class_id: Optional[ClassId]   # None: the imprint chain, or an oracle
     target: object                # Nfa or UNIVERSAL
     against: list                 # list of Nfa
     emit_cover: bool = False
@@ -141,11 +141,13 @@ def load_instance(args) -> Instance:
     if not alphabet_text:
         raise InputError("an alphabet is required (--alphabet or instance file)")
     alphabet = Alphabet(alphabet_text)
-    class_name = args.cls or doc.get("class")
-    if not class_name:
-        raise InputError("a class is required (--class or instance file)")
-    chain = args.command == "imprint" and class_name.lower() == "chain"
-    class_id = None if chain else ClassId.parse(class_name)
+    class_id = None
+    if args.command != "oracle":
+        class_name = args.cls or doc.get("class")
+        if not class_name:
+            raise InputError("a class is required (--class or instance file)")
+        if not (args.command == "imprint" and class_name.lower() == "chain"):
+            class_id = ClassId.parse(class_name)
     target_spec = args.target if args.target is not None else doc.get("target")
     against_specs = args.against or doc.get("against", [])
     options = doc.get("options", {})
@@ -377,20 +379,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("cover", "separate", "member", "imprint", "oracle"):
         p = sub.add_parser(name)
-        p.add_argument("--class", dest="cls", help="language class (or 'chain' for imprint)")
+        if name == "oracle":
+            p.add_argument("--which", required=True,
+                           choices=["sigma1-sep", "pt-k", "at"])
+        else:
+            p.add_argument("--class", dest="cls", help="language class (or 'chain' for imprint)")
         p.add_argument("--alphabet")
         p.add_argument("--target")
         p.add_argument("--against", action="append")
         p.add_argument("--instance", help="JSON instance file")
-        p.add_argument("--emit-cover", action="store_true")
-        p.add_argument("--verify", action="store_true")
+        if name in ("cover", "separate", "member"):
+            p.add_argument("--emit-cover", action="store_true")
+            p.add_argument("--verify", action="store_true")
+        else:
+            p.set_defaults(emit_cover=False, verify=False)
         p.add_argument("--json", action="store_true")
         p.add_argument("--max-elements", type=int)
         p.add_argument("--max-k", type=int)
         p.add_argument("--max-states", type=int)
-        if name == "oracle":
-            p.add_argument("--which", required=True,
-                           choices=["sigma1-sep", "pt-k", "at"])
     return parser
 
 
@@ -413,6 +419,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         inst = load_instance(args)
+        if args.command == "oracle":
+            _emit(run_oracle(inst, args.which, args.max_k), inst.json_output)
+            return 0
         if inst.class_id is None:
             _emit(run_imprint_chain(inst), True)
             return 0
@@ -424,10 +433,6 @@ def main(argv=None) -> int:
             verdict = run_member(inst)
         elif args.command == "imprint":
             verdict = run_imprint(inst)
-        elif args.command == "oracle":
-            doc = run_oracle(inst, args.which, args.max_k)
-            _emit(doc, inst.json_output)
-            return 0
         else:  # pragma: no cover
             raise InputError(f"unknown command {args.command!r}")
         verdict.stats["wall_ms"] = _ms_since(t0)  # the whole command, parsing included

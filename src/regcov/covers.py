@@ -9,7 +9,6 @@ closure, and the recursive left-factor construction for two-variable logic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -553,17 +552,6 @@ def restrict_cover(cover: Cover, target: Nfa) -> Cover:
     pieces = [p for p in cover.pieces if not is_empty(nfa_intersection(p.nfa, target))]
     return Cover(cover.class_id, target, pieces, k=cover.k, optimal=cover.optimal,
                  provenance=cover.provenance + " | restricted to target")
-
-
-def union_covers(covers: Iterable[Cover]) -> Cover:
-    covers = list(covers)
-    if not covers:
-        raise ValueError("no covers to combine")
-    pieces = list(itertools.chain.from_iterable(c.pieces for c in covers))
-    target = nfa_union(*(c.target for c in covers))
-    return Cover(covers[0].class_id, target, pieces,
-                 k=covers[0].k, optimal=all(c.optimal for c in covers),
-                 provenance="union of per-element covers")
 
 
 @dataclass

@@ -456,23 +456,6 @@ class MonoidMorphism:
         return m
 
 
-def monoid_validate(m: MonoidMorphism) -> list:
-    """Exhaustive associativity/identity check; violations returned as data."""
-    out = []
-    for x in range(m.size):
-        if m.mul[m.identity][x] != x or m.mul[x][m.identity] != x:
-            out.append(f"identity law fails at element {x}")
-    for x in range(m.size):
-        for y in range(m.size):
-            for z in range(m.size):
-                if m.mul[m.mul[x][y]][z] != m.mul[x][m.mul[y][z]]:
-                    out.append(f"associativity fails at ({x},{y},{z})")
-    for a, img in m.letter_image.items():
-        if not (0 <= img < m.size):
-            out.append(f"letter image {a!r} -> {img} out of range")
-    return out
-
-
 def transition_monoid(n: Nfa, caps: Caps = DEFAULT_CAPS):
     """Transition monoid of the minimal complete DFA of L(n).
 
@@ -568,12 +551,6 @@ def alphabet_exact(alphabet: Alphabet, subset: Iterable[str]) -> Nfa:
     return Nfa(alphabet, 1 << k, frozenset([0]), frozenset([full]), frozenset(trans))
 
 
-def alphabet_languages(alphabet: Alphabet, subset: Iterable[str]):
-    """(B*, words-with-alphabet-exactly-B) for a sub-alphabet B."""
-    subset = sorted(set(subset))
-    return alphabet_star(alphabet, subset), alphabet_exact(alphabet, subset)
-
-
 def piece_closure_regex(alphabet: Alphabet, word: str) -> Regex:
     """Regex for A*a1A*...A*anA*, the superwords of `word`."""
     allstar = rx.star(rx.union_all(rx.Letter(a) for a in alphabet))
@@ -605,16 +582,6 @@ def exact_alphabet_regex(alphabet: Alphabet, subset: Iterable[str]) -> Regex:
 
 
 # -- NFA <-> JSON and NFA -> regex -------------------------------------------------
-
-def nfa_to_json(n: Nfa) -> dict:
-    return {
-        "alphabet": n.alphabet.symbols,
-        "states": n.state_count,
-        "initials": sorted(n.initials),
-        "finals": sorted(n.finals),
-        "transitions": sorted([q, a, r] for (q, a, r) in n.transitions),
-    }
-
 
 def nfa_from_json(doc: dict) -> Nfa:
     try:

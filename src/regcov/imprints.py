@@ -7,10 +7,8 @@ drops the maxima it dominates.  Pointed imprints (subsets of M x R for a
 monoid M, downward closed in the R component only) are the same structure
 keyed by the discrete monoid element.
 
-Comparisons go through `RatingSet.mask`, which embeds every kind of rating
-set into integer bitmasks ordered by inclusion, so `x <= m` is `x | m == m`.
-Bit-vector kinds and their products, whose elements are packed ints, are
-their own masks.  The element cap counts maxima.
+A rating-set element is an int bitmask ordered by inclusion, so `x <= m` is
+`x | m == m`.  The element cap counts maxima.
 """
 
 from __future__ import annotations
@@ -46,22 +44,15 @@ class ImprintSet:
         self.cap = cap
         self.label = label
         self.lifo = lifo
-        self._fibers: dict = {}   # monoid element (None when universal) -> {mask: item}
+        self._fibers: dict = {}   # monoid element (None when universal) -> {element: item}
         self._widest: dict = {}   # monoid element -> most bits of a maximum in its fiber
-        self._hint: dict = {}     # monoid element -> last mask that dominated an insert
+        self._hint: dict = {}     # monoid element -> last element that dominated an insert
         self._count = 0
         self.queue: deque = deque()
         self.sweeps = 0
-        self._mask = semiring.mask
-
-    def _split(self, item):
-        """(fiber key, mask) of an item."""
-        if self.monoid is None:
-            return None, self._mask(item)
-        return item[0], self._mask(item[1])
 
     def __contains__(self, item) -> bool:
-        key, x = self._split(item)
+        key, x = (None, item) if self.monoid is None else item
         fiber = self._fibers.get(key)
         # a mask with more bits than every maximum is below none of them,
         # which settles most failed lookups without a scan
@@ -74,7 +65,7 @@ class ImprintSet:
 
     def insert(self, item) -> bool:
         """Add item unless it is dominated; True if it became maximal."""
-        key, x = self._split(item)
+        key, x = (None, item) if self.monoid is None else item
         fiber = self._fibers.get(key)
         if fiber is None:
             fiber = self._fibers[key] = {}

@@ -14,7 +14,6 @@ from typing import Iterable, Optional
 from .errors import (Caps, DEFAULT_CAPS, DeterminizationCapError, InputError,
                      MonoidCapError, SaturationCapError)
 from .fa import Alphabet, MonoidMorphism, Nfa, _dfa_monoid, minimize
-from .imprints import ImprintSet
 from .semiring import (AlphabetSemiring, PowersetMonoidSemiring,
                        ProductSemiring, RelationSemiring, Semiring,
                        SemiringMorphism, SubsetLattice)
@@ -77,14 +76,6 @@ class RatingMap:
                     seen.add(pair)
                     work.append(pair)
         return total
-
-    def eval(self, language, caps: Caps = DEFAULT_CAPS):
-        """Image of a word (str) or regular language (Nfa)."""
-        if isinstance(language, str):
-            return self.eval_word(language)
-        if isinstance(language, Nfa):
-            return self.eval_nfa(language, caps)
-        raise InputError(f"cannot rate {type(language).__name__}")
 
     def _letter_pairs(self, subset: Iterable[str]):
         return [(self.letter_image[a], 1 << self.alphabet.index(a)) for a in subset]
@@ -274,23 +265,3 @@ def with_content(r: int, sub_mask: int, width: int) -> int:
     exactly {B}, for the sub-alphabet mask B; `width` is the width of the
     content field."""
     return r >> width << width | 1 << sub_mask
-
-
-def imprint_pullback(ext: Extension, imprint: ImprintSet) -> ImprintSet:
-    """Image of an imprint under the extending morphism, downset-closed.
-
-    Works for universal and pointed imprints over the extension's rating set;
-    returns the same kind over the extended map's rating set.  The morphism
-    is monotone, so the images of the maxima generate the result.
-    """
-    if not isinstance(imprint, ImprintSet):
-        raise InputError(f"cannot pull back {type(imprint).__name__}")
-    delta = ext.delta
-    out = ImprintSet(delta.target, imprint.monoid, cap=imprint.cap,
-                     label=imprint.label + "-pullback")
-    for item in imprint.maximal_elements():
-        if imprint.monoid is None:
-            out.insert(delta.apply(item))
-        else:
-            out.insert((item[0], delta.apply(item[1])))
-    return out

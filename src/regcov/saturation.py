@@ -71,10 +71,6 @@ class ClassId(enum.Enum):
         return self in (ClassId.SIGMA1, ClassId.SIGMA2)
 
     @property
-    def needs_alphabet_compat(self) -> bool:
-        return self in (ClassId.FO2, ClassId.SIGMA2)
-
-    @property
     def synthesizable(self) -> bool:
         return self in (ClassId.AT, ClassId.SIGMA1, ClassId.BSIGMA1, ClassId.FO2)
 
@@ -87,18 +83,7 @@ class ClassId(enum.Enum):
                              f"{', '.join(c.value for c in cls)}") from None
 
 
-# -- trivial imprints -----------------------------------------------------------
-
-def rm_trivial_imprint(rho: RatingMap, alpha: Optional[MonoidMorphism] = None,
-                       caps: Caps = DEFAULT_CAPS) -> ImprintSet:
-    """Trivial imprint: word images, downset-closed.
-
-    Passing a morphism gives the pointed variant over monoid/value pairs.
-    """
-    out = ImprintSet(rho.semiring, alpha, cap=caps.max_elements, label="trivial")
-    _saturate(out, *_words(rho, alpha), None)
-    return out
-
+# -- word images ---------------------------------------------------------------
 
 def _words(rho: RatingMap, alpha: Optional[MonoidMorphism]):
     """(unit, letter images, product) of the word images: rating-set

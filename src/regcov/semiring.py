@@ -1,13 +1,10 @@
 """Finite idempotent semirings and rating sets.
 
-Elements are ints.  Every kind but the table kind is a bit-vector kind:
-an element is a bitmask, addition is union and the order is inclusion.  A
-product of bit-vector kinds is one too: its element holds the parts'
-elements side by side in one int.  Multiplication is computed structurally
-on demand and memoized per instance.  The canonical order is r <= s iff
-r + s = s.  `mask` embeds every kind into integer bitmasks ordered by
-inclusion: bit-vector kinds, products included, are their own masks, and
-table elements are encoded by their principal downsets.
+Every kind is a bit-vector kind: an element is an int bitmask, addition is
+union and the order is inclusion, so r <= s iff r | s = s.  A product of
+bit-vector kinds is one too: its element holds the parts' elements side by
+side in one int.  Multiplication is computed structurally on demand and
+memoized per instance.
 """
 
 from __future__ import annotations
@@ -22,8 +19,8 @@ from .fa import Alphabet, MonoidMorphism
 class RatingSet:
     """Finite commutative idempotent monoid (addition only).
 
-    The defaults are those of the bit-vector kinds: elements are bitmasks of
-    `nbits` bits, added by union and ordered by inclusion.
+    Elements are bitmasks of `nbits` bits, added by union and ordered by
+    inclusion.
     """
 
     nbits: int
@@ -38,22 +35,11 @@ class RatingSet:
     def leq(self, x, y) -> bool:
         return x | y == y
 
-    def mask(self, x) -> int:
-        """Order embedding into bitmasks: x <= y iff mask(x) | mask(y) == mask(y).
-
-        Bit-vector kinds, products of them included, are ordered by
-        containment and are their own masks.
-        """
-        return x
-
     def sum(self, elems: Iterable):
         out = self.zero
         for e in elems:
             out = self.add(out, e)
         return out
-
-    def describe(self) -> str:
-        raise NotImplementedError
 
     def log2_size(self) -> float:
         return float(self.nbits)
@@ -111,60 +97,6 @@ def _bits(x: int) -> list:
 
 # -- concrete kinds -----------------------------------------------------------
 
-class TableSemiring(Semiring):
-    """Explicit finite semiring given by full addition/multiplication tables."""
-
-    def __init__(self, size: int, add_table, mul_table, zero: int, one: int):
-        super().__init__()
-        self.size = size
-        self._add = tuple(tuple(row) for row in add_table)
-        self._mul_table = tuple(tuple(row) for row in mul_table)
-        self._zero = zero
-        self._one = one
-        self.nbits = size
-        self._masks: dict = {}
-
-    @property
-    def zero(self):
-        return self._zero
-
-    @property
-    def one(self):
-        return self._one
-
-    def add(self, x, y):
-        return self._add[x][y]
-
-    def leq(self, x, y):
-        return self._add[x][y] == y
-
-    def _mul(self, x, y):
-        return self._mul_table[x][y]
-
-    def elements(self):
-        return range(self.size)
-
-    def mask(self, x):
-        """Bitmask of the principal downset of x."""
-        if x not in self._masks:
-            self._masks[x] = sum(1 << r for r in range(self.size) if self.leq(r, x))
-        return self._masks[x]
-
-    def describe(self):
-        return f"table[{self.size}]"
-
-    def log2_size(self):
-        import math
-        return math.log2(self.size) if self.size else 0.0
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TableSemiring":
-        try:
-            return cls(int(doc["size"]), doc["add"], doc["mul"], int(doc["zero"]), int(doc["one"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad semiring JSON: {exc}") from exc
-
-
 class PowersetMonoidSemiring(Semiring):
     """Subsets of a finite monoid; union / lifted product.
 
@@ -192,9 +124,6 @@ class PowersetMonoidSemiring(Semiring):
 
     def singleton(self, m: int) -> int:
         return 1 << m
-
-    def describe(self):
-        return f"powerset(monoid[{self.monoid.size}])"
 
 
 class RelationSemiring(Semiring):
@@ -243,9 +172,6 @@ class RelationSemiring(Semiring):
         q = self.q
         return [(i, j) for i in range(q) for j in range(q) if x >> (i * q + j) & 1]
 
-    def describe(self):
-        return f"relations({self.q})"
-
 
 class AlphabetSemiring(Semiring):
     """Sets of sub-alphabets; union / pairwise sub-alphabet union.
@@ -282,9 +208,6 @@ class AlphabetSemiring(Semiring):
         """The sub-alphabet masks collected in x."""
         return _bits(x)
 
-    def describe(self):
-        return f"alphabet-sets({self.alphabet.symbols})"
-
 
 class ProductSemiring(Semiring):
     """Componentwise product of bit-vector semirings.
@@ -301,7 +224,7 @@ class ProductSemiring(Semiring):
         for p in parts:
             if isinstance(p, ProductSemiring):
                 flat.extend(p.parts)
-            elif isinstance(p, Semiring) and not isinstance(p, TableSemiring):
+            elif isinstance(p, (RelationSemiring, PowersetMonoidSemiring, AlphabetSemiring)):
                 flat.append(p)
             else:
                 raise InputError(f"cannot pack a {type(p).__name__} into a product: "
@@ -340,12 +263,6 @@ class ProductSemiring(Semiring):
             out |= mul(x >> shift & m, y >> shift & m) << shift
         return out
 
-    def describe(self):
-        return "x".join(p.describe() for p in self.parts)
-
-    def log2_size(self):
-        return sum(p.log2_size() for p in self.parts)
-
 
 class SubsetLattice(RatingSet):
     """Subsets of a finite index set under union (no multiplication).
@@ -358,9 +275,6 @@ class SubsetLattice(RatingSet):
         self.size = size
         self.nbits = size
         self.full = (1 << size) - 1
-
-    def describe(self):
-        return f"subsets({self.size})"
 
 
 # -- morphisms -------------------------------------------------------------------
@@ -375,55 +289,3 @@ class SemiringMorphism:
 
     def apply(self, x):
         return self.fn(x)
-
-
-# -- validation -------------------------------------------------------------------
-
-def validate_semiring(sr: Semiring, elements, exhaustive_limit: int = 512, rng=None, samples: int = 10_000) -> list:
-    """Check the semiring axioms over the given elements.
-
-    Exhaustive when len(elements) <= exhaustive_limit, else on sampled
-    triples.  Violations are returned as strings.
-    """
-    elems = list(elements)
-    out = []
-    zero, one = sr.zero, sr.one
-
-    def check_triple(x, y, z):
-        if sr.add(sr.add(x, y), z) != sr.add(x, sr.add(y, z)):
-            out.append(f"add not associative at {(x, y, z)}")
-        if sr.mul(sr.mul(x, y), z) != sr.mul(x, sr.mul(y, z)):
-            out.append(f"mul not associative at {(x, y, z)}")
-        if sr.mul(x, sr.add(y, z)) != sr.add(sr.mul(x, y), sr.mul(x, z)):
-            out.append(f"left distributivity fails at {(x, y, z)}")
-        if sr.mul(sr.add(x, y), z) != sr.add(sr.mul(x, z), sr.mul(y, z)):
-            out.append(f"right distributivity fails at {(x, y, z)}")
-
-    for x in elems:
-        if sr.add(x, x) != x:
-            out.append(f"addition not idempotent at {x}")
-        if sr.add(x, zero) != x or sr.add(zero, x) != x:
-            out.append(f"zero not neutral at {x}")
-        if sr.mul(x, one) != x or sr.mul(one, x) != x:
-            out.append(f"one not neutral at {x}")
-        if sr.mul(x, zero) != zero or sr.mul(zero, x) != zero:
-            out.append(f"zero not absorbing at {x}")
-        for y in elems:
-            if sr.add(x, y) != sr.add(y, x):
-                out.append(f"addition not commutative at {(x, y)}")
-
-    if len(elems) <= exhaustive_limit:
-        for x in elems:
-            for y in elems:
-                for z in elems:
-                    check_triple(x, y, z)
-                    if out:
-                        return out
-    else:
-        import random
-        rng = rng or random.Random(0)
-        for _ in range(samples):
-            check_triple(rng.choice(elems), rng.choice(elems), rng.choice(elems))
-            if out:
-                return out
-    return out

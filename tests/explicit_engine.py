@@ -12,7 +12,9 @@ from __future__ import annotations
 from collections import deque
 
 from regcov import ClassId, ImprintSet
-from regcov.semiring import AlphabetSemiring, TableSemiring
+from regcov.semiring import AlphabetSemiring
+
+from reference_semiring import TableSemiring
 
 CAP = 2_000_000
 

@@ -1,13 +1,15 @@
-"""Shared test utilities: seeded generators and brute-force oracles."""
+"""Shared test utilities: seeded generators, brute-force oracles, and the
+small constructions that only tests use."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
 
-from regcov import (Alphabet, DEFAULT_CAPS, Nfa, includes, is_empty,
-                    nfa_intersection, regex_parse, regex_to_nfa)
-from regcov import rx
+from regcov import (Alphabet, DEFAULT_CAPS, ImprintSet, Nfa, alphabet_exact,
+                    alphabet_star, includes, is_empty, nfa_intersection,
+                    regex_parse, regex_to_nfa)
+from regcov import rx, saturation
 
 
 def random_regex(rng: random.Random, symbols: str, depth: int):
@@ -120,3 +122,48 @@ def is_union_of_classes_per_class(nfa: Nfa, classes, caps=DEFAULT_CAPS) -> bool:
     meeting the language lies inside it, checked class by class."""
     return all(is_empty(nfa_intersection(cls, nfa)) or includes(cls, nfa, caps)
                for cls in classes)
+
+
+def alphabet_languages(alphabet: Alphabet, subset):
+    """(B*, words-with-alphabet-exactly-B) for a sub-alphabet B."""
+    subset = sorted(set(subset))
+    return alphabet_star(alphabet, subset), alphabet_exact(alphabet, subset)
+
+
+def nfa_to_json(n: Nfa) -> dict:
+    """The NFA JSON object that `regcov.nfa_from_json` reads."""
+    return {
+        "alphabet": n.alphabet.symbols,
+        "states": n.state_count,
+        "initials": sorted(n.initials),
+        "finals": sorted(n.finals),
+        "transitions": sorted([q, a, r] for (q, a, r) in n.transitions),
+    }
+
+
+def rm_trivial_imprint(rho, alpha=None) -> ImprintSet:
+    """Trivial imprint: word images, downset-closed.
+
+    Passing a morphism gives the pointed variant over monoid/value pairs.
+    """
+    out = ImprintSet(rho.semiring, alpha, cap=DEFAULT_CAPS.max_elements, label="trivial")
+    saturation._saturate(out, *saturation._words(rho, alpha), None)
+    return out
+
+
+def imprint_pullback(ext, imprint: ImprintSet) -> ImprintSet:
+    """Image of an imprint under the extending morphism, downset-closed.
+
+    Works for universal and pointed imprints over the extension's rating set;
+    returns the same kind over the extended map's rating set.  The morphism
+    is monotone, so the images of the maxima generate the result.
+    """
+    delta = ext.delta
+    out = ImprintSet(delta.target, imprint.monoid, cap=imprint.cap,
+                     label=imprint.label + "-pullback")
+    for item in imprint.maximal_elements():
+        if imprint.monoid is None:
+            out.insert(delta.apply(item))
+        else:
+            out.insert((item[0], delta.apply(item[1])))
+    return out

@@ -1,14 +1,21 @@
-"""Reference semiring kernels: the test oracle for the packed product.
+"""Reference semirings: the test oracles for the packed product, a semiring
+that is not a bit-vector kind, and the axiom check.
 
 regcov used to hold a product element as a tuple of its parts' elements and
 to multiply each bit-vector kind by scanning every bit position.  Those
 kinds are kept here as they were.  `TupleProductSemiring` is the tuple
 product, whose `mask` lays the parts side by side, first part highest: the
 layout that `regcov.semiring.ProductSemiring` packs its elements in.
+
+`TableSemiring` is an explicit finite semiring given by its tables.  Its
+order is not inclusion, so regcov's products and imprints refuse it.
 """
 
 from __future__ import annotations
 
+import random
+
+from regcov import InputError
 from regcov.semiring import (AlphabetSemiring, PowersetMonoidSemiring,
                              RelationSemiring, Semiring)
 
@@ -97,8 +104,102 @@ class TupleProductSemiring(Semiring):
         return all(p.leq(a, b) for p, a, b in zip(self.parts, x, y))
 
     def mask(self, x):
-        """The parts' masks side by side."""
+        """The parts' elements side by side."""
         out = 0
         for p, a in zip(self.parts, x):
-            out = out << p.nbits | p.mask(a)
+            out = out << p.nbits | a
         return out
+
+
+class TableSemiring(Semiring):
+    """Explicit finite semiring given by full addition/multiplication tables."""
+
+    def __init__(self, size: int, add_table, mul_table, zero: int, one: int):
+        super().__init__()
+        self.size = size
+        self._add = tuple(tuple(row) for row in add_table)
+        self._mul_table = tuple(tuple(row) for row in mul_table)
+        self._zero = zero
+        self._one = one
+        self.nbits = size
+
+    @property
+    def zero(self):
+        return self._zero
+
+    @property
+    def one(self):
+        return self._one
+
+    def add(self, x, y):
+        return self._add[x][y]
+
+    def leq(self, x, y):
+        return self._add[x][y] == y
+
+    def _mul(self, x, y):
+        return self._mul_table[x][y]
+
+    def elements(self):
+        return range(self.size)
+
+    def mask(self, x):
+        """Bitmask of the principal downset of x: an order embedding into
+        bitmasks ordered by inclusion."""
+        return sum(1 << r for r in range(self.size) if self.leq(r, x))
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "TableSemiring":
+        try:
+            return cls(int(doc["size"]), doc["add"], doc["mul"], int(doc["zero"]), int(doc["one"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad semiring JSON: {exc}") from exc
+
+
+def validate_semiring(sr: Semiring, elements, exhaustive_limit: int = 512, rng=None, samples: int = 10_000) -> list:
+    """Check the semiring axioms over the given elements.
+
+    Exhaustive when len(elements) <= exhaustive_limit, else on sampled
+    triples.  Violations are returned as strings.
+    """
+    elems = list(elements)
+    out = []
+    zero, one = sr.zero, sr.one
+
+    def check_triple(x, y, z):
+        if sr.add(sr.add(x, y), z) != sr.add(x, sr.add(y, z)):
+            out.append(f"add not associative at {(x, y, z)}")
+        if sr.mul(sr.mul(x, y), z) != sr.mul(x, sr.mul(y, z)):
+            out.append(f"mul not associative at {(x, y, z)}")
+        if sr.mul(x, sr.add(y, z)) != sr.add(sr.mul(x, y), sr.mul(x, z)):
+            out.append(f"left distributivity fails at {(x, y, z)}")
+        if sr.mul(sr.add(x, y), z) != sr.add(sr.mul(x, z), sr.mul(y, z)):
+            out.append(f"right distributivity fails at {(x, y, z)}")
+
+    for x in elems:
+        if sr.add(x, x) != x:
+            out.append(f"addition not idempotent at {x}")
+        if sr.add(x, zero) != x or sr.add(zero, x) != x:
+            out.append(f"zero not neutral at {x}")
+        if sr.mul(x, one) != x or sr.mul(one, x) != x:
+            out.append(f"one not neutral at {x}")
+        if sr.mul(x, zero) != zero or sr.mul(zero, x) != zero:
+            out.append(f"zero not absorbing at {x}")
+        for y in elems:
+            if sr.add(x, y) != sr.add(y, x):
+                out.append(f"addition not commutative at {(x, y)}")
+
+    if len(elems) <= exhaustive_limit:
+        for x in elems:
+            for y in elems:
+                for z in elems:
+                    check_triple(x, y, z)
+                    if out:
+                        return out
+    else:
+        rng = rng or random.Random(0)
+        for _ in range(samples):
+            check_triple(rng.choice(elems), rng.choice(elems), rng.choice(elems))
+            if out:
+                return out
+    return out

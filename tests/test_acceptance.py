@@ -9,18 +9,19 @@ import random
 import time
 
 from regcov import (Alphabet, ClassId, at_imprint, bsigma1_cover,
-                    decide_universal_covering, fo2_cover, imprint_pullback,
-                    includes, is_empty, nfa_intersection, regex_to_nfa,
-                    rm_alphabet_augment, rm_from_multiset, rm_trivial_imprint,
-                    saturate_pointed, saturate_universal, transition_monoid,
-                    universal_language, upward_closure, verify_cover)
+                    decide_universal_covering, fo2_cover, includes, is_empty,
+                    nfa_intersection, regex_to_nfa, rm_alphabet_augment,
+                    rm_from_multiset, saturate_pointed, saturate_universal,
+                    transition_monoid, universal_language, upward_closure,
+                    verify_cover)
 from regcov.cli import Instance, main, run_separate
-from regcov.pieces import bsigma1_template_witness, template_unambiguous
 from regcov.fa import alphabet_exact
 
 import explicit_engine as explicit
 from explicit_engine import members, same_imprint, submasks
-from helpers import piece_images_distinct, random_nfa, random_regex
+from helpers import (imprint_pullback, piece_images_distinct, random_nfa, random_regex,
+                     rm_trivial_imprint)
+from templates import bsigma1_template_witness, template_unambiguous
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")

@@ -3,6 +3,7 @@
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -132,7 +133,7 @@ def test_imprint_chain(capsys):
 
 def test_oracle_sigma1_sep(capsys):
     code, out, _ = run(capsys, [
-        "oracle", "--which", "sigma1-sep", "--class", "sigma1",
+        "oracle", "--which", "sigma1-sep",
         "--alphabet", "ab", "--target", "a+", "--against", "b+", "--json"])
     assert code == 0
     assert json.loads(out)["separable"] is True
@@ -140,7 +141,7 @@ def test_oracle_sigma1_sep(capsys):
 
 def test_oracle_pt_k(capsys):
     code, out, _ = run(capsys, [
-        "oracle", "--which", "pt-k", "--class", "bsigma1",
+        "oracle", "--which", "pt-k",
         "--alphabet", "ab", "--max-k", "1", "--json"])
     assert code == 0
     assert json.loads(out)["classes"] == 4
@@ -148,12 +149,34 @@ def test_oracle_pt_k(capsys):
 
 def test_oracle_at(capsys):
     code, out, _ = run(capsys, [
-        "oracle", "--which", "at", "--class", "at", "--alphabet", "abc",
+        "oracle", "--which", "at", "--alphabet", "abc",
         "--against", "(ab)+", "--against", "b(ab)+", "--against", "c(ac)+",
         "--json"])
     assert code == 0
     got = {tuple(s) for s in json.loads(out)["imprint"]}
     assert got == {(), (0,), (1,), (0, 1), (2,)}
+
+
+README_ORACLES = [shlex.split(line)[1:] for line in
+                  (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+                  if line.startswith("regcov oracle")]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["imprint", "--class", "at", "--alphabet", "ab", "--against", "a+", "--emit-cover"], 2),
+    (["imprint", "--class", "at", "--alphabet", "ab", "--against", "a+", "--verify"], 2),
+    (["oracle", "--which", "at", "--alphabet", "ab", "--against", "a+", "--emit-cover"], 2),
+    (["oracle", "--which", "at", "--alphabet", "ab", "--against", "a+", "--verify"], 2),
+    (["oracle", "--which", "at", "--alphabet", "ab", "--against", "a+", "--class", "fo"], 2),
+] + [(argv, 0) for argv in README_ORACLES])
+def test_flags_a_command_ignores_are_usage_errors(capsys, argv, code):
+    # a flag that a command would not read is refused, not ignored
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    assert (code == 2) == ("unrecognized arguments" in capsys.readouterr().err)
 
 
 def test_input_error_exit_code(capsys):

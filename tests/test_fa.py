@@ -5,19 +5,36 @@ import random
 
 import pytest
 
-from regcov import (Alphabet, InputError, alphabet_exact, alphabet_languages,
-                    alphabet_star, determinize, equivalent, includes, is_empty,
-                    minimize, monoid_validate, nfa_complement, nfa_concat,
-                    nfa_from_json, nfa_intersection, nfa_to_json,
+from regcov import (Alphabet, InputError, alphabet_exact, alphabet_star,
+                    determinize, equivalent, includes, is_empty, minimize,
+                    nfa_complement, nfa_concat, nfa_from_json, nfa_intersection,
                     nfa_to_regex, nfa_union, regex_to_nfa, transition_monoid,
                     universal_language, upward_closure)
 from regcov import rx
 from regcov.fa import Nfa, empty_language, exact_alphabet_regex, trim
 
 import reference_fa
-from helpers import denote_upto, nfa_of, random_nfa, random_regex, words_upto
+from helpers import (alphabet_languages, denote_upto, nfa_of, nfa_to_json, random_nfa,
+                     random_regex, words_upto)
 
 AB = Alphabet("ab")
+
+
+def monoid_validate(m) -> list:
+    """Exhaustive associativity/identity check; violations returned as data."""
+    out = []
+    for x in range(m.size):
+        if m.mul[m.identity][x] != x or m.mul[x][m.identity] != x:
+            out.append(f"identity law fails at element {x}")
+    for x in range(m.size):
+        for y in range(m.size):
+            for z in range(m.size):
+                if m.mul[m.mul[x][y]][z] != m.mul[x][m.mul[y][z]]:
+                    out.append(f"associativity fails at ({x},{y},{z})")
+    for a, img in m.letter_image.items():
+        if not (0 <= img < m.size):
+            out.append(f"letter image {a!r} -> {img} out of range")
+    return out
 ABC = Alphabet("abc")
 
 

@@ -7,11 +7,11 @@ import random
 
 import pytest
 
-from regcov import (Alphabet, ClassId, equivalent, minimize, nfa_to_json,
-                    regex_to_nfa, upward_closure)
+from regcov import (Alphabet, ClassId, equivalent, minimize, regex_to_nfa,
+                    upward_closure)
 from regcov.cli import Instance, main, run_member
 
-from helpers import nfa_of, random_nfa, random_regex
+from helpers import nfa_of, nfa_to_json, random_nfa, random_regex
 import oracles
 
 AB = Alphabet("ab")

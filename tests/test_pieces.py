@@ -7,17 +7,24 @@ import pytest
 from dataclasses import replace
 
 from regcov import (Alphabet, alphabet_exact, equivalent, is_empty, is_piece,
-                    nfa_intersection, nfa_union, pieces_upto,
-                    pt_partition, regex_to_nfa, template_regex,
-                    template_unambiguous, universal_language)
-from regcov.pieces import (bsigma1_template_witness, is_k_piecewise_testable,
-                           is_union_of_classes)
+                    nfa_intersection, nfa_union, pt_partition, regex_to_nfa,
+                    universal_language)
+from regcov.pieces import is_k_piecewise_testable, is_union_of_classes
 
 import reference_fa
 from helpers import (is_union_of_classes_per_class, partition_classes,
                      random_nfa, state_of, words_upto)
+from templates import bsigma1_template_witness, template_regex, template_unambiguous
 
 AB = Alphabet("ab")
+
+
+def pieces_upto(word: str, k: int) -> frozenset:
+    """All pieces of the word of length at most k."""
+    out = {""}
+    for a in word:
+        out |= {u + a for u in out if len(u) < k}
+    return frozenset(out)
 
 
 def test_pieces_upto_brute_force():

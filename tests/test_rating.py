@@ -4,17 +4,17 @@ import random
 
 import pytest
 
-from regcov import (Alphabet, InputError, at_imprint, imprint_pullback,
-                    is_empty, nfa_intersection, nfa_union, regex_to_nfa,
-                    rm_alphabet_augment, rm_from_morphism,
-                    rm_from_multiset, rm_from_nfa, rm_trivial_imprint,
-                    transition_monoid, universal_language)
+from regcov import (Alphabet, InputError, at_imprint, is_empty,
+                    nfa_intersection, nfa_union, regex_to_nfa,
+                    rm_alphabet_augment, rm_from_morphism, rm_from_multiset,
+                    rm_from_nfa, transition_monoid, universal_language)
 from regcov.fa import alphabet_exact
 from regcov.imprints import ImprintSet
 from regcov.semiring import SubsetLattice
 
 from explicit_engine import downset, members, submasks
-from helpers import nfa_of, random_regex, words_upto
+from helpers import (alphabet_languages, imprint_pullback, nfa_of, random_regex,
+                     rm_trivial_imprint, words_upto)
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -227,14 +227,6 @@ def test_extension_pullback_at_imprint():
     assert members(pulled) == want
 
 
-def test_rating_map_eval_dispatch():
-    ext = rm_from_multiset([nfa_of("a+", "ab")])
-    assert ext.tau.eval("aa") == ext.tau.eval_word("aa")
-    assert ext.tau.eval(nfa_of("a+", "ab")) == ext.tau.eval_nfa(nfa_of("a+", "ab"))
-    with pytest.raises(InputError):
-        ext.tau.eval(42)
-
-
 def test_rm_from_multiset_mixed_items():
     # one language given as a morphism, one as an automaton
     aplus = nfa_of("a+", "ab")
@@ -252,7 +244,6 @@ def test_rm_from_multiset_mixed_items():
 def test_star_exact_images_agree_with_nfa_evaluation():
     # the closure-based images (used by the class rules) match evaluating
     # the corresponding automata (used by covers and verification)
-    from regcov import alphabet_languages
     langs = [nfa_of("(ab)+", "abc"), nfa_of("c(ac)+", "abc")]
     ext = rm_from_multiset(langs)
     tau = ext.tau

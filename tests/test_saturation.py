@@ -6,14 +6,14 @@ import pytest
 
 from regcov import (Alphabet, ClassId, InputError, at_imprint,
                     decide_pointed_covering, decide_universal_covering,
-                    imprint_pullback, is_empty, nfa_concat, nfa_intersection,
-                    regex_to_nfa, rm_alphabet_augment, rm_from_multiset,
-                    rm_trivial_imprint, saturate_pointed, saturate_universal,
-                    transition_monoid, upward_closure)
+                    is_empty, nfa_concat, nfa_intersection, regex_to_nfa,
+                    rm_alphabet_augment, rm_from_multiset, saturate_pointed,
+                    saturate_universal, transition_monoid, upward_closure)
 import explicit_engine as explicit
 import reference_saturation as reference
 from explicit_engine import downset, members, same_imprint
-from helpers import nfa_of, random_nfa, random_regex
+from helpers import (imprint_pullback, nfa_of, random_nfa, random_regex,
+                     rm_trivial_imprint)
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")

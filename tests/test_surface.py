@@ -8,6 +8,7 @@ import dataclasses
 import importlib
 import os
 import re
+from collections import Counter
 
 import regcov
 
@@ -81,6 +82,47 @@ def test_every_cap_is_read():
                      and getattr(node.value, "id", None) == "self"}
     fields = [f.name for f in dataclasses.fields(regcov.Caps)]
     assert [f for f in fields if f not in read] == []
+
+
+def identifiers(tree) -> Counter:
+    """How often each name is read, imported or spelled as a string in a
+    tree."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            out[node.value] += 1
+    return out
+
+
+def test_every_export_is_used_outside_tests():
+    # an export that only tests reach is surface the library keeps for its
+    # tests; such code lives in tests/.  A use counts in the library outside
+    # the name's own definition, in the benchmark, or in the oracles it loads
+    exports = [alias.name for node in ast.parse(source("src", "regcov", "__init__.py")).body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    package = os.path.join(ROOT, "src", "regcov")
+    used = Counter()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "__init__.py":
+            tree = ast.parse(source("src", "regcov", name))
+            used.update(identifiers(tree))
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    used[node.name] -= identifiers(node)[node.name]
+    files = [("tests", "oracles.py")] + [
+        ("perfbench", f) for f in sorted(os.listdir(os.path.join(ROOT, "perfbench")))
+        if f.endswith(".py")]
+    for f in files:
+        used.update(identifiers(ast.parse(source(*f))))
+    assert "rm_from_multiset" in exports
+    assert [name for name in exports if used[name] <= 0] == []
 
 
 def test_rating_probe_reads_resolve():
