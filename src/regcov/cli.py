@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -151,6 +152,10 @@ def load_instance(args) -> Instance:
     target_spec = args.target if args.target is not None else doc.get("target")
     against_specs = args.against or doc.get("against", [])
     options = doc.get("options", {})
+    if args.command in ("imprint", "oracle"):
+        for key in ("emit_cover", "verify"):
+            if options.get(key):
+                raise InputError(f"{args.command} takes no {key} option")
     caps = DEFAULT_CAPS.with_overrides(
         max_elements=_cap_value("max_elements", args.max_elements, options, 1),
         max_det_states=_cap_value("max_states", args.max_states, options, 1),
@@ -290,7 +295,10 @@ def run_member(inst: Instance) -> Verdict:
     if inst.target is None or inst.target is UNIVERSAL:
         raise InputError("membership needs a concrete target language")
     complement = nfa_complement(inst.target, inst.caps)
-    verdict = run_separate(replace(inst, against=[complement]))
+    # a positive answer's separator is the target itself, so it is built
+    # only when the cover is asked for
+    run = run_separate if inst.emit_cover else run_cover
+    verdict = run(replace(inst, against=[complement]))
     verdict.member = verdict.coverable
     verdict.stats["wall_ms"] = _ms_since(t0)
     return verdict
@@ -401,11 +409,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(doc, as_json: bool):
+    if isinstance(doc, Verdict):
+        doc = doc.to_json()
     if as_json:
         print(json.dumps(doc, indent=2, sort_keys=True))
         return
-    if isinstance(doc, Verdict):
-        doc = doc.to_json()
     for key, value in doc.items():
         if value is None:
             continue
@@ -419,31 +427,31 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         inst = load_instance(args)
+        as_json = inst.json_output
         if args.command == "oracle":
-            _emit(run_oracle(inst, args.which, args.max_k), inst.json_output)
-            return 0
-        if inst.class_id is None:
-            _emit(run_imprint_chain(inst), True)
-            return 0
-        if args.command == "cover":
-            verdict = run_cover(inst)
-        elif args.command == "separate":
-            verdict = run_separate(inst)
-        elif args.command == "member":
-            verdict = run_member(inst)
-        elif args.command == "imprint":
-            verdict = run_imprint(inst)
-        else:  # pragma: no cover
-            raise InputError(f"unknown command {args.command!r}")
-        verdict.stats["wall_ms"] = _ms_since(t0)  # the whole command, parsing included
-        _emit(verdict.to_json() if inst.json_output else verdict, inst.json_output)
-        return 0
+            doc = run_oracle(inst, args.which, args.max_k)
+        elif inst.class_id is None:
+            doc, as_json = run_imprint_chain(inst), True
+        else:
+            run = {"cover": run_cover, "separate": run_separate,
+                   "member": run_member, "imprint": run_imprint}[args.command]
+            doc = run(inst)
+            doc.stats["wall_ms"] = _ms_since(t0)  # the whole command, parsing included
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
+    try:
+        _emit(doc, as_json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left after the decision was made; stdout goes to devnull
+        # so that the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

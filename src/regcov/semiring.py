@@ -274,7 +274,6 @@ class SubsetLattice(RatingSet):
     def __init__(self, size: int):
         self.size = size
         self.nbits = size
-        self.full = (1 << size) - 1
 
 
 # -- morphisms -------------------------------------------------------------------

@@ -7,11 +7,12 @@ import shlex
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from regcov import DEFAULT_CAPS, Alphabet, ClassId
+from regcov import DEFAULT_CAPS, Alphabet, ClassId, ResourceCapError, equivalent
 from regcov import cli
 from regcov.cli import Instance, Verdict, _masks_to_lists, main
 
@@ -179,6 +180,24 @@ def test_flags_a_command_ignores_are_usage_errors(capsys, argv, code):
     assert (code == 2) == ("unrecognized arguments" in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", ["imprint", "oracle"])
+@pytest.mark.parametrize("option", ["emit_cover", "verify"])
+def test_instance_options_a_command_ignores_are_input_errors(tmp_path, capsys, command, option):
+    # the instance-file form of the flags above is refused the same way
+    doc = {"alphabet": "ab", "class": "at", "against": ["a+"], "options": {option: True}}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--instance", str(path)]
+    if command == "oracle":
+        argv += ["--which", "at"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"input error: {command} takes no {option} option\n"
+    doc["options"][option] = False
+    path.write_text(json.dumps(doc))
+    assert run(capsys, argv)[0] == 0
+
+
 def test_input_error_exit_code(capsys):
     code, _, err = run(capsys, ["cover", "--class", "at", "--alphabet", "ab",
                                 "--target", "a(", "--against", "b"])
@@ -301,9 +320,10 @@ def test_cover_doc_carries_verification(capsys):
 
 
 @pytest.mark.parametrize("command", ["separate", "member"])
-def test_wall_ms_covers_the_retry_after_a_cap(monkeypatch, command):
+def test_wall_ms_covers_the_retry_after_a_cap(monkeypatch, capsys, command):
     # max_pieces=1 makes the opportunistic separator synthesis hit its cap,
-    # so run_separate retries run_cover without a cover
+    # so run_separate retries run_cover without a cover; member builds no
+    # separator unasked, so it decides in one run_cover call
     attempts = []
     real_run_cover = cli.run_cover
 
@@ -321,9 +341,40 @@ def test_wall_ms_covers_the_retry_after_a_cap(monkeypatch, command):
     run = cli.run_separate if command == "separate" else cli.run_member
     verdict = run(inst)
     assert verdict.coverable and verdict.separator is None
-    assert verdict.stats["synthesis"] == {"skipped": "max_pieces"}
-    assert len(attempts) == 2
     assert verdict.stats["wall_ms"] >= round(sum(attempts) * 1000.0, 3) - 0.001
+    if command == "separate":
+        assert verdict.stats["synthesis"] == {"skipped": "max_pieces"}
+        assert len(attempts) == 2
+        return
+    assert "synthesis" not in verdict.stats and len(attempts) == 1
+    # a cover that was asked for is not skipped: the cap is the answer
+    with pytest.raises(ResourceCapError):
+        cli.run_member(replace(inst, emit_cover=True))
+    monkeypatch.setattr(cli, "DEFAULT_CAPS", inst.caps)
+    assert main(["member", "--class", "fo2", "--alphabet", "ab", "--target", "a+",
+                 "--emit-cover"]) == 3
+    assert "max_pieces" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cls", ["at", "sigma1", "bsigma1", "fo2"])
+def test_member_synthesizes_only_when_the_cover_is_asked_for(monkeypatch, capsys, cls):
+    argv = ["member", "--class", cls, "--alphabet", "ab", "--target", "(a|b)*a(a|b)*", "--json"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("member synthesized a cover it was not asked for")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_synthesize_universal", refuse)
+        patch.setattr(cli, "sigma1_cover", refuse)
+        code, out, _ = run(capsys, argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["member"] is True and doc["separator"] is None and doc["cover"] is None
+    code, out, _ = run(capsys, argv + ["--emit-cover"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["member"] is True and doc["cover"]["pieces"]
+    assert equivalent(nfa_of(doc["separator"], "ab"), nfa_of("(a|b)*a(a|b)*", "ab"))
 
 
 def test_dropped_cover_says_why(capsys):
@@ -355,7 +406,7 @@ def test_fo2_worked_example_cover_is_verified_optimal(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["separate"] + WORKED,
-    ["member", "--class", "fo2", "--alphabet", "abc", "--target", "a*"],
+    ["member", "--class", "fo2", "--alphabet", "abc", "--target", "a*", "--emit-cover"],
 ])
 def test_fo2_separators_are_synthesized(capsys, argv):
     code, out, _ = run(capsys, argv + ["--json"])
@@ -375,7 +426,8 @@ def regcov_env(**extra) -> dict:
 @pytest.mark.parametrize("argv", [
     ["separate"] + WORKED,
     # many merged pieces: their order shows in the separator
-    ["member", "--class", "fo2", "--alphabet", "abc", "--target", "(a|b)*c(a|b)*"],
+    ["member", "--class", "fo2", "--alphabet", "abc", "--target", "(a|b)*c(a|b)*",
+     "--emit-cover"],
     # the state elimination must read the automaton's edges in a fixed order
     ["separate", "--class", "bsigma1", "--alphabet", "abc", "--target", "c+(c|b)+",
      "--against", "b"],
@@ -394,6 +446,18 @@ def test_fo2_separator_does_not_follow_the_hash_seed(argv):
     assert json.loads(outs[0])["separator"]
 
 
+def test_a_closed_stdout_is_not_a_traceback():
+    # the reader leaves before the verdict is printed, as `| head -1` may
+    with subprocess.Popen([sys.executable, "-m", "regcov", "imprint", "--class", "chain",
+                           "--alphabet", "ab", "--against", "a+"],
+                          env=regcov_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 def run_limited(argv):
     """Run the CLI in a subprocess whose address space is capped at 384 MiB,
     so that a blow-up ends in MemoryError instead of exhausting the machine."""
@@ -407,7 +471,7 @@ def run_limited(argv):
 def test_bsigma1_member_on_a_large_partition():
     # k=3 over abc has 5,312 piece classes; one automaton per class ran out of memory
     proc = run_limited(["member", "--class", "bsigma1", "--alphabet", "abc",
-                        "--target", "b|ac|a(a|c)"])
+                        "--target", "b|ac|a(a|c)", "--emit-cover"])
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["coverable"] is True and doc["separator"]
