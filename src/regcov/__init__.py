@@ -17,8 +17,7 @@ from .fa import (Alphabet, Dfa, MonoidMorphism, Nfa, alphabet_exact,
                  nfa_intersection, nfa_to_regex, nfa_union, regex_to_nfa,
                  transition_monoid, universal_language, upward_closure)
 from .semiring import (AlphabetSemiring, PowersetMonoidSemiring,
-                       ProductSemiring, RatingSet, RelationSemiring, Semiring,
-                       SemiringMorphism, SubsetLattice)
+                       ProductSemiring, RelationSemiring, Semiring)
 from .imprints import ImprintSet
 from .rating import (Extension, RatingMap, rm_alphabet_augment,
                      rm_from_morphism, rm_from_multiset, rm_from_nfa)

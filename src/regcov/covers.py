@@ -475,7 +475,7 @@ class _Fo2State:
             b = self.left_saturated(right, subset)
         if b is None:
             forward = None
-            img = rho.eval_nfa(alphabet_star(rho.alphabet, subset), self.caps)
+            img = rho.image_of_star(subset, self.caps)
             # one state for the words of B*, and a sink for the letters outside B
             inside = tuple(0 if a in subset else 1 for a in rho.alphabet)
             delta, labels = minimize_labelled((inside, (1,) * len(inside)), 0, [img, None])

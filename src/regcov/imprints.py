@@ -18,7 +18,7 @@ from typing import Optional
 
 from .errors import DEFAULT_CAPS, SaturationCapError
 from .fa import MonoidMorphism
-from .semiring import RatingSet, Semiring
+from .semiring import Semiring
 
 
 class ImprintSet:
@@ -36,7 +36,7 @@ class ImprintSet:
     whatever lies below a mask that was in it stays in it.
     """
 
-    def __init__(self, semiring: RatingSet, monoid: Optional[MonoidMorphism] = None,
+    def __init__(self, semiring: Semiring, monoid: Optional[MonoidMorphism] = None,
                  cap: int = DEFAULT_CAPS.max_elements, label: str = "imprint",
                  lifo: bool = False):
         self.semiring = semiring
@@ -137,8 +137,6 @@ class ImprintSet:
         elements together with downward closure implies full closure.
         """
         sr = self.semiring
-        if not isinstance(sr, Semiring):
-            return True
         maxes = self.maximal_elements()
         if self.monoid is None:
             return sr.one in self and all(sr.mul(x, y) in self for x in maxes for y in maxes)

@@ -2,8 +2,9 @@
 
 A rating map is represented by its rating semiring and the letter images of
 the word morphism; language values are reconstructed by summing word images
-over reachable automaton configurations.  Extensions carry the morphism that
-pulls imprints back to the extended map's rating set.
+over reachable automaton configurations.  An extension carries one
+acceptance mask per language of the multiset it extends, and the languages
+an element meets are read off those masks.
 """
 
 from __future__ import annotations
@@ -15,22 +16,22 @@ from .errors import (Caps, DEFAULT_CAPS, DeterminizationCapError, InputError,
                      MonoidCapError, SaturationCapError)
 from .fa import Alphabet, MonoidMorphism, Nfa, _dfa_monoid, minimize
 from .semiring import (AlphabetSemiring, PowersetMonoidSemiring,
-                       ProductSemiring, RelationSemiring, Semiring,
-                       SemiringMorphism, SubsetLattice)
+                       ProductSemiring, RelationSemiring, Semiring)
 
 
 @dataclass
 class RatingMap:
     """Nice multiplicative rating map given by letter images.
 
-    `cont`, when present, maps every element to the set of word alphabets it
-    accounts for (the map is then alphabet compatible).
+    `cont`, when present, is the alphabet semiring whose field holds the
+    lowest bits of every element: x & ((1 << cont.nbits) - 1) is the set of
+    word alphabets x accounts for (the map is then alphabet compatible).
     """
 
     alphabet: Alphabet
     semiring: Semiring
     letter_image: dict
-    cont: Optional[SemiringMorphism] = None
+    cont: Optional[AlphabetSemiring] = None
     _star_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -118,22 +119,25 @@ class RatingMap:
 
 @dataclass
 class Extension:
-    """Rating map `tau` together with the morphism pulling its values back to
-    the rating set it extends.
+    """Rating map `tau` extending the canonical map of a finite language
+    multiset, with one acceptance mask per language.
 
-    For multiset-built extensions the target is the subset lattice over the
-    language indices and `language_count` is set.
+    The canonical map sends an element to the indices of the languages it
+    meets.  It preserves unions, so on a bit-vector rating set it is fixed
+    by where it sends each bit: language i is met by the elements that
+    share a bit with `accepts[i]`.
     """
 
     tau: RatingMap
-    delta: SemiringMorphism
-    language_count: Optional[int] = None
+    accepts: tuple
 
     def index_set(self, r) -> int:
-        """Language-index bitmask of an element (multiset extensions only)."""
-        if self.language_count is None:
-            raise InputError("extension was not built from a language multiset")
-        return self.delta.apply(r)
+        """Bitmask of the indices of the languages that r meets."""
+        out = 0
+        for i, acc in enumerate(self.accepts):
+            if r & acc:
+                out |= 1 << i
+        return out
 
 
 def rm_from_morphism(alpha: MonoidMorphism, accepting: Iterable[int]) -> Extension:
@@ -141,17 +145,8 @@ def rm_from_morphism(alpha: MonoidMorphism, accepting: Iterable[int]) -> Extensi
     single-language map of image⁻¹(accepting)."""
     sr = PowersetMonoidSemiring(alpha)
     letter_image = {a: sr.singleton(m) for a, m in alpha.letter_image.items()}
-    tau = RatingMap(_alphabet_of_letters(alpha), sr, letter_image)
-    acc_mask = 0
-    for m in accepting:
-        acc_mask |= 1 << m
-    lattice = SubsetLattice(1)
-    delta = SemiringMorphism(sr, lattice, lambda s: 1 if s & acc_mask else 0)
-    return Extension(tau, delta, language_count=1)
-
-
-def _alphabet_of_letters(alpha: MonoidMorphism) -> Alphabet:
-    return Alphabet("".join(sorted(alpha.letter_image)))
+    tau = RatingMap(Alphabet("".join(sorted(alpha.letter_image))), sr, letter_image)
+    return Extension(tau, (sr.sum(sr.singleton(m) for m in accepting),))
 
 
 def rm_from_nfa(nfa: Nfa) -> Extension:
@@ -161,70 +156,45 @@ def rm_from_nfa(nfa: Nfa) -> Extension:
     for (q, a, r) in nfa.transitions:
         letter_image[a] |= sr.pair(q, r)
     tau = RatingMap(nfa.alphabet, sr, letter_image)
-    acc_mask = 0
-    for q in nfa.initials:
-        for r in nfa.finals:
-            acc_mask |= sr.pair(q, r)
-    lattice = SubsetLattice(1)
-    delta = SemiringMorphism(sr, lattice, lambda s: 1 if s & acc_mask else 0)
-    return Extension(tau, delta, language_count=1)
+    return Extension(tau, (sr.sum(sr.pair(q, r) for q in nfa.initials for r in nfa.finals),))
 
 
-def rm_from_multiset(items, caps: Caps = DEFAULT_CAPS) -> Extension:
+def rm_from_multiset(nfas: Iterable[Nfa], caps: Caps = DEFAULT_CAPS) -> Extension:
     """Nice multiplicative rating map extending the canonical map of a
     finite multiset of regular languages.
 
-    Items are NFAs or (morphism, accepting) pairs; per NFA the narrowest of
-    the relation and monoid constructions is used (`_extension_for_nfa`).
+    Per NFA the narrowest of the relation and monoid constructions is used
+    (`_extension_for_nfa`); the parts sit side by side in one product, and
+    each language's acceptance mask is its part's mask shifted into its
+    field.
     """
-    items = list(items)
-    if not items:
+    nfas = list(nfas)
+    if not nfas:
         raise InputError("empty language multiset")
-    exts = []
-    alphabet = None
-    for item in items:
-        if isinstance(item, Nfa):
-            ab = item.alphabet
-        else:
-            ab = _alphabet_of_letters(item[0])
-        if alphabet is None:
-            alphabet = ab
-        elif alphabet != ab:
-            raise InputError("multiset languages must share one alphabet")
-    for item in items:
-        if isinstance(item, Nfa):
-            exts.append(_extension_for_nfa(item, caps))
-        else:
-            alpha, accepting = item
-            exts.append(rm_from_morphism(alpha, accepting))
+    alphabet = nfas[0].alphabet
+    if any(nfa.alphabet != alphabet for nfa in nfas):
+        raise InputError("multiset languages must share one alphabet")
+    exts = [_extension_for_nfa(nfa, caps) for nfa in nfas]
     sr = ProductSemiring(e.tau.semiring for e in exts)
     letter_image = {a: sr.pack(e.tau.letter_image[a] for e in exts) for a in alphabet}
     tau = RatingMap(alphabet, sr, letter_image)
-    n = len(items)
-    lattice = SubsetLattice(n)
-    deltas = [e.delta for e in exts]
-
-    def apply(x):
-        mask = 0
-        for i, (d, r) in enumerate(zip(deltas, sr.unpack(x))):
-            if d.apply(r):
-                mask |= 1 << i
-        return mask
-
-    return Extension(tau, SemiringMorphism(sr, lattice, apply), language_count=n)
+    accepts = tuple(sr.pack(e.accepts[0] if j == i else 0 for j, e in enumerate(exts))
+                    for i in range(len(exts)))
+    return Extension(tau, accepts)
 
 
 def _extension_for_nfa(nfa: Nfa, caps: Caps) -> Extension:
     """Pick the per-language construction with the smallest element width.
 
     Every nice multiplicative rating map recognizing the language yields the
-    same pulled-back imprints, so the choice only sets the cost.  Semiring
-    products and antichain comparisons grow with the bit width of the
-    rating-set encoding, so that width is the quantity to minimize:
-    minimal-DFA relations (states²) and raw-NFA relations (states²) always
-    compete, and monoid powersets (monoid size) join them unless the
-    transition monoid outgrows `max_monoid`.  No encoding is refused for its
-    width; a blow-up ends on the caps that count the work itself.
+    same imprints over the language indices, so the choice only sets the
+    cost.  Semiring products and antichain comparisons grow with the bit
+    width of the rating-set encoding, so that width is the quantity to
+    minimize: minimal-DFA relations (states²) and raw-NFA relations
+    (states²) always compete, and monoid powersets (monoid size) join them
+    unless the transition monoid outgrows `max_monoid`.  No encoding is
+    refused for its width; a blow-up ends on the caps that count the work
+    itself.
     """
     dfa = minimize(nfa, caps)
     candidates = [(dfa.state_count ** 2, 0, "dfa"), (nfa.state_count ** 2, 2, "nfa")]
@@ -241,23 +211,22 @@ def _extension_for_nfa(nfa: Nfa, caps: Caps) -> Extension:
     return rm_from_morphism(alpha, accepting)
 
 
-def rm_alphabet_augment(rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> Extension:
+def rm_alphabet_augment(ext: Extension, caps: Caps = DEFAULT_CAPS) -> Extension:
     """Alphabet-compatible extension: pair every value with the set of word
     alphabets it accounts for.
 
     The content is the lowest field of the augmented element, `nbits` of the
-    alphabet semiring wide; the value sits above it.
+    alphabet semiring wide; the value sits above it, and so do the
+    acceptance masks.
     """
+    rho = ext.tau
     alph_sr = AlphabetSemiring(rho.alphabet, caps)
     sr = ProductSemiring([rho.semiring, alph_sr])
     width = alph_sr.nbits
-    content = (1 << width) - 1
     letter_image = {a: rho.letter_image[a] << width | alph_sr.singleton(1 << rho.alphabet.index(a))
                     for a in rho.alphabet}
-    cont = SemiringMorphism(sr, alph_sr, lambda x: x & content)
-    tau = RatingMap(rho.alphabet, sr, letter_image, cont=cont)
-    delta = SemiringMorphism(sr, rho.semiring, lambda x: x >> width)
-    return Extension(tau, delta)
+    tau = RatingMap(rho.alphabet, sr, letter_image, cont=alph_sr)
+    return Extension(tau, tuple(acc << width for acc in ext.accepts))
 
 
 def with_content(r: int, sub_mask: int, width: int) -> int:

@@ -55,7 +55,6 @@ from .errors import Caps, DEFAULT_CAPS, InputError
 from .fa import MonoidMorphism, Nfa, alphabet_exact, nfa_intersection, is_empty
 from .imprints import ImprintSet
 from .rating import Extension, RatingMap, rm_alphabet_augment, with_content
-from .semiring import AlphabetSemiring
 
 
 class ClassId(enum.Enum):
@@ -133,15 +132,14 @@ def saturate_universal(rho: RatingMap, class_id: ClassId,
                 e = sr.idempotent_power(s)
                 yield sr.add(e, sr.mul(e, s))
     else:
-        alph_sr = rho.cont.target
-        assert isinstance(alph_sr, AlphabetSemiring)
-        width = alph_sr.nbits
+        width = rho.cont.nbits
+        content = (1 << width) - 1
 
         def rule(maxima):
             candidates: dict = {}   # B -> the idempotents (r^ω, {B})
             for s in maxima:
                 e = sr.idempotent_power(s)
-                for bmask in alph_sr.members(rho.cont.apply(e)):
+                for bmask in rho.cont.members(e & content):
                     candidates.setdefault(bmask, set()).add(with_content(e, bmask, width))
             for bmask, idems in candidates.items():
                 star = rho.image_of_star(rho.alphabet.from_mask(bmask), caps)
@@ -170,14 +168,14 @@ def saturate_pointed(alpha: MonoidMorphism, rho: RatingMap, class_id: ClassId,
         gens.append((alpha.identity, rho.image_of_star(rho.alphabet.symbols, caps)))
         rule = None
     else:
-        cont = rho.cont
+        content = (1 << rho.cont.nbits) - 1
 
         def rule(maxima):
             for (m, r) in maxima:
                 if alpha.mul[m][m] != m:
                     continue
                 e = sr.idempotent_power(r)
-                for bmask in cont.target.members(cont.apply(e)):
+                for bmask in rho.cont.members(e & content):
                     star = rho.image_of_star(rho.alphabet.from_mask(bmask), caps)
                     yield (m, sr.mul(sr.mul(e, star), e))
 
@@ -272,7 +270,7 @@ def _drop_index(mask: int, index: int) -> int:
 
 
 def _against_table(image_masks: Iterable[int], n_total: int, target_index: Optional[int]):
-    """Downward closure of the δ-images, re-indexed over the against set.
+    """Downward closure of the index masks, re-indexed over the against set.
 
     The result is the optimal imprint over the against multiset for the
     queried target: a subset is in it exactly when the target is not
@@ -305,32 +303,25 @@ def decide_universal_covering(ext: Extension, class_id: ClassId,
     With `target_index` set, the extension was built over {target} ∪ against
     and the verdict answers the full covering question for the target.
     """
-    if ext.language_count is None:
-        raise InputError("decision needs a multiset-built extension")
-    rating_map = ext.tau
+    log2_size = ext.tau.semiring.log2_size()
     if class_id is ClassId.AT:
         imprint = at_imprint(ext.tau, caps=caps)
-        index_of = ext.index_set
-    elif class_id in (ClassId.BSIGMA1, ClassId.FO):
+    elif class_id in (ClassId.BSIGMA1, ClassId.FO, ClassId.FO2):
+        if class_id is ClassId.FO2:
+            ext = rm_alphabet_augment(ext, caps)
         imprint = saturate_universal(ext.tau, class_id, caps)
-        index_of = ext.index_set
-    elif class_id is ClassId.FO2:
-        aug = rm_alphabet_augment(ext.tau, caps)
-        imprint = saturate_universal(aug.tau, class_id, caps)
-        index_of = lambda r: ext.index_set(aug.delta.apply(r))
-        rating_map = aug.tau
     else:
         raise InputError(f"{class_id.value} does not route through universal covering")
-    images = {index_of(r) for r in imprint.maximal_elements()}
-    noncov, hit_full = _against_table(images, ext.language_count, target_index)
+    images = {ext.index_set(r) for r in imprint.maximal_elements()}
+    noncov, hit_full = _against_table(images, len(ext.accepts), target_index)
     return CoverDecision(
         class_id=class_id,
         coverable=not hit_full,
         imprint_masks=noncov,
         raw_imprint=imprint,
-        rating_map=rating_map,
+        rating_map=ext.tau,
         stats={"elements": len(imprint), "sweeps": imprint.sweeps,
-               "rating_set_log2": ext.tau.semiring.log2_size()},
+               "rating_set_log2": log2_size},
     )
 
 
@@ -339,29 +330,22 @@ def decide_pointed_covering(alpha: MonoidMorphism, accepting: Iterable[int],
                             caps: Caps = DEFAULT_CAPS) -> CoverDecision:
     """Lattice-class covering decision: target via its recognizing morphism,
     quality measure via the multiset extension."""
-    if ext.language_count is None:
-        raise InputError("decision needs a multiset-built extension")
     accepting = frozenset(accepting)
-    rating_map = ext.tau
-    if class_id is ClassId.SIGMA2:
-        aug = rm_alphabet_augment(ext.tau, caps)
-        pointed = saturate_pointed(alpha, aug.tau, class_id, caps)
-        index_of = lambda r: ext.index_set(aug.delta.apply(r))
-        rating_map = aug.tau
-    elif class_id is ClassId.SIGMA1:
-        pointed = saturate_pointed(alpha, ext.tau, class_id, caps)
-        index_of = ext.index_set
-    else:
+    log2_size = ext.tau.semiring.log2_size()
+    if class_id not in (ClassId.SIGMA1, ClassId.SIGMA2):
         raise InputError(f"{class_id.value} does not route through pointed covering")
-    images = {index_of(r) for (m, r) in pointed.maximal_elements() if m in accepting}
-    noncov, hit_full = _against_table(images, ext.language_count, None)
+    if class_id is ClassId.SIGMA2:
+        ext = rm_alphabet_augment(ext, caps)
+    pointed = saturate_pointed(alpha, ext.tau, class_id, caps)
+    images = {ext.index_set(r) for (m, r) in pointed.maximal_elements() if m in accepting}
+    noncov, hit_full = _against_table(images, len(ext.accepts), None)
     return CoverDecision(
         class_id=class_id,
         coverable=not hit_full,
         imprint_masks=noncov,
         raw_imprint=pointed,
-        rating_map=rating_map,
+        rating_map=ext.tau,
         stats={"elements": len(pointed), "sweeps": pointed.sweeps,
-               "rating_set_log2": ext.tau.semiring.log2_size(),
+               "rating_set_log2": log2_size,
                "monoid_size": alpha.size},
     )

@@ -1,4 +1,4 @@
-"""Finite idempotent semirings and rating sets.
+"""Finite idempotent semirings.
 
 Every kind is a bit-vector kind: an element is an int bitmask, addition is
 union and the order is inclusion, so r <= s iff r | s = s.  A product of
@@ -9,21 +9,24 @@ memoized per instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import AlphabetCapError, Caps, DEFAULT_CAPS, InputError
 from .fa import Alphabet, MonoidMorphism
 
 
-class RatingSet:
-    """Finite commutative idempotent monoid (addition only).
+class Semiring:
+    """Finite idempotent semiring of bitmasks.
 
     Elements are bitmasks of `nbits` bits, added by union and ordered by
-    inclusion.
+    inclusion; the multiplicative monoid distributes over addition.
     """
 
     nbits: int
+
+    def __init__(self):
+        self._mul_memo: dict = {}
+        self._omega_memo: dict = {}
 
     @property
     def zero(self):
@@ -43,14 +46,6 @@ class RatingSet:
 
     def log2_size(self) -> float:
         return float(self.nbits)
-
-
-class Semiring(RatingSet):
-    """Rating set with a multiplicative monoid distributing over addition."""
-
-    def __init__(self):
-        self._mul_memo: dict = {}
-        self._omega_memo: dict = {}
 
     @property
     def one(self):
@@ -262,29 +257,3 @@ class ProductSemiring(Semiring):
         for mul, shift, m in self._fields:
             out |= mul(x >> shift & m, y >> shift & m) << shift
         return out
-
-
-class SubsetLattice(RatingSet):
-    """Subsets of a finite index set under union (no multiplication).
-
-    The canonical rating set of a finite language multiset; elements are
-    index bitmasks.
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        self.nbits = size
-
-
-# -- morphisms -------------------------------------------------------------------
-
-@dataclass
-class SemiringMorphism:
-    """Addition-and-zero preserving map between rating sets."""
-
-    source: RatingSet
-    target: RatingSet
-    fn: object  # callable
-
-    def apply(self, x):
-        return self.fn(x)

@@ -153,13 +153,13 @@ def saturate_universal(rho, class_id: ClassId, lifo: bool = False) -> ExplicitIm
 
     def fo2_rule(snapshot):
         cont = rho.cont
-        alph_sr = cont.target
-        assert isinstance(alph_sr, AlphabetSemiring)
+        assert isinstance(cont, AlphabetSemiring)
+        content = (1 << cont.nbits) - 1
         groups: dict = {}
         for s in snapshot:
             if sr.mul(s, s) != s:
                 continue
-            found = alph_sr.members(cont.apply(s))
+            found = cont.members(s & content)
             if len(found) == 1:
                 groups.setdefault(found[0], []).append(s)
         added = False
@@ -196,11 +196,12 @@ def saturate_pointed(alpha, rho, class_id: ClassId, lifo: bool = False) -> Expli
     else:
         def rule(snapshot):
             cont = rho.cont
+            content = (1 << cont.nbits) - 1
             added = False
             for (m, r) in snapshot:
                 if alpha.mul[m][m] != m or sr.mul(r, r) != r:
                     continue
-                for bmask in cont.target.members(cont.apply(r)):
+                for bmask in cont.members(r & content):
                     star = rho.image_of_star(rho.alphabet.from_mask(bmask))
                     added |= out.insert((m, sr.mul(sr.mul(r, star), r)))
             return added

@@ -151,19 +151,28 @@ def rm_trivial_imprint(rho, alpha=None) -> ImprintSet:
     return out
 
 
-def imprint_pullback(ext, imprint: ImprintSet) -> ImprintSet:
-    """Image of an imprint under the extending morphism, downset-closed.
-
-    Works for universal and pointed imprints over the extension's rating set;
-    returns the same kind over the extended map's rating set.  The morphism
-    is monotone, so the images of the maxima generate the result.
-    """
-    delta = ext.delta
-    out = ImprintSet(delta.target, imprint.monoid, cap=imprint.cap,
-                     label=imprint.label + "-pullback")
+def _map_imprint(imprint: ImprintSet, fn, semiring, label: str) -> ImprintSet:
+    """Image of a universal or pointed imprint under a monotone map of its
+    rating-set elements, downset-closed: the images of the maxima generate
+    it."""
+    out = ImprintSet(semiring, imprint.monoid, cap=imprint.cap,
+                     label=f"{imprint.label}-{label}")
     for item in imprint.maximal_elements():
-        if imprint.monoid is None:
-            out.insert(delta.apply(item))
-        else:
-            out.insert((item[0], delta.apply(item[1])))
+        out.insert(fn(item) if imprint.monoid is None else (item[0], fn(item[1])))
     return out
+
+
+def imprint_pullback(ext, imprint: ImprintSet) -> ImprintSet:
+    """Image of an imprint under the extension's index map: the index masks
+    of the languages its elements meet, downset-closed.  The masks are
+    ordered by inclusion but multiplied by nothing, so the result has no
+    semiring."""
+    return _map_imprint(imprint, ext.index_set, None, "pullback")
+
+
+def strip_content(aug, imprint: ImprintSet, semiring) -> ImprintSet:
+    """An imprint over the alphabet augmentation `aug` with the content field
+    shifted off: the same kind of imprint over the base values, elements of
+    `semiring`."""
+    width = aug.tau.cont.nbits
+    return _map_imprint(imprint, lambda x: x >> width, semiring, "base")

@@ -35,7 +35,7 @@ def saturate_universal(rho, class_id: ClassId, lifo: bool = False) -> ImprintSet
                 added |= out.insert(sr.add(e, sr.mul(e, s)))
             return added
     else:
-        alph_sr = rho.cont.target
+        alph_sr = rho.cont
         assert isinstance(alph_sr, AlphabetSemiring)
         width = alph_sr.nbits
 
@@ -43,7 +43,7 @@ def saturate_universal(rho, class_id: ClassId, lifo: bool = False) -> ImprintSet
             candidates: dict = {}
             for s in maxima:
                 e = sr.idempotent_power(s)
-                for bmask in alph_sr.members(rho.cont.apply(e)):
+                for bmask in alph_sr.members(e & (1 << width) - 1):
                     candidates.setdefault(bmask, set()).add(with_content(e, bmask, width))
             added = False
             for bmask, idems in candidates.items():
@@ -70,6 +70,7 @@ def saturate_pointed(alpha, rho, class_id: ClassId, lifo: bool = False) -> Impri
         rule = None
     else:
         cont = rho.cont
+        content = (1 << cont.nbits) - 1
 
         def rule(maxima):
             added = False
@@ -77,7 +78,7 @@ def saturate_pointed(alpha, rho, class_id: ClassId, lifo: bool = False) -> Impri
                 if alpha.mul[m][m] != m:
                     continue
                 e = sr.idempotent_power(r)
-                for bmask in cont.target.members(cont.apply(e)):
+                for bmask in cont.members(e & content):
                     star = rho.image_of_star(rho.alphabet.from_mask(bmask))
                     added |= out.insert((m, sr.mul(sr.mul(e, star), e)))
             return added

@@ -20,7 +20,7 @@ from regcov.fa import alphabet_exact
 import explicit_engine as explicit
 from explicit_engine import members, same_imprint, submasks
 from helpers import (imprint_pullback, piece_images_distinct, random_nfa, random_regex,
-                     rm_trivial_imprint)
+                     rm_trivial_imprint, strip_content)
 from templates import bsigma1_template_witness, template_unambiguous
 
 AB = Alphabet("ab")
@@ -150,9 +150,9 @@ def test_criteria_4_5_6_piecewise_corpus(capsys):
 
         i_at = at_imprint(tau)
         i_fo = saturate_universal(tau, ClassId.FO)
-        aug = rm_alphabet_augment(tau)
+        aug = rm_alphabet_augment(ext)
         s_fo2 = saturate_universal(aug.tau, ClassId.FO2)
-        i_fo2 = imprint_pullback(aug, s_fo2)
+        i_fo2 = strip_content(aug, s_fo2, tau.semiring)
         i_b1 = dec.raw_imprint
         if not (members(i_fo) <= members(i_fo2) <= members(i_at)):
             c5_viol += 1
@@ -168,7 +168,7 @@ def test_criteria_4_5_6_piecewise_corpus(capsys):
         alpha, _ = transition_monoid(target)
         p1 = saturate_pointed(alpha, tau, ClassId.SIGMA1)
         p2raw = saturate_pointed(alpha, aug.tau, ClassId.SIGMA2)
-        p2 = imprint_pullback(aug, p2raw)
+        p2 = strip_content(aug, p2raw, tau.semiring)
         if not (members(p2) <= members(p1)):
             c5_viol += 1
         ptriv = members(rm_trivial_imprint(tau, alpha))
@@ -198,7 +198,7 @@ def test_criterion_7_fo2_cover_optimality(capsys):
     for _ in range(15):
         langs = [random_nfa(rng, AB, 2, 0.35) for _ in range(rng.randint(1, 2))]
         ext = rm_from_multiset(langs)
-        aug = rm_alphabet_augment(ext.tau)
+        aug = rm_alphabet_augment(ext)
         assert aug.tau.semiring.log2_size() <= 12.3  # |R_augmented| <= 5000
         sat = saturate_universal(aug.tau, ClassId.FO2)
         cover = fo2_cover(aug.tau, sat)

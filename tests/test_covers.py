@@ -146,7 +146,7 @@ def test_bsigma1_cover_separating_iff_coverable():
 def test_fo2_cover_base_case_emits_whole_star():
     # with saturated context elements the recursion stops at {B*} right away
     ext = rm_from_multiset([nfa_of("a*", "a")])
-    aug = rm_alphabet_augment(ext.tau)
+    aug = rm_alphabet_augment(ext)
     tau = aug.tau
     sat = saturate_universal(tau, ClassId.FO2)
     e = tau.semiring.idempotent_power(tau.eval_word("a"))
@@ -163,7 +163,7 @@ def test_fo2_cover_base_case_emits_whole_star():
 
 def test_fo2_cover_empty_subalphabet():
     ext = rm_from_multiset([nfa_of("a+", "ab")])
-    aug = rm_alphabet_augment(ext.tau)
+    aug = rm_alphabet_augment(ext)
     sat = saturate_universal(aug.tau, ClassId.FO2)
     cov = fo2_cover(aug.tau, sat, subset="")
     assert len(cov.pieces) == 1
@@ -176,7 +176,7 @@ def test_fo2_cover_top_level_imprint_equals_saturation():
     for _ in range(6):
         langs = [random_nfa(rng, AB, 2) for _ in range(rng.randint(1, 2))]
         ext = rm_from_multiset(langs)
-        aug = rm_alphabet_augment(ext.tau)
+        aug = rm_alphabet_augment(ext)
         sat = saturate_universal(aug.tau, ClassId.FO2)
         cov = fo2_cover(aug.tau, sat)
         assert members(cov.imprint(aug.tau)) == members(sat)
@@ -188,7 +188,7 @@ def test_fo2_cover_merges_same_image_pieces():
     # the worked example: before merging, the recursion built more than
     # max_pieces pieces; now each node keeps one piece per image
     langs = [nfa_of("(ab)+", "abc"), nfa_of("c(ac)+", "abc")]
-    aug = rm_alphabet_augment(rm_from_multiset(langs).tau)
+    aug = rm_alphabet_augment(rm_from_multiset(langs))
     sat = saturate_universal(aug.tau, ClassId.FO2)
     cov = fo2_cover(aug.tau, sat)
     assert piece_images_distinct(cov, aug.tau)
@@ -316,7 +316,7 @@ def test_fo2_per_maximum_sums_equal_the_full_closure():
     for alphabet in (AB, ABC):
         for _ in range(12):
             langs = [random_nfa(rng, alphabet, 2, 0.35) for _ in range(rng.randint(1, 2))]
-            aug = rm_alphabet_augment(rm_from_multiset(langs).tau)
+            aug = rm_alphabet_augment(rm_from_multiset(langs))
             sat = saturate_universal(aug.tau, ClassId.FO2)
             state = _Fo2State(aug.tau, sat, DEFAULT_CAPS)
             for n in range(len(alphabet) + 1):

@@ -36,7 +36,7 @@ def test_fo2_decide_iff_cover_separating():
     for langs in instances(12, seed=882):
         ext = rm_from_multiset(langs)
         dec = decide_universal_covering(ext, ClassId.FO2)
-        aug = rm_alphabet_augment(ext.tau)
+        aug = rm_alphabet_augment(ext)
         sat = saturate_universal(aug.tau, ClassId.FO2)
         cover = fo2_cover(aug.tau, sat)
         assert piece_images_distinct(cover, aug.tau)
@@ -182,7 +182,7 @@ def test_cover_mask_imprints_equal_decision_tables():
         assert rep.imprint_masks == dec_b1.imprint_masks
 
         dec_f2 = decide_universal_covering(ext, ClassId.FO2)
-        aug = rm_alphabet_augment(ext.tau)
+        aug = rm_alphabet_augment(ext)
         cov = fo2_cover(aug.tau, saturate_universal(aug.tau, ClassId.FO2))
         assert piece_images_distinct(cov, aug.tau)
         rep = verify_cover(cov, universal_language(AB), langs,
@@ -197,29 +197,22 @@ def test_decisions_independent_of_rating_construction():
     from regcov import (ClassId, decide_pointed_covering, minimize,
                         rm_from_morphism, rm_from_nfa, transition_monoid)
     from regcov.rating import Extension, rm_from_multiset
-    from regcov.semiring import ProductSemiring, SubsetLattice, SemiringMorphism
+    from regcov.semiring import ProductSemiring
     from regcov.rating import RatingMap
 
     def multiset_ext(items):
-        # same combination as rm_from_multiset but with caller-chosen parts
+        # same combination as rm_from_multiset but with caller-chosen parts;
+        # the first part sits in the highest bits, so each acceptance mask
+        # moves up by the widths of the parts after it
         exts = list(items)
         parts = [e.tau.semiring for e in exts]
         sr = ProductSemiring(parts)
         alphabet = exts[0].tau.alphabet
         letter_image = {a: sr.pack(e.tau.letter_image[a] for e in exts) for a in alphabet}
         tau = RatingMap(alphabet, sr, letter_image)
-        lattice = SubsetLattice(len(exts))
-        deltas = [e.delta for e in exts]
-
-        def apply(x):
-            mask = 0
-            for i, (d, r) in enumerate(zip(deltas, sr.unpack(x))):
-                if d.apply(r):
-                    mask |= 1 << i
-            return mask
-
-        return Extension(tau, SemiringMorphism(sr, lattice, apply),
-                         language_count=len(exts))
+        accepts = tuple(e.accepts[0] << sum(p.nbits for p in parts[i + 1:])
+                        for i, e in enumerate(exts))
+        return Extension(tau, accepts)
 
     constructions = (lambda l: rm_from_nfa(minimize(l).as_nfa()), rm_from_nfa,
                      lambda l: rm_from_morphism(*transition_monoid(l)))

@@ -5,13 +5,13 @@ import random
 import pytest
 
 from regcov import ImprintSet, MonoidMorphism, SaturationCapError
-from regcov.semiring import RelationSemiring, SubsetLattice
+from regcov.semiring import RelationSemiring
 
 from explicit_engine import members
 
 
 def test_insert_keeps_only_maxima():
-    imp = ImprintSet(SubsetLattice(4))
+    imp = ImprintSet(RelationSemiring(2))
     assert imp.insert(0b0001)
     assert imp.insert(0b0010)
     assert not imp.insert(0b0001)      # already maximal
@@ -39,7 +39,7 @@ def test_pointed_fibers_are_separate():
 
 
 def test_equality_and_inclusion_are_of_downsets():
-    a, b = ImprintSet(SubsetLattice(3)), ImprintSet(SubsetLattice(3))
+    a, b = ImprintSet(RelationSemiring(2)), ImprintSet(RelationSemiring(2))
     for m in (0b001, 0b011):
         a.insert(m)
     b.insert(0b010)
@@ -51,11 +51,11 @@ def test_equality_and_inclusion_are_of_downsets():
 
 
 def test_cap_counts_maxima():
-    chain = ImprintSet(SubsetLattice(8), cap=2)
+    chain = ImprintSet(RelationSemiring(3), cap=2)
     for k in range(9):
         chain.insert((1 << k) - 1)      # a chain has one maximum at a time
     assert len(chain) == 1
-    spread = ImprintSet(SubsetLattice(8), cap=2)
+    spread = ImprintSet(RelationSemiring(3), cap=2)
     spread.insert(0b001)
     spread.insert(0b010)
     with pytest.raises(SaturationCapError, match="3 maximal elements"):
@@ -65,7 +65,7 @@ def test_cap_counts_maxima():
 def test_inserting_a_maximum_again_queues_nothing():
     sr = RelationSemiring(2)
     z2 = MonoidMorphism(2, 0, ((0, 1), (1, 0)), {"a": 1})
-    for imp, item in ((ImprintSet(SubsetLattice(4)), 0b0110),
+    for imp, item in ((ImprintSet(RelationSemiring(2)), 0b0110),
                       (ImprintSet(sr, monoid=z2), (1, sr.pair(0, 1)))):
         assert imp.insert(item)
         queued = len(imp.queue)

@@ -4,17 +4,17 @@ import random
 
 import pytest
 
-from regcov import (Alphabet, InputError, at_imprint, is_empty,
+from regcov import (Alphabet, InputError, PowersetMonoidSemiring,
+                    RelationSemiring, at_imprint, is_empty, minimize,
                     nfa_intersection, nfa_union, regex_to_nfa,
                     rm_alphabet_augment, rm_from_morphism, rm_from_multiset,
                     rm_from_nfa, transition_monoid, universal_language)
 from regcov.fa import alphabet_exact
 from regcov.imprints import ImprintSet
-from regcov.semiring import SubsetLattice
 
 from explicit_engine import downset, members, submasks
-from helpers import (alphabet_languages, imprint_pullback, nfa_of, random_regex,
-                     rm_trivial_imprint, words_upto)
+from helpers import (alphabet_languages, imprint_pullback, nfa_of, random_nfa,
+                     random_regex, rm_trivial_imprint, strip_content, words_upto)
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -133,28 +133,29 @@ def test_niceness_partial_sums_below_total():
 
 def test_alphabet_augment():
     ext = rm_from_multiset([nfa_of("a+", "ab")])
-    aug = rm_alphabet_augment(ext.tau)
+    aug = rm_alphabet_augment(ext)
     tau = aug.tau
     assert tau.cont is not None
+    width = tau.cont.nbits
     assert tau.eval_word("") == tau.semiring.one
     # cont of the image of exactly-B words is {B}
     for subset_mask, subset in [(0, ""), (1, "a"), (2, "b"), (3, "ab")]:
         img = tau.eval_nfa(alphabet_exact(AB, subset))
-        assert tau.cont.apply(img) == 1 << subset_mask
-    # delta recovers the base value
+        assert img & (1 << width) - 1 == 1 << subset_mask
+    # shifting off the content recovers the base value
     rng = random.Random(6)
     for _ in range(20):
         k = regex_to_nfa(random_regex(rng, "ab", 3), AB)
-        assert aug.delta.apply(tau.eval_nfa(k)) == ext.tau.eval_nfa(k)
+        assert tau.eval_nfa(k) >> width == ext.tau.eval_nfa(k)
 
 
 def test_cont_matches_alphabets_of_words():
     ext = rm_from_multiset([nfa_of("a+", "ab")])
-    aug = rm_alphabet_augment(ext.tau)
+    aug = rm_alphabet_augment(ext)
     rng = random.Random(7)
     for _ in range(15):
         k = regex_to_nfa(random_regex(rng, "ab", 3), AB)
-        got = aug.tau.cont.apply(aug.tau.eval_nfa(k))
+        got = aug.tau.eval_nfa(k) & (1 << aug.tau.cont.nbits) - 1
         want = 0
         for mask in range(4):
             atom = alphabet_exact(AB, AB.from_mask(mask))
@@ -203,19 +204,21 @@ def test_imprint_pullback_identity_and_zero():
     imp.insert(tau.semiring.zero)
     pulled = imprint_pullback(ext, imp)
     assert members(pulled) == {0}
-    aug = rm_alphabet_augment(tau)
+    aug = rm_alphabet_augment(ext)
     imp2 = ImprintSet(aug.tau.semiring)
     imp2.insert(aug.tau.semiring.zero)
-    assert members(imprint_pullback(aug, imp2)) == {tau.semiring.zero}
+    assert members(imprint_pullback(aug, imp2)) == {0}
+    assert members(strip_content(aug, imp2, tau.semiring)) == {tau.semiring.zero}
 
 
 def test_extension_pullback_at_imprint():
-    # pulled-back atom imprint equals the directly computed one (subset lattice)
+    # pulled-back atom imprint equals the directly computed one over the
+    # language indices
     langs = e1_multiset()
     ext = rm_from_multiset(langs)
     imp = at_imprint(ext.tau)
     pulled = imprint_pullback(ext, imp)
-    assert isinstance(pulled.semiring, SubsetLattice)
+    assert all(m >> len(langs) == 0 for m in pulled.maximal_elements())
     want = set()
     for mask in range(8):
         atom = alphabet_exact(ABC, ABC.from_mask(mask))
@@ -228,17 +231,42 @@ def test_extension_pullback_at_imprint():
 
 
 def test_rm_from_multiset_mixed_items():
-    # one language given as a morphism, one as an automaton
-    aplus = nfa_of("a+", "ab")
-    alpha, acc = transition_monoid(aplus)
-    ext = rm_from_multiset([(alpha, acc), nfa_of("b+", "ab")])
+    # one language takes the monoid construction, one the relations of its NFA
+    langs = [nfa_of("a+", "ab"), random_nfa(random.Random(17), AB, 4, 0.4)]
+    ext = rm_from_multiset(langs)
+    assert [type(p) for p in ext.tau.semiring.parts] == [PowersetMonoidSemiring,
+                                                         RelationSemiring]
     rng = random.Random(11)
-    langs = [aplus, nfa_of("b+", "ab")]
     for _ in range(15):
         k = regex_to_nfa(random_regex(rng, "ab", 3), AB)
         mask = ext.index_set(ext.tau.eval_nfa(k))
         for i, lang in enumerate(langs):
             assert bool(mask >> i & 1) == (not is_empty(nfa_intersection(k, lang)))
+
+
+def test_index_set_matches_word_membership():
+    # the acceptance masks read off exactly the languages that accept a
+    # word: for one NFA, one morphism, a multiset mixing the three
+    # constructions, and the alphabet augmentation of each
+    dfa_pick = random_nfa(random.Random(103), AB, 4, 0.3)   # minimal DFA of 3 states
+    nfa_pick = random_nfa(random.Random(17), AB, 4, 0.4)    # minimal DFA of 8 states
+    monoid_pick = nfa_of("(ab)+", "ab")                      # 6-element monoid
+    langs = [dfa_pick, nfa_pick, monoid_pick]
+    mixed = rm_from_multiset(langs)
+    parts = mixed.tau.semiring.parts
+    assert [type(p) for p in parts] == [RelationSemiring, RelationSemiring,
+                                        PowersetMonoidSemiring]
+    assert parts[0].q == minimize(dfa_pick).state_count < dfa_pick.state_count
+    assert parts[1].q == nfa_pick.state_count < minimize(nfa_pick).state_count
+    cases = [(rm_from_nfa(nfa_pick), [nfa_pick]),
+             (rm_from_morphism(*transition_monoid(monoid_pick)), [monoid_pick]),
+             (mixed, langs)]
+    cases += [(rm_alphabet_augment(ext), ls) for ext, ls in cases]
+    for ext, ls in cases:
+        assert len(ext.accepts) == len(ls)
+        for w in words_upto("ab", 5):
+            want = sum(1 << i for i, lang in enumerate(ls) if lang.accepts(w))
+            assert ext.index_set(ext.tau.eval_word(w)) == want, (w, ext.tau.semiring)
 
 
 def test_star_exact_images_agree_with_nfa_evaluation():

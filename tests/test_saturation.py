@@ -12,8 +12,8 @@ from regcov import (Alphabet, ClassId, InputError, at_imprint,
 import explicit_engine as explicit
 import reference_saturation as reference
 from explicit_engine import downset, members, same_imprint
-from helpers import (imprint_pullback, nfa_of, random_nfa, random_regex,
-                     rm_trivial_imprint)
+from helpers import (nfa_of, random_nfa, random_regex, rm_trivial_imprint,
+                     strip_content)
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -39,10 +39,9 @@ def test_single_letter_all_classes_full_lattice():
     for cid in (ClassId.BSIGMA1, ClassId.FO):
         got = saturate_universal(tau, cid)
         assert members(got) == want, cid
-    aug = rm_alphabet_augment(tau)
+    aug = rm_alphabet_augment(ext)
     got2 = saturate_universal(aug.tau, ClassId.FO2)
-    pulled = imprint_pullback(aug, got2)
-    assert members(pulled) == want
+    assert members(strip_content(aug, got2, tau.semiring)) == want
 
 
 def test_bsigma1_rule_fires_for_every_subalphabet():
@@ -82,7 +81,7 @@ def test_structural_invariants_universal():
             assert same_imprint(explicit.saturate_universal(ext.tau, cid), got)
             assert got.check_submonoid()
             assert got.check_contains(members(triv))
-        aug = rm_alphabet_augment(ext.tau)
+        aug = rm_alphabet_augment(ext)
         got = saturate_universal(aug.tau, ClassId.FO2)
         assert same_imprint(explicit.saturate_universal(aug.tau, ClassId.FO2), got)
         assert got.check_submonoid()
@@ -99,7 +98,7 @@ def test_structural_invariants_pointed():
         assert same_imprint(explicit.saturate_pointed(alpha, ext.tau, ClassId.SIGMA1), p1)
         assert p1.check_submonoid()
         assert p1.check_contains(members(rm_trivial_imprint(ext.tau, alpha)))
-        aug = rm_alphabet_augment(ext.tau)
+        aug = rm_alphabet_augment(ext)
         p2 = saturate_pointed(alpha, aug.tau, ClassId.SIGMA2)
         assert same_imprint(explicit.saturate_pointed(alpha, aug.tau, ClassId.SIGMA2), p2)
         assert p2.check_submonoid()
@@ -118,7 +117,7 @@ def test_determinism_under_reversed_worklist():
         a = saturate_universal(ext.tau, ClassId.BSIGMA1, lifo=False)
         b = saturate_universal(ext.tau, ClassId.BSIGMA1, lifo=True)
         assert members(a) == members(b)
-        aug = rm_alphabet_augment(ext.tau)
+        aug = rm_alphabet_augment(ext)
         a2 = saturate_universal(aug.tau, ClassId.FO2, lifo=False)
         b2 = saturate_universal(aug.tau, ClassId.FO2, lifo=True)
         assert members(a2) == members(b2)
@@ -131,8 +130,8 @@ def test_class_chain_monotone():
         i_at = at_imprint(tau)
         i_fo = saturate_universal(tau, ClassId.FO)
         i_bs1 = saturate_universal(tau, ClassId.BSIGMA1)
-        aug = rm_alphabet_augment(tau)
-        i_fo2 = imprint_pullback(aug, saturate_universal(aug.tau, ClassId.FO2))
+        aug = rm_alphabet_augment(ext)
+        i_fo2 = strip_content(aug, saturate_universal(aug.tau, ClassId.FO2), tau.semiring)
         assert members(i_fo) <= members(i_fo2)
         assert members(i_fo) <= members(i_bs1)
         assert members(i_fo2) <= members(i_at)
@@ -146,9 +145,9 @@ def test_pointed_chain_sigma2_below_sigma1():
         alpha, _ = transition_monoid(target)
         ext = rm_from_multiset(nfas)
         p1 = saturate_pointed(alpha, ext.tau, ClassId.SIGMA1)
-        aug = rm_alphabet_augment(ext.tau)
+        aug = rm_alphabet_augment(ext)
         p2raw = saturate_pointed(alpha, aug.tau, ClassId.SIGMA2)
-        p2 = imprint_pullback(aug, p2raw)
+        p2 = strip_content(aug, p2raw, ext.tau.semiring)
         assert members(p2) <= members(p1)
 
 
@@ -304,9 +303,10 @@ def _engine_pairs(target, other):
     the pair, built the way the CLI decides it."""
     ext = rm_from_multiset([target, other])
     tau = ext.tau
-    aug = rm_alphabet_augment(tau)
-    pointed_tau = rm_from_multiset([other]).tau
-    pointed_aug = rm_alphabet_augment(pointed_tau)
+    aug = rm_alphabet_augment(ext)
+    pointed_ext = rm_from_multiset([other])
+    pointed_tau = pointed_ext.tau
+    pointed_aug = rm_alphabet_augment(pointed_ext)
     alpha, _ = transition_monoid(target)
     yield at_imprint(tau), explicit.at_imprint(tau)
     for cid in (ClassId.BSIGMA1, ClassId.FO):
@@ -344,13 +344,15 @@ def test_generator_loop_matches_all_pairs_reference():
     checked = 0
     while checked < 16:
         target, other = random_nfa(rng, ABC, 4), random_nfa(rng, ABC, 4)
-        tau = rm_from_multiset([target, other]).tau
+        ext = rm_from_multiset([target, other])
+        tau = ext.tau
         if tau.semiring.log2_size() <= 16:
             continue
         checked += 1
-        aug = rm_alphabet_augment(tau)
-        pointed_tau = rm_from_multiset([other]).tau
-        pointed_aug = rm_alphabet_augment(pointed_tau)
+        aug = rm_alphabet_augment(ext)
+        pointed_ext = rm_from_multiset([other])
+        pointed_tau = pointed_ext.tau
+        pointed_aug = rm_alphabet_augment(pointed_ext)
         alpha, _ = transition_monoid(target)
         runs = [(saturate_universal, reference.saturate_universal, (tau, ClassId.BSIGMA1)),
                 (saturate_universal, reference.saturate_universal, (tau, ClassId.FO)),

@@ -133,7 +133,7 @@ def test_rating_probe_reads_resolve():
     import random
 
     from helpers import nfa_of, random_nfa
-    from regcov import Alphabet, rm_from_multiset, transition_monoid
+    from regcov import Alphabet, rm_from_multiset
 
     tree = ast.parse(source("perfbench", "spans.py"))
     probe = next(node for node in tree.body
@@ -148,9 +148,9 @@ def test_rating_probe_reads_resolve():
             chains.add(tuple(reversed(names)))
     assert ("tau", "semiring", "parts") in chains
     assert ("tau", "semiring", "log2_size") in chains
-    # a 6-state NFA takes the relation construction, a morphism the powerset
+    # a 6-state NFA takes the relation construction, (ab)+ the powerset
     wide = random_nfa(random.Random(98), Alphabet("ab"), 8, 0.3)
-    ext = rm_from_multiset([wide, transition_monoid(nfa_of("(ab)+", "ab"))])
+    ext = rm_from_multiset([wide, nfa_of("(ab)+", "ab")])
     for chain in chains:
         obj = ext
         for name in chain:
@@ -161,3 +161,49 @@ def test_rating_probe_reads_resolve():
              for node in ast.walk(probe) if isinstance(node, ast.ImportFrom)
              for alias in node.names}
     assert {type(p) for p in sr.parts} == kinds
+
+
+def test_decision_probe_reads_resolve():
+    # the benchmark's probe on the two decisions reads fixpoint counters off
+    # `stats` and the maxima off the raw imprint: the keys and attribute
+    # chains it reads off the result must resolve for all six classes, since
+    # a missing key would read 0 through `.get` and go unnoticed
+    from helpers import nfa_of
+    from regcov import (ClassId, decide_pointed_covering, decide_universal_covering,
+                        rm_from_multiset, transition_monoid)
+
+    tree = ast.parse(source("perfbench", "spans.py"))
+    probe = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_decision")
+    chains = set()
+    keys = set()
+    for node in ast.walk(probe):
+        names = []
+        inner = node
+        while isinstance(inner, ast.Attribute):
+            names.append(inner.attr)
+            inner = inner.value
+        if names and getattr(inner, "id", None) == "result":
+            chains.add(tuple(reversed(names)))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and node.args
+                and isinstance(node.args[0], ast.Constant)):
+            keys.add(node.args[0].value)
+    assert ("stats", "get") in chains
+    assert ("raw_imprint", "maximal_elements") in chains
+    assert keys == {"elements", "sweeps"}
+    target, other = nfa_of("a+", "ab"), nfa_of("(ab)+", "ab")
+    alpha, accepting = transition_monoid(target)
+    universal = rm_from_multiset([target, other])
+    decisions = [decide_universal_covering(universal, cid, target_index=0)
+                 for cid in (ClassId.AT, ClassId.BSIGMA1, ClassId.FO, ClassId.FO2)]
+    decisions += [decide_pointed_covering(alpha, accepting, rm_from_multiset([other]), cid)
+                  for cid in (ClassId.SIGMA1, ClassId.SIGMA2)]
+    assert {d.class_id for d in decisions} == set(ClassId)
+    for d in decisions:
+        for chain in chains:
+            obj = d
+            for name in chain:
+                obj = getattr(obj, name)
+        assert all(isinstance(d.stats[key], int) for key in keys)
+        assert len(d.raw_imprint.maximal_elements()) == d.stats["elements"]
