@@ -473,11 +473,20 @@ def transition_monoid(n: Nfa, caps: Caps = DEFAULT_CAPS):
     complete before column j, so the fill is |M|² integer lookups and no
     composition of transformations.
     """
-    return _dfa_monoid(minimize(n, caps), caps)
+    dfa = minimize(n, caps)
+    built = _dfa_monoid(dfa, caps.max_monoid)
+    if built is None:
+        raise MonoidCapError("max_monoid", caps.max_monoid,
+                             f"transition monoid of {dfa.state_count}-state minimal DFA")
+    return built
 
 
-def _dfa_monoid(dfa: Dfa, caps: Caps):
-    """`transition_monoid` from a complete DFA that is already minimal."""
+def _dfa_monoid(dfa: Dfa, bound: int):
+    """`transition_monoid` from a complete DFA that is already minimal, or
+    None as soon as the enumeration finds more than `bound` elements; the
+    table is filled only for a monoid within the bound."""
+    if bound < 1:
+        return None
     m = dfa.state_count
     letters = range(len(dfa.alphabet))
     letter_tf = [tuple(row[k] for row in dfa.delta) for k in letters]
@@ -492,9 +501,8 @@ def _dfa_monoid(dfa: Dfa, caps: Caps):
             nt = tuple(map(letter_tf[k].__getitem__, t))  # apply t, then letter k
             j = ids.get(nt)
             if j is None:
-                if len(order) >= caps.max_monoid:
-                    raise MonoidCapError("max_monoid", caps.max_monoid,
-                                         f"transition monoid of {m}-state minimal DFA")
+                if len(order) >= bound:
+                    return None
                 j = ids[nt] = len(order)
                 order.append(nt)
                 parent.append(i)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import (Caps, DEFAULT_CAPS, DeterminizationCapError, InputError,
-                     MonoidCapError, SaturationCapError)
+                     SaturationCapError)
 from .fa import Alphabet, MonoidMorphism, Nfa, _dfa_monoid, minimize
 from .semiring import (AlphabetSemiring, PowersetMonoidSemiring,
                        ProductSemiring, RelationSemiring, Semiring)
@@ -32,7 +32,7 @@ class RatingMap:
     semiring: Semiring
     letter_image: dict
     cont: Optional[AlphabetSemiring] = None
-    _star_cache: dict = field(default_factory=dict, repr=False)
+    _images: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
         for a in self.alphabet:
@@ -78,43 +78,65 @@ class RatingMap:
                     work.append(pair)
         return total
 
-    def _letter_pairs(self, subset: Iterable[str]):
-        return [(self.letter_image[a], 1 << self.alphabet.index(a)) for a in subset]
+    def _word_images(self, caps: Caps = DEFAULT_CAPS):
+        """(stars, exacts): for every sub-alphabet mask B, the image of B*
+        and the image of the words whose alphabet is exactly B.
 
-    def _star_exact(self, subset_mask: int, caps: Caps = DEFAULT_CAPS):
-        """(image of B*, image of words-with-alphabet-exactly-B).
-
-        Closes the set of (word image, alphabet mask) pairs reachable over B;
-        both values are sums over that finite set.
+        A product adds componentwise, so each part closes its own set of
+        (word image, alphabet mask) pairs, once, over the whole alphabet; a
+        map that is not a product is its own single part.  The words with
+        alphabet exactly B sum to the pairs of mask B, and B* to the pairs
+        whose mask lies in B.
         """
-        if subset_mask in self._star_cache:
-            return self._star_cache[subset_mask]
-        sr = self.semiring
-        syms = self.alphabet.from_mask(subset_mask)
-        gens = self._letter_pairs(syms)
-        seen = {(sr.one, 0)}
-        work = [(sr.one, 0)]
-        while work:
-            elem, mask = work.pop()
-            for (gelem, gmask) in gens:
-                pair = (sr.mul(elem, gelem), mask | gmask)
-                if pair not in seen:
-                    if len(seen) >= caps.max_elements:
-                        raise SaturationCapError(caps.max_elements, "word-image closure")
-                    seen.add(pair)
-                    work.append(pair)
-        star = sr.sum(e for (e, _) in seen)
-        exact = sr.sum(e for (e, m) in seen if m == subset_mask)
-        self._star_cache[subset_mask] = (star, exact)
-        return star, exact
+        if self._images is None:
+            sr = self.semiring
+            nsub = 1 << len(self.alphabet)
+            bits = [1 << k for k in range(len(self.alphabet))]
+            product = isinstance(sr, ProductSemiring)
+            images = [sr.unpack(self.letter_image[a]) if product else (self.letter_image[a],)
+                      for a in self.alphabet]
+            cols = [_exact_images(p, [(img[j], bit) for img, bit in zip(images, bits)],
+                                  nsub, caps)
+                    for j, p in enumerate(sr.parts if product else (sr,))]
+            exacts = [sr.pack(col) for col in zip(*cols)] if product else cols[0]
+            stars = list(exacts)
+            for bit in bits:
+                for mask in range(nsub):
+                    if mask & bit:
+                        stars[mask] |= stars[mask ^ bit]
+            self._images = (stars, exacts)
+        return self._images
 
     def image_of_star(self, subset: Iterable[str], caps: Caps = DEFAULT_CAPS):
         """Image of B* for a sub-alphabet B."""
-        return self._star_exact(self.alphabet.mask_of(subset), caps)[0]
+        return self._word_images(caps)[0][self.alphabet.mask_of(subset)]
 
     def image_of_exact(self, subset: Iterable[str], caps: Caps = DEFAULT_CAPS):
         """Image of the words whose alphabet is exactly B."""
-        return self._star_exact(self.alphabet.mask_of(subset), caps)[1]
+        return self._word_images(caps)[1][self.alphabet.mask_of(subset)]
+
+
+def _exact_images(sr: Semiring, letters: list, nsub: int, caps: Caps) -> list:
+    """out[B] is the sum of the images of the words with alphabet exactly B,
+    over the semiring `sr` whose letter images and alphabet bits `letters`
+    lists; closes the (word image, alphabet mask) pairs of the words."""
+    mul = sr.mul
+    start = (sr.one, 0)
+    seen = {start}
+    work = [start]
+    while work:
+        elem, mask = work.pop()
+        for gelem, gbit in letters:
+            pair = (mul(elem, gelem), mask | gbit)
+            if pair not in seen:
+                if len(seen) >= caps.max_elements:
+                    raise SaturationCapError(caps.max_elements, "word-image closure")
+                seen.add(pair)
+                work.append(pair)
+    out = [0] * nsub
+    for elem, mask in seen:
+        out[mask] |= elem
+    return out
 
 
 @dataclass
@@ -190,25 +212,19 @@ def _extension_for_nfa(nfa: Nfa, caps: Caps) -> Extension:
     same imprints over the language indices, so the choice only sets the
     cost.  Semiring products and antichain comparisons grow with the bit
     width of the rating-set encoding, so that width is the quantity to
-    minimize: minimal-DFA relations (states²) and raw-NFA relations
-    (states²) always compete, and monoid powersets (monoid size) join them
-    unless the transition monoid outgrows `max_monoid`.  No encoding is
-    refused for its width; a blow-up ends on the caps that count the work
-    itself.
+    minimize: minimal-DFA relations (states²), raw-NFA relations (states²)
+    and the monoid powerset (monoid size, at most `max_monoid`), ties going
+    to the DFA, then the monoid, then the NFA.  So the monoid wins exactly
+    when it has at most min(dfa² − 1, nfa², `max_monoid`) elements, and its
+    enumeration stops past that bound.  No encoding is refused for its
+    width; a blow-up ends on the caps that count the work itself.
     """
     dfa = minimize(nfa, caps)
-    candidates = [(dfa.state_count ** 2, 0, "dfa"), (nfa.state_count ** 2, 2, "nfa")]
-    try:
-        alpha, accepting = _dfa_monoid(dfa, caps)
-        candidates.append((alpha.size, 1, "monoid"))
-    except MonoidCapError:
-        pass
-    _, _, kind = min(candidates)
-    if kind == "dfa":
-        return rm_from_nfa(dfa.as_nfa())
-    if kind == "nfa":
-        return rm_from_nfa(nfa)
-    return rm_from_morphism(alpha, accepting)
+    dfa_bits, nfa_bits = dfa.state_count ** 2, nfa.state_count ** 2
+    built = _dfa_monoid(dfa, min(dfa_bits - 1, nfa_bits, caps.max_monoid))
+    if built is not None:
+        return rm_from_morphism(*built)
+    return rm_from_nfa(dfa.as_nfa() if dfa_bits <= nfa_bits else nfa)
 
 
 def rm_alphabet_augment(ext: Extension, caps: Caps = DEFAULT_CAPS) -> Extension:

@@ -303,7 +303,6 @@ def decide_universal_covering(ext: Extension, class_id: ClassId,
     With `target_index` set, the extension was built over {target} ∪ against
     and the verdict answers the full covering question for the target.
     """
-    log2_size = ext.tau.semiring.log2_size()
     if class_id is ClassId.AT:
         imprint = at_imprint(ext.tau, caps=caps)
     elif class_id in (ClassId.BSIGMA1, ClassId.FO, ClassId.FO2):
@@ -321,7 +320,7 @@ def decide_universal_covering(ext: Extension, class_id: ClassId,
         raw_imprint=imprint,
         rating_map=ext.tau,
         stats={"elements": len(imprint), "sweeps": imprint.sweeps,
-               "rating_set_log2": log2_size},
+               "rating_set_log2": ext.tau.semiring.log2_size()},
     )
 
 
@@ -331,7 +330,6 @@ def decide_pointed_covering(alpha: MonoidMorphism, accepting: Iterable[int],
     """Lattice-class covering decision: target via its recognizing morphism,
     quality measure via the multiset extension."""
     accepting = frozenset(accepting)
-    log2_size = ext.tau.semiring.log2_size()
     if class_id not in (ClassId.SIGMA1, ClassId.SIGMA2):
         raise InputError(f"{class_id.value} does not route through pointed covering")
     if class_id is ClassId.SIGMA2:
@@ -346,6 +344,6 @@ def decide_pointed_covering(alpha: MonoidMorphism, accepting: Iterable[int],
         raw_imprint=pointed,
         rating_map=ext.tau,
         stats={"elements": len(pointed), "sweeps": pointed.sweeps,
-               "rating_set_log2": log2_size,
+               "rating_set_log2": ext.tau.semiring.log2_size(),
                "monoid_size": alpha.size},
     )

@@ -287,6 +287,22 @@ def test_fo_decision_only(capsys):
     assert doc["cover"] is None
 
 
+def test_rating_set_log2_is_the_width_saturated_over(capsys):
+    # fo2 and sigma2 saturate over the alphabet augmentation, 2^|A| = 4 bits
+    # wider than the base map; a+, b+ and the complement of a+ each take a
+    # 3-element monoid
+    for argv, bits in (
+            (["separate", "--class", "fo2", "--alphabet", "ab", "--target", "a+",
+              "--against", "b+"], 10.0),
+            (["separate", "--class", "fo", "--alphabet", "ab", "--target", "a+",
+              "--against", "b+"], 6.0),
+            (["member", "--class", "sigma2", "--alphabet", "ab", "--target", "a+"], 7.0),
+            (["member", "--class", "sigma1", "--alphabet", "ab", "--target", "a+"], 3.0)):
+        code, out, _ = run(capsys, argv + ["--json"])
+        assert code == 0
+        assert json.loads(out)["stats"]["rating_set_log2"] == bits, argv
+
+
 def test_universal_target_sigma1(capsys):
     # the full word set meets every nonempty language: never coverable
     code, out, _ = run(capsys, [

@@ -4,7 +4,9 @@ separating."""
 
 import random
 
-from regcov import (Alphabet, ClassId, at_cover, bsigma1_cover,
+from hypothesis import given, strategies as st
+
+from regcov import (Alphabet, ClassId, Nfa, at_cover, bsigma1_cover,
                     decide_universal_covering, fo2_cover, rm_alphabet_augment,
                     rm_from_multiset, saturate_universal, universal_language,
                     verify_cover)
@@ -319,6 +321,43 @@ def test_coverings_are_invariant_under_reversal():
         cover = restrict_cover(fo2_cover(dec.rating_map, dec.raw_imprint), target)
         report = verify_cover(cover, target, langs, class_check=False)
         assert report.covers_target and report.separating == verdicts[ClassId.FO2]
+
+
+@st.composite
+def nfas(draw, alphabet, max_states=4):
+    n = draw(st.integers(1, max_states))
+    states = st.integers(0, n - 1)
+    trans = draw(st.frozensets(st.tuples(states, st.sampled_from(alphabet.symbols), states),
+                               max_size=3 * n))
+    return Nfa(alphabet, n, frozenset([draw(states)]),
+               draw(st.frozensets(states, min_size=1)), trans)
+
+
+def renumber(nfa, perm):
+    return Nfa(nfa.alphabet, nfa.state_count, frozenset(perm[q] for q in nfa.initials),
+               frozenset(perm[q] for q in nfa.finals),
+               frozenset((perm[q], a, perm[r]) for q, a, r in nfa.transitions))
+
+
+@given(st.lists(nfas(AB), min_size=2, max_size=3), st.data())
+def test_coverings_are_invariant_under_state_renumbering(langs, data):
+    # a language does not depend on how its automaton numbers its states:
+    # the same verdicts and imprints for all six classes, and the same
+    # construction widths
+    from regcov.cli import Instance, run_cover
+
+    renumbered = [renumber(l, data.draw(st.permutations(range(l.state_count))))
+                  for l in langs]
+
+    def widths(ls):
+        return [(type(p), p.nbits) for p in rm_from_multiset(ls).tau.semiring.parts]
+
+    assert widths(renumbered) == widths(langs)
+    for cid in ClassId:
+        there, back = (run_cover(Instance(alphabet=AB, class_id=cid, target=ls[0],
+                                          against=ls[1:]))
+                       for ls in (langs, renumbered))
+        assert (there.coverable, there.imprint) == (back.coverable, back.imprint), cid
 
 
 def test_separation_is_symmetric_for_boolean_classes():

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from regcov import (Alphabet, InputError, PowersetMonoidSemiring,
-                    RelationSemiring, at_imprint, is_empty, minimize,
+from regcov import (DEFAULT_CAPS, Alphabet, Caps, InputError, MonoidCapError,
+                    Nfa, PowersetMonoidSemiring, RelationSemiring,
+                    SaturationCapError, at_imprint, is_empty, minimize,
                     nfa_intersection, nfa_union, regex_to_nfa,
                     rm_alphabet_augment, rm_from_morphism, rm_from_multiset,
                     rm_from_nfa, transition_monoid, universal_language)
@@ -15,6 +16,7 @@ from regcov.imprints import ImprintSet
 from explicit_engine import downset, members, submasks
 from helpers import (alphabet_languages, imprint_pullback, nfa_of, random_nfa,
                      random_regex, rm_trivial_imprint, strip_content, words_upto)
+from reference_rating import joint_star_exact, reference_extension
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -271,12 +273,97 @@ def test_index_set_matches_word_membership():
 
 def test_star_exact_images_agree_with_nfa_evaluation():
     # the closure-based images (used by the class rules) match evaluating
-    # the corresponding automata (used by covers and verification)
+    # the corresponding automata (used by covers and verification), on a
+    # product and on its alphabet augmentation
     langs = [nfa_of("(ab)+", "abc"), nfa_of("c(ac)+", "abc")]
     ext = rm_from_multiset(langs)
-    tau = ext.tau
-    for mask in range(8):
-        subset = ABC.from_mask(mask)
-        star_nfa, exact_nfa = alphabet_languages(ABC, subset)
-        assert tau.image_of_star(subset) == tau.eval_nfa(star_nfa)
-        assert tau.image_of_exact(subset) == tau.eval_nfa(exact_nfa)
+    for tau in (ext.tau, rm_alphabet_augment(ext).tau):
+        for mask in range(8):
+            subset = ABC.from_mask(mask)
+            star_nfa, exact_nfa = alphabet_languages(ABC, subset)
+            assert tau.image_of_star(subset) == tau.eval_nfa(star_nfa)
+            assert tau.image_of_exact(subset) == tau.eval_nfa(exact_nfa)
+
+
+def test_construction_choice_matches_full_candidate_rule():
+    # the bounded monoid probe picks the construction that building every
+    # candidate in full picks, down to the letter images and masks
+    def check(nfa, caps=DEFAULT_CAPS):
+        kind, want = reference_extension(nfa, caps)
+        got = rm_from_multiset([nfa], caps)
+        part = got.tau.semiring.parts[0]
+        assert isinstance(part, PowersetMonoidSemiring) == (kind == "monoid")
+        assert part.nbits == want.tau.semiring.nbits
+        assert got.tau.letter_image == want.tau.letter_image
+        assert got.accepts == want.accepts
+        return kind
+
+    kinds = set()
+    for alphabet, draws in ((AB, 60), (ABC, 40)):
+        rng = random.Random(1500 + len(alphabet))
+        for _ in range(draws):
+            kinds.add(check(random_nfa(rng, alphabet, 6, rng.choice((0.2, 0.3, 0.45)))))
+    assert kinds == {"dfa", "nfa", "monoid"}
+    # a 1-state minimal DFA: width 1 against a 1-element monoid, dfa wins
+    for regex in ("(a|b)*", "%empty"):
+        assert minimize(nfa_of(regex, "ab")).state_count == 1
+        assert check(nfa_of(regex, "ab")) == "dfa"
+    # |M| = dfa² = 4 < nfa² = 9: a swaps the two states, b resets; the
+    # third state is unreachable
+    swap = Nfa(AB, 3, frozenset([0]), frozenset([1]),
+               frozenset([(0, "a", 1), (1, "a", 0), (0, "b", 0), (1, "b", 0)]))
+    assert (minimize(swap).state_count, transition_monoid(swap)[0].size) == (2, 4)
+    assert check(swap) == "dfa"
+    # |M| = nfa² = 9 < dfa² = 16
+    tie = random_nfa(random.Random(30), AB, 4, 0.35)
+    assert (tie.state_count, minimize(tie).state_count,
+            transition_monoid(tie)[0].size) == (3, 4, 9)
+    assert check(tie) == "monoid"
+    # a max_monoid below both widths: (ab)+ has 6 elements, 3 NFA states
+    # and 4 minimal-DFA states
+    pair = nfa_of("(ab)+", "ab")
+    assert check(pair) == "monoid"
+    assert check(pair, Caps(max_monoid=6)) == "monoid"
+    assert check(pair, Caps(max_monoid=5)) == "nfa"
+
+
+def test_transition_monoid_raises_past_max_monoid():
+    pair = nfa_of("(ab)+", "ab")
+    assert transition_monoid(pair, Caps(max_monoid=6))[0].size == 6
+    with pytest.raises(MonoidCapError):
+        transition_monoid(pair, Caps(max_monoid=5))
+
+
+def test_word_images_per_part_match_joint_closure():
+    # each part closes its own word images; the packed sums must be what
+    # closing the product per sub-alphabet gives, on products that mix
+    # relation and monoid parts and on their alphabet augmentations
+    checked = set()
+    for alphabet, seed in ((AB, 1601), (ABC, 1602)):
+        rng = random.Random(seed)
+        for _ in range(12):
+            langs = [random_nfa(rng, alphabet, 4, rng.choice((0.25, 0.4)))
+                     for _ in range(rng.randint(2, 3))]
+            ext = rm_from_multiset(langs)
+            checked.add(frozenset(type(p) for p in ext.tau.semiring.parts))
+            for tau in (ext.tau, rm_alphabet_augment(ext).tau):
+                for mask in range(1 << len(alphabet)):
+                    subset = alphabet.from_mask(mask)
+                    want = joint_star_exact(tau, mask)
+                    assert (tau.image_of_star(subset), tau.image_of_exact(subset)) == want
+    assert frozenset([RelationSemiring, PowersetMonoidSemiring]) in checked
+    # a map that is not a product is its own single part
+    for ext in (rm_from_nfa(nfa_of("(ab)+", "ab")),
+                rm_from_morphism(*transition_monoid(nfa_of("(ab)+", "ab")))):
+        for mask in range(4):
+            want = joint_star_exact(ext.tau, mask)
+            assert (ext.tau.image_of_star(AB.from_mask(mask)),
+                    ext.tau.image_of_exact(AB.from_mask(mask))) == want
+
+
+def test_word_image_closure_keeps_its_cap():
+    # (ab)+ has 6 monoid elements, each met by several word alphabets
+    ext = rm_from_multiset([nfa_of("(ab)+", "ab")])
+    with pytest.raises(SaturationCapError) as info:
+        ext.tau.image_of_star("ab", Caps(max_elements=3))
+    assert "word-image closure" in str(info.value)
