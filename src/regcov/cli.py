@@ -65,19 +65,6 @@ class Verdict:
             "stats": self.stats,
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "Verdict":
-        return cls(
-            class_name=doc["class"],
-            coverable=doc["coverable"],
-            imprint=[list(m) for m in doc["imprint"]],
-            cover=doc.get("cover"),
-            verified=doc.get("verified"),
-            separator=doc.get("separator"),
-            member=doc.get("member"),
-            stats=doc.get("stats", {}),
-        )
-
 
 def _masks_to_lists(masks) -> list:
     out = [[i for i in range(m.bit_length()) if m >> i & 1] for m in masks]

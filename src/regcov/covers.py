@@ -10,21 +10,21 @@ closure, and the recursive left-factor construction for two-variable logic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
-from .errors import (Caps, DEFAULT_CAPS, DeterminizationCapError, PieceCapError,
+from .errors import (Caps, DEFAULT_CAPS, DeterminizationCapError, InputError, PieceCapError,
                      SaturationCapError, WordBudgetError)
 from . import rx
-from .fa import (Alphabet, Dfa, MonoidMorphism, Nfa, alphabet_exact, alphabet_star,
-                 empty_language, equivalent, exact_alphabet_regex, includes,
-                 is_empty, minimize, minimize_labelled, nfa_intersection,
-                 nfa_to_regex, nfa_union, piece_closure_regex, regex_to_nfa,
-                 trim, universal_language, upward_closure)
+from .fa import (Alphabet, Dfa, MonoidMorphism, Nfa, alphabet_exact, equivalent,
+                 exact_alphabet_regex, explore, includes, is_empty, minimize,
+                 minimize_labelled, nfa_intersection, nfa_to_regex, nfa_union,
+                 piece_closure_regex, regex_to_nfa, trim, universal_language,
+                 upward_closure)
 from .imprints import ImprintSet
 from .pieces import is_piece, is_union_of_classes, pt_partition
-from .rating import RatingMap
+from .rating import RatingMap, reach
 from .rx import Regex
-from .saturation import ClassId, _mask_subsets
+from .saturation import ClassId
 
 
 @dataclass
@@ -56,18 +56,6 @@ class Cover:
     optimal: bool = True
     provenance: str = ""
 
-    def union_nfa(self) -> Nfa:
-        if not self.pieces:
-            return empty_language(self.target.alphabet)
-        return nfa_union(*(p.nfa for p in self.pieces))
-
-    def imprint(self, rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> ImprintSet:
-        out = ImprintSet(rho.semiring, cap=caps.max_elements, label="cover-imprint")
-        out.insert(rho.semiring.zero)
-        for p in self.pieces:
-            out.insert(rho.eval_nfa(p.nfa, caps))
-        return out
-
     def to_json(self) -> dict:
         doc = {
             "class": self.class_id.value,
@@ -87,19 +75,14 @@ def _prune_empty(pieces: list) -> list:
 
 # -- alphabet-testable covers ---------------------------------------------------------
 
-def at_cover(alphabet: Alphabet, scope: Optional[Nfa] = None,
-             caps: Caps = DEFAULT_CAPS) -> Cover:
-    """Atoms of the alphabet-testable algebra; language scope keeps the atoms
-    meeting the language."""
+def at_cover(alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> Cover:
+    """Atoms of the alphabet-testable algebra."""
     pieces = []
     for mask in range(1 << len(alphabet)):
         syms = alphabet.from_mask(mask)
-        atom = alphabet_exact(alphabet, syms)
-        if scope is not None and is_empty(nfa_intersection(atom, scope)):
-            continue
-        pieces.append(CoverPiece(atom, exact_alphabet_regex(alphabet, syms)))
-    target = scope if scope is not None else universal_language(alphabet)
-    return Cover(ClassId.AT, target, _prune_empty(pieces),
+        pieces.append(CoverPiece(alphabet_exact(alphabet, syms),
+                                 exact_alphabet_regex(alphabet, syms)))
+    return Cover(ClassId.AT, universal_language(alphabet), _prune_empty(pieces),
                  provenance="alphabet atoms")
 
 
@@ -190,21 +173,11 @@ def bsigma1_cover(rho: RatingMap, goal: ImprintSet,
 
 def _partition_images(pa: Dfa, rho: RatingMap, caps: Caps) -> dict:
     """Rating image of every partition class, in one reachability pass."""
-    sr = rho.semiring
-    start = (pa.initial, sr.one)
-    seen = {start}
-    work = [start]
     sums: dict = {}
-    while work:
-        (q, elem) = work.pop()
-        sums[q] = sr.add(sums.get(q, sr.zero), elem)
-        for a, q2 in zip(pa.alphabet, pa.delta[q]):
-            pair = (q2, sr.mul(elem, rho.letter_image[a]))
-            if pair not in seen:
-                if len(seen) >= caps.max_elements:
-                    raise SaturationCapError(caps.max_elements, "partition-imprint")
-                seen.add(pair)
-                work.append(pair)
+    for q, elem in reach(rho.semiring, pa.delta, pa.initial,
+                         [rho.letter_image[a] for a in pa.alphabet],
+                         caps.max_elements, "partition-imprint"):
+        sums[q] = sums.get(q, 0) | elem
     return sums
 
 
@@ -266,34 +239,24 @@ def _label_pieces(alphabet: Alphabet, delta: tuple, initial: int, labels: list) 
 
 # -- two-variable covers -----------------------------------------------------------------
 
-def fo2_cover(rho: RatingMap, saturated: ImprintSet,
-              subset: Optional[Iterable[str]] = None,
-              left=None, right=None, caps: Caps = DEFAULT_CAPS) -> Cover:
-    """Cover of B* whose pieces K all keep left·ρ(K)·right inside the
-    saturated set.
+def fo2_cover(rho: RatingMap, saturated: ImprintSet, caps: Caps = DEFAULT_CAPS) -> Cover:
+    """Cover of A* whose pieces K all have ρ(K) in the saturated set.
 
-    Top level (defaults) covers the full word set with ρ(K) in the saturated
-    set for every piece.  Requires an alphabet-compatible rating map.  The
-    pieces have pairwise distinct images; each image is re-evaluated on the
-    piece's automaton and checked against the saturated set.
+    Requires an alphabet-compatible rating map.  The pieces have pairwise
+    distinct images; each image is re-evaluated on the piece's automaton and
+    checked against the saturated set.
     """
     if rho.cont is None:
-        raise ValueError("fo2 cover synthesis needs an alphabet-compatible rating map")
+        raise InputError("fo2 cover synthesis needs an alphabet-compatible rating map; "
+                         "augment it first")
     sr = rho.semiring
-    subset = tuple(sorted(subset)) if subset is not None else tuple(rho.alphabet.symbols)
-    left = left if left is not None else sr.one
-    right = right if right is not None else sr.one
-    if left not in saturated or right not in saturated:
-        raise ValueError("context elements must lie in the saturated set")
-
-    delta, labels = _Fo2State(rho, saturated, caps).machine(subset, left, right, True)
+    delta, labels = _Fo2State(rho, saturated, caps).machine(
+        tuple(rho.alphabet.symbols), sr.one, sr.one, True)
     pieces = _label_pieces(rho.alphabet, delta, 0, labels)
     for p in pieces:
-        image = sr.mul(sr.mul(left, rho.eval_nfa(p.nfa, caps)), right)
-        if image not in saturated:
+        if rho.eval_nfa(p.nfa, caps) not in saturated:
             raise AssertionError("fo2 synthesis produced a piece outside the saturated set")
-    target = alphabet_star(rho.alphabet, subset)
-    return Cover(ClassId.FO2, target, pieces,
+    return Cover(ClassId.FO2, universal_language(rho.alphabet), pieces,
                  provenance="left-factor recursion")
 
 
@@ -329,7 +292,7 @@ class _Fo2State:
     addition is idempotent, so a union of languages of image r has image r,
     and a union of FO2 languages is FO2.  So a node has one piece per
     distinct label; `fo2_cover` re-evaluates every top-level piece and
-    checks that left·image·right lies in the saturated set.
+    checks that its image lies in the saturated set.
 
     A right-peel node reads left to right, and its machine is deterministic
     without a subset construction: the first b read is the peeled one, and
@@ -352,7 +315,8 @@ class _Fo2State:
 
     Every node is built once per synthesis; `max_det_states` bounds the
     states of each node machine before minimization and of each conversion,
-    and `max_pieces` the distinct labels of the nodes, summed.
+    `max_pieces` the distinct labels of the nodes, summed, and
+    `max_elements` the word images over each sub-alphabet.
     """
 
     def __init__(self, rho: RatingMap, saturated: ImprintSet, caps: Caps):
@@ -367,19 +331,11 @@ class _Fo2State:
         self._machines: dict = {}
 
     def _word_images(self, subset: tuple) -> set:
-        """Images of the words over B: the monoid generated by B's letters."""
-        sr = self.sr
-        gens = [self.rho.letter_image[a] for a in subset]
-        words = {sr.one}
-        work = [sr.one]
-        while work:
-            e = work.pop()
-            for g in gens:
-                x = sr.mul(e, g)
-                if x not in words:
-                    words.add(x)
-                    work.append(x)
-        return words
+        """Images of the words over B: the monoid generated by B's letters,
+        closed over a one-state automaton."""
+        return {elem for _, elem in reach(self.sr, [[0] * len(subset)], 0,
+                                          [self.rho.letter_image[a] for a in subset],
+                                          self.caps.max_elements, "fo2 word images")}
 
     def s_b(self, subset: tuple) -> frozenset:
         """Images of the nonempty languages over B* that lie in the saturated
@@ -523,23 +479,12 @@ class _Fo2State:
         start = tuple(ids.setdefault(x, len(ids)) for x in labels)
         names = list(ids)
         cols = list(zip(*delta))
-        index = {start: 0}
-        order = [start]
-        rows = []
-        for vec in order:                  # order grows while it is read
-            row = []
-            for col in cols:
-                nv = tuple(map(vec.__getitem__, col))
-                j = index.get(nv)
-                if j is None:
-                    if len(order) >= self.caps.max_det_states:
-                        raise DeterminizationCapError(
-                            "max_det_states", self.caps.max_det_states,
-                            f"reversing a {len(delta)}-state fo2 node machine")
-                    j = index[nv] = len(order)
-                    order.append(nv)
-                row.append(j)
-            rows.append(tuple(row))
+        found = explore(start, lambda vec: [tuple(map(vec.__getitem__, col)) for col in cols],
+                        self.caps.max_det_states)
+        if found is None:
+            raise DeterminizationCapError("max_det_states", self.caps.max_det_states,
+                                          f"reversing a {len(delta)}-state fo2 node machine")
+        order, rows = found
         return tuple(rows), [names[vec[0]] for vec in order]
 
 
@@ -561,7 +506,6 @@ class VerifyReport:
     piece_witnesses: list          # per piece: index of a missed language, or None
     class_ok: Optional[bool]       # None when only certified by construction
     class_note: str
-    imprint_masks: Optional[frozenset] = None
 
     @property
     def ok(self) -> bool:
@@ -585,11 +529,9 @@ def _covers_incrementally(target: Nfa, pieces: list, caps: Caps) -> bool:
 
 
 def verify_cover(cover: Cover, target: Nfa, against: list,
-                 class_check: bool = True, ext=None,
                  caps: Caps = DEFAULT_CAPS) -> VerifyReport:
-    """Machine-check a cover: coverage, separation witnesses, the class
-    discipline of each piece, and (given a multiset extension) the cover's
-    imprint over the language indices."""
+    """Machine-check a cover: coverage, separation witnesses and the class
+    discipline of each piece."""
     covers_target = _covers_incrementally(target, cover.pieces, caps)
     witnesses = []
     separating = True
@@ -607,23 +549,17 @@ def verify_cover(cover: Cover, target: Nfa, against: list,
     note = "class membership certified by construction, not machine-checked"
     alphabet = cover.target.alphabet
     partition = None
-    if class_check:
-        if cover.class_id is ClassId.SIGMA1:
-            class_ok = all(equivalent(upward_closure(p.nfa), p.nfa, caps) for p in cover.pieces)
-            note = "each piece closed under superwords"
-        elif cover.class_id is ClassId.AT:
-            # the 1-piece classes are the alphabet atoms
-            partition = pt_partition(1, alphabet, caps)
-            note = "each piece a union of alphabet atoms"
-        elif cover.class_id is ClassId.BSIGMA1 and cover.k is not None:
-            partition = pt_partition(cover.k, alphabet, caps)
-            note = f"each piece a union of {cover.k}-piece-equivalence classes"
+    if cover.class_id is ClassId.SIGMA1:
+        class_ok = all(equivalent(upward_closure(p.nfa), p.nfa, caps) for p in cover.pieces)
+        note = "each piece closed under superwords"
+    elif cover.class_id is ClassId.AT:
+        # the 1-piece classes are the alphabet atoms
+        partition = pt_partition(1, alphabet, caps)
+        note = "each piece a union of alphabet atoms"
+    elif cover.class_id is ClassId.BSIGMA1 and cover.k is not None:
+        partition = pt_partition(cover.k, alphabet, caps)
+        note = f"each piece a union of {cover.k}-piece-equivalence classes"
     if partition is not None:
         class_ok = all(is_union_of_classes(p.nfa, partition, caps) for p in cover.pieces)
 
-    masks = None
-    if ext is not None:
-        masks = frozenset(sub for p in cover.pieces
-                          for sub in _mask_subsets(ext.index_set(ext.tau.eval_nfa(p.nfa, caps))))
-
-    return VerifyReport(covers_target, separating, witnesses, class_ok, note, masks)
+    return VerifyReport(covers_target, separating, witnesses, class_ok, note)

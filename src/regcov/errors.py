@@ -80,7 +80,9 @@ class Caps:
     max_alphabet_sets: int = 8         # |A| for alphabet-set semirings; bounds
                                        # real work, as the saturation rules
                                        # visit all 2^|A| sub-alphabets
-    max_elements: int = 200_000        # saturated-set elements
+    max_elements: int = 200_000        # maximal elements of an imprint, and
+                                       # the pairs of every (state, word
+                                       # image) closure (`rating.reach`)
     max_pieces: int = 10_000           # pieces per synthesized cover; for fo2,
                                        # the distinct labels of each recursion
                                        # node (its pieces), summed over the nodes

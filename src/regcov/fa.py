@@ -55,11 +55,6 @@ class Alphabet:
     def from_mask(self, mask: int) -> str:
         return "".join(s for i, s in enumerate(self.symbols) if mask >> i & 1)
 
-    def words_upto(self, maxlen: int) -> Iterator[str]:
-        for n in range(maxlen + 1):
-            for tup in itertools.product(self.symbols, repeat=n):
-                yield "".join(tup)
-
 
 @dataclass(frozen=True)
 class Nfa:
@@ -110,10 +105,6 @@ class Nfa:
             if not current:
                 break
         return bool(current & self.finals)
-
-    def words_upto(self, maxlen: int):
-        """Accepted words of length <= maxlen (test/oracle helper)."""
-        return {w for w in self.alphabet.words_upto(maxlen) if self.accepts(w)}
 
 
 # -- constructions from regexes ------------------------------------------------
@@ -263,6 +254,33 @@ class Dfa:
                    frozenset(self.finals), frozenset(trans))
 
 
+def explore(start, successors, cap: int):
+    """Number the states reachable from `start` in BFS order.
+
+    `successors(state)` lists a state's successors in a fixed order, one per
+    letter.  Returns (states, rows): states[i] is state i, `start` being
+    state 0, and rows[i] the tuple of the numbers of its successors.  A state
+    is numbered on its first appearance in the rows, so every state j > 0
+    first appears in a row i < j.  Returns None as soon as more than `cap`
+    states are found.
+    """
+    ids = {start: 0}
+    states = [start]
+    rows = []
+    for state in states:                   # states grows while it is read
+        row = []
+        for nxt in successors(state):
+            j = ids.get(nxt)
+            if j is None:
+                if len(states) >= cap:
+                    return None
+                j = ids[nxt] = len(states)
+                states.append(nxt)
+            row.append(j)
+        rows.append(tuple(row))
+    return states, rows
+
+
 def determinize(n: Nfa, caps: Caps = DEFAULT_CAPS) -> Dfa:
     """Subset construction, completed (the empty subset is the sink).
 
@@ -273,34 +291,29 @@ def determinize(n: Nfa, caps: Caps = DEFAULT_CAPS) -> Dfa:
     for (q, a, r) in n.transitions:
         succ[a][q] |= 1 << r
     tables = [succ[a] for a in syms]
-    init = 0
-    for q in n.initials:
-        init |= 1 << q
-    ids = {init: 0}
-    order = [init]
-    rows = []
-    i = 0
-    while i < len(order):
+
+    def successors(subset):
         members = []
-        rest = order[i]
-        while rest:
-            low = rest & -rest
+        while subset:
+            low = subset & -subset
             members.append(low.bit_length() - 1)
-            rest ^= low
+            subset ^= low
         row = []
         for table in tables:
             nxt = 0
             for q in members:
                 nxt |= table[q]
-            if nxt not in ids:
-                if len(order) >= caps.max_det_states:
-                    raise DeterminizationCapError("max_det_states", caps.max_det_states,
-                                                  f"subset construction on {n.state_count}-state NFA")
-                ids[nxt] = len(order)
-                order.append(nxt)
-            row.append(ids[nxt])
-        rows.append(tuple(row))
-        i += 1
+            row.append(nxt)
+        return row
+
+    init = 0
+    for q in n.initials:
+        init |= 1 << q
+    found = explore(init, successors, caps.max_det_states)
+    if found is None:
+        raise DeterminizationCapError("max_det_states", caps.max_det_states,
+                                      f"subset construction on {n.state_count}-state NFA")
+    order, rows = found
     final_mask = 0
     for q in n.finals:
         final_mask |= 1 << q
@@ -343,16 +356,8 @@ def minimize_labelled(delta: tuple, initial: int, labels: list) -> tuple:
     for sig, x in zip(sigs, labels):
         if sig[0] not in rep:
             rep[sig[0]] = (sig[1:], x)
-    start = block[initial]
-    number = {start: 0}
-    order = [start]
-    for b in order:                        # order grows while it is read
-        for t in rep[b][0]:
-            if t not in number:
-                number[t] = len(order)
-                order.append(t)
-    return (tuple(tuple(number[t] for t in rep[b][0]) for b in order),
-            [rep[b][1] for b in order])
+    order, rows = explore(block[initial], lambda b: rep[b][0], len(rep))
+    return tuple(rows), [rep[b][1] for b in order]
 
 
 def trim(n: Nfa) -> Nfa:
@@ -387,12 +392,6 @@ def trim(n: Nfa) -> Nfa:
                frozenset(num[q] for q in n.finals if q in live),
                frozenset((num[q], a, num[r]) for (q, a, r) in n.transitions
                          if q in live and r in live))
-
-
-def reverse(n: Nfa) -> Nfa:
-    """The mirror image: the words of n spelled backwards."""
-    return Nfa(n.alphabet, n.state_count, n.finals, n.initials,
-               frozenset((r, a, q) for (q, a, r) in n.transitions))
 
 
 def nfa_complement(n: Nfa, caps: Caps = DEFAULT_CAPS) -> Nfa:
@@ -487,32 +486,26 @@ def _dfa_monoid(dfa: Dfa, bound: int):
     table is filled only for a monoid within the bound."""
     if bound < 1:
         return None
-    m = dfa.state_count
-    letters = range(len(dfa.alphabet))
-    letter_tf = [tuple(row[k] for row in dfa.delta) for k in letters]
-    ident = tuple(range(m))
-    ids = {ident: 0}
-    order = [ident]
-    right = [[] for _ in letters]
-    parent = [0]
-    letter = [0]
-    for i, t in enumerate(order):          # order grows while it is read
-        for k in letters:
-            nt = tuple(map(letter_tf[k].__getitem__, t))  # apply t, then letter k
-            j = ids.get(nt)
-            if j is None:
-                if len(order) >= bound:
-                    return None
-                j = ids[nt] = len(order)
-                order.append(nt)
-                parent.append(i)
-                letter.append(k)
-            right[k].append(j)
+    # the transformation of letter k, as a lookup; t·k applies t, then k
+    letter_tf = [tuple(row[k] for row in dfa.delta).__getitem__
+                 for k in range(len(dfa.alphabet))]
+    found = explore(tuple(range(dfa.state_count)),
+                    lambda t: [tuple(map(tf, t)) for tf in letter_tf], bound)
+    if found is None:
+        return None
+    order, rows = found
     size = len(order)
+    right = list(zip(*rows))
+    flat = list(itertools.chain.from_iterable(rows))
     cols = [range(size)]
+    p = -1
     for j in range(1, size):
-        step = right[letter[j]]
-        cols.append([step[v] for v in cols[parent[j]]])
+        # j first appears in row parent[j], column letter[j], after the
+        # first appearance of j - 1
+        p = flat.index(j, p + 1)
+        parent, letter = divmod(p, len(right))
+        step = right[letter]
+        cols.append([step[v] for v in cols[parent]])
     letter_image = {a: right[k][0] for k, a in enumerate(dfa.alphabet.symbols)}
     morphism = MonoidMorphism(size, 0, tuple(zip(*cols)), letter_image)
     accepting = frozenset(i for i, t in enumerate(order) if t[dfa.initial] in dfa.finals)

@@ -37,13 +37,11 @@ class ImprintSet:
     """
 
     def __init__(self, semiring: Semiring, monoid: Optional[MonoidMorphism] = None,
-                 cap: int = DEFAULT_CAPS.max_elements, label: str = "imprint",
-                 lifo: bool = False):
+                 cap: int = DEFAULT_CAPS.max_elements, label: str = "imprint"):
         self.semiring = semiring
         self.monoid = monoid
         self.cap = cap
         self.label = label
-        self.lifo = lifo
         self._fibers: dict = {}   # monoid element (None when universal) -> {element: item}
         self._widest: dict = {}   # monoid element -> most bits of a maximum in its fiber
         self._hint: dict = {}     # monoid element -> last element that dominated an insert
@@ -104,7 +102,7 @@ class ImprintSet:
         """
         queue = self.queue
         while queue:
-            key, x, item = queue.pop() if self.lifo else queue.popleft()
+            key, x, item = queue.popleft()
             if x in self._fibers[key]:
                 return item
         return None
@@ -112,9 +110,6 @@ class ImprintSet:
     def maximal_elements(self) -> list:
         """The antichain of maximal items."""
         return [item for fiber in self._fibers.values() for item in fiber.values()]
-
-    def issubset(self, other: "ImprintSet") -> bool:
-        return all(item in other for item in self.maximal_elements())
 
     def _antichain(self) -> dict:
         return {key: set(fiber) for key, fiber in self._fibers.items() if fiber}
@@ -126,24 +121,3 @@ class ImprintSet:
 
     def __hash__(self):  # pragma: no cover
         raise TypeError("ImprintSet is unhashable")
-
-    # -- invariant checks (structural, post-hoc) --------------------------------
-
-    def check_submonoid(self) -> bool:
-        """True iff the unit lies in the set and the set is closed under
-        multiplication.
-
-        Products are monotone in both arguments, so closure over the maximal
-        elements together with downward closure implies full closure.
-        """
-        sr = self.semiring
-        maxes = self.maximal_elements()
-        if self.monoid is None:
-            return sr.one in self and all(sr.mul(x, y) in self for x in maxes for y in maxes)
-        mon = self.monoid
-        return ((mon.identity, sr.one) in self
-                and all((mon.mul[m1][m2], sr.mul(r1, r2)) in self
-                        for (m1, r1) in maxes for (m2, r2) in maxes))
-
-    def check_contains(self, items) -> bool:
-        return all(item in self for item in items)

@@ -8,7 +8,7 @@ most k; the partition DFA tracks the reachable piece sets.
 from __future__ import annotations
 
 from .errors import Caps, DEFAULT_CAPS, PtStateCapError
-from .fa import Alphabet, Dfa, Nfa, determinize
+from .fa import Alphabet, Dfa, Nfa, determinize, explore
 
 
 def is_piece(u: str, v: str) -> bool:
@@ -43,26 +43,20 @@ def pt_partition(k: int, alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> Dfa:
                 table[v] = table[v ^ low] | ext[low.bit_length() - 1]
             per_byte.append((lo, (1 << len(ext)) - 1, table))
         tables.append(per_byte)
-    ids = {1: 0}   # bit 0 is the empty piece
-    order = [1]
-    rows = []
-    i = 0
-    while i < len(order):
-        cur = order[i]
+
+    def successors(cur):
         row = []
         for per_byte in tables:
             nxt = cur
             for lo, mask, table in per_byte:
                 nxt |= table[cur >> lo & mask]
-            if nxt not in ids:
-                if len(order) >= caps.max_pt_states:
-                    raise PtStateCapError("max_pt_states", caps.max_pt_states,
-                                          f"piece automaton at k={k}")
-                ids[nxt] = len(order)
-                order.append(nxt)
-            row.append(ids[nxt])
-        rows.append(tuple(row))
-        i += 1
+            row.append(nxt)
+        return row
+
+    found = explore(1, successors, caps.max_pt_states)   # bit 0 is the empty piece
+    if found is None:
+        raise PtStateCapError("max_pt_states", caps.max_pt_states, f"piece automaton at k={k}")
+    order, rows = found
     return Dfa(alphabet, len(order), 0, frozenset(), tuple(rows))
 
 

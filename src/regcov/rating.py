@@ -39,13 +39,6 @@ class RatingMap:
             if a not in self.letter_image:
                 raise InputError(f"letter image missing for {a!r}")
 
-    def eval_word(self, word: str):
-        sr = self.semiring
-        out = sr.one
-        for a in word:
-            out = sr.mul(out, self.letter_image[a])
-        return out
-
     def eval_nfa(self, nfa: Nfa, caps: Caps = DEFAULT_CAPS):
         """Image of a regular language: sum of the word images of its members.
 
@@ -92,12 +85,18 @@ class RatingMap:
             sr = self.semiring
             nsub = 1 << len(self.alphabet)
             bits = [1 << k for k in range(len(self.alphabet))]
+            # an automaton whose states are the alphabets of the words read
+            delta = [[mask | bit for bit in bits] for mask in range(nsub)]
             product = isinstance(sr, ProductSemiring)
             images = [sr.unpack(self.letter_image[a]) if product else (self.letter_image[a],)
                       for a in self.alphabet]
-            cols = [_exact_images(p, [(img[j], bit) for img, bit in zip(images, bits)],
-                                  nsub, caps)
-                    for j, p in enumerate(sr.parts if product else (sr,))]
+            cols = []
+            for j, part in enumerate(sr.parts if product else (sr,)):
+                col = [0] * nsub
+                for mask, elem in reach(part, delta, 0, [img[j] for img in images],
+                                        caps.max_elements, "word-image closure"):
+                    col[mask] |= elem
+                cols.append(col)
             exacts = [sr.pack(col) for col in zip(*cols)] if product else cols[0]
             stars = list(exacts)
             for bit in bits:
@@ -116,27 +115,27 @@ class RatingMap:
         return self._word_images(caps)[1][self.alphabet.mask_of(subset)]
 
 
-def _exact_images(sr: Semiring, letters: list, nsub: int, caps: Caps) -> list:
-    """out[B] is the sum of the images of the words with alphabet exactly B,
-    over the semiring `sr` whose letter images and alphabet bits `letters`
-    lists; closes the (word image, alphabet mask) pairs of the words."""
+def reach(sr: Semiring, delta, initial: int, letter_images: list, cap: int, what: str) -> set:
+    """The (state, word image) pairs of the words over a complete automaton:
+    delta[q][k] is the state that letter k leads to from q, and
+    letter_images[k] the letter's image in `sr`.  More than `cap` pairs
+    raise SaturationCapError naming `what`."""
     mul = sr.mul
-    start = (sr.one, 0)
+    letters = list(enumerate(letter_images))
+    start = (initial, sr.one)
     seen = {start}
     work = [start]
     while work:
-        elem, mask = work.pop()
-        for gelem, gbit in letters:
-            pair = (mul(elem, gelem), mask | gbit)
+        q, elem = work.pop()
+        row = delta[q]
+        for k, img in letters:
+            pair = (row[k], mul(elem, img))
             if pair not in seen:
-                if len(seen) >= caps.max_elements:
-                    raise SaturationCapError(caps.max_elements, "word-image closure")
+                if len(seen) >= cap:
+                    raise SaturationCapError(cap, what)
                 seen.add(pair)
                 work.append(pair)
-    out = [0] * nsub
-    for elem, mask in seen:
-        out[mask] |= elem
-    return out
+    return seen
 
 
 @dataclass

@@ -95,14 +95,6 @@ def star(inner: Regex) -> Regex:
     return Star(inner)
 
 
-def plus(inner: Regex) -> Regex:
-    if isinstance(inner, Empty):
-        return EMPTY
-    if isinstance(inner, Epsilon):
-        return EPSILON
-    return Plus(inner)
-
-
 def union_all(parts) -> Regex:
     out: Regex = EMPTY
     for p in parts:

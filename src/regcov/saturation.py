@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import Caps, DEFAULT_CAPS, InputError
-from .fa import MonoidMorphism, Nfa, alphabet_exact, nfa_intersection, is_empty
+from .fa import MonoidMorphism
 from .imprints import ImprintSet
 from .rating import Extension, RatingMap, rm_alphabet_augment, with_content
 
@@ -104,19 +104,15 @@ def _words(rho: RatingMap, alpha: Optional[MonoidMorphism]):
 # -- fixpoint engines ----------------------------------------------------------------
 
 def saturate_universal(rho: RatingMap, class_id: ClassId,
-                       caps: Caps = DEFAULT_CAPS, lifo: bool = False) -> ImprintSet:
-    """Least class-saturated subset of the rating semiring.
-
-    `lifo` flips the worklist order; the least fixpoint is order-independent
-    (exercised by the determinism tests).
-    """
+                       caps: Caps = DEFAULT_CAPS) -> ImprintSet:
+    """Least class-saturated subset of the rating semiring."""
     if class_id not in (ClassId.BSIGMA1, ClassId.FO2, ClassId.FO):
         raise InputError(f"{class_id.value} is not handled by the universal engine")
     if class_id is ClassId.FO2 and rho.cont is None:
         raise InputError("fo2 saturation needs an alphabet-compatible rating map; "
                          "augment it first")
     sr = rho.semiring
-    out = ImprintSet(sr, cap=caps.max_elements, label=class_id.value, lifo=lifo)
+    out = ImprintSet(sr, cap=caps.max_elements, label=class_id.value)
     one, gens, mul = _words(rho, None)
 
     if class_id is ClassId.BSIGMA1:
@@ -153,7 +149,7 @@ def saturate_universal(rho: RatingMap, class_id: ClassId,
 
 
 def saturate_pointed(alpha: MonoidMorphism, rho: RatingMap, class_id: ClassId,
-                     caps: Caps = DEFAULT_CAPS, lifo: bool = False) -> ImprintSet:
+                     caps: Caps = DEFAULT_CAPS) -> ImprintSet:
     """Least class-saturated subset of monoid x rating-semiring pairs."""
     if class_id not in (ClassId.SIGMA1, ClassId.SIGMA2):
         raise InputError(f"{class_id.value} is not handled by the pointed engine")
@@ -161,7 +157,7 @@ def saturate_pointed(alpha: MonoidMorphism, rho: RatingMap, class_id: ClassId,
         raise InputError("sigma2 saturation needs an alphabet-compatible rating map; "
                          "augment it first")
     sr = rho.semiring
-    out = ImprintSet(sr, alpha, cap=caps.max_elements, label=class_id.value, lifo=lifo)
+    out = ImprintSet(sr, alpha, cap=caps.max_elements, label=class_id.value)
     one, gens, mul = _words(rho, alpha)
 
     if class_id is ClassId.SIGMA1:
@@ -216,22 +212,13 @@ def _saturate(out: ImprintSet, one, gens: list, mul, rule):
 
 # -- exact finite-class imprint -----------------------------------------------------
 
-def at_imprint(rho: RatingMap, scope: Optional[Nfa] = None,
-               caps: Caps = DEFAULT_CAPS) -> ImprintSet:
-    """Optimal alphabet-testable imprint, computed directly from the atoms.
-
-    Universal scope uses every sub-alphabet; language scope keeps the atoms
-    that meet the language.  Serves as the exact oracle for the framework.
-    """
+def at_imprint(rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> ImprintSet:
+    """Optimal alphabet-testable imprint of the whole word set, computed
+    directly from the atoms, one per sub-alphabet."""
     out = ImprintSet(rho.semiring, cap=caps.max_elements, label="at")
     out.insert(rho.semiring.zero)
     for mask in range(1 << len(rho.alphabet)):
-        syms = rho.alphabet.from_mask(mask)
-        if scope is not None:
-            atom = alphabet_exact(rho.alphabet, syms)
-            if is_empty(nfa_intersection(atom, scope)):
-                continue
-        out.insert(rho.image_of_exact(syms, caps))
+        out.insert(rho.image_of_exact(rho.alphabet.from_mask(mask), caps))
     return out
 
 

@@ -35,9 +35,6 @@ class Semiring:
     def add(self, x, y):
         return x | y
 
-    def leq(self, x, y) -> bool:
-        return x | y == y
-
     def sum(self, elems: Iterable):
         out = self.zero
         for e in elems:
@@ -162,10 +159,6 @@ class RelationSemiring(Semiring):
 
     def pair(self, i: int, j: int) -> int:
         return 1 << (i * self.q + j)
-
-    def pairs_of(self, x: int):
-        q = self.q
-        return [(i, j) for i in range(q) for j in range(q) if x >> (i * q + j) & 1]
 
 
 class AlphabetSemiring(Semiring):

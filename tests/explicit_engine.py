@@ -115,14 +115,14 @@ class ExplicitImprint:
         return True
 
     def maximal_elements(self) -> set:
-        """Maximal members, computed over the tops (every member is below one)."""
-        sr = self.semiring
+        """Maximal members, computed over the tops (every member is below one);
+        the order is inclusion."""
         fibers: dict = {}
         for item in set(self.tops):
             key, r = item if self.pointed else (None, item)
             keep = fibers.setdefault(key, [])
-            if not any(sr.leq(r, k) for k in keep):
-                keep[:] = [k for k in keep if not sr.leq(k, r)] + [r]
+            if not any(r | k == k for k in keep):
+                keep[:] = [k for k in keep if k | r != r] + [r]
         return {(key, r) if self.pointed else r for key, rs in fibers.items() for r in rs}
 
 

@@ -4,12 +4,14 @@ small constructions that only tests use."""
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import replace
 
-from regcov import (Alphabet, DEFAULT_CAPS, ImprintSet, Nfa, alphabet_exact,
-                    alphabet_star, includes, is_empty, nfa_intersection,
-                    regex_parse, regex_to_nfa)
+from regcov import (Alphabet, DEFAULT_CAPS, Extension, ImprintSet, Nfa, ProductSemiring,
+                    RatingMap, alphabet_exact, alphabet_star, includes, is_empty,
+                    nfa_intersection, nfa_union, regex_parse, regex_to_nfa)
 from regcov import rx, saturation
+from regcov.fa import empty_language
 
 
 def random_regex(rng: random.Random, symbols: str, depth: int):
@@ -176,3 +178,102 @@ def strip_content(aug, imprint: ImprintSet, semiring) -> ImprintSet:
     `semiring`."""
     width = aug.tau.cont.nbits
     return _map_imprint(imprint, lambda x: x >> width, semiring, "base")
+
+
+# -- small constructions that the library does not need ------------------------
+
+def leq(x: int, y: int) -> bool:
+    """The order of every bit-vector semiring: inclusion."""
+    return x | y == y
+
+
+def eval_word(tau, word: str):
+    """Image of one word under a rating map: its letter images multiplied."""
+    out = tau.semiring.one
+    for a in word:
+        out = tau.semiring.mul(out, tau.letter_image[a])
+    return out
+
+
+def reverse(n: Nfa) -> Nfa:
+    """The mirror image: the words of n spelled backwards."""
+    return Nfa(n.alphabet, n.state_count, n.finals, n.initials,
+               frozenset((r, a, q) for (q, a, r) in n.transitions))
+
+
+def union_nfa(cover) -> Nfa:
+    """The union of a cover's pieces."""
+    if not cover.pieces:
+        return empty_language(cover.target.alphabet)
+    return nfa_union(*(p.nfa for p in cover.pieces))
+
+
+def cover_imprint(cover, rho) -> ImprintSet:
+    """The imprint of a cover on a rating map: its pieces' images, and zero,
+    downset-closed."""
+    out = ImprintSet(rho.semiring, cap=DEFAULT_CAPS.max_elements, label="cover-imprint")
+    out.insert(rho.semiring.zero)
+    for p in cover.pieces:
+        out.insert(rho.eval_nfa(p.nfa))
+    return out
+
+
+def cover_index_masks(cover, ext) -> frozenset:
+    """The imprint of a cover over the language indices of an extension:
+    the masks of the languages each piece meets, downset-closed."""
+    return frozenset(sub for p in cover.pieces
+                     for sub in saturation._mask_subsets(ext.index_set(ext.tau.eval_nfa(p.nfa))))
+
+
+def is_submonoid(imprint: ImprintSet) -> bool:
+    """True iff the unit lies in the imprint and the imprint is closed under
+    multiplication.
+
+    Products are monotone in both arguments, so closure over the maximal
+    elements together with downward closure implies full closure.
+    """
+    sr = imprint.semiring
+    maxes = imprint.maximal_elements()
+    if imprint.monoid is None:
+        return sr.one in imprint and all(sr.mul(x, y) in imprint for x in maxes for y in maxes)
+    mon = imprint.monoid
+    return ((mon.identity, sr.one) in imprint
+            and all((mon.mul[m1][m2], sr.mul(r1, r2)) in imprint
+                    for (m1, r1) in maxes for (m2, r2) in maxes))
+
+
+def is_subset(a: ImprintSet, b: ImprintSet) -> bool:
+    """Downset inclusion: every maximum of a lies in b."""
+    return all(item in b for item in a.maximal_elements())
+
+
+class _Stack(deque):
+    popleft = deque.pop
+
+
+class LifoImprintSet(ImprintSet):
+    """An `ImprintSet` that hands out its pending items last in, first out.
+
+    The least fixpoint does not depend on the order of the worklist; tests
+    install this class in place of `ImprintSet` (with monkeypatch) to run
+    the engines in the other order.
+    """
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.queue = _Stack()
+
+
+def multiset_ext(items) -> Extension:
+    """The combination of `rm_from_multiset`, with caller-chosen parts: the
+    first part sits in the highest bits, so each acceptance mask moves up by
+    the widths of the parts after it."""
+    exts = list(items)
+    parts = [e.tau.semiring for e in exts]
+    sr = ProductSemiring(parts)
+    alphabet = exts[0].tau.alphabet
+    letter_image = {a: sr.pack(e.tau.letter_image[a] for e in exts) for a in alphabet}
+    tau = RatingMap(alphabet, sr, letter_image)
+    accepts = tuple(e.accepts[0] << sum(p.nbits for p in parts[i + 1:])
+                    for i, e in enumerate(exts))
+    return Extension(tau, accepts)

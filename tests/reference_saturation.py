@@ -17,10 +17,10 @@ from regcov.semiring import AlphabetSemiring
 from explicit_engine import word_images, word_pairs
 
 
-def saturate_universal(rho, class_id: ClassId, lifo: bool = False) -> ImprintSet:
+def saturate_universal(rho, class_id: ClassId) -> ImprintSet:
     """Least class-saturated subset of the rating semiring, all pairs."""
     sr = rho.semiring
-    out = ImprintSet(sr, cap=DEFAULT_CAPS.max_elements, label=class_id.value, lifo=lifo)
+    out = ImprintSet(sr, cap=DEFAULT_CAPS.max_elements, label=class_id.value)
 
     if class_id is ClassId.BSIGMA1:
         for mask in range(1 << len(rho.alphabet)):
@@ -58,12 +58,11 @@ def saturate_universal(rho, class_id: ClassId, lifo: bool = False) -> ImprintSet
     return out
 
 
-def saturate_pointed(alpha, rho, class_id: ClassId, lifo: bool = False) -> ImprintSet:
+def saturate_pointed(alpha, rho, class_id: ClassId) -> ImprintSet:
     """Least class-saturated subset of monoid x rating-semiring pairs, all
     pairs."""
     sr = rho.semiring
-    out = ImprintSet(sr, alpha, cap=DEFAULT_CAPS.max_elements, label=class_id.value,
-                     lifo=lifo)
+    out = ImprintSet(sr, alpha, cap=DEFAULT_CAPS.max_elements, label=class_id.value)
 
     if class_id is ClassId.SIGMA1:
         out.insert((alpha.identity, rho.image_of_star(rho.alphabet.symbols)))

@@ -101,7 +101,7 @@ class TupleProductSemiring(Semiring):
         return tuple(p.mul(a, b) for p, a, b in zip(self.parts, x, y))
 
     def leq(self, x, y):
-        return all(p.leq(a, b) for p, a, b in zip(self.parts, x, y))
+        return all(a | b == b for a, b in zip(x, y))
 
     def mask(self, x):
         """The parts' elements side by side."""

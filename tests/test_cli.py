@@ -262,7 +262,10 @@ def test_verdict_json_roundtrip(capsys):
         "--emit-cover", "--verify", "--json"])
     assert code == 0
     doc = json.loads(out)
-    verdict = Verdict.from_json(doc)
+    verdict = Verdict(class_name=doc["class"], coverable=doc["coverable"],
+                      imprint=[list(m) for m in doc["imprint"]], cover=doc["cover"],
+                      verified=doc["verified"], separator=doc["separator"],
+                      member=doc["member"], stats=doc["stats"])
     assert verdict.to_json() == doc
 
 

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from regcov import (DEFAULT_CAPS, Alphabet, ClassId, Cover, at_cover, at_imprint,
-                    bsigma1_cover, decide_universal_covering, equivalent,
+from regcov import (DEFAULT_CAPS, Alphabet, ClassId, Cover, InputError, at_cover,
+                    at_imprint, bsigma1_cover, decide_universal_covering, equivalent,
                     fo2_cover, includes, is_empty, nfa_intersection, nfa_union,
                     restrict_cover, rm_alphabet_augment, rm_from_multiset,
                     saturate_pointed, saturate_universal, sigma1_cover,
@@ -20,7 +20,8 @@ from regcov.pieces import pt_partition
 import reference_covers
 import reference_fa
 from explicit_engine import downset, fo2_language_sums, members
-from helpers import nfa_of, piece_images_distinct, random_nfa
+from helpers import (cover_imprint, cover_index_masks, eval_word, nfa_of,
+                     piece_images_distinct, random_nfa, union_nfa)
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -39,12 +40,12 @@ def test_at_cover_imprint_is_optimal():
     langs = [nfa_of("(ab)+", "abc"), nfa_of("b(ab)+", "abc"), nfa_of("c(ac)+", "abc")]
     ext = rm_from_multiset(langs)
     cov = at_cover(ABC)
-    assert members(cov.imprint(ext.tau)) == members(at_imprint(ext.tau))
+    assert members(cover_imprint(cov, ext.tau)) == members(at_imprint(ext.tau))
 
 
 def test_at_cover_language_scope():
     target = nfa_of("a+|b+", "abc")
-    cov = at_cover(ABC, scope=target)
+    cov = restrict_cover(at_cover(ABC), target)
     texts = sorted(rx.regex_to_text(p.regex) for p in cov.pieces)
     assert texts == ["aa*", "bb*"]
     report = verify_cover(cov, target, [nfa_of("b+|c+", "abc"), nfa_of("c+|a+", "abc")])
@@ -62,7 +63,7 @@ def test_sigma1_cover_covers_fiber():
     lang = nfa_of("a+", "ab")
     alpha, acc = transition_monoid(lang)
     cov = sigma1_cover(alpha, acc, AB)
-    assert includes(lang, cov.union_nfa())
+    assert includes(lang, union_nfa(cov))
     texts = [rx.regex_to_text(p.regex) for p in cov.pieces]
     assert "(a|b)*a(a|b)*" in texts
     report = verify_cover(cov, lang, [nfa_of("b+", "ab")])
@@ -104,7 +105,7 @@ def test_bsigma1_cover_small_k_and_optimal():
     cov = bsigma1_cover(ext.tau, goal)
     assert cov.optimal and cov.k is not None and cov.k <= 2
     assert piece_images_distinct(cov, ext.tau)
-    assert members(cov.imprint(ext.tau)) == members(goal)
+    assert members(cover_imprint(cov, ext.tau)) == members(goal)
     report = verify_cover(cov, universal_language(AB),
                           [nfa_of("a+", "ab"), nfa_of("b+", "ab")])
     assert report.covers_target and report.class_ok
@@ -143,31 +144,43 @@ def test_bsigma1_cover_separating_iff_coverable():
         assert report.separating == dec.coverable
 
 
+def fo2_node_pieces(rho, sat, subset: str, left, right) -> list:
+    """The pieces of one node of the fo2 recursion: a cover of B* whose
+    pieces K all keep left·ρ(K)·right in the saturated set."""
+    delta, labels = covers._Fo2State(rho, sat, DEFAULT_CAPS).machine(
+        tuple(sorted(subset)), left, right, True)
+    pieces = covers._label_pieces(rho.alphabet, delta, 0, labels)
+    sr = rho.semiring
+    assert all(sr.mul(sr.mul(left, rho.eval_nfa(p.nfa)), right) in sat for p in pieces)
+    return pieces
+
+
 def test_fo2_cover_base_case_emits_whole_star():
     # with saturated context elements the recursion stops at {B*} right away
     ext = rm_from_multiset([nfa_of("a*", "a")])
     aug = rm_alphabet_augment(ext)
     tau = aug.tau
     sat = saturate_universal(tau, ClassId.FO2)
-    e = tau.semiring.idempotent_power(tau.eval_word("a"))
+    e = tau.semiring.idempotent_power(eval_word(tau, "a"))
     assert e in sat
-    cov = fo2_cover(tau, sat, subset="a", left=e, right=e)
-    assert len(cov.pieces) == 1
-    assert equivalent(cov.pieces[0].nfa, universal_language(A1))
+    pieces = fo2_node_pieces(tau, sat, "a", e, e)
+    assert len(pieces) == 1
+    assert equivalent(pieces[0].nfa, universal_language(A1))
     # the top-level cover is optimal regardless of how many pieces it takes
     top = fo2_cover(tau, sat)
-    assert members(top.imprint(tau)) == members(sat)
+    assert members(cover_imprint(top, tau)) == members(sat)
     assert piece_images_distinct(top, tau)
-    assert includes(universal_language(A1), top.union_nfa())
+    assert includes(universal_language(A1), union_nfa(top))
 
 
 def test_fo2_cover_empty_subalphabet():
     ext = rm_from_multiset([nfa_of("a+", "ab")])
     aug = rm_alphabet_augment(ext)
     sat = saturate_universal(aug.tau, ClassId.FO2)
-    cov = fo2_cover(aug.tau, sat, subset="")
-    assert len(cov.pieces) == 1
-    nfa = cov.pieces[0].nfa
+    one = aug.tau.semiring.one
+    pieces = fo2_node_pieces(aug.tau, sat, "", one, one)
+    assert len(pieces) == 1
+    nfa = pieces[0].nfa
     assert nfa.accepts("") and is_empty(nfa_intersection(nfa, nfa_of("a|b", "ab")))
 
 
@@ -179,8 +192,8 @@ def test_fo2_cover_top_level_imprint_equals_saturation():
         aug = rm_alphabet_augment(ext)
         sat = saturate_universal(aug.tau, ClassId.FO2)
         cov = fo2_cover(aug.tau, sat)
-        assert members(cov.imprint(aug.tau)) == members(sat)
-        assert includes(universal_language(AB), cov.union_nfa())
+        assert members(cover_imprint(cov, aug.tau)) == members(sat)
+        assert includes(universal_language(AB), union_nfa(cov))
         assert piece_images_distinct(cov, aug.tau)
 
 
@@ -192,8 +205,8 @@ def test_fo2_cover_merges_same_image_pieces():
     sat = saturate_universal(aug.tau, ClassId.FO2)
     cov = fo2_cover(aug.tau, sat)
     assert piece_images_distinct(cov, aug.tau)
-    assert members(cov.imprint(aug.tau)) == members(sat)
-    assert includes(universal_language(ABC), cov.union_nfa())
+    assert members(cover_imprint(cov, aug.tau)) == members(sat)
+    assert includes(universal_language(ABC), union_nfa(cov))
 
 
 def fo2_instances():
@@ -328,7 +341,7 @@ def test_fo2_per_maximum_sums_equal_the_full_closure():
 def test_fo2_cover_rejects_incompatible_map():
     ext = rm_from_multiset([nfa_of("a+", "ab")])
     sat = saturate_universal(ext.tau, ClassId.BSIGMA1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="alphabet-compatible"):
         fo2_cover(ext.tau, sat)
 
 
@@ -341,7 +354,7 @@ def test_restrict_cover():
     restricted = restrict_cover(cov, target)
     texts = {rx.regex_to_text(p.regex) for p in restricted.pieces}
     assert len(restricted.pieces) == 1  # only the {a,b} atom meets (ab)+
-    assert includes(target, restricted.union_nfa())
+    assert includes(target, union_nfa(restricted))
 
 
 def union_covers(parts: list) -> Cover:
@@ -357,12 +370,12 @@ def test_union_covers():
     alpha, acc = transition_monoid(lang)
     per_element = [sigma1_cover(alpha, s, AB) for s in sorted(acc)]
     merged = union_covers(per_element)
-    assert includes(lang, merged.union_nfa())
+    assert includes(lang, union_nfa(merged))
 
 
 def test_verify_cover_failure_modes():
     # {A*} covers a+ but cannot separate it from itself
-    cov = at_cover(AB, scope=None)
+    cov = at_cover(AB)
     target = nfa_of("a+", "ab")
     report = verify_cover(cov, target, [target])
     assert report.covers_target and not report.separating
@@ -372,13 +385,11 @@ def test_verify_cover_failure_modes():
     assert not report2.covers_target
 
 
-def test_verify_cover_reports_imprint_masks():
+def test_cover_index_masks_equal_the_decision_table():
     langs = [nfa_of("a+", "ab"), nfa_of("b+", "ab")]
     ext = rm_from_multiset(langs)
-    cov = at_cover(AB)
-    report = verify_cover(cov, universal_language(AB), langs, ext=ext)
     dec = decide_universal_covering(ext, ClassId.AT)
-    assert report.imprint_masks == dec.imprint_masks
+    assert cover_index_masks(at_cover(AB), ext) == dec.imprint_masks
 
 
 def test_complement_pair_cover_is_optimal():
@@ -387,12 +398,12 @@ def test_complement_pair_cover_is_optimal():
     langs = [nfa_of("(ab)+", "abc"), nfa_of("b(ab)+", "abc"), nfa_of("c(ac)+", "abc")]
     ext = rm_from_multiset(langs)
     from regcov.covers import Cover, CoverPiece
-    from regcov import nfa_complement, verify_cover as _verify
+    from regcov import nfa_complement
     withb = nfa_of("(a|b|c)*b(a|b|c)*", "abc")
     manual = Cover(ClassId.AT, universal_language(ABC),
                    [CoverPiece(withb), CoverPiece(nfa_complement(withb))])
-    got = _verify(manual, universal_language(ABC), langs, ext=ext).imprint_masks
-    atoms = _verify(at_cover(ABC), universal_language(ABC), langs, ext=ext).imprint_masks
+    got = cover_index_masks(manual, ext)
+    atoms = cover_index_masks(at_cover(ABC), ext)
     assert got == atoms == {0b000, 0b001, 0b010, 0b011, 0b100}
     # restricting it to (ab)+ keeps only the piece containing a b
     restricted = restrict_cover(manual, nfa_of("(ab)+", "abc"))
@@ -418,4 +429,4 @@ def test_bsigma1_cover_single_letter_trivial():
     cov = bsigma1_cover(ext.tau, goal)
     assert cov.optimal and cov.k <= 1
     assert piece_images_distinct(cov, ext.tau)
-    assert members(cov.imprint(ext.tau)) == members(goal)
+    assert members(cover_imprint(cov, ext.tau)) == members(goal)

@@ -11,7 +11,8 @@ from regcov import (Alphabet, ClassId, Nfa, at_cover, bsigma1_cover,
                     rm_from_multiset, saturate_universal, universal_language,
                     verify_cover)
 
-from helpers import nfa_of, piece_images_distinct, random_nfa
+from helpers import (cover_index_masks, multiset_ext, nfa_of, piece_images_distinct,
+                     random_nfa, reverse)
 from reference_semiring import validate_semiring
 
 AB = Alphabet("ab")
@@ -42,7 +43,7 @@ def test_fo2_decide_iff_cover_separating():
         sat = saturate_universal(aug.tau, ClassId.FO2)
         cover = fo2_cover(aug.tau, sat)
         assert piece_images_distinct(cover, aug.tau)
-        report = verify_cover(cover, universal_language(AB), langs, class_check=False)
+        report = verify_cover(cover, universal_language(AB), langs)
         assert report.covers_target
         assert report.separating == dec.coverable
 
@@ -173,51 +174,48 @@ def test_cover_mask_imprints_equal_decision_tables():
         ext = rm_from_multiset(langs)
 
         dec_at = decide_universal_covering(ext, ClassId.AT)
-        rep = verify_cover(at_cover(AB), universal_language(AB), langs, ext=ext)
-        assert rep.imprint_masks == dec_at.imprint_masks
+        assert cover_index_masks(at_cover(AB), ext) == dec_at.imprint_masks
 
         dec_b1 = decide_universal_covering(ext, ClassId.BSIGMA1)
         cov = bsigma1_cover(ext.tau, dec_b1.raw_imprint)
         assert cov.optimal
         assert piece_images_distinct(cov, ext.tau)
-        rep = verify_cover(cov, universal_language(AB), langs, ext=ext)
-        assert rep.imprint_masks == dec_b1.imprint_masks
+        assert cover_index_masks(cov, ext) == dec_b1.imprint_masks
 
         dec_f2 = decide_universal_covering(ext, ClassId.FO2)
         aug = rm_alphabet_augment(ext)
         cov = fo2_cover(aug.tau, saturate_universal(aug.tau, ClassId.FO2))
         assert piece_images_distinct(cov, aug.tau)
-        rep = verify_cover(cov, universal_language(AB), langs,
-                           class_check=False, ext=ext)
-        assert rep.imprint_masks == dec_f2.imprint_masks
+        assert cover_index_masks(cov, ext) == dec_f2.imprint_masks
+
+
+def construction_verdicts(langs, target) -> list:
+    """Per forced construction of the languages' rating maps (the relations
+    of the minimal DFA, of the NFA itself, or the monoid powerset), the
+    (imprint_masks, coverable) of all six classes: the universal classes
+    over langs, the pointed ones for the target against langs."""
+    from regcov import (decide_pointed_covering, minimize, rm_from_morphism, rm_from_nfa,
+                        transition_monoid)
+
+    alpha, acc = transition_monoid(target)
+    out = []
+    for build in (lambda l: rm_from_nfa(minimize(l).as_nfa()), rm_from_nfa,
+                  lambda l: rm_from_morphism(*transition_monoid(l))):
+        ext = multiset_ext([build(l) for l in langs])
+        ds = [decide_universal_covering(ext, cid)
+              for cid in (ClassId.AT, ClassId.BSIGMA1, ClassId.FO, ClassId.FO2)]
+        ds += [decide_pointed_covering(alpha, acc, ext, cid)
+               for cid in (ClassId.SIGMA1, ClassId.SIGMA2)]
+        out.append({d.class_id: (d.imprint_masks, d.coverable) for d in ds})
+    return out
 
 
 def test_decisions_independent_of_rating_construction():
     # the pulled-back tables are canonical: routing languages through the
     # relations of the minimal DFA or of the NFA itself, or through monoid
     # powersets, must produce identical verdicts
-    from regcov import (ClassId, decide_pointed_covering, minimize,
-                        rm_from_morphism, rm_from_nfa, transition_monoid)
-    from regcov.rating import Extension, rm_from_multiset
-    from regcov.semiring import ProductSemiring
-    from regcov.rating import RatingMap
+    from regcov import minimize
 
-    def multiset_ext(items):
-        # same combination as rm_from_multiset but with caller-chosen parts;
-        # the first part sits in the highest bits, so each acceptance mask
-        # moves up by the widths of the parts after it
-        exts = list(items)
-        parts = [e.tau.semiring for e in exts]
-        sr = ProductSemiring(parts)
-        alphabet = exts[0].tau.alphabet
-        letter_image = {a: sr.pack(e.tau.letter_image[a] for e in exts) for a in alphabet}
-        tau = RatingMap(alphabet, sr, letter_image)
-        accepts = tuple(e.accepts[0] << sum(p.nbits for p in parts[i + 1:])
-                        for i, e in enumerate(exts))
-        return Extension(tau, accepts)
-
-    constructions = (lambda l: rm_from_nfa(minimize(l).as_nfa()), rm_from_nfa,
-                     lambda l: rm_from_morphism(*transition_monoid(l)))
     rng = random.Random(889)
     cases = []
     for _ in range(8):
@@ -228,14 +226,9 @@ def test_decisions_independent_of_rating_construction():
     assert all(minimize(l).state_count >= 7 for l in wide)
     cases += [([wide[0]], nfa_of("a(ab)*b(ba)*a", "ab")), ([wide[1]], wide[0])]
     for langs, target in cases:
-        exts = [multiset_ext([build(l) for l in langs]) for build in constructions]
-        for cid in (ClassId.AT, ClassId.BSIGMA1, ClassId.FO, ClassId.FO2):
-            ds = [decide_universal_covering(ext, cid) for ext in exts]
-            assert len({(d.imprint_masks, d.coverable) for d in ds}) == 1, cid
-        alpha, acc = transition_monoid(target)
-        for cid in (ClassId.SIGMA1, ClassId.SIGMA2):
-            ds = [decide_pointed_covering(alpha, acc, ext, cid) for ext in exts]
-            assert len({(d.imprint_masks, d.coverable) for d in ds}) == 1, cid
+        verdicts = construction_verdicts(langs, target)
+        for cid in ClassId:
+            assert len({v[cid] for v in verdicts}) == 1, cid
 
 
 def six_class_verdicts(target, langs):
@@ -310,7 +303,6 @@ def test_coverings_are_invariant_under_reversal():
     # instance gets the same verdicts; the mirrored fo2 synthesis swaps the
     # nodes that peel on the left and on the right
     from regcov import restrict_cover
-    from regcov.fa import reverse
 
     for target, langs in lattice_cases():
         verdicts = six_class_verdicts(target, langs)
@@ -319,7 +311,7 @@ def test_coverings_are_invariant_under_reversal():
         ext = rm_from_multiset([target] + langs)
         dec = decide_universal_covering(ext, ClassId.FO2, target_index=0)
         cover = restrict_cover(fo2_cover(dec.rating_map, dec.raw_imprint), target)
-        report = verify_cover(cover, target, langs, class_check=False)
+        report = verify_cover(cover, target, langs)
         assert report.covers_target and report.separating == verdicts[ClassId.FO2]
 
 
@@ -358,6 +350,14 @@ def test_coverings_are_invariant_under_state_renumbering(langs, data):
                                           against=ls[1:]))
                        for ls in (langs, renumbered))
         assert (there.coverable, there.imprint) == (back.coverable, back.imprint), cid
+
+
+@given(st.lists(nfas(AB), min_size=1, max_size=2), nfas(AB))
+def test_decisions_independent_of_rating_construction_on_shrinking_nfas(langs, target):
+    # the property form of the test above, on shrinking NFAs
+    verdicts = construction_verdicts(langs, target)
+    for cid in ClassId:
+        assert len({v[cid] for v in verdicts}) == 1, cid
 
 
 def test_separation_is_symmetric_for_boolean_classes():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from regcov import (Alphabet, InputError, alphabet_exact, alphabet_star,
+from regcov import (DEFAULT_CAPS, Alphabet, InputError, alphabet_exact, alphabet_star,
                     determinize, equivalent, includes, is_empty, minimize,
                     nfa_complement, nfa_concat, nfa_from_json, nfa_intersection,
                     nfa_to_regex, nfa_union, regex_to_nfa, transition_monoid,
@@ -297,3 +297,84 @@ def test_step_map_is_cached_outside_the_fields():
     assert n.step_map() is n.step_map()
     assert n == fresh and hash(n) == hash(fresh)
     assert repr(n) == repr(fresh)
+
+
+def test_explore_numbers_in_bfs_order_and_stops_past_its_cap():
+    from regcov.fa import explore
+
+    # the successors of q are q + 1 and 2q mod 5
+    def succ(q):
+        return [(q + 1) % 5, 2 * q % 5]
+
+    states, rows = explore(1, succ, 5)
+    assert states == [1, 2, 3, 4, 0]
+    assert rows == [(1, 1), (2, 3), (3, 0), (4, 2), (0, 4)]
+    assert explore(1, succ, 4) is None
+
+
+def _fo2_state(caps):
+    """The fo2 synthesis state of the worked example, and a machine of it
+    that needs reversing."""
+    from regcov import ClassId, decide_universal_covering, rm_from_multiset
+    from regcov.covers import _Fo2State
+
+    langs = [nfa_of("(ab)+", "abc"), nfa_of("c(ac)+", "abc")]
+    dec = decide_universal_covering(rm_from_multiset(langs), ClassId.FO2, target_index=0)
+    state = _Fo2State(dec.rating_map, dec.raw_imprint, DEFAULT_CAPS)
+    one = dec.rating_map.semiring.one
+    state.node(tuple("abc"), one, one)
+    machine = max((m for _, m in state._nodes.values()), key=lambda m: len(m[0]))
+    return _Fo2State(dec.rating_map, dec.raw_imprint, caps), machine
+
+
+def _cap_case(name):
+    """(run(caps), the cap field, which is also the name the error gives,
+    the size the cap bounds, error type) of each closure that `fa.explore`
+    or `rating.reach` runs."""
+    from regcov import (DeterminizationCapError, MonoidCapError, PtStateCapError,
+                        SaturationCapError)
+    from regcov.pieces import pt_partition
+
+    if name == "determinize":
+        nfa = nfa_of("(a|b)*a(a|b)(a|b)", "ab")
+        return (lambda caps: determinize(nfa, caps), "max_det_states",
+                lambda d: d.state_count, DeterminizationCapError)
+    if name == "pt_partition":
+        return (lambda caps: pt_partition(3, AB, caps), "max_pt_states",
+                lambda d: d.state_count, PtStateCapError)
+    if name == "flip":
+        def flip(caps):
+            state, machine = _fo2_state(caps)
+            return state._flip(machine)
+        return flip, "max_det_states", lambda m: len(m[0]), DeterminizationCapError
+    if name == "transition_monoid":
+        nfa = nfa_of("(ab)+|a(ba)*b", "ab")
+        return (lambda caps: transition_monoid(nfa, caps), "max_monoid",
+                lambda built: built[0].size, MonoidCapError)
+    assert name == "fo2 word images"
+    return (lambda caps: _fo2_state(caps)[0]._word_images(tuple("abc")), "max_elements",
+            len, SaturationCapError)
+
+
+@pytest.mark.parametrize("name", ["determinize", "pt_partition", "flip",
+                                  "transition_monoid", "fo2 word images"])
+def test_closure_caps_bound_the_exact_count(name):
+    # a cap equal to the size of the closure lets it through unchanged, one
+    # less stops it with the cap's own error
+    from dataclasses import replace
+
+    from regcov.fa import _dfa_monoid
+
+    run, field, size, error = _cap_case(name)
+    want = run(DEFAULT_CAPS)
+    n = size(want)
+    assert n > 1
+    assert run(replace(DEFAULT_CAPS, **{field: n})) == want
+    with pytest.raises(error) as raised:
+        run(replace(DEFAULT_CAPS, **{field: n - 1}))
+    assert raised.value.cap_name == field and raised.value.cap == n - 1
+    if name == "fo2 word images":
+        assert raised.value.class_name == "fo2 word images"
+    if name == "transition_monoid":
+        dfa = minimize(nfa_of("(ab)+|a(ba)*b", "ab"))
+        assert _dfa_monoid(dfa, n) == want and _dfa_monoid(dfa, n - 1) is None

@@ -8,7 +8,7 @@ import dataclasses
 import importlib
 import os
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 
 import regcov
 
@@ -207,3 +207,114 @@ def test_decision_probe_reads_resolve():
                 obj = getattr(obj, name)
         assert all(isinstance(d.stats[key], int) for key in keys)
         assert len(d.raw_imprint.maximal_elements()) == d.stats["elements"]
+
+
+
+def library_trees() -> list:
+    """Every module of the library but `__init__`, parsed."""
+    package = os.path.join(ROOT, "src", "regcov")
+    return [ast.parse(source("src", "regcov", f)) for f in sorted(os.listdir(package))
+            if f.endswith(".py") and f != "__init__.py"]
+
+
+def library_callables(trees):
+    """(class name or None, definition) of every public function of the
+    library, every public method of its public classes, and their
+    `__init__`s."""
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield None, node
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and (not item.name.startswith("_") or item.name == "__init__")):
+                        yield node.name, item
+
+
+def optional_parameters(cls, definition) -> list:
+    """(name, position or None) of the parameters with a default; the
+    position leaves out self."""
+    args = definition.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    if cls is not None and "staticmethod" not in decorators(definition):
+        positional = positional[1:]
+    out = [(a, positional.index(a)) for a in positional[len(positional) - len(args.defaults):]
+           ] if args.defaults else []
+    return out + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+
+
+def decorators(definition) -> set:
+    return {getattr(d, "id", None) for d in definition.decorator_list}
+
+
+# they define what the objects mean, so a library without tests still has them
+MEANINGS = {("Nfa", "accepts"), ("Dfa", "accepts"), ("MonoidMorphism", "image")}
+
+
+def test_every_public_callable_and_keyword_is_used_outside_tests():
+    # a function, a method or an optional parameter that only tests reach is
+    # surface the library keeps for its tests; it lives in tests/.  A use
+    # counts in the library outside the definition itself and its
+    # re-export, in the benchmark, or in the oracles it loads: a function is
+    # named, a property is read, a method is called (or reached through
+    # getattr), and a parameter is passed by keyword or by position
+    library = library_trees()
+    files = [("tests", "oracles.py")] + [
+        ("perfbench", f) for f in sorted(os.listdir(os.path.join(ROOT, "perfbench")))
+        if f.endswith(".py")]
+    trees = library + [ast.parse(source(*f)) for f in files]
+    reads, calls, named, reached = (defaultdict(list) for _ in range(4))
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                named[n.id].append(n)
+            elif isinstance(n, ast.alias):
+                named[n.name].append(n)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                named[n.value].append(n)    # the benchmark patches functions by name
+            if isinstance(n, ast.Attribute):
+                reads[n.attr].append(n)
+            elif isinstance(n, ast.Call):
+                calls[getattr(n.func, "id", None) or getattr(n.func, "attr", None)].append(n)
+            if (isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("getattr", "hasattr")
+                    and len(n.args) > 1 and isinstance(n.args[1], ast.Constant)):
+                reached[n.args[1].value].append(n)
+    # a class is built by calling it or any of its subclasses
+    bases = {node.name: {getattr(b, "id", None) for b in node.bases}
+             for tree in library for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+    def subclasses(cls) -> set:
+        direct = {c for c, b in bases.items() if cls in b}
+        return direct.union(*map(subclasses, direct))
+
+    callables = list(library_callables(library))
+    assert {(cls, d.name) for cls, d in callables} >= MEANINGS
+    unused_callables, unused_keywords = [], []
+    for cls, definition in callables:
+        inside = {id(n) for n in ast.walk(definition)}
+
+        def uses(index, *names):
+            return [n for name in names for n in index[name] if id(n) not in inside]
+
+        name = definition.name
+        if name == "__init__":
+            made = uses(calls, cls, *subclasses(cls))
+        elif cls is None:
+            made = uses(calls, name)
+            if not uses(named, name) and not uses(reads, name):
+                unused_callables.append(name)
+        else:
+            made = uses(calls, name)
+            if ((cls, name) not in MEANINGS and not uses(reached, name)
+                    and not (uses(reads, name) if "property" in decorators(definition)
+                             else [c for c in made if isinstance(c.func, ast.Attribute)])):
+                unused_callables.append(f"{cls}.{name}")
+        for param, at in optional_parameters(cls, definition):
+            if not any(any(k.arg in (param, None) for k in c.keywords)
+                       or any(isinstance(a, ast.Starred) for a in c.args)
+                       or (at is not None and len(c.args) > at) for c in made):
+                unused_keywords.append(f"{cls + '.' if cls else ''}{name}({param}=)")
+    assert unused_callables == []
+    assert unused_keywords == []
