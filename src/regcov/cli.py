@@ -261,16 +261,15 @@ def run_separate(inst: Instance) -> Verdict:
         verdict = run_cover(replace(inst, emit_cover=False))
         verdict.stats["synthesis"] = {"skipped": exc.cap_name}
     if verdict.coverable and verdict.cover is not None:
-        sep = rx.union_all(
-            rx.regex_parse(p["regex"], inst.alphabet.symbols)
-            for p in verdict.cover["pieces"])
-        sep_nfa = regex_to_nfa(sep, inst.alphabet)
+        # the separator is checked exactly as printed
+        sep = "|".join(p["regex"] for p in verdict.cover["pieces"]) or "%empty"
+        sep_nfa = regex_to_nfa(rx.regex_parse(sep, inst.alphabet.symbols), inst.alphabet)
         target_nfa = inst.target if inst.target is not UNIVERSAL else universal_language(inst.alphabet)
         if not includes(target_nfa, sep_nfa, inst.caps):
             raise AssertionError("separator does not contain the first language")
         if not is_empty(nfa_intersection(sep_nfa, inst.against[0])):
             raise AssertionError("separator meets the second language")
-        verdict.separator = rx.regex_to_text(sep)
+        verdict.separator = sep
     if not inst.emit_cover:
         verdict.cover = None
     verdict.stats["wall_ms"] = _ms_since(t0)

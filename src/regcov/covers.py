@@ -193,9 +193,15 @@ def _partition_cover(pa: Dfa, k: int, images: dict, optimal: bool) -> Cover:
     - a union of k-classes is k-piecewise testable;
     - classes with equal images meet the same languages, so separation and
       `restrict_cover` are unchanged.
+
+    The pieces are cut from the partition labelled by images and minimized
+    (`fa.minimize_labelled`), as `fo2_cover` cuts its own: the languages
+    are the same, and a few dozen states stand for thousands of classes in
+    restriction, verification and rendering.
     """
-    labels = [images[q] for q in range(pa.state_count)]
-    pieces = _label_pieces(pa.alphabet, pa.delta, pa.initial, labels)
+    delta, labels = minimize_labelled(pa.delta, pa.initial,
+                                      [images[q] for q in range(pa.state_count)])
+    pieces = _label_pieces(pa.alphabet, delta, 0, labels)
     return Cover(ClassId.BSIGMA1, universal_language(pa.alphabet), pieces,
                  k=k, optimal=optimal,
                  provenance=f"piece-equivalence partition at k={k}")
@@ -206,10 +212,13 @@ def _label_pieces(alphabet: Alphabet, delta: tuple, initial: int, labels: list) 
     states, in order of first appearance: the words that lead to a state of
     that label.
 
-    Each is the DFA with those states as finals, built on its trimmed
-    states alone.  Every state is reachable, so the trimmed states are the
-    ones that reach a final, found backwards from the finals, and they are
-    numbered in sorted order as `trim` numbers them.
+    Each is the trimmed minimal DFA of its language, built with no subset
+    construction.  Every state is reachable, so the trimmed states are the
+    ones that reach a final, found backwards from the finals; on them and a
+    sink, the DFA with those states as finals is minimized by
+    `fa.minimize_labelled`.  The minimal DFA has at most one dead state,
+    which is not accepting and loops on every letter; the others are
+    numbered in order, as `fa.trim` numbers them.
     """
     by_label: dict = {}
     for q, x in enumerate(labels):
@@ -219,7 +228,6 @@ def _label_pieces(alphabet: Alphabet, delta: tuple, initial: int, labels: list) 
     for q, row in enumerate(delta):
         for r in set(row):
             preds[r].append(q)
-    symbols = alphabet.symbols
     out = []
     for states in by_label.values():
         live = set(states)
@@ -229,11 +237,18 @@ def _label_pieces(alphabet: Alphabet, delta: tuple, initial: int, labels: list) 
                 if q not in live:
                     live.add(q)
                     work.append(q)
-        num = {q: i for i, q in enumerate(sorted(live))}
-        trans = frozenset((num[q], a, num[r]) for q in num
-                          for a, r in zip(symbols, delta[q]) if r in num)
-        out.append(CoverPiece(Nfa(alphabet, len(num), frozenset([num[initial]]),
-                                  frozenset(num[q] for q in states), trans)))
+        num = {q: i for i, q in enumerate(live)}
+        sink = len(num)
+        rows = [tuple(num.get(r, sink) for r in delta[q]) for q in num]
+        rows.append((sink,) * len(alphabet))
+        finals = frozenset(states)
+        rows, accepting = minimize_labelled(rows, num[initial], [q in finals for q in num] + [False])
+        kept = {q: i for i, q in enumerate(q for q, row in enumerate(rows)
+                                           if accepting[q] or any(r != q for r in row))}
+        trans = frozenset((kept[q], a, kept[r]) for q in kept
+                          for a, r in zip(alphabet.symbols, rows[q]) if r in kept)
+        out.append(CoverPiece(Nfa(alphabet, len(kept), frozenset([0]),
+                                  frozenset(kept[q] for q in kept if accepting[q]), trans)))
     return out
 
 
@@ -360,7 +375,7 @@ class _Fo2State:
                     for w in below:
                         x = sr.add(e, w)
                         if x not in sums:
-                            if len(sums) > self.caps.max_elements:
+                            if len(sums) >= self.caps.max_elements:
                                 raise SaturationCapError(self.caps.max_elements,
                                                          "fo2-language-sums")
                             sums.add(x)

@@ -281,16 +281,22 @@ def explore(start, successors, cap: int):
     return states, rows
 
 
-def determinize(n: Nfa, caps: Caps = DEFAULT_CAPS) -> Dfa:
-    """Subset construction, completed (the empty subset is the sink).
+def _bits(states) -> int:
+    """The bitmask of a set of states."""
+    mask = 0
+    for q in states:
+        mask |= 1 << q
+    return mask
 
-    Subsets are bitmasks of NFA states, numbered in order of discovery.
-    """
-    syms = n.alphabet.symbols
-    succ = {a: [0] * n.state_count for a in syms}
+
+def _subset_successors(n: Nfa):
+    """The step of n's subset construction: a function from a bitmask of
+    states to the list of its successors, one per letter in alphabet
+    order."""
+    succ = {a: [0] * n.state_count for a in n.alphabet.symbols}
     for (q, a, r) in n.transitions:
         succ[a][q] |= 1 << r
-    tables = [succ[a] for a in syms]
+    tables = [succ[a] for a in n.alphabet.symbols]
 
     def successors(subset):
         members = []
@@ -306,17 +312,20 @@ def determinize(n: Nfa, caps: Caps = DEFAULT_CAPS) -> Dfa:
             row.append(nxt)
         return row
 
-    init = 0
-    for q in n.initials:
-        init |= 1 << q
-    found = explore(init, successors, caps.max_det_states)
+    return successors
+
+
+def determinize(n: Nfa, caps: Caps = DEFAULT_CAPS) -> Dfa:
+    """Subset construction, completed (the empty subset is the sink).
+
+    Subsets are bitmasks of NFA states, numbered in order of discovery.
+    """
+    found = explore(_bits(n.initials), _subset_successors(n), caps.max_det_states)
     if found is None:
         raise DeterminizationCapError("max_det_states", caps.max_det_states,
                                       f"subset construction on {n.state_count}-state NFA")
     order, rows = found
-    final_mask = 0
-    for q in n.finals:
-        final_mask |= 1 << q
+    final_mask = _bits(n.finals)
     finals = frozenset(i for i, subset in enumerate(order) if subset & final_mask)
     return Dfa(n.alphabet, len(order), 0, finals, tuple(rows))
 
@@ -420,8 +429,37 @@ def is_empty(n: Nfa) -> bool:
 
 
 def includes(lhs: Nfa, rhs: Nfa, caps: Caps = DEFAULT_CAPS) -> bool:
-    """L(lhs) ⊆ L(rhs)."""
-    return is_empty(nfa_intersection(lhs, nfa_complement(rhs, caps)))
+    """L(lhs) ⊆ L(rhs), on the fly (De Wulf, Doyen, Henzinger and Raskin,
+    CAV 2006): the subset construction of rhs is explored only along the
+    words of lhs, as pairs (state of lhs, subset of rhs), and the search
+    stops at the first pair that lhs accepts and rhs does not.  More than
+    `max_det_states` distinct subsets of rhs, which the full subset
+    construction would meet too, raise DeterminizationCapError."""
+    _check_same_alphabet(lhs, rhs)
+    lstep = lhs.step_map()
+    successors = _subset_successors(rhs)
+    rfinal = _bits(rhs.finals)
+    letters = list(enumerate(lhs.alphabet.symbols))
+    rows: dict = {}                        # subset of rhs -> its successors
+    work = [(q, _bits(rhs.initials)) for q in lhs.initials]
+    seen = set(work)
+    while work:
+        q, subset = work.pop()
+        if q in lhs.finals and not subset & rfinal:
+            return False
+        row = rows.get(subset)
+        if row is None:
+            if len(rows) >= caps.max_det_states:
+                raise DeterminizationCapError("max_det_states", caps.max_det_states,
+                                              f"inclusion in a {rhs.state_count}-state NFA")
+            row = rows[subset] = successors(subset)
+        for k, a in letters:
+            for r in lstep.get((q, a), ()):
+                pair = (r, row[k])
+                if pair not in seen:
+                    seen.add(pair)
+                    work.append(pair)
+    return True
 
 
 def equivalent(lhs: Nfa, rhs: Nfa, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -596,42 +634,78 @@ def nfa_from_json(doc: dict) -> Nfa:
 
 
 def nfa_to_regex(n: Nfa) -> Regex:
-    """State elimination.  The result can be large; it is meant for
-    serializing synthesized covers, not for human consumption.  Edges are
-    read in sorted order, so the text does not depend on the hash seed."""
-    # generalized automaton with fresh initial/final, edges labeled by regexes;
-    # succ/pred list the non-loop edges of each state in the order of `edges`
+    """State elimination, the state of least weight first (Delgado and
+    Morais, CIAA 2004).  The result is meant for serializing synthesized
+    covers, not for human consumption.
+
+    Eliminating a state s with i incoming and o outgoing edges, loops
+    aside, writes each incoming edge o times, each outgoing edge i times and
+    the loop i·o times where each was written once, so it lengthens the
+    text by the weight
+
+        Σ size(in)·(o−1) + Σ size(out)·(i−1) + size(loop)·(i·o−1).
+
+    Ties go to the lower state number.  The size of an edge is the length
+    of its text; each edge keeps its size next to its regex, so a weight is
+    a sum and never a render.  Edges are read in sorted order, so the text
+    does not depend on the hash seed."""
+    # generalized automaton with fresh initial/final, edges labeled by
+    # (regex, text length); succ/pred list the non-loop edges of each state
+    # in the order of `edges`
     start, end = n.state_count, n.state_count + 1
     edges: dict = {}
     succ: dict = {q: {} for q in range(n.state_count + 2)}
     pred: dict = {q: {} for q in range(n.state_count + 2)}
 
-    def add(q, r, e: Regex):
-        if isinstance(e, rx.Empty):
-            return
+    def add(q, r, e: Regex, size: int):
         cur = edges.get((q, r))
         if cur is None:
-            edges[(q, r)] = e
+            edges[(q, r)] = (e, size)
             if q != r:
                 succ[q][r] = None
                 pred[r][q] = None
-        else:
-            edges[(q, r)] = rx.union(cur, e)
+        elif cur[0] != e:
+            edges[(q, r)] = (rx.Union(cur[0], e), cur[1] + 1 + size)
+
+    def operand(e: Regex, size: int, ctx: int) -> int:
+        """The length of e's text written as an operand at precedence ctx."""
+        return size + 2 if rx.precedence(e) < ctx else size
+
+    def concat(x, y):
+        """(regex, size) of the concatenation of two nonempty edges."""
+        if isinstance(x[0], rx.Epsilon):
+            return y
+        if isinstance(y[0], rx.Epsilon):
+            return x
+        return rx.Concat(x[0], y[0]), operand(*x, 1) + operand(*y, 1)
+
+    def weight(s) -> int:
+        ins, outs = pred[s], succ[s]
+        w = (sum(edges[q, s][1] for q in ins) * (len(outs) - 1)
+             + sum(edges[s, r][1] for r in outs) * (len(ins) - 1))
+        loop = edges.get((s, s))
+        return w + loop[1] * (len(ins) * len(outs) - 1) if loop else w
 
     for (q, a, r) in sorted(n.transitions):
-        add(q, r, rx.Letter(a))
+        add(q, r, rx.Letter(a), 1)
     for q in sorted(n.initials):
-        add(start, q, rx.EPSILON)
+        add(start, q, rx.EPSILON, 4)
     for q in sorted(n.finals):
-        add(q, end, rx.EPSILON)
+        add(q, end, rx.EPSILON, 4)
 
-    states = list(range(n.state_count))
-    # eliminate low-degree states first to keep expressions smaller
-    while states:
-        s = min(states, key=lambda x: (len(pred[x]) * len(succ[x]), x))
-        states.remove(s)
-        loop = edges.pop((s, s), rx.EMPTY)
-        loopstar = rx.star(loop) if not isinstance(loop, rx.Empty) else rx.EPSILON
+    # a weight depends only on a state's own edges, so after an elimination
+    # only the neighbours of the eliminated state need a new one
+    weights = {s: weight(s) for s in range(n.state_count)}
+    while weights:
+        s = min(weights, key=lambda x: (weights[x], x))
+        del weights[s]
+        loop = edges.pop((s, s), None)
+        if loop is not None:
+            e, size = loop
+            if isinstance(e, (rx.Star, rx.Plus)):
+                loop = (rx.Star(e.inner), size)
+            else:
+                loop = (rx.Star(e), operand(e, size, 3) + 1)
         incoming = [(q, edges.pop((q, s))) for q in pred[s]]
         outgoing = [(r, edges.pop((s, r))) for r in succ[s]]
         for (q, _) in incoming:
@@ -639,6 +713,11 @@ def nfa_to_regex(n: Nfa) -> Regex:
         for (r, _) in outgoing:
             del pred[r][s]
         for (q, ein) in incoming:
+            if loop is not None:
+                ein = concat(ein, loop)
             for (r, eout) in outgoing:
-                add(q, r, rx.concat(rx.concat(ein, loopstar), eout))
-    return edges.get((start, end), rx.EMPTY)
+                add(q, r, *concat(ein, eout))
+        for x, _ in incoming + outgoing:
+            if x in weights:
+                weights[x] = weight(x)
+    return edges[start, end][0] if (start, end) in edges else rx.EMPTY

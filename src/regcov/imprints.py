@@ -30,10 +30,12 @@ class ImprintSet:
     saturation engines the set is a multiplicative submonoid containing the
     trivial imprint.
 
-    Runs of inserts tend to be dominated by the same maximum, so each fiber
-    keeps the last mask that dominated an insert as a hint, tested before
-    the scan.  The hint need not still be maximal: the set only grows, so
-    whatever lies below a mask that was in it stays in it.
+    The set only grows, so whatever lies below a mask that was in it stays
+    in it.  Two tests before the scan use this.  An item offered before is
+    refused at once: it is in the set since its first offer.  And runs of
+    inserts tend to be dominated by the same maximum, so each fiber keeps
+    the last mask that dominated an insert as a hint; the hint need not
+    still be maximal.
     """
 
     def __init__(self, semiring: Semiring, monoid: Optional[MonoidMorphism] = None,
@@ -45,6 +47,7 @@ class ImprintSet:
         self._fibers: dict = {}   # monoid element (None when universal) -> {element: item}
         self._widest: dict = {}   # monoid element -> most bits of a maximum in its fiber
         self._hint: dict = {}     # monoid element -> last element that dominated an insert
+        self._offered: set = set()  # every item ever offered to `insert`
         self._count = 0
         self.queue: deque = deque()
         self.sweeps = 0
@@ -63,14 +66,15 @@ class ImprintSet:
 
     def insert(self, item) -> bool:
         """Add item unless it is dominated; True if it became maximal."""
+        if item in self._offered:
+            return False
+        self._offered.add(item)
         key, x = (None, item) if self.monoid is None else item
         fiber = self._fibers.get(key)
         if fiber is None:
             fiber = self._fibers[key] = {}
             self._widest[key] = 0
             self._hint[key] = x
-        elif x in fiber:
-            return False
         else:
             # below a mask that was once in the set, so still in it
             hint = self._hint[key]
@@ -93,6 +97,11 @@ class ImprintSet:
             raise SaturationCapError(self.cap, self.label, f"{self._count} maximal elements")
         self.queue.append((key, x, item))
         return True
+
+    def is_maximal(self, item) -> bool:
+        """True if item is one of the maximal items now."""
+        key, x = (None, item) if self.monoid is None else item
+        return x in self._fibers.get(key, ())
 
     def pop_pending(self):
         """Next inserted item still maximal, or None when none is pending.

@@ -33,6 +33,7 @@ class RatingMap:
     letter_image: dict
     cont: Optional[AlphabetSemiring] = None
     _images: Optional[tuple] = field(default=None, repr=False)
+    _closure_size: int = field(default=0, repr=False)
 
     def __post_init__(self):
         for a in self.alphabet:
@@ -79,9 +80,14 @@ class RatingMap:
         (word image, alphabet mask) pairs, once, over the whole alphabet; a
         map that is not a product is its own single part.  The words with
         alphabet exactly B sum to the pairs of mask B, and B* to the pairs
-        whose mask lies in B.
+        whose mask lies in B.  The tables are kept, and so is the size of
+        the largest closure, which every call checks against its own
+        `max_elements`.
         """
-        if self._images is None:
+        if self._images is not None:
+            if self._closure_size > caps.max_elements:
+                raise SaturationCapError(caps.max_elements, "word-image closure")
+        else:
             sr = self.semiring
             nsub = 1 << len(self.alphabet)
             bits = [1 << k for k in range(len(self.alphabet))]
@@ -93,10 +99,12 @@ class RatingMap:
             cols = []
             for j, part in enumerate(sr.parts if product else (sr,)):
                 col = [0] * nsub
-                for mask, elem in reach(part, delta, 0, [img[j] for img in images],
-                                        caps.max_elements, "word-image closure"):
+                pairs = reach(part, delta, 0, [img[j] for img in images],
+                              caps.max_elements, "word-image closure")
+                for mask, elem in pairs:
                     col[mask] |= elem
                 cols.append(col)
+                self._closure_size = max(self._closure_size, len(pairs))
             exacts = [sr.pack(col) for col in zip(*cols)] if product else cols[0]
             stars = list(exacts)
             for bit in bits:

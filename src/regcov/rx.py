@@ -196,7 +196,7 @@ def regex_parse(text: str, symbols: str) -> Regex:
 
 # -- printing -----------------------------------------------------------------
 
-def _prec(node: Regex) -> int:
+def precedence(node: Regex) -> int:
     # atoms 3, postfix 2, concatenation 1, union 0
     if isinstance(node, Union):
         return 0
@@ -228,7 +228,7 @@ def regex_to_text(node: Regex) -> str:
             s = render(n.inner, 3) + "+"
         else:  # pragma: no cover
             raise TypeError(n)
-        if _prec(n) < ctx:
+        if precedence(n) < ctx:
             s = "(" + s + ")"
         return s
 

@@ -27,7 +27,21 @@ enough common multiple of both idempotent exponents, so s^ω <= t^ω.
   maximum x has x·g below a maximum for each g in G, and so has the unit,
   so by induction on k every 1·g1···gk lies below a maximum.  That is
   O(N·|G|) products for N maxima, against O(N²) for multiplying every pair
-  of maxima.
+  of maxima.  Three shortcuts keep the same fixpoint:
+  (a) `ImprintSet.insert` refuses an item offered before at once: the set
+      only grows, so the item is still in it.
+  (b) Only the rule outputs still maximal after the round join G; a later
+      output of the round can dominate an earlier one.  Every maximum lies
+      in ⟨G⟩ or is an output of the round, so once the outputs still
+      maximal have joined G, each maximum lies in ⟨G⟩, and a dropped
+      output h, below one of them, in ↓⟨G⟩: ⟨G ∪ {h}⟩ lies in ↓⟨G⟩ as
+      above.
+  (c) A maximum from before the round that was dropped since is not
+      multiplied by the new generators.  It lies below a later maximum,
+      and following such dominations upward ends at an item that is
+      multiplied by every new generator h: a maximum from before, here,
+      or a new item, when it is popped, as G then holds h.  Products are
+      monotone, so that item's product dominates the skipped one.
 - FO (e + e·s with e = s^ω): the right-hand side is monotone in s, so the
   rule over the maxima dominates the rule over the whole set.
 - FO2 (e·B*·f for idempotents e, f of content exactly {B}): let (r, C) be
@@ -185,9 +199,10 @@ def _saturate(out: ImprintSet, one, gens: list, mul, rule):
 
     Each newly maximal item is multiplied by every generator.  Once no item
     is pending, `rule` (None for none) runs over the maxima and yields its
-    outputs; those that become maximal join the generators, and every
-    maximum from before is multiplied by each of them.  `out.sweeps` counts
-    these rounds; the loop ends when the rule adds nothing.
+    outputs; those still maximal after the round join the generators, and
+    every maximum from before that is still maximal is multiplied by each
+    of them.  `out.sweeps` counts these rounds; the loop ends when the rule
+    adds nothing.
     """
     gens = list(gens)
     out.insert(one)
@@ -202,10 +217,13 @@ def _saturate(out: ImprintSet, one, gens: list, mul, rule):
             return
         done = out.maximal_elements()
         new = [h for h in rule(done) if out.insert(h)]
+        new = [h for h in new if out.is_maximal(h)]
         if not new:
             return
         gens += new
         for y in done:
+            if not out.is_maximal(y):
+                continue
             for h in new:
                 out.insert(mul(y, h))
 

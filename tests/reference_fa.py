@@ -2,12 +2,13 @@
 `regcov.fa`, which must give identical results.
 
 `determinize` keeps subsets as frozensets of states; `nfa_to_regex`
-recomputes every state's degree from the full edge list at each
-elimination (it reads the edges in the same sorted order as `regcov.fa`);
-`transition_monoid` composes and hashes the two transformations of every
-product in its table; `pt_partition` keeps piece sets as frozensets of
-strings; `partition_piece` trims the whole partition DFA with the given
-finals.
+renders every edge and recomputes every state's weight from the full edge
+list at each elimination (it reads the edges in the same sorted order as
+`regcov.fa`); `includes` intersects lhs with the complement of rhs, built
+by the whole subset construction; `transition_monoid` composes and hashes
+the two transformations of every product in its table; `pt_partition`
+keeps piece sets as frozensets of strings; `partition_piece` trims the
+whole partition DFA with the given finals.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from regcov import rx
-from regcov.fa import Alphabet, Dfa, MonoidMorphism, Nfa, minimize, trim
+from regcov.fa import (Alphabet, Dfa, MonoidMorphism, Nfa, is_empty, minimize,
+                       nfa_complement, nfa_intersection, trim)
 
 
 def determinize(n: Nfa) -> Dfa:
@@ -59,12 +61,15 @@ def nfa_to_regex(n: Nfa) -> rx.Regex:
         add(q, end, rx.EPSILON)
     states = list(range(n.state_count))
     while states:
-        degree = {}
+        size = {qr: len(rx.regex_to_text(e)) for qr, e in edges.items()}
+        weight = {}
         for s in states:
-            ins = sum(1 for (q, r) in edges if r == s and q != s)
-            outs = sum(1 for (q, r) in edges if q == s and r != s)
-            degree[s] = ins * outs
-        s = min(states, key=lambda x: (degree[x], x))
+            ins = [q for (q, r) in edges if r == s and q != s]
+            outs = [r for (q, r) in edges if q == s and r != s]
+            weight[s] = (sum(size[q, s] for q in ins) * (len(outs) - 1)
+                         + sum(size[s, r] for r in outs) * (len(ins) - 1)
+                         + size.get((s, s), 0) * (len(ins) * len(outs) - 1))
+        s = min(states, key=lambda x: (weight[x], x))
         states.remove(s)
         loop = edges.pop((s, s), rx.EMPTY)
         loopstar = rx.star(loop) if not isinstance(loop, rx.Empty) else rx.EPSILON
@@ -78,6 +83,10 @@ def nfa_to_regex(n: Nfa) -> rx.Regex:
             for (r, eout) in outgoing:
                 add(q, r, rx.concat(rx.concat(ein, loopstar), eout))
     return edges.get((start, end), rx.EMPTY)
+
+
+def includes(lhs: Nfa, rhs: Nfa) -> bool:
+    return is_empty(nfa_intersection(lhs, nfa_complement(rhs)))
 
 
 def transition_monoid(n: Nfa):

@@ -538,6 +538,20 @@ def test_fo2_universal_cover_renders_every_piece():
     assert verified["covers_target"] and verified["separating"]
 
 
+def test_fo2_cover_text_stays_short(capsys):
+    # states are eliminated by weight: the cover and separator of this
+    # instance printed 24,925 characters in all when eliminated by degree
+    code, out, _ = run(capsys, ["separate", "--class", "fo2", "--alphabet", "abc",
+                                "--target", "((a|c)bb)+", "--against", "((ac)*)*",
+                                "--emit-cover", "--verify", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    texts = [p["regex"] for p in doc["cover"]["pieces"]]
+    assert doc["separator"] == "|".join(texts)
+    assert sum(map(len, texts)) + len(doc["separator"]) <= 14_000
+    assert doc["cover"]["verified"]["covers_target"] and doc["cover"]["verified"]["separating"]
+
+
 @pytest.mark.parametrize("target", ["|".join(["ab"] * 1500), "(" * 1200 + "a" + ")" * 1200])
 def test_deeply_nested_regex_is_an_input_error(capsys, target):
     code, out, err = run(capsys, ["member", "--class", "at", "--alphabet", "ab",

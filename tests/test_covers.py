@@ -1,11 +1,14 @@
 """Cover synthesis, assembly and verification."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
 
-from regcov import (DEFAULT_CAPS, Alphabet, ClassId, Cover, InputError, at_cover,
+from regcov import (DEFAULT_CAPS, Alphabet, Caps, ClassId, Cover, InputError,
+                    SaturationCapError, at_cover,
                     at_imprint, bsigma1_cover, decide_universal_covering, equivalent,
                     fo2_cover, includes, is_empty, nfa_intersection, nfa_union,
                     restrict_cover, rm_alphabet_augment, rm_from_multiset,
@@ -126,7 +129,11 @@ def test_partition_cover_pieces_match_trimmed_partition(target, against):
         by_image.setdefault(img, []).append(q)
     assert len(cov.pieces) == len(by_image) > 1
     for piece, states in zip(cov.pieces, by_image.values()):
-        assert piece.nfa == reference_fa.partition_piece(pa, states)
+        want = reference_fa.partition_piece(pa, states)
+        assert equivalent(piece.nfa, want)
+        assert piece.nfa.state_count <= fa.trim(fa.minimize(want).as_nfa()).state_count
+    # cut from the minimal labelled partition, not from its 5,312 classes
+    assert sum(p.nfa.state_count for p in cov.pieces) < 100 < pa.state_count
 
 
 def test_bsigma1_cover_separating_iff_coverable():
@@ -336,6 +343,28 @@ def test_fo2_per_maximum_sums_equal_the_full_closure():
                 for subset in itertools.combinations(alphabet.symbols, n):
                     expected = {x for x in fo2_language_sums(aug.tau, subset) if x in sat}
                     assert state.s_b(subset) == expected
+
+
+def test_fo2_language_sums_cap_allows_exactly_max_elements():
+    # like every other closure, the sums below one maximum may number
+    # max_elements, and not one more
+    from regcov.covers import _Fo2State
+
+    a_or_bb = fa.Nfa(AB, 2, {0}, {0}, {(0, "a", 0), (0, "b", 1), (1, "b", 0)})
+    aug = rm_alphabet_augment(rm_from_multiset([universal_language(AB), a_or_bb]))
+    sat = saturate_universal(aug.tau, ClassId.FO2)
+    subset = ("a", "b")
+    words = _Fo2State(aug.tau, sat, DEFAULT_CAPS)._word_images(subset)
+    most = max(len({functools.reduce(operator.or_, combo)
+                    for n in range(1, len(below) + 1)
+                    for combo in itertools.combinations(below, n)})
+               for m in sat.maximal_elements()
+               for below in [[w for w in words if w | m == m]])
+    assert len(words) < most == 16
+    full = _Fo2State(aug.tau, sat, DEFAULT_CAPS).s_b(subset)
+    assert _Fo2State(aug.tau, sat, Caps(max_elements=most)).s_b(subset) == full
+    with pytest.raises(SaturationCapError, match="fo2-language-sums"):
+        _Fo2State(aug.tau, sat, Caps(max_elements=most - 1)).s_b(subset)
 
 
 def test_fo2_cover_rejects_incompatible_map():

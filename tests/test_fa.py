@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from regcov import (DEFAULT_CAPS, Alphabet, InputError, alphabet_exact, alphabet_star,
+from regcov import (DEFAULT_CAPS, Alphabet, DeterminizationCapError, InputError,
+                    alphabet_exact, alphabet_star,
                     determinize, equivalent, includes, is_empty, minimize,
                     nfa_complement, nfa_concat, nfa_from_json, nfa_intersection,
                     nfa_to_regex, nfa_union, regex_to_nfa, transition_monoid,
@@ -237,6 +238,37 @@ def test_determinize_and_nfa_to_regex_match_the_references():
         assert determinize(nfa) == reference_fa.determinize(nfa)
         assert (rx.regex_to_text(nfa_to_regex(nfa))
                 == rx.regex_to_text(reference_fa.nfa_to_regex(nfa)))
+
+
+def test_includes_matches_complement_and_intersect():
+    # on the fly, the search stops at the first counterexample; it must
+    # agree with the complement of the whole subset construction both ways
+    rng = random.Random(41)
+    counts = {True: 0, False: 0}
+    for _ in range(300):
+        alphabet, p = rng.choice([AB, ABC]), rng.choice([0.3, 0.5])
+        lhs, rhs = random_nfa(rng, alphabet, 5, p), random_nfa(rng, alphabet, 5, p)
+        for x, y in ((lhs, rhs), (rhs, lhs)):
+            want = reference_fa.includes(x, y)
+            assert includes(x, y) == want
+            counts[want] += 1
+    assert min(counts.values()) > 100
+
+
+def test_includes_counts_only_the_subsets_it_visits():
+    # the word a^11 of lhs visits the subsets {0}, ..., {11} of rhs, while
+    # b and c lead rhs to many more, which the full construction meets
+    n = 12
+    rhs = Nfa(ABC, n, {0}, {n - 1},
+              {(q, "a", q + 1) for q in range(n - 1)}
+              | {(q, b, r) for q in range(n) for r in range(n) for b in "bc" if (q + r) % 3})
+    lhs = nfa_of("a" * (n - 1), "abc")
+    caps = DEFAULT_CAPS.with_overrides(max_det_states=n)
+    assert includes(lhs, rhs, caps)
+    with pytest.raises(DeterminizationCapError):
+        includes(lhs, rhs, caps.with_overrides(max_det_states=n - 1))
+    with pytest.raises(DeterminizationCapError):
+        nfa_complement(rhs, caps)
 
 
 def test_transition_monoid_matches_the_reference():

@@ -160,6 +160,16 @@ def test_member_decides_large_sweep_monoids():
         assert engine_member(cid, nfa) == want, (key, cid)
 
 
+@pytest.mark.parametrize("key", [(7, 6), (9, 7)])
+def test_member_decides_fo2_on_large_sweep_draws(key):
+    """`fo2` on the 1,101-element monoid of draw (7, 6) and on draw (9, 7),
+    whose saturations offer the same items to `ImprintSet.insert` many
+    times over; it refuses a repeat at once."""
+    nfa = sweep_draws()[key]
+    assert oracles.member_fo2(nfa) is False
+    assert engine_member(ClassId.FO2, nfa) is False
+
+
 def test_member_matches_oracles_on_sweep_draws():
     """All six classes on the sweep draws whose monoids have at most 150
     elements."""

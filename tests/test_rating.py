@@ -368,3 +368,21 @@ def test_word_image_closure_keeps_its_cap():
     with pytest.raises(SaturationCapError) as info:
         ext.tau.image_of_star("ab", Caps(max_elements=3))
     assert "word-image closure" in str(info.value)
+
+
+def test_word_image_closure_checks_the_caps_of_every_call():
+    # the tables are built once, under the first call's caps; a later call
+    # with a smaller cap must still see the closure exceed it
+    def fresh():
+        return rm_from_multiset([nfa_of("(ab)+", "ab"), nfa_of("a+", "ab")]).tau
+
+    with pytest.raises(SaturationCapError):
+        fresh().image_of_star("ab", Caps(max_elements=2))
+    tau = fresh()
+    star = tau.image_of_star("ab")
+    with pytest.raises(SaturationCapError) as info:
+        tau.image_of_star("ab", Caps(max_elements=2))
+    assert "word-image closure" in str(info.value)
+    with pytest.raises(SaturationCapError):
+        tau.image_of_exact("a", Caps(max_elements=2))
+    assert tau.image_of_star("ab") == star

@@ -391,3 +391,51 @@ def test_generator_loop_matches_all_pairs_reference(monkeypatch):
                 assert set(got.maximal_elements()) == set(want.maximal_elements()), \
                     (target, other, got.label, lifo)
                 assert got.sweeps == want.sweeps, (target, other, got.label, lifo)
+
+
+def test_rule_outputs_dominated_later_in_their_round_do_not_join(monkeypatch):
+    """A rule output that is maximal when inserted but dominated by a later
+    output of the same round stays out of the generators, and the fixpoint
+    is unchanged: the same antichain as the all-pairs reference and, where
+    the rating set is narrow enough, the explicit engine."""
+    dropped = []
+    real = saturation._saturate
+
+    def recording(out, one, gens, mul, rule):
+        def recorded(maxima):
+            kept = []
+            for h in rule(maxima):
+                before = out.is_maximal(h)
+                yield h                     # _saturate inserts h here
+                if not before and out.is_maximal(h):
+                    kept.append(h)
+            dropped.extend(h for h in kept if not out.is_maximal(h))
+        return real(out, one, gens, mul, rule and recorded)
+
+    monkeypatch.setattr(saturation, "_saturate", recording)
+
+    def draw(seed, index, symbols):
+        rng = random.Random(seed)
+        for _ in range(index + 1):
+            pair = random_nfa(rng, symbols, 4), random_nfa(rng, symbols, 4)
+        return pair
+
+    target, other = draw(4, 1, AB)
+    aug = rm_alphabet_augment(rm_from_multiset([target, other]))
+    assert aug.tau.semiring.log2_size() <= 16
+    got = saturate_universal(aug.tau, ClassId.FO2)
+    assert dropped
+    assert same_imprint(explicit.saturate_universal(aug.tau, ClassId.FO2), got)
+    want = reference.saturate_universal(aug.tau, ClassId.FO2)
+    assert set(got.maximal_elements()) == set(want.maximal_elements())
+    assert got.sweeps == want.sweeps
+
+    target, other = draw(7, 2, AB)
+    aug = rm_alphabet_augment(rm_from_multiset([other]))
+    alpha, _ = transition_monoid(target)
+    dropped.clear()
+    got = saturate_pointed(alpha, aug.tau, ClassId.SIGMA2)
+    assert dropped
+    want = reference.saturate_pointed(alpha, aug.tau, ClassId.SIGMA2)
+    assert set(got.maximal_elements()) == set(want.maximal_elements())
+    assert got.sweeps == want.sweeps
