@@ -18,8 +18,7 @@ from . import rx
 from .fa import (Alphabet, Dfa, MonoidMorphism, Nfa, alphabet_exact, equivalent,
                  exact_alphabet_regex, explore, includes, is_empty, minimize,
                  minimize_labelled, nfa_intersection, nfa_to_regex, nfa_union,
-                 piece_closure_regex, regex_to_nfa, trim, universal_language,
-                 upward_closure)
+                 piece_closure_regex, universal_language, upward_closure)
 from .imprints import ImprintSet
 from .pieces import is_piece, is_union_of_classes, pt_partition
 from .rating import RatingMap, reach
@@ -29,12 +28,15 @@ from .saturation import ClassId
 
 @dataclass
 class CoverPiece:
-    """One cover member; the regex is materialized lazily from the automaton
-    when it was not supplied by the synthesizer.
+    """One cover member: the trimmed minimal DFA of its language, and a
+    regex that is materialized lazily from it when the synthesizer did not
+    supply one.
 
-    The regex comes from the trimmed minimal DFA: a union of piece classes
+    Every synthesizer builds its pieces as trimmed minimal DFAs
+    (`fa.alphabet_exact`, `_superwords`, `_label_pieces`), so the regex is
+    state elimination on the automaton as it is: a union of piece classes
     can span thousands of classes and yet have a minimal DFA of a dozen
-    states, and state elimination on the large automaton builds a regex
+    states, and state elimination on a large automaton builds a regex
     nested too deeply to print."""
 
     nfa: Nfa
@@ -43,7 +45,7 @@ class CoverPiece:
     @property
     def regex(self) -> Regex:
         if self._regex is None:
-            self._regex = nfa_to_regex(trim(minimize(self.nfa).as_nfa()))
+            self._regex = nfa_to_regex(self.nfa)
         return self._regex
 
 
@@ -69,10 +71,6 @@ class Cover:
         return doc
 
 
-def _prune_empty(pieces: list) -> list:
-    return [p for p in pieces if not is_empty(p.nfa)]
-
-
 # -- alphabet-testable covers ---------------------------------------------------------
 
 def at_cover(alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> Cover:
@@ -82,7 +80,7 @@ def at_cover(alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> Cover:
         syms = alphabet.from_mask(mask)
         pieces.append(CoverPiece(alphabet_exact(alphabet, syms),
                                  exact_alphabet_regex(alphabet, syms)))
-    return Cover(ClassId.AT, universal_language(alphabet), _prune_empty(pieces),
+    return Cover(ClassId.AT, universal_language(alphabet), pieces,
                  provenance="alphabet atoms")
 
 
@@ -136,12 +134,21 @@ def sigma1_cover(alpha: MonoidMorphism, targets, alphabet: Alphabet,
         if not any(is_piece(v, w) for v in final):
             final.append(w)
 
-    pieces = [CoverPiece(upward_closure(regex_to_nfa(rx.word_regex(w), alphabet)),
-                         piece_closure_regex(alphabet, w))
+    pieces = [CoverPiece(_superwords(alphabet, w), piece_closure_regex(alphabet, w))
               for w in final]
     target_nfa = _fiber_nfa(alpha, targets, alphabet)
-    return Cover(ClassId.SIGMA1, target_nfa, _prune_empty(pieces),
+    return Cover(ClassId.SIGMA1, target_nfa, pieces,
                  provenance=f"superword closures of words of length <= {alpha.size}")
+
+
+def _superwords(alphabet: Alphabet, word: str) -> Nfa:
+    """The trimmed minimal DFA of the superwords of `word`: state i has
+    matched the first i letters of the word as a subword, greedily, and
+    the other letters loop."""
+    n = len(word)
+    trans = {(i, a, i + 1 if i < n and a == word[i] else i)
+             for i in range(n + 1) for a in alphabet}
+    return Nfa(alphabet, n + 1, frozenset([0]), frozenset([n]), frozenset(trans))
 
 
 def _fiber_nfa(alpha: MonoidMorphism, targets: frozenset, alphabet: Alphabet) -> Nfa:
@@ -218,7 +225,7 @@ def _label_pieces(alphabet: Alphabet, delta: tuple, initial: int, labels: list) 
     sink, the DFA with those states as finals is minimized by
     `fa.minimize_labelled`.  The minimal DFA has at most one dead state,
     which is not accepting and loops on every letter; the others are
-    numbered in order, as `fa.trim` numbers them.
+    numbered in order.
     """
     by_label: dict = {}
     for q, x in enumerate(labels):
@@ -279,46 +286,53 @@ class _Fo2State:
     """Recursion state of the FO2 synthesis: one labelled DFA per node.
 
     A node (B, left, right) stands for a partition of B* into pieces K, each
-    with left·ρ(K)·right in the saturated set and with pairwise distinct
-    images ρ(K).  The piece of a word w is fixed by its label λ(w) = ρ(K),
-    so the node is one DFA over A whose states carry labels (a Moore
-    machine): the state a word leads to has the word's label, and the words
-    outside B* lead to a sink labelled None.  A piece is the set of words of
-    one label.  Labels are computed by multiplication, never read off an
-    automaton; the recursion evaluates no automaton but the one-state B* of
-    each base case.
+    with left·ρ(K)·right in the saturated set, and with pairwise distinct
+    images in context left·ρ(K)·right.  The piece of a word w is fixed by
+    its label λ(w) = left·ρ(K)·right, so the node is one DFA over A whose
+    states carry labels (a Moore machine): the state a word leads to has
+    the word's label, and the words outside B* lead to a sink labelled None.
+    A piece is the set of words of one label.  Labels are computed by
+    multiplication, never read off an automaton; the recursion evaluates no
+    automaton but the one-state B* of each base case.
 
     The recursion, on (|B|, right-index of left, left-index of right):
 
-    - Base case, both contexts saturated: the one piece B*.
+    - Base case, both contexts saturated: the one piece B*, labelled
+      left·ρ(B*)·right.
     - Right peel, the first occurrence of a letter b.  Every word of B* is
       either in (B∖b)* or splits uniquely as h·b·k with h in (B∖b)*.  The
       factor node F = (B∖b, 1, 1) labels h, and the child node
-      C = (B, left·λ_F(h)·ρ(b), right) labels k:
+      C = (B, left·λ_F(h)·ρ(b), right) labels k, already in the parent's
+      context:
 
-          λ(h·b·k) = λ_F(h)·ρ(b)·λ_C(k),   λ(h) = λ_F(h).
+          λ(h·b·k) = λ_C(k),   λ(h) = left·λ_F(h)·right.
 
     - Left peel, the last occurrence of b: the mirror image, with
-      w = k·b·h, C = (B, left, ρ(b)·λ_F(h)·right) and
-      λ(k·b·h) = λ_C(k)·ρ(b)·λ_F(h).
+      w = k·b·h, C = (B, left, ρ(b)·λ_F(h)·right) and λ(k·b·h) = λ_C(k).
 
-    These are the pieces of the left-factor recursion with the pieces of
-    equal image united at every node.  A label is the image of its piece:
-    addition is idempotent, so a union of languages of image r has image r,
-    and a union of FO2 languages is FO2.  So a node has one piece per
-    distinct label; `fo2_cover` re-evaluates every top-level piece and
-    checks that its image lies in the saturated set.
+    By induction each label is left·ρ(K')·right, for K' the piece of the
+    left-factor recursion with the pieces of equal image united at every
+    node: ρ(K') is λ_F(h)·ρ(b)·ρ(K'_C) for a right peel.  A node's piece is
+    the union of the pieces K' of one image in context.  Addition is
+    idempotent and distributes over multiplication, so the union has that
+    image in context, and a union of FO2 languages is FO2.  At the top node
+    left = right = 1, so the labels there are the images of the pieces;
+    `fo2_cover` re-evaluates every top-level piece and checks that its
+    image lies in the saturated set.
 
     A right-peel node reads left to right, and its machine is deterministic
     without a subset construction: the first b read is the peeled one, and
-    F's state at that point holds λ_F(h), which fixes the multiplier
-    p = λ_F(h)·ρ(b) and so the child.  The machine is a copy of F and, for
-    each multiplier p, a copy of the child C for p, in which C's state c
-    has label p·λ_C(c).  In F's states the letter b leads to the initial
-    state of p's copy; every other letter follows F, or C within a copy.
-    A left-peel node reads right to left, so that the last b is read first,
-    and labels c by λ_C(c)·p.  Either way the machine is minimized by Moore
-    refinement from its labels (`fa.minimize_labelled`).
+    F's state at that point holds λ_F(h), which fixes the child context
+    left·λ_F(h)·ρ(b) and so the child.  The machine is a copy of F, with
+    each label x read as left·x·right, and one copy of each distinct child
+    as it is.  In F's states the letter b leads to the initial state of the
+    copy of the child of that context; every other letter follows F, or C
+    within a copy.  A left-peel node reads right to left, so that the last
+    b is read first, and keys its copies by ρ(b)·λ_F(h)·right.  Either way
+    the machine is minimized by Moore refinement from its labels
+    (`fa.minimize_labelled`).  Words of equal image in context share a
+    label even where their images differ, so a child is built no finer than
+    its parent reads it.
 
     A factor or child needed in the other direction is converted once
     (`_flip`), by the label-vector form of Brzozowski's reversal: after the
@@ -330,8 +344,9 @@ class _Fo2State:
 
     Every node is built once per synthesis; `max_det_states` bounds the
     states of each node machine before minimization and of each conversion,
-    `max_pieces` the distinct labels of the nodes, summed, and
-    `max_elements` the word images over each sub-alphabet.
+    `max_pieces` the distinct labels in context of the nodes (their
+    pieces), summed, and `max_elements` the word images over each
+    sub-alphabet.
     """
 
     def __init__(self, rho: RatingMap, saturated: ImprintSet, caps: Caps):
@@ -446,7 +461,7 @@ class _Fo2State:
             b = self.left_saturated(right, subset)
         if b is None:
             forward = None
-            img = rho.image_of_star(subset, self.caps)
+            img = self.sr.mul(self.sr.mul(left, rho.image_of_star(subset, self.caps)), right)
             # one state for the words of B*, and a sink for the letters outside B
             inside = tuple(0 if a in subset else 1 for a in rho.alphabet)
             delta, labels = minimize_labelled((inside, (1,) * len(inside)), 0, [img, None])
@@ -457,33 +472,34 @@ class _Fo2State:
         return self._nodes[key]
 
     def _peel(self, subset: tuple, left, right, b: str, forward: bool):
-        """The minimal machine of a peel node: a copy of F, whose letter b
-        leads to a copy of the child of each multiplier, minimized."""
+        """The minimal machine of a peel node: a copy of F labelled in
+        context, whose letter b leads to one copy of the child of each child
+        context, minimized."""
         mul = self.sr.mul
         bimg = self.rho.letter_image[b]
         bi = self.rho.alphabet.index(b)
-        f_delta, labels = self.machine(tuple(x for x in subset if x != b),
-                                       self.sr.one, self.sr.one, forward)
+        f_delta, f_labels = self.machine(tuple(x for x in subset if x != b),
+                                         self.sr.one, self.sr.one, forward)
         rows = [list(row) for row in f_delta]
-        labels = list(labels)
-        starts: dict = {}                  # multiplier -> its child's initial state
-        for s in range(len(f_delta)):
-            if labels[s] is None:          # the sink of F
+        in_context = {x: mul(mul(left, x), right) for x in dict.fromkeys(f_labels)
+                      if x is not None}
+        labels = [in_context.get(x) for x in f_labels]
+        starts: dict = {}                  # child context -> its copy's initial state
+        for s, x in enumerate(f_labels):
+            if x is None:                  # the sink of F
                 continue
-            p = mul(labels[s], bimg) if forward else mul(bimg, labels[s])
-            if p not in starts:
-                c_delta, c_labels = (self.machine(subset, mul(left, p), right, True) if forward
-                                     else self.machine(subset, left, mul(p, right), False))
-                off = starts[p] = len(rows)
+            ctx = mul(left, mul(x, bimg)) if forward else mul(mul(bimg, x), right)
+            if ctx not in starts:
+                c_delta, c_labels = (self.machine(subset, ctx, right, True) if forward
+                                     else self.machine(subset, left, ctx, False))
+                off = starts[ctx] = len(rows)
                 if off + len(c_delta) > self.caps.max_det_states:
                     raise DeterminizationCapError(
                         "max_det_states", self.caps.max_det_states,
                         f"fo2 node machine over {''.join(subset)}")
                 rows += [[t + off for t in row] for row in c_delta]
-                products = {x: mul(p, x) if forward else mul(x, p)
-                            for x in dict.fromkeys(c_labels) if x is not None}
-                labels += [products.get(x) for x in c_labels]
-            rows[s][bi] = starts[p]
+                labels += c_labels
+            rows[s][bi] = starts[ctx]
         return minimize_labelled(rows, 0, labels)
 
     def _flip(self, m):

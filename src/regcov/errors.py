@@ -84,8 +84,9 @@ class Caps:
                                        # the pairs of every (state, word
                                        # image) closure (`rating.reach`)
     max_pieces: int = 10_000           # pieces per synthesized cover; for fo2,
-                                       # the distinct labels of each recursion
-                                       # node (its pieces), summed over the nodes
+                                       # the distinct labels in context of each
+                                       # recursion node (its pieces), summed
+                                       # over the nodes
     max_word_budget: int = 1_000_000   # word enumeration budget
     max_pt_states: int = 50_000        # piece-automaton states
     max_k: int = 0                     # piece-length bound; 0 = per-alphabet default

@@ -369,40 +369,6 @@ def minimize_labelled(delta: tuple, initial: int, labels: list) -> tuple:
     return tuple(rows), [rep[b][1] for b in order]
 
 
-def trim(n: Nfa) -> Nfa:
-    """The same language on the states that are reachable and co-reachable.
-
-    Dead states, such as the sink of a complete DFA, make every later subset
-    construction carry them along and can double its subsets.
-    """
-    succ: dict = {}
-    pred: dict = {}
-    for (q, a, r) in n.transitions:
-        succ.setdefault(q, set()).add(r)
-        pred.setdefault(r, set()).add(q)
-
-    def closure(start, edges) -> set:
-        seen = set(start)
-        work = list(start)
-        while work:
-            for r in edges.get(work.pop(), ()):
-                if r not in seen:
-                    seen.add(r)
-                    work.append(r)
-        return seen
-
-    live = closure(n.initials, succ) & closure(n.finals, pred)
-    if len(live) == n.state_count:
-        return n
-    if not live:
-        return empty_language(n.alphabet)
-    num = {q: i for i, q in enumerate(sorted(live))}
-    return Nfa(n.alphabet, len(num), frozenset(num[q] for q in n.initials if q in live),
-               frozenset(num[q] for q in n.finals if q in live),
-               frozenset((num[q], a, num[r]) for (q, a, r) in n.transitions
-                         if q in live and r in live))
-
-
 def nfa_complement(n: Nfa, caps: Caps = DEFAULT_CAPS) -> Nfa:
     dfa = determinize(n, caps)
     flipped = Dfa(dfa.alphabet, dfa.state_count, dfa.initial,
@@ -574,20 +540,19 @@ def alphabet_star(alphabet: Alphabet, subset: Iterable[str]) -> Nfa:
 
 def alphabet_exact(alphabet: Alphabet, subset: Iterable[str]) -> Nfa:
     """Words whose set of letters is exactly B (the atoms of the
-    alphabet-testable Boolean algebra)."""
+    alphabet-testable Boolean algebra).
+
+    The state is the set of letters of B read so far, numbered in BFS
+    order, so this is the trimmed minimal DFA of the language: distinct
+    sets miss different letters."""
     syms = sorted(set(subset))
     for s in syms:
         if s not in alphabet:
             raise InputError(f"symbol {s!r} not in alphabet")
     k = len(syms)
-    pos = {a: i for i, a in enumerate(syms)}
-    # states are subsets of B already seen
-    trans = set()
-    for seen in range(1 << k):
-        for a in syms:
-            trans.add((seen, a, seen | (1 << pos[a])))
-    full = (1 << k) - 1
-    return Nfa(alphabet, 1 << k, frozenset([0]), frozenset([full]), frozenset(trans))
+    _, rows = explore(0, lambda seen: [seen | 1 << i for i in range(k)], 1 << k)
+    trans = {(q, a, r) for q, row in enumerate(rows) for a, r in zip(syms, row)}
+    return Nfa(alphabet, 1 << k, frozenset([0]), frozenset([(1 << k) - 1]), frozenset(trans))
 
 
 def piece_closure_regex(alphabet: Alphabet, word: str) -> Regex:

@@ -102,18 +102,6 @@ def union_all(parts) -> Regex:
     return out
 
 
-def concat_all(parts) -> Regex:
-    out: Regex = EPSILON
-    for p in parts:
-        out = concat(out, p)
-    return out
-
-
-def word_regex(word: str) -> Regex:
-    """Regex denoting the singleton {word}."""
-    return concat_all(Letter(a) for a in word)
-
-
 # -- parsing ------------------------------------------------------------------
 
 class _Parser:

@@ -7,6 +7,8 @@ import random
 from collections import deque
 from dataclasses import replace
 
+from hypothesis import strategies as st
+
 from regcov import (Alphabet, DEFAULT_CAPS, Extension, ImprintSet, Nfa, ProductSemiring,
                     RatingMap, alphabet_exact, alphabet_star, includes, is_empty,
                     nfa_intersection, nfa_union, regex_parse, regex_to_nfa)
@@ -50,6 +52,19 @@ def random_nfa(rng: random.Random, alphabet: Alphabet, max_states: int,
     if not finals:
         finals = {rng.randrange(n)}
     return Nfa(alphabet, n, frozenset(initials), frozenset(finals), frozenset(trans))
+
+
+@st.composite
+def nfas(draw, alphabet, max_states=4):
+    """Hypothesis strategy: an NFA of at most `max_states` states, one
+    initial state, at least one final state and at most three transitions
+    per state on average; it shrinks towards fewer states and transitions."""
+    n = draw(st.integers(1, max_states))
+    states = st.integers(0, n - 1)
+    trans = draw(st.frozensets(st.tuples(states, st.sampled_from(alphabet.symbols), states),
+                               max_size=3 * n))
+    return Nfa(alphabet, n, frozenset([draw(states)]),
+               draw(st.frozensets(states, min_size=1)), trans)
 
 
 def denote_upto(node, symbols: str, maxlen: int) -> frozenset:
@@ -193,6 +208,38 @@ def eval_word(tau, word: str):
     for a in word:
         out = tau.semiring.mul(out, tau.letter_image[a])
     return out
+
+
+def trim(n: Nfa) -> Nfa:
+    """The same language on the states that are reachable and co-reachable,
+    numbered in their order.  `trim(minimize(n).as_nfa())` is the trimmed
+    minimal DFA that a cover piece holds."""
+    succ: dict = {}
+    pred: dict = {}
+    for (q, a, r) in n.transitions:
+        succ.setdefault(q, set()).add(r)
+        pred.setdefault(r, set()).add(q)
+
+    def closure(start, edges) -> set:
+        seen = set(start)
+        work = list(start)
+        while work:
+            for r in edges.get(work.pop(), ()):
+                if r not in seen:
+                    seen.add(r)
+                    work.append(r)
+        return seen
+
+    live = closure(n.initials, succ) & closure(n.finals, pred)
+    if len(live) == n.state_count:
+        return n
+    if not live:
+        return empty_language(n.alphabet)
+    num = {q: i for i, q in enumerate(sorted(live))}
+    return Nfa(n.alphabet, len(num), frozenset(num[q] for q in n.initials if q in live),
+               frozenset(num[q] for q in n.finals if q in live),
+               frozenset((num[q], a, num[r]) for (q, a, r) in n.transitions
+                         if q in live and r in live))
 
 
 def reverse(n: Nfa) -> Nfa:

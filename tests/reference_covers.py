@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from regcov import DEFAULT_CAPS
 from regcov.covers import _Fo2State
-from regcov.fa import Nfa, alphabet_star, minimize, trim
+from regcov.fa import Nfa, alphabet_star, minimize
+
+from helpers import trim
 
 
 class MergingFo2(_Fo2State):
@@ -92,9 +94,11 @@ def merge(group: list, letter, alphabet) -> Nfa:
 
 
 def fo2_pieces(rho, saturated, subset=None, left=None, right=None) -> dict:
-    """image -> piece automaton of the top-level merged cover."""
+    """image -> piece automaton of the top-level merged cover, as the
+    trimmed minimal DFA that a `CoverPiece` holds."""
     sr = rho.semiring
     subset = tuple(sorted(subset)) if subset is not None else tuple(rho.alphabet.symbols)
     state = MergingFo2(rho, saturated, DEFAULT_CAPS)
-    return dict(state.build(subset, left if left is not None else sr.one,
-                            right if right is not None else sr.one))
+    return {img: trim(minimize(nfa).as_nfa())
+            for img, nfa in state.build(subset, left if left is not None else sr.one,
+                                        right if right is not None else sr.one)}

@@ -17,7 +17,9 @@ from dataclasses import replace
 
 from regcov import rx
 from regcov.fa import (Alphabet, Dfa, MonoidMorphism, Nfa, is_empty, minimize,
-                       nfa_complement, nfa_intersection, trim)
+                       nfa_complement, nfa_intersection)
+
+from helpers import trim
 
 
 def determinize(n: Nfa) -> Dfa:

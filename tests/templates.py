@@ -11,6 +11,14 @@ from regcov import rx
 from regcov.fa import Alphabet, exact_alphabet_regex
 from regcov.rx import Regex
 
+
+def concat_all(parts) -> Regex:
+    out: Regex = rx.EPSILON
+    for p in parts:
+        out = rx.concat(out, p)
+    return out
+
+
 # A unit is either a single letter (str) or a triple (b, B, c) with B a
 # frozenset of symbols and b, c in B.  A template is a tuple of units.
 
@@ -55,9 +63,9 @@ def template_regex(template: Template, n: int, alphabet: Alphabet) -> Regex:
             (b, bset, c) = t
             bstar = rx.star(rx.union_all(rx.Letter(x) for x in sorted(bset)))
             exact = exact_alphabet_regex(alphabet, bset)
-            blocks = rx.concat_all([exact] * n)
-            parts.append(rx.concat_all([bstar, rx.Letter(b), blocks, rx.Letter(c), bstar]))
-    return rx.concat_all(parts) if parts else rx.EPSILON
+            blocks = concat_all([exact] * n)
+            parts.append(concat_all([bstar, rx.Letter(b), blocks, rx.Letter(c), bstar]))
+    return concat_all(parts) if parts else rx.EPSILON
 
 
 def _alph(word: str) -> frozenset:

@@ -6,6 +6,7 @@ import operator
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from regcov import (DEFAULT_CAPS, Alphabet, Caps, ClassId, Cover, InputError,
                     SaturationCapError, at_cover,
@@ -23,8 +24,8 @@ from regcov.pieces import pt_partition
 import reference_covers
 import reference_fa
 from explicit_engine import downset, fo2_language_sums, members
-from helpers import (cover_imprint, cover_index_masks, eval_word, nfa_of,
-                     piece_images_distinct, random_nfa, union_nfa)
+from helpers import (cover_imprint, cover_index_masks, eval_word, nfa_of, nfas,
+                     piece_images_distinct, random_nfa, trim, union_nfa)
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -131,7 +132,7 @@ def test_partition_cover_pieces_match_trimmed_partition(target, against):
     for piece, states in zip(cov.pieces, by_image.values()):
         want = reference_fa.partition_piece(pa, states)
         assert equivalent(piece.nfa, want)
-        assert piece.nfa.state_count <= fa.trim(fa.minimize(want).as_nfa()).state_count
+        assert piece.nfa.state_count <= trim(fa.minimize(want).as_nfa()).state_count
     # cut from the minimal labelled partition, not from its 5,312 classes
     assert sum(p.nfa.state_count for p in cov.pieces) < 100 < pa.state_count
 
@@ -151,14 +152,17 @@ def test_bsigma1_cover_separating_iff_coverable():
         assert report.separating == dec.coverable
 
 
-def fo2_node_pieces(rho, sat, subset: str, left, right) -> list:
+def fo2_node_pieces(rho, sat, subset: str, left, right, state=None) -> list:
     """The pieces of one node of the fo2 recursion: a cover of B* whose
-    pieces K all keep left·ρ(K)·right in the saturated set."""
-    delta, labels = covers._Fo2State(rho, sat, DEFAULT_CAPS).machine(
-        tuple(sorted(subset)), left, right, True)
+    pieces K are labelled by their images in context, left·ρ(K)·right, all
+    in the saturated set."""
+    state = state or covers._Fo2State(rho, sat, DEFAULT_CAPS)
+    delta, labels = state.machine(tuple(sorted(subset)), left, right, True)
     pieces = covers._label_pieces(rho.alphabet, delta, 0, labels)
     sr = rho.semiring
-    assert all(sr.mul(sr.mul(left, rho.eval_nfa(p.nfa)), right) in sat for p in pieces)
+    in_context = [sr.mul(sr.mul(left, rho.eval_nfa(p.nfa)), right) for p in pieces]
+    assert in_context == [x for x in dict.fromkeys(labels) if x is not None]
+    assert all(x in sat for x in in_context)
     return pieces
 
 
@@ -178,6 +182,19 @@ def test_fo2_cover_base_case_emits_whole_star():
     assert members(cover_imprint(top, tau)) == members(sat)
     assert piece_images_distinct(top, tau)
     assert includes(universal_language(A1), union_nfa(top))
+
+
+def test_fo2_every_node_labels_its_pieces_in_context():
+    langs = [nfa_of("(ab)+", "abc"), nfa_of("c(ac)+", "abc")]
+    dec = decide_universal_covering(rm_from_multiset(langs), ClassId.FO2, target_index=0)
+    rho, sat = dec.rating_map, dec.raw_imprint
+    state = covers._Fo2State(rho, sat, DEFAULT_CAPS)
+    one = rho.semiring.one
+    state.node(tuple("abc"), one, one)
+    nodes = list(state._nodes)
+    assert sum(key[1:] != (one, one) for key in nodes) > 10
+    for subset, left, right in nodes:
+        fo2_node_pieces(rho, sat, subset, left, right, state)
 
 
 def test_fo2_cover_empty_subalphabet():
@@ -262,6 +279,86 @@ def test_fo2_pieces_match_the_merging_reference(monkeypatch):
         assert len(images) == len(want) and set(images) == set(want)
         for img, piece in zip(images, cov.pieces):   # equal minimal DFAs: equivalent
             assert fa.minimize(piece.nfa) == fa.minimize(want[img])
+
+
+@given(st.lists(nfas(AB), min_size=2, max_size=3))
+def test_fo2_pieces_match_the_merging_reference_on_shrinking_nfas(langs):
+    dec = decide_universal_covering(rm_from_multiset(langs), ClassId.FO2, target_index=0)
+    rho = dec.rating_map
+    cov = fo2_cover(rho, dec.raw_imprint)
+    want = reference_covers.fo2_pieces(rho, dec.raw_imprint)
+    images = [rho.eval_nfa(p.nfa) for p in cov.pieces]
+    assert len(images) == len(want) and set(images) == set(want)
+    for img, piece in zip(images, cov.pieces):   # both trimmed minimal DFAs
+        assert piece.nfa == want[img]
+
+
+def test_fo2_peel_copies_each_child_context_once(monkeypatch):
+    # a peel node is F, labelled in context by x -> left·x·right, and one
+    # unrelabelled copy of the child of each distinct child context:
+    # left·λ_F(h)·ρ(b) for a right peel, ρ(b)·λ_F(h)·right for a left peel
+    frames = []
+    fed = {}
+    peel, machine = covers._Fo2State._peel, covers._Fo2State.machine
+    minimize_labelled = covers.minimize_labelled
+
+    def counted_peel(self, subset, left, right, b, forward):
+        frames.append(([], []))
+        out = peel(self, subset, left, right, b, forward)
+        (f_key, *child_keys), calls = frames.pop()
+        mul, bimg = self.sr.mul, self.rho.letter_image[b]
+        assert f_key == (tuple(x for x in subset if x != b), self.sr.one, self.sr.one, forward)
+        f_delta, f_labels = self._machines[f_key]
+        contexts = {mul(mul(left, x), bimg) if forward else mul(mul(bimg, x), right)
+                    for x in f_labels if x is not None}
+        assert len(child_keys) == len(set(child_keys)) == len(contexts)
+        assert set(child_keys) == {(subset, c, right, True) if forward
+                                   else (subset, left, c, False) for c in contexts}
+        children = [self._machines[key] for key in child_keys]
+        size, labels = calls[-1]                  # the peel's own minimization
+        assert size == len(f_delta) + sum(len(delta) for delta, _ in children)
+        assert labels == ([None if x is None else mul(mul(left, x), right) for x in f_labels]
+                          + [x for _, c_labels in children for x in c_labels])
+        fed[subset, left, right] = size
+        return out
+
+    def counted_machine(self, *key):
+        if frames:
+            frames[-1][0].append(key)
+        return machine(self, *key)
+
+    def counted_minimize(delta, initial, labels):
+        if frames:
+            frames[-1][1].append((len(delta), list(labels)))
+        return minimize_labelled(delta, initial, labels)
+
+    monkeypatch.setattr(covers._Fo2State, "_peel", counted_peel)
+    monkeypatch.setattr(covers._Fo2State, "machine", counted_machine)
+    monkeypatch.setattr(covers, "minimize_labelled", counted_minimize)
+    totals = []
+    for langs in fo2_instances():
+        dec = decide_universal_covering(rm_from_multiset(langs), ClassId.FO2, target_index=0)
+        fed.clear()
+        fo2_cover(dec.rating_map, dec.raw_imprint)
+        assert fed
+        totals.append(sum(fed.values()))
+    # 43:fo2: 4,314 states; with one relabelled child copy per multiplier
+    # they were 25,119
+    assert totals[1] <= 6000
+
+
+def test_fo2_cover_of_many_node_labels_fits_the_default_caps():
+    # the nodes of this cover have 2,149 distinct labels in context, summed;
+    # labelled out of context they had 21,015, past max_pieces (10,000)
+    rng = random.Random(9002)
+    langs = [random_nfa(rng, ABC, 3, 0.35) for _ in range(rng.randint(2, 3))]
+    dec = decide_universal_covering(rm_from_multiset(langs), ClassId.FO2, target_index=0)
+    rho, sat = dec.rating_map, dec.raw_imprint
+    cov = fo2_cover(rho, sat)
+    assert len(cov.pieces) == 101
+    assert set(cover_imprint(cov, rho).maximal_elements()) == set(sat.maximal_elements())
+    assert includes(universal_language(ABC), union_nfa(cov))
+    assert piece_images_distinct(cov, rho)
 
 
 @pytest.mark.parametrize("target, against", [
@@ -365,6 +462,26 @@ def test_fo2_language_sums_cap_allows_exactly_max_elements():
     assert _Fo2State(aug.tau, sat, Caps(max_elements=most)).s_b(subset) == full
     with pytest.raises(SaturationCapError, match="fo2-language-sums"):
         _Fo2State(aug.tau, sat, Caps(max_elements=most - 1)).s_b(subset)
+
+
+def test_every_synthesizer_builds_trimmed_minimal_pieces():
+    # a piece renders its automaton as it is, so each synthesizer hands in
+    # the trimmed minimal DFA of the piece's language
+    covs = [at_cover(A1), at_cover(ABC)]
+    for text in ("a+", "ab|ba", "(ab)+"):
+        alpha, acc = transition_monoid(nfa_of(text, "ab"))
+        covs.append(sigma1_cover(alpha, acc, AB))
+    for langs in ([nfa_of("a+", "ab"), nfa_of("b+", "ab")],
+                  [nfa_of("(ab)+", "abc"), nfa_of("c(ac)+", "abc")]):
+        dec = decide_universal_covering(rm_from_multiset(langs), ClassId.BSIGMA1)
+        covs.append(bsigma1_cover(dec.rating_map, dec.raw_imprint))
+    for langs in fo2_instances()[:3]:
+        dec = decide_universal_covering(rm_from_multiset(langs), ClassId.FO2, target_index=0)
+        covs.append(fo2_cover(dec.rating_map, dec.raw_imprint))
+    for cov in covs:
+        assert cov.pieces
+        for p in cov.pieces:
+            assert trim(fa.minimize(p.nfa).as_nfa()) == p.nfa, cov.class_id
 
 
 def test_fo2_cover_rejects_incompatible_map():

@@ -11,7 +11,7 @@ from regcov import (Alphabet, ClassId, Nfa, at_cover, bsigma1_cover,
                     rm_from_multiset, saturate_universal, universal_language,
                     verify_cover)
 
-from helpers import (cover_index_masks, multiset_ext, nfa_of, piece_images_distinct,
+from helpers import (cover_index_masks, multiset_ext, nfa_of, nfas, piece_images_distinct,
                      random_nfa, reverse)
 from reference_semiring import validate_semiring
 
@@ -313,16 +313,6 @@ def test_coverings_are_invariant_under_reversal():
         cover = restrict_cover(fo2_cover(dec.rating_map, dec.raw_imprint), target)
         report = verify_cover(cover, target, langs)
         assert report.covers_target and report.separating == verdicts[ClassId.FO2]
-
-
-@st.composite
-def nfas(draw, alphabet, max_states=4):
-    n = draw(st.integers(1, max_states))
-    states = st.integers(0, n - 1)
-    trans = draw(st.frozensets(st.tuples(states, st.sampled_from(alphabet.symbols), states),
-                               max_size=3 * n))
-    return Nfa(alphabet, n, frozenset([draw(states)]),
-               draw(st.frozensets(states, min_size=1)), trans)
 
 
 def renumber(nfa, perm):
