@@ -24,7 +24,7 @@ from .rating import (Extension, RatingMap, rm_alphabet_augment,
 from .saturation import (ClassId, CoverDecision, at_imprint,
                          decide_pointed_covering, decide_universal_covering,
                          saturate_pointed, saturate_universal)
-from .pieces import is_k_piecewise_testable, is_piece, pt_partition
+from .pieces import is_piece, pt_partition
 from .covers import (Cover, CoverPiece, VerifyReport, at_cover, bsigma1_cover,
                      fo2_cover, restrict_cover, sigma1_cover, verify_cover)
 

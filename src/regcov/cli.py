@@ -25,7 +25,7 @@ from .covers import (Cover, at_cover, bsigma1_cover, fo2_cover, restrict_cover,
 from .rating import Extension, rm_from_multiset
 from .saturation import (ClassId, CoverDecision, _mask_subsets,
                          decide_pointed_covering, decide_universal_covering)
-from .pieces import is_k_piecewise_testable, pt_partition
+from .pieces import are_unions_of_classes, pt_partition
 
 UNIVERSAL = "%universal"
 
@@ -351,7 +351,7 @@ def run_oracle(inst: Instance, which: str, k: Optional[int]) -> dict:
         pa = pt_partition(k, inst.alphabet, inst.caps)
         doc = {"oracle": which, "k": k, "classes": pa.state_count}
         if inst.target is not None and inst.target is not UNIVERSAL:
-            doc["target_is_ptk"] = is_k_piecewise_testable(inst.target, k, inst.caps)
+            doc["target_is_ptk"] = are_unions_of_classes([inst.target], pa, inst.caps)
         return doc
     if which == "at":
         if not inst.against:

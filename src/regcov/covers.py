@@ -20,7 +20,7 @@ from .fa import (Alphabet, Dfa, MonoidMorphism, Nfa, alphabet_exact, equivalent,
                  minimize_labelled, nfa_intersection, nfa_to_regex, nfa_union,
                  piece_closure_regex, universal_language, upward_closure)
 from .imprints import ImprintSet
-from .pieces import is_piece, is_union_of_classes, pt_partition
+from .pieces import are_unions_of_classes, is_piece, pt_partition
 from .rating import RatingMap, reach
 from .rx import Regex
 from .saturation import ClassId
@@ -55,6 +55,8 @@ class Cover:
     target: Nfa
     pieces: list
     k: Optional[int] = None          # piece bound, for piecewise covers
+    # the partition DFA whose classes every piece is a union of (at, bsigma1)
+    partition: Optional[Dfa] = None
     optimal: bool = True
     provenance: str = ""
 
@@ -74,14 +76,15 @@ class Cover:
 # -- alphabet-testable covers ---------------------------------------------------------
 
 def at_cover(alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> Cover:
-    """Atoms of the alphabet-testable algebra."""
+    """Atoms of the alphabet-testable algebra: the classes of the 1-piece
+    partition."""
     pieces = []
     for mask in range(1 << len(alphabet)):
         syms = alphabet.from_mask(mask)
         pieces.append(CoverPiece(alphabet_exact(alphabet, syms),
                                  exact_alphabet_regex(alphabet, syms)))
     return Cover(ClassId.AT, universal_language(alphabet), pieces,
-                 provenance="alphabet atoms")
+                 partition=pt_partition(1, alphabet, caps), provenance="alphabet atoms")
 
 
 # -- superword-closure covers ---------------------------------------------------------
@@ -173,7 +176,7 @@ def bsigma1_cover(rho: RatingMap, goal: ImprintSet,
     for k in range(caps.pt_depth_cap(len(rho.alphabet)) + 1):
         pa = pt_partition(k, rho.alphabet, caps)
         images = _partition_images(pa, rho, caps)
-        if all(img in goal for img in images.values()):
+        if all(img in goal for img in set(images.values())):
             return _partition_cover(pa, k, images, optimal=True)
     return _partition_cover(pa, k, images, optimal=False)
 
@@ -210,7 +213,7 @@ def _partition_cover(pa: Dfa, k: int, images: dict, optimal: bool) -> Cover:
                                       [images[q] for q in range(pa.state_count)])
     pieces = _label_pieces(pa.alphabet, delta, 0, labels)
     return Cover(ClassId.BSIGMA1, universal_language(pa.alphabet), pieces,
-                 k=k, optimal=optimal,
+                 k=k, partition=pa, optimal=optimal,
                  provenance=f"piece-equivalence partition at k={k}")
 
 
@@ -526,8 +529,8 @@ def restrict_cover(cover: Cover, target: Nfa) -> Cover:
     cover for {target} ∪ others into a cover of the target separating for
     the others."""
     pieces = [p for p in cover.pieces if not is_empty(nfa_intersection(p.nfa, target))]
-    return Cover(cover.class_id, target, pieces, k=cover.k, optimal=cover.optimal,
-                 provenance=cover.provenance + " | restricted to target")
+    return Cover(cover.class_id, target, pieces, k=cover.k, partition=cover.partition,
+                 optimal=cover.optimal, provenance=cover.provenance + " | restricted to target")
 
 
 @dataclass
@@ -562,7 +565,13 @@ def _covers_incrementally(target: Nfa, pieces: list, caps: Caps) -> bool:
 def verify_cover(cover: Cover, target: Nfa, against: list,
                  caps: Caps = DEFAULT_CAPS) -> VerifyReport:
     """Machine-check a cover: coverage, separation witnesses and the class
-    discipline of each piece."""
+    discipline of each piece.
+
+    The pieces of a sigma1 cover are checked closed under superwords.  The
+    pieces of a cover that carries its partition (at, bsigma1) are checked
+    unions of its classes, all in one walk of the partition that synthesis
+    built (`pieces.are_unions_of_classes`).  Any other cover's class is
+    certified by construction only."""
     covers_target = _covers_incrementally(target, cover.pieces, caps)
     witnesses = []
     separating = True
@@ -578,19 +587,12 @@ def verify_cover(cover: Cover, target: Nfa, against: list,
 
     class_ok: Optional[bool] = None
     note = "class membership certified by construction, not machine-checked"
-    alphabet = cover.target.alphabet
-    partition = None
     if cover.class_id is ClassId.SIGMA1:
         class_ok = all(equivalent(upward_closure(p.nfa), p.nfa, caps) for p in cover.pieces)
         note = "each piece closed under superwords"
-    elif cover.class_id is ClassId.AT:
-        # the 1-piece classes are the alphabet atoms
-        partition = pt_partition(1, alphabet, caps)
-        note = "each piece a union of alphabet atoms"
-    elif cover.class_id is ClassId.BSIGMA1 and cover.k is not None:
-        partition = pt_partition(cover.k, alphabet, caps)
-        note = f"each piece a union of {cover.k}-piece-equivalence classes"
-    if partition is not None:
-        class_ok = all(is_union_of_classes(p.nfa, partition, caps) for p in cover.pieces)
+    elif cover.partition is not None:
+        class_ok = are_unions_of_classes([p.nfa for p in cover.pieces], cover.partition, caps)
+        note = ("each piece a union of alphabet atoms" if cover.class_id is ClassId.AT
+                else f"each piece a union of {cover.k}-piece-equivalence classes")
 
     return VerifyReport(covers_target, separating, witnesses, class_ok, note)

@@ -8,7 +8,7 @@ most k; the partition DFA tracks the reachable piece sets.
 from __future__ import annotations
 
 from .errors import Caps, DEFAULT_CAPS, PtStateCapError
-from .fa import Alphabet, Dfa, Nfa, determinize, explore
+from .fa import Alphabet, Dfa, explore, minimize
 
 
 def is_piece(u: str, v: str) -> bool:
@@ -60,28 +60,45 @@ def pt_partition(k: int, alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> Dfa:
     return Dfa(alphabet, len(order), 0, frozenset(), tuple(rows))
 
 
-def is_union_of_classes(nfa: Nfa, partition: Dfa, caps: Caps = DEFAULT_CAPS) -> bool:
-    """True iff the language is a union of the partition's classes.
+def are_unions_of_classes(nfas: list, partition: Dfa, caps: Caps = DEFAULT_CAPS) -> bool:
+    """True iff every language is a union of the partition's classes, the
+    sets of words that lead to one of its states.
 
-    One product of the partition with the language's DFA: every class lies
-    inside the language or misses it exactly when all reachable pairs that
-    share a partition state agree on acceptance.
+    A language L is a union of classes iff its minimal DFA is a quotient of
+    the partition, that is iff the minimal DFA's state after a word is a
+    function of the word's class.  If it is, acceptance is too.  If L is a
+    union of classes and the words u, v lead to one state, then u·w and v·w
+    lead to one state for every w, so L holds both or neither, and u, v
+    reach one state of the minimal DFA (Myhill–Nerode).
+
+    So the languages are minimized and the partition is walked once, each
+    class carrying the tuple of the minimal DFAs' states after its words:
+    each class reached is expanded once, and the walk fails at the first
+    class reached with two different tuples.  A walk that ends has followed
+    every letter from every class, from its tuple to the tuple of the next
+    class, so each minimal DFA's state is a function of the class.  That is
+    |P|·|A| steps for all the languages together, not per language.
+
+    The tuples are numbered first, as the states of the product of the
+    minimal DFAs (`fa.explore`), so that a step of the walk builds no tuple.
+    Every state of the product is the tuple of some word, so a product with
+    more states than the partition has classes fails at once.
     """
-    dfa = determinize(nfa, caps)
-    accepts = {partition.initial: dfa.initial in dfa.finals}
-    seen = {(partition.initial, dfa.initial)}
-    work = list(seen)
+    dfas = [minimize(n, caps) for n in nfas]
+    found = explore(tuple(d.initial for d in dfas),
+                    lambda qs: list(zip(*(d.delta[q] for d, q in zip(dfas, qs)))),
+                    partition.state_count)
+    if found is None:
+        return False
+    product = found[1]
+    tuple_of = {partition.initial: 0}       # class -> the number of its tuple
+    work = [partition.initial]
     while work:
-        p, d = work.pop()
-        for p2, d2 in zip(partition.delta[p], dfa.delta[d]):
-            if (p2, d2) not in seen:
-                if accepts.setdefault(p2, d2 in dfa.finals) != (d2 in dfa.finals):
-                    return False
-                seen.add((p2, d2))
-                work.append((p2, d2))
+        p = work.pop()
+        for p2, t2 in zip(partition.delta[p], product[tuple_of[p]]):
+            if p2 not in tuple_of:
+                tuple_of[p2] = t2
+                work.append(p2)
+            elif tuple_of[p2] != t2:
+                return False
     return True
-
-
-def is_k_piecewise_testable(nfa: Nfa, k: int, caps: Caps = DEFAULT_CAPS) -> bool:
-    """True iff the language is a union of k-equivalence classes."""
-    return is_union_of_classes(nfa, pt_partition(k, nfa.alphabet, caps), caps)

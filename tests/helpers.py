@@ -14,6 +14,7 @@ from regcov import (Alphabet, DEFAULT_CAPS, Extension, ImprintSet, Nfa, ProductS
                     nfa_intersection, nfa_union, regex_parse, regex_to_nfa)
 from regcov import rx, saturation
 from regcov.fa import empty_language
+from regcov.pieces import are_unions_of_classes, pt_partition
 
 
 def random_regex(rng: random.Random, symbols: str, depth: int):
@@ -135,10 +136,15 @@ def state_of(pa, word: str) -> int:
 
 
 def is_union_of_classes_per_class(nfa: Nfa, classes, caps=DEFAULT_CAPS) -> bool:
-    """Reference for `regcov.pieces.is_union_of_classes`: every class
+    """Reference for `regcov.pieces.are_unions_of_classes`: every class
     meeting the language lies inside it, checked class by class."""
     return all(is_empty(nfa_intersection(cls, nfa)) or includes(cls, nfa, caps)
                for cls in classes)
+
+
+def is_k_piecewise_testable(nfa: Nfa, k: int, caps=DEFAULT_CAPS) -> bool:
+    """True iff the language is a union of k-equivalence classes."""
+    return are_unions_of_classes([nfa], pt_partition(k, nfa.alphabet, caps), caps)
 
 
 def alphabet_languages(alphabet: Alphabet, subset):

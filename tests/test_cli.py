@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 from regcov import DEFAULT_CAPS, Alphabet, ClassId, ResourceCapError, equivalent
-from regcov import cli
+from regcov import cli, covers, pieces
 from regcov.cli import Instance, Verdict, _masks_to_lists, main
+from regcov.pieces import pt_partition
 
 from helpers import nfa_of
 
@@ -146,6 +147,42 @@ def test_oracle_pt_k(capsys):
         "--alphabet", "ab", "--max-k", "1", "--json"])
     assert code == 0
     assert json.loads(out)["classes"] == 4
+
+
+def count_partitions(monkeypatch) -> list:
+    """Patch every module's `pt_partition` to record the depth of each
+    partition built; returns the list of depths."""
+    built = []
+
+    def counted(k, alphabet, caps=DEFAULT_CAPS):
+        built.append(k)
+        return pt_partition(k, alphabet, caps)
+
+    for module in (pieces, covers, cli):
+        monkeypatch.setattr(module, "pt_partition", counted)
+    return built
+
+
+def test_oracle_pt_k_builds_its_partition_once(monkeypatch, capsys):
+    built = count_partitions(monkeypatch)
+    code, out, _ = run(capsys, [
+        "oracle", "--which", "pt-k", "--alphabet", "ab", "--target", "a+b+",
+        "--max-k", "2", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["classes"] == 16 and doc["target_is_ptk"] is True
+    assert built == [2]
+
+
+def test_bsigma1_builds_one_partition_per_depth_and_none_to_verify(monkeypatch, capsys):
+    built = count_partitions(monkeypatch)
+    code, out, _ = run(capsys, [
+        "separate", "--class", "bsigma1", "--alphabet", "abc", "--target", "a+",
+        "--against", "(ba|bc)b+c*", "--emit-cover", "--verify", "--json"])
+    assert code == 0
+    cover = json.loads(out)["cover"]
+    assert cover["k"] == 3 and cover["verified"]["class_ok"] is True
+    assert built == [0, 1, 2, 3]
 
 
 def test_oracle_at(capsys):

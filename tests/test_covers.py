@@ -4,6 +4,7 @@ import functools
 import itertools
 import operator
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +18,7 @@ from regcov import (DEFAULT_CAPS, Alphabet, Caps, ClassId, Cover, InputError,
                     transition_monoid, universal_language, upward_closure,
                     verify_cover)
 from regcov import rx
-from regcov import covers, fa
+from regcov import cli, covers, fa
 from regcov.covers import _partition_images
 from regcov.pieces import pt_partition
 
@@ -150,6 +151,73 @@ def test_bsigma1_cover_separating_iff_coverable():
         report = verify_cover(cov, universal_language(AB), langs)
         assert report.covers_target and report.class_ok
         assert report.separating == dec.coverable
+
+
+def bsigma1_covers(caps=DEFAULT_CAPS):
+    """(alphabet, target, cover) for BΣ1 covers, at depths 1 to 3 under the
+    default caps, each synthesized for its target and one other language."""
+    for symbols, target, against in (("ab", "a+", "b+"), ("ab", "a+b+", "b+a+"),
+                                     ("abc", "a+", "(ba|bc)b+c*"),
+                                     ("abc", "b|a*|(c*)+", "c+c*caa")):
+        target_nfa = nfa_of(target, symbols)
+        ext = rm_from_multiset([target_nfa, nfa_of(against, symbols)])
+        dec = decide_universal_covering(ext, ClassId.BSIGMA1, caps, target_index=0)
+        yield Alphabet(symbols), target_nfa, bsigma1_cover(ext.tau, dec.raw_imprint, caps)
+
+
+def test_piecewise_covers_carry_the_partition_they_were_cut_from():
+    depths = set()
+    # a depth cap of 1 ends the deepening early: non-optimal covers carry it too
+    for caps in (DEFAULT_CAPS, Caps(max_k=1)):
+        for alphabet, target_nfa, cov in bsigma1_covers(caps):
+            depths.add((cov.k, cov.optimal))
+            for c in (cov, restrict_cover(cov, target_nfa)):
+                assert c.partition == reference_fa.pt_partition(c.k, alphabet)
+    assert {1, 2, 3} <= {k for k, _ in depths} and (1, False) in depths
+    for alphabet in (A1, AB, ABC):
+        assert at_cover(alphabet).partition == reference_fa.pt_partition(1, alphabet)
+
+
+# (class, against) whose universal cover over ab starts with the piece {ε}:
+# the atoms, and a BΣ1 cover at k = 2
+CLASS_CHECKED = [("at", ("a+", "b+")), ("bsigma1", ("a+b+", "b+a+"))]
+
+
+def swap_first_piece(cov: Cover) -> Cover:
+    """The cover with its piece {ε} swapped for (aa)*, a union of k-piece
+    classes for no k.  (aa)* holds ε and misses b+ and b+a+, so the cover
+    still covers and separates; only the class check can fail it."""
+    assert rx.regex_to_text(cov.pieces[0].regex) == "%eps"
+    return replace(cov, pieces=[covers.CoverPiece(nfa_of("(aa)*", "ab"))] + cov.pieces[1:])
+
+
+@pytest.mark.parametrize("cls, against", CLASS_CHECKED)
+def test_verify_cover_fails_a_piece_that_is_no_union_of_classes(cls, against):
+    langs = [nfa_of(r, "ab") for r in against]
+    if cls == "at":
+        cov = at_cover(AB)
+    else:
+        ext = rm_from_multiset(langs)
+        cov = bsigma1_cover(ext.tau, decide_universal_covering(ext, ClassId.BSIGMA1).raw_imprint)
+        assert cov.k == 2
+    assert cov.optimal and verify_cover(cov, universal_language(AB), langs).class_ok is True
+    report = verify_cover(swap_first_piece(cov), universal_language(AB), langs)
+    assert report.covers_target and report.separating
+    assert report.class_ok is False and not report.ok
+
+
+@pytest.mark.parametrize("cls, against", CLASS_CHECKED)
+def test_run_cover_refuses_an_optimal_cover_that_fails_the_class_check(
+        monkeypatch, capsys, cls, against):
+    argv = ["cover", "--class", cls, "--alphabet", "ab", "--target", "%universal",
+            "--emit-cover"] + [x for r in against for x in ("--against", r)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    synthesize = cli._synthesize_universal
+    monkeypatch.setattr(cli, "_synthesize_universal",
+                        lambda *args: swap_first_piece(synthesize(*args)))
+    with pytest.raises(AssertionError, match="failed verification"):
+        cli.main(argv)
 
 
 def fo2_node_pieces(rho, sat, subset: str, left, right, state=None) -> list:

@@ -3,17 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dataclasses import replace
 
 from regcov import (Alphabet, alphabet_exact, equivalent, is_empty, is_piece,
                     nfa_intersection, nfa_union, pt_partition, regex_to_nfa,
                     universal_language)
-from regcov.pieces import is_k_piecewise_testable, is_union_of_classes
+from regcov.pieces import are_unions_of_classes
 
 import reference_fa
-from helpers import (is_union_of_classes_per_class, partition_classes,
-                     random_nfa, state_of, words_upto)
+from helpers import (is_k_piecewise_testable, is_union_of_classes_per_class, nfas,
+                     partition_classes, random_nfa, state_of, words_upto)
 from templates import bsigma1_template_witness, template_regex, template_unambiguous
 
 AB = Alphabet("ab")
@@ -81,16 +82,32 @@ def test_product_class_check_matches_the_per_class_check():
             unions = [replace(pa, finals=frozenset(q for q in range(pa.state_count)
                                                    if rng.random() < 0.5)).as_nfa()
                       for _ in range(count)]
-            assert all(is_union_of_classes(nfa, pa) for nfa in unions)
+            assert are_unions_of_classes(unions, pa)
             langs = [random_nfa(rng, alphabet, 3) for _ in range(count)] + unions
             # the unions of k-classes are also checked against the coarser (k-1)-classes
             for part in [pa] + ([pt_partition(k - 1, alphabet)] if k else []):
                 classes = partition_classes(part)
-                for nfa in langs:
-                    got = is_union_of_classes(nfa, part)
-                    assert got == is_union_of_classes_per_class(nfa, classes), (symbols, k)
+                want = {id(nfa): is_union_of_classes_per_class(nfa, classes) for nfa in langs}
+                # every language alone, then lists of one to four of them
+                lists = [[nfa] for nfa in langs]
+                lists += [rng.sample(langs, rng.randint(1, 4)) for _ in range(count)]
+                for batch in lists:
+                    got = are_unions_of_classes(batch, part)
+                    assert got == all(want[id(nfa)] for nfa in batch), (symbols, k)
                     verdicts.append(got)
     assert verdicts.count(False) > 20 and verdicts.count(True) > 20
+
+
+@given(st.integers(0, 2), st.data())
+def test_batched_class_check_matches_the_per_class_check_on_shrinking_nfas(k, data):
+    pa = pt_partition(k, AB)
+    # unions of classes, so that lists of only unions are drawn too
+    unions = st.frozensets(st.integers(0, pa.state_count - 1)).map(
+        lambda finals: replace(pa, finals=finals).as_nfa())
+    langs = data.draw(st.lists(st.one_of(nfas(AB), unions), min_size=1, max_size=4))
+    classes = partition_classes(pa)
+    assert are_unions_of_classes(langs, pa) == all(
+        is_union_of_classes_per_class(nfa, classes) for nfa in langs)
 
 
 def test_one_piece_classes_are_the_alphabet_atoms():
@@ -104,7 +121,7 @@ def test_one_piece_classes_are_the_alphabet_atoms():
         langs += [nfa_union(*rng.sample(atoms, rng.randint(1, len(atoms))))
                   for _ in range(8)]
         for nfa in langs:
-            assert is_union_of_classes(nfa, pa) == is_union_of_classes_per_class(nfa, atoms)
+            assert are_unions_of_classes([nfa], pa) == is_union_of_classes_per_class(nfa, atoms)
 
 
 def test_is_k_piecewise_testable():
