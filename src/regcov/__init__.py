@@ -9,7 +9,7 @@ separating covers for the constructive classes.
 from .errors import (AlphabetCapError, Caps, DEFAULT_CAPS,
                      DeterminizationCapError, InputError, MonoidCapError,
                      PieceCapError, PtStateCapError, RegcovError,
-                     ResourceCapError, SaturationCapError, WordBudgetError)
+                     ResourceCapError, SaturationCapError)
 from .rx import Regex, regex_parse, regex_to_text
 from .fa import (Alphabet, Dfa, MonoidMorphism, Nfa, alphabet_exact,
                  alphabet_star, determinize, equivalent, includes, is_empty,
@@ -24,7 +24,7 @@ from .rating import (Extension, RatingMap, rm_alphabet_augment,
 from .saturation import (ClassId, CoverDecision, at_imprint,
                          decide_pointed_covering, decide_universal_covering,
                          saturate_pointed, saturate_universal)
-from .pieces import is_piece, pt_partition
+from .pieces import pt_partition
 from .covers import (Cover, CoverPiece, VerifyReport, at_cover, bsigma1_cover,
                      fo2_cover, restrict_cover, sigma1_cover, verify_cover)
 

@@ -80,8 +80,9 @@ def _ms_since(t0: float) -> float:
 def parse_language(spec, alphabet: Alphabet):
     """Regex text, %universal, or an NFA JSON object.
 
-    Parsing and compiling recurse along the regex, so a regex nested
-    deeper than the interpreter's recursion limit is an input error."""
+    Parsing and compiling recurse into nested subexpressions (a chain of
+    one operator is followed with a loop), so a regex nested deeper than the
+    interpreter's recursion limit is an input error."""
     if isinstance(spec, str):
         if spec.strip() == UNIVERSAL:
             return UNIVERSAL

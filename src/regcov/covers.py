@@ -1,10 +1,11 @@
 """Cover synthesis and verification.
 
 Synthesizers emit covers whose imprint matches the saturated optimum:
-alphabet atoms for AT, superword closures of short words for level-1
-existential sentences, piece-equivalence partitions for their Boolean
-closure, and the recursive left-factor construction for two-variable logic.
-`verify_cover` re-checks everything with automata only.
+alphabet atoms for AT, superword closures of the target's minimal words
+for level-1 existential sentences, piece-equivalence partitions for their
+Boolean closure, and the recursive left-factor construction for
+two-variable logic.  `verify_cover` re-checks everything with automata
+only.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (Caps, DEFAULT_CAPS, DeterminizationCapError, InputError, PieceCapError,
-                     SaturationCapError, WordBudgetError)
+                     SaturationCapError)
 from . import rx
-from .fa import (Alphabet, Dfa, MonoidMorphism, Nfa, alphabet_exact, equivalent,
+from .fa import (Alphabet, Dfa, MonoidMorphism, Nfa, alphabet_exact,
                  exact_alphabet_regex, explore, includes, is_empty, minimize,
-                 minimize_labelled, nfa_intersection, nfa_to_regex, nfa_union,
+                 minimize_labelled, nfa_complement, nfa_intersection, nfa_to_regex, nfa_union,
                  piece_closure_regex, universal_language, upward_closure)
 from .imprints import ImprintSet
-from .pieces import are_unions_of_classes, is_piece, pt_partition
+from .pieces import are_unions_of_classes, pt_partition
 from .rating import RatingMap, reach
 from .rx import Regex
 from .saturation import ClassId
@@ -91,57 +92,38 @@ def at_cover(alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> Cover:
 
 def sigma1_cover(alpha: MonoidMorphism, targets, alphabet: Alphabet,
                  caps: Caps = DEFAULT_CAPS) -> Cover:
-    """Cover of image⁻¹(targets) by superword closures of short words.
+    """Cover of L = image⁻¹(targets) by ↑w, the superwords of w, for each
+    word w of min(L), the subword-minimal words of L: the canonical Σ1
+    cover, finite by Higman's lemma.
 
-    Every word is pumpable down to length at most |M| with the same image,
-    so the closures of those short words cover the fiber.  Pieces subsumed
-    by a larger closure are pruned (the closure of w contains the closure of
-    v exactly when v is a piece of w).
+    A word has a strict subword in L exactly when deleting one of its
+    letters leaves a word of ↑L, so min(L) = L ∖ ins(↑L), for ins(K) the
+    words x·a·y with x·y in K: two copies of ↑L's automaton joined by a
+    move on any letter that keeps the state.  The words of the finite
+    language min(L), shorter than |M|, are read off its minimal DFA with an
+    explicit stack, and sorted by length, image and alphabet order.
     """
-    if isinstance(targets, int):
-        targets = [targets]
-    targets = frozenset(targets)
-    budget = caps.max_word_budget
-    count = 0
-    words_by_elem: dict = {t: [] for t in targets}
-    frontier = [("", alpha.identity)]
-    if alpha.identity in targets:
-        words_by_elem[alpha.identity].append("")
-    for _ in range(alpha.size):
-        nxt = []
-        for (w, m) in frontier:
-            for a in alphabet:
-                count += 1
-                if count > budget:
-                    raise WordBudgetError("max_word_budget", budget,
-                                          f"enumerating words up to length {alpha.size}; "
-                                          "use a smaller recognizer")
-                w2, m2 = w + a, alpha.mul[m][alpha.letter_image[a]]
-                nxt.append((w2, m2))
-                if m2 in targets:
-                    words_by_elem[m2].append(w2)
-        frontier = nxt
-
-    kept: list = []
-    for t in sorted(targets):
-        group = sorted(words_by_elem[t], key=len)
-        minimal: list = []
-        for w in group:
-            if not any(is_piece(v, w) for v in minimal):
-                minimal.append(w)
-        kept.extend(minimal)
-    # a shorter word's closure may subsume a longer word of another fiber
-    kept.sort(key=len)
-    final: list = []
-    for w in kept:
-        if not any(is_piece(v, w) for v in final):
-            final.append(w)
-
-    pieces = [CoverPiece(_superwords(alphabet, w), piece_closure_regex(alphabet, w))
-              for w in final]
     target_nfa = _fiber_nfa(alpha, targets, alphabet)
+    fiber = minimize(target_nfa, caps).as_nfa()
+    up = upward_closure(fiber)
+    n = up.state_count
+    inserted = Nfa(alphabet, 2 * n, up.initials, frozenset(q + n for q in up.finals),
+                   up.transitions | {(q + n, a, r + n) for q, a, r in up.transitions}
+                   | {(q, a, q + n) for q in range(n) for a in alphabet})
+    least = minimize(nfa_intersection(fiber, nfa_complement(inserted, caps)), caps)
+    dead = {q for q, row in enumerate(least.delta) if q not in least.finals and set(row) == {q}}
+    words = []
+    stack = [(least.initial, "")]
+    while stack:
+        q, w = stack.pop()
+        if q in least.finals:
+            words.append(w)
+        stack.extend((r, w + a) for a, r in zip(alphabet.symbols, least.delta[q]) if r not in dead)
+    words.sort(key=lambda w: (len(w), alpha.image(w), w))
+    pieces = [CoverPiece(_superwords(alphabet, w), piece_closure_regex(alphabet, w))
+              for w in words]
     return Cover(ClassId.SIGMA1, target_nfa, pieces,
-                 provenance=f"superword closures of words of length <= {alpha.size}")
+                 provenance="superword closures of the minimal words")
 
 
 def _superwords(alphabet: Alphabet, word: str) -> Nfa:
@@ -154,7 +136,7 @@ def _superwords(alphabet: Alphabet, word: str) -> Nfa:
     return Nfa(alphabet, n + 1, frozenset([0]), frozenset([n]), frozenset(trans))
 
 
-def _fiber_nfa(alpha: MonoidMorphism, targets: frozenset, alphabet: Alphabet) -> Nfa:
+def _fiber_nfa(alpha: MonoidMorphism, targets, alphabet: Alphabet) -> Nfa:
     """Automaton of image⁻¹(targets): the right Cayley graph of the monoid."""
     trans = {(m, a, alpha.mul[m][alpha.letter_image[a]])
              for m in range(alpha.size) for a in alphabet}
@@ -588,7 +570,7 @@ def verify_cover(cover: Cover, target: Nfa, against: list,
     class_ok: Optional[bool] = None
     note = "class membership certified by construction, not machine-checked"
     if cover.class_id is ClassId.SIGMA1:
-        class_ok = all(equivalent(upward_closure(p.nfa), p.nfa, caps) for p in cover.pieces)
+        class_ok = all(includes(upward_closure(p.nfa), p.nfa, caps) for p in cover.pieces)
         note = "each piece closed under superwords"
     elif cover.partition is not None:
         class_ok = are_unions_of_classes([p.nfa for p in cover.pieces], cover.partition, caps)

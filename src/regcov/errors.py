@@ -55,10 +55,6 @@ class PieceCapError(ResourceCapError):
     pass
 
 
-class WordBudgetError(ResourceCapError):
-    pass
-
-
 class PtStateCapError(ResourceCapError):
     pass
 
@@ -70,6 +66,8 @@ class Caps:
     The defaults are sized for desk-scale instances.  Every field can be
     overridden per call; `max_elements`, `max_det_states` (`--max-states`)
     and `max_k` also through the CLI flags or an instance file's options.
+    Each cap bounds a structure that the constructions build: no cap
+    bounds a listing of words, since nothing lists them.
     """
 
     max_det_states: int = 1 << 20      # subset-construction states; for fo2
@@ -87,7 +85,6 @@ class Caps:
                                        # the distinct labels in context of each
                                        # recursion node (its pieces), summed
                                        # over the nodes
-    max_word_budget: int = 1_000_000   # word enumeration budget
     max_pt_states: int = 50_000        # piece-automaton states
     max_k: int = 0                     # piece-length bound; 0 = per-alphabet default
 

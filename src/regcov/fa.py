@@ -113,38 +113,39 @@ def regex_to_nfa(node: Regex, alphabet: Alphabet) -> Nfa:
     """Position-automaton compilation; the result has no epsilon moves."""
 
     positions: list = []  # position index -> symbol
+    follow: list = []     # (p, q): position q may follow position p
 
     def walk(n: Regex):
-        """returns (nullable, first, last, follow-pairs)"""
+        """returns (nullable, first, last) and adds n's follow pairs; a
+        chain of one operator is walked operand by operand (`rx.chain`),
+        in order, so that positions stay numbered left to right"""
         if isinstance(n, rx.Empty):
-            return False, frozenset(), frozenset(), []
+            return False, frozenset(), frozenset()
         if isinstance(n, rx.Epsilon):
-            return True, frozenset(), frozenset(), []
+            return True, frozenset(), frozenset()
         if isinstance(n, rx.Letter):
             if n.symbol not in alphabet:
                 raise InputError(f"symbol {n.symbol!r} not in alphabet {alphabet.symbols!r}")
             p = len(positions)
             positions.append(n.symbol)
-            return False, frozenset([p]), frozenset([p]), []
-        if isinstance(n, rx.Union):
-            n1, f1, l1, fo1 = walk(n.left)
-            n2, f2, l2, fo2 = walk(n.right)
-            return n1 or n2, f1 | f2, l1 | l2, fo1 + fo2
-        if isinstance(n, rx.Concat):
-            n1, f1, l1, fo1 = walk(n.left)
-            n2, f2, l2, fo2 = walk(n.right)
-            follow = fo1 + fo2 + [(p, q) for p in l1 for q in f2]
-            first = f1 | f2 if n1 else f1
-            last = l1 | l2 if n2 else l2
-            return n1 and n2, first, last, follow
+            return False, frozenset([p]), frozenset([p])
+        if isinstance(n, (rx.Union, rx.Concat)):
+            first, *rest = rx.chain(n)
+            n1, f1, l1 = walk(first)
+            for n2, f2, l2 in map(walk, rest):
+                if isinstance(n, rx.Union):
+                    n1, f1, l1 = n1 or n2, f1 | f2, l1 | l2
+                else:
+                    follow.extend([(p, q) for p in l1 for q in f2])
+                    n1, f1, l1 = n1 and n2, f1 | f2 if n1 else f1, l1 | l2 if n2 else l2
+            return n1, f1, l1
         if isinstance(n, (rx.Star, rx.Plus)):
-            n1, f1, l1, fo1 = walk(n.inner)
-            follow = fo1 + [(p, q) for p in l1 for q in f1]
-            nullable = True if isinstance(n, rx.Star) else n1
-            return nullable, f1, l1, follow
+            n1, f1, l1 = walk(n.inner)
+            follow.extend([(p, q) for p in l1 for q in f1])
+            return isinstance(n, rx.Star) or n1, f1, l1
         raise TypeError(f"not a regex node: {n!r}")
 
-    nullable, first, last, follow = walk(node)
+    nullable, first, last = walk(node)
     # state 0 is the start; positions shift by one
     transitions = {(0, positions[p], p + 1) for p in first}
     transitions |= {(p + 1, positions[q], q + 1) for (p, q) in follow}
@@ -428,8 +429,8 @@ def includes(lhs: Nfa, rhs: Nfa, caps: Caps = DEFAULT_CAPS) -> bool:
     return True
 
 
-def equivalent(lhs: Nfa, rhs: Nfa, caps: Caps = DEFAULT_CAPS) -> bool:
-    return includes(lhs, rhs, caps) and includes(rhs, lhs, caps)
+def equivalent(lhs: Nfa, rhs: Nfa) -> bool:
+    return includes(lhs, rhs) and includes(rhs, lhs)
 
 
 # -- transition monoid -----------------------------------------------------------

@@ -11,12 +11,6 @@ from .errors import Caps, DEFAULT_CAPS, PtStateCapError
 from .fa import Alphabet, Dfa, explore, minimize
 
 
-def is_piece(u: str, v: str) -> bool:
-    """True iff u is a scattered subword of v."""
-    it = iter(v)
-    return all(c in it for c in u)
-
-
 def pt_partition(k: int, alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> Dfa:
     """Partition of all words into k-piece-equivalence classes: the complete
     DFA of reachable piece sets, without finals, one state per class.

@@ -102,6 +102,21 @@ def union_all(parts) -> Regex:
     return out
 
 
+def chain(node: Regex) -> list:
+    """The operands, left to right, of the chain of `node`'s operator (Union
+    or Concat) below it: a Concat of Concats lists its factors that are no
+    Concat.  Found with a stack, so that a long chain costs no recursion."""
+    kind = type(node)
+    parts, stack = [], [node]
+    while stack:
+        n = stack.pop()
+        while type(n) is kind:
+            stack.append(n.right)
+            n = n.left
+        parts.append(n)
+    return parts
+
+
 # -- parsing ------------------------------------------------------------------
 
 class _Parser:
@@ -207,9 +222,9 @@ def regex_to_text(node: Regex) -> str:
         elif isinstance(n, Letter):
             s = n.symbol
         elif isinstance(n, Union):
-            s = render(n.left, 0) + "|" + render(n.right, 0)
+            s = "|".join([render(m, 0) for m in chain(n)])
         elif isinstance(n, Concat):
-            s = render(n.left, 1) + render(n.right, 1)
+            s = "".join([render(m, 1) for m in chain(n)])
         elif isinstance(n, Star):
             s = render(n.inner, 3) + "*"
         elif isinstance(n, Plus):

@@ -104,6 +104,12 @@ def denote_upto(node, symbols: str, maxlen: int) -> frozenset:
     return frozenset(w for w in go(node) if len(w) <= maxlen)
 
 
+def is_piece(u: str, v: str) -> bool:
+    """True iff u is a scattered subword of v."""
+    it = iter(v)
+    return all(c in it for c in u)
+
+
 def words_upto(symbols: str, maxlen: int):
     import itertools
     for k in range(maxlen + 1):

@@ -1,10 +1,13 @@
-"""The earlier FO2 recursion: the reference for the labelled-DFA one in
-`regcov.covers`, which must give the same images and equivalent pieces.
+"""Earlier cover constructions, the references for those of `regcov.covers`.
 
-At every node, the pieces with equal images are merged into one: a union
-automaton of copies of the members (pieces, and (left, right) pairs that
-stand for left·letter·right) is determinized, minimized and trimmed.
-Pieces carry no regex here.
+The Σ1 words by enumeration: every word up to length |M|, pruned to the
+minimal ones.  `sigma1_cover` must give the same words in the same order.
+
+The FO2 recursion, the reference for the labelled-DFA one, which must give
+the same images and equivalent pieces.  At every node, the pieces with
+equal images are merged into one: a union automaton of copies of the
+members (pieces, and (left, right) pairs that stand for left·letter·right)
+is determinized, minimized and trimmed.  Pieces carry no regex here.
 """
 
 from __future__ import annotations
@@ -13,7 +16,45 @@ from regcov import DEFAULT_CAPS
 from regcov.covers import _Fo2State
 from regcov.fa import Nfa, alphabet_star, minimize
 
-from helpers import trim
+from helpers import is_piece, trim
+
+
+def sigma1_words(alpha, targets, alphabet) -> list:
+    """The minimal words of image⁻¹(targets), in the order of the pieces of
+    `sigma1_cover`: every word is pumpable down to length at most |M| with
+    the same image, so the words up to that length are listed, and a word
+    with a shorter kept word as a piece is dropped (first per image, then
+    across images)."""
+    targets = frozenset(targets)
+    words_by_elem: dict = {t: [] for t in targets}
+    frontier = [("", alpha.identity)]
+    if alpha.identity in targets:
+        words_by_elem[alpha.identity].append("")
+    for _ in range(alpha.size):
+        nxt = []
+        for (w, m) in frontier:
+            for a in alphabet:
+                w2, m2 = w + a, alpha.mul[m][alpha.letter_image[a]]
+                nxt.append((w2, m2))
+                if m2 in targets:
+                    words_by_elem[m2].append(w2)
+        frontier = nxt
+
+    kept: list = []
+    for t in sorted(targets):
+        group = sorted(words_by_elem[t], key=len)
+        minimal: list = []
+        for w in group:
+            if not any(is_piece(v, w) for v in minimal):
+                minimal.append(w)
+        kept.extend(minimal)
+    # a shorter word's closure may subsume a longer word of another fiber
+    kept.sort(key=len)
+    final: list = []
+    for w in kept:
+        if not any(is_piece(v, w) for v in final):
+            final.append(w)
+    return final
 
 
 class MergingFo2(_Fo2State):

@@ -589,12 +589,46 @@ def test_fo2_cover_text_stays_short(capsys):
     assert doc["cover"]["verified"]["covers_target"] and doc["cover"]["verified"]["separating"]
 
 
-@pytest.mark.parametrize("target", ["|".join(["ab"] * 1500), "(" * 1200 + "a" + ")" * 1200])
+@pytest.mark.parametrize("target", ["(" * 1200 + "a" + ")" * 1200, "(" * 2000 + "a" + ")" * 2000])
 def test_deeply_nested_regex_is_an_input_error(capsys, target):
     code, out, err = run(capsys, ["member", "--class", "at", "--alphabet", "ab",
                                   "--target", target])
     assert code == 2 and out == ""
-    assert err.startswith("input error: ") and "Traceback" not in err
+    assert err.startswith("input error: regex nested too deeply") and "Traceback" not in err
+
+
+def test_a_long_chain_of_unions_is_no_input_error(capsys):
+    # compiling and printing follow a chain of one operator with a loop, so
+    # 1,500 alternatives are as flat as their text
+    argv = ["member", "--class", "at", "--alphabet", "ab", "--json", "--target"]
+    code, out, err = run(capsys, argv + ["|".join(["ab"] * 1500)])
+    assert code == 0, err
+    code, once, _ = run(capsys, argv + ["ab"])
+    docs = [json.loads(text) for text in (out, once)]
+    for doc in docs:
+        del doc["stats"]["wall_ms"]
+    assert docs[0] == docs[1] and docs[0]["member"] is False
+
+
+@pytest.mark.parametrize("argv, piece", [
+    (["member", "--alphabet", "abc", "--target", "(a|b|c)*a(a|b|c)*b(a|b|c)*c(a|b|c)*"],
+     "(a|b|c)*a(a|b|c)*b(a|b|c)*c(a|b|c)*"),
+    (["separate", "--alphabet", "ab", "--target", "a(ab)*b(ba)*a", "--against", "b+"],
+     "(a|b)*a(a|b)*b(a|b)*a(a|b)*"),
+    # the printed separator, 1,201 factors long, is parsed and compiled again
+    (["member", "--alphabet", "a", "--target", "a" * 600 + "+"], "a*" + "aa*" * 600),
+], ids=["superwords-of-abc", "aba-against-b+", "600-letters"])
+def test_sigma1_covers_from_the_minimal_words(capsys, argv, piece):
+    # the first two stopped on a word enumeration budget (exit 3), the last
+    # in a RecursionError (exit 1)
+    code, out, err = run(capsys, argv[:1] + ["--class", "sigma1"] + argv[1:]
+                         + ["--emit-cover", "--verify", "--json"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["cover"]["optimal"] is True
+    assert [p["regex"] for p in doc["cover"]["pieces"]] == [piece] and doc["separator"] == piece
+    verified = doc["cover"]["verified"]
+    assert verified["covers_target"] and verified["separating"] and verified["class_ok"]
 
 
 GOOD_INSTANCE = {"alphabet": "ab", "class": "at", "target": "a+", "against": ["b+"]}

@@ -7,7 +7,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from regcov import (DEFAULT_CAPS, Alphabet, Caps, ClassId, Cover, InputError,
                     SaturationCapError, at_cover,
@@ -102,6 +102,44 @@ def test_sigma1_cover_optimality_matches_pointed_imprint():
             assert got == want
         else:
             assert got == set()
+
+
+@given(st.sampled_from([AB, ABC]).flatmap(lambda a: st.tuples(st.just(a), nfas(a))), st.data())
+def test_sigma1_pieces_are_the_minimal_words_in_the_enumeration_order(drawn, data):
+    # the closures of the target's minimal words, in the order the
+    # enumeration of all words up to length |M| gave them
+    alphabet, nfa = drawn
+    alpha, acc = transition_monoid(nfa)
+    assume(len(alphabet) ** alpha.size <= 20_000)
+    for targets in (acc, data.draw(st.sets(st.integers(0, alpha.size - 1)))):
+        want = reference_covers.sigma1_words(alpha, targets, alphabet)
+        cov = sigma1_cover(alpha, targets, alphabet)
+        assert [p.regex for p in cov.pieces] == [fa.piece_closure_regex(alphabet, w)
+                                                 for w in want]
+        assert [p.nfa for p in cov.pieces] == [covers._superwords(alphabet, w) for w in want]
+
+
+def test_sigma1_pieces_of_one_length_come_in_image_order():
+    # a and c have one image, b another, so c comes before b
+    alpha, acc = transition_monoid(nfa_of("a|b|c|bb", "abc"))
+    assert alpha.image("a") == alpha.image("c") < alpha.image("b")
+    want = reference_covers.sigma1_words(alpha, acc, ABC)
+    assert want == ["a", "c", "b"]
+    assert [p.regex for p in sigma1_cover(alpha, acc, ABC).pieces] == [
+        fa.piece_closure_regex(ABC, w) for w in want]
+
+
+def test_sigma1_cover_of_a_large_monoid_is_verified():
+    # member-sweep draw (7, 6): the enumeration of its 3^1101 short words
+    # stopped on a word budget (exit 3)
+    rng = random.Random(1007)
+    for _ in range(7):
+        nfa = random_nfa(rng, ABC, 7, 0.3)
+    alpha, acc = transition_monoid(nfa)
+    assert alpha.size == 1101
+    cov = sigma1_cover(alpha, acc, ABC)
+    report = verify_cover(cov, nfa, [])
+    assert cov.pieces and report.covers_target and report.class_ok
 
 
 def test_bsigma1_cover_small_k_and_optimal():
@@ -582,7 +620,7 @@ def union_covers(parts: list) -> Cover:
 def test_union_covers():
     lang = nfa_of("a+|ab", "ab")
     alpha, acc = transition_monoid(lang)
-    per_element = [sigma1_cover(alpha, s, AB) for s in sorted(acc)]
+    per_element = [sigma1_cover(alpha, {s}, AB) for s in sorted(acc)]
     merged = union_covers(per_element)
     assert includes(lang, union_nfa(merged))
 

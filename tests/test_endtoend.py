@@ -131,9 +131,8 @@ def test_bsigma1_three_letter_alphabet_end_to_end():
 
 
 def test_downward_closure_oracle_semantics():
-    from regcov import is_piece
     import oracles
-    from helpers import nfa_of, words_upto
+    from helpers import is_piece, nfa_of, words_upto
     lang = nfa_of("ab|ba", "ab")
     down = oracles.downward_closure(lang)
     for w in words_upto("ab", 4):

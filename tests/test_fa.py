@@ -15,8 +15,8 @@ from regcov import rx
 from regcov.fa import Nfa, empty_language, exact_alphabet_regex
 
 import reference_fa
-from helpers import (alphabet_languages, denote_upto, nfa_of, nfa_to_json, random_nfa,
-                     random_regex, trim, words_upto)
+from helpers import (alphabet_languages, denote_upto, is_piece, nfa_of, nfa_to_json,
+                     random_nfa, random_regex, trim, words_upto)
 
 AB = Alphabet("ab")
 
@@ -160,7 +160,6 @@ def test_transition_monoid_recognizes_language():
 
 def test_upward_closure_piece_semantics():
     up = upward_closure(nfa_of("ab", "ab"))
-    from regcov import is_piece
     for w in words_upto("ab", 4):
         assert up.accepts(w) == is_piece("ab", w)
     assert up.accepts("ab") and up.accepts("aab") and up.accepts("bab")

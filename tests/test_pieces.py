@@ -7,13 +7,12 @@ from hypothesis import given, strategies as st
 
 from dataclasses import replace
 
-from regcov import (Alphabet, alphabet_exact, equivalent, is_empty, is_piece,
-                    nfa_intersection, nfa_union, pt_partition, regex_to_nfa,
-                    universal_language)
+from regcov import (Alphabet, alphabet_exact, equivalent, is_empty, nfa_intersection,
+                    nfa_union, pt_partition, regex_to_nfa, universal_language)
 from regcov.pieces import are_unions_of_classes
 
 import reference_fa
-from helpers import (is_k_piecewise_testable, is_union_of_classes_per_class, nfas,
+from helpers import (is_k_piecewise_testable, is_piece, is_union_of_classes_per_class, nfas,
                      partition_classes, random_nfa, state_of, words_upto)
 from templates import bsigma1_template_witness, template_regex, template_unambiguous
 

@@ -84,6 +84,31 @@ def test_every_cap_is_read():
     assert [f for f in fields if f not in read] == []
 
 
+def test_every_error_class_is_raised():
+    # an error class that no code raises names a limit or a fault that can
+    # no longer happen; a base class counts when one of its subclasses is
+    # raised
+    package = os.path.join(ROOT, "src", "regcov")
+    raised = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            for node in ast.walk(ast.parse(source("src", "regcov", name))):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    raised.add(getattr(exc, "id", None))
+    classes = {node.name: {getattr(b, "id", None) for b in node.bases}
+               for node in ast.parse(source("src", "regcov", "errors.py")).body
+               if isinstance(node, ast.ClassDef) and node.name != "Caps"}
+    assert "InputError" in classes and "ResourceCapError" in classes
+    live = raised & set(classes)
+    while True:
+        more = {base for c in live for base in classes[c] if base in classes} - live
+        if not more:
+            break
+        live |= more
+    assert sorted(set(classes) - live) == []
+
+
 def identifiers(tree) -> Counter:
     """How often each name is read, imported or spelled as a string in a
     tree."""
