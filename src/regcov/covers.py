@@ -101,7 +101,9 @@ def sigma1_cover(alpha: MonoidMorphism, targets, alphabet: Alphabet,
     words x·a·y with x·y in K: two copies of ↑L's automaton joined by a
     move on any letter that keeps the state.  The words of the finite
     language min(L), shorter than |M|, are read off its minimal DFA with an
-    explicit stack, and sorted by length, image and alphabet order.
+    explicit stack, and sorted by length, image and alphabet order.  There
+    can be exponentially many in |M| (min(L) of (a|b|c)^n(a|b|c)* is all
+    3^n words of length n), so the listing stops at `max_pieces`.
     """
     target_nfa = _fiber_nfa(alpha, targets, alphabet)
     fiber = minimize(target_nfa, caps).as_nfa()
@@ -118,6 +120,8 @@ def sigma1_cover(alpha: MonoidMorphism, targets, alphabet: Alphabet,
         q, w = stack.pop()
         if q in least.finals:
             words.append(w)
+            if len(words) > caps.max_pieces:
+                raise PieceCapError("max_pieces", caps.max_pieces, "sigma1 cover synthesis")
         stack.extend((r, w + a) for a, r in zip(alphabet.symbols, least.delta[q]) if r not in dead)
     words.sort(key=lambda w: (len(w), alpha.image(w), w))
     pieces = [CoverPiece(_superwords(alphabet, w), piece_closure_regex(alphabet, w))

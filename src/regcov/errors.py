@@ -66,8 +66,9 @@ class Caps:
     The defaults are sized for desk-scale instances.  Every field can be
     overridden per call; `max_elements`, `max_det_states` (`--max-states`)
     and `max_k` also through the CLI flags or an instance file's options.
-    Each cap bounds a structure that the constructions build: no cap
-    bounds a listing of words, since nothing lists them.
+    Each cap bounds a structure that the constructions build; the one
+    listing of words, the minimal words behind a Σ1 cover, counts against
+    `max_pieces`, as each word is a piece.
     """
 
     max_det_states: int = 1 << 20      # subset-construction states; for fo2
@@ -81,10 +82,11 @@ class Caps:
     max_elements: int = 200_000        # maximal elements of an imprint, and
                                        # the pairs of every (state, word
                                        # image) closure (`rating.reach`)
-    max_pieces: int = 10_000           # pieces per synthesized cover; for fo2,
-                                       # the distinct labels in context of each
-                                       # recursion node (its pieces), summed
-                                       # over the nodes
+    max_pieces: int = 10_000           # pieces per synthesized cover; for
+                                       # sigma1, the minimal words listed;
+                                       # for fo2, the distinct labels in
+                                       # context of each recursion node (its
+                                       # pieces), summed over the nodes
     max_pt_states: int = 50_000        # piece-automaton states
     max_k: int = 0                     # piece-length bound; 0 = per-alphabet default
 

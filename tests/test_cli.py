@@ -631,6 +631,16 @@ def test_sigma1_covers_from_the_minimal_words(capsys, argv, piece):
     assert verified["covers_target"] and verified["separating"] and verified["class_ok"]
 
 
+def test_sigma1_cover_past_max_pieces_is_a_cap_error(capsys):
+    # the 3^14 minimal words of (a|b|c)^14(a|b|c)* are listed up to
+    # max_pieces (10,000), then the cover stops with exit 3
+    target = "(a|b|c)" * 14 + "(a|b|c)*"
+    code, out, err = run(capsys, ["member", "--class", "sigma1", "--alphabet", "abc",
+                                  "--target", target, "--emit-cover"])
+    assert code == 3 and out == ""
+    assert "max_pieces" in err and "Traceback" not in err
+
+
 GOOD_INSTANCE = {"alphabet": "ab", "class": "at", "target": "a+", "against": ["b+"]}
 FLAGS = ["--class", "bsigma1", "--alphabet", "ab", "--target", "a+", "--against", "b+"]
 

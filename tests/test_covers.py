@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from regcov import (DEFAULT_CAPS, Alphabet, Caps, ClassId, Cover, InputError,
-                    SaturationCapError, at_cover,
+                    PieceCapError, SaturationCapError, at_cover,
                     at_imprint, bsigma1_cover, decide_universal_covering, equivalent,
                     fo2_cover, includes, is_empty, nfa_intersection, nfa_union,
                     restrict_cover, rm_alphabet_augment, rm_from_multiset,
@@ -140,6 +140,19 @@ def test_sigma1_cover_of_a_large_monoid_is_verified():
     cov = sigma1_cover(alpha, acc, ABC)
     report = verify_cover(cov, nfa, [])
     assert cov.pieces and report.covers_target and report.class_ok
+
+
+@pytest.mark.parametrize("n", [4, 14])
+def test_sigma1_cover_stops_listing_minimal_words_at_max_pieces(n):
+    # min((a|b|c)^n(a|b|c)*) is all 3^n words of length n, exponentially
+    # many in |M| = n + 1
+    alpha, acc = transition_monoid(nfa_of("(a|b|c)" * n + "(a|b|c)*", "abc"))
+    assert alpha.size == n + 1
+    if n == 4:
+        assert len(sigma1_cover(alpha, acc, ABC, Caps(max_pieces=81)).pieces) == 81
+    with pytest.raises(PieceCapError) as exc:
+        sigma1_cover(alpha, acc, ABC, Caps(max_pieces=80) if n == 4 else DEFAULT_CAPS)
+    assert exc.value.cap_name == "max_pieces"
 
 
 def test_bsigma1_cover_small_k_and_optimal():
