@@ -198,7 +198,8 @@ def run_cover(inst: Instance) -> Verdict:
         decision = decide_pointed_covering(alpha, accepting, ext, class_id, inst.caps)
         cover = None
         if inst.emit_cover and decision.coverable and class_id is ClassId.SIGMA1:
-            cover = sigma1_cover(alpha, accepting, inst.alphabet, inst.caps)
+            cover = sigma1_cover(alpha, accepting, inst.alphabet, decision.rating_map,
+                                 inst.caps)
     else:
         if inst.target is UNIVERSAL:
             items = list(inst.against)

@@ -1,47 +1,46 @@
 """Cover synthesis and verification.
 
 Synthesizers emit covers whose imprint matches the saturated optimum:
-alphabet atoms for AT, superword closures of the target's minimal words
-for level-1 existential sentences, piece-equivalence partitions for their
-Boolean closure, and the recursive left-factor construction for
-two-variable logic.  `verify_cover` re-checks everything with automata
-only.
+alphabet atoms for AT, superword closures of the target's minimal words,
+united per rating image, for level-1 existential sentences,
+piece-equivalence partitions for their Boolean closure, and the recursive
+left-factor construction for two-variable logic.  `verify_cover` re-checks
+everything with automata only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (Caps, DEFAULT_CAPS, DeterminizationCapError, InputError, PieceCapError,
                      SaturationCapError)
 from . import rx
-from .fa import (Alphabet, Dfa, MonoidMorphism, Nfa, alphabet_exact,
-                 exact_alphabet_regex, explore, includes, is_empty, minimize,
+from .fa import (Alphabet, Dfa, MonoidMorphism, Nfa, explore, includes, is_empty, minimize,
                  minimize_labelled, nfa_complement, nfa_intersection, nfa_to_regex, nfa_union,
-                 piece_closure_regex, universal_language, upward_closure)
+                 universal_language, upward_closure)
 from .imprints import ImprintSet
 from .pieces import are_unions_of_classes, pt_partition
 from .rating import RatingMap, reach
 from .rx import Regex
 from .saturation import ClassId
+from .semiring import Semiring
 
 
 @dataclass
 class CoverPiece:
     """One cover member: the trimmed minimal DFA of its language, and a
-    regex that is materialized lazily from it when the synthesizer did not
-    supply one.
+    regex materialized lazily from it.
 
     Every synthesizer builds its pieces as trimmed minimal DFAs
-    (`fa.alphabet_exact`, `_superwords`, `_label_pieces`), so the regex is
-    state elimination on the automaton as it is: a union of piece classes
-    can span thousands of classes and yet have a minimal DFA of a dozen
-    states, and state elimination on a large automaton builds a regex
-    nested too deeply to print."""
+    (`_label_pieces`, and the superword closures of its pieces for Σ1), so
+    the regex is state elimination on the automaton as it is: a union of
+    piece classes can span thousands of classes and yet have a minimal DFA
+    of a dozen states, and state elimination on a large automaton builds a
+    regex nested too deeply to print."""
 
     nfa: Nfa
-    _regex: Optional[Regex] = None
+    _regex: Optional[Regex] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def regex(self) -> Regex:
@@ -79,31 +78,41 @@ class Cover:
 def at_cover(alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> Cover:
     """Atoms of the alphabet-testable algebra: the classes of the 1-piece
     partition."""
-    pieces = []
-    for mask in range(1 << len(alphabet)):
-        syms = alphabet.from_mask(mask)
-        pieces.append(CoverPiece(alphabet_exact(alphabet, syms),
-                                 exact_alphabet_regex(alphabet, syms)))
+    pa = pt_partition(1, alphabet, caps)
+    pieces = _label_pieces(alphabet, pa.delta, pa.initial, list(range(pa.state_count)))
     return Cover(ClassId.AT, universal_language(alphabet), pieces,
-                 partition=pt_partition(1, alphabet, caps), provenance="alphabet atoms")
+                 partition=pa, provenance="alphabet atoms")
 
 
 # -- superword-closure covers ---------------------------------------------------------
 
-def sigma1_cover(alpha: MonoidMorphism, targets, alphabet: Alphabet,
+def sigma1_cover(alpha: MonoidMorphism, targets, alphabet: Alphabet, rho: RatingMap,
                  caps: Caps = DEFAULT_CAPS) -> Cover:
-    """Cover of L = image⁻¹(targets) by ↑w, the superwords of w, for each
-    word w of min(L), the subword-minimal words of L: the canonical Σ1
-    cover, finite by Higman's lemma.
+    """Cover of L = image⁻¹(targets) by upward-closed pieces, one for each
+    distinct image ρ(↑w) over the words w of min(L), the subword-minimal
+    words of L: the piece of image r is the union of the superword closures
+    ↑w of the minimal words w with ρ(↑w) = r.
+
+    The canonical Σ1 cover {↑w : w ∈ min(L)} is finite by Higman's lemma
+    and optimal for every rating map: any Σ1 cover of L has a piece K that
+    holds w, and K is closed under superwords, so ↑w ⊆ K and
+    ρ(↑w) ≤ ρ(K).  Uniting its members of equal image keeps that: addition
+    is idempotent, so the union of the members of image r has image r and
+    the two covers have the same images; a union of upward-closed
+    languages is upward closed.  Yet min(L) can be exponential in |M|
+    (min((a|b|c)^n(a|b|c)*) is all 3^n words of length n), while the
+    pieces are no more than the distinct images.
 
     A word has a strict subword in L exactly when deleting one of its
     letters leaves a word of ↑L, so min(L) = L ∖ ins(↑L), for ins(K) the
     words x·a·y with x·y in K: two copies of ↑L's automaton joined by a
-    move on any letter that keeps the state.  The words of the finite
-    language min(L), shorter than |M|, are read off its minimal DFA with an
-    explicit stack, and sorted by length, image and alphabet order.  There
-    can be exponentially many in |M| (min(L) of (a|b|c)^n(a|b|c)* is all
-    3^n words of length n), so the listing stops at `max_pieces`.
+    move on any letter that keeps the state.  As ↑w = A*·w₁·A*⋯wₙ·A* and ρ
+    is multiplicative, ρ(↑w) = ρ(A*)·g_{w₁}⋯g_{wₙ} with g_a = ρ(a)·ρ(A*).
+    So min(L)'s minimal DFA, run beside that product, labels each minimal
+    word by its image as it reads it: the walk is finite, as the DFA's live
+    states read only the finitely many words of min(L) and their prefixes,
+    and its pairs are bounded by `max_det_states`.  The words of one label
+    form a finite language, and its superword closure is the piece.
     """
     target_nfa = _fiber_nfa(alpha, targets, alphabet)
     fiber = minimize(target_nfa, caps).as_nfa()
@@ -113,31 +122,49 @@ def sigma1_cover(alpha: MonoidMorphism, targets, alphabet: Alphabet,
                    up.transitions | {(q + n, a, r + n) for q, a, r in up.transitions}
                    | {(q, a, q + n) for q in range(n) for a in alphabet})
     least = minimize(nfa_intersection(fiber, nfa_complement(inserted, caps)), caps)
-    dead = {q for q, row in enumerate(least.delta) if q not in least.finals and set(row) == {q}}
-    words = []
-    stack = [(least.initial, "")]
-    while stack:
-        q, w = stack.pop()
-        if q in least.finals:
-            words.append(w)
-            if len(words) > caps.max_pieces:
-                raise PieceCapError("max_pieces", caps.max_pieces, "sigma1 cover synthesis")
-        stack.extend((r, w + a) for a, r in zip(alphabet.symbols, least.delta[q]) if r not in dead)
-    words.sort(key=lambda w: (len(w), alpha.image(w), w))
-    pieces = [CoverPiece(_superwords(alphabet, w), piece_closure_regex(alphabet, w))
-              for w in words]
+    # min(L) is finite, so its minimal DFA has a dead state; one sink stands
+    # for every pair on it
+    dead = next(q for q, row in enumerate(least.delta)
+                if q not in least.finals and set(row) == {q})
+    sr = rho.semiring
+    star = rho.image_of_star(alphabet, caps)
+    times = [_right_multiplier(sr, sr.mul(rho.letter_image[a], star)) for a in alphabet]
+
+    def successors(pair):
+        q, u = pair
+        return [(r, times[k](u)) if r != dead else (dead, sr.zero)
+                for k, r in enumerate(least.delta[q])]
+
+    found = explore((least.initial, star), successors, caps.max_det_states)
+    if found is None:
+        raise DeterminizationCapError("max_det_states", caps.max_det_states,
+                                      "sigma1 cover synthesis")
+    pairs, rows = found
+    labels = [u if q in least.finals else None for q, u in pairs]
+    pieces = [CoverPiece(minimize(upward_closure(p.nfa), caps).as_nfa())
+              for p in _label_pieces(alphabet, tuple(rows), 0, labels)]
     return Cover(ClassId.SIGMA1, target_nfa, pieces,
-                 provenance="superword closures of the minimal words")
+                 provenance="superword closures of the minimal words, one per image")
 
 
-def _superwords(alphabet: Alphabet, word: str) -> Nfa:
-    """The trimmed minimal DFA of the superwords of `word`: state i has
-    matched the first i letters of the word as a subword, greedily, and
-    the other letters loop."""
-    n = len(word)
-    trans = {(i, a, i + 1 if i < n and a == word[i] else i)
-             for i in range(n + 1) for a in alphabet}
-    return Nfa(alphabet, n + 1, frozenset([0]), frozenset([n]), frozenset(trans))
+def _right_multiplier(sr: Semiring, g):
+    """x ↦ x·g, as the union of the products b·g over the bits b of x, each
+    computed once, when first needed: every semiring here adds by union,
+    and multiplication distributes over it."""
+    table: dict = {}
+
+    def times(x):
+        out = 0
+        while x:
+            low = x & -x
+            row = table.get(low)
+            if row is None:
+                row = table[low] = sr.mul(low, g)
+            out |= row
+            x ^= low
+        return out
+
+    return times
 
 
 def _fiber_nfa(alpha: MonoidMorphism, targets, alphabet: Alphabet) -> Nfa:

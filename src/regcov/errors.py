@@ -66,15 +66,15 @@ class Caps:
     The defaults are sized for desk-scale instances.  Every field can be
     overridden per call; `max_elements`, `max_det_states` (`--max-states`)
     and `max_k` also through the CLI flags or an instance file's options.
-    Each cap bounds a structure that the constructions build; the one
-    listing of words, the minimal words behind a Σ1 cover, counts against
-    `max_pieces`, as each word is a piece.
+    Each cap bounds a structure that the constructions build; no
+    construction lists words.
     """
 
-    max_det_states: int = 1 << 20      # subset-construction states; for fo2
-                                       # covers, the states of each node
-                                       # machine before minimization and of
-                                       # each conversion between directions
+    max_det_states: int = 1 << 20      # subset-construction states; for
+                                       # sigma1 covers, the labelling walk;
+                                       # for fo2 covers, each node machine
+                                       # before minimization and each
+                                       # conversion between directions
     max_monoid: int = 4096             # transition-monoid elements
     max_alphabet_sets: int = 8         # |A| for alphabet-set semirings; bounds
                                        # real work, as the saturation rules
@@ -82,11 +82,9 @@ class Caps:
     max_elements: int = 200_000        # maximal elements of an imprint, and
                                        # the pairs of every (state, word
                                        # image) closure (`rating.reach`)
-    max_pieces: int = 10_000           # pieces per synthesized cover; for
-                                       # sigma1, the minimal words listed;
-                                       # for fo2, the distinct labels in
-                                       # context of each recursion node (its
-                                       # pieces), summed over the nodes
+    max_pieces: int = 10_000           # fo2 cover pieces: the distinct
+                                       # labels in context of each recursion
+                                       # node, summed over the nodes
     max_pt_states: int = 50_000        # piece-automaton states
     max_k: int = 0                     # piece-length bound; 0 = per-alphabet default
 

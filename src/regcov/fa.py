@@ -556,36 +556,6 @@ def alphabet_exact(alphabet: Alphabet, subset: Iterable[str]) -> Nfa:
     return Nfa(alphabet, 1 << k, frozenset([0]), frozenset([(1 << k) - 1]), frozenset(trans))
 
 
-def piece_closure_regex(alphabet: Alphabet, word: str) -> Regex:
-    """Regex for A*a1A*...A*anA*, the superwords of `word`."""
-    allstar = rx.star(rx.union_all(rx.Letter(a) for a in alphabet))
-    out = allstar
-    for a in word:
-        out = rx.concat(out, rx.concat(rx.Letter(a), allstar))
-    return out
-
-
-def exact_alphabet_regex(alphabet: Alphabet, subset: Iterable[str]) -> Regex:
-    """Regex for the words whose alphabet is exactly B.
-
-    Built by splitting on the letter whose first occurrence comes last;
-    exponential in |B|, fine at desk scale.
-    """
-    syms = tuple(sorted(set(subset)))
-
-    def build(b: tuple) -> Regex:
-        if not b:
-            return rx.EPSILON
-        bstar = rx.star(rx.union_all(rx.Letter(a) for a in b))
-        parts = []
-        for a in b:
-            rest = tuple(x for x in b if x != a)
-            parts.append(rx.concat(rx.concat(build(rest), rx.Letter(a)), bstar))
-        return rx.union_all(parts)
-
-    return build(syms)
-
-
 # -- NFA <-> JSON and NFA -> regex -------------------------------------------------
 
 def nfa_from_json(doc: dict) -> Nfa:

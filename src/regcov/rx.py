@@ -95,13 +95,6 @@ def star(inner: Regex) -> Regex:
     return Star(inner)
 
 
-def union_all(parts) -> Regex:
-    out: Regex = EMPTY
-    for p in parts:
-        out = union(out, p)
-    return out
-
-
 def chain(node: Regex) -> list:
     """The operands, left to right, of the chain of `node`'s operator (Union
     or Concat) below it: a Concat of Concats lists its factors that are no

@@ -110,6 +110,33 @@ def is_piece(u: str, v: str) -> bool:
     return all(c in it for c in u)
 
 
+def union_all(parts) -> rx.Regex:
+    out = rx.EMPTY
+    for p in parts:
+        out = rx.union(out, p)
+    return out
+
+
+def exact_alphabet_regex(alphabet: Alphabet, subset) -> rx.Regex:
+    """Regex for the words whose alphabet is exactly B.
+
+    Built by splitting on the letter whose first occurrence comes last;
+    exponential in |B|, fine at desk scale.
+    """
+
+    def build(b: tuple) -> rx.Regex:
+        if not b:
+            return rx.EPSILON
+        bstar = rx.star(union_all(rx.Letter(a) for a in b))
+        parts = []
+        for a in b:
+            rest = tuple(x for x in b if x != a)
+            parts.append(rx.concat(rx.concat(build(rest), rx.Letter(a)), bstar))
+        return union_all(parts)
+
+    return build(tuple(sorted(set(subset))))
+
+
 def words_upto(symbols: str, maxlen: int):
     import itertools
     for k in range(maxlen + 1):

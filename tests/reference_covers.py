@@ -1,7 +1,8 @@
 """Earlier cover constructions, the references for those of `regcov.covers`.
 
 The Σ1 words by enumeration: every word up to length |M|, pruned to the
-minimal ones.  `sigma1_cover` must give the same words in the same order.
+minimal ones.  `sigma1_cover` must unite their superword closures per
+image.
 
 The FO2 recursion, the reference for the labelled-DFA one, which must give
 the same images and equivalent pieces.  At every node, the pieces with
@@ -20,11 +21,10 @@ from helpers import is_piece, trim
 
 
 def sigma1_words(alpha, targets, alphabet) -> list:
-    """The minimal words of image⁻¹(targets), in the order of the pieces of
-    `sigma1_cover`: every word is pumpable down to length at most |M| with
-    the same image, so the words up to that length are listed, and a word
-    with a shorter kept word as a piece is dropped (first per image, then
-    across images)."""
+    """The minimal words of image⁻¹(targets): every word is pumpable down to
+    length at most |M| with the same image, so the words up to that length
+    are listed, and a word with a shorter kept word as a piece is dropped
+    (first per image, then across images)."""
     targets = frozenset(targets)
     words_by_elem: dict = {t: [] for t in targets}
     frontier = [("", alpha.identity)]

@@ -8,8 +8,10 @@ check the length bound, the unambiguity and the membership of each witness.
 from __future__ import annotations
 
 from regcov import rx
-from regcov.fa import Alphabet, exact_alphabet_regex
+from regcov.fa import Alphabet
 from regcov.rx import Regex
+
+from helpers import exact_alphabet_regex, union_all
 
 
 def concat_all(parts) -> Regex:
@@ -61,7 +63,7 @@ def template_regex(template: Template, n: int, alphabet: Alphabet) -> Regex:
             parts.append(rx.Letter(t))
         else:
             (b, bset, c) = t
-            bstar = rx.star(rx.union_all(rx.Letter(x) for x in sorted(bset)))
+            bstar = rx.star(union_all(rx.Letter(x) for x in sorted(bset)))
             exact = exact_alphabet_regex(alphabet, bset)
             blocks = concat_all([exact] * n)
             parts.append(concat_all([bstar, rx.Letter(b), blocks, rx.Letter(c), bstar]))

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from regcov import DEFAULT_CAPS, Alphabet, ClassId, ResourceCapError, equivalent
+from regcov import (DEFAULT_CAPS, Alphabet, ClassId, ResourceCapError, equivalent,
+                    upward_closure)
 from regcov import cli, covers, pieces
 from regcov.cli import Instance, Verdict, _masks_to_lists, main
 from regcov.pieces import pt_partition
@@ -612,33 +613,44 @@ def test_a_long_chain_of_unions_is_no_input_error(capsys):
 
 @pytest.mark.parametrize("argv, piece", [
     (["member", "--alphabet", "abc", "--target", "(a|b|c)*a(a|b|c)*b(a|b|c)*c(a|b|c)*"],
-     "(a|b|c)*a(a|b|c)*b(a|b|c)*c(a|b|c)*"),
+     "(b|c)*a(a|c)*b(a|b)*c(a|b|c)*"),
     (["separate", "--alphabet", "ab", "--target", "a(ab)*b(ba)*a", "--against", "b+"],
-     "(a|b)*a(a|b)*b(a|b)*a(a|b)*"),
-    # the printed separator, 1,201 factors long, is parsed and compiled again
-    (["member", "--alphabet", "a", "--target", "a" * 600 + "+"], "a*" + "aa*" * 600),
-], ids=["superwords-of-abc", "aba-against-b+", "600-letters"])
+     "b*aa*bb*a(a|b)*"),
+    # the printed separator, 601 factors long, is parsed and compiled again
+    (["member", "--alphabet", "a", "--target", "a" * 600 + "+"], "a" * 600 + "a*"),
+    # min(L) is all 3^14 words of length 14, of one image
+    (["member", "--alphabet", "abc", "--target", "(a|b|c)" * 14 + "(a|b|c)*"],
+     "(a|b|c)" * 14 + "(a|b|c)*"),
+], ids=["superwords-of-abc", "aba-against-b+", "600-letters", "3^14-minimal-words"])
 def test_sigma1_covers_from_the_minimal_words(capsys, argv, piece):
-    # the first two stopped on a word enumeration budget (exit 3), the last
-    # in a RecursionError (exit 1)
+    # the first two stopped on a word enumeration budget (exit 3), the
+    # third in a RecursionError (exit 1), the last on max_pieces (exit 3)
     code, out, err = run(capsys, argv[:1] + ["--class", "sigma1"] + argv[1:]
                          + ["--emit-cover", "--verify", "--json"])
     assert code == 0, err
     doc = json.loads(out)
     assert doc["cover"]["optimal"] is True
     assert [p["regex"] for p in doc["cover"]["pieces"]] == [piece] and doc["separator"] == piece
+    # one piece, the superword closure of the target
+    assert equivalent(nfa_of(piece, argv[2]), upward_closure(nfa_of(argv[4], argv[2])))
     verified = doc["cover"]["verified"]
     assert verified["covers_target"] and verified["separating"] and verified["class_ok"]
 
 
-def test_sigma1_cover_past_max_pieces_is_a_cap_error(capsys):
-    # the 3^14 minimal words of (a|b|c)^14(a|b|c)* are listed up to
-    # max_pieces (10,000), then the cover stops with exit 3
-    target = "(a|b|c)" * 14 + "(a|b|c)*"
-    code, out, err = run(capsys, ["member", "--class", "sigma1", "--alphabet", "abc",
-                                  "--target", target, "--emit-cover"])
-    assert code == 3 and out == ""
-    assert "max_pieces" in err and "Traceback" not in err
+def test_sigma1_cover_has_one_piece_per_image(capsys):
+    # the 3^9 minimal words of (a|b|c)^9(a|b|c)* fall into three images
+    # against (a|b)* and c*: those with no c, those with no a or b, and the
+    # rest; one word per piece would be past max_pieces (exit 3)
+    code, out, err = run(capsys, ["cover", "--class", "sigma1", "--alphabet", "abc",
+                                  "--target", "(a|b|c)" * 9 + "(a|b|c)*",
+                                  "--against", "(a|b)*", "--against", "c*",
+                                  "--emit-cover", "--verify", "--json"])
+    assert code == 0, err
+    cover = json.loads(out)["cover"]
+    assert cover["optimal"] is True and len(cover["pieces"]) == 3
+    verified = cover["verified"]
+    assert verified["covers_target"] and verified["separating"] and verified["class_ok"]
+    assert verified["piece_witnesses"] == [1, 0, 0]
 
 
 GOOD_INSTANCE = {"alphabet": "ab", "class": "at", "target": "a+", "against": ["b+"]}

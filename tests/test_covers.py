@@ -10,9 +10,9 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from regcov import (DEFAULT_CAPS, Alphabet, Caps, ClassId, Cover, InputError,
-                    PieceCapError, SaturationCapError, at_cover,
+                    SaturationCapError, at_cover,
                     at_imprint, bsigma1_cover, decide_universal_covering, equivalent,
-                    fo2_cover, includes, is_empty, nfa_intersection, nfa_union,
+                    fo2_cover, includes, is_empty, nfa_complement, nfa_intersection, nfa_union,
                     restrict_cover, rm_alphabet_augment, rm_from_multiset,
                     saturate_pointed, saturate_universal, sigma1_cover,
                     transition_monoid, universal_language, upward_closure,
@@ -57,9 +57,18 @@ def test_at_cover_language_scope():
     assert report.covers_target and report.separating and report.class_ok
 
 
+def complement_map(nfa):
+    """The rating map a member query decides over: that of the complement."""
+    return rm_from_multiset([nfa_complement(nfa)]).tau
+
+
+def superwords(alphabet: Alphabet, word: str):
+    return upward_closure(nfa_of(word or "%eps", alphabet.symbols))
+
+
 def test_sigma1_cover_trivial_monoid():
     alpha, acc = transition_monoid(universal_language(AB))
-    cov = sigma1_cover(alpha, acc, AB)
+    cov = sigma1_cover(alpha, acc, AB, complement_map(universal_language(AB)))
     assert len(cov.pieces) == 1
     assert equivalent(cov.pieces[0].nfa, universal_language(AB))
 
@@ -67,32 +76,36 @@ def test_sigma1_cover_trivial_monoid():
 def test_sigma1_cover_covers_fiber():
     lang = nfa_of("a+", "ab")
     alpha, acc = transition_monoid(lang)
-    cov = sigma1_cover(alpha, acc, AB)
+    against = [nfa_of("b+", "ab")]
+    cov = sigma1_cover(alpha, acc, AB, rm_from_multiset(against).tau)
     assert includes(lang, union_nfa(cov))
-    texts = [rx.regex_to_text(p.regex) for p in cov.pieces]
-    assert "(a|b)*a(a|b)*" in texts
-    report = verify_cover(cov, lang, [nfa_of("b+", "ab")])
+    assert [rx.regex_to_text(p.regex) for p in cov.pieces] == ["b*a(a|b)*"]
+    assert equivalent(cov.pieces[0].nfa, nfa_of("(a|b)*a(a|b)*", "ab"))
+    report = verify_cover(cov, lang, against)
     assert report.covers_target and report.separating and report.class_ok
 
 
 def test_sigma1_pieces_upward_closed():
     lang = nfa_of("ab|ba", "ab")
     alpha, acc = transition_monoid(lang)
-    cov = sigma1_cover(alpha, acc, AB)
+    cov = sigma1_cover(alpha, acc, AB, complement_map(lang))
     for p in cov.pieces:
         assert equivalent(upward_closure(p.nfa), p.nfa)
 
 
 def test_sigma1_cover_optimality_matches_pointed_imprint():
+    # the cover's full imprint, not only its index sets, equals the pointed
+    # optimum: a piece that united words of different images ρ(↑w) would
+    # have a strictly larger image
     rng = random.Random(12)
-    for _ in range(12):
-        target = random_nfa(rng, AB, 2)
-        others = [random_nfa(rng, AB, 2)]
+    for _ in range(60):
+        target = random_nfa(rng, AB, 3)
+        others = [random_nfa(rng, AB, 3) for _ in range(rng.randint(1, 3))]
         alpha, acc = transition_monoid(target)
         ext = rm_from_multiset(others)
         pointed = saturate_pointed(alpha, ext.tau, ClassId.SIGMA1)
         want = {r for (m, r) in members(pointed) if m in acc}
-        cov = sigma1_cover(alpha, acc, AB)
+        cov = sigma1_cover(alpha, acc, AB, ext.tau)
         sr = ext.tau.semiring
         got = set()
         for p in cov.pieces:
@@ -104,29 +117,34 @@ def test_sigma1_cover_optimality_matches_pointed_imprint():
             assert got == set()
 
 
-@given(st.sampled_from([AB, ABC]).flatmap(lambda a: st.tuples(st.just(a), nfas(a))), st.data())
-def test_sigma1_pieces_are_the_minimal_words_in_the_enumeration_order(drawn, data):
-    # the closures of the target's minimal words, in the order the
-    # enumeration of all words up to length |M| gave them
+@given(st.sampled_from([AB, ABC]).flatmap(lambda a: st.tuples(st.just(a), nfas(a))),
+       st.data())
+def test_sigma1_pieces_unite_the_minimal_words_of_one_image(drawn, data):
+    # one piece per image ρ(↑w) over the minimal words w, each the union of
+    # the ↑w of that image
     alphabet, nfa = drawn
     alpha, acc = transition_monoid(nfa)
     assume(len(alphabet) ** alpha.size <= 20_000)
+    rho = rm_from_multiset(data.draw(st.lists(nfas(alphabet, 3), min_size=1, max_size=2))).tau
     for targets in (acc, data.draw(st.sets(st.integers(0, alpha.size - 1)))):
-        want = reference_covers.sigma1_words(alpha, targets, alphabet)
-        cov = sigma1_cover(alpha, targets, alphabet)
-        assert [p.regex for p in cov.pieces] == [fa.piece_closure_regex(alphabet, w)
-                                                 for w in want]
-        assert [p.nfa for p in cov.pieces] == [covers._superwords(alphabet, w) for w in want]
+        by_image: dict = {}
+        for w in reference_covers.sigma1_words(alpha, targets, alphabet):
+            by_image.setdefault(rho.eval_nfa(superwords(alphabet, w)), []).append(w)
+        cov = sigma1_cover(alpha, targets, alphabet, rho)
+        images = [rho.eval_nfa(p.nfa) for p in cov.pieces]
+        assert sorted(images) == sorted(by_image)
+        for img, p in zip(images, cov.pieces):
+            assert equivalent(p.nfa, nfa_union(*(superwords(alphabet, w)
+                                                 for w in by_image[img])))
 
 
-def test_sigma1_pieces_of_one_length_come_in_image_order():
-    # a and c have one image, b another, so c comes before b
-    alpha, acc = transition_monoid(nfa_of("a|b|c|bb", "abc"))
-    assert alpha.image("a") == alpha.image("c") < alpha.image("b")
-    want = reference_covers.sigma1_words(alpha, acc, ABC)
-    assert want == ["a", "c", "b"]
-    assert [p.regex for p in sigma1_cover(alpha, acc, ABC).pieces] == [
-        fa.piece_closure_regex(ABC, w) for w in want]
+def test_sigma1_words_of_one_image_share_a_piece():
+    # against the words ending in a, ↑a and ↑b have one image, though A*·a
+    # and A*·b do not: the image of ↑w is read with A* after every letter
+    lang = nfa_of("a|b", "ab")
+    alpha, acc = transition_monoid(lang)
+    cov = sigma1_cover(alpha, acc, AB, rm_from_multiset([nfa_of("(a|b)*a", "ab")]).tau)
+    assert len(cov.pieces) == 1 and equivalent(cov.pieces[0].nfa, nfa_of("(a|b)+", "ab"))
 
 
 def test_sigma1_cover_of_a_large_monoid_is_verified():
@@ -137,22 +155,23 @@ def test_sigma1_cover_of_a_large_monoid_is_verified():
         nfa = random_nfa(rng, ABC, 7, 0.3)
     alpha, acc = transition_monoid(nfa)
     assert alpha.size == 1101
-    cov = sigma1_cover(alpha, acc, ABC)
-    report = verify_cover(cov, nfa, [])
+    against = [nfa_complement(nfa)]
+    cov = sigma1_cover(alpha, acc, ABC, rm_from_multiset(against).tau)
+    report = verify_cover(cov, nfa, against)
     assert cov.pieces and report.covers_target and report.class_ok
 
 
 @pytest.mark.parametrize("n", [4, 14])
-def test_sigma1_cover_stops_listing_minimal_words_at_max_pieces(n):
+def test_sigma1_cover_has_one_piece_per_image(n):
     # min((a|b|c)^n(a|b|c)*) is all 3^n words of length n, exponentially
-    # many in |M| = n + 1
-    alpha, acc = transition_monoid(nfa_of("(a|b|c)" * n + "(a|b|c)*", "abc"))
+    # many in |M| = n + 1; against (a|b)* and c* they have three images
+    target = nfa_of("(a|b|c)" * n + "(a|b|c)*", "abc")
+    alpha, acc = transition_monoid(target)
     assert alpha.size == n + 1
-    if n == 4:
-        assert len(sigma1_cover(alpha, acc, ABC, Caps(max_pieces=81)).pieces) == 81
-    with pytest.raises(PieceCapError) as exc:
-        sigma1_cover(alpha, acc, ABC, Caps(max_pieces=80) if n == 4 else DEFAULT_CAPS)
-    assert exc.value.cap_name == "max_pieces"
+    against = [nfa_of("(a|b)*", "abc"), nfa_of("c*", "abc")]
+    cov = sigma1_cover(alpha, acc, ABC, rm_from_multiset(against).tau)
+    report = verify_cover(cov, target, against)
+    assert len(cov.pieces) == 3 and report.ok and report.piece_witnesses == [1, 0, 0]
 
 
 def test_bsigma1_cover_small_k_and_optimal():
@@ -589,7 +608,7 @@ def test_every_synthesizer_builds_trimmed_minimal_pieces():
     covs = [at_cover(A1), at_cover(ABC)]
     for text in ("a+", "ab|ba", "(ab)+"):
         alpha, acc = transition_monoid(nfa_of(text, "ab"))
-        covs.append(sigma1_cover(alpha, acc, AB))
+        covs.append(sigma1_cover(alpha, acc, AB, complement_map(nfa_of(text, "ab"))))
     for langs in ([nfa_of("a+", "ab"), nfa_of("b+", "ab")],
                   [nfa_of("(ab)+", "abc"), nfa_of("c(ac)+", "abc")]):
         dec = decide_universal_covering(rm_from_multiset(langs), ClassId.BSIGMA1)
@@ -633,7 +652,8 @@ def union_covers(parts: list) -> Cover:
 def test_union_covers():
     lang = nfa_of("a+|ab", "ab")
     alpha, acc = transition_monoid(lang)
-    per_element = [sigma1_cover(alpha, {s}, AB) for s in sorted(acc)]
+    rho = complement_map(lang)
+    per_element = [sigma1_cover(alpha, {s}, AB, rho) for s in sorted(acc)]
     merged = union_covers(per_element)
     assert includes(lang, union_nfa(merged))
 
@@ -663,7 +683,6 @@ def test_complement_pair_cover_is_optimal():
     langs = [nfa_of("(ab)+", "abc"), nfa_of("b(ab)+", "abc"), nfa_of("c(ac)+", "abc")]
     ext = rm_from_multiset(langs)
     from regcov.covers import Cover, CoverPiece
-    from regcov import nfa_complement
     withb = nfa_of("(a|b|c)*b(a|b|c)*", "abc")
     manual = Cover(ClassId.AT, universal_language(ABC),
                    [CoverPiece(withb), CoverPiece(nfa_complement(withb))])

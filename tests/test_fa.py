@@ -12,11 +12,11 @@ from regcov import (DEFAULT_CAPS, Alphabet, DeterminizationCapError, InputError,
                     nfa_to_regex, nfa_union, regex_to_nfa, transition_monoid,
                     universal_language, upward_closure)
 from regcov import rx
-from regcov.fa import Nfa, empty_language, exact_alphabet_regex
+from regcov.fa import Nfa, empty_language
 
 import reference_fa
-from helpers import (alphabet_languages, denote_upto, is_piece, nfa_of, nfa_to_json,
-                     random_nfa, random_regex, trim, words_upto)
+from helpers import (alphabet_languages, denote_upto, exact_alphabet_regex, is_piece, nfa_of,
+                     nfa_to_json, random_nfa, random_regex, trim, words_upto)
 
 AB = Alphabet("ab")
 

@@ -1,13 +1,18 @@
 """Semiring kinds, the canonical order and idempotent powers."""
 
+import functools
+import operator
 import random
+
+from hypothesis import given, strategies as st
 
 from regcov import (Alphabet, AlphabetSemiring, MonoidMorphism,
                     PowersetMonoidSemiring, ProductSemiring, RelationSemiring,
-                    rm_from_morphism)
+                    rm_from_morphism, transition_monoid)
+from regcov.covers import _right_multiplier
 
 from explicit_engine import downset
-from helpers import leq
+from helpers import leq, nfas
 from reference_semiring import TableSemiring, validate_semiring
 
 Z2 = MonoidMorphism(2, 0, ((0, 1), (1, 0)), {"a": 1})
@@ -254,3 +259,20 @@ def test_product_refuses_table_parts():
         ProductSemiring([RelationSemiring(2), table])
     with pytest.raises(InputError):
         ProductSemiring([])
+
+
+@given(st.data())
+def test_right_multiplication_is_the_union_of_the_rows_of_its_bits(data):
+    # Σ1 cover synthesis multiplies by a table of the products (1 << b)·g,
+    # which is x·g because every kind adds by union and multiplies
+    # distributively over it
+    alphabet = data.draw(st.sampled_from([Alphabet("ab"), Alphabet("abc")]))
+    monoid, _ = transition_monoid(data.draw(nfas(alphabet, 3)))
+    parts = [PowersetMonoidSemiring(monoid), RelationSemiring(data.draw(st.integers(1, 4))),
+             AlphabetSemiring(alphabet)]
+    for sr in parts + [ProductSemiring(parts)]:
+        x = data.draw(st.integers(0, (1 << sr.nbits) - 1))
+        g = data.draw(st.integers(0, (1 << sr.nbits) - 1))
+        rows = [sr.mul(1 << b, g) for b in range(sr.nbits) if x >> b & 1]
+        assert sr.mul(x, g) == functools.reduce(operator.or_, rows, 0)
+        assert _right_multiplier(sr, g)(x) == sr.mul(x, g)
