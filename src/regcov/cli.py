@@ -18,8 +18,8 @@ from typing import Optional
 from .errors import Caps, DEFAULT_CAPS, InputError, ResourceCapError
 from . import rx
 from .fa import (Alphabet, Nfa, alphabet_exact, includes, is_empty,
-                 nfa_complement, nfa_from_json, nfa_intersection, regex_to_nfa,
-                 transition_monoid, universal_language, upward_closure)
+                 nfa_complement, nfa_from_json, regex_to_nfa, transition_monoid,
+                 universal_language, upward_closure)
 from .covers import (Cover, at_cover, bsigma1_cover, fo2_cover, restrict_cover,
                      sigma1_cover, verify_cover)
 from .rating import Extension, rm_from_multiset
@@ -269,7 +269,7 @@ def run_separate(inst: Instance) -> Verdict:
         target_nfa = inst.target if inst.target is not UNIVERSAL else universal_language(inst.alphabet)
         if not includes(target_nfa, sep_nfa, inst.caps):
             raise AssertionError("separator does not contain the first language")
-        if not is_empty(nfa_intersection(sep_nfa, inst.against[0])):
+        if not is_empty(sep_nfa, inst.against[0]):
             raise AssertionError("separator meets the second language")
         verdict.separator = sep
     if not inst.emit_cover:
@@ -325,7 +325,7 @@ def run_imprint_chain(inst: Instance) -> dict:
 def oracle_sigma1_sep(l1: Nfa, l2: Nfa) -> bool:
     """Separable by an existential piece language iff the superword closure
     of the first language misses the second."""
-    return is_empty(nfa_intersection(upward_closure(l1), l2))
+    return is_empty(upward_closure(l1), l2)
 
 
 def oracle_at_imprint(alphabet: Alphabet, langs: list) -> list:
@@ -335,7 +335,7 @@ def oracle_at_imprint(alphabet: Alphabet, langs: list) -> list:
         atom = alphabet_exact(alphabet, alphabet.from_mask(mask))
         hit = 0
         for i, lang in enumerate(langs):
-            if not is_empty(nfa_intersection(atom, lang)):
+            if not is_empty(atom, lang):
                 hit |= 1 << i
         masks.update(_mask_subsets(hit))
     return _masks_to_lists(masks)

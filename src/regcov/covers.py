@@ -24,7 +24,6 @@ from .pieces import are_unions_of_classes, pt_partition
 from .rating import RatingMap, reach
 from .rx import Regex
 from .saturation import ClassId
-from .semiring import Semiring
 
 
 @dataclass
@@ -128,11 +127,11 @@ def sigma1_cover(alpha: MonoidMorphism, targets, alphabet: Alphabet, rho: Rating
                 if q not in least.finals and set(row) == {q})
     sr = rho.semiring
     star = rho.image_of_star(alphabet, caps)
-    times = [_right_multiplier(sr, sr.mul(rho.letter_image[a], star)) for a in alphabet]
+    gens = [sr.mul(rho.letter_image[a], star) for a in alphabet]
 
     def successors(pair):
         q, u = pair
-        return [(r, times[k](u)) if r != dead else (dead, sr.zero)
+        return [(r, sr.mul(u, gens[k])) if r != dead else (dead, sr.zero)
                 for k, r in enumerate(least.delta[q])]
 
     found = explore((least.initial, star), successors, caps.max_det_states)
@@ -145,26 +144,6 @@ def sigma1_cover(alpha: MonoidMorphism, targets, alphabet: Alphabet, rho: Rating
               for p in _label_pieces(alphabet, tuple(rows), 0, labels)]
     return Cover(ClassId.SIGMA1, target_nfa, pieces,
                  provenance="superword closures of the minimal words, one per image")
-
-
-def _right_multiplier(sr: Semiring, g):
-    """x ↦ x·g, as the union of the products b·g over the bits b of x, each
-    computed once, when first needed: every semiring here adds by union,
-    and multiplication distributes over it."""
-    table: dict = {}
-
-    def times(x):
-        out = 0
-        while x:
-            low = x & -x
-            row = table.get(low)
-            if row is None:
-                row = table[low] = sr.mul(low, g)
-            out |= row
-            x ^= low
-        return out
-
-    return times
 
 
 def _fiber_nfa(alpha: MonoidMorphism, targets, alphabet: Alphabet) -> Nfa:
@@ -466,56 +445,74 @@ class _Fo2State:
         """(direction, (delta, labels)) of the node's minimal labelled DFA:
         True for a right-peel node, read left to right, False for a
         left-peel node, read right to left, None for a base case (B* reads
-        the same both ways)."""
-        key = (subset, left, right)
-        if key in self._nodes:
-            return self._nodes[key]
-        rho = self.rho
-        b = self.right_saturated(left, subset)
-        forward = b is not None
-        if not forward:
-            b = self.left_saturated(right, subset)
-        if b is None:
-            forward = None
-            img = self.sr.mul(self.sr.mul(left, rho.image_of_star(subset, self.caps)), right)
-            # one state for the words of B*, and a sink for the letters outside B
-            inside = tuple(0 if a in subset else 1 for a in rho.alphabet)
-            delta, labels = minimize_labelled((inside, (1,) * len(inside)), 0, [img, None])
-        else:
-            delta, labels = self._peel(subset, left, right, b, forward)
-        self._bump(len(set(labels) - {None}))
-        self._nodes[key] = (forward, (delta, labels))
-        return self._nodes[key]
+        the same both ways).
+
+        The nodes over B that it needs are built from a work stack, each
+        after its children, so the Python stack grows with the nesting of
+        sub-alphabets, not with the number of contexts."""
+        top = (subset, left, right)
+        peeled: dict = {}                  # node on the stack -> (b, forward)
+        stack = [top]
+        while stack:
+            key = stack[-1]
+            if key in self._nodes:
+                stack.pop()
+            elif key not in peeled:
+                b = self.right_saturated(key[1], subset)
+                forward = b is not None
+                if not forward:
+                    b = self.left_saturated(key[2], subset)
+                peeled[key] = (b, forward if b else None)
+                if b:
+                    stack.extend(reversed(self._children(*key, b, forward)[1].values()))
+            else:                          # its children are built
+                stack.pop()
+                b, forward = peeled.pop(key)
+                m = self._peel(*key, b, forward) if b else self._base(*key)
+                self._bump(len(set(m[1]) - {None}))
+                self._nodes[key] = (forward, m)
+        return self._nodes[top]
+
+    def _base(self, subset: tuple, left, right):
+        """B*: one state for its words, and a sink for the letters outside B."""
+        img = self.sr.mul(self.sr.mul(left, self.rho.image_of_star(subset, self.caps)), right)
+        inside = tuple(0 if a in subset else 1 for a in self.rho.alphabet)
+        return minimize_labelled((inside, (1,) * len(inside)), 0, [img, None])
+
+    def _children(self, subset: tuple, left, right, b: str, forward: bool):
+        """F's machine, and the child nodes in order of appearance: the
+        label x of a live state of F fixes the child context, left·x·ρ(b)
+        for a right peel and ρ(b)·x·right for a left peel."""
+        mul, bimg = self.sr.mul, self.rho.letter_image[b]
+        f = self.machine(tuple(x for x in subset if x != b), self.sr.one, self.sr.one, forward)
+        return f, {x: (subset, mul(left, mul(x, bimg)), right) if forward
+                   else (subset, left, mul(mul(bimg, x), right))
+                   for x in f[1] if x is not None}
 
     def _peel(self, subset: tuple, left, right, b: str, forward: bool):
-        """The minimal machine of a peel node: a copy of F labelled in
-        context, whose letter b leads to one copy of the child of each child
-        context, minimized."""
+        """The minimal machine of a peel node whose children are built: a
+        copy of F labelled in context, whose letter b leads to one copy of
+        each distinct child, minimized."""
         mul = self.sr.mul
-        bimg = self.rho.letter_image[b]
         bi = self.rho.alphabet.index(b)
-        f_delta, f_labels = self.machine(tuple(x for x in subset if x != b),
-                                         self.sr.one, self.sr.one, forward)
+        (f_delta, f_labels), children = self._children(subset, left, right, b, forward)
         rows = [list(row) for row in f_delta]
-        in_context = {x: mul(mul(left, x), right) for x in dict.fromkeys(f_labels)
-                      if x is not None}
+        in_context = {x: mul(mul(left, x), right) for x in children}
         labels = [in_context.get(x) for x in f_labels]
-        starts: dict = {}                  # child context -> its copy's initial state
+        starts: dict = {}                  # child node -> its copy's initial state
         for s, x in enumerate(f_labels):
             if x is None:                  # the sink of F
                 continue
-            ctx = mul(left, mul(x, bimg)) if forward else mul(mul(bimg, x), right)
-            if ctx not in starts:
-                c_delta, c_labels = (self.machine(subset, ctx, right, True) if forward
-                                     else self.machine(subset, left, ctx, False))
-                off = starts[ctx] = len(rows)
+            if children[x] not in starts:
+                c_delta, c_labels = self.machine(*children[x], forward)
+                off = starts[children[x]] = len(rows)
                 if off + len(c_delta) > self.caps.max_det_states:
                     raise DeterminizationCapError(
                         "max_det_states", self.caps.max_det_states,
                         f"fo2 node machine over {''.join(subset)}")
                 rows += [[t + off for t in row] for row in c_delta]
                 labels += c_labels
-            rows[s][bi] = starts[ctx]
+            rows[s][bi] = starts[children[x]]
         return minimize_labelled(rows, 0, labels)
 
     def _flip(self, m):
@@ -541,7 +538,7 @@ def restrict_cover(cover: Cover, target: Nfa) -> Cover:
     """Keep the pieces meeting the target: turns a separating universal
     cover for {target} ∪ others into a cover of the target separating for
     the others."""
-    pieces = [p for p in cover.pieces if not is_empty(nfa_intersection(p.nfa, target))]
+    pieces = [p for p in cover.pieces if not is_empty(p.nfa, target)]
     return Cover(cover.class_id, target, pieces, k=cover.k, partition=cover.partition,
                  optimal=cover.optimal, provenance=cover.provenance + " | restricted to target")
 
@@ -591,7 +588,7 @@ def verify_cover(cover: Cover, target: Nfa, against: list,
     for p in cover.pieces:
         w = None
         for i, lang in enumerate(against):
-            if is_empty(nfa_intersection(p.nfa, lang)):
+            if is_empty(p.nfa, lang):
                 w = i
                 break
         witnesses.append(w)

@@ -379,19 +379,25 @@ def nfa_complement(n: Nfa, caps: Caps = DEFAULT_CAPS) -> Nfa:
 
 # -- decision procedures ---------------------------------------------------------
 
-def is_empty(n: Nfa) -> bool:
-    step = n.step_map()
-    seen = set(n.initials)
-    work = list(n.initials)
+def is_empty(first: Nfa, *rest: Nfa) -> bool:
+    """Whether the automata's languages have an empty intersection: a walk
+    over the tuples of states that one word leads to, which stops at the
+    first tuple of finals, and builds no product automaton."""
+    nfas = (first, *rest)
+    for n in rest:
+        _check_same_alphabet(first, n)
+    steps = [n.step_map() for n in nfas]
+    work = list(itertools.product(*(n.initials for n in nfas)))
+    seen = set(work)
     while work:
-        q = work.pop()
-        if q in n.finals:
+        states = work.pop()
+        if all(q in n.finals for q, n in zip(states, nfas)):
             return False
-        for a in n.alphabet:
-            for r in step.get((q, a), ()):
-                if r not in seen:
-                    seen.add(r)
-                    work.append(r)
+        for a in first.alphabet:
+            for nxt in itertools.product(*(step.get((q, a), ()) for q, step in zip(states, steps))):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    work.append(nxt)
     return True
 
 

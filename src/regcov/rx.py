@@ -65,36 +65,6 @@ EMPTY = Empty()
 EPSILON = Epsilon()
 
 
-# -- smart constructors (used heavily by automaton-to-regex conversion) ------
-
-def union(left: Regex, right: Regex) -> Regex:
-    if isinstance(left, Empty):
-        return right
-    if isinstance(right, Empty):
-        return left
-    if left == right:
-        return left
-    return Union(left, right)
-
-
-def concat(left: Regex, right: Regex) -> Regex:
-    if isinstance(left, Empty) or isinstance(right, Empty):
-        return EMPTY
-    if isinstance(left, Epsilon):
-        return right
-    if isinstance(right, Epsilon):
-        return left
-    return Concat(left, right)
-
-
-def star(inner: Regex) -> Regex:
-    if isinstance(inner, (Empty, Epsilon)):
-        return EPSILON
-    if isinstance(inner, (Star, Plus)):
-        return Star(inner.inner)
-    return Star(inner)
-
-
 def chain(node: Regex) -> list:
     """The operands, left to right, of the chain of `node`'s operator (Union
     or Concat) below it: a Concat of Concats lists its factors that are no

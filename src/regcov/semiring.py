@@ -3,8 +3,8 @@
 Every kind is a bit-vector kind: an element is an int bitmask, addition is
 union and the order is inclusion, so r <= s iff r | s = s.  A product of
 bit-vector kinds is one too: its element holds the parts' elements side by
-side in one int.  Multiplication is computed structurally on demand and
-memoized per instance.
+side in one int.  Only a product memoizes its products; the powerset and
+relation kinds keep the rows of each right factor they meet.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class Semiring:
     nbits: int
 
     def __init__(self):
-        self._mul_memo: dict = {}
         self._omega_memo: dict = {}
 
     @property
@@ -46,16 +45,6 @@ class Semiring:
 
     @property
     def one(self):
-        raise NotImplementedError
-
-    def mul(self, x, y):
-        key = (x, y)
-        out = self._mul_memo.get(key)
-        if out is None:
-            out = self._mul_memo[key] = self._mul(x, y)
-        return out
-
-    def _mul(self, x, y):
         raise NotImplementedError
 
     def idempotent_power(self, s):
@@ -99,19 +88,31 @@ class PowersetMonoidSemiring(Semiring):
         super().__init__()
         self.monoid = monoid
         self.nbits = monoid.size
+        self._rows: dict = {}              # y -> {i: the row {i·j : j in y}}
 
     @property
     def one(self):
         return 1 << self.monoid.identity
 
-    def _mul(self, x, y):
-        mul = self.monoid.mul
-        ys = _bits(y)
+    def mul(self, x, y):
+        """The union, over the bits i of x, of the rows {i·j : j ∈ y}.
+
+        Each row is made once per right factor y, the first time it is
+        needed, so a right factor met again costs one union per bit of x."""
+        rows = self._rows.setdefault(y, {})
         out = 0
-        for i in _bits(x):
-            row = mul[i]
-            for j in ys:
-                out |= 1 << row[j]
+        while x:
+            low = x & -x
+            i = low.bit_length() - 1
+            row = rows.get(i)
+            if row is None:
+                mul = self.monoid.mul[i]
+                row = 0
+                for j in _bits(y):
+                    row |= 1 << mul[j]
+                rows[i] = row
+            out |= row
+            x ^= low
         return out
 
     def singleton(self, m: int) -> int:
@@ -131,66 +132,53 @@ class RelationSemiring(Semiring):
         self._rowmask = (1 << state_count) - 1
         self._colmask = sum(1 << (i * state_count) for i in range(state_count))
         self._one = sum(1 << (i * state_count + i) for i in range(state_count))
+        self._rows: dict = {}              # y -> its nonempty rows (j, row j)
 
     @property
     def one(self):
         return self._one
 
-    def _mul(self, x, y):
+    def mul(self, x, y):
         """Row i of x·y is the union of the rows j of y with (i, j) in x.
 
         So each nonempty row j of y is copied into the rows that column j of
         x picks: x >> j masked to the column has bit i*|Q| for each picked
         row i, and times the row (below 2^|Q|) it holds one copy of the row
-        at each of them, with no carries.
+        at each of them, with no carries.  The nonempty rows of a right
+        factor are listed once, the first time it is met.
         """
-        q = self.q
-        rm = self._rowmask
+        rows = self._rows.get(y)
+        if rows is None:
+            q, rm = self.q, self._rowmask
+            rows = self._rows[y] = [(j, y >> j * q & rm) for j in range(q) if y >> j * q & rm]
         col = self._colmask
         out = 0
-        j = 0
-        while y:
-            yrow = y & rm
-            if yrow:
-                out |= (x >> j & col) * yrow
-            y >>= q
-            j += 1
+        for j, yrow in rows:
+            out |= (x >> j & col) * yrow
         return out
 
     def pair(self, i: int, j: int) -> int:
         return 1 << (i * self.q + j)
 
 
-class AlphabetSemiring(Semiring):
-    """Sets of sub-alphabets; union / pairwise sub-alphabet union.
+class AlphabetSemiring(PowersetMonoidSemiring):
+    """Sets of sub-alphabets; union / pairwise sub-alphabet union.  This is
+    the powerset of the monoid of sub-alphabets under union, whose identity
+    is ∅.
 
     Bit B (a sub-alphabet mask) encodes membership of B in the set; the
     multiplicative unit is {∅}.
     """
 
     def __init__(self, alphabet: Alphabet, caps: Caps = DEFAULT_CAPS):
-        super().__init__()
         if len(alphabet) > caps.max_alphabet_sets:
             raise AlphabetCapError("max_alphabet_sets", caps.max_alphabet_sets,
                                    f"alphabet has {len(alphabet)} symbols")
+        nsub = 1 << len(alphabet)
+        super().__init__(MonoidMorphism(nsub, 0, [[b | c for c in range(nsub)] for b in range(nsub)],
+                                        {a: 1 << k for k, a in enumerate(alphabet.symbols)}))
         self.alphabet = alphabet
-        self.nsub = 1 << len(alphabet)
-        self.nbits = self.nsub
-
-    @property
-    def one(self):
-        return 1  # the set {∅}
-
-    def _mul(self, x, y):
-        ys = _bits(y)
-        out = 0
-        for b in _bits(x):
-            for c in ys:
-                out |= 1 << (b | c)
-        return out
-
-    def singleton(self, sub_mask: int) -> int:
-        return 1 << sub_mask
+        self.nsub = nsub
 
     def members(self, x: int):
         """The sub-alphabet masks collected in x."""
@@ -212,7 +200,7 @@ class ProductSemiring(Semiring):
         for p in parts:
             if isinstance(p, ProductSemiring):
                 flat.extend(p.parts)
-            elif isinstance(p, (RelationSemiring, PowersetMonoidSemiring, AlphabetSemiring)):
+            elif isinstance(p, (RelationSemiring, PowersetMonoidSemiring)):
                 flat.append(p)
             else:
                 raise InputError(f"cannot pack a {type(p).__name__} into a product: "
@@ -229,6 +217,7 @@ class ProductSemiring(Semiring):
         self.nbits = shift
         self._fields = tuple(reversed(fields))
         self._one = one
+        self._memo: dict = {}
 
     @property
     def one(self):
@@ -245,8 +234,13 @@ class ProductSemiring(Semiring):
         """The parts' elements of x, in the order of `parts`."""
         return tuple(x >> shift & m for _, shift, m in self._fields)
 
-    def _mul(self, x, y):
-        out = 0
-        for mul, shift, m in self._fields:
-            out |= mul(x >> shift & m, y >> shift & m) << shift
+    def mul(self, x, y):
+        """Part by part, memoized: the one memo of products."""
+        key = (x, y)
+        out = self._memo.get(key)
+        if out is None:
+            out = 0
+            for mul, shift, m in self._fields:
+                out |= mul(x >> shift & m, y >> shift & m) << shift
+            self._memo[key] = out
         return out

@@ -110,10 +110,40 @@ def is_piece(u: str, v: str) -> bool:
     return all(c in it for c in u)
 
 
+# -- smart constructors: regexes simplified by the laws of ∅ and ε ------------
+
+def union(left: rx.Regex, right: rx.Regex) -> rx.Regex:
+    if isinstance(left, rx.Empty):
+        return right
+    if isinstance(right, rx.Empty):
+        return left
+    if left == right:
+        return left
+    return rx.Union(left, right)
+
+
+def concat(left: rx.Regex, right: rx.Regex) -> rx.Regex:
+    if isinstance(left, rx.Empty) or isinstance(right, rx.Empty):
+        return rx.EMPTY
+    if isinstance(left, rx.Epsilon):
+        return right
+    if isinstance(right, rx.Epsilon):
+        return left
+    return rx.Concat(left, right)
+
+
+def star(inner: rx.Regex) -> rx.Regex:
+    if isinstance(inner, (rx.Empty, rx.Epsilon)):
+        return rx.EPSILON
+    if isinstance(inner, (rx.Star, rx.Plus)):
+        return rx.Star(inner.inner)
+    return rx.Star(inner)
+
+
 def union_all(parts) -> rx.Regex:
     out = rx.EMPTY
     for p in parts:
-        out = rx.union(out, p)
+        out = union(out, p)
     return out
 
 
@@ -127,11 +157,11 @@ def exact_alphabet_regex(alphabet: Alphabet, subset) -> rx.Regex:
     def build(b: tuple) -> rx.Regex:
         if not b:
             return rx.EPSILON
-        bstar = rx.star(union_all(rx.Letter(a) for a in b))
+        bstar = star(union_all(rx.Letter(a) for a in b))
         parts = []
         for a in b:
             rest = tuple(x for x in b if x != a)
-            parts.append(rx.concat(rx.concat(build(rest), rx.Letter(a)), bstar))
+            parts.append(concat(concat(build(rest), rx.Letter(a)), bstar))
         return union_all(parts)
 
     return build(tuple(sorted(set(subset))))

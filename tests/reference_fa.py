@@ -19,7 +19,7 @@ from regcov import rx
 from regcov.fa import (Alphabet, Dfa, MonoidMorphism, Nfa, is_empty, minimize,
                        nfa_complement, nfa_intersection)
 
-from helpers import trim
+from helpers import concat, star, trim, union
 
 
 def determinize(n: Nfa) -> Dfa:
@@ -53,7 +53,7 @@ def nfa_to_regex(n: Nfa) -> rx.Regex:
     def add(q, r, e):
         if isinstance(e, rx.Empty):
             return
-        edges[(q, r)] = rx.union(edges.get((q, r), rx.EMPTY), e)
+        edges[(q, r)] = union(edges.get((q, r), rx.EMPTY), e)
 
     for (q, a, r) in sorted(n.transitions):
         add(q, r, rx.Letter(a))
@@ -74,7 +74,7 @@ def nfa_to_regex(n: Nfa) -> rx.Regex:
         s = min(states, key=lambda x: (weight[x], x))
         states.remove(s)
         loop = edges.pop((s, s), rx.EMPTY)
-        loopstar = rx.star(loop) if not isinstance(loop, rx.Empty) else rx.EPSILON
+        loopstar = star(loop) if not isinstance(loop, rx.Empty) else rx.EPSILON
         incoming = [(q, e) for (q, r), e in edges.items() if r == s]
         outgoing = [(r, e) for (q, r), e in edges.items() if q == s]
         for (q, _) in incoming:
@@ -83,7 +83,7 @@ def nfa_to_regex(n: Nfa) -> rx.Regex:
             edges.pop((s, r))
         for (q, ein) in incoming:
             for (r, eout) in outgoing:
-                add(q, r, rx.concat(rx.concat(ein, loopstar), eout))
+                add(q, r, concat(concat(ein, loopstar), eout))
     return edges.get((start, end), rx.EMPTY)
 
 

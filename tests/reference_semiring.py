@@ -23,7 +23,7 @@ from regcov.semiring import (AlphabetSemiring, PowersetMonoidSemiring,
 class ScanRelationSemiring(RelationSemiring):
     """Relation composition over all |Q|² positions."""
 
-    def _mul(self, x, y):
+    def mul(self, x, y):
         q = self.q
         rm = self._rowmask
         out = 0
@@ -42,7 +42,7 @@ class ScanRelationSemiring(RelationSemiring):
 class ScanPowersetMonoidSemiring(PowersetMonoidSemiring):
     """Lifted product found by scanning every monoid element."""
 
-    def _mul(self, x, y):
+    def mul(self, x, y):
         mul = self.monoid.mul
         out = 0
         xs = [i for i in range(self.nbits) if x >> i & 1]
@@ -57,7 +57,7 @@ class ScanPowersetMonoidSemiring(PowersetMonoidSemiring):
 class ScanAlphabetSemiring(AlphabetSemiring):
     """Pairwise unions found by scanning every sub-alphabet."""
 
-    def _mul(self, x, y):
+    def mul(self, x, y):
         out = 0
         xs = [b for b in range(self.nsub) if x >> b & 1]
         ys = [c for c in range(self.nsub) if y >> c & 1]
@@ -71,10 +71,10 @@ def scan_twin(part: Semiring) -> Semiring:
     """The scanning kind with the same elements as a bit-vector part."""
     if isinstance(part, RelationSemiring):
         return ScanRelationSemiring(part.q)
+    if isinstance(part, AlphabetSemiring):       # a monoid powerset too
+        return ScanAlphabetSemiring(part.alphabet)
     if isinstance(part, PowersetMonoidSemiring):
         return ScanPowersetMonoidSemiring(part.monoid)
-    if isinstance(part, AlphabetSemiring):
-        return ScanAlphabetSemiring(part.alphabet)
     raise TypeError(f"no scanning twin for {type(part).__name__}")
 
 
@@ -97,7 +97,7 @@ class TupleProductSemiring(Semiring):
     def add(self, x, y):
         return tuple(p.add(a, b) for p, a, b in zip(self.parts, x, y))
 
-    def _mul(self, x, y):
+    def mul(self, x, y):
         return tuple(p.mul(a, b) for p, a, b in zip(self.parts, x, y))
 
     def leq(self, x, y):
@@ -137,7 +137,7 @@ class TableSemiring(Semiring):
     def leq(self, x, y):
         return self._add[x][y] == y
 
-    def _mul(self, x, y):
+    def mul(self, x, y):
         return self._mul_table[x][y]
 
     def elements(self):

@@ -11,13 +11,13 @@ from regcov import rx
 from regcov.fa import Alphabet
 from regcov.rx import Regex
 
-from helpers import exact_alphabet_regex, union_all
+from helpers import concat, exact_alphabet_regex, star, union_all
 
 
 def concat_all(parts) -> Regex:
     out: Regex = rx.EPSILON
     for p in parts:
-        out = rx.concat(out, p)
+        out = concat(out, p)
     return out
 
 
@@ -63,7 +63,7 @@ def template_regex(template: Template, n: int, alphabet: Alphabet) -> Regex:
             parts.append(rx.Letter(t))
         else:
             (b, bset, c) = t
-            bstar = rx.star(union_all(rx.Letter(x) for x in sorted(bset)))
+            bstar = star(union_all(rx.Letter(x) for x in sorted(bset)))
             exact = exact_alphabet_regex(alphabet, bset)
             blocks = concat_all([exact] * n)
             parts.append(concat_all([bstar, rx.Letter(b), blocks, rx.Letter(c), bstar]))

@@ -653,6 +653,46 @@ def test_sigma1_cover_has_one_piece_per_image(capsys):
     assert verified["piece_witnesses"] == [1, 0, 0]
 
 
+# a^200 a*, and the words of length at most 199 written as 199 optional letters
+A200 = ["--alphabet", "a", "--target", "a" * 200 + "+"]
+DENSE = A200 + ["--against", "(a|%eps)" * 199]
+
+
+def test_sigma1_separates_a_dense_automaton(capsys):
+    # the separator is re-checked against the 200-state automaton of DENSE
+    # by a walk over state pairs; building their product took 8-10 s
+    code, out, err = run(capsys, ["separate", "--class", "sigma1"] + DENSE + ["--json"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["coverable"] is True and doc["separator"] == "a" * 200 + "a*"
+
+
+def test_bsigma1_member_of_a_long_power(capsys):
+    # a 601-element monoid: its powerset products reuse the rows of each
+    # right factor (21 s before)
+    code, out, err = run(capsys, ["member", "--class", "bsigma1", "--alphabet", "a",
+                                  "--target", "a" * 600 + "+", "--json"])
+    assert code == 0, err
+    assert json.loads(out)["member"] is True
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["member", "--class", "fo2", "--alphabet", "a", "--target", "a" * 170 + "+",
+      "--emit-cover"], 3),
+    (["separate", "--class", "fo2"] + DENSE, 0),
+], ids=["member-emit-cover", "separate"])
+def test_fo2_synthesis_over_many_contexts_keeps_a_shallow_stack(argv, code):
+    # a^n+ gives one child context per power of a within one sub-alphabet;
+    # a recursion per context ended in a RecursionError (exit 1) from n = 170
+    proc = subprocess.run([sys.executable, "-m", "regcov"] + argv + ["--json"],
+                          env=regcov_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code and "Traceback" not in proc.stderr, proc.stderr
+    if code == 3:
+        assert "max_pieces" in proc.stderr
+    else:                                  # the separator was opportunistic
+        assert json.loads(proc.stdout)["stats"]["synthesis"] == {"skipped": "max_pieces"}
+
+
 GOOD_INSTANCE = {"alphabet": "ab", "class": "at", "target": "a+", "against": ["b+"]}
 FLAGS = ["--class", "bsigma1", "--alphabet", "ab", "--target", "a+", "--against", "b+"]
 

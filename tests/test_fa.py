@@ -1,9 +1,11 @@
 """Automaton constructions, decisions, the transition monoid and the special
 languages."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from regcov import (DEFAULT_CAPS, Alphabet, DeterminizationCapError, InputError,
                     alphabet_exact, alphabet_star,
@@ -16,7 +18,7 @@ from regcov.fa import Nfa, empty_language
 
 import reference_fa
 from helpers import (alphabet_languages, denote_upto, exact_alphabet_regex, is_piece, nfa_of,
-                     nfa_to_json, random_nfa, random_regex, trim, words_upto)
+                     nfas, nfa_to_json, random_nfa, random_regex, trim, words_upto)
 
 AB = Alphabet("ab")
 
@@ -82,6 +84,14 @@ def test_pairwise_intersections_meet_but_triple_is_empty():
     assert not is_empty(nfa_intersection(l0, l1))
     assert not is_empty(nfa_intersection(l0, l2))
     assert is_empty(nfa_intersection(nfa_intersection(l0, l1), l2))
+    assert not is_empty(l0, l1) and not is_empty(l2, l0) and is_empty(l0, l1, l2)
+
+
+@given(st.sampled_from([AB, ABC]).flatmap(lambda a: st.lists(nfas(a), min_size=1, max_size=3)))
+def test_emptiness_of_an_intersection_matches_the_product_automaton(langs):
+    # is_empty walks the tuples of states on one word and builds no product;
+    # it stops only at a tuple whose states are all final
+    assert is_empty(*langs) == is_empty(functools.reduce(nfa_intersection, langs))
 
 
 def test_concat_matches_denotation():
@@ -126,6 +136,8 @@ def test_decisions():
 def test_alphabet_mismatch_rejected():
     with pytest.raises(InputError):
         nfa_union(nfa_of("a", "ab"), nfa_of("a", "abc"))
+    with pytest.raises(InputError):
+        is_empty(nfa_of("a", "ab"), nfa_of("b", "ab"), nfa_of("a", "abc"))
 
 
 def test_transition_monoid_universal_is_trivial():

@@ -51,8 +51,10 @@ def test_print_parse_roundtrip_on_samples():
 
 
 def test_smart_constructors_simplify():
-    assert rx.union(rx.EMPTY, rx.Letter("a")) == rx.Letter("a")
-    assert rx.concat(rx.EPSILON, rx.Letter("a")) == rx.Letter("a")
-    assert rx.concat(rx.EMPTY, rx.Letter("a")) == rx.EMPTY
-    assert rx.star(rx.EMPTY) == rx.EPSILON
-    assert rx.star(rx.star(rx.Letter("a"))) == rx.Star(rx.Letter("a"))
+    from helpers import concat, star, union
+
+    assert union(rx.EMPTY, rx.Letter("a")) == rx.Letter("a")
+    assert concat(rx.EPSILON, rx.Letter("a")) == rx.Letter("a")
+    assert concat(rx.EMPTY, rx.Letter("a")) == rx.EMPTY
+    assert star(rx.EMPTY) == rx.EPSILON
+    assert star(star(rx.Letter("a"))) == rx.Star(rx.Letter("a"))

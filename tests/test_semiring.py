@@ -9,11 +9,10 @@ from hypothesis import given, strategies as st
 from regcov import (Alphabet, AlphabetSemiring, MonoidMorphism,
                     PowersetMonoidSemiring, ProductSemiring, RelationSemiring,
                     rm_from_morphism, transition_monoid)
-from regcov.covers import _right_multiplier
 
 from explicit_engine import downset
 from helpers import leq, nfas
-from reference_semiring import TableSemiring, validate_semiring
+from reference_semiring import ScanPowersetMonoidSemiring, TableSemiring, validate_semiring
 
 Z2 = MonoidMorphism(2, 0, ((0, 1), (1, 0)), {"a": 1})
 
@@ -263,9 +262,9 @@ def test_product_refuses_table_parts():
 
 @given(st.data())
 def test_right_multiplication_is_the_union_of_the_rows_of_its_bits(data):
-    # Σ1 cover synthesis multiplies by a table of the products (1 << b)·g,
-    # which is x·g because every kind adds by union and multiplies
-    # distributively over it
+    # every kind adds by union and multiplies distributively over it, so x·g
+    # is the union of the products (1 << b)·g over the bits b of x; the
+    # powerset kind computes its products so, one row per bit and right factor
     alphabet = data.draw(st.sampled_from([Alphabet("ab"), Alphabet("abc")]))
     monoid, _ = transition_monoid(data.draw(nfas(alphabet, 3)))
     parts = [PowersetMonoidSemiring(monoid), RelationSemiring(data.draw(st.integers(1, 4))),
@@ -275,4 +274,17 @@ def test_right_multiplication_is_the_union_of_the_rows_of_its_bits(data):
         g = data.draw(st.integers(0, (1 << sr.nbits) - 1))
         rows = [sr.mul(1 << b, g) for b in range(sr.nbits) if x >> b & 1]
         assert sr.mul(x, g) == functools.reduce(operator.or_, rows, 0)
-        assert _right_multiplier(sr, g)(x) == sr.mul(x, g)
+
+
+@given(st.data())
+def test_powerset_rows_are_kept_per_right_factor(data):
+    # one semiring multiplies a sequence of pairs whose right factors come
+    # from a small pool, so rows made for one right factor are met again;
+    # every product must be the scanning reference's
+    alphabet = data.draw(st.sampled_from([Alphabet("ab"), Alphabet("abc")]))
+    monoid, _ = transition_monoid(data.draw(nfas(alphabet, 3)))
+    sr, ref = PowersetMonoidSemiring(monoid), ScanPowersetMonoidSemiring(monoid)
+    elems = st.integers(0, (1 << sr.nbits) - 1)
+    pool = data.draw(st.lists(elems, min_size=2, max_size=3))
+    for x, y in data.draw(st.lists(st.tuples(elems, st.sampled_from(pool)), min_size=1, max_size=12)):
+        assert sr.mul(x, y) == ref.mul(x, y)
