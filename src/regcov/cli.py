@@ -350,7 +350,7 @@ def run_oracle(inst: Instance, which: str, k: Optional[int]) -> dict:
     if which == "pt-k":
         if k is None:
             raise InputError("pt-k needs --max-k (the piece bound)")
-        pa = pt_partition(k, inst.alphabet, inst.caps)
+        pa, _ = pt_partition(k, inst.alphabet, inst.caps)
         doc = {"oracle": which, "k": k, "classes": pa.state_count}
         if inst.target is not None and inst.target is not UNIVERSAL:
             doc["target_is_ptk"] = are_unions_of_classes([inst.target], pa, inst.caps)

@@ -3,9 +3,10 @@
 Synthesizers emit covers whose imprint matches the saturated optimum:
 alphabet atoms for AT, superword closures of the target's minimal words,
 united per rating image, for level-1 existential sentences,
-piece-equivalence partitions for their Boolean closure, and the recursive
-left-factor construction for two-variable logic.  `verify_cover` re-checks
-everything with automata only.
+piece-equivalence classes, each refined only while its image misses the
+goal, for their Boolean closure, and the recursive left-factor
+construction for two-variable logic.  `verify_cover` re-checks everything
+with automata only.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (Caps, DEFAULT_CAPS, DeterminizationCapError, InputError, PieceCapError,
-                     SaturationCapError)
+                     PtStateCapError, SaturationCapError)
 from . import rx
 from .fa import (Alphabet, Dfa, MonoidMorphism, Nfa, explore, includes, is_empty, minimize,
                  minimize_labelled, nfa_complement, nfa_intersection, nfa_to_regex, nfa_union,
@@ -77,7 +78,7 @@ class Cover:
 def at_cover(alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> Cover:
     """Atoms of the alphabet-testable algebra: the classes of the 1-piece
     partition."""
-    pa = pt_partition(1, alphabet, caps)
+    pa, _ = pt_partition(1, alphabet, caps)
     pieces = _label_pieces(alphabet, pa.delta, pa.initial, list(range(pa.state_count)))
     return Cover(ClassId.AT, universal_language(alphabet), pieces,
                  partition=pa, provenance="alphabet atoms")
@@ -158,18 +159,45 @@ def _fiber_nfa(alpha: MonoidMorphism, targets, alphabet: Alphabet) -> Nfa:
 
 def bsigma1_cover(rho: RatingMap, goal: ImprintSet,
                   caps: Caps = DEFAULT_CAPS) -> Cover:
-    """Universal cover by unions of piece-equivalence classes, deepening k
-    until the classes' images all lie in the saturated goal.
+    """Universal cover by unions of piece-equivalence classes, each class
+    refined only while its image lies outside the saturated goal.
 
-    Every k-class cover is piecewise testable and its imprint shrinks as k
-    grows; equality with the goal certifies optimality.  If the depth cap is
-    reached first the last cover is returned flagged non-optimal.
+    Level K = 0, 1, … is the partition deepened to K under the open classes
+    of the levels before it (`pieces.pt_partition`).  Open_K is the set of
+    its K-classes whose image is not in the goal; the deepening stops at
+    the first level whose Open_K is empty.  The j-classes refine the
+    (j−1)-classes, and the image of a subset lies below the image of the
+    set, so a class whose image is in the (downward closed) goal never
+    needs deepening, and the open classes are closed under truncation.
+
+    The cover of the last level is optimal.  Each of its classes is one
+    j-class, j ≤ K.  For j = K its image was checked at this level.  For
+    j < K the class is below no open j-class, so it is not in Open_j; and
+    level j, which deepened the same classes below depth j, held it as a
+    j-class and found its image in the goal.  So every image lies in the
+    goal, and the cover's imprint, the downward closure of its images, lies
+    within the goal, the least imprint of any BΣ1 cover: the two are equal.
+    A j-class is a union of K-classes, so each piece is K-piecewise
+    testable.
+
+    The levels stay small where the uniform partition does not: over three
+    letters it has 5,312 classes at K = 3 and 334,202 at K = 4.  They stop
+    at the depth bound `caps.max_k`, or before the first level past
+    `max_pt_states`; the last cover built is then returned flagged
+    non-optimal, with the stop named in its provenance.
     """
-    for k in range(caps.pt_depth_cap(len(rho.alphabet)) + 1):
-        pa = pt_partition(k, rho.alphabet, caps)
+    open_classes: set = set()
+    for k in range(caps.max_k + 1):
+        try:
+            pa, classes = pt_partition(k, rho.alphabet, caps, open_classes)
+        except PtStateCapError as exc:     # level 0 has one class, so k > 0
+            return _partition_cover(pa, k - 1, images, optimal=False,
+                                    stop=f" | k={k} passed {exc.cap_name}")
         images = _partition_images(pa, rho, caps)
-        if all(img in goal for img in set(images.values())):
+        missed = {c for q, c in enumerate(classes) if c[0] == k and images[q] not in goal}
+        if not missed:
             return _partition_cover(pa, k, images, optimal=True)
+        open_classes |= missed
     return _partition_cover(pa, k, images, optimal=False)
 
 
@@ -183,16 +211,17 @@ def _partition_images(pa: Dfa, rho: RatingMap, caps: Caps) -> dict:
     return sums
 
 
-def _partition_cover(pa: Dfa, k: int, images: dict, optimal: bool) -> Cover:
-    """One piece per distinct image: the union of the k-classes of that
-    image, which is the partition DFA with those classes as finals.
+def _partition_cover(pa: Dfa, k: int, images: dict, optimal: bool, stop: str = "") -> Cover:
+    """One piece per distinct image: the union of the partition's classes
+    of that image, which is the partition DFA with those classes as finals.
 
     This covers as the per-class cover did, with the same imprint:
 
     - addition is idempotent, so the union of classes of image r has image
       r, the cover's images are the classes' images, and the cover is
       optimal exactly when the per-class one was;
-    - a union of k-classes is k-piecewise testable;
+    - every class is a j-class for some j ≤ k, so a union of classes is a
+      union of k-classes, and k-piecewise testable;
     - classes with equal images meet the same languages, so separation and
       `restrict_cover` are unchanged.
 
@@ -206,7 +235,7 @@ def _partition_cover(pa: Dfa, k: int, images: dict, optimal: bool) -> Cover:
     pieces = _label_pieces(pa.alphabet, delta, 0, labels)
     return Cover(ClassId.BSIGMA1, universal_language(pa.alphabet), pieces,
                  k=k, partition=pa, optimal=optimal,
-                 provenance=f"piece-equivalence partition at k={k}")
+                 provenance=f"piece-equivalence partition at k={k}{stop}")
 
 
 def _label_pieces(alphabet: Alphabet, delta: tuple, initial: int, labels: list) -> list:
@@ -409,23 +438,29 @@ class _Fo2State:
         return self._reach_cache[key]
 
     def right_saturated(self, t, subset: tuple) -> Optional[str]:
-        """None when saturated, else the smallest violating letter."""
-        sr, rho = self.sr, self.rho
-        sb = self.s_b(subset)
-        for b in subset:
-            img = rho.letter_image[b]
-            if not any(t in self.right_reach(sr.mul(sr.mul(t, x), img), subset) for x in sb):
-                return b
-        return None
+        """None when saturated, else the smallest violating letter; it reads
+        only the left context t, so it is computed once per (t, B)."""
+        key = ("rs", t, subset)
+        if key not in self._reach_cache:
+            sr, rho = self.sr, self.rho
+            sb = self.s_b(subset)
+            self._reach_cache[key] = next(
+                (b for b in subset
+                 if not any(t in self.right_reach(sr.mul(sr.mul(t, x), rho.letter_image[b]),
+                                                  subset) for x in sb)), None)
+        return self._reach_cache[key]
 
     def left_saturated(self, t, subset: tuple) -> Optional[str]:
-        sr, rho = self.sr, self.rho
-        sb = self.s_b(subset)
-        for b in subset:
-            img = rho.letter_image[b]
-            if not any(t in self.left_reach(sr.mul(img, sr.mul(x, t)), subset) for x in sb):
-                return b
-        return None
+        """The mirror image of `right_saturated`, on the right context t."""
+        key = ("ls", t, subset)
+        if key not in self._reach_cache:
+            sr, rho = self.sr, self.rho
+            sb = self.s_b(subset)
+            self._reach_cache[key] = next(
+                (b for b in subset
+                 if not any(t in self.left_reach(sr.mul(rho.letter_image[b], sr.mul(x, t)),
+                                                 subset) for x in sb)), None)
+        return self._reach_cache[key]
 
     def _bump(self, n: int):
         self.count += n
@@ -451,7 +486,7 @@ class _Fo2State:
         after its children, so the Python stack grows with the nesting of
         sub-alphabets, not with the number of contexts."""
         top = (subset, left, right)
-        peeled: dict = {}                  # node on the stack -> (b, forward)
+        peeled: dict = {}                  # node on the stack -> (b, forward, F and children)
         stack = [top]
         while stack:
             key = stack[-1]
@@ -462,13 +497,14 @@ class _Fo2State:
                 forward = b is not None
                 if not forward:
                     b = self.left_saturated(key[2], subset)
-                peeled[key] = (b, forward if b else None)
+                children = self._children(*key, b, forward) if b else None
+                peeled[key] = (b, forward if b else None, children)
                 if b:
-                    stack.extend(reversed(self._children(*key, b, forward)[1].values()))
+                    stack.extend(reversed(children[1].values()))
             else:                          # its children are built
                 stack.pop()
-                b, forward = peeled.pop(key)
-                m = self._peel(*key, b, forward) if b else self._base(*key)
+                b, forward, children = peeled.pop(key)
+                m = self._peel(*key, b, forward, children) if b else self._base(*key)
                 self._bump(len(set(m[1]) - {None}))
                 self._nodes[key] = (forward, m)
         return self._nodes[top]
@@ -489,13 +525,13 @@ class _Fo2State:
                    else (subset, left, mul(mul(bimg, x), right))
                    for x in f[1] if x is not None}
 
-    def _peel(self, subset: tuple, left, right, b: str, forward: bool):
+    def _peel(self, subset: tuple, left, right, b: str, forward: bool, f_and_children):
         """The minimal machine of a peel node whose children are built: a
         copy of F labelled in context, whose letter b leads to one copy of
         each distinct child, minimized."""
         mul = self.sr.mul
         bi = self.rho.alphabet.index(b)
-        (f_delta, f_labels), children = self._children(subset, left, right, b, forward)
+        (f_delta, f_labels), children = f_and_children
         rows = [list(row) for row in f_delta]
         in_context = {x: mul(mul(left, x), right) for x in children}
         labels = [in_context.get(x) for x in f_labels]
@@ -580,8 +616,10 @@ def verify_cover(cover: Cover, target: Nfa, against: list,
     The pieces of a sigma1 cover are checked closed under superwords.  The
     pieces of a cover that carries its partition (at, bsigma1) are checked
     unions of its classes, all in one walk of the partition that synthesis
-    built (`pieces.are_unions_of_classes`).  Any other cover's class is
-    certified by construction only."""
+    built (`pieces.are_unions_of_classes`).  Each class of a bsigma1
+    partition is one j-piece-equivalence class with j ≤ k, a union of
+    k-classes, so each piece is k-piecewise testable.  Any other cover's
+    class is certified by construction only."""
     covers_target = _covers_incrementally(target, cover.pieces, caps)
     witnesses = []
     separating = True
@@ -603,6 +641,6 @@ def verify_cover(cover: Cover, target: Nfa, against: list,
     elif cover.partition is not None:
         class_ok = are_unions_of_classes([p.nfa for p in cover.pieces], cover.partition, caps)
         note = ("each piece a union of alphabet atoms" if cover.class_id is ClassId.AT
-                else f"each piece a union of {cover.k}-piece-equivalence classes")
+                else f"each piece a union of j-piece-equivalence classes, j <= {cover.k}")
 
     return VerifyReport(covers_target, separating, witnesses, class_ok, note)

@@ -85,18 +85,11 @@ class Caps:
     max_pieces: int = 10_000           # fo2 cover pieces: the distinct
                                        # labels in context of each recursion
                                        # node, summed over the nodes
-    max_pt_states: int = 50_000        # piece-automaton states
-    max_k: int = 0                     # piece-length bound; 0 = per-alphabet default
-
-    def pt_depth_cap(self, alphabet_size: int) -> int:
-        """Deepest piece length tried when synthesizing piecewise covers."""
-        if self.max_k:
-            return self.max_k
-        if alphabet_size <= 2:
-            return 4
-        if alphabet_size == 3:
-            return 3
-        return 2
+    max_pt_states: int = 50_000        # states of each level's partition
+                                       # for bsigma1 covers (the deepening
+                                       # stops at the first level past it),
+                                       # and of the oracle's pt-k partition
+    max_k: int = 4                     # piece-length bound of bsigma1 covers
 
     def with_overrides(self, **kw) -> "Caps":
         return replace(self, **{k: v for k, v in kw.items() if v is not None})

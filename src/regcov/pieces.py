@@ -1,8 +1,9 @@
 """Pieces (scattered subwords) and the piece-equivalence partition for
 piecewise-testable covers.
 
-Two words are k-equivalent when they contain the same pieces of length at
-most k; the partition DFA tracks the reachable piece sets.
+Two words are j-equivalent when they contain the same pieces of length at
+most j; the partition DFA tracks the reachable piece sets, each to the
+depth that its open classes call for.
 """
 
 from __future__ import annotations
@@ -11,13 +12,28 @@ from .errors import Caps, DEFAULT_CAPS, PtStateCapError
 from .fa import Alphabet, Dfa, explore, minimize
 
 
-def pt_partition(k: int, alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> Dfa:
-    """Partition of all words into k-piece-equivalence classes: the complete
-    DFA of reachable piece sets, without finals, one state per class.
+def pt_partition(k: int, alphabet: Alphabet, caps: Caps = DEFAULT_CAPS, open=None):
+    """(partition, classes): a partition of all words into piece-equivalence
+    classes of depth at most k, as a complete DFA without finals, and the
+    class (j, S) of each of its states, the words whose pieces of length at
+    most j are the set S.
 
     A piece set is a bitmask over the pieces of length at most k, shortest
-    first.  Reading a letter a adds u·a for every member u shorter than k;
-    those members fill the low bits, and per-byte tables map each byte of
+    first and in alphabet order within a length, so the j-truncation of S,
+    its pieces of length at most j, is a low-bit mask.
+
+    `open` holds the open classes (i, S) of depths i < k; None opens every
+    class, which gives the uniform k-piece partition.  A word's class is
+    tracked at depth j only while, for every i < j, the i-truncation of its
+    piece set lies bitwise below some open i-class.  A piece set only grows
+    along a word, so once the i-truncation is below no open i-class it
+    never is again: the depth drops to i for good, and the word's class is
+    the i-class of its i-truncation.  Whether a word is tracked at depth j
+    is so a function of its j-class, and every state (j, S) is exactly the
+    j-class S, a union of k-classes.
+
+    Reading a letter a at depth j adds u·a for every member u shorter than
+    j; those members fill the low bits, and per-byte tables map each byte of
     them to the bits of their extensions.
     """
     pieces = [""]
@@ -25,33 +41,65 @@ def pt_partition(k: int, alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> Dfa:
         if len(u) < k:
             pieces.extend(u + a for a in alphabet)
     bit = {u: 1 << i for i, u in enumerate(pieces)}
-    short = sum(1 for u in pieces if len(u) < k)
+    short = [sum(1 for u in pieces if len(u) < j) for j in range(k + 1)]
     tables = []
     for a in alphabet:
         per_byte = []
-        for lo in range(0, short, 8):
-            ext = [bit[u + a] for u in pieces[lo:min(lo + 8, short)]]
+        for lo in range(0, short[k], 8):
+            ext = [bit[u + a] for u in pieces[lo:min(lo + 8, short[k])]]
             table = [0] * (1 << len(ext))
             for v in range(1, len(table)):
                 low = v & -v
                 table[v] = table[v ^ low] | ext[low.bit_length() - 1]
-            per_byte.append((lo, (1 << len(ext)) - 1, table))
+            per_byte.append((lo, table))
         tables.append(per_byte)
+    # steps[j][a]: the tables of the bytes of the members shorter than j,
+    # each byte masked to those members
+    steps = [[[(lo, (1 << min(8, short[j] - lo)) - 1, table)
+               for lo, table in per_byte if lo < short[j]]
+              for per_byte in tables] for j in range(k + 1)]
+    # a state is the int S << shift | j
+    shift = k.bit_length()
+    opens = None
+    if open is not None:
+        opens = [[] for _ in range(k)]
+        for j, s in open:
+            if j < k:
+                opens[j].append(s)
+    fits: dict = {}                        # (i, truncation) -> below an open i-class
 
-    def successors(cur):
+    def settle(j, s):
+        """The state of a piece set s of depth j, the depth dropped to the
+        first i whose truncation is below no open i-class."""
+        if opens is not None:
+            for i in range(j):
+                t = s & ((1 << short[i + 1]) - 1)
+                key = (i, t)
+                if key not in fits:
+                    fits[key] = any(t | o == o for o in opens[i])
+                if not fits[key]:
+                    return t << shift | i
+        return s << shift | j
+
+    depth_mask = (1 << shift) - 1
+
+    def successors(state):
+        j, cur = state & depth_mask, state >> shift
         row = []
-        for per_byte in tables:
+        for grow in steps[j]:
             nxt = cur
-            for lo, mask, table in per_byte:
+            for lo, mask, table in grow:
                 nxt |= table[cur >> lo & mask]
-            row.append(nxt)
+            row.append(state if nxt == cur else settle(j, nxt))
         return row
 
-    found = explore(1, successors, caps.max_pt_states)   # bit 0 is the empty piece
+    # bit 0 is the empty piece
+    found = explore(settle(k, 1), successors, caps.max_pt_states)
     if found is None:
         raise PtStateCapError("max_pt_states", caps.max_pt_states, f"piece automaton at k={k}")
     order, rows = found
-    return Dfa(alphabet, len(order), 0, frozenset(), tuple(rows))
+    return (Dfa(alphabet, len(order), 0, frozenset(), tuple(rows)),
+            [(s & depth_mask, s >> shift) for s in order])
 
 
 def are_unions_of_classes(nfas: list, partition: Dfa, caps: Caps = DEFAULT_CAPS) -> bool:

@@ -207,7 +207,7 @@ def is_union_of_classes_per_class(nfa: Nfa, classes, caps=DEFAULT_CAPS) -> bool:
 
 def is_k_piecewise_testable(nfa: Nfa, k: int, caps=DEFAULT_CAPS) -> bool:
     """True iff the language is a union of k-equivalence classes."""
-    return are_unions_of_classes([nfa], pt_partition(k, nfa.alphabet, caps), caps)
+    return are_unions_of_classes([nfa], pt_partition(k, nfa.alphabet, caps)[0], caps)
 
 
 def alphabet_languages(alphabet: Alphabet, subset):

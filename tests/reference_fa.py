@@ -7,7 +7,8 @@ list at each elimination (it reads the edges in the same sorted order as
 `regcov.fa`); `includes` intersects lhs with the complement of rhs, built
 by the whole subset construction; `transition_monoid` composes and hashes
 the two transformations of every product in its table; `pt_partition`
-keeps piece sets as frozensets of strings; `partition_piece` trims the
+keeps piece sets as frozensets of strings, and `is_refined_partition`
+checks a partition of mixed depths with them; `partition_piece` trims the
 whole partition DFA with the given finals.
 """
 
@@ -121,7 +122,23 @@ def transition_monoid(n: Nfa):
     return morphism, accepting
 
 
-def pt_partition(k: int, alphabet: Alphabet) -> Dfa:
+def piece_order(k: int, alphabet: Alphabet) -> list:
+    """The pieces of length at most k, shortest first and in alphabet order
+    within a length: the bit order of `regcov.pieces.pt_partition`."""
+    pieces = [""]
+    for u in pieces:
+        if len(u) < k:
+            pieces.extend(u + a for a in alphabet)
+    return pieces
+
+
+def _grow(cur: frozenset, a: str, k: int) -> frozenset:
+    """The k-piece set after reading a, from the set `cur` before it."""
+    return frozenset(cur | {u + a for u in cur if len(u) < k})
+
+
+def piece_sets(k: int, alphabet: Alphabet) -> tuple:
+    """(the k-piece partition, the piece set of each of its states)."""
     start = frozenset([""])
     ids = {start: 0}
     order = [start]
@@ -131,14 +148,44 @@ def pt_partition(k: int, alphabet: Alphabet) -> Dfa:
         cur = order[i]
         row = []
         for a in alphabet:
-            nxt = frozenset(cur | {u + a for u in cur if len(u) < k})
+            nxt = _grow(cur, a, k)
             if nxt not in ids:
                 ids[nxt] = len(order)
                 order.append(nxt)
             row.append(ids[nxt])
         rows.append(tuple(row))
         i += 1
-    return Dfa(alphabet, len(order), 0, frozenset(), tuple(rows))
+    return Dfa(alphabet, len(order), 0, frozenset(), tuple(rows)), order
+
+
+def pt_partition(k: int, alphabet: Alphabet) -> Dfa:
+    return piece_sets(k, alphabet)[0]
+
+
+def is_refined_partition(pa: Dfa, classes: list, k: int) -> bool:
+    """True iff every state of the partition, labelled (j, S) with j <= k
+    and S a bitmask in `piece_order`, is exactly the j-class of S.
+
+    By induction on words, the state after w then has the label (j, S_j(w))
+    when the initial label holds only the empty piece and each letter leads
+    from (j, S) to a label (j', S') with j' <= j and S' the j'-truncation of
+    S grown by the letter.  A word lies in one state, so every state (j, S)
+    is the whole j-class of S iff no two labels (j, S), (j', S') with
+    j <= j' have S as the j-truncation of S'."""
+    order = piece_order(k, pa.alphabet)
+    sets = [(j, frozenset(u for i, u in enumerate(order) if s >> i & 1)) for j, s in classes]
+    if any(j > k or any(len(u) > j for u in s) for j, s in sets) or sets[pa.initial][1] != {""}:
+        return False
+    for (j, s), row in zip(sets, pa.delta):
+        for a, r in zip(pa.alphabet, row):
+            j2, s2 = sets[r]
+            if j2 > j or s2 != {u for u in _grow(s, a, j) if len(u) <= j2}:
+                return False
+    truncations: dict = {}
+    for q, (j, s) in enumerate(sets):
+        for i in range(j + 1):
+            truncations.setdefault((i, frozenset(u for u in s if len(u) <= i)), set()).add(q)
+    return all(truncations[label] == {q} for q, label in enumerate(sets))
 
 
 def partition_piece(pa: Dfa, finals) -> Nfa:

@@ -1,7 +1,10 @@
 """CLI subcommands, verdict serialization and exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import random
 import resource
 import shlex
 import subprocess
@@ -11,14 +14,15 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from regcov import (DEFAULT_CAPS, Alphabet, ClassId, ResourceCapError, equivalent,
                     upward_closure)
-from regcov import cli, covers, pieces
+from regcov import cli, covers, pieces, rx
 from regcov.cli import Instance, Verdict, _masks_to_lists, main
 from regcov.pieces import pt_partition
 
-from helpers import nfa_of
+from helpers import nfa_of, random_nfa
 
 
 def run(capsys, argv):
@@ -155,9 +159,9 @@ def count_partitions(monkeypatch) -> list:
     partition built; returns the list of depths."""
     built = []
 
-    def counted(k, alphabet, caps=DEFAULT_CAPS):
+    def counted(k, alphabet, caps=DEFAULT_CAPS, open=None):
         built.append(k)
-        return pt_partition(k, alphabet, caps)
+        return pt_partition(k, alphabet, caps, open)
 
     for module in (pieces, covers, cli):
         monkeypatch.setattr(module, "pt_partition", counted)
@@ -182,8 +186,10 @@ def test_bsigma1_builds_one_partition_per_depth_and_none_to_verify(monkeypatch, 
         "--against", "(ba|bc)b+c*", "--emit-cover", "--verify", "--json"])
     assert code == 0
     cover = json.loads(out)["cover"]
-    assert cover["k"] == 3 and cover["verified"]["class_ok"] is True
-    assert built == [0, 1, 2, 3]
+    assert cover["k"] == 4 and cover["optimal"] is True
+    assert cover["verified"]["class_ok"] is True
+    # one partition per level, and verification reuses the last
+    assert built == [0, 1, 2, 3, 4]
 
 
 def test_oracle_at(capsys):
@@ -535,29 +541,90 @@ def test_bsigma1_member_on_a_large_partition():
 
 
 def test_bsigma1_cover_on_a_large_partition_is_verified():
-    # the depth cap for three letters (k=3) comes before the imprint
-    # converges, so the cover is not flagged optimal; it must still verify
-    proc = run_limited(["separate", "--class", "bsigma1", "--alphabet", "abc",
-                        "--target", "a+", "--against", "(ba|bc)b+c*",
+    # the uniform partition has 334,202 classes at k=4, past max_pt_states;
+    # deepening only the classes that miss the goal reaches the optimal
+    # cover at k=4 under the default caps and under --max-k 4
+    for extra in ([], ["--max-k", "4"]):
+        proc = run_limited(["separate", "--class", "bsigma1", "--alphabet", "abc",
+                            "--target", "a+", "--against", "(ba|bc)b+c*",
+                            "--emit-cover", "--verify"] + extra)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["coverable"] is True and doc["separator"]
+        assert doc["cover"]["k"] == 4 and doc["cover"]["optimal"] is True
+        assert doc["cover"]["pieces"]
+        verified = doc["cover"]["verified"]
+        assert verified["covers_target"] and verified["separating"] and verified["class_ok"]
+
+
+def test_bsigma1_cover_over_five_letters_is_verified():
+    # the uniform 2-piece partition over five letters passes max_pt_states
+    proc = run_limited(["separate", "--class", "bsigma1", "--alphabet", "abcde",
+                        "--target", "((a|b)e+)+", "--against", "(bd|ae)(ab)+",
                         "--emit-cover", "--verify"])
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc["coverable"] is True and doc["separator"]
-    assert doc["cover"]["k"] == 3 and doc["cover"]["pieces"]
+    assert doc["coverable"] is True and doc["separator"] and doc["cover"]["pieces"]
+    assert doc["cover"]["k"] == 3 and doc["cover"]["optimal"] is True
+    verified = doc["cover"]["verified"]
+    assert verified["covers_target"] and verified["separating"] and verified["class_ok"]
     verified = doc["cover"]["verified"]
     assert verified["covers_target"] and verified["separating"] and verified["class_ok"]
 
 
+def regexes(symbols: str):
+    """Regex texts over the letters, with at most eight leaves; a star
+    stands only under a concatenation, so that the empty word is rare and
+    the pairs drawn are often disjoint."""
+    factors = st.deferred(lambda: st.one_of(terms.map(rx.Star), terms))
+    terms = st.recursive(st.sampled_from(symbols).map(rx.Letter), lambda inner: st.one_of(
+        inner.map(rx.Plus), st.builds(rx.Union, inner, inner),
+        st.builds(rx.Concat, inner, factors), st.builds(rx.Concat, factors, inner)),
+        max_leaves=8)
+    return terms.map(rx.regex_to_text)
+
+
+@given(st.sampled_from(["abcde", "abcd", "abc", "ab", "a"])
+       .flatmap(lambda symbols: st.tuples(st.just(symbols), regexes(symbols), regexes(symbols))))
+def test_bsigma1_separation_with_a_cover_decides_or_names_a_cap(drawn):
+    symbols, target, against = drawn
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["separate", "--class", "bsigma1", "--alphabet", symbols,
+                     "--target", target, "--against", against,
+                     "--emit-cover", "--verify", "--json"])
+    assert code in (0, 3) and "Traceback" not in err.getvalue(), err.getvalue()
+    if code == 0:
+        cover = json.loads(out.getvalue())["cover"]
+        assert cover is None or cover["verified"]["class_ok"] is True
+    else:
+        assert err.getvalue().startswith("resource cap: ")
+
+
+def test_bsigma1_cover_of_an_eleven_state_sweep_draw_is_optimal():
+    # the first draw of the member sweep for n = 11: the parent stopped at
+    # the three-letter depth bound k = 3 and dropped the cover
+    abc = Alphabet("abc")
+    nfa = random_nfa(random.Random(1011), abc, 11, 0.3)
+    verdict = cli.run_member(Instance(abc, ClassId.BSIGMA1, nfa, [], emit_cover=True,
+                                      verify=True))
+    assert verdict.member is True
+    assert verdict.cover["k"] == 4 and verdict.cover["optimal"] is True
+    verified = verdict.cover["verified"]
+    assert verified["covers_target"] and verified["separating"] and verified["class_ok"]
+
+
 def test_bsigma1_universal_cover_renders_from_the_minimal_dfa():
-    # the unrestricted cover keeps the piece that unites most of the 5,312
-    # classes at k=3; state elimination on all of them nested too deeply to
-    # print, while its minimal DFA has 12 states
+    # the unrestricted cover keeps the piece that unites most of the
+    # partition's classes; state elimination on all 5,312 classes of the
+    # uniform partition at k=3 nested too deeply to print
     proc = run_limited(["cover", "--class", "bsigma1", "--alphabet", "abc",
                         "--target", "%universal", "--against", "a+",
                         "--against", "(ba|bc)b+c*", "--emit-cover", "--verify"])
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc["coverable"] is True and doc["cover"]["k"] == 3
+    assert doc["coverable"] is True and doc["cover"]["k"] == 4
+    assert doc["cover"]["optimal"] is True
     verified = doc["cover"]["verified"]
     assert verified["covers_target"] and verified["separating"] and verified["class_ok"]
 
@@ -674,6 +741,18 @@ def test_bsigma1_member_of_a_long_power(capsys):
                                   "--target", "a" * 600 + "+", "--json"])
     assert code == 0, err
     assert json.loads(out)["member"] is True
+
+
+def test_bsigma1_cover_of_a_long_power_stops_at_the_depth_bound(capsys):
+    # each level leaves a^k a* open until k = 600; the cover at the depth
+    # bound k = 4 is not optimal, fails to separate, and is dropped
+    code, out, err = run(capsys, ["member", "--class", "bsigma1", "--alphabet", "a",
+                                  "--target", "a" * 600 + "+", "--emit-cover", "--verify",
+                                  "--json"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["member"] is True and doc["cover"] is None and doc["separator"] is None
+    assert doc["stats"]["synthesis"] == {"dropped": "not optimal"}
 
 
 @pytest.mark.parametrize("argv, code", [

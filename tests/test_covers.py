@@ -20,7 +20,7 @@ from regcov import (DEFAULT_CAPS, Alphabet, Caps, ClassId, Cover, InputError,
 from regcov import rx
 from regcov import cli, covers, fa
 from regcov.covers import _partition_images
-from regcov.pieces import pt_partition
+from regcov.pieces import are_unions_of_classes, pt_partition
 
 import reference_covers
 import reference_fa
@@ -186,16 +186,39 @@ def test_bsigma1_cover_small_k_and_optimal():
     assert report.covers_target and report.class_ok
 
 
+def record_partitions(monkeypatch) -> list:
+    """Patch `covers.pt_partition` to keep every (partition, classes) that
+    cover synthesis builds."""
+    built = []
+
+    def keep(*args, **kw):
+        built.append(pt_partition(*args, **kw))
+        return built[-1]
+
+    monkeypatch.setattr(covers, "pt_partition", keep)
+    return built
+
+
+def carried_classes(cov: Cover, built: list) -> list:
+    """The classes (j, S) of the partition that a cover carries."""
+    return next(classes for pa, classes in built if pa is cov.partition)
+
+
 @pytest.mark.parametrize("target, against", [
     ("a+", "(ba|bc)b+c*"),
     ("b|a*|(c*)+", "c+c*caa"),
 ])
-def test_partition_cover_pieces_match_trimmed_partition(target, against):
+def test_partition_cover_pieces_match_trimmed_partition(monkeypatch, target, against):
+    built = record_partitions(monkeypatch)
     ext = rm_from_multiset([nfa_of(target, "abc"), nfa_of(against, "abc")])
     dec = decide_universal_covering(ext, ClassId.BSIGMA1, target_index=0)
     cov = bsigma1_cover(ext.tau, dec.raw_imprint)
-    assert cov.k == 3
-    pa = pt_partition(cov.k, ABC)
+    assert cov.optimal and cov.k == {"a+": 4, "b|a*|(c*)+": 3}[target]
+    pa = cov.partition
+    # each class is one j-class, j <= k, so a union of k-classes: the
+    # reference k-piece partition over abc has 334,202 classes at k = 4,
+    # so the classes are checked by the reference's piece steps
+    assert reference_fa.is_refined_partition(pa, carried_classes(cov, built), cov.k)
     by_image: dict = {}
     for q, img in sorted(_partition_images(pa, ext.tau, DEFAULT_CAPS).items()):
         by_image.setdefault(img, []).append(q)
@@ -204,8 +227,11 @@ def test_partition_cover_pieces_match_trimmed_partition(target, against):
         want = reference_fa.partition_piece(pa, states)
         assert equivalent(piece.nfa, want)
         assert piece.nfa.state_count <= trim(fa.minimize(want).as_nfa()).state_count
-    # cut from the minimal labelled partition, not from its 5,312 classes
-    assert sum(p.nfa.state_count for p in cov.pieces) < 100 < pa.state_count
+    # the images are distinct and in the goal, and the imprint is the goal
+    assert piece_images_distinct(cov, ext.tau)
+    assert all(ext.tau.eval_nfa(p.nfa) in dec.raw_imprint for p in cov.pieces)
+    assert (set(cover_imprint(cov, ext.tau).maximal_elements())
+            == set(dec.raw_imprint.maximal_elements()))
 
 
 def test_bsigma1_cover_separating_iff_coverable():
@@ -224,7 +250,7 @@ def test_bsigma1_cover_separating_iff_coverable():
 
 
 def bsigma1_covers(caps=DEFAULT_CAPS):
-    """(alphabet, target, cover) for BΣ1 covers, at depths 1 to 3 under the
+    """(alphabet, target, cover) for BΣ1 covers, at depths 1 to 4 under the
     default caps, each synthesized for its target and one other language."""
     for symbols, target, against in (("ab", "a+", "b+"), ("ab", "a+b+", "b+a+"),
                                      ("abc", "a+", "(ba|bc)b+c*"),
@@ -235,17 +261,39 @@ def bsigma1_covers(caps=DEFAULT_CAPS):
         yield Alphabet(symbols), target_nfa, bsigma1_cover(ext.tau, dec.raw_imprint, caps)
 
 
-def test_piecewise_covers_carry_the_partition_they_were_cut_from():
+def test_piecewise_covers_carry_the_partition_they_were_cut_from(monkeypatch):
+    built = record_partitions(monkeypatch)
     depths = set()
     # a depth cap of 1 ends the deepening early: non-optimal covers carry it too
     for caps in (DEFAULT_CAPS, Caps(max_k=1)):
         for alphabet, target_nfa, cov in bsigma1_covers(caps):
             depths.add((cov.k, cov.optimal))
-            for c in (cov, restrict_cover(cov, target_nfa)):
-                assert c.partition == reference_fa.pt_partition(c.k, alphabet)
-    assert {1, 2, 3} <= {k for k, _ in depths} and (1, False) in depths
+            # the last partition built, a quotient of the reference k-piece
+            # partition: each class is one j-class, j <= k
+            assert cov.partition is built[-1][0]
+            assert reference_fa.is_refined_partition(cov.partition, built[-1][1], cov.k)
+            if cov.k < 4 or len(alphabet) < 3:    # else 334,202 classes
+                ref = reference_fa.pt_partition(cov.k, alphabet)
+                assert are_unions_of_classes([p.nfa for p in cov.pieces], ref)
+            assert restrict_cover(cov, target_nfa).partition is cov.partition
+    assert {1, 2, 3, 4} <= {k for k, _ in depths} and (1, False) in depths
     for alphabet in (A1, AB, ABC):
         assert at_cover(alphabet).partition == reference_fa.pt_partition(1, alphabet)
+
+
+def test_bsigma1_cover_stops_before_the_level_past_max_pt_states():
+    # the levels of this instance have 1, 8, 152, 230 and 266 states
+    ext = rm_from_multiset([nfa_of("a+", "abc"), nfa_of("(ba|bc)b+c*", "abc")])
+    goal = decide_universal_covering(ext, ClassId.BSIGMA1, target_index=0).raw_imprint
+    stopped = bsigma1_cover(ext.tau, goal, Caps(max_pt_states=200))
+    assert stopped.k == 2 and stopped.optimal is False
+    assert stopped.provenance == "piece-equivalence partition at k=2 | k=3 passed max_pt_states"
+    # the cover of level 2, as a depth bound of 2 gives it
+    bounded = bsigma1_cover(ext.tau, goal, Caps(max_k=2))
+    assert bounded.optimal is False and stopped.partition == bounded.partition
+    assert [p.nfa for p in stopped.pieces] == [p.nfa for p in bounded.pieces]
+    assert bsigma1_cover(ext.tau, goal, Caps(max_pt_states=230)).optimal is False
+    assert bsigma1_cover(ext.tau, goal, Caps(max_pt_states=266)).optimal is True
 
 
 # (class, against) whose universal cover over ab starts with the piece {ε}:
@@ -393,9 +441,9 @@ def test_fo2_pieces_match_the_merging_reference(monkeypatch):
     peeled, flipped = [], []
     peel, flip = covers._Fo2State._peel, covers._Fo2State._flip
 
-    def counted_peel(self, subset, left, right, b, forward):
+    def counted_peel(self, subset, left, right, b, forward, f_and_children):
         peeled.append(((subset, left, right), forward))
-        return peel(self, subset, left, right, b, forward)
+        return peel(self, subset, left, right, b, forward, f_and_children)
 
     def counted_flip(self, m):
         flipped.append(id(m))
@@ -440,12 +488,13 @@ def test_fo2_peel_copies_each_child_context_once(monkeypatch):
     peel, machine = covers._Fo2State._peel, covers._Fo2State.machine
     minimize_labelled = covers.minimize_labelled
 
-    def counted_peel(self, subset, left, right, b, forward):
+    def counted_peel(self, subset, left, right, b, forward, f_and_children):
         frames.append(([], []))
-        out = peel(self, subset, left, right, b, forward)
-        (f_key, *child_keys), calls = frames.pop()
+        out = peel(self, subset, left, right, b, forward, f_and_children)
+        child_keys, calls = frames.pop()
         mul, bimg = self.sr.mul, self.rho.letter_image[b]
-        assert f_key == (tuple(x for x in subset if x != b), self.sr.one, self.sr.one, forward)
+        f_key = (tuple(x for x in subset if x != b), self.sr.one, self.sr.one, forward)
+        assert f_and_children[0] is self._machines[f_key]
         f_delta, f_labels = self._machines[f_key]
         contexts = {mul(mul(left, x), bimg) if forward else mul(mul(bimg, x), right)
                     for x in f_labels if x is not None}
@@ -515,9 +564,9 @@ def test_fo2_merges_once_per_group(monkeypatch, target, against):
     keys = []
     peel = covers._Fo2State._peel
 
-    def counted(self, subset, left, right, b, forward):
+    def counted(self, subset, left, right, b, forward, f_and_children):
         keys.append((subset, left, right))
-        return peel(self, subset, left, right, b, forward)
+        return peel(self, subset, left, right, b, forward, f_and_children)
 
     monkeypatch.setattr(covers._Fo2State, "_peel", counted)
     cov = fo2_cover(rho, dec.raw_imprint)

@@ -103,7 +103,7 @@ def test_bsigma1_engine_agrees_with_class_partition_oracle():
         dec = decide_universal_covering(ext, ClassId.BSIGMA1, target_index=0)
         oracle_k = None
         for k in range(4):
-            pa = pt_partition(k, AB)
+            pa, _ = pt_partition(k, AB)
             if all(is_empty(nfa_intersection(cls, l1))
                    or is_empty(nfa_intersection(cls, l2))
                    for cls in partition_classes(pa)):

@@ -384,7 +384,7 @@ def _cap_case(name):
                 lambda d: d.state_count, DeterminizationCapError)
     if name == "pt_partition":
         return (lambda caps: pt_partition(3, AB, caps), "max_pt_states",
-                lambda d: d.state_count, PtStateCapError)
+                lambda built: built[0].state_count, PtStateCapError)
     if name == "flip":
         def flip(caps):
             state, machine = _fo2_state(caps)

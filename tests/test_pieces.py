@@ -1,5 +1,6 @@
 """Piece equivalence, the partition automaton and template witnesses."""
 
+import functools
 import random
 
 import pytest
@@ -37,13 +38,13 @@ def test_pieces_upto_brute_force():
 
 
 def test_pt_partition_k0():
-    pa = pt_partition(0, AB)
+    pa, _ = pt_partition(0, AB)
     assert pa.state_count == 1
     assert equivalent(partition_classes(pa)[0], universal_language(AB))
 
 
 def test_pt_partition_k1_classifies_by_alphabet():
-    pa = pt_partition(1, AB)
+    pa, _ = pt_partition(1, AB)
     assert pa.state_count == 4
     for w in words_upto("ab", 4):
         for v in words_upto("ab", 4):
@@ -52,7 +53,7 @@ def test_pt_partition_k1_classifies_by_alphabet():
 
 
 def test_pt_partition_is_piece_equivalence():
-    pa = pt_partition(2, AB)
+    pa, _ = pt_partition(2, AB)
     for w in words_upto("ab", 4):
         for v in words_upto("ab", 4):
             same = state_of(pa, w) == state_of(pa, v)
@@ -60,7 +61,7 @@ def test_pt_partition_is_piece_equivalence():
 
 
 def test_pt_partition_classes_partition_all_words():
-    pa = pt_partition(2, AB)
+    pa, _ = pt_partition(2, AB)
     classes = partition_classes(pa)
     union = classes[0]
     for cls in classes[1:]:
@@ -77,14 +78,14 @@ def test_product_class_check_matches_the_per_class_check():
     for symbols, depths, count in (("ab", range(4), 6), ("abc", range(3), 3)):
         alphabet = Alphabet(symbols)
         for k in depths:
-            pa = pt_partition(k, alphabet)
+            pa, _ = pt_partition(k, alphabet)
             unions = [replace(pa, finals=frozenset(q for q in range(pa.state_count)
                                                    if rng.random() < 0.5)).as_nfa()
                       for _ in range(count)]
             assert are_unions_of_classes(unions, pa)
             langs = [random_nfa(rng, alphabet, 3) for _ in range(count)] + unions
             # the unions of k-classes are also checked against the coarser (k-1)-classes
-            for part in [pa] + ([pt_partition(k - 1, alphabet)] if k else []):
+            for part in [pa] + ([pt_partition(k - 1, alphabet)[0]] if k else []):
                 classes = partition_classes(part)
                 want = {id(nfa): is_union_of_classes_per_class(nfa, classes) for nfa in langs}
                 # every language alone, then lists of one to four of them
@@ -99,7 +100,7 @@ def test_product_class_check_matches_the_per_class_check():
 
 @given(st.integers(0, 2), st.data())
 def test_batched_class_check_matches_the_per_class_check_on_shrinking_nfas(k, data):
-    pa = pt_partition(k, AB)
+    pa, _ = pt_partition(k, AB)
     # unions of classes, so that lists of only unions are drawn too
     unions = st.frozensets(st.integers(0, pa.state_count - 1)).map(
         lambda finals: replace(pa, finals=finals).as_nfa())
@@ -113,7 +114,7 @@ def test_one_piece_classes_are_the_alphabet_atoms():
     rng = random.Random(23)
     for symbols in ("ab", "abc"):
         alphabet = Alphabet(symbols)
-        pa = pt_partition(1, alphabet)
+        pa, _ = pt_partition(1, alphabet)
         atoms = [alphabet_exact(alphabet, alphabet.from_mask(m))
                  for m in range(1 << len(alphabet))]
         langs = [random_nfa(rng, alphabet, 3) for _ in range(8)]
@@ -197,11 +198,88 @@ def test_template_witness_adjacent_incomparable_triples():
 
 
 def test_pt_partition_class_counts():
-    assert [pt_partition(k, AB).state_count for k in range(5)] == [1, 4, 16, 68, 312]
+    assert [pt_partition(k, AB)[0].state_count for k in range(5)] == [1, 4, 16, 68, 312]
 
 
 @pytest.mark.parametrize("symbols, k", [(ab, k) for ab in ("a", "ab", "abc") for k in range(4)]
                          + [("ab", 4)])
 def test_pt_partition_matches_the_reference(symbols, k):
     alphabet = Alphabet(symbols)
-    assert pt_partition(k, alphabet) == reference_fa.pt_partition(k, alphabet)
+    assert pt_partition(k, alphabet)[0] == reference_fa.pt_partition(k, alphabet)
+
+
+@functools.cache
+def reference_piece_sets(symbols: str, k: int) -> tuple:
+    """(the reference k-piece partition, the bitmask of each state's piece
+    set in `reference_fa.piece_order`)."""
+    alphabet = Alphabet(symbols)
+    pa, sets = reference_fa.piece_sets(k, alphabet)
+    bit = {u: 1 << i for i, u in enumerate(reference_fa.piece_order(k, alphabet))}
+    return pa, [sum(bit[u] for u in s) for s in sets]
+
+
+def truncation(s: int, symbols: str, j: int) -> int:
+    """The pieces of length at most j of the piece set s."""
+    return s & ((1 << len(reference_fa.piece_order(j, Alphabet(symbols)))) - 1)
+
+
+@st.composite
+def refinements(draw):
+    """(letters, K, open classes of depths below K, closed under truncation):
+    the open j-classes are drawn among the reference j-classes whose
+    (j-1)-truncation is open."""
+    symbols = draw(st.sampled_from(["a", "ab", "abc"]))
+    k = draw(st.integers(0, 4 if len(symbols) < 3 else 3))
+    open_classes: set = set()
+    for j in range(k):
+        candidates = [s for s in reference_piece_sets(symbols, j)[1]
+                      if j == 0 or (j - 1, truncation(s, symbols, j - 1)) in open_classes]
+        keep = draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
+        open_classes |= {(j, s) for s, kept in zip(candidates, keep) if kept}
+    return symbols, k, open_classes
+
+
+def pairs(first, second) -> set:
+    """The pairs of states of two complete DFAs reached by one word."""
+    start = (first.initial, second.initial)
+    seen = {start}
+    work = [start]
+    while work:
+        p, r = work.pop()
+        for nxt in zip(first.delta[p], second.delta[r]):
+            if nxt not in seen:
+                seen.add(nxt)
+                work.append(nxt)
+    return seen
+
+
+@given(refinements())
+def test_refined_partition_states_are_piece_classes(drawn):
+    symbols, k, open_classes = drawn
+    pa, classes = pt_partition(k, Alphabet(symbols), open=open_classes)
+    # each state (j, S) is tracked at depth j exactly as the open classes say
+    for j, s in classes:
+        assert all(any(truncation(s, symbols, i) | o == o for i2, o in open_classes if i2 == i)
+                   for i in range(j))
+        assert j == k or not any(s | o == o for i2, o in open_classes if i2 == j)
+    # ... and is exactly the j-class S of the reference j-piece partition
+    for j in range(k + 1):
+        ref, masks = reference_piece_sets(symbols, j)
+        met: dict = {}
+        for p, r in pairs(pa, ref):
+            met.setdefault(("p", p), set()).add(r)
+            met.setdefault(("r", r), set()).add(p)
+        for p, (depth, s) in enumerate(classes):
+            if depth == j:
+                [r] = met[("p", p)]
+                assert masks[r] == s and met[("r", r)] == {p}
+    # so the partition is a quotient of the reference K-piece partition,
+    # and the labelled check of the covers' tests holds
+    ref, masks = reference_piece_sets(symbols, k)
+    to = {}
+    for p, r in pairs(pa, ref):
+        assert to.setdefault(r, p) == p
+    assert len(to) == ref.state_count
+    assert reference_fa.is_refined_partition(pa, classes, k)
+    # with every class open, it is the reference itself
+    assert pt_partition(k, Alphabet(symbols)) == (ref, [(k, s) for s in masks])
