@@ -190,7 +190,9 @@ def bsigma1_cover(rho: RatingMap, goal: ImprintSet,
     for k in range(caps.max_k + 1):
         try:
             pa, classes = pt_partition(k, rho.alphabet, caps, open_classes)
-        except PtStateCapError as exc:     # level 0 has one class, so k > 0
+        except PtStateCapError as exc:
+            if k == 0:                     # no level to fall back on
+                raise
             return _partition_cover(pa, k - 1, images, optimal=False,
                                     stop=f" | k={k} passed {exc.cap_name}")
         images = _partition_images(pa, rho, caps)

@@ -88,7 +88,9 @@ class Caps:
     max_pt_states: int = 50_000        # states of each level's partition
                                        # for bsigma1 covers (the deepening
                                        # stops at the first level past it),
-                                       # and of the oracle's pt-k partition
+                                       # and of the oracle's pt-k partition;
+                                       # also the pieces of length <= k,
+                                       # the width of a level's piece sets
     max_k: int = 4                     # piece-length bound of bsigma1 covers
 
     def with_overrides(self, **kw) -> "Caps":

@@ -33,31 +33,21 @@ def pt_partition(k: int, alphabet: Alphabet, caps: Caps = DEFAULT_CAPS, open=Non
     j-class S, a union of k-classes.
 
     Reading a letter a at depth j adds u·a for every member u shorter than
-    j; those members fill the low bits, and per-byte tables map each byte of
-    them to the bits of their extensions.
+    j.  Numbered shortest first, the pieces form the complete |A|-ary tree
+    in breadth-first order, so u·a has the number |A|·i + 1 + (the
+    position of a) when u has the number i: the members shorter than j,
+    the low bits, spread |A| apart by a per-byte table and shifted by
+    1 + (the position of a), are the bits of their extensions.
+
+    More states than `max_pt_states`, or more pieces of length at most k,
+    raise PtStateCapError.
     """
-    pieces = [""]
-    for u in pieces:
-        if len(u) < k:
-            pieces.extend(u + a for a in alphabet)
-    bit = {u: 1 << i for i, u in enumerate(pieces)}
-    short = [sum(1 for u in pieces if len(u) < j) for j in range(k + 1)]
-    tables = []
-    for a in alphabet:
-        per_byte = []
-        for lo in range(0, short[k], 8):
-            ext = [bit[u + a] for u in pieces[lo:min(lo + 8, short[k])]]
-            table = [0] * (1 << len(ext))
-            for v in range(1, len(table)):
-                low = v & -v
-                table[v] = table[v ^ low] | ext[low.bit_length() - 1]
-            per_byte.append((lo, table))
-        tables.append(per_byte)
-    # steps[j][a]: the tables of the bytes of the members shorter than j,
-    # each byte masked to those members
-    steps = [[[(lo, (1 << min(8, short[j] - lo)) - 1, table)
-               for lo, table in per_byte if lo < short[j]]
-              for per_byte in tables] for j in range(k + 1)]
+    n = len(alphabet)
+    short = [sum(n ** i for i in range(j)) for j in range(k + 2)]   # pieces shorter than j
+    spread = [0] * (1 << min(8, short[k]))   # the bits t of a byte moved to n·t
+    for v in range(1, len(spread)):
+        low = v & -v
+        spread[v] = spread[v ^ low] | 1 << n * (low.bit_length() - 1)
     # a state is the int S << shift | j
     shift = k.bit_length()
     opens = None
@@ -85,16 +75,24 @@ def pt_partition(k: int, alphabet: Alphabet, caps: Caps = DEFAULT_CAPS, open=Non
 
     def successors(state):
         j, cur = state & depth_mask, state >> shift
+        members = cur & ((1 << short[j]) - 1)
+        wide = 0
+        for b, v in enumerate(members.to_bytes((short[j] + 7) // 8, "little")):
+            if v:
+                wide |= spread[v] << 8 * n * b
         row = []
-        for grow in steps[j]:
-            nxt = cur
-            for lo, mask, table in grow:
-                nxt |= table[cur >> lo & mask]
+        for a in range(n):
+            nxt = cur | wide << 1 + a
             row.append(state if nxt == cur else settle(j, nxt))
         return row
 
-    # bit 0 is the empty piece
-    found = explore(settle(k, 1), successors, caps.max_pt_states)
+    # a piece set is as wide as there are pieces of length at most k, and
+    # the uniform partition has at least as many states (a word of length
+    # at most k is its own longest piece), so the cap bounds the width of a
+    # refined level too
+    found = None
+    if short[k + 1] <= caps.max_pt_states:
+        found = explore(settle(k, 1), successors, caps.max_pt_states)   # bit 0: the empty piece
     if found is None:
         raise PtStateCapError("max_pt_states", caps.max_pt_states, f"piece automaton at k={k}")
     order, rows = found

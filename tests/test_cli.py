@@ -601,6 +601,16 @@ def test_bsigma1_separation_with_a_cover_decides_or_names_a_cap(drawn):
         assert err.getvalue().startswith("resource cap: ")
 
 
+def test_bsigma1_cover_over_twelve_letters_fits_the_address_space():
+    # a level's piece sets are bitmasks over 22,621 pieces at k = 4; tables
+    # of their extensions per byte of them took 1.1 GB
+    proc = run_limited(["separate", "--class", "bsigma1", "--alphabet", "abcdefghijkl",
+                        "--target", "a+", "--against", "(ba|bc)b+c*", "--emit-cover", "--verify"])
+    assert proc.returncode == 0, proc.stderr
+    cover = json.loads(proc.stdout)["cover"]
+    assert cover["k"] == 4 and cover["optimal"] is True and cover["verified"]["class_ok"]
+
+
 def test_bsigma1_cover_of_an_eleven_state_sweep_draw_is_optimal():
     # the first draw of the member sweep for n = 11: the parent stopped at
     # the three-letter depth bound k = 3 and dropped the cover

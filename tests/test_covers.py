@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from regcov import (DEFAULT_CAPS, Alphabet, Caps, ClassId, Cover, InputError,
-                    SaturationCapError, at_cover,
+                    PtStateCapError, SaturationCapError, at_cover,
                     at_imprint, bsigma1_cover, decide_universal_covering, equivalent,
                     fo2_cover, includes, is_empty, nfa_complement, nfa_intersection, nfa_union,
                     restrict_cover, rm_alphabet_augment, rm_from_multiset,
@@ -294,6 +294,23 @@ def test_bsigma1_cover_stops_before_the_level_past_max_pt_states():
     assert [p.nfa for p in stopped.pieces] == [p.nfa for p in bounded.pieces]
     assert bsigma1_cover(ext.tau, goal, Caps(max_pt_states=230)).optimal is False
     assert bsigma1_cover(ext.tau, goal, Caps(max_pt_states=266)).optimal is True
+    # with no level to fall back on, the stop is the cap's own error
+    with pytest.raises(PtStateCapError):
+        bsigma1_cover(ext.tau, goal, Caps(max_pt_states=0))
+
+
+@pytest.mark.parametrize("symbols, k, optimal", [("a", 21, True), ("abc", 9, False)])
+def test_bsigma1_levels_stop_where_the_pieces_pass_max_pt_states(symbols, k, optimal):
+    # a^21 a* against the shorter words needs k = 21: there are 22 pieces
+    # of length at most 21 over one letter, and 88,573 of length at most
+    # 10 over three, past max_pt_states; levels that deep ran for minutes
+    # on the width of their piece sets
+    ext = rm_from_multiset([nfa_of("a" * 21 + "+", symbols), nfa_of("(a|%eps)" * 20, symbols)])
+    goal = decide_universal_covering(ext, ClassId.BSIGMA1, target_index=0).raw_imprint
+    cov = bsigma1_cover(ext.tau, goal, Caps(max_k=25))
+    assert cov.k == k and cov.optimal is optimal
+    if not optimal:
+        assert cov.provenance == "piece-equivalence partition at k=9 | k=10 passed max_pt_states"
 
 
 # (class, against) whose universal cover over ab starts with the piece {ε}:
