@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from .errors import Caps, DEFAULT_CAPS, InputError, ResourceCapError
@@ -229,13 +229,7 @@ def run_cover(inst: Instance) -> Verdict:
     if cover is not None:
         cover_doc = cover.to_json()
         if inst.verify:
-            verified_doc = {
-                "covers_target": report.covers_target,
-                "separating": report.separating,
-                "piece_witnesses": report.piece_witnesses,
-                "class_ok": report.class_ok,
-                "class_note": report.class_note,
-            }
+            verified_doc = asdict(report)
             cover_doc["verified"] = verified_doc
     stats["wall_ms"] = _ms_since(t0)
     return Verdict(

@@ -321,6 +321,24 @@ class _Fo2State:
     multiplication, never read off an automaton; the recursion evaluates no
     automaton but the one-state B* of each base case.
 
+    Let s_b be the images of the nonempty languages over B* that lie in the
+    saturated set (`s_b`), and call s_b·ρ(b)·s_b the loop set of a letter b
+    of B.  A left context t is saturated over B when each letter b of B has
+    some p in its loop set with t·p = t, and a right context t when some p
+    has p·t = t:
+
+    - one set serves both sides.  On the left, b passes when some x, y in
+      s_b give (t·x·ρ(b))·y = t; on the right, when y·(ρ(b)·(x·t)) = t.  By
+      associativity both read the products x·ρ(b)·y;
+    - so the letter at which a context is first not saturated is the same
+      whether it is read off the loop sets or off these two conditions, and
+      with it the nodes, their machines and their pieces;
+    - the loop set lies inside s_b, so it is no larger than s_b, which
+      `max_elements` bounds.  s_b holds ρ(b), a word image, and is closed
+      under products: the saturated set is a multiplicative submonoid, and
+      a product of two sums of word images, each below a maximum, is a sum
+      of word images below the product of those maxima.
+
     The recursion, on (|B|, right-index of left, left-index of right):
 
     - Base case, both contexts saturated: the one piece B*, labelled
@@ -381,8 +399,8 @@ class _Fo2State:
         self.sat = saturated
         self.caps = caps
         self.count = 0
-        self._sb_memo: dict = {}
-        self._reach_cache: dict = {}
+        self._loop_sets: dict = {}
+        self._peels: dict = {}
         self._nodes: dict = {}
         self._machines: dict = {}
 
@@ -403,66 +421,50 @@ class _Fo2State:
         the sums of the word images below m.  Elements of the augmented
         product are their own masks: w <= m is w | m == m.
         """
-        if subset not in self._sb_memo:
-            sr = self.sr
-            words = self._word_images(subset)
-            out: set = set()
-            for m in self.sat.maximal_elements():
-                below = [w for w in words if w | m == m]
-                sums = set(below)
-                work = list(below)
-                while work:
-                    e = work.pop()
-                    for w in below:
-                        x = sr.add(e, w)
-                        if x not in sums:
-                            if len(sums) >= self.caps.max_elements:
-                                raise SaturationCapError(self.caps.max_elements,
-                                                         "fo2-language-sums")
-                            sums.add(x)
-                            work.append(x)
-                out |= sums
-            self._sb_memo[subset] = frozenset(out)
-        return self._sb_memo[subset]
+        sr = self.sr
+        words = self._word_images(subset)
+        out: set = set()
+        for m in self.sat.maximal_elements():
+            below = [w for w in words if w | m == m]
+            sums = set(below)
+            work = list(below)
+            while work:
+                e = work.pop()
+                for w in below:
+                    x = sr.add(e, w)
+                    if x not in sums:
+                        if len(sums) >= self.caps.max_elements:
+                            raise SaturationCapError(self.caps.max_elements,
+                                                     "fo2-language-sums")
+                        sums.add(x)
+                        work.append(x)
+            out |= sums
+        return frozenset(out)
 
-    def right_reach(self, t, subset: tuple) -> frozenset:
-        key = ("r", t, subset)
-        if key not in self._reach_cache:
+    def _loops(self, subset: tuple) -> list:
+        """(b, s_b·ρ(b)·s_b) for each letter b of B, in B's order; built
+        once per sub-alphabet."""
+        if subset not in self._loop_sets:
+            mul = self.sr.mul
             sb = self.s_b(subset)
-            self._reach_cache[key] = frozenset(self.sr.mul(t, x) for x in sb)
-        return self._reach_cache[key]
+            self._loop_sets[subset] = [
+                (b, frozenset(mul(xb, y) for xb in {mul(x, self.rho.letter_image[b]) for x in sb}
+                              for y in sb))
+                for b in subset]
+        return self._loop_sets[subset]
 
-    def left_reach(self, t, subset: tuple) -> frozenset:
-        key = ("l", t, subset)
-        if key not in self._reach_cache:
-            sb = self.s_b(subset)
-            self._reach_cache[key] = frozenset(self.sr.mul(x, t) for x in sb)
-        return self._reach_cache[key]
-
-    def right_saturated(self, t, subset: tuple) -> Optional[str]:
-        """None when saturated, else the smallest violating letter; it reads
-        only the left context t, so it is computed once per (t, B)."""
-        key = ("rs", t, subset)
-        if key not in self._reach_cache:
-            sr, rho = self.sr, self.rho
-            sb = self.s_b(subset)
-            self._reach_cache[key] = next(
-                (b for b in subset
-                 if not any(t in self.right_reach(sr.mul(sr.mul(t, x), rho.letter_image[b]),
-                                                  subset) for x in sb)), None)
-        return self._reach_cache[key]
-
-    def left_saturated(self, t, subset: tuple) -> Optional[str]:
-        """The mirror image of `right_saturated`, on the right context t."""
-        key = ("ls", t, subset)
-        if key not in self._reach_cache:
-            sr, rho = self.sr, self.rho
-            sb = self.s_b(subset)
-            self._reach_cache[key] = next(
-                (b for b in subset
-                 if not any(t in self.left_reach(sr.mul(rho.letter_image[b], sr.mul(x, t)),
-                                                 subset) for x in sb)), None)
-        return self._reach_cache[key]
+    def peel_letter(self, t, subset: tuple, forward: bool) -> Optional[str]:
+        """The first letter of B at which the context t is not saturated:
+        whose loop set holds no p with t·p = t when t is the left context
+        (forward), or p·t = t when it is the right one.  None when t is
+        saturated; computed once per (t, B, side)."""
+        key = (t, subset, forward)
+        if key not in self._peels:
+            mul = self.sr.mul
+            self._peels[key] = next(
+                (b for b, loops in self._loops(subset)
+                 if not any((mul(t, p) if forward else mul(p, t)) == t for p in loops)), None)
+        return self._peels[key]
 
     def _bump(self, n: int):
         self.count += n
@@ -495,10 +497,10 @@ class _Fo2State:
             if key in self._nodes:
                 stack.pop()
             elif key not in peeled:
-                b = self.right_saturated(key[1], subset)
+                b = self.peel_letter(key[1], subset, True)
                 forward = b is not None
                 if not forward:
-                    b = self.left_saturated(key[2], subset)
+                    b = self.peel_letter(key[2], subset, False)
                 children = self._children(*key, b, forward) if b else None
                 peeled[key] = (b, forward if b else None, children)
                 if b:
@@ -623,17 +625,9 @@ def verify_cover(cover: Cover, target: Nfa, against: list,
     k-classes, so each piece is k-piecewise testable.  Any other cover's
     class is certified by construction only."""
     covers_target = _covers_incrementally(target, cover.pieces, caps)
-    witnesses = []
-    separating = True
-    for p in cover.pieces:
-        w = None
-        for i, lang in enumerate(against):
-            if is_empty(p.nfa, lang):
-                w = i
-                break
-        witnesses.append(w)
-        if w is None:
-            separating = False
+    witnesses = [next((i for i, lang in enumerate(against) if is_empty(p.nfa, lang)), None)
+                 for p in cover.pieces]
+    separating = None not in witnesses
 
     class_ok: Optional[bool] = None
     note = "class membership certified by construction, not machine-checked"

@@ -127,6 +127,3 @@ class ImprintSet:
         """Equal downsets; the antichain of a downset is unique."""
         return (isinstance(other, ImprintSet) and (self.monoid is None) == (other.monoid is None)
                 and self._antichain() == other._antichain())
-
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("ImprintSet is unhashable")

@@ -8,7 +8,9 @@ The FO2 recursion, the reference for the labelled-DFA one, which must give
 the same images and equivalent pieces.  At every node, the pieces with
 equal images are merged into one: a union automaton of copies of the
 members (pieces, and (left, right) pairs that stand for left·letter·right)
-is determinized, minimized and trimmed.  Pieces carry no regex here.
+is determinized, minimized and trimmed.  Pieces carry no regex here.  Its
+saturation tests search each side apart, the reference for the one loop
+set per letter of `_Fo2State.peel_letter`.
 """
 
 from __future__ import annotations
@@ -58,11 +60,59 @@ def sigma1_words(alpha, targets, alphabet) -> list:
 
 
 class MergingFo2(_Fo2State):
-    """`_Fo2State` whose `build` merges pieces per image."""
+    """`_Fo2State` whose `build` merges pieces per image, and whose
+    saturation tests on the left and right contexts search s_b·ρ(b)·s_b
+    through the products t·x·ρ(b)·s_b and s_b·ρ(b)·x·t."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self._build_memo: dict = {}
+        self._sb_memo: dict = {}
+        self._reach_cache: dict = {}
+
+    def s_b(self, subset: tuple) -> frozenset:
+        if subset not in self._sb_memo:
+            self._sb_memo[subset] = super().s_b(subset)
+        return self._sb_memo[subset]
+
+    def right_reach(self, t, subset: tuple) -> frozenset:
+        key = ("r", t, subset)
+        if key not in self._reach_cache:
+            sb = self.s_b(subset)
+            self._reach_cache[key] = frozenset(self.sr.mul(t, x) for x in sb)
+        return self._reach_cache[key]
+
+    def left_reach(self, t, subset: tuple) -> frozenset:
+        key = ("l", t, subset)
+        if key not in self._reach_cache:
+            sb = self.s_b(subset)
+            self._reach_cache[key] = frozenset(self.sr.mul(x, t) for x in sb)
+        return self._reach_cache[key]
+
+    def right_saturated(self, t, subset: tuple):
+        """None when saturated, else the smallest violating letter; it reads
+        only the left context t, so it is computed once per (t, B)."""
+        key = ("rs", t, subset)
+        if key not in self._reach_cache:
+            sr, rho = self.sr, self.rho
+            sb = self.s_b(subset)
+            self._reach_cache[key] = next(
+                (b for b in subset
+                 if not any(t in self.right_reach(sr.mul(sr.mul(t, x), rho.letter_image[b]),
+                                                  subset) for x in sb)), None)
+        return self._reach_cache[key]
+
+    def left_saturated(self, t, subset: tuple):
+        """The mirror image of `right_saturated`, on the right context t."""
+        key = ("ls", t, subset)
+        if key not in self._reach_cache:
+            sr, rho = self.sr, self.rho
+            sb = self.s_b(subset)
+            self._reach_cache[key] = next(
+                (b for b in subset
+                 if not any(t in self.left_reach(sr.mul(rho.letter_image[b], sr.mul(x, t)),
+                                                 subset) for x in sb)), None)
+        return self._reach_cache[key]
 
     def build(self, subset: tuple, left, right) -> list:
         """(image, automaton) pairs of a cover of B* with left·image·right

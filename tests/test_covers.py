@@ -646,6 +646,28 @@ def test_fo2_per_maximum_sums_equal_the_full_closure():
                     assert state.s_b(subset) == expected
 
 
+@given(st.sampled_from([AB, ABC]).flatmap(
+           lambda a: st.lists(nfas(a, 3), min_size=1, max_size=2)),
+       st.data())
+def test_fo2_peel_letter_matches_the_two_sided_reference(langs, data):
+    # one loop set s_b·ρ(b)·s_b per letter answers the saturation test on
+    # either side: the first letter at which a context is not saturated is
+    # the one the reference finds through t·x·ρ(b)·s_b and s_b·ρ(b)·x·t
+    rho = rm_alphabet_augment(rm_from_multiset(langs)).tau
+    sat = saturate_universal(rho, ClassId.FO2)
+    state = covers._Fo2State(rho, sat, DEFAULT_CAPS)
+    ref = reference_covers.MergingFo2(rho, sat, DEFAULT_CAPS)
+    mul = rho.semiring.mul
+    words = st.sampled_from(sorted(state._word_images(tuple(rho.alphabet.symbols))))
+    for n in range(len(rho.alphabet) + 1):
+        for subset in itertools.combinations(rho.alphabet.symbols, n):
+            sb = st.sampled_from(sorted(ref.s_b(subset)))
+            contexts = st.one_of(words, st.tuples(sb, sb).map(lambda xy: mul(*xy)))
+            for t in data.draw(st.lists(contexts, min_size=1, max_size=6)):
+                assert state.peel_letter(t, subset, True) == ref.right_saturated(t, subset)
+                assert state.peel_letter(t, subset, False) == ref.left_saturated(t, subset)
+
+
 def test_fo2_language_sums_cap_allows_exactly_max_elements():
     # like every other closure, the sums below one maximum may number
     # max_elements, and not one more

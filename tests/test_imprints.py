@@ -49,6 +49,8 @@ def test_equality_and_inclusion_are_of_downsets():
     b.insert(0b100)
     assert a != b
     assert is_subset(a, b) and not is_subset(b, a)
+    with pytest.raises(TypeError):     # a mutable set compared by value
+        hash(ImprintSet(RelationSemiring(2)))
 
 
 def test_cap_counts_maxima():
