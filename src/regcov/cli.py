@@ -20,10 +20,10 @@ from . import rx
 from .fa import (Alphabet, Nfa, alphabet_exact, includes, is_empty,
                  nfa_complement, nfa_from_json, regex_to_nfa, transition_monoid,
                  universal_language, upward_closure)
-from .covers import (Cover, at_cover, bsigma1_cover, fo2_cover, restrict_cover,
+from .covers import (at_cover, bsigma1_cover, fo2_cover, restrict_cover,
                      sigma1_cover, verify_cover)
-from .rating import Extension, rm_from_multiset
-from .saturation import (ClassId, CoverDecision, _mask_subsets,
+from .rating import rm_from_multiset
+from .saturation import (ClassId, _mask_subsets,
                          decide_pointed_covering, decide_universal_covering)
 from .pieces import are_unions_of_classes, pt_partition
 
@@ -167,122 +167,101 @@ def load_instance(args) -> Instance:
 
 # -- pipelines ------------------------------------------------------------------------
 
-def _synthesize_universal(class_id: ClassId, decision: CoverDecision,
-                          ext: Extension, caps: Caps) -> Optional[Cover]:
-    if class_id is ClassId.AT:
-        return at_cover(ext.tau.alphabet, caps=caps)
-    if class_id is ClassId.BSIGMA1:
-        return bsigma1_cover(ext.tau, decision.raw_imprint, caps)
-    if class_id is ClassId.FO2:
-        return fo2_cover(decision.rating_map, decision.raw_imprint, caps=caps)
-    return None
+def _run(inst: Instance, separate: bool) -> Verdict:
+    """Decide the covering instance once, and synthesize a cover at most once.
 
-
-def run_cover(inst: Instance) -> Verdict:
+    The cover is synthesized, restricted to the target and verified when it
+    is asked for, or under `separate`, where its pieces make the separator.
+    A resource cap met by a synthesis nobody asked for skips it; the
+    decision stands."""
     t0 = time.perf_counter()
     if not inst.against:
         raise InputError("covering needs at least one language to separate against")
     if inst.target is None:
         raise InputError("covering needs a target language (or %universal)")
-    class_id = inst.class_id
-    cover_doc = None
-    verified_doc = None
-
+    class_id, caps = inst.class_id, inst.caps
+    universal = inst.target is UNIVERSAL
+    target_nfa = universal_language(inst.alphabet) if universal else inst.target
     if class_id.pointed:
-        if inst.target is UNIVERSAL:
-            target_nfa = universal_language(inst.alphabet)
-        else:
-            target_nfa = inst.target
-        alpha, accepting = transition_monoid(target_nfa, inst.caps)
-        ext = rm_from_multiset(inst.against, inst.caps)
-        decision = decide_pointed_covering(alpha, accepting, ext, class_id, inst.caps)
-        cover = None
-        if inst.emit_cover and decision.coverable and class_id is ClassId.SIGMA1:
-            cover = sigma1_cover(alpha, accepting, inst.alphabet, decision.rating_map,
-                                 inst.caps)
+        alpha, accepting = transition_monoid(target_nfa, caps)
+        ext = rm_from_multiset(inst.against, caps)
+        decision = decide_pointed_covering(alpha, accepting, ext, class_id, caps)
     else:
-        if inst.target is UNIVERSAL:
-            items = list(inst.against)
-            target_index = None
-            target_nfa = universal_language(inst.alphabet)
-        else:
-            items = [inst.target] + list(inst.against)
-            target_index = 0
-            target_nfa = inst.target
-        ext = rm_from_multiset(items, inst.caps)
-        decision = decide_universal_covering(ext, class_id, inst.caps, target_index)
-        cover = None
-        if inst.emit_cover and decision.coverable and class_id.synthesizable:
-            cover = _synthesize_universal(class_id, decision, ext, inst.caps)
-            if cover is not None and target_index is not None:
-                cover = restrict_cover(cover, target_nfa)
-
+        items = inst.against if universal else [inst.target] + inst.against
+        ext = rm_from_multiset(items, caps)
+        decision = decide_universal_covering(ext, class_id, caps, None if universal else 0)
     stats = dict(decision.stats)
-    if cover is not None:
-        report = verify_cover(cover, target_nfa, inst.against, caps=inst.caps)
-        if not report.ok:
-            if cover.optimal:
-                raise AssertionError("synthesized cover failed verification")
-            # depth cap hit before the imprint converged; drop the cover
+
+    cover = None
+    if (inst.emit_cover or separate) and decision.coverable and class_id.synthesizable:
+        try:
+            if class_id is ClassId.SIGMA1:
+                cover = sigma1_cover(alpha, accepting, inst.alphabet, decision.rating_map, caps)
+            elif class_id is ClassId.AT:
+                cover = at_cover(inst.alphabet, caps=caps)
+            elif class_id is ClassId.BSIGMA1:
+                cover = bsigma1_cover(decision.rating_map, decision.raw_imprint, caps)
+            else:
+                cover = fo2_cover(decision.rating_map, decision.raw_imprint, caps=caps)
+            if not (universal or class_id.pointed):
+                cover = restrict_cover(cover, target_nfa)
+            report = verify_cover(cover, target_nfa, inst.against, caps=caps)
+        except ResourceCapError as exc:
+            if inst.emit_cover:
+                raise
             cover = None
-            stats["synthesis"] = {"dropped": "not optimal"}
+            stats["synthesis"] = {"skipped": exc.cap_name}
+    if cover is not None and not report.ok:
+        if cover.optimal:
+            raise AssertionError("synthesized cover failed verification")
+        # depth cap hit before the imprint converged; drop the cover
+        cover = None
+        stats["synthesis"] = {"dropped": "not optimal"}
+
+    cover_doc = verified_doc = separator = None
     if cover is not None:
         cover_doc = cover.to_json()
         if inst.verify:
-            verified_doc = asdict(report)
-            cover_doc["verified"] = verified_doc
+            verified_doc = cover_doc["verified"] = asdict(report)
+        if separate:
+            # the separator is checked exactly as printed
+            separator = "|".join(p["regex"] for p in cover_doc["pieces"]) or "%empty"
+            sep_nfa = regex_to_nfa(rx.regex_parse(separator, inst.alphabet.symbols),
+                                   inst.alphabet)
+            if not includes(target_nfa, sep_nfa, caps):
+                raise AssertionError("separator does not contain the first language")
+            if not is_empty(sep_nfa, inst.against[0]):
+                raise AssertionError("separator meets the second language")
     stats["wall_ms"] = _ms_since(t0)
     return Verdict(
         class_name=class_id.value,
         coverable=decision.coverable,
         imprint=_masks_to_lists(decision.imprint_masks),
-        cover=cover_doc,
+        cover=cover_doc if inst.emit_cover else None,
         verified=verified_doc,
+        separator=separator,
         stats=stats,
     )
 
 
+def run_cover(inst: Instance) -> Verdict:
+    return _run(inst, separate=False)
+
+
 def run_separate(inst: Instance) -> Verdict:
-    t0 = time.perf_counter()
     if len(inst.against) != 1:
         raise InputError("separation takes exactly one language to avoid")
-    want_cover = inst.emit_cover or inst.class_id.synthesizable
-
-    try:
-        verdict = run_cover(replace(inst, emit_cover=want_cover))
-    except ResourceCapError as exc:
-        if inst.emit_cover:
-            raise
-        # separator synthesis was opportunistic; the decision still stands
-        verdict = run_cover(replace(inst, emit_cover=False))
-        verdict.stats["synthesis"] = {"skipped": exc.cap_name}
-    if verdict.coverable and verdict.cover is not None:
-        # the separator is checked exactly as printed
-        sep = "|".join(p["regex"] for p in verdict.cover["pieces"]) or "%empty"
-        sep_nfa = regex_to_nfa(rx.regex_parse(sep, inst.alphabet.symbols), inst.alphabet)
-        target_nfa = inst.target if inst.target is not UNIVERSAL else universal_language(inst.alphabet)
-        if not includes(target_nfa, sep_nfa, inst.caps):
-            raise AssertionError("separator does not contain the first language")
-        if not is_empty(sep_nfa, inst.against[0]):
-            raise AssertionError("separator meets the second language")
-        verdict.separator = sep
-    if not inst.emit_cover:
-        verdict.cover = None
-    verdict.stats["wall_ms"] = _ms_since(t0)
-    return verdict
+    return _run(inst, separate=True)
 
 
 def run_member(inst: Instance) -> Verdict:
-    t0 = time.perf_counter()
     if inst.target is None or inst.target is UNIVERSAL:
         raise InputError("membership needs a concrete target language")
-    complement = nfa_complement(inst.target, inst.caps)
     # a positive answer's separator is the target itself, so it is built
     # only when the cover is asked for
-    run = run_separate if inst.emit_cover else run_cover
-    verdict = run(replace(inst, against=[complement]))
+    verdict = _run(replace(inst, against=[nfa_complement(inst.target, inst.caps)]),
+                   separate=inst.emit_cover)
     verdict.member = verdict.coverable
-    verdict.stats["wall_ms"] = _ms_since(t0)
     return verdict
 
 
@@ -290,11 +269,11 @@ _CHAIN = (ClassId.FO, ClassId.FO2, ClassId.BSIGMA1, ClassId.AT)
 
 
 def run_imprint(inst: Instance) -> Verdict:
-    """The decision alone: `run_cover` without synthesis, over the whole word
-    set for the Boolean classes and over the given target for the pointed
-    ones."""
+    """The decision alone (an imprint instance asks for no cover), over the
+    whole word set for the Boolean classes and over the given target for
+    the pointed ones."""
     target = inst.target if inst.class_id.pointed else UNIVERSAL
-    return run_cover(replace(inst, target=target, emit_cover=False))
+    return _run(replace(inst, target=target), separate=False)
 
 
 def run_imprint_chain(inst: Instance) -> dict:
@@ -339,7 +318,9 @@ def run_oracle(inst: Instance, which: str, k: Optional[int]) -> dict:
     if which == "sigma1-sep":
         if inst.target is None or len(inst.against) != 1:
             raise InputError("sigma1-sep needs --target and exactly one --against")
-        sep = oracle_sigma1_sep(inst.target, inst.against[0])
+        target = (universal_language(inst.alphabet) if inst.target is UNIVERSAL
+                  else inst.target)
+        sep = oracle_sigma1_sep(target, inst.against[0])
         return {"oracle": which, "separable": sep}
     if which == "pt-k":
         if k is None:

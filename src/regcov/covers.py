@@ -11,7 +11,7 @@ with automata only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (Caps, DEFAULT_CAPS, DeterminizationCapError, InputError, PieceCapError,
@@ -29,8 +29,8 @@ from .saturation import ClassId
 
 @dataclass
 class CoverPiece:
-    """One cover member: the trimmed minimal DFA of its language, and a
-    regex materialized lazily from it.
+    """One cover member: the trimmed minimal DFA of its language, and the
+    regex read off it (built on each read; the CLI renders a cover once).
 
     Every synthesizer builds its pieces as trimmed minimal DFAs
     (`_label_pieces`, and the superword closures of its pieces for Σ1), so
@@ -40,13 +40,10 @@ class CoverPiece:
     regex nested too deeply to print."""
 
     nfa: Nfa
-    _regex: Optional[Regex] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def regex(self) -> Regex:
-        if self._regex is None:
-            self._regex = nfa_to_regex(self.nfa)
-        return self._regex
+        return nfa_to_regex(self.nfa)
 
 
 @dataclass

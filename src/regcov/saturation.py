@@ -279,25 +279,18 @@ def _against_table(image_masks: Iterable[int], n_total: int, target_index: Optio
 
     The result is the optimal imprint over the against multiset for the
     queried target: a subset is in it exactly when the target is not
-    coverable against that subset.
+    coverable against that subset.  Returned with it: whether the whole
+    against set is in it, that is, whether the target is not coverable.
     """
-    if target_index is None:
-        closed = set()
-        for m in image_masks:
-            closed.update(_mask_subsets(m))
-        full = (1 << n_total) - 1
-        return frozenset(closed), full in closed
-    full_rest = ((1 << n_total) - 1) & ~(1 << target_index)
-    noncov = set()
-    hit_full = False
+    closed = set()
     for m in image_masks:
-        if not m >> target_index & 1:
-            continue
-        rest = m & full_rest
-        if rest == full_rest:
-            hit_full = True
-        noncov.update(_mask_subsets(_drop_index(rest, target_index)))
-    return frozenset(noncov), hit_full
+        if target_index is not None:
+            if not m >> target_index & 1:
+                continue
+            m = _drop_index(m, target_index)
+        closed.update(_mask_subsets(m))
+    n_against = n_total if target_index is None else n_total - 1
+    return frozenset(closed), (1 << n_against) - 1 in closed
 
 
 def decide_universal_covering(ext: Extension, class_id: ClassId,

@@ -146,6 +146,15 @@ def test_oracle_sigma1_sep(capsys):
     assert json.loads(out)["separable"] is True
 
 
+def test_oracle_sigma1_sep_takes_the_universal_target(capsys):
+    # the superword closure of all words meets every nonempty language
+    code, out, _ = run(capsys, [
+        "oracle", "--which", "sigma1-sep",
+        "--alphabet", "ab", "--target", "%universal", "--against", "b+", "--json"])
+    assert code == 0
+    assert json.loads(out)["separable"] is False
+
+
 def test_oracle_pt_k(capsys):
     code, out, _ = run(capsys, [
         "oracle", "--which", "pt-k",
@@ -383,33 +392,33 @@ def test_cover_doc_carries_verification(capsys):
 
 
 @pytest.mark.parametrize("command", ["separate", "member"])
-def test_wall_ms_covers_the_retry_after_a_cap(monkeypatch, capsys, command):
-    # max_pieces=1 makes the opportunistic separator synthesis hit its cap,
-    # so run_separate retries run_cover without a cover; member builds no
-    # separator unasked, so it decides in one run_cover call
-    attempts = []
-    real_run_cover = cli.run_cover
+def test_a_capped_unasked_separator_keeps_the_one_decision(monkeypatch, capsys, command):
+    # max_pieces=1 makes the opportunistic separator synthesis hit its cap;
+    # the decision made before it stands and is not made again; member
+    # builds no separator unasked
+    decisions = []
+    real_decide = cli.decide_universal_covering
 
-    def timed_run_cover(inst):
+    def timed_decide(*args, **kwargs):
         t0 = time.perf_counter()
         try:
-            return real_run_cover(inst)
+            return real_decide(*args, **kwargs)
         finally:
-            attempts.append(time.perf_counter() - t0)
+            decisions.append(time.perf_counter() - t0)
 
-    monkeypatch.setattr(cli, "run_cover", timed_run_cover)
+    monkeypatch.setattr(cli, "decide_universal_covering", timed_decide)
     inst = Instance(alphabet=Alphabet("ab"), class_id=ClassId.FO2, target=nfa_of("a+", "ab"),
                     against=[nfa_of("b+", "ab")] if command == "separate" else [],
                     caps=DEFAULT_CAPS.with_overrides(max_pieces=1))
     run = cli.run_separate if command == "separate" else cli.run_member
     verdict = run(inst)
     assert verdict.coverable and verdict.separator is None
-    assert verdict.stats["wall_ms"] >= round(sum(attempts) * 1000.0, 3) - 0.001
+    assert len(decisions) == 1
+    assert verdict.stats["wall_ms"] >= round(decisions[0] * 1000.0, 3) - 0.001
     if command == "separate":
         assert verdict.stats["synthesis"] == {"skipped": "max_pieces"}
-        assert len(attempts) == 2
         return
-    assert "synthesis" not in verdict.stats and len(attempts) == 1
+    assert "synthesis" not in verdict.stats
     # a cover that was asked for is not skipped: the cap is the answer
     with pytest.raises(ResourceCapError):
         cli.run_member(replace(inst, emit_cover=True))
@@ -427,8 +436,8 @@ def test_member_synthesizes_only_when_the_cover_is_asked_for(monkeypatch, capsys
         raise AssertionError("member synthesized a cover it was not asked for")
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_synthesize_universal", refuse)
-        patch.setattr(cli, "sigma1_cover", refuse)
+        for synthesizer in ("at_cover", "sigma1_cover", "bsigma1_cover", "fo2_cover"):
+            patch.setattr(cli, synthesizer, refuse)
         code, out, _ = run(capsys, argv)
     assert code == 0
     doc = json.loads(out)
@@ -599,6 +608,69 @@ def test_bsigma1_separation_with_a_cover_decides_or_names_a_cap(drawn):
         assert cover is None or cover["verified"]["class_ok"] is True
     else:
         assert err.getvalue().startswith("resource cap: ")
+
+
+FUZZ_COMMANDS = [["cover"], ["separate"], ["member"], ["imprint"],
+                 ["oracle", "--which", "sigma1-sep"], ["oracle", "--which", "pt-k"],
+                 ["oracle", "--which", "at"]]
+
+
+def fuzz_regexes(symbols: str):
+    """Unions of up to three words of letters, groups and the empty word,
+    each bare, starred or plussed: cheaper to draw than `regexes`."""
+    atoms = [atom + op for atom in (*symbols, f"({'|'.join(symbols)})", f"({symbols})", "%eps")
+             for op in ("", "*", "+")]
+    words = st.lists(st.sampled_from(atoms), min_size=1, max_size=3).map("".join)
+    return st.lists(words, min_size=1, max_size=3).map("|".join)
+
+
+FUZZ_REGEXES = {symbols: fuzz_regexes(symbols) for symbols in ("a", "ab", "abc")}
+
+
+@st.composite
+def fuzz_argvs(draw, command, path):
+    """An argv for the command whose fields come as flags or from the
+    instance file at path, with small caps."""
+    symbols = draw(st.sampled_from(sorted(FUZZ_REGEXES)))
+    regex = FUZZ_REGEXES[symbols]
+    fields = {"alphabet": symbols,
+              "class": draw(st.sampled_from([c.value for c in ClassId] + ["chain", "x"])),
+              "target": draw(regex | st.sampled_from([None, cli.UNIVERSAL, "a("])),
+              "against": draw(st.lists(regex, min_size=1, max_size=2))}
+    flags = ("json",) if command[0] in ("imprint", "oracle") else ("emit_cover", "verify", "json")
+    options = draw(st.sets(st.sampled_from(flags)))
+    in_file = draw(st.sets(st.sampled_from(sorted(fields) + sorted(options))))
+    argv = list(command)
+    for key, value in fields.items():
+        if key not in in_file and value is not None and (key, command[0]) != ("class", "oracle"):
+            for item in value if key == "against" else [value]:
+                argv += ["--" + key, item]
+    argv += ["--" + key.replace("_", "-") for key in options if key not in in_file]
+    for flag, most in (("--max-elements", 40), ("--max-states", 40), ("--max-k", 3)):
+        cap = draw(st.none() | st.integers(0, most))
+        if cap is not None:
+            argv += [flag, str(cap)]
+    if in_file:
+        doc = {key: fields[key] for key in in_file if key in fields}
+        doc["options"] = {key: True for key in in_file if key in options}
+        path.write_text(json.dumps(doc))
+        argv += ["--instance", str(path)]
+    return argv
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS, ids=lambda argv: argv[-1])
+@given(data=st.data())
+def test_any_argv_exits_0_2_or_3(tmp_path_factory, command, data):
+    # a verdict, an input error or a resource cap, and no exception; argparse
+    # refuses an argv it cannot parse with SystemExit(2)
+    argv = data.draw(fuzz_argvs(command, tmp_path_factory.getbasetemp() / "instance.json"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
 
 
 def test_bsigma1_cover_over_twelve_letters_fits_the_address_space():

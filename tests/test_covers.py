@@ -348,9 +348,10 @@ def test_run_cover_refuses_an_optimal_cover_that_fails_the_class_check(
             "--emit-cover"] + [x for r in against for x in ("--against", r)]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    synthesize = cli._synthesize_universal
-    monkeypatch.setattr(cli, "_synthesize_universal",
-                        lambda *args: swap_first_piece(synthesize(*args)))
+    name = f"{cls}_cover"
+    synthesize = getattr(cli, name)
+    monkeypatch.setattr(cli, name,
+                        lambda *args, **kwargs: swap_first_piece(synthesize(*args, **kwargs)))
     with pytest.raises(AssertionError, match="failed verification"):
         cli.main(argv)
 
