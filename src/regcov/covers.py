@@ -593,22 +593,6 @@ class VerifyReport:
         return self.covers_target and self.separating and self.class_ok is not False
 
 
-def _covers_incrementally(target: Nfa, pieces: list, caps: Caps) -> bool:
-    """target ⊆ union of pieces, with the running union kept minimal and an
-    early exit once inclusion holds (unions of many pieces usually collapse
-    long before all of them are accumulated)."""
-    if not pieces:
-        return is_empty(target)
-    union = None
-    for i, p in enumerate(pieces):
-        union = p.nfa if union is None else nfa_union(union, p.nfa)
-        if union.state_count > 64 or i == len(pieces) - 1:
-            union = minimize(union, caps).as_nfa()
-            if includes(target, union, caps):
-                return True
-    return False
-
-
 def verify_cover(cover: Cover, target: Nfa, against: list,
                  caps: Caps = DEFAULT_CAPS) -> VerifyReport:
     """Machine-check a cover: coverage, separation witnesses and the class
@@ -621,7 +605,8 @@ def verify_cover(cover: Cover, target: Nfa, against: list,
     partition is one j-piece-equivalence class with j ≤ k, a union of
     k-classes, so each piece is k-piecewise testable.  Any other cover's
     class is certified by construction only."""
-    covers_target = _covers_incrementally(target, cover.pieces, caps)
+    covers_target = (includes(target, nfa_union(*(p.nfa for p in cover.pieces)), caps)
+                     if cover.pieces else is_empty(target))
     witnesses = [next((i for i, lang in enumerate(against) if is_empty(p.nfa, lang)), None)
                  for p in cover.pieces]
     separating = None not in witnesses

@@ -488,13 +488,16 @@ def transition_monoid(n: Nfa, caps: Caps = DEFAULT_CAPS):
     if built is None:
         raise MonoidCapError("max_monoid", caps.max_monoid,
                              f"transition monoid of {dfa.state_count}-state minimal DFA")
-    return built
+    morphism, reached = built
+    return morphism, frozenset(i for i, q in enumerate(reached) if q in dfa.finals)
 
 
 def _dfa_monoid(dfa: Dfa, bound: int):
-    """`transition_monoid` from a complete DFA that is already minimal, or
-    None as soon as the enumeration finds more than `bound` elements; the
-    table is filled only for a monoid within the bound."""
+    """(morphism, reached) for `transition_monoid` of a complete DFA that is
+    already minimal: element i leads the initial state to reached[i], so
+    finals F give the language image⁻¹{i : reached[i] ∈ F}.  None as soon as
+    the enumeration finds more than `bound` elements; the table is filled
+    only for a monoid within the bound."""
     if bound < 1:
         return None
     # the transformation of letter k, as a lookup; t·k applies t, then k
@@ -519,8 +522,7 @@ def _dfa_monoid(dfa: Dfa, bound: int):
         cols.append([step[v] for v in cols[parent]])
     letter_image = {a: right[k][0] for k, a in enumerate(dfa.alphabet.symbols)}
     morphism = MonoidMorphism(size, 0, tuple(zip(*cols)), letter_image)
-    accepting = frozenset(i for i, t in enumerate(order) if t[dfa.initial] in dfa.finals)
-    return morphism, accepting
+    return morphism, tuple(t[dfa.initial] for t in order)
 
 
 # -- special languages ------------------------------------------------------------

@@ -169,33 +169,37 @@ class Extension:
         return out
 
 
-def rm_from_morphism(alpha: MonoidMorphism, accepting: Iterable[int]) -> Extension:
+def rm_from_morphism(alpha: MonoidMorphism, *accepting: Iterable[int]) -> Extension:
     """Canonical rating map over the powerset of the monoid, extending the
-    single-language map of image⁻¹(accepting)."""
+    map of the languages image⁻¹(acc), one per accepting set acc."""
     sr = PowersetMonoidSemiring(alpha)
     letter_image = {a: sr.singleton(m) for a, m in alpha.letter_image.items()}
     tau = RatingMap(Alphabet("".join(sorted(alpha.letter_image))), sr, letter_image)
-    return Extension(tau, (sr.sum(sr.singleton(m) for m in accepting),))
+    return Extension(tau, tuple(sr.sum(sr.singleton(m) for m in acc) for acc in accepting))
 
 
-def rm_from_nfa(nfa: Nfa) -> Extension:
-    """Canonical rating map over state relations of the automaton."""
+def rm_from_nfa(nfa: Nfa, *finals: Iterable[int]) -> Extension:
+    """Canonical rating map over state relations of the automaton, with one
+    language per given set of final states (the automaton's own if none)."""
     sr = RelationSemiring(nfa.state_count)
     letter_image = {a: 0 for a in nfa.alphabet}
     for (q, a, r) in nfa.transitions:
         letter_image[a] |= sr.pair(q, r)
     tau = RatingMap(nfa.alphabet, sr, letter_image)
-    return Extension(tau, (sr.sum(sr.pair(q, r) for q in nfa.initials for r in nfa.finals),))
+    return Extension(tau, tuple(sr.sum(sr.pair(q, r) for q in nfa.initials for r in fin)
+                                for fin in finals or (nfa.finals,)))
 
 
 def rm_from_multiset(nfas: Iterable[Nfa], caps: Caps = DEFAULT_CAPS) -> Extension:
     """Nice multiplicative rating map extending the canonical map of a
     finite multiset of regular languages.
 
-    Per NFA the narrowest of the relation and monoid constructions is used
-    (`_extension_for_nfa`); the parts sit side by side in one product, and
-    each language's acceptance mask is its part's mask shifted into its
-    field.
+    The languages are grouped by the transitions of their minimal DFAs,
+    which `minimize` numbers canonically, so a group's languages differ only
+    in their finals (a language and its complement, or a repeated one).
+    Each group takes its narrowest encoding (`_group_parts`); the parts sit
+    side by side in one product, and each language's acceptance mask is its
+    mask in its part, shifted into that part's field.
     """
     nfas = list(nfas)
     if not nfas:
@@ -203,35 +207,51 @@ def rm_from_multiset(nfas: Iterable[Nfa], caps: Caps = DEFAULT_CAPS) -> Extensio
     alphabet = nfas[0].alphabet
     if any(nfa.alphabet != alphabet for nfa in nfas):
         raise InputError("multiset languages must share one alphabet")
-    exts = [_extension_for_nfa(nfa, caps) for nfa in nfas]
+    dfas = [minimize(nfa, caps) for nfa in nfas]
+    groups: dict = {}
+    for i, dfa in enumerate(dfas):
+        groups.setdefault(dfa.delta, []).append(i)
+    exts, order = [], []
+    for members in groups.values():
+        exts += _group_parts([nfas[i] for i in members], [dfas[i] for i in members], caps)
+        order += members
     sr = ProductSemiring(e.tau.semiring for e in exts)
     letter_image = {a: sr.pack(e.tau.letter_image[a] for e in exts) for a in alphabet}
     tau = RatingMap(alphabet, sr, letter_image)
-    accepts = tuple(sr.pack(e.accepts[0] if j == i else 0 for j, e in enumerate(exts))
-                    for i in range(len(exts)))
-    return Extension(tau, accepts)
+    # the parts' masks come in the order of `order`, a group's members in turn
+    masks = [sr.pack(acc if k == j else 0 for k in range(len(exts)))
+             for j, e in enumerate(exts) for acc in e.accepts]
+    return Extension(tau, tuple(mask for _, mask in sorted(zip(order, masks))))
 
 
-def _extension_for_nfa(nfa: Nfa, caps: Caps) -> Extension:
-    """Pick the per-language construction with the smallest element width.
+def _group_parts(nfas: list, dfas: list, caps: Caps) -> list:
+    """The parts of languages whose minimal DFAs differ only in their
+    finals, with one acceptance mask per language, in the order given: one
+    part for the whole group, or one per language.
 
-    Every nice multiplicative rating map recognizing the language yields the
-    same imprints over the language indices, so the choice only sets the
-    cost.  Semiring products and antichain comparisons grow with the bit
-    width of the rating-set encoding, so that width is the quantity to
-    minimize: minimal-DFA relations (states²), raw-NFA relations (states²)
-    and the monoid powerset (monoid size, at most `max_monoid`), ties going
-    to the DFA, then the monoid, then the NFA.  So the monoid wins exactly
-    when it has at most min(dfa² − 1, nfa², `max_monoid`) elements, and its
-    enumeration stops past that bound.  No encoding is refused for its
-    width; a blow-up ends on the caps that count the work itself.
+    Every nice multiplicative rating map recognizing the languages yields
+    the same imprints over the language indices, so the choice only sets
+    the cost.  Semiring products and antichain comparisons grow with the
+    bit width of the rating-set encoding, so that width is the quantity to
+    minimize: the minimal-DFA relations (states²) or the monoid powerset
+    (monoid size, at most `max_monoid`), either shared by the group, or one
+    raw-NFA relation part per language (Σ states²), ties going to the DFA,
+    then the monoid, then the NFAs.  So the monoid wins exactly when it has
+    at most min(dfa² − 1, Σ nfa², `max_monoid`) elements, and its
+    enumeration stops past that bound; a lone language gets the same choice
+    as on its own.  No encoding is refused for its width; a blow-up ends on
+    the caps that count the work itself.
     """
-    dfa = minimize(nfa, caps)
-    dfa_bits, nfa_bits = dfa.state_count ** 2, nfa.state_count ** 2
+    dfa, finals = dfas[0], [d.finals for d in dfas]
+    dfa_bits, nfa_bits = dfa.state_count ** 2, sum(n.state_count ** 2 for n in nfas)
     built = _dfa_monoid(dfa, min(dfa_bits - 1, nfa_bits, caps.max_monoid))
     if built is not None:
-        return rm_from_morphism(*built)
-    return rm_from_nfa(dfa.as_nfa() if dfa_bits <= nfa_bits else nfa)
+        alpha, reached = built
+        return [rm_from_morphism(alpha, *({m for m, q in enumerate(reached) if q in fin}
+                                          for fin in finals))]
+    if dfa_bits <= nfa_bits:
+        return [rm_from_nfa(dfa.as_nfa(), *finals)]
+    return [rm_from_nfa(nfa) for nfa in nfas]
 
 
 def rm_alphabet_augment(ext: Extension, caps: Caps = DEFAULT_CAPS) -> Extension:

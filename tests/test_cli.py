@@ -346,8 +346,18 @@ def test_fo_decision_only(capsys):
 def test_rating_set_log2_is_the_width_saturated_over(capsys):
     # fo2 and sigma2 saturate over the alphabet augmentation, 2^|A| = 4 bits
     # wider than the base map; a+, b+ and the complement of a+ each take a
-    # 3-element monoid
+    # 3-element monoid.  A universal member query shares one part between
+    # the target and its complement: (ab)+ takes its 6-element monoid once,
+    # a^170+ its 171-element one (2 + 171 with the augmentation).  Two
+    # languages with one 2,048-state minimal DFA but raw NFAs of 24 and 44
+    # states keep a relation part each: 24² + 44² = 2,512 bits
+    tail = "(a|b)" * 10
     for argv, bits in (
+            (["member", "--class", "bsigma1", "--alphabet", "ab", "--target", "(ab)+"], 6.0),
+            (["member", "--class", "fo2", "--alphabet", "a", "--target", "a" * 170 + "+"],
+             173.0),
+            (["separate", "--class", "at", "--alphabet", "ab", "--target", "(a|b)*a" + tail,
+              "--against", "(a|b)*b" + tail + "|" + "(a|b|%eps)" * 10], 2512.0),
             (["separate", "--class", "fo2", "--alphabet", "ab", "--target", "a+",
               "--against", "b+"], 10.0),
             (["separate", "--class", "fo", "--alphabet", "ab", "--target", "a+",
@@ -615,13 +625,30 @@ FUZZ_COMMANDS = [["cover"], ["separate"], ["member"], ["imprint"],
                  ["oracle", "--which", "at"]]
 
 
+# spliced into regex text, each makes it malformed or, for "d", out of every
+# fuzzed alphabet; "|" at either end is a leading or trailing bar
+FUZZ_JUNK = ["(", ")", "**", "|", "%e", "d", "()"]
+
+
+@st.composite
+def spliced(draw, texts):
+    text = draw(texts)
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.sampled_from(FUZZ_JUNK)) + text[at:]
+
+
 def fuzz_regexes(symbols: str):
     """Unions of up to three words of letters, groups and the empty word,
-    each bare, starred or plussed: cheaper to draw than `regexes`."""
+    each bare, starred or plussed: cheaper to draw than `regexes`.  Also
+    such unions nested in up to 40 groups, each bare, starred or plussed,
+    and malformed text: one of `FUZZ_JUNK` spliced into either kind."""
     atoms = [atom + op for atom in (*symbols, f"({'|'.join(symbols)})", f"({symbols})", "%eps")
              for op in ("", "*", "+")]
     words = st.lists(st.sampled_from(atoms), min_size=1, max_size=3).map("".join)
-    return st.lists(words, min_size=1, max_size=3).map("|".join)
+    flat = st.lists(words, min_size=1, max_size=3).map("|".join)
+    nested = st.tuples(flat, st.integers(1, 40), st.sampled_from(["", "*", "+"])).map(
+        lambda t: "(" * t[1] + t[0] + (")" + t[2]) * t[1])
+    return flat | nested | spliced(flat | nested)
 
 
 FUZZ_REGEXES = {symbols: fuzz_regexes(symbols) for symbols in ("a", "ab", "abc")}

@@ -420,4 +420,6 @@ def test_closure_caps_bound_the_exact_count(name):
         assert raised.value.class_name == "fo2 word images"
     if name == "transition_monoid":
         dfa = minimize(nfa_of("(ab)+|a(ba)*b", "ab"))
-        assert _dfa_monoid(dfa, n) == want and _dfa_monoid(dfa, n - 1) is None
+        morphism, reached = _dfa_monoid(dfa, n)
+        accepting = frozenset(i for i, q in enumerate(reached) if q in dfa.finals)
+        assert (morphism, accepting) == want and _dfa_monoid(dfa, n - 1) is None

@@ -3,19 +3,21 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from regcov import (DEFAULT_CAPS, Alphabet, Caps, InputError, MonoidCapError,
+from regcov import (DEFAULT_CAPS, Alphabet, Caps, ClassId, InputError, MonoidCapError,
                     Nfa, PowersetMonoidSemiring, RelationSemiring,
-                    SaturationCapError, at_imprint, is_empty, minimize,
-                    nfa_intersection, nfa_union, regex_to_nfa,
+                    SaturationCapError, at_imprint, decide_universal_covering,
+                    is_empty, minimize, nfa_complement, nfa_intersection, nfa_union, regex_to_nfa,
                     rm_alphabet_augment, rm_from_morphism, rm_from_multiset,
                     rm_from_nfa, transition_monoid, universal_language)
 from regcov.fa import alphabet_exact
 from regcov.imprints import ImprintSet
 
 from explicit_engine import downset, members, submasks
-from helpers import (alphabet_languages, eval_word, imprint_pullback, leq, nfa_of,
-                     random_nfa, random_regex, rm_trivial_imprint, strip_content,
+from helpers import (alphabet_languages, eval_word, imprint_pullback, leq, multiset_ext,
+                     nfa_of, nfas, random_nfa, random_regex, rm_trivial_imprint, strip_content,
                      words_upto)
 from reference_rating import joint_star_exact, reference_extension
 
@@ -386,3 +388,22 @@ def test_word_image_closure_checks_the_caps_of_every_call():
     with pytest.raises(SaturationCapError):
         tau.image_of_exact("a", Caps(max_elements=2))
     assert tau.image_of_star("ab") == star
+
+
+@given(data=st.data())
+def test_shared_parts_decide_as_separate_parts(data):
+    # a language and its complement always share the part of their minimal
+    # DFA, a repeated language when that part is at most 2·nfa² bits wide;
+    # the verdicts and imprints are those of one part per language
+    alphabet = data.draw(st.sampled_from([AB, ABC]))
+    target = data.draw(nfas(alphabet))
+    other = data.draw(nfas(alphabet))
+    for langs in ([target, nfa_complement(target)], [target, other, target]):
+        shared = rm_from_multiset(langs)
+        separate = multiset_ext(reference_extension(lang)[1] for lang in langs)
+        if len(langs) == 2:
+            assert len(shared.tau.semiring.parts) == 1
+        for cid in (ClassId.AT, ClassId.BSIGMA1, ClassId.FO, ClassId.FO2):
+            want, got = (decide_universal_covering(ext, cid, target_index=0)
+                         for ext in (separate, shared))
+            assert (got.coverable, got.imprint_masks) == (want.coverable, want.imprint_masks), cid
