@@ -25,7 +25,7 @@ from .saturation import (ClassId, CoverDecision, at_imprint,
                          decide_pointed_covering, decide_universal_covering,
                          saturate_pointed, saturate_universal)
 from .pieces import pt_partition
-from .covers import (Cover, CoverPiece, VerifyReport, at_cover, bsigma1_cover,
-                     fo2_cover, restrict_cover, sigma1_cover, verify_cover)
+from .covers import (Cover, VerifyReport, at_cover, bsigma1_cover, fo2_cover,
+                     restrict_cover, sigma1_cover, verify_cover)
 
 __version__ = "0.1.0"

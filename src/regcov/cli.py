@@ -196,7 +196,7 @@ def _run(inst: Instance, separate: bool) -> Verdict:
     if (inst.emit_cover or separate) and decision.coverable and class_id.synthesizable:
         try:
             if class_id is ClassId.SIGMA1:
-                cover = sigma1_cover(alpha, accepting, inst.alphabet, decision.rating_map, caps)
+                cover = sigma1_cover(target_nfa, decision.rating_map, caps)
             elif class_id is ClassId.AT:
                 cover = at_cover(inst.alphabet, caps=caps)
             elif class_id is ClassId.BSIGMA1:

@@ -1,55 +1,44 @@
 """Cover synthesis and verification.
 
 Synthesizers emit covers whose imprint matches the saturated optimum:
-alphabet atoms for AT, superword closures of the target's minimal words,
-united per rating image, for level-1 existential sentences,
-piece-equivalence classes, each refined only while its image misses the
-goal, for their Boolean closure, and the recursive left-factor
-construction for two-variable logic.  `verify_cover` re-checks everything
-with automata only.
+alphabet atoms for AT, superword closures of the minimal words of the
+target automaton, united per rating image, for level-1 existential
+sentences, piece-equivalence classes, each refined only while its image
+misses the goal, for their Boolean closure, and the recursive left-factor
+construction for two-variable logic.  A cover is its list of pieces, each
+the trimmed minimal DFA of its language.  `verify_cover` re-checks
+everything with automata only, against the target its caller holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import (Caps, DEFAULT_CAPS, DeterminizationCapError, InputError, PieceCapError,
                      PtStateCapError, SaturationCapError)
 from . import rx
-from .fa import (Alphabet, Dfa, MonoidMorphism, Nfa, explore, includes, is_empty, minimize,
-                 minimize_labelled, nfa_complement, nfa_intersection, nfa_to_regex, nfa_union,
-                 universal_language, upward_closure)
+from .fa import (Alphabet, Dfa, Nfa, explore, includes, is_empty, minimize, minimize_labelled,
+                 nfa_complement, nfa_intersection, nfa_to_regex, nfa_union, upward_closure)
 from .imprints import ImprintSet
 from .pieces import are_unions_of_classes, pt_partition
 from .rating import RatingMap, reach
-from .rx import Regex
 from .saturation import ClassId
 
 
 @dataclass
-class CoverPiece:
-    """One cover member: the trimmed minimal DFA of its language, and the
-    regex read off it (built on each read; the CLI renders a cover once).
+class Cover:
+    """A list of pieces whose union includes the target, each the trimmed
+    minimal DFA of its language.
 
     Every synthesizer builds its pieces as trimmed minimal DFAs
     (`_label_pieces`, and the superword closures of its pieces for Σ1), so
-    the regex is state elimination on the automaton as it is: a union of
-    piece classes can span thousands of classes and yet have a minimal DFA
-    of a dozen states, and state elimination on a large automaton builds a
-    regex nested too deeply to print."""
+    a piece's regex is state elimination on the automaton as it is: a union
+    of piece classes can span thousands of classes and yet have a minimal
+    DFA of a dozen states, and state elimination on a large automaton
+    builds a regex nested too deeply to print."""
 
-    nfa: Nfa
-
-    @property
-    def regex(self) -> Regex:
-        return nfa_to_regex(self.nfa)
-
-
-@dataclass
-class Cover:
     class_id: ClassId
-    target: Nfa
     pieces: list
     k: Optional[int] = None          # piece bound, for piecewise covers
     # the partition DFA whose classes every piece is a union of (at, bsigma1)
@@ -60,7 +49,7 @@ class Cover:
     def to_json(self) -> dict:
         doc = {
             "class": self.class_id.value,
-            "pieces": [{"regex": rx.regex_to_text(p.regex)} for p in self.pieces],
+            "pieces": [{"regex": rx.regex_to_text(nfa_to_regex(p))} for p in self.pieces],
             "optimal": self.optimal,
         }
         if self.k is not None:
@@ -77,18 +66,18 @@ def at_cover(alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> Cover:
     partition."""
     pa, _ = pt_partition(1, alphabet, caps)
     pieces = _label_pieces(alphabet, pa.delta, pa.initial, list(range(pa.state_count)))
-    return Cover(ClassId.AT, universal_language(alphabet), pieces,
-                 partition=pa, provenance="alphabet atoms")
+    return Cover(ClassId.AT, pieces, partition=pa, provenance="alphabet atoms")
 
 
 # -- superword-closure covers ---------------------------------------------------------
 
-def sigma1_cover(alpha: MonoidMorphism, targets, alphabet: Alphabet, rho: RatingMap,
-                 caps: Caps = DEFAULT_CAPS) -> Cover:
-    """Cover of L = image⁻¹(targets) by upward-closed pieces, one for each
+def sigma1_cover(target: Nfa, rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> Cover:
+    """Cover of the target L by upward-closed pieces, one for each
     distinct image ρ(↑w) over the words w of min(L), the subword-minimal
     words of L: the piece of image r is the union of the superword closures
-    ↑w of the minimal words w with ρ(↑w) = r.
+    ↑w of the minimal words w with ρ(↑w) = r.  The construction starts from
+    the target's minimal DFA, so the pieces depend on L only, not on the
+    automaton that spells it.
 
     The canonical Σ1 cover {↑w : w ∈ min(L)} is finite by Higman's lemma
     and optimal for every rating map: any Σ1 cover of L has a piece K that
@@ -96,9 +85,9 @@ def sigma1_cover(alpha: MonoidMorphism, targets, alphabet: Alphabet, rho: Rating
     ρ(↑w) ≤ ρ(K).  Uniting its members of equal image keeps that: addition
     is idempotent, so the union of the members of image r has image r and
     the two covers have the same images; a union of upward-closed
-    languages is upward closed.  Yet min(L) can be exponential in |M|
-    (min((a|b|c)^n(a|b|c)*) is all 3^n words of length n), while the
-    pieces are no more than the distinct images.
+    languages is upward closed.  Yet min(L) can be exponential in L's
+    minimal DFA (min((a|b|c)^n(a|b|c)*) is all 3^n words of length n),
+    while the pieces are no more than the distinct images.
 
     A word has a strict subword in L exactly when deleting one of its
     letters leaves a word of ↑L, so min(L) = L ∖ ins(↑L), for ins(K) the
@@ -111,14 +100,14 @@ def sigma1_cover(alpha: MonoidMorphism, targets, alphabet: Alphabet, rho: Rating
     and its pairs are bounded by `max_det_states`.  The words of one label
     form a finite language, and its superword closure is the piece.
     """
-    target_nfa = _fiber_nfa(alpha, targets, alphabet)
-    fiber = minimize(target_nfa, caps).as_nfa()
-    up = upward_closure(fiber)
+    alphabet = target.alphabet
+    dfa = minimize(target, caps).as_nfa()
+    up = upward_closure(dfa)
     n = up.state_count
     inserted = Nfa(alphabet, 2 * n, up.initials, frozenset(q + n for q in up.finals),
                    up.transitions | {(q + n, a, r + n) for q, a, r in up.transitions}
                    | {(q, a, q + n) for q in range(n) for a in alphabet})
-    least = minimize(nfa_intersection(fiber, nfa_complement(inserted, caps)), caps)
+    least = minimize(nfa_intersection(dfa, nfa_complement(inserted, caps)), caps)
     # min(L) is finite, so its minimal DFA has a dead state; one sink stands
     # for every pair on it
     dead = next(q for q, row in enumerate(least.delta)
@@ -138,18 +127,10 @@ def sigma1_cover(alpha: MonoidMorphism, targets, alphabet: Alphabet, rho: Rating
                                       "sigma1 cover synthesis")
     pairs, rows = found
     labels = [u if q in least.finals else None for q, u in pairs]
-    pieces = [CoverPiece(minimize(upward_closure(p.nfa), caps).as_nfa())
+    pieces = [minimize(upward_closure(p), caps).as_nfa()
               for p in _label_pieces(alphabet, tuple(rows), 0, labels)]
-    return Cover(ClassId.SIGMA1, target_nfa, pieces,
+    return Cover(ClassId.SIGMA1, pieces,
                  provenance="superword closures of the minimal words, one per image")
-
-
-def _fiber_nfa(alpha: MonoidMorphism, targets, alphabet: Alphabet) -> Nfa:
-    """Automaton of image⁻¹(targets): the right Cayley graph of the monoid."""
-    trans = {(m, a, alpha.mul[m][alpha.letter_image[a]])
-             for m in range(alpha.size) for a in alphabet}
-    return Nfa(alphabet, alpha.size, frozenset([alpha.identity]),
-               frozenset(targets), frozenset(trans))
 
 
 # -- piecewise-testable covers ---------------------------------------------------------
@@ -232,8 +213,7 @@ def _partition_cover(pa: Dfa, k: int, images: dict, optimal: bool, stop: str = "
     delta, labels = minimize_labelled(pa.delta, pa.initial,
                                       [images[q] for q in range(pa.state_count)])
     pieces = _label_pieces(pa.alphabet, delta, 0, labels)
-    return Cover(ClassId.BSIGMA1, universal_language(pa.alphabet), pieces,
-                 k=k, partition=pa, optimal=optimal,
+    return Cover(ClassId.BSIGMA1, pieces, k=k, partition=pa, optimal=optimal,
                  provenance=f"piece-equivalence partition at k={k}{stop}")
 
 
@@ -277,8 +257,8 @@ def _label_pieces(alphabet: Alphabet, delta: tuple, initial: int, labels: list) 
                                            if accepting[q] or any(r != q for r in row))}
         trans = frozenset((kept[q], a, kept[r]) for q in kept
                           for a, r in zip(alphabet.symbols, rows[q]) if r in kept)
-        out.append(CoverPiece(Nfa(alphabet, len(kept), frozenset([0]),
-                                  frozenset(kept[q] for q in kept if accepting[q]), trans)))
+        out.append(Nfa(alphabet, len(kept), frozenset([0]),
+                       frozenset(kept[q] for q in kept if accepting[q]), trans))
     return out
 
 
@@ -299,10 +279,9 @@ def fo2_cover(rho: RatingMap, saturated: ImprintSet, caps: Caps = DEFAULT_CAPS) 
         tuple(rho.alphabet.symbols), sr.one, sr.one, True)
     pieces = _label_pieces(rho.alphabet, delta, 0, labels)
     for p in pieces:
-        if rho.eval_nfa(p.nfa, caps) not in saturated:
+        if rho.eval_nfa(p, caps) not in saturated:
             raise AssertionError("fo2 synthesis produced a piece outside the saturated set")
-    return Cover(ClassId.FO2, universal_language(rho.alphabet), pieces,
-                 provenance="left-factor recursion")
+    return Cover(ClassId.FO2, pieces, provenance="left-factor recursion")
 
 
 class _Fo2State:
@@ -575,9 +554,8 @@ def restrict_cover(cover: Cover, target: Nfa) -> Cover:
     """Keep the pieces meeting the target: turns a separating universal
     cover for {target} ∪ others into a cover of the target separating for
     the others."""
-    pieces = [p for p in cover.pieces if not is_empty(p.nfa, target)]
-    return Cover(cover.class_id, target, pieces, k=cover.k, partition=cover.partition,
-                 optimal=cover.optimal, provenance=cover.provenance + " | restricted to target")
+    return replace(cover, pieces=[p for p in cover.pieces if not is_empty(p, target)],
+                   provenance=cover.provenance + " | restricted to target")
 
 
 @dataclass
@@ -605,19 +583,19 @@ def verify_cover(cover: Cover, target: Nfa, against: list,
     partition is one j-piece-equivalence class with j ≤ k, a union of
     k-classes, so each piece is k-piecewise testable.  Any other cover's
     class is certified by construction only."""
-    covers_target = (includes(target, nfa_union(*(p.nfa for p in cover.pieces)), caps)
+    covers_target = (includes(target, nfa_union(*cover.pieces), caps)
                      if cover.pieces else is_empty(target))
-    witnesses = [next((i for i, lang in enumerate(against) if is_empty(p.nfa, lang)), None)
+    witnesses = [next((i for i, lang in enumerate(against) if is_empty(p, lang)), None)
                  for p in cover.pieces]
     separating = None not in witnesses
 
     class_ok: Optional[bool] = None
     note = "class membership certified by construction, not machine-checked"
     if cover.class_id is ClassId.SIGMA1:
-        class_ok = all(includes(upward_closure(p.nfa), p.nfa, caps) for p in cover.pieces)
+        class_ok = all(includes(upward_closure(p), p, caps) for p in cover.pieces)
         note = "each piece closed under superwords"
     elif cover.partition is not None:
-        class_ok = are_unions_of_classes([p.nfa for p in cover.pieces], cover.partition, caps)
+        class_ok = are_unions_of_classes(cover.pieces, cover.partition, caps)
         note = ("each piece a union of alphabet atoms" if cover.class_id is ClassId.AT
                 else f"each piece a union of j-piece-equivalence classes, j <= {cover.k}")
 

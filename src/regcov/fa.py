@@ -16,9 +16,15 @@ from . import rx
 from .rx import Regex
 
 
+# characters of the regex grammar, which no symbol may be (whitespace neither)
+_RESERVED = "|()*+%"
+
+
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered alphabet of distinct single-character symbols (size 1..16)."""
+    """Ordered alphabet of distinct single-character symbols (size 1..16),
+    none of them reserved by the regex grammar, so that every regex printed
+    over it parses back."""
 
     symbols: str
 
@@ -29,6 +35,9 @@ class Alphabet:
             raise InputError(f"alphabet symbols must be distinct: {self.symbols!r}")
         if any(len(s) != 1 for s in self.symbols):
             raise InputError("alphabet symbols must be single characters")
+        for s in self.symbols:
+            if s in _RESERVED or s.isspace():
+                raise InputError(f"alphabet symbol {s!r} is reserved by the regex grammar")
         object.__setattr__(self, "symbols", "".join(sorted(self.symbols)))
 
     def __iter__(self) -> Iterator[str]:
@@ -38,13 +47,12 @@ class Alphabet:
         return len(self.symbols)
 
     def __contains__(self, sym: str) -> bool:
-        return sym in self.symbols
+        return isinstance(sym, str) and len(sym) == 1 and sym in self.symbols
 
     def index(self, sym: str) -> int:
-        i = self.symbols.find(sym)
-        if i < 0:
+        if sym not in self:
             raise InputError(f"symbol {sym!r} not in alphabet {self.symbols!r}")
-        return i
+        return self.symbols.index(sym)
 
     def mask_of(self, syms: Iterable[str]) -> int:
         m = 0
@@ -70,6 +78,8 @@ class Nfa:
         object.__setattr__(self, "initials", frozenset(self.initials))
         object.__setattr__(self, "finals", frozenset(self.finals))
         object.__setattr__(self, "transitions", frozenset(self.transitions))
+        if self.state_count < 0:
+            raise InputError(f"state count {self.state_count} is negative")
         for q in itertools.chain(self.initials, self.finals):
             if not (0 <= q < self.state_count):
                 raise InputError(f"state {q} out of range (count {self.state_count})")

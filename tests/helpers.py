@@ -180,7 +180,7 @@ def nfa_of(text: str, symbols: str) -> Nfa:
 
 def piece_images_distinct(cover, rho) -> bool:
     """True when no two pieces of the cover have the same image under rho."""
-    images = [rho.eval_nfa(p.nfa) for p in cover.pieces]
+    images = [rho.eval_nfa(p) for p in cover.pieces]
     return len(set(images)) == len(images)
 
 
@@ -317,11 +317,20 @@ def reverse(n: Nfa) -> Nfa:
                frozenset((r, a, q) for (q, a, r) in n.transitions))
 
 
-def union_nfa(cover) -> Nfa:
-    """The union of a cover's pieces."""
+def union_nfa(cover, alphabet: Alphabet) -> Nfa:
+    """The union of a cover's pieces over the alphabet."""
     if not cover.pieces:
-        return empty_language(cover.target.alphabet)
-    return nfa_union(*(p.nfa for p in cover.pieces))
+        return empty_language(alphabet)
+    return nfa_union(*cover.pieces)
+
+
+def fiber_nfa(alpha, targets, alphabet: Alphabet) -> Nfa:
+    """Automaton of image⁻¹(targets) for a monoid morphism: the right
+    Cayley graph of the monoid, rooted at the identity."""
+    trans = {(m, a, alpha.mul[m][alpha.letter_image[a]])
+             for m in range(alpha.size) for a in alphabet}
+    return Nfa(alphabet, alpha.size, frozenset([alpha.identity]),
+               frozenset(targets), frozenset(trans))
 
 
 def cover_imprint(cover, rho) -> ImprintSet:
@@ -330,7 +339,7 @@ def cover_imprint(cover, rho) -> ImprintSet:
     out = ImprintSet(rho.semiring, cap=DEFAULT_CAPS.max_elements, label="cover-imprint")
     out.insert(rho.semiring.zero)
     for p in cover.pieces:
-        out.insert(rho.eval_nfa(p.nfa))
+        out.insert(rho.eval_nfa(p))
     return out
 
 
@@ -338,7 +347,7 @@ def cover_index_masks(cover, ext) -> frozenset:
     """The imprint of a cover over the language indices of an extension:
     the masks of the languages each piece meets, downset-closed."""
     return frozenset(sub for p in cover.pieces
-                     for sub in saturation._mask_subsets(ext.index_set(ext.tau.eval_nfa(p.nfa))))
+                     for sub in saturation._mask_subsets(ext.index_set(ext.tau.eval_nfa(p))))
 
 
 def is_submonoid(imprint: ImprintSet) -> bool:

@@ -1,8 +1,9 @@
 """Earlier cover constructions, the references for those of `regcov.covers`.
 
 The Σ1 words by enumeration: every word up to length |M|, pruned to the
-minimal ones.  `sigma1_cover` must unite their superword closures per
-image.
+minimal ones, read off the transition monoid.  `sigma1_cover`, which
+reads the target automaton instead, must unite their superword closures
+per image.
 
 The FO2 recursion, the reference for the labelled-DFA one, which must give
 the same images and equivalent pieces.  At every node, the pieces with
@@ -186,7 +187,7 @@ def merge(group: list, letter, alphabet) -> Nfa:
 
 def fo2_pieces(rho, saturated, subset=None, left=None, right=None) -> dict:
     """image -> piece automaton of the top-level merged cover, as the
-    trimmed minimal DFA that a `CoverPiece` holds."""
+    trimmed minimal DFA: a `Cover`'s pieces are these automata."""
     sr = rho.semiring
     subset = tuple(sorted(subset)) if subset is not None else tuple(rho.alphabet.symbols)
     state = MergingFo2(rho, saturated, DEFAULT_CAPS)

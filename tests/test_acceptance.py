@@ -204,7 +204,7 @@ def test_criterion_7_fo2_cover_optimality(capsys):
         cover = fo2_cover(aug.tau, sat)
         if members(cover_imprint(cover, aug.tau)) != members(sat):
             failures += 1
-        if not includes(universal_language(AB), union_nfa(cover)):
+        if not includes(universal_language(AB), union_nfa(cover, AB)):
             failures += 1
         if not piece_images_distinct(cover, aug.tau):
             failures += 1

@@ -298,6 +298,49 @@ def test_instance_file_nfa_target(tmp_path, capsys):
     assert json.loads(out)["coverable"] is True
 
 
+@pytest.mark.parametrize("cls", ["at", "sigma1", "fo2"])
+@pytest.mark.parametrize("symbol", ["", "ab"])
+def test_nfa_json_transition_on_no_single_letter_is_an_input_error(tmp_path, capsys, cls,
+                                                                  symbol):
+    # "" and "ab" are substrings of the alphabet text "ab", not letters of it;
+    # taken as symbols, synthesis ended in a KeyError
+    nfa_doc = {"alphabet": "ab", "states": 2, "initials": [0], "finals": [1],
+               "transitions": [[0, "a", 1], [0, symbol, 1]]}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"alphabet": "ab", "class": cls, "target": nfa_doc,
+                                "against": ["b+"]}))
+    code, _, err = run(capsys, ["cover", "--instance", str(path), "--emit-cover"])
+    assert code == 2 and err == f"input error: transition symbol {symbol!r} not in alphabet\n"
+
+
+def test_nfa_json_negative_state_count_is_an_input_error(tmp_path, capsys):
+    nfa_doc = {"alphabet": "ab", "states": -1, "initials": [], "finals": [], "transitions": []}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"alphabet": "ab", "class": "at", "target": nfa_doc,
+                                "against": ["b+"]}))
+    code, _, err = run(capsys, ["cover", "--instance", str(path)])
+    assert code == 2 and "state count -1 is negative" in err
+
+
+IS_RESERVED = "is reserved by the regex grammar"
+
+
+def test_alphabet_of_grammar_characters_is_an_input_error(tmp_path, capsys):
+    # over the letters of %eps the word %eps was printed as the separator
+    # %eps, which reparses as the empty word
+    word = {"alphabet": "%eps", "states": 5, "initials": [0], "finals": [4],
+            "transitions": [[i, a, i + 1] for i, a in enumerate("%eps")]}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"alphabet": "%eps", "class": "bsigma1", "target": word,
+                                "against": ["%empty"]}))
+    code, _, err = run(capsys, ["separate", "--instance", str(path)])
+    assert code == 2 and err == f"input error: alphabet symbol '%' {IS_RESERVED}\n"
+    # over a and + the separator +*a(+|a)* did not parse back
+    code, _, err = run(capsys, ["separate", "--class", "sigma1", "--alphabet", "a+",
+                                "--target", "a", "--against", "%eps"])
+    assert code == 2 and err == f"input error: alphabet symbol '+' {IS_RESERVED}\n"
+
+
 def test_universal_target(capsys):
     code, out, _ = run(capsys, [
         "cover", "--class", "at", "--alphabet", "ab",
@@ -528,6 +571,32 @@ def test_fo2_separator_does_not_follow_the_hash_seed(argv):
     assert json.loads(outs[0])["separator"]
 
 
+# every synth and plain query of the benchmark corpus through `main`, one
+# line each with its exit status and output, wall_ms masked; the corpus
+# module is imported from perfbench/ and writes nothing there
+CORPUS_OUTPUTS = """
+import contextlib, io, re, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+from regcov import cli
+for workload in ("synth", "plain"):
+    for q in workloads.corpus(workload, 1, sys.argv[2]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = cli.main(q.argv)
+        print(q.qid, code, repr(re.sub(r'"wall_ms": [^,}]+', '"wall_ms": 0', out.getvalue())))
+"""
+
+
+def test_corpus_outputs_do_not_follow_the_hash_seed(tmp_path):
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    outs = [subprocess.run([sys.executable, "-c", CORPUS_OUTPUTS, perfbench, str(tmp_path)],
+                           env=regcov_env(PYTHONHASHSEED=seed, PYTHONDONTWRITEBYTECODE="1"),
+                           capture_output=True, text=True, check=True, timeout=120).stdout
+            for seed in ("1", "2")]
+    assert outs[0].count("\n") == 220 and outs[0] == outs[1]
+
+
 def test_a_closed_stdout_is_not_a_traceback():
     # the reader leaves before the verdict is printed, as `| head -1` may
     with subprocess.Popen([sys.executable, "-m", "regcov", "imprint", "--class", "chain",
@@ -653,20 +722,52 @@ def fuzz_regexes(symbols: str):
 
 FUZZ_REGEXES = {symbols: fuzz_regexes(symbols) for symbols in ("a", "ab", "abc")}
 
+@st.composite
+def fuzz_nfa_docs(draw, symbols: str):
+    """NFA JSON on up to three states, valid or with one defect drawn in: a
+    transition symbol that is empty, two letters, a reserved character or a
+    letter outside the alphabet (the first two are substrings of the
+    alphabet's text), a state out of range or negative, a negative state
+    count, or a state id that is no integer."""
+    n = draw(st.integers(1, 3))
+    state, letter = st.integers(0, n - 1), st.sampled_from(symbols)
+    doc = {"alphabet": symbols, "states": n, "initials": [draw(state)],
+           "finals": draw(st.lists(state, max_size=2)),
+           "transitions": draw(st.lists(st.tuples(state, letter, state).map(list), max_size=5))}
+    edge = [draw(state), draw(letter), draw(state)]
+    defect = draw(st.sampled_from([None, "symbol", "count", "state", "id"]))
+    if defect == "symbol":
+        edge[1] = draw(st.sampled_from(["", (symbols * 2)[:2], "d"]) | st.sampled_from("|()*+% "))
+    elif defect == "count":
+        doc["states"] = draw(st.integers(-2, -1))
+    elif defect is not None:
+        bad = draw(st.sampled_from([n, n + 7, -1] if defect == "state"
+                                   else ["x", "0", 0.5, None, True, [0]]))
+        field = draw(st.sampled_from(["initials", "finals", "transitions"]))
+        if field == "transitions":
+            edge[draw(st.sampled_from([0, 2]))] = bad
+        else:
+            doc[field].append(bad)
+    doc["transitions"].append(edge)
+    return doc
+
 
 @st.composite
 def fuzz_argvs(draw, command, path):
     """An argv for the command whose fields come as flags or from the
     instance file at path, with small caps."""
     symbols = draw(st.sampled_from(sorted(FUZZ_REGEXES)))
-    regex = FUZZ_REGEXES[symbols]
+    lang = FUZZ_REGEXES[symbols] | fuzz_nfa_docs(symbols)
     fields = {"alphabet": symbols,
               "class": draw(st.sampled_from([c.value for c in ClassId] + ["chain", "x"])),
-              "target": draw(regex | st.sampled_from([None, cli.UNIVERSAL, "a("])),
-              "against": draw(st.lists(regex, min_size=1, max_size=2))}
+              "target": draw(lang | st.sampled_from([None, cli.UNIVERSAL, "a("])),
+              "against": draw(st.lists(lang, min_size=1, max_size=2))}
     flags = ("json",) if command[0] in ("imprint", "oracle") else ("emit_cover", "verify", "json")
     options = draw(st.sets(st.sampled_from(flags)))
     in_file = draw(st.sets(st.sampled_from(sorted(fields) + sorted(options))))
+    # NFA JSON comes in instance files only
+    specs = {"target": [fields["target"]], "against": fields["against"]}
+    in_file |= {key for key, values in specs.items() if any(isinstance(x, dict) for x in values)}
     argv = list(command)
     for key, value in fields.items():
         if key not in in_file and value is not None and (key, command[0]) != ("class", "oracle"):

@@ -25,7 +25,7 @@ from regcov.pieces import are_unions_of_classes, pt_partition
 import reference_covers
 import reference_fa
 from explicit_engine import downset, fo2_language_sums, members
-from helpers import (cover_imprint, cover_index_masks, eval_word, nfa_of, nfas,
+from helpers import (cover_imprint, cover_index_masks, eval_word, fiber_nfa, nfa_of, nfas,
                      piece_images_distinct, random_nfa, trim, union_nfa)
 
 AB = Alphabet("ab")
@@ -35,9 +35,9 @@ A1 = Alphabet("a")
 
 def test_at_cover_single_letter():
     cov = at_cover(A1)
-    langs = [p.nfa for p in cov.pieces]
+    langs = [p for p in cov.pieces]
     assert len(langs) == 2
-    texts = sorted(rx.regex_to_text(p.regex) for p in cov.pieces)
+    texts = sorted(rx.regex_to_text(fa.nfa_to_regex(p)) for p in cov.pieces)
     assert texts == ["%eps", "aa*"]
 
 
@@ -51,7 +51,7 @@ def test_at_cover_imprint_is_optimal():
 def test_at_cover_language_scope():
     target = nfa_of("a+|b+", "abc")
     cov = restrict_cover(at_cover(ABC), target)
-    texts = sorted(rx.regex_to_text(p.regex) for p in cov.pieces)
+    texts = sorted(rx.regex_to_text(fa.nfa_to_regex(p)) for p in cov.pieces)
     assert texts == ["aa*", "bb*"]
     report = verify_cover(cov, target, [nfa_of("b+|c+", "abc"), nfa_of("c+|a+", "abc")])
     assert report.covers_target and report.separating and report.class_ok
@@ -67,30 +67,27 @@ def superwords(alphabet: Alphabet, word: str):
 
 
 def test_sigma1_cover_trivial_monoid():
-    alpha, acc = transition_monoid(universal_language(AB))
-    cov = sigma1_cover(alpha, acc, AB, complement_map(universal_language(AB)))
+    cov = sigma1_cover(universal_language(AB), complement_map(universal_language(AB)))
     assert len(cov.pieces) == 1
-    assert equivalent(cov.pieces[0].nfa, universal_language(AB))
+    assert equivalent(cov.pieces[0], universal_language(AB))
 
 
 def test_sigma1_cover_covers_fiber():
     lang = nfa_of("a+", "ab")
-    alpha, acc = transition_monoid(lang)
     against = [nfa_of("b+", "ab")]
-    cov = sigma1_cover(alpha, acc, AB, rm_from_multiset(against).tau)
-    assert includes(lang, union_nfa(cov))
-    assert [rx.regex_to_text(p.regex) for p in cov.pieces] == ["b*a(a|b)*"]
-    assert equivalent(cov.pieces[0].nfa, nfa_of("(a|b)*a(a|b)*", "ab"))
+    cov = sigma1_cover(lang, rm_from_multiset(against).tau)
+    assert includes(lang, union_nfa(cov, AB))
+    assert [rx.regex_to_text(fa.nfa_to_regex(p)) for p in cov.pieces] == ["b*a(a|b)*"]
+    assert equivalent(cov.pieces[0], nfa_of("(a|b)*a(a|b)*", "ab"))
     report = verify_cover(cov, lang, against)
     assert report.covers_target and report.separating and report.class_ok
 
 
 def test_sigma1_pieces_upward_closed():
     lang = nfa_of("ab|ba", "ab")
-    alpha, acc = transition_monoid(lang)
-    cov = sigma1_cover(alpha, acc, AB, complement_map(lang))
+    cov = sigma1_cover(lang, complement_map(lang))
     for p in cov.pieces:
-        assert equivalent(upward_closure(p.nfa), p.nfa)
+        assert equivalent(upward_closure(p), p)
 
 
 def test_sigma1_cover_optimality_matches_pointed_imprint():
@@ -105,11 +102,11 @@ def test_sigma1_cover_optimality_matches_pointed_imprint():
         ext = rm_from_multiset(others)
         pointed = saturate_pointed(alpha, ext.tau, ClassId.SIGMA1)
         want = {r for (m, r) in members(pointed) if m in acc}
-        cov = sigma1_cover(alpha, acc, AB, ext.tau)
+        cov = sigma1_cover(target, ext.tau)
         sr = ext.tau.semiring
         got = set()
         for p in cov.pieces:
-            img = ext.tau.eval_nfa(p.nfa)
+            img = ext.tau.eval_nfa(p)
             got.update(downset(sr, img))
         if acc:
             assert got == want
@@ -130,21 +127,33 @@ def test_sigma1_pieces_unite_the_minimal_words_of_one_image(drawn, data):
         by_image: dict = {}
         for w in reference_covers.sigma1_words(alpha, targets, alphabet):
             by_image.setdefault(rho.eval_nfa(superwords(alphabet, w)), []).append(w)
-        cov = sigma1_cover(alpha, targets, alphabet, rho)
-        images = [rho.eval_nfa(p.nfa) for p in cov.pieces]
+        cov = sigma1_cover(fiber_nfa(alpha, targets, alphabet), rho)
+        images = [rho.eval_nfa(p) for p in cov.pieces]
         assert sorted(images) == sorted(by_image)
         for img, p in zip(images, cov.pieces):
-            assert equivalent(p.nfa, nfa_union(*(superwords(alphabet, w)
+            assert equivalent(p, nfa_union(*(superwords(alphabet, w)
                                                  for w in by_image[img])))
+
+
+@given(st.sampled_from([AB, ABC]).flatmap(lambda a: st.tuples(nfas(a), nfas(a, 3))))
+def test_sigma1_covers_depend_only_on_the_target_language(drawn):
+    # the NFA, its subset construction and the Cayley graph of its
+    # transition monoid spell one language, and give the same pieces
+    target, other = drawn
+    rho = rm_from_multiset([other]).tau
+    alpha, acc = transition_monoid(target)
+    texts = [sigma1_cover(t, rho).to_json()["pieces"]
+             for t in (target, fa.determinize(target).as_nfa(),
+                       fiber_nfa(alpha, acc, target.alphabet))]
+    assert texts[0] == texts[1] == texts[2]
 
 
 def test_sigma1_words_of_one_image_share_a_piece():
     # against the words ending in a, ↑a and ↑b have one image, though A*·a
     # and A*·b do not: the image of ↑w is read with A* after every letter
     lang = nfa_of("a|b", "ab")
-    alpha, acc = transition_monoid(lang)
-    cov = sigma1_cover(alpha, acc, AB, rm_from_multiset([nfa_of("(a|b)*a", "ab")]).tau)
-    assert len(cov.pieces) == 1 and equivalent(cov.pieces[0].nfa, nfa_of("(a|b)+", "ab"))
+    cov = sigma1_cover(lang, rm_from_multiset([nfa_of("(a|b)*a", "ab")]).tau)
+    assert len(cov.pieces) == 1 and equivalent(cov.pieces[0], nfa_of("(a|b)+", "ab"))
 
 
 def test_sigma1_cover_of_a_large_monoid_is_verified():
@@ -153,10 +162,10 @@ def test_sigma1_cover_of_a_large_monoid_is_verified():
     rng = random.Random(1007)
     for _ in range(7):
         nfa = random_nfa(rng, ABC, 7, 0.3)
-    alpha, acc = transition_monoid(nfa)
+    alpha, _ = transition_monoid(nfa)
     assert alpha.size == 1101
     against = [nfa_complement(nfa)]
-    cov = sigma1_cover(alpha, acc, ABC, rm_from_multiset(against).tau)
+    cov = sigma1_cover(nfa, rm_from_multiset(against).tau)
     report = verify_cover(cov, nfa, against)
     assert cov.pieces and report.covers_target and report.class_ok
 
@@ -166,10 +175,10 @@ def test_sigma1_cover_has_one_piece_per_image(n):
     # min((a|b|c)^n(a|b|c)*) is all 3^n words of length n, exponentially
     # many in |M| = n + 1; against (a|b)* and c* they have three images
     target = nfa_of("(a|b|c)" * n + "(a|b|c)*", "abc")
-    alpha, acc = transition_monoid(target)
+    alpha, _ = transition_monoid(target)
     assert alpha.size == n + 1
     against = [nfa_of("(a|b)*", "abc"), nfa_of("c*", "abc")]
-    cov = sigma1_cover(alpha, acc, ABC, rm_from_multiset(against).tau)
+    cov = sigma1_cover(target, rm_from_multiset(against).tau)
     report = verify_cover(cov, target, against)
     assert len(cov.pieces) == 3 and report.ok and report.piece_witnesses == [1, 0, 0]
 
@@ -225,11 +234,11 @@ def test_partition_cover_pieces_match_trimmed_partition(monkeypatch, target, aga
     assert len(cov.pieces) == len(by_image) > 1
     for piece, states in zip(cov.pieces, by_image.values()):
         want = reference_fa.partition_piece(pa, states)
-        assert equivalent(piece.nfa, want)
-        assert piece.nfa.state_count <= trim(fa.minimize(want).as_nfa()).state_count
+        assert equivalent(piece, want)
+        assert piece.state_count <= trim(fa.minimize(want).as_nfa()).state_count
     # the images are distinct and in the goal, and the imprint is the goal
     assert piece_images_distinct(cov, ext.tau)
-    assert all(ext.tau.eval_nfa(p.nfa) in dec.raw_imprint for p in cov.pieces)
+    assert all(ext.tau.eval_nfa(p) in dec.raw_imprint for p in cov.pieces)
     assert (set(cover_imprint(cov, ext.tau).maximal_elements())
             == set(dec.raw_imprint.maximal_elements()))
 
@@ -274,7 +283,7 @@ def test_piecewise_covers_carry_the_partition_they_were_cut_from(monkeypatch):
             assert reference_fa.is_refined_partition(cov.partition, built[-1][1], cov.k)
             if cov.k < 4 or len(alphabet) < 3:    # else 334,202 classes
                 ref = reference_fa.pt_partition(cov.k, alphabet)
-                assert are_unions_of_classes([p.nfa for p in cov.pieces], ref)
+                assert are_unions_of_classes([p for p in cov.pieces], ref)
             assert restrict_cover(cov, target_nfa).partition is cov.partition
     assert {1, 2, 3, 4} <= {k for k, _ in depths} and (1, False) in depths
     for alphabet in (A1, AB, ABC):
@@ -291,7 +300,7 @@ def test_bsigma1_cover_stops_before_the_level_past_max_pt_states():
     # the cover of level 2, as a depth bound of 2 gives it
     bounded = bsigma1_cover(ext.tau, goal, Caps(max_k=2))
     assert bounded.optimal is False and stopped.partition == bounded.partition
-    assert [p.nfa for p in stopped.pieces] == [p.nfa for p in bounded.pieces]
+    assert [p for p in stopped.pieces] == [p for p in bounded.pieces]
     assert bsigma1_cover(ext.tau, goal, Caps(max_pt_states=230)).optimal is False
     assert bsigma1_cover(ext.tau, goal, Caps(max_pt_states=266)).optimal is True
     # with no level to fall back on, the stop is the cap's own error
@@ -322,8 +331,8 @@ def swap_first_piece(cov: Cover) -> Cover:
     """The cover with its piece {ε} swapped for (aa)*, a union of k-piece
     classes for no k.  (aa)* holds ε and misses b+ and b+a+, so the cover
     still covers and separates; only the class check can fail it."""
-    assert rx.regex_to_text(cov.pieces[0].regex) == "%eps"
-    return replace(cov, pieces=[covers.CoverPiece(nfa_of("(aa)*", "ab"))] + cov.pieces[1:])
+    assert rx.regex_to_text(fa.nfa_to_regex(cov.pieces[0])) == "%eps"
+    return replace(cov, pieces=[nfa_of("(aa)*", "ab")] + cov.pieces[1:])
 
 
 @pytest.mark.parametrize("cls, against", CLASS_CHECKED)
@@ -364,7 +373,7 @@ def fo2_node_pieces(rho, sat, subset: str, left, right, state=None) -> list:
     delta, labels = state.machine(tuple(sorted(subset)), left, right, True)
     pieces = covers._label_pieces(rho.alphabet, delta, 0, labels)
     sr = rho.semiring
-    in_context = [sr.mul(sr.mul(left, rho.eval_nfa(p.nfa)), right) for p in pieces]
+    in_context = [sr.mul(sr.mul(left, rho.eval_nfa(p)), right) for p in pieces]
     assert in_context == [x for x in dict.fromkeys(labels) if x is not None]
     assert all(x in sat for x in in_context)
     return pieces
@@ -380,12 +389,12 @@ def test_fo2_cover_base_case_emits_whole_star():
     assert e in sat
     pieces = fo2_node_pieces(tau, sat, "a", e, e)
     assert len(pieces) == 1
-    assert equivalent(pieces[0].nfa, universal_language(A1))
+    assert equivalent(pieces[0], universal_language(A1))
     # the top-level cover is optimal regardless of how many pieces it takes
     top = fo2_cover(tau, sat)
     assert members(cover_imprint(top, tau)) == members(sat)
     assert piece_images_distinct(top, tau)
-    assert includes(universal_language(A1), union_nfa(top))
+    assert includes(universal_language(A1), union_nfa(top, A1))
 
 
 def test_fo2_every_node_labels_its_pieces_in_context():
@@ -408,7 +417,7 @@ def test_fo2_cover_empty_subalphabet():
     one = aug.tau.semiring.one
     pieces = fo2_node_pieces(aug.tau, sat, "", one, one)
     assert len(pieces) == 1
-    nfa = pieces[0].nfa
+    nfa = pieces[0]
     assert nfa.accepts("") and is_empty(nfa_intersection(nfa, nfa_of("a|b", "ab")))
 
 
@@ -421,7 +430,7 @@ def test_fo2_cover_top_level_imprint_equals_saturation():
         sat = saturate_universal(aug.tau, ClassId.FO2)
         cov = fo2_cover(aug.tau, sat)
         assert members(cover_imprint(cov, aug.tau)) == members(sat)
-        assert includes(universal_language(AB), union_nfa(cov))
+        assert includes(universal_language(AB), union_nfa(cov, AB))
         assert piece_images_distinct(cov, aug.tau)
 
 
@@ -434,7 +443,7 @@ def test_fo2_cover_merges_same_image_pieces():
     cov = fo2_cover(aug.tau, sat)
     assert piece_images_distinct(cov, aug.tau)
     assert members(cover_imprint(cov, aug.tau)) == members(sat)
-    assert includes(universal_language(ABC), union_nfa(cov))
+    assert includes(universal_language(ABC), union_nfa(cov, ABC))
 
 
 def fo2_instances():
@@ -479,10 +488,10 @@ def test_fo2_pieces_match_the_merging_reference(monkeypatch):
         assert len(set(keys)) == len(keys) and len(set(flipped)) == len(flipped)
         assert {forward for _, forward in peeled} == {True, False}
         want = reference_covers.fo2_pieces(rho, dec.raw_imprint)
-        images = [rho.eval_nfa(p.nfa) for p in cov.pieces]
+        images = [rho.eval_nfa(p) for p in cov.pieces]
         assert len(images) == len(want) and set(images) == set(want)
         for img, piece in zip(images, cov.pieces):   # equal minimal DFAs: equivalent
-            assert fa.minimize(piece.nfa) == fa.minimize(want[img])
+            assert fa.minimize(piece) == fa.minimize(want[img])
 
 
 @given(st.lists(nfas(AB), min_size=2, max_size=3))
@@ -491,10 +500,10 @@ def test_fo2_pieces_match_the_merging_reference_on_shrinking_nfas(langs):
     rho = dec.rating_map
     cov = fo2_cover(rho, dec.raw_imprint)
     want = reference_covers.fo2_pieces(rho, dec.raw_imprint)
-    images = [rho.eval_nfa(p.nfa) for p in cov.pieces]
+    images = [rho.eval_nfa(p) for p in cov.pieces]
     assert len(images) == len(want) and set(images) == set(want)
     for img, piece in zip(images, cov.pieces):   # both trimmed minimal DFAs
-        assert piece.nfa == want[img]
+        assert piece == want[img]
 
 
 def test_fo2_peel_copies_each_child_context_once(monkeypatch):
@@ -562,7 +571,7 @@ def test_fo2_cover_of_many_node_labels_fits_the_default_caps():
     cov = fo2_cover(rho, sat)
     assert len(cov.pieces) == 101
     assert set(cover_imprint(cov, rho).maximal_elements()) == set(sat.maximal_elements())
-    assert includes(universal_language(ABC), union_nfa(cov))
+    assert includes(universal_language(ABC), union_nfa(cov, ABC))
     assert piece_images_distinct(cov, rho)
 
 
@@ -591,12 +600,11 @@ def test_fo2_merges_once_per_group(monkeypatch, target, against):
     assert keys and len(keys) == len(set(keys))
     assert piece_images_distinct(cov, rho)
     want = reference_covers.fo2_pieces(rho, dec.raw_imprint)
-    images = [rho.eval_nfa(p.nfa) for p in cov.pieces]
+    images = [rho.eval_nfa(p) for p in cov.pieces]
     assert set(images) == set(want)
     for img, piece in zip(images, cov.pieces):
-        assert fa.minimize(piece.nfa) == fa.minimize(want[img])
-    merged = covers.Cover(cov.class_id, cov.target,
-                          [covers.CoverPiece(want[img]) for img in images],
+        assert fa.minimize(piece) == fa.minimize(want[img])
+    merged = covers.Cover(cov.class_id, [want[img] for img in images],
                           k=cov.k, optimal=cov.optimal, provenance=cov.provenance)
     assert (restrict_cover(merged, target_nfa).to_json()
             == restrict_cover(cov, target_nfa).to_json())
@@ -696,8 +704,7 @@ def test_every_synthesizer_builds_trimmed_minimal_pieces():
     # the trimmed minimal DFA of the piece's language
     covs = [at_cover(A1), at_cover(ABC)]
     for text in ("a+", "ab|ba", "(ab)+"):
-        alpha, acc = transition_monoid(nfa_of(text, "ab"))
-        covs.append(sigma1_cover(alpha, acc, AB, complement_map(nfa_of(text, "ab"))))
+        covs.append(sigma1_cover(nfa_of(text, "ab"), complement_map(nfa_of(text, "ab"))))
     for langs in ([nfa_of("a+", "ab"), nfa_of("b+", "ab")],
                   [nfa_of("(ab)+", "abc"), nfa_of("c(ac)+", "abc")]):
         dec = decide_universal_covering(rm_from_multiset(langs), ClassId.BSIGMA1)
@@ -708,7 +715,7 @@ def test_every_synthesizer_builds_trimmed_minimal_pieces():
     for cov in covs:
         assert cov.pieces
         for p in cov.pieces:
-            assert trim(fa.minimize(p.nfa).as_nfa()) == p.nfa, cov.class_id
+            assert trim(fa.minimize(p).as_nfa()) == p, cov.class_id
 
 
 def test_fo2_cover_rejects_incompatible_map():
@@ -725,15 +732,14 @@ def test_restrict_cover():
     assert len(same.pieces) == len(cov.pieces)
     target = nfa_of("(ab)+", "abc")
     restricted = restrict_cover(cov, target)
-    texts = {rx.regex_to_text(p.regex) for p in restricted.pieces}
+    texts = {rx.regex_to_text(fa.nfa_to_regex(p)) for p in restricted.pieces}
     assert len(restricted.pieces) == 1  # only the {a,b} atom meets (ab)+
-    assert includes(target, union_nfa(restricted))
+    assert includes(target, union_nfa(restricted, ABC))
 
 
 def union_covers(parts: list) -> Cover:
     pieces = list(itertools.chain.from_iterable(c.pieces for c in parts))
-    target = nfa_union(*(c.target for c in parts))
-    return Cover(parts[0].class_id, target, pieces,
+    return Cover(parts[0].class_id, pieces,
                  k=parts[0].k, optimal=all(c.optimal for c in parts),
                  provenance="union of per-element covers")
 
@@ -742,9 +748,9 @@ def test_union_covers():
     lang = nfa_of("a+|ab", "ab")
     alpha, acc = transition_monoid(lang)
     rho = complement_map(lang)
-    per_element = [sigma1_cover(alpha, {s}, AB, rho) for s in sorted(acc)]
+    per_element = [sigma1_cover(fiber_nfa(alpha, {s}, AB), rho) for s in sorted(acc)]
     merged = union_covers(per_element)
-    assert includes(lang, union_nfa(merged))
+    assert includes(lang, union_nfa(merged, AB))
 
 
 def test_verify_cover_failure_modes():
@@ -771,25 +777,21 @@ def test_complement_pair_cover_is_optimal():
     # imprint matches the atom cover's (the finer semiring imprints differ)
     langs = [nfa_of("(ab)+", "abc"), nfa_of("b(ab)+", "abc"), nfa_of("c(ac)+", "abc")]
     ext = rm_from_multiset(langs)
-    from regcov.covers import Cover, CoverPiece
     withb = nfa_of("(a|b|c)*b(a|b|c)*", "abc")
-    manual = Cover(ClassId.AT, universal_language(ABC),
-                   [CoverPiece(withb), CoverPiece(nfa_complement(withb))])
+    manual = Cover(ClassId.AT, [withb, nfa_complement(withb)])
     got = cover_index_masks(manual, ext)
     atoms = cover_index_masks(at_cover(ABC), ext)
     assert got == atoms == {0b000, 0b001, 0b010, 0b011, 0b100}
     # restricting it to (ab)+ keeps only the piece containing a b
     restricted = restrict_cover(manual, nfa_of("(ab)+", "abc"))
     assert len(restricted.pieces) == 1
-    assert restricted.pieces[0].nfa is withb
+    assert restricted.pieces[0] is withb
 
 
 def test_verify_cover_astar_bstar_witness():
     astar = nfa_of("a*", "abc")
     bstar = nfa_of("b*", "abc")
-    from regcov.covers import Cover, CoverPiece
-    cov = Cover(ClassId.AT, nfa_of("a+|b+", "abc"),
-                [CoverPiece(astar), CoverPiece(bstar)])
+    cov = Cover(ClassId.AT, [astar, bstar])
     report = verify_cover(cov, nfa_of("a+|b+", "abc"),
                           [nfa_of("b+|c+", "abc"), nfa_of("c+|a+", "abc")])
     assert report.covers_target and report.separating

@@ -140,6 +140,15 @@ def test_alphabet_mismatch_rejected():
         is_empty(nfa_of("a", "ab"), nfa_of("b", "ab"), nfa_of("a", "abc"))
 
 
+def test_alphabet_members_are_its_letters_and_no_grammar_character():
+    assert "a" in AB and all(sym not in AB for sym in ("", "ab", "ba", None, 0))
+    with pytest.raises(InputError, match="not in alphabet"):
+        AB.index("")
+    for symbols in ("a|", "(a", "a)", "*a", "a+", "%", "a b", "\ta"):
+        with pytest.raises(InputError, match="reserved by the regex grammar"):
+            Alphabet(symbols)
+
+
 def test_transition_monoid_universal_is_trivial():
     alpha, acc = transition_monoid(universal_language(AB))
     assert alpha.size == 1
