@@ -20,8 +20,7 @@ from . import rx
 from .fa import (Alphabet, Nfa, alphabet_exact, includes, is_empty,
                  nfa_complement, nfa_from_json, regex_to_nfa, transition_monoid,
                  universal_language, upward_closure)
-from .covers import (at_cover, bsigma1_cover, fo2_cover, restrict_cover,
-                     sigma1_cover, verify_cover)
+from .covers import at_cover, bsigma1_cover, fo2_cover, sigma1_cover, verify_cover
 from .rating import rm_from_multiset
 from .saturation import (ClassId, _mask_subsets,
                          decide_pointed_covering, decide_universal_covering)
@@ -170,9 +169,9 @@ def load_instance(args) -> Instance:
 def _run(inst: Instance, separate: bool) -> Verdict:
     """Decide the covering instance once, and synthesize a cover at most once.
 
-    The cover is synthesized, restricted to the target and verified when it
-    is asked for, or under `separate`, where its pieces make the separator.
-    A resource cap met by a synthesis nobody asked for skips it; the
+    The cover of the target is synthesized and verified when it is asked
+    for, or under `separate`, where its pieces make the separator.  A
+    resource cap met by a synthesis nobody asked for skips it; the
     decision stands."""
     t0 = time.perf_counter()
     if not inst.against:
@@ -194,17 +193,17 @@ def _run(inst: Instance, separate: bool) -> Verdict:
 
     cover = None
     if (inst.emit_cover or separate) and decision.coverable and class_id.synthesizable:
+        # the pieces of a cover of A* that meet the target cover it
+        restrict = None if universal else target_nfa
         try:
             if class_id is ClassId.SIGMA1:
                 cover = sigma1_cover(target_nfa, decision.rating_map, caps)
             elif class_id is ClassId.AT:
-                cover = at_cover(inst.alphabet, caps=caps)
+                cover = at_cover(inst.alphabet, caps, restrict)
             elif class_id is ClassId.BSIGMA1:
-                cover = bsigma1_cover(decision.rating_map, decision.raw_imprint, caps)
+                cover = bsigma1_cover(decision.rating_map, decision.raw_imprint, caps, restrict)
             else:
-                cover = fo2_cover(decision.rating_map, decision.raw_imprint, caps=caps)
-            if not (universal or class_id.pointed):
-                cover = restrict_cover(cover, target_nfa)
+                cover = fo2_cover(decision.rating_map, decision.raw_imprint, caps, restrict)
             report = verify_cover(cover, target_nfa, inst.against, caps=caps)
         except ResourceCapError as exc:
             if inst.emit_cover:

@@ -6,8 +6,11 @@ target automaton, united per rating image, for level-1 existential
 sentences, piece-equivalence classes, each refined only while its image
 misses the goal, for their Boolean closure, and the recursive left-factor
 construction for two-variable logic.  A cover is its list of pieces, each
-the trimmed minimal DFA of its language.  `verify_cover` re-checks
-everything with automata only, against the target its caller holds.
+the trimmed minimal DFA of its language.  The last three cut a cover of A*
+from one labelled DFA; given a target, they cut only the pieces that meet
+it, found in one walk of the target beside that DFA, and build nothing for
+the others.  `verify_cover` re-checks everything with automata only,
+against the target its caller holds.
 """
 
 from __future__ import annotations
@@ -61,12 +64,14 @@ class Cover:
 
 # -- alphabet-testable covers ---------------------------------------------------------
 
-def at_cover(alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> Cover:
+def at_cover(alphabet: Alphabet, caps: Caps = DEFAULT_CAPS,
+             target: Optional[Nfa] = None) -> Cover:
     """Atoms of the alphabet-testable algebra: the classes of the 1-piece
-    partition."""
+    partition; with a target, only the atoms that meet it."""
     pa, _ = pt_partition(1, alphabet, caps)
-    pieces = _label_pieces(alphabet, pa.delta, pa.initial, list(range(pa.state_count)))
-    return Cover(ClassId.AT, pieces, partition=pa, provenance="alphabet atoms")
+    pieces = _label_pieces(alphabet, pa.delta, pa.initial, list(range(pa.state_count)), target)
+    return Cover(ClassId.AT, pieces, partition=pa,
+                 provenance="alphabet atoms" + _restricted(target))
 
 
 # -- superword-closure covers ---------------------------------------------------------
@@ -135,10 +140,11 @@ def sigma1_cover(target: Nfa, rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> Cove
 
 # -- piecewise-testable covers ---------------------------------------------------------
 
-def bsigma1_cover(rho: RatingMap, goal: ImprintSet,
-                  caps: Caps = DEFAULT_CAPS) -> Cover:
+def bsigma1_cover(rho: RatingMap, goal: ImprintSet, caps: Caps = DEFAULT_CAPS,
+                  target: Optional[Nfa] = None) -> Cover:
     """Universal cover by unions of piece-equivalence classes, each class
-    refined only while its image lies outside the saturated goal.
+    refined only while its image lies outside the saturated goal; with a
+    target, only its pieces that meet the target.
 
     Level K = 0, 1, … is the partition deepened to K under the open classes
     of the levels before it (`pieces.pt_partition`).  Open_K is the set of
@@ -171,14 +177,14 @@ def bsigma1_cover(rho: RatingMap, goal: ImprintSet,
         except PtStateCapError as exc:
             if k == 0:                     # no level to fall back on
                 raise
-            return _partition_cover(pa, k - 1, images, optimal=False,
+            return _partition_cover(pa, k - 1, images, target, optimal=False,
                                     stop=f" | k={k} passed {exc.cap_name}")
         images = _partition_images(pa, rho, caps)
         missed = {c for q, c in enumerate(classes) if c[0] == k and images[q] not in goal}
         if not missed:
-            return _partition_cover(pa, k, images, optimal=True)
+            return _partition_cover(pa, k, images, target, optimal=True)
         open_classes |= missed
-    return _partition_cover(pa, k, images, optimal=False)
+    return _partition_cover(pa, k, images, target, optimal=False)
 
 
 def _partition_images(pa: Dfa, rho: RatingMap, caps: Caps) -> dict:
@@ -191,7 +197,8 @@ def _partition_images(pa: Dfa, rho: RatingMap, caps: Caps) -> dict:
     return sums
 
 
-def _partition_cover(pa: Dfa, k: int, images: dict, optimal: bool, stop: str = "") -> Cover:
+def _partition_cover(pa: Dfa, k: int, images: dict, target: Optional[Nfa], optimal: bool,
+                     stop: str = "") -> Cover:
     """One piece per distinct image: the union of the partition's classes
     of that image, which is the partition DFA with those classes as finals.
 
@@ -203,7 +210,7 @@ def _partition_cover(pa: Dfa, k: int, images: dict, optimal: bool, stop: str = "
     - every class is a j-class for some j ≤ k, so a union of classes is a
       union of k-classes, and k-piecewise testable;
     - classes with equal images meet the same languages, so separation and
-      `restrict_cover` are unchanged.
+      restriction to the target are unchanged.
 
     The pieces are cut from the partition labelled by images and minimized
     (`fa.minimize_labelled`), as `fo2_cover` cuts its own: the languages
@@ -212,15 +219,22 @@ def _partition_cover(pa: Dfa, k: int, images: dict, optimal: bool, stop: str = "
     """
     delta, labels = minimize_labelled(pa.delta, pa.initial,
                                       [images[q] for q in range(pa.state_count)])
-    pieces = _label_pieces(pa.alphabet, delta, 0, labels)
+    pieces = _label_pieces(pa.alphabet, delta, 0, labels, target)
     return Cover(ClassId.BSIGMA1, pieces, k=k, partition=pa, optimal=optimal,
-                 provenance=f"piece-equivalence partition at k={k}{stop}")
+                 provenance=f"piece-equivalence partition at k={k}{stop}" + _restricted(target))
 
 
-def _label_pieces(alphabet: Alphabet, delta: tuple, initial: int, labels: list) -> list:
+def _restricted(target: Optional[Nfa]) -> str:
+    return "" if target is None else " | restricted to target"
+
+
+def _label_pieces(alphabet: Alphabet, delta: tuple, initial: int, labels: list,
+                  target: Optional[Nfa] = None) -> list:
     """One piece for each distinct label but None of a complete DFA's
     states, in order of first appearance: the words that lead to a state of
-    that label.
+    that label.  With a target, only the pieces that meet it: the labels
+    read at a final state of the target in one walk of the pairs (target
+    state, DFA state), which stops once every label is met.
 
     Each is the trimmed minimal DFA of its language, built with no subset
     construction.  Every state is reachable, so the trimmed states are the
@@ -234,6 +248,9 @@ def _label_pieces(alphabet: Alphabet, delta: tuple, initial: int, labels: list) 
     for q, x in enumerate(labels):
         if x is not None:
             by_label.setdefault(x, []).append(q)
+    if target is not None:
+        met = _met_labels(alphabet, delta, initial, labels, target, len(by_label))
+        by_label = {x: states for x, states in by_label.items() if x in met}
     preds: list = [[] for _ in delta]
     for q, row in enumerate(delta):
         for r in set(row):
@@ -262,14 +279,36 @@ def _label_pieces(alphabet: Alphabet, delta: tuple, initial: int, labels: list) 
     return out
 
 
+def _met_labels(alphabet: Alphabet, delta: tuple, initial: int, labels: list, target: Nfa,
+                count: int) -> set:
+    """The labels of the states that the target's words lead to, of the
+    `count` distinct labels but None."""
+    step, finals = target.step_map(), target.finals
+    met: set = set()
+    seen = {(p, initial) for p in target.initials}
+    work = list(seen)
+    while work and len(met) < count:
+        p, q = work.pop()
+        if p in finals and labels[q] is not None:
+            met.add(labels[q])
+        for a, r in zip(alphabet.symbols, delta[q]):
+            for p2 in step.get((p, a), ()):
+                if (p2, r) not in seen:
+                    seen.add((p2, r))
+                    work.append((p2, r))
+    return met
+
+
 # -- two-variable covers -----------------------------------------------------------------
 
-def fo2_cover(rho: RatingMap, saturated: ImprintSet, caps: Caps = DEFAULT_CAPS) -> Cover:
-    """Cover of A* whose pieces K all have ρ(K) in the saturated set.
+def fo2_cover(rho: RatingMap, saturated: ImprintSet, caps: Caps = DEFAULT_CAPS,
+              target: Optional[Nfa] = None) -> Cover:
+    """Cover of A* whose pieces K all have ρ(K) in the saturated set; with
+    a target, only its pieces that meet the target.
 
     Requires an alphabet-compatible rating map.  The pieces have pairwise
-    distinct images; each image is re-evaluated on the piece's automaton and
-    checked against the saturated set.
+    distinct images; the image of each piece returned is re-evaluated on
+    its automaton and checked against the saturated set.
     """
     if rho.cont is None:
         raise InputError("fo2 cover synthesis needs an alphabet-compatible rating map; "
@@ -277,11 +316,11 @@ def fo2_cover(rho: RatingMap, saturated: ImprintSet, caps: Caps = DEFAULT_CAPS) 
     sr = rho.semiring
     delta, labels = _Fo2State(rho, saturated, caps).machine(
         tuple(rho.alphabet.symbols), sr.one, sr.one, True)
-    pieces = _label_pieces(rho.alphabet, delta, 0, labels)
+    pieces = _label_pieces(rho.alphabet, delta, 0, labels, target)
     for p in pieces:
         if rho.eval_nfa(p, caps) not in saturated:
             raise AssertionError("fo2 synthesis produced a piece outside the saturated set")
-    return Cover(ClassId.FO2, pieces, provenance="left-factor recursion")
+    return Cover(ClassId.FO2, pieces, provenance="left-factor recursion" + _restricted(target))
 
 
 class _Fo2State:
@@ -337,7 +376,7 @@ class _Fo2State:
     idempotent and distributes over multiplication, so the union has that
     image in context, and a union of FO2 languages is FO2.  At the top node
     left = right = 1, so the labels there are the images of the pieces;
-    `fo2_cover` re-evaluates every top-level piece and checks that its
+    `fo2_cover` re-evaluates every piece it returns and checks that its
     image lies in the saturated set.
 
     A right-peel node reads left to right, and its machine is deterministic
@@ -553,7 +592,8 @@ class _Fo2State:
 def restrict_cover(cover: Cover, target: Nfa) -> Cover:
     """Keep the pieces meeting the target: turns a separating universal
     cover for {target} ∪ others into a cover of the target separating for
-    the others."""
+    the others.  The synthesizers cut this cover directly when given the
+    target (`_label_pieces`); this is the reference the tests hold them to."""
     return replace(cover, pieces=[p for p in cover.pieces if not is_empty(p, target)],
                    provenance=cover.provenance + " | restricted to target")
 

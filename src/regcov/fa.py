@@ -576,13 +576,23 @@ def alphabet_exact(alphabet: Alphabet, subset: Iterable[str]) -> Nfa:
 
 # -- NFA <-> JSON and NFA -> regex -------------------------------------------------
 
+def _json_int(x) -> int:
+    """A JSON integer as it is: a float, a string or a Boolean is refused,
+    not converted."""
+    if type(x) is not int:
+        raise InputError(f"bad NFA JSON: {x!r} is not an integer")
+    return x
+
+
 def nfa_from_json(doc: dict) -> Nfa:
+    """The NFA of its JSON object; the state count and every state id are
+    JSON integers."""
     try:
         alphabet = Alphabet(doc["alphabet"])
-        return Nfa(alphabet, int(doc["states"]),
-                   frozenset(int(q) for q in doc["initials"]),
-                   frozenset(int(q) for q in doc["finals"]),
-                   frozenset((int(q), a, int(r)) for (q, a, r) in doc["transitions"]))
+        return Nfa(alphabet, _json_int(doc["states"]),
+                   frozenset(_json_int(q) for q in doc["initials"]),
+                   frozenset(_json_int(q) for q in doc["finals"]),
+                   frozenset((_json_int(q), a, _json_int(r)) for (q, a, r) in doc["transitions"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad NFA JSON: {exc}") from exc
 

@@ -322,6 +322,20 @@ def test_nfa_json_negative_state_count_is_an_input_error(tmp_path, capsys):
     assert code == 2 and "state count -1 is negative" in err
 
 
+def test_nfa_json_state_ids_that_are_no_integers_are_input_errors(tmp_path, capsys):
+    # int() read 0.5 as state 0, 1.9 as 1, true as 1 and "0" as 0, and the
+    # cover was decided on the truncated automata with exit 0
+    target = {"alphabet": "ab", "states": 2, "initials": [0.5], "finals": [True],
+              "transitions": [[0, "a", 1.9]]}
+    against = {"alphabet": "ab", "states": 1, "initials": ["0"], "finals": [0],
+               "transitions": []}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"alphabet": "ab", "class": "at", "target": target,
+                                "against": [against]}))
+    code, out, err = run(capsys, ["cover", "--instance", str(path)])
+    assert code == 2 and out == "" and err == "input error: bad NFA JSON: 0.5 is not an integer\n"
+
+
 IS_RESERVED = "is reserved by the regex grammar"
 
 
@@ -724,11 +738,12 @@ FUZZ_REGEXES = {symbols: fuzz_regexes(symbols) for symbols in ("a", "ab", "abc")
 
 @st.composite
 def fuzz_nfa_docs(draw, symbols: str):
-    """NFA JSON on up to three states, valid or with one defect drawn in: a
-    transition symbol that is empty, two letters, a reserved character or a
-    letter outside the alphabet (the first two are substrings of the
-    alphabet's text), a state out of range or negative, a negative state
-    count, or a state id that is no integer."""
+    """(doc, defective): NFA JSON on up to three states, valid or with one
+    defect drawn in: a transition symbol that is empty, two letters, a
+    reserved character or a letter outside the alphabet (the first two are
+    substrings of the alphabet's text), a state out of range or negative, a
+    state count that is negative or no integer, or a state id that is no
+    integer (1.9 and True name a state once truncated)."""
     n = draw(st.integers(1, 3))
     state, letter = st.integers(0, n - 1), st.sampled_from(symbols)
     doc = {"alphabet": symbols, "states": n, "initials": [draw(state)],
@@ -739,29 +754,33 @@ def fuzz_nfa_docs(draw, symbols: str):
     if defect == "symbol":
         edge[1] = draw(st.sampled_from(["", (symbols * 2)[:2], "d"]) | st.sampled_from("|()*+% "))
     elif defect == "count":
-        doc["states"] = draw(st.integers(-2, -1))
+        doc["states"] = draw(st.sampled_from([-2, -1, n + 0.0, str(n)]))
     elif defect is not None:
         bad = draw(st.sampled_from([n, n + 7, -1] if defect == "state"
-                                   else ["x", "0", 0.5, None, True, [0]]))
+                                   else ["x", "0", 0.5, 1.9, None, True, [0]]))
         field = draw(st.sampled_from(["initials", "finals", "transitions"]))
         if field == "transitions":
             edge[draw(st.sampled_from([0, 2]))] = bad
         else:
             doc[field].append(bad)
     doc["transitions"].append(edge)
-    return doc
+    return doc, defect is not None
 
 
 @st.composite
 def fuzz_argvs(draw, command, path):
-    """An argv for the command whose fields come as flags or from the
-    instance file at path, with small caps."""
+    """(argv, defective): an argv for the command whose fields come as flags
+    or from the instance file at path, with small caps; defective when one
+    of its NFA JSON objects has a defect drawn in."""
     symbols = draw(st.sampled_from(sorted(FUZZ_REGEXES)))
-    lang = FUZZ_REGEXES[symbols] | fuzz_nfa_docs(symbols)
+    lang = FUZZ_REGEXES[symbols].map(lambda text: (text, False)) | fuzz_nfa_docs(symbols)
+    target = draw(lang | st.sampled_from([None, cli.UNIVERSAL, "a("]).map(lambda t: (t, False)))
+    against = draw(st.lists(lang, min_size=1, max_size=2))
+    defective = any(bad for _, bad in [target] + against)
     fields = {"alphabet": symbols,
               "class": draw(st.sampled_from([c.value for c in ClassId] + ["chain", "x"])),
-              "target": draw(lang | st.sampled_from([None, cli.UNIVERSAL, "a("])),
-              "against": draw(st.lists(lang, min_size=1, max_size=2))}
+              "target": target[0],
+              "against": [spec for spec, _ in against]}
     flags = ("json",) if command[0] in ("imprint", "oracle") else ("emit_cover", "verify", "json")
     options = draw(st.sets(st.sampled_from(flags)))
     in_file = draw(st.sets(st.sampled_from(sorted(fields) + sorted(options))))
@@ -783,22 +802,24 @@ def fuzz_argvs(draw, command, path):
         doc["options"] = {key: True for key in in_file if key in options}
         path.write_text(json.dumps(doc))
         argv += ["--instance", str(path)]
-    return argv
+    return argv, defective
 
 
 @pytest.mark.parametrize("command", FUZZ_COMMANDS, ids=lambda argv: argv[-1])
 @given(data=st.data())
 def test_any_argv_exits_0_2_or_3(tmp_path_factory, command, data):
     # a verdict, an input error or a resource cap, and no exception; argparse
-    # refuses an argv it cannot parse with SystemExit(2)
-    argv = data.draw(fuzz_argvs(command, tmp_path_factory.getbasetemp() / "instance.json"))
+    # refuses an argv it cannot parse with SystemExit(2), and a defective NFA
+    # JSON object is an input error
+    argv, defective = data.draw(fuzz_argvs(command,
+                                           tmp_path_factory.getbasetemp() / "instance.json"))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert code == 2 if defective else code in (0, 2, 3), (argv, err.getvalue())
 
 
 def test_bsigma1_cover_over_twelve_letters_fits_the_address_space():

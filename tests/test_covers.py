@@ -7,11 +7,11 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, reject, strategies as st
 
 from regcov import (DEFAULT_CAPS, Alphabet, Caps, ClassId, Cover, InputError,
-                    PtStateCapError, SaturationCapError, at_cover,
-                    at_imprint, bsigma1_cover, decide_universal_covering, equivalent,
+                    PtStateCapError, RatingMap, ResourceCapError, SaturationCapError,
+                    at_cover, at_imprint, bsigma1_cover, decide_universal_covering, equivalent,
                     fo2_cover, includes, is_empty, nfa_complement, nfa_intersection, nfa_union,
                     restrict_cover, rm_alphabet_augment, rm_from_multiset,
                     saturate_pointed, saturate_universal, sigma1_cover,
@@ -735,6 +735,52 @@ def test_restrict_cover():
     texts = {rx.regex_to_text(fa.nfa_to_regex(p)) for p in restricted.pieces}
     assert len(restricted.pieces) == 1  # only the {a,b} atom meets (ab)+
     assert includes(target, union_nfa(restricted, ABC))
+
+
+def universal_and_cut_covers(cls: ClassId, target, against: list):
+    """(cover of A*, cover cut for the target) of the class, from the
+    decision the CLI takes on the target and the against-languages."""
+    if cls is ClassId.AT:
+        return at_cover(target.alphabet), at_cover(target.alphabet, target=target)
+    dec = decide_universal_covering(rm_from_multiset([target] + against), cls, target_index=0)
+    synthesize = bsigma1_cover if cls is ClassId.BSIGMA1 else fo2_cover
+    return (synthesize(dec.rating_map, dec.raw_imprint),
+            synthesize(dec.rating_map, dec.raw_imprint, target=target))
+
+
+@pytest.mark.parametrize("cls", [ClassId.AT, ClassId.BSIGMA1, ClassId.FO2],
+                         ids=lambda c: c.value)
+@given(data=st.data())
+def test_cover_cut_for_a_target_is_the_restricted_universal_cover(cls, data):
+    # the same pieces, in the same order and with the same provenance, as
+    # the pieces of the cover of A* that restriction keeps
+    alphabet = data.draw(st.sampled_from([AB, ABC]))
+    target = data.draw(nfas(alphabet))
+    against = data.draw(st.lists(nfas(alphabet), min_size=1, max_size=2))
+    try:
+        full, cut = universal_and_cut_covers(cls, target, against)
+    except ResourceCapError:
+        reject()        # both build the same machine, and stop at the same cap
+    assert cut.to_json() == restrict_cover(full, target).to_json()
+    assert cut.partition == full.partition
+    assert all(not is_empty(p, target) for p in cut.pieces)
+
+
+def test_fo2_cover_cut_for_a_target_checks_only_the_pieces_it_keeps(monkeypatch):
+    # a query of the benchmark's corpus: the target meets 6 of the 73 pieces
+    # of the cover of A*, and each image evaluated is that of a piece returned
+    target = nfa_of("((a|c)bb)+", "abc")
+    ext = rm_from_multiset([target, nfa_of("((ac)*)*", "abc")])
+    dec = decide_universal_covering(ext, ClassId.FO2, target_index=0)
+    full = fo2_cover(dec.rating_map, dec.raw_imprint)
+    evaluated = []
+    real = RatingMap.eval_nfa
+    monkeypatch.setattr(RatingMap, "eval_nfa",
+                        lambda self, nfa, *a: evaluated.append(nfa) or real(self, nfa, *a))
+    cut = fo2_cover(dec.rating_map, dec.raw_imprint, target=target)
+    assert cut.to_json() == restrict_cover(full, target).to_json()
+    assert (len(cut.pieces), len(full.pieces)) == (6, 73)
+    assert evaluated == cut.pieces
 
 
 def union_covers(parts: list) -> Cover:

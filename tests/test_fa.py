@@ -241,6 +241,23 @@ def test_nfa_json_roundtrip():
     assert nfa_from_json(doc) == nfa
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("states", 2.0), ("states", "2"), ("states", True), ("initials", 0.5),
+    ("initials", "0"), ("finals", True), ("finals", None), ("source", 1.9), ("target", False)])
+def test_nfa_json_refuses_state_ids_that_are_no_integers(field, bad):
+    # int() truncated floats and read Booleans and digit strings as states
+    doc = nfa_to_json(nfa_of("a(b|c)*", "abc"))
+    if field == "states":
+        doc["states"] = bad
+    elif field in ("source", "target"):
+        q, a, r = doc["transitions"][0]
+        doc["transitions"][0] = [bad, a, r] if field == "source" else [q, a, bad]
+    else:
+        doc[field].append(bad)
+    with pytest.raises(InputError, match=f"bad NFA JSON: {bad!r} is not an integer"):
+        nfa_from_json(doc)
+
+
 def test_nfa_to_regex_roundtrip():
     rng = random.Random(23)
     for _ in range(20):
