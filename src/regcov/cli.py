@@ -171,8 +171,9 @@ def _run(inst: Instance, separate: bool) -> Verdict:
 
     The cover of the target is synthesized and verified when it is asked
     for, or under `separate`, where its pieces make the separator.  A
-    resource cap met by a synthesis nobody asked for skips it; the
-    decision stands."""
+    resource cap met by a synthesis nobody asked for skips it, and so does
+    a class without a synthesizer; the decision stands, and `stats` says
+    why no cover came out."""
     t0 = time.perf_counter()
     if not inst.against:
         raise InputError("covering needs at least one language to separate against")
@@ -192,7 +193,10 @@ def _run(inst: Instance, separate: bool) -> Verdict:
     stats = dict(decision.stats)
 
     cover = None
-    if (inst.emit_cover or separate) and decision.coverable and class_id.synthesizable:
+    wanted = (inst.emit_cover or separate) and decision.coverable
+    if wanted and not class_id.synthesizable:
+        stats["synthesis"] = {"skipped": "no synthesizer"}
+    elif wanted:
         # the pieces of a cover of A* that meet the target cover it
         restrict = None if universal else target_nfa
         try:

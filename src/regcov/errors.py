@@ -81,7 +81,9 @@ class Caps:
                                        # visit all 2^|A| sub-alphabets
     max_elements: int = 200_000        # maximal elements of an imprint, and
                                        # the pairs of every (state, word
-                                       # image) closure (`rating.reach`)
+                                       # image) closure (`rating.reach`);
+                                       # a relation part's word-image tables
+                                       # are solved in closed form, uncapped
     max_pieces: int = 10_000           # fo2 cover pieces: the distinct
                                        # labels in context of each recursion
                                        # node, summed over the nodes

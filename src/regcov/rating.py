@@ -26,6 +26,11 @@ class RatingMap:
     `cont`, when present, is the alphabet semiring whose field holds the
     lowest bits of every element: x & ((1 << cont.nbits) - 1) is the set of
     word alphabets x accounts for (the map is then alphabet compatible).
+
+    The images of B* and of the exact-alphabet words, for every
+    sub-alphabet B, are built on first use and kept (`_word_images`):
+    in closed form on the relation parts, by a capped closure on the
+    others.
     """
 
     alphabet: Alphabet
@@ -76,13 +81,31 @@ class RatingMap:
         """(stars, exacts): for every sub-alphabet mask B, the image of B*
         and the image of the words whose alphabet is exactly B.
 
-        A product adds componentwise, so each part closes its own set of
-        (word image, alphabet mask) pairs, once, over the whole alphabet; a
-        map that is not a product is its own single part.  The words with
-        alphabet exactly B sum to the pairs of mask B, and B* to the pairs
-        whose mask lies in B.  The tables are kept, and so is the size of
-        the largest closure, which every call checks against its own
-        `max_elements`.
+        A product adds componentwise, so each part builds its own table of
+        exact-alphabet images, once, over the whole alphabet; a map that is
+        not a product is its own single part.  B* sums the exact images of
+        the masks that lie in B.
+
+        A relation part solves its table in closed form (`_exact_images`).
+        Let s_B be the sum of the letter images of B.  The map is nice and
+        multiplication distributes over addition, so the words of length m
+        over B have the image s_B^m, and ρ(B*) is the sum of the s_B^m.
+        Addition is idempotent, so (1 + s)^m is the sum of the s^k, k <= m:
+        squaring y = 1 + s until y·y = y gives ρ(B*).  Each strict step of
+        those partial sums adds at least one bit, so on n states they stop
+        by m = n², and the squaring takes at most ⌈log2 n²⌉ + 2 products.
+        A word whose alphabet is exactly C splits uniquely as u·a·v at the
+        first occurrence of its last new letter a, with alph(u) = C∖{a}
+        and v in C*.  So exact(∅) = 1 and exact(C) is the sum over a in C
+        of exact(C∖{a})·ρ(a), times ρ(C*).  A relation part thus costs at
+        most 2^|A|·(|A| + ⌈log2 n²⌉ + 2) products, whatever its monoid.
+
+        A monoid-powerset or alphabet-set part closes its (alphabet mask,
+        word image) pairs instead (`reach`): its word images are at most
+        `max_monoid` singletons, and a singleton times a letter is one table
+        row.  The words with alphabet exactly B sum to the pairs of mask B.
+        The tables are kept, and so is the size of the largest closure,
+        which every call checks against its own `max_elements`.
         """
         if self._images is not None:
             if self._closure_size > caps.max_elements:
@@ -91,16 +114,21 @@ class RatingMap:
             sr = self.semiring
             nsub = 1 << len(self.alphabet)
             bits = [1 << k for k in range(len(self.alphabet))]
-            # an automaton whose states are the alphabets of the words read
-            delta = [[mask | bit for bit in bits] for mask in range(nsub)]
             product = isinstance(sr, ProductSemiring)
             images = [sr.unpack(self.letter_image[a]) if product else (self.letter_image[a],)
                       for a in self.alphabet]
             cols = []
+            delta = None
             for j, part in enumerate(sr.parts if product else (sr,)):
+                letters = [img[j] for img in images]
+                if isinstance(part, RelationSemiring):
+                    cols.append(_exact_images(part, letters))
+                    continue
+                if delta is None:
+                    # an automaton whose states are the alphabets of the words read
+                    delta = [[mask | bit for bit in bits] for mask in range(nsub)]
                 col = [0] * nsub
-                pairs = reach(part, delta, 0, [img[j] for img in images],
-                              caps.max_elements, "word-image closure")
+                pairs = reach(part, delta, 0, letters, caps.max_elements, "word-image closure")
                 for mask, elem in pairs:
                     col[mask] |= elem
                 cols.append(col)
@@ -121,6 +149,39 @@ class RatingMap:
     def image_of_exact(self, subset: Iterable[str], caps: Caps = DEFAULT_CAPS):
         """Image of the words whose alphabet is exactly B."""
         return self._word_images(caps)[1][self.alphabet.mask_of(subset)]
+
+
+def _star(sr: Semiring, s: int) -> int:
+    """The sum of the powers of s: 1 + s squared until it stops growing."""
+    y = sr.add(sr.one, s)
+    while True:
+        square = sr.mul(y, y)
+        if square == y:
+            return y
+        y = square
+
+
+def _exact_images(sr: Semiring, letter_images: list) -> list:
+    """For every sub-alphabet mask C, the sum of the images of the words
+    whose alphabet is exactly C, in closed form (see `_word_images`)."""
+    mul = sr.mul
+    nsub = 1 << len(letter_images)
+    sums = [0] * nsub                  # the letter images of C, summed
+    exact = [sr.one] + [0] * (nsub - 1)
+    for mask in range(1, nsub):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] | letter_images[low.bit_length() - 1]
+        head = 0
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            prefix = exact[mask ^ bit]
+            if prefix:
+                head |= mul(prefix, letter_images[bit.bit_length() - 1])
+        if head:
+            exact[mask] = mul(head, _star(sr, sums[mask]))
+    return exact
 
 
 def reach(sr: Semiring, delta, initial: int, letter_images: list, cap: int, what: str) -> set:

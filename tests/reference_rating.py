@@ -5,9 +5,9 @@ candidate in full: the minimal-DFA and NFA relation widths and the size of
 the whole transition monoid, narrowest first, ties going to the DFA, then
 the monoid, then the NFA.  `joint_star_exact` closes the (word image,
 alphabet mask) pairs over the whole packed product, once per sub-alphabet.
-The library bounds the monoid enumeration by the widths it has to beat and
-closes the pairs per product part; tests check that both give the same
-maps and the same images.
+The library bounds the monoid enumeration by the widths it has to beat,
+closes the pairs of each monoid part and solves each relation part in
+closed form; tests check that both give the same maps and the same images.
 """
 
 from __future__ import annotations

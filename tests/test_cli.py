@@ -400,6 +400,60 @@ def test_fo_decision_only(capsys):
     assert doc["cover"] is None
 
 
+@pytest.mark.parametrize("cls", ["fo", "sigma2"])
+def test_a_class_without_synthesizer_says_why_it_gives_no_cover(capsys, cls):
+    query = ["--class", cls, "--alphabet", "ab", "--target", "b(a|b)*", "--json"]
+    for argv in (["cover", "--against", "a(a|b)*|%eps", "--emit-cover"],
+                 ["separate", "--against", "a(a|b)*|%eps"],
+                 ["member", "--emit-cover"]):
+        code, out, _ = run(capsys, argv + query)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["coverable"] is True
+        assert doc["cover"] is None and doc["separator"] is None
+        assert doc["stats"]["synthesis"] == {"skipped": "no synthesizer"}
+    # no cover asked for, or none to give: no reason either
+    for argv in (["cover", "--against", "a(a|b)*|%eps"],
+                 ["separate", "--against", "b+"],
+                 ["member"]):
+        code, out, _ = run(capsys, argv + query)
+        assert code == 0
+        assert "synthesis" not in json.loads(out)["stats"]
+
+
+def wide_alphabet_instance(path) -> None:
+    """A target and an against language of 4 states over ten letters, each
+    transition drawn in (state, letter, state) order."""
+    rng = random.Random(185)
+    letters = "abcdefghij"
+
+    def lang(p):
+        return {"alphabet": letters, "states": 4, "initials": [0], "finals": [3],
+                "transitions": [[q, a, r] for q in range(4) for a in letters for r in range(4)
+                                if rng.random() < p]}
+
+    target = lang(0.3)
+    path.write_text(json.dumps({"alphabet": letters, "target": target,
+                                "against": [lang(0.2)]}))
+
+
+def test_relation_parts_over_ten_letters_decide(tmp_path, capsys):
+    # the raw-NFA relation parts of this instance have transition monoids
+    # past max_elements; their star and exact-alphabet images are solved
+    # without enumerating them
+    path = tmp_path / "wide.json"
+    wide_alphabet_instance(path)
+    imprints = {}
+    for cls in ("at", "bsigma1", "fo"):
+        code, out, err = run(capsys, ["cover", "--class", cls, "--instance", str(path), "--json"])
+        assert code == 0, err
+        imprints[cls] = {tuple(s) for s in json.loads(out)["imprint"]}
+    code, out, _ = run(capsys, ["oracle", "--which", "at", "--instance", str(path), "--json"])
+    assert code == 0
+    assert imprints["at"] == {tuple(s) for s in json.loads(out)["imprint"]} == {()}
+    assert imprints["fo"] <= imprints["bsigma1"] <= imprints["at"]
+
+
 def test_rating_set_log2_is_the_width_saturated_over(capsys):
     # fo2 and sigma2 saturate over the alphabet augmentation, 2^|A| = 4 bits
     # wider than the base map; a+, b+ and the complement of a+ each take a

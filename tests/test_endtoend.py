@@ -297,6 +297,18 @@ def test_class_lattice_on_coverings():
             assert not verdicts[small] or verdicts[large], (small, large)
 
 
+@given(st.sampled_from([AB, Alphabet("abc")]).flatmap(
+    lambda alphabet: st.tuples(nfas(alphabet, max_states=5),
+                               st.lists(nfas(alphabet, max_states=5), min_size=1, max_size=2))))
+def test_class_lattice_on_drawn_coverings(drawn):
+    # the property form of the test above; most draws take a relation part,
+    # whose star and exact-alphabet images are solved in closed form
+    target, langs = drawn
+    verdicts = six_class_verdicts(target, langs)
+    for small, large in LATTICE:
+        assert not verdicts[small] or verdicts[large], (small, large)
+
+
 def test_coverings_are_invariant_under_reversal():
     # all six classes are closed under mirror image, so the mirrored
     # instance gets the same verdicts; the mirrored fo2 synthesis swaps the

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from regcov import (DEFAULT_CAPS, Alphabet, Caps, ClassId, InputError, MonoidCapError,
-                    Nfa, PowersetMonoidSemiring, RelationSemiring,
+                    Nfa, PowersetMonoidSemiring, ProductSemiring, RelationSemiring,
                     SaturationCapError, at_imprint, decide_universal_covering,
                     is_empty, minimize, nfa_complement, nfa_intersection, nfa_union, regex_to_nfa,
                     rm_alphabet_augment, rm_from_morphism, rm_from_multiset,
@@ -23,6 +23,7 @@ from reference_rating import joint_star_exact, reference_extension
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
+ABCD = Alphabet("abcd")
 
 
 def e1_multiset():
@@ -338,13 +339,14 @@ def test_transition_monoid_raises_past_max_monoid():
 
 
 def test_word_images_per_part_match_joint_closure():
-    # each part closes its own word images; the packed sums must be what
-    # closing the product per sub-alphabet gives, on products that mix
-    # relation and monoid parts and on their alphabet augmentations
+    # each part builds its own tables, a relation part in closed form; the
+    # packed sums must be what closing the product per sub-alphabet gives,
+    # on products that mix relation and monoid parts and on their alphabet
+    # augmentations
     checked = set()
-    for alphabet, seed in ((AB, 1601), (ABC, 1602)):
+    for alphabet, seed, draws in ((AB, 1601, 12), (ABC, 1602, 12), (ABCD, 1604, 8)):
         rng = random.Random(seed)
-        for _ in range(12):
+        for _ in range(draws):
             langs = [random_nfa(rng, alphabet, 4, rng.choice((0.25, 0.4)))
                      for _ in range(rng.randint(2, 3))]
             ext = rm_from_multiset(langs)
@@ -362,6 +364,41 @@ def test_word_images_per_part_match_joint_closure():
             want = joint_star_exact(ext.tau, mask)
             assert (ext.tau.image_of_star(AB.from_mask(mask)),
                     ext.tau.image_of_exact(AB.from_mask(mask))) == want
+
+
+def test_relation_parts_stay_within_the_closed_form_bound(monkeypatch):
+    # a relation part of n states takes at most 2^|A|·(|A| + ⌈log2 n²⌉ + 2)
+    # products, however large its transition monoid; enumerating the
+    # monoid, as a closure of word images does, takes more on most of these
+    # maps, and on the ten-letter one passes max_elements
+    def bound(tau):
+        sr, k = tau.semiring, len(tau.alphabet)
+        parts = sr.parts if isinstance(sr, ProductSemiring) else (sr,)
+        return sum((1 << k) * (k + (p.nbits - 1).bit_length() + 2)
+                   for p in parts if isinstance(p, RelationSemiring))
+
+    calls = []
+    mul = RelationSemiring.mul
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return mul(self, x, y)
+
+    monkeypatch.setattr(RelationSemiring, "mul", counted)
+    taus = [rm_from_nfa(random_nfa(random.Random(seed), AB, 5, 0.35)).tau
+            for seed in range(1700, 1705)]
+    taus.append(rm_from_multiset([random_nfa(random.Random(1705), ABC, 5, 0.3),
+                                  nfa_of("(ab)+", "abc")]).tau)
+    taus.append(rm_from_nfa(random_nfa(random.Random(1706), Alphabet("abcdefghij"),
+                                       4, 0.3)).tau)
+    for tau in taus:
+        assert bound(tau) > 0
+        calls.clear()
+        tau.image_of_star(tau.alphabet.symbols)
+        assert 0 < len(calls) <= bound(tau)
+        calls.clear()
+        tau.image_of_exact(tau.alphabet.symbols)
+        assert not calls  # the tables are kept
 
 
 def test_word_image_closure_keeps_its_cap():
