@@ -118,8 +118,8 @@ def sigma1_cover(target: Nfa, rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> Cove
     dead = next(q for q, row in enumerate(least.delta)
                 if q not in least.finals and set(row) == {q})
     sr = rho.semiring
-    star = rho.image_of_star(alphabet, caps)
-    gens = [sr.mul(rho.letter_image[a], star) for a in alphabet]
+    star = rho.image_of_star((1 << len(alphabet)) - 1, caps)
+    gens = [sr.mul(img, star) for img in rho.letter_image]
 
     def successors(pair):
         q, u = pair
@@ -190,8 +190,7 @@ def bsigma1_cover(rho: RatingMap, goal: ImprintSet, caps: Caps = DEFAULT_CAPS,
 def _partition_images(pa: Dfa, rho: RatingMap, caps: Caps) -> dict:
     """Rating image of every partition class, in one reachability pass."""
     sums: dict = {}
-    for q, elem in reach(rho.semiring, pa.delta, pa.initial,
-                         [rho.letter_image[a] for a in pa.alphabet],
+    for q, elem in reach(rho.semiring, pa.delta, pa.initial, rho.letter_image,
                          caps.max_elements, "partition-imprint"):
         sums[q] = sums.get(q, 0) | elem
     return sums
@@ -315,7 +314,7 @@ def fo2_cover(rho: RatingMap, saturated: ImprintSet, caps: Caps = DEFAULT_CAPS,
                          "augment it first")
     sr = rho.semiring
     delta, labels = _Fo2State(rho, saturated, caps).machine(
-        tuple(rho.alphabet.symbols), sr.one, sr.one, True)
+        (1 << len(rho.alphabet)) - 1, sr.one, sr.one, True)
     pieces = _label_pieces(rho.alphabet, delta, 0, labels, target)
     for p in pieces:
         if rho.eval_nfa(p, caps) not in saturated:
@@ -325,6 +324,9 @@ def fo2_cover(rho: RatingMap, saturated: ImprintSet, caps: Caps = DEFAULT_CAPS,
 
 class _Fo2State:
     """Recursion state of the FO2 synthesis: one labelled DFA per node.
+
+    A sub-alphabet B is its bitmask and a letter its alphabet position, as
+    in `RatingMap`: nodes, machines, loop sets and peels are keyed by mask.
 
     A node (B, left, right) stands for a partition of B* into pieces K, each
     with left·ρ(K)·right in the saturated set, and with pairwise distinct
@@ -419,14 +421,14 @@ class _Fo2State:
         self._nodes: dict = {}
         self._machines: dict = {}
 
-    def _word_images(self, subset: tuple) -> set:
+    def _word_images(self, subset: int) -> set:
         """Images of the words over B: the monoid generated by B's letters,
         closed over a one-state automaton."""
-        return {elem for _, elem in reach(self.sr, [[0] * len(subset)], 0,
-                                          [self.rho.letter_image[a] for a in subset],
+        letters = [img for k, img in enumerate(self.rho.letter_image) if subset >> k & 1]
+        return {elem for _, elem in reach(self.sr, [[0] * len(letters)], 0, letters,
                                           self.caps.max_elements, "fo2 word images")}
 
-    def s_b(self, subset: tuple) -> frozenset:
+    def s_b(self, subset: int) -> frozenset:
         """Images of the nonempty languages over B* that lie in the saturated
         set.
 
@@ -456,23 +458,24 @@ class _Fo2State:
             out |= sums
         return frozenset(out)
 
-    def _loops(self, subset: tuple) -> list:
-        """(b, s_b·ρ(b)·s_b) for each letter b of B, in B's order; built
-        once per sub-alphabet."""
+    def _loops(self, subset: int) -> list:
+        """(b, s_b·ρ(b)·s_b) for the position b of each letter of B, in
+        alphabet order; built once per sub-alphabet."""
         if subset not in self._loop_sets:
             mul = self.sr.mul
             sb = self.s_b(subset)
             self._loop_sets[subset] = [
                 (b, frozenset(mul(xb, y) for xb in {mul(x, self.rho.letter_image[b]) for x in sb}
                               for y in sb))
-                for b in subset]
+                for b in range(len(self.rho.alphabet)) if subset >> b & 1]
         return self._loop_sets[subset]
 
-    def peel_letter(self, t, subset: tuple, forward: bool) -> Optional[str]:
-        """The first letter of B at which the context t is not saturated:
-        whose loop set holds no p with t·p = t when t is the left context
-        (forward), or p·t = t when it is the right one.  None when t is
-        saturated; computed once per (t, B, side)."""
+    def peel_letter(self, t, subset: int, forward: bool) -> Optional[int]:
+        """The position of the first letter of B at which the context t is
+        not saturated: whose loop set holds no p with t·p = t when t is the
+        left context (forward), or p·t = t when it is the right one.  None
+        when t is saturated, so test it with `is not None`: position 0 is a
+        letter.  Computed once per (t, B, side)."""
         key = (t, subset, forward)
         if key not in self._peels:
             mul = self.sr.mul
@@ -486,7 +489,7 @@ class _Fo2State:
         if self.count > self.caps.max_pieces:
             raise PieceCapError("max_pieces", self.caps.max_pieces, "fo2 cover synthesis")
 
-    def machine(self, subset: tuple, left, right, forward: bool):
+    def machine(self, subset: int, left, right, forward: bool):
         """The node's (delta, labels), reading left to right when forward,
         else right to left; built once, and converted once if need be."""
         key = (subset, left, right, forward)
@@ -495,7 +498,7 @@ class _Fo2State:
             self._machines[key] = m if natural in (None, forward) else self._flip(m)
         return self._machines[key]
 
-    def node(self, subset: tuple, left, right):
+    def node(self, subset: int, left, right):
         """(direction, (delta, labels)) of the node's minimal labelled DFA:
         True for a right-peel node, read left to right, False for a
         left-peel node, read right to left, None for a base case (B* reads
@@ -516,40 +519,39 @@ class _Fo2State:
                 forward = b is not None
                 if not forward:
                     b = self.peel_letter(key[2], subset, False)
-                children = self._children(*key, b, forward) if b else None
-                peeled[key] = (b, forward if b else None, children)
-                if b:
+                children = None if b is None else self._children(*key, b, forward)
+                peeled[key] = (b, None if b is None else forward, children)
+                if children:
                     stack.extend(reversed(children[1].values()))
             else:                          # its children are built
                 stack.pop()
                 b, forward, children = peeled.pop(key)
-                m = self._peel(*key, b, forward, children) if b else self._base(*key)
+                m = self._base(*key) if b is None else self._peel(*key, b, forward, children)
                 self._bump(len(set(m[1]) - {None}))
                 self._nodes[key] = (forward, m)
         return self._nodes[top]
 
-    def _base(self, subset: tuple, left, right):
+    def _base(self, subset: int, left, right):
         """B*: one state for its words, and a sink for the letters outside B."""
         img = self.sr.mul(self.sr.mul(left, self.rho.image_of_star(subset, self.caps)), right)
-        inside = tuple(0 if a in subset else 1 for a in self.rho.alphabet)
+        inside = tuple(0 if subset >> k & 1 else 1 for k in range(len(self.rho.alphabet)))
         return minimize_labelled((inside, (1,) * len(inside)), 0, [img, None])
 
-    def _children(self, subset: tuple, left, right, b: str, forward: bool):
+    def _children(self, subset: int, left, right, b: int, forward: bool):
         """F's machine, and the child nodes in order of appearance: the
         label x of a live state of F fixes the child context, left·x·ρ(b)
         for a right peel and ρ(b)·x·right for a left peel."""
         mul, bimg = self.sr.mul, self.rho.letter_image[b]
-        f = self.machine(tuple(x for x in subset if x != b), self.sr.one, self.sr.one, forward)
+        f = self.machine(subset & ~(1 << b), self.sr.one, self.sr.one, forward)
         return f, {x: (subset, mul(left, mul(x, bimg)), right) if forward
                    else (subset, left, mul(mul(bimg, x), right))
                    for x in f[1] if x is not None}
 
-    def _peel(self, subset: tuple, left, right, b: str, forward: bool, f_and_children):
+    def _peel(self, subset: int, left, right, b: int, forward: bool, f_and_children):
         """The minimal machine of a peel node whose children are built: a
         copy of F labelled in context, whose letter b leads to one copy of
         each distinct child, minimized."""
         mul = self.sr.mul
-        bi = self.rho.alphabet.index(b)
         (f_delta, f_labels), children = f_and_children
         rows = [list(row) for row in f_delta]
         in_context = {x: mul(mul(left, x), right) for x in children}
@@ -564,10 +566,10 @@ class _Fo2State:
                 if off + len(c_delta) > self.caps.max_det_states:
                     raise DeterminizationCapError(
                         "max_det_states", self.caps.max_det_states,
-                        f"fo2 node machine over {''.join(subset)}")
+                        f"fo2 node machine over {self.rho.alphabet.from_mask(subset)}")
                 rows += [[t + off for t in row] for row in c_delta]
                 labels += c_labels
-            rows[s][bi] = starts[children[x]]
+            rows[s][b] = starts[children[x]]
         return minimize_labelled(rows, 0, labels)
 
     def _flip(self, m):

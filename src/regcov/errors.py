@@ -76,9 +76,9 @@ class Caps:
                                        # before minimization and each
                                        # conversion between directions
     max_monoid: int = 4096             # transition-monoid elements
-    max_alphabet_sets: int = 8         # |A| for alphabet-set semirings; bounds
-                                       # real work, as the saturation rules
-                                       # visit all 2^|A| sub-alphabets
+    max_alphabet_sets: int = 8         # |A| for alphabet-set semirings, whose
+                                       # elements have 2^|A| bits (fo2 and
+                                       # sigma2 only)
     max_elements: int = 200_000        # maximal elements of an imprint, and
                                        # the pairs of every (state, word
                                        # image) closure (`rating.reach`);

@@ -54,12 +54,6 @@ class Alphabet:
             raise InputError(f"symbol {sym!r} not in alphabet {self.symbols!r}")
         return self.symbols.index(sym)
 
-    def mask_of(self, syms: Iterable[str]) -> int:
-        m = 0
-        for s in syms:
-            m |= 1 << self.index(s)
-        return m
-
     def from_mask(self, mask: int) -> str:
         return "".join(s for i, s in enumerate(self.symbols) if mask >> i & 1)
 

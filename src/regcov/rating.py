@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 from .errors import (Caps, DEFAULT_CAPS, DeterminizationCapError, InputError,
                      SaturationCapError)
-from .fa import Alphabet, MonoidMorphism, Nfa, _dfa_monoid, minimize
+from .fa import Alphabet, MonoidMorphism, Nfa, _bits, _dfa_monoid, _subset_successors, minimize
 from .semiring import (AlphabetSemiring, PowersetMonoidSemiring,
                        ProductSemiring, RelationSemiring, Semiring)
 
@@ -22,6 +22,10 @@ from .semiring import (AlphabetSemiring, PowersetMonoidSemiring,
 @dataclass
 class RatingMap:
     """Nice multiplicative rating map given by letter images.
+
+    A letter is its alphabet position k and a sub-alphabet B its bitmask,
+    bit k for letter k: `letter_image` holds one image per letter in
+    alphabet order, and `image_of_star` and `image_of_exact` take B's mask.
 
     `cont`, when present, is the alphabet semiring whose field holds the
     lowest bits of every element: x & ((1 << cont.nbits) - 1) is the set of
@@ -35,40 +39,40 @@ class RatingMap:
 
     alphabet: Alphabet
     semiring: Semiring
-    letter_image: dict
+    letter_image: tuple
     cont: Optional[AlphabetSemiring] = None
     _images: Optional[tuple] = field(default=None, repr=False)
     _closure_size: int = field(default=0, repr=False)
 
     def __post_init__(self):
-        for a in self.alphabet:
-            if a not in self.letter_image:
-                raise InputError(f"letter image missing for {a!r}")
+        if len(self.letter_image) != len(self.alphabet):
+            raise InputError(f"{len(self.letter_image)} letter images for "
+                             f"{len(self.alphabet)} letters")
 
     def eval_nfa(self, nfa: Nfa, caps: Caps = DEFAULT_CAPS):
         """Image of a regular language: sum of the word images of its members.
 
         Tracks reachable (state subset, element) pairs of the determinized
-        input; every accepted word contributes its image through an accepting
-        pair.
+        input, the subset a bitmask stepped as in `fa.determinize`; every
+        accepted word contributes its image through an accepting pair.
         """
         if nfa.alphabet != self.alphabet:
             raise InputError("rating map / automaton alphabet mismatch")
         sr = self.semiring
-        step = nfa.step_map()
-        start = (frozenset(nfa.initials), sr.one)
+        successors = _subset_successors(nfa)
+        final = _bits(nfa.finals)
+        start = (_bits(nfa.initials), sr.one)
         seen = {start}
         work = [start]
         total = sr.zero
         while work:
             subset, elem = work.pop()
-            if subset & nfa.finals:
+            if subset & final:
                 total = sr.add(total, elem)
-            for a in self.alphabet:
-                nxt = frozenset().union(*(step.get((q, a), ()) for q in subset)) if subset else frozenset()
+            for nxt, img in zip(successors(subset), self.letter_image):
                 if not nxt:
                     continue
-                pair = (nxt, sr.mul(elem, self.letter_image[a]))
+                pair = (nxt, sr.mul(elem, img))
                 if pair not in seen:
                     if len(seen) >= caps.max_det_states:
                         raise DeterminizationCapError(
@@ -78,8 +82,8 @@ class RatingMap:
         return total
 
     def _word_images(self, caps: Caps = DEFAULT_CAPS):
-        """(stars, exacts): for every sub-alphabet mask B, the image of B*
-        and the image of the words whose alphabet is exactly B.
+        """(stars, exacts), two lists indexed by sub-alphabet mask B: the
+        image of B* and the image of the words whose alphabet is exactly B.
 
         A product adds componentwise, so each part builds its own table of
         exact-alphabet images, once, over the whole alphabet; a map that is
@@ -115,8 +119,7 @@ class RatingMap:
             nsub = 1 << len(self.alphabet)
             bits = [1 << k for k in range(len(self.alphabet))]
             product = isinstance(sr, ProductSemiring)
-            images = [sr.unpack(self.letter_image[a]) if product else (self.letter_image[a],)
-                      for a in self.alphabet]
+            images = [sr.unpack(img) if product else (img,) for img in self.letter_image]
             cols = []
             delta = None
             for j, part in enumerate(sr.parts if product else (sr,)):
@@ -142,13 +145,13 @@ class RatingMap:
             self._images = (stars, exacts)
         return self._images
 
-    def image_of_star(self, subset: Iterable[str], caps: Caps = DEFAULT_CAPS):
-        """Image of B* for a sub-alphabet B."""
-        return self._word_images(caps)[0][self.alphabet.mask_of(subset)]
+    def image_of_star(self, mask: int, caps: Caps = DEFAULT_CAPS):
+        """Image of B* for the sub-alphabet mask B."""
+        return self._word_images(caps)[0][mask]
 
-    def image_of_exact(self, subset: Iterable[str], caps: Caps = DEFAULT_CAPS):
-        """Image of the words whose alphabet is exactly B."""
-        return self._word_images(caps)[1][self.alphabet.mask_of(subset)]
+    def image_of_exact(self, mask: int, caps: Caps = DEFAULT_CAPS):
+        """Image of the words whose alphabet is exactly the mask B."""
+        return self._word_images(caps)[1][mask]
 
 
 def _star(sr: Semiring, s: int) -> int:
@@ -234,8 +237,8 @@ def rm_from_morphism(alpha: MonoidMorphism, *accepting: Iterable[int]) -> Extens
     """Canonical rating map over the powerset of the monoid, extending the
     map of the languages image⁻¹(acc), one per accepting set acc."""
     sr = PowersetMonoidSemiring(alpha)
-    letter_image = {a: sr.singleton(m) for a, m in alpha.letter_image.items()}
-    tau = RatingMap(Alphabet("".join(sorted(alpha.letter_image))), sr, letter_image)
+    alphabet = Alphabet("".join(alpha.letter_image))
+    tau = RatingMap(alphabet, sr, tuple(sr.singleton(alpha.letter_image[a]) for a in alphabet))
     return Extension(tau, tuple(sr.sum(sr.singleton(m) for m in acc) for acc in accepting))
 
 
@@ -243,10 +246,10 @@ def rm_from_nfa(nfa: Nfa, *finals: Iterable[int]) -> Extension:
     """Canonical rating map over state relations of the automaton, with one
     language per given set of final states (the automaton's own if none)."""
     sr = RelationSemiring(nfa.state_count)
-    letter_image = {a: 0 for a in nfa.alphabet}
+    letter_image = [0] * len(nfa.alphabet)
     for (q, a, r) in nfa.transitions:
-        letter_image[a] |= sr.pair(q, r)
-    tau = RatingMap(nfa.alphabet, sr, letter_image)
+        letter_image[nfa.alphabet.index(a)] |= sr.pair(q, r)
+    tau = RatingMap(nfa.alphabet, sr, tuple(letter_image))
     return Extension(tau, tuple(sr.sum(sr.pair(q, r) for q in nfa.initials for r in fin)
                                 for fin in finals or (nfa.finals,)))
 
@@ -277,8 +280,7 @@ def rm_from_multiset(nfas: Iterable[Nfa], caps: Caps = DEFAULT_CAPS) -> Extensio
         exts += _group_parts([nfas[i] for i in members], [dfas[i] for i in members], caps)
         order += members
     sr = ProductSemiring(e.tau.semiring for e in exts)
-    letter_image = {a: sr.pack(e.tau.letter_image[a] for e in exts) for a in alphabet}
-    tau = RatingMap(alphabet, sr, letter_image)
+    tau = RatingMap(alphabet, sr, tuple(map(sr.pack, zip(*(e.tau.letter_image for e in exts)))))
     # the parts' masks come in the order of `order`, a group's members in turn
     masks = [sr.pack(acc if k == j else 0 for k in range(len(exts)))
              for j, e in enumerate(exts) for acc in e.accepts]
@@ -327,8 +329,8 @@ def rm_alphabet_augment(ext: Extension, caps: Caps = DEFAULT_CAPS) -> Extension:
     alph_sr = AlphabetSemiring(rho.alphabet, caps)
     sr = ProductSemiring([rho.semiring, alph_sr])
     width = alph_sr.nbits
-    letter_image = {a: rho.letter_image[a] << width | alph_sr.singleton(1 << rho.alphabet.index(a))
-                    for a in rho.alphabet}
+    letter_image = tuple(img << width | alph_sr.singleton(1 << k)
+                         for k, img in enumerate(rho.letter_image))
     tau = RatingMap(rho.alphabet, sr, letter_image, cont=alph_sr)
     return Extension(tau, tuple(acc << width for acc in ext.accepts))
 

@@ -103,7 +103,7 @@ def _words(rho: RatingMap, alpha: Optional[MonoidMorphism]):
     elements, or (monoid image, rating image) pairs when `alpha` is given."""
     sr = rho.semiring
     if alpha is None:
-        return sr.one, [rho.letter_image[a] for a in rho.alphabet], sr.mul
+        return sr.one, list(rho.letter_image), sr.mul
     if set(alpha.letter_image) != set(rho.alphabet.symbols):
         raise InputError("morphism and rating map alphabets differ")
     mmul = alpha.mul
@@ -111,7 +111,7 @@ def _words(rho: RatingMap, alpha: Optional[MonoidMorphism]):
     def mul(x, y):
         return (mmul[x[0]][y[0]], sr.mul(x[1], y[1]))
 
-    letters = [(alpha.letter_image[a], rho.letter_image[a]) for a in rho.alphabet]
+    letters = [(alpha.letter_image[a], img) for a, img in zip(rho.alphabet, rho.letter_image)]
     return (alpha.identity, sr.one), letters, mul
 
 
@@ -133,8 +133,7 @@ def saturate_universal(rho: RatingMap, class_id: ClassId,
         # unconditional rule: fires once per sub-alphabet, so its outputs
         # are generators from the start
         for mask in range(1 << len(rho.alphabet)):
-            exact = rho.image_of_exact(rho.alphabet.from_mask(mask), caps)
-            gens.append(sr.idempotent_power(exact))
+            gens.append(sr.idempotent_power(rho.image_of_exact(mask, caps)))
         rule = None
     elif class_id is ClassId.FO:
         def rule(maxima):
@@ -152,7 +151,7 @@ def saturate_universal(rho: RatingMap, class_id: ClassId,
                 for bmask in rho.cont.members(e & content):
                     candidates.setdefault(bmask, set()).add(with_content(e, bmask, width))
             for bmask, idems in candidates.items():
-                star = rho.image_of_star(rho.alphabet.from_mask(bmask), caps)
+                star = rho.image_of_star(bmask, caps)
                 for e in idems:
                     es = sr.mul(e, star)
                     for f in idems:
@@ -175,7 +174,7 @@ def saturate_pointed(alpha: MonoidMorphism, rho: RatingMap, class_id: ClassId,
     one, gens, mul = _words(rho, alpha)
 
     if class_id is ClassId.SIGMA1:
-        gens.append((alpha.identity, rho.image_of_star(rho.alphabet.symbols, caps)))
+        gens.append((alpha.identity, rho.image_of_star((1 << len(rho.alphabet)) - 1, caps)))
         rule = None
     else:
         content = (1 << rho.cont.nbits) - 1
@@ -186,7 +185,7 @@ def saturate_pointed(alpha: MonoidMorphism, rho: RatingMap, class_id: ClassId,
                     continue
                 e = sr.idempotent_power(r)
                 for bmask in rho.cont.members(e & content):
-                    star = rho.image_of_star(rho.alphabet.from_mask(bmask), caps)
+                    star = rho.image_of_star(bmask, caps)
                     yield (m, sr.mul(sr.mul(e, star), e))
 
     _saturate(out, one, gens, mul, rule)
@@ -236,7 +235,7 @@ def at_imprint(rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> ImprintSet:
     out = ImprintSet(rho.semiring, cap=caps.max_elements, label="at")
     out.insert(rho.semiring.zero)
     for mask in range(1 << len(rho.alphabet)):
-        out.insert(rho.image_of_exact(rho.alphabet.from_mask(mask), caps))
+        out.insert(rho.image_of_exact(mask, caps))
     return out
 
 

@@ -22,7 +22,7 @@ CAP = 2_000_000
 def word_images(rho) -> set:
     """All images of words: the submonoid generated by the letter images."""
     sr = rho.semiring
-    gens = [rho.letter_image[a] for a in rho.alphabet]
+    gens = list(rho.letter_image)
     seen = {sr.one}
     work = [sr.one]
     while work:
@@ -38,7 +38,7 @@ def word_images(rho) -> set:
 def word_pairs(alpha, rho) -> set:
     """All pairs (monoid image, rating image) of words."""
     sr = rho.semiring
-    gens = [(alpha.letter_image[a], rho.letter_image[a]) for a in rho.alphabet]
+    gens = [(alpha.letter_image[a], img) for a, img in zip(rho.alphabet, rho.letter_image)]
     start = (alpha.identity, sr.one)
     seen = {start}
     work = [start]
@@ -141,7 +141,7 @@ def saturate_universal(rho, class_id: ClassId, lifo: bool = False) -> ExplicitIm
 
     if class_id is ClassId.BSIGMA1:
         for mask in range(1 << len(rho.alphabet)):
-            exact = rho.image_of_exact(rho.alphabet.from_mask(mask))
+            exact = rho.image_of_exact(mask)
             out.insert(sr.idempotent_power(exact))
 
     def fo_rule(snapshot):
@@ -164,7 +164,7 @@ def saturate_universal(rho, class_id: ClassId, lifo: bool = False) -> ExplicitIm
                 groups.setdefault(found[0], []).append(s)
         added = False
         for bmask, idems in groups.items():
-            star = rho.image_of_star(rho.alphabet.from_mask(bmask))
+            star = rho.image_of_star(bmask)
             for e in idems:
                 for f in idems:
                     added |= out.insert(sr.mul(sr.mul(e, star), f))
@@ -191,7 +191,7 @@ def saturate_pointed(alpha, rho, class_id: ClassId, lifo: bool = False) -> Expli
         out.insert(pair)
 
     if class_id is ClassId.SIGMA1:
-        out.insert((alpha.identity, rho.image_of_star(rho.alphabet.symbols)))
+        out.insert((alpha.identity, rho.image_of_star((1 << len(rho.alphabet)) - 1)))
         rule = None
     else:
         def rule(snapshot):
@@ -202,7 +202,7 @@ def saturate_pointed(alpha, rho, class_id: ClassId, lifo: bool = False) -> Expli
                 if alpha.mul[m][m] != m or sr.mul(r, r) != r:
                     continue
                 for bmask in cont.members(r & content):
-                    star = rho.image_of_star(rho.alphabet.from_mask(bmask))
+                    star = rho.image_of_star(bmask)
                     added |= out.insert((m, sr.mul(sr.mul(r, star), r)))
             return added
 
@@ -223,16 +223,17 @@ def at_imprint(rho) -> ExplicitImprint:
     out = ExplicitImprint(rho.semiring)
     out.insert(rho.semiring.zero)
     for mask in range(1 << len(rho.alphabet)):
-        out.insert(rho.image_of_exact(rho.alphabet.from_mask(mask)))
+        out.insert(rho.image_of_exact(mask))
     return out
 
 
-def fo2_language_sums(rho, subset) -> frozenset:
-    """Images of the nonempty languages over B*: every nonempty sum of word
-    images over B, closed in full.  This is the closure the FO2 synthesis
-    used before it took sums per maximum of the saturated set."""
+def fo2_language_sums(rho, subset: int) -> frozenset:
+    """Images of the nonempty languages over B*, for the sub-alphabet mask
+    B: every nonempty sum of word images over B, closed in full.  This is
+    the closure the FO2 synthesis used before it took sums per maximum of
+    the saturated set."""
     sr = rho.semiring
-    gens = [rho.letter_image[a] for a in subset]
+    gens = [img for k, img in enumerate(rho.letter_image) if subset >> k & 1]
     words = {sr.one}
     work = [sr.one]
     while work:

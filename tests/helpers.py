@@ -271,11 +271,20 @@ def leq(x: int, y: int) -> bool:
     return x | y == y
 
 
+def mask_of(alphabet: Alphabet, syms) -> int:
+    """The bitmask of the sub-alphabet spelled by `syms`, the form in which
+    the library takes sub-alphabets."""
+    mask = 0
+    for a in syms:
+        mask |= 1 << alphabet.index(a)
+    return mask
+
+
 def eval_word(tau, word: str):
     """Image of one word under a rating map: its letter images multiplied."""
     out = tau.semiring.one
     for a in word:
-        out = tau.semiring.mul(out, tau.letter_image[a])
+        out = tau.semiring.mul(out, tau.letter_image[tau.alphabet.index(a)])
     return out
 
 
@@ -397,8 +406,7 @@ def multiset_ext(items) -> Extension:
     parts = [e.tau.semiring for e in exts]
     sr = ProductSemiring(parts)
     alphabet = exts[0].tau.alphabet
-    letter_image = {a: sr.pack(e.tau.letter_image[a] for e in exts) for a in alphabet}
-    tau = RatingMap(alphabet, sr, letter_image)
+    tau = RatingMap(alphabet, sr, tuple(map(sr.pack, zip(*(e.tau.letter_image for e in exts)))))
     accepts = tuple(e.accepts[0] << sum(p.nbits for p in parts[i + 1:])
                     for i, e in enumerate(exts))
     return Extension(tau, accepts)

@@ -60,6 +60,11 @@ def sigma1_words(alpha, targets, alphabet) -> list:
     return final
 
 
+def letters(rho, subset: int) -> list:
+    """The positions of the letters of the sub-alphabet mask B."""
+    return [b for b in range(len(rho.alphabet)) if subset >> b & 1]
+
+
 class MergingFo2(_Fo2State):
     """`_Fo2State` whose `build` merges pieces per image, and whose
     saturation tests on the left and right contexts search s_b·ρ(b)·s_b
@@ -71,53 +76,55 @@ class MergingFo2(_Fo2State):
         self._sb_memo: dict = {}
         self._reach_cache: dict = {}
 
-    def s_b(self, subset: tuple) -> frozenset:
+    def s_b(self, subset: int) -> frozenset:
         if subset not in self._sb_memo:
             self._sb_memo[subset] = super().s_b(subset)
         return self._sb_memo[subset]
 
-    def right_reach(self, t, subset: tuple) -> frozenset:
+    def right_reach(self, t, subset: int) -> frozenset:
         key = ("r", t, subset)
         if key not in self._reach_cache:
             sb = self.s_b(subset)
             self._reach_cache[key] = frozenset(self.sr.mul(t, x) for x in sb)
         return self._reach_cache[key]
 
-    def left_reach(self, t, subset: tuple) -> frozenset:
+    def left_reach(self, t, subset: int) -> frozenset:
         key = ("l", t, subset)
         if key not in self._reach_cache:
             sb = self.s_b(subset)
             self._reach_cache[key] = frozenset(self.sr.mul(x, t) for x in sb)
         return self._reach_cache[key]
 
-    def right_saturated(self, t, subset: tuple):
-        """None when saturated, else the smallest violating letter; it reads
-        only the left context t, so it is computed once per (t, B)."""
+    def right_saturated(self, t, subset: int):
+        """None when saturated, else the position of the smallest violating
+        letter; it reads only the left context t, so it is computed once per
+        (t, B)."""
         key = ("rs", t, subset)
         if key not in self._reach_cache:
             sr, rho = self.sr, self.rho
             sb = self.s_b(subset)
             self._reach_cache[key] = next(
-                (b for b in subset
+                (b for b in letters(rho, subset)
                  if not any(t in self.right_reach(sr.mul(sr.mul(t, x), rho.letter_image[b]),
                                                   subset) for x in sb)), None)
         return self._reach_cache[key]
 
-    def left_saturated(self, t, subset: tuple):
+    def left_saturated(self, t, subset: int):
         """The mirror image of `right_saturated`, on the right context t."""
         key = ("ls", t, subset)
         if key not in self._reach_cache:
             sr, rho = self.sr, self.rho
             sb = self.s_b(subset)
             self._reach_cache[key] = next(
-                (b for b in subset
+                (b for b in letters(rho, subset)
                  if not any(t in self.left_reach(sr.mul(rho.letter_image[b], sr.mul(x, t)),
                                                  subset) for x in sb)), None)
         return self._reach_cache[key]
 
-    def build(self, subset: tuple, left, right) -> list:
+    def build(self, subset: int, left, right) -> list:
         """(image, automaton) pairs of a cover of B* with left·image·right
-        in the saturated set, with pairwise distinct images."""
+        in the saturated set, with pairwise distinct images, for the
+        sub-alphabet mask B."""
         key = (subset, left, right)
         memo = self._build_memo
         if key in memo:
@@ -128,12 +135,12 @@ class MergingFo2(_Fo2State):
         b_right = self.right_saturated(left, subset)
         b_left = self.left_saturated(right, subset) if b_right is None else None
         if b_right is None and b_left is None:
-            bstar = alphabet_star(rho.alphabet, subset)
+            bstar = alphabet_star(rho.alphabet, rho.alphabet.from_mask(subset))
             groups[rho.eval_nfa(bstar, self.caps)] = [bstar]
         else:
             b = b_right if b_right is not None else b_left
             bimg = rho.letter_image[b]
-            factors = self.build(tuple(x for x in subset if x != b), sr.one, sr.one)
+            factors = self.build(subset & ~(1 << b), sr.one, sr.one)
             for img, h in factors:
                 groups.setdefault(img, []).append(h)
             for img_h, h in factors:
@@ -145,7 +152,8 @@ class MergingFo2(_Fo2State):
                     t_h = sr.mul(bimg, sr.mul(img_h, right))
                     for img_k, k in self.build(subset, left, t_h):
                         groups.setdefault(sr.mul(sr.mul(img_k, bimg), img_h), []).append((k, h))
-        out = [(img, merge(group, b, rho.alphabet)) for img, group in groups.items()]
+        letter = None if b is None else rho.alphabet.symbols[b]
+        out = [(img, merge(group, letter, rho.alphabet)) for img, group in groups.items()]
         memo[key] = out
         return out
 
@@ -189,7 +197,7 @@ def fo2_pieces(rho, saturated, subset=None, left=None, right=None) -> dict:
     """image -> piece automaton of the top-level merged cover, as the
     trimmed minimal DFA: a `Cover`'s pieces are these automata."""
     sr = rho.semiring
-    subset = tuple(sorted(subset)) if subset is not None else tuple(rho.alphabet.symbols)
+    subset = subset if subset is not None else (1 << len(rho.alphabet)) - 1
     state = MergingFo2(rho, saturated, DEFAULT_CAPS)
     return {img: trim(minimize(nfa).as_nfa())
             for img, nfa in state.build(subset, left if left is not None else sr.one,

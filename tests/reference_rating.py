@@ -37,8 +37,7 @@ def joint_star_exact(rho, subset_mask: int, caps=DEFAULT_CAPS):
     """(image of B*, image of the words with alphabet exactly B), from the
     (word image, alphabet mask) pairs reachable over B in rho's semiring."""
     sr = rho.semiring
-    gens = [(rho.letter_image[a], 1 << rho.alphabet.index(a))
-            for a in rho.alphabet.from_mask(subset_mask)]
+    gens = [(img, 1 << k) for k, img in enumerate(rho.letter_image) if subset_mask >> k & 1]
     seen = {(sr.one, 0)}
     work = [(sr.one, 0)]
     while work:

@@ -24,7 +24,7 @@ def saturate_universal(rho, class_id: ClassId) -> ImprintSet:
 
     if class_id is ClassId.BSIGMA1:
         for mask in range(1 << len(rho.alphabet)):
-            exact = rho.image_of_exact(rho.alphabet.from_mask(mask))
+            exact = rho.image_of_exact(mask)
             out.insert(sr.idempotent_power(exact))
         rule = None
     elif class_id is ClassId.FO:
@@ -47,7 +47,7 @@ def saturate_universal(rho, class_id: ClassId) -> ImprintSet:
                     candidates.setdefault(bmask, set()).add(with_content(e, bmask, width))
             added = False
             for bmask, idems in candidates.items():
-                star = rho.image_of_star(rho.alphabet.from_mask(bmask))
+                star = rho.image_of_star(bmask)
                 for e in idems:
                     es = sr.mul(e, star)
                     for f in idems:
@@ -65,7 +65,7 @@ def saturate_pointed(alpha, rho, class_id: ClassId) -> ImprintSet:
     out = ImprintSet(sr, alpha, cap=DEFAULT_CAPS.max_elements, label=class_id.value)
 
     if class_id is ClassId.SIGMA1:
-        out.insert((alpha.identity, rho.image_of_star(rho.alphabet.symbols)))
+        out.insert((alpha.identity, rho.image_of_star((1 << len(rho.alphabet)) - 1)))
         rule = None
     else:
         cont = rho.cont
@@ -78,7 +78,7 @@ def saturate_pointed(alpha, rho, class_id: ClassId) -> ImprintSet:
                     continue
                 e = sr.idempotent_power(r)
                 for bmask in cont.members(e & content):
-                    star = rho.image_of_star(rho.alphabet.from_mask(bmask))
+                    star = rho.image_of_star(bmask)
                     added |= out.insert((m, sr.mul(sr.mul(e, star), e)))
             return added
 

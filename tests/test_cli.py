@@ -454,6 +454,25 @@ def test_relation_parts_over_ten_letters_decide(tmp_path, capsys):
     assert imprints["fo"] <= imprints["bsigma1"] <= imprints["at"]
 
 
+def test_a_decision_never_spells_out_a_sub_alphabet(monkeypatch, capsys):
+    # below the parser a sub-alphabet is its bitmask: with the conversion to
+    # text gone, every class decides, and every synthesizer builds and
+    # verifies its cover
+    def spelled(self, mask):
+        raise AssertionError(f"sub-alphabet {mask:#b} spelled out")
+
+    monkeypatch.setattr(Alphabet, "from_mask", spelled)
+    query = ["--alphabet", "abc", "--target", "(ab)+", "--against", "c(ac)+", "--json"]
+    for cls in ClassId:
+        code, out, err = run(capsys, ["cover", "--class", cls.value] + query)
+        assert code == 0 and json.loads(out)["coverable"], (cls, err)
+    for cls in ("at", "sigma1", "bsigma1", "fo2"):
+        code, out, err = run(capsys, ["cover", "--class", cls, "--emit-cover", "--verify"] + query)
+        assert code == 0, (cls, err)
+        doc = json.loads(out)
+        assert doc["cover"]["pieces"] and doc["verified"]["separating"], cls
+
+
 def test_rating_set_log2_is_the_width_saturated_over(capsys):
     # fo2 and sigma2 saturate over the alphabet augmentation, 2^|A| = 4 bits
     # wider than the base map; a+, b+ and the complement of a+ each take a

@@ -25,8 +25,8 @@ from regcov.pieces import are_unions_of_classes, pt_partition
 import reference_covers
 import reference_fa
 from explicit_engine import downset, fo2_language_sums, members
-from helpers import (cover_imprint, cover_index_masks, eval_word, fiber_nfa, nfa_of, nfas,
-                     piece_images_distinct, random_nfa, trim, union_nfa)
+from helpers import (cover_imprint, cover_index_masks, eval_word, fiber_nfa, mask_of, nfa_of,
+                     nfas, piece_images_distinct, random_nfa, trim, union_nfa)
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -365,12 +365,12 @@ def test_run_cover_refuses_an_optimal_cover_that_fails_the_class_check(
         cli.main(argv)
 
 
-def fo2_node_pieces(rho, sat, subset: str, left, right, state=None) -> list:
-    """The pieces of one node of the fo2 recursion: a cover of B* whose
-    pieces K are labelled by their images in context, left·ρ(K)·right, all
-    in the saturated set."""
+def fo2_node_pieces(rho, sat, subset: int, left, right, state=None) -> list:
+    """The pieces of one node of the fo2 recursion, for the sub-alphabet
+    mask B: a cover of B* whose pieces K are labelled by their images in
+    context, left·ρ(K)·right, all in the saturated set."""
     state = state or covers._Fo2State(rho, sat, DEFAULT_CAPS)
-    delta, labels = state.machine(tuple(sorted(subset)), left, right, True)
+    delta, labels = state.machine(subset, left, right, True)
     pieces = covers._label_pieces(rho.alphabet, delta, 0, labels)
     sr = rho.semiring
     in_context = [sr.mul(sr.mul(left, rho.eval_nfa(p)), right) for p in pieces]
@@ -387,7 +387,7 @@ def test_fo2_cover_base_case_emits_whole_star():
     sat = saturate_universal(tau, ClassId.FO2)
     e = tau.semiring.idempotent_power(eval_word(tau, "a"))
     assert e in sat
-    pieces = fo2_node_pieces(tau, sat, "a", e, e)
+    pieces = fo2_node_pieces(tau, sat, mask_of(A1, "a"), e, e)
     assert len(pieces) == 1
     assert equivalent(pieces[0], universal_language(A1))
     # the top-level cover is optimal regardless of how many pieces it takes
@@ -403,7 +403,7 @@ def test_fo2_every_node_labels_its_pieces_in_context():
     rho, sat = dec.rating_map, dec.raw_imprint
     state = covers._Fo2State(rho, sat, DEFAULT_CAPS)
     one = rho.semiring.one
-    state.node(tuple("abc"), one, one)
+    state.node(0b111, one, one)
     nodes = list(state._nodes)
     assert sum(key[1:] != (one, one) for key in nodes) > 10
     for subset, left, right in nodes:
@@ -415,7 +415,7 @@ def test_fo2_cover_empty_subalphabet():
     aug = rm_alphabet_augment(ext)
     sat = saturate_universal(aug.tau, ClassId.FO2)
     one = aug.tau.semiring.one
-    pieces = fo2_node_pieces(aug.tau, sat, "", one, one)
+    pieces = fo2_node_pieces(aug.tau, sat, 0, one, one)
     assert len(pieces) == 1
     nfa = pieces[0]
     assert nfa.accepts("") and is_empty(nfa_intersection(nfa, nfa_of("a|b", "ab")))
@@ -520,7 +520,7 @@ def test_fo2_peel_copies_each_child_context_once(monkeypatch):
         out = peel(self, subset, left, right, b, forward, f_and_children)
         child_keys, calls = frames.pop()
         mul, bimg = self.sr.mul, self.rho.letter_image[b]
-        f_key = (tuple(x for x in subset if x != b), self.sr.one, self.sr.one, forward)
+        f_key = (subset & ~(1 << b), self.sr.one, self.sr.one, forward)
         assert f_and_children[0] is self._machines[f_key]
         f_delta, f_labels = self._machines[f_key]
         contexts = {mul(mul(left, x), bimg) if forward else mul(mul(bimg, x), right)
@@ -628,7 +628,7 @@ def test_flipped_node_machine_is_minimal():
     langs = [nfa_of("(a*|bc)*", "abc"), nfa_of("cc(b|c)c", "abc")]
     dec = decide_universal_covering(rm_from_multiset(langs), ClassId.FO2, target_index=0)
     state = covers._Fo2State(dec.rating_map, dec.raw_imprint, DEFAULT_CAPS)
-    state.node(tuple("abc"), dec.rating_map.semiring.one, dec.rating_map.semiring.one)
+    state.node(0b111, dec.rating_map.semiring.one, dec.rating_map.semiring.one)
     machines = [m for _, m in state._nodes.values()]
     assert len(machines) > 20
     for delta, labels in machines:
@@ -649,10 +649,9 @@ def test_fo2_per_maximum_sums_equal_the_full_closure():
             aug = rm_alphabet_augment(rm_from_multiset(langs))
             sat = saturate_universal(aug.tau, ClassId.FO2)
             state = _Fo2State(aug.tau, sat, DEFAULT_CAPS)
-            for n in range(len(alphabet) + 1):
-                for subset in itertools.combinations(alphabet.symbols, n):
-                    expected = {x for x in fo2_language_sums(aug.tau, subset) if x in sat}
-                    assert state.s_b(subset) == expected
+            for subset in range(1 << len(alphabet)):
+                expected = {x for x in fo2_language_sums(aug.tau, subset) if x in sat}
+                assert state.s_b(subset) == expected
 
 
 @given(st.sampled_from([AB, ABC]).flatmap(
@@ -667,14 +666,13 @@ def test_fo2_peel_letter_matches_the_two_sided_reference(langs, data):
     state = covers._Fo2State(rho, sat, DEFAULT_CAPS)
     ref = reference_covers.MergingFo2(rho, sat, DEFAULT_CAPS)
     mul = rho.semiring.mul
-    words = st.sampled_from(sorted(state._word_images(tuple(rho.alphabet.symbols))))
-    for n in range(len(rho.alphabet) + 1):
-        for subset in itertools.combinations(rho.alphabet.symbols, n):
-            sb = st.sampled_from(sorted(ref.s_b(subset)))
-            contexts = st.one_of(words, st.tuples(sb, sb).map(lambda xy: mul(*xy)))
-            for t in data.draw(st.lists(contexts, min_size=1, max_size=6)):
-                assert state.peel_letter(t, subset, True) == ref.right_saturated(t, subset)
-                assert state.peel_letter(t, subset, False) == ref.left_saturated(t, subset)
+    words = st.sampled_from(sorted(state._word_images((1 << len(rho.alphabet)) - 1)))
+    for subset in range(1 << len(rho.alphabet)):
+        sb = st.sampled_from(sorted(ref.s_b(subset)))
+        contexts = st.one_of(words, st.tuples(sb, sb).map(lambda xy: mul(*xy)))
+        for t in data.draw(st.lists(contexts, min_size=1, max_size=6)):
+            assert state.peel_letter(t, subset, True) == ref.right_saturated(t, subset)
+            assert state.peel_letter(t, subset, False) == ref.left_saturated(t, subset)
 
 
 def test_fo2_language_sums_cap_allows_exactly_max_elements():
@@ -685,7 +683,7 @@ def test_fo2_language_sums_cap_allows_exactly_max_elements():
     a_or_bb = fa.Nfa(AB, 2, {0}, {0}, {(0, "a", 0), (0, "b", 1), (1, "b", 0)})
     aug = rm_alphabet_augment(rm_from_multiset([universal_language(AB), a_or_bb]))
     sat = saturate_universal(aug.tau, ClassId.FO2)
-    subset = ("a", "b")
+    subset = 0b11
     words = _Fo2State(aug.tau, sat, DEFAULT_CAPS)._word_images(subset)
     most = max(len({functools.reduce(operator.or_, combo)
                     for n in range(1, len(below) + 1)

@@ -309,21 +309,35 @@ def test_class_lattice_on_drawn_coverings(drawn):
         assert not verdicts[small] or verdicts[large], (small, large)
 
 
+def check_reversal(target, langs):
+    """The mirrored instance gets the same verdicts, and its fo2 cover
+    verifies and separates exactly when the fo2 verdict says so."""
+    from regcov import restrict_cover
+
+    verdicts = six_class_verdicts(target, langs)
+    target, langs = reverse(target), [reverse(lang) for lang in langs]
+    assert six_class_verdicts(target, langs) == verdicts
+    ext = rm_from_multiset([target] + langs)
+    dec = decide_universal_covering(ext, ClassId.FO2, target_index=0)
+    cover = restrict_cover(fo2_cover(dec.rating_map, dec.raw_imprint), target)
+    report = verify_cover(cover, target, langs)
+    assert report.covers_target and report.separating == verdicts[ClassId.FO2]
+
+
 def test_coverings_are_invariant_under_reversal():
     # all six classes are closed under mirror image, so the mirrored
     # instance gets the same verdicts; the mirrored fo2 synthesis swaps the
     # nodes that peel on the left and on the right
-    from regcov import restrict_cover
-
     for target, langs in lattice_cases():
-        verdicts = six_class_verdicts(target, langs)
-        target, langs = reverse(target), [reverse(lang) for lang in langs]
-        assert six_class_verdicts(target, langs) == verdicts
-        ext = rm_from_multiset([target] + langs)
-        dec = decide_universal_covering(ext, ClassId.FO2, target_index=0)
-        cover = restrict_cover(fo2_cover(dec.rating_map, dec.raw_imprint), target)
-        report = verify_cover(cover, target, langs)
-        assert report.covers_target and report.separating == verdicts[ClassId.FO2]
+        check_reversal(target, langs)
+
+
+@given(st.sampled_from([AB, Alphabet("abc")]).flatmap(
+    lambda alphabet: st.tuples(nfas(alphabet),
+                               st.lists(nfas(alphabet), min_size=1, max_size=2))))
+def test_coverings_are_invariant_under_reversal_on_shrinking_nfas(drawn):
+    # the property form of the test above, over two and three letters
+    check_reversal(*drawn)
 
 
 def renumber(nfa, perm):
@@ -364,12 +378,25 @@ def test_decisions_independent_of_rating_construction_on_shrinking_nfas(langs, t
 def test_separation_is_symmetric_for_boolean_classes():
     # a Boolean class separates L1 from L2 exactly when it separates L2
     # from L1: the complement of a separator is one
-    from regcov.cli import Instance, run_cover
-
     pairs = [(target, langs[0]) for target, langs in lattice_cases() if len(langs) == 1]
     assert len(pairs) == 21
+    for l1, l2 in pairs:
+        check_symmetry(l1, l2)
+
+
+def check_symmetry(l1, l2):
+    """Each Boolean class separates l1 from l2 exactly when it separates l2
+    from l1."""
+    from regcov.cli import Instance, run_cover
+
     for cid in (ClassId.AT, ClassId.BSIGMA1, ClassId.FO2, ClassId.FO):
-        for l1, l2 in pairs:
-            there = run_cover(Instance(alphabet=AB, class_id=cid, target=l1, against=[l2]))
-            back = run_cover(Instance(alphabet=AB, class_id=cid, target=l2, against=[l1]))
-            assert there.coverable == back.coverable, (cid, l1, l2)
+        there = run_cover(Instance(alphabet=l1.alphabet, class_id=cid, target=l1, against=[l2]))
+        back = run_cover(Instance(alphabet=l1.alphabet, class_id=cid, target=l2, against=[l1]))
+        assert there.coverable == back.coverable, (cid, l1, l2)
+
+
+@given(st.sampled_from([AB, Alphabet("abc")]).flatmap(
+    lambda alphabet: st.tuples(nfas(alphabet), nfas(alphabet))))
+def test_separation_is_symmetric_for_boolean_classes_on_shrinking_nfas(drawn):
+    # the property form of the test above, over two and three letters
+    check_symmetry(*drawn)

@@ -391,7 +391,7 @@ def _fo2_state(caps):
     dec = decide_universal_covering(rm_from_multiset(langs), ClassId.FO2, target_index=0)
     state = _Fo2State(dec.rating_map, dec.raw_imprint, DEFAULT_CAPS)
     one = dec.rating_map.semiring.one
-    state.node(tuple("abc"), one, one)
+    state.node(0b111, one, one)
     machine = max((m for _, m in state._nodes.values()), key=lambda m: len(m[0]))
     return _Fo2State(dec.rating_map, dec.raw_imprint, caps), machine
 
@@ -421,7 +421,7 @@ def _cap_case(name):
         return (lambda caps: transition_monoid(nfa, caps), "max_monoid",
                 lambda built: built[0].size, MonoidCapError)
     assert name == "fo2 word images"
-    return (lambda caps: _fo2_state(caps)[0]._word_images(tuple("abc")), "max_elements",
+    return (lambda caps: _fo2_state(caps)[0]._word_images(0b111), "max_elements",
             len, SaturationCapError)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from regcov import (DEFAULT_CAPS, Alphabet, Caps, ClassId, InputError, MonoidCapError,
-                    Nfa, PowersetMonoidSemiring, ProductSemiring, RelationSemiring,
+                    Nfa, PowersetMonoidSemiring, ProductSemiring, RatingMap, RelationSemiring,
                     SaturationCapError, at_imprint, decide_universal_covering,
                     is_empty, minimize, nfa_complement, nfa_intersection, nfa_union, regex_to_nfa,
                     rm_alphabet_augment, rm_from_morphism, rm_from_multiset,
@@ -16,7 +16,7 @@ from regcov.fa import alphabet_exact
 from regcov.imprints import ImprintSet
 
 from explicit_engine import downset, members, submasks
-from helpers import (alphabet_languages, eval_word, imprint_pullback, leq, multiset_ext,
+from helpers import (alphabet_languages, eval_word, imprint_pullback, leq, mask_of, multiset_ext,
                      nfa_of, nfas, random_nfa, random_regex, rm_trivial_imprint, strip_content,
                      words_upto)
 from reference_rating import joint_star_exact, reference_extension
@@ -59,12 +59,21 @@ def test_rm_from_nfa_images():
     assert eval_word(ext.tau, "abab") == sr.pair(0, 0)
     aplus = nfa_of("a+", "ab")
     ext2 = rm_from_nfa(aplus)
-    img = ext2.tau.letter_image["a"]
+    img = ext2.tau.letter_image[AB.index("a")]
     want = 0
     for (q, s, r) in aplus.transitions:
         if s == "a":
             want |= ext2.tau.semiring.pair(q, r)
     assert img == want
+
+
+@pytest.mark.parametrize("drop, extra", [(1, 0), (0, 1)])
+def test_letter_images_must_number_the_letters(drop, extra):
+    # a rating map holds one letter image per letter, in alphabet order
+    tau = rm_from_nfa(nfa_of("(ab)+", "ab")).tau
+    images = tau.letter_image[:len(tau.letter_image) - drop] + (tau.semiring.one,) * extra
+    with pytest.raises(InputError, match="letter images for 2 letters"):
+        RatingMap(AB, tau.semiring, images)
 
 
 def test_rm_from_nfa_delta_matches_emptiness():
@@ -80,7 +89,7 @@ def test_rm_from_nfa_delta_matches_emptiness():
 def test_rm_from_multiset_e1_values():
     ext = rm_from_multiset(e1_multiset())
     # the {a,b} atom meets exactly the first two languages
-    exact_ab = ext.tau.image_of_exact("ab")
+    exact_ab = ext.tau.image_of_exact(mask_of(ABC, "ab"))
     assert ext.index_set(exact_ab) == 0b011
     assert ext.index_set(ext.tau.eval_nfa(nfa_of("%empty", "abc"))) == 0
     assert ext.tau.eval_nfa(nfa_of("%empty", "abc")) == ext.tau.semiring.zero
@@ -285,8 +294,8 @@ def test_star_exact_images_agree_with_nfa_evaluation():
         for mask in range(8):
             subset = ABC.from_mask(mask)
             star_nfa, exact_nfa = alphabet_languages(ABC, subset)
-            assert tau.image_of_star(subset) == tau.eval_nfa(star_nfa)
-            assert tau.image_of_exact(subset) == tau.eval_nfa(exact_nfa)
+            assert tau.image_of_star(mask) == tau.eval_nfa(star_nfa)
+            assert tau.image_of_exact(mask) == tau.eval_nfa(exact_nfa)
 
 
 def test_construction_choice_matches_full_candidate_rule():
@@ -353,17 +362,15 @@ def test_word_images_per_part_match_joint_closure():
             checked.add(frozenset(type(p) for p in ext.tau.semiring.parts))
             for tau in (ext.tau, rm_alphabet_augment(ext).tau):
                 for mask in range(1 << len(alphabet)):
-                    subset = alphabet.from_mask(mask)
                     want = joint_star_exact(tau, mask)
-                    assert (tau.image_of_star(subset), tau.image_of_exact(subset)) == want
+                    assert (tau.image_of_star(mask), tau.image_of_exact(mask)) == want
     assert frozenset([RelationSemiring, PowersetMonoidSemiring]) in checked
     # a map that is not a product is its own single part
     for ext in (rm_from_nfa(nfa_of("(ab)+", "ab")),
                 rm_from_morphism(*transition_monoid(nfa_of("(ab)+", "ab")))):
         for mask in range(4):
             want = joint_star_exact(ext.tau, mask)
-            assert (ext.tau.image_of_star(AB.from_mask(mask)),
-                    ext.tau.image_of_exact(AB.from_mask(mask))) == want
+            assert (ext.tau.image_of_star(mask), ext.tau.image_of_exact(mask)) == want
 
 
 def test_relation_parts_stay_within_the_closed_form_bound(monkeypatch):
@@ -394,10 +401,10 @@ def test_relation_parts_stay_within_the_closed_form_bound(monkeypatch):
     for tau in taus:
         assert bound(tau) > 0
         calls.clear()
-        tau.image_of_star(tau.alphabet.symbols)
+        tau.image_of_star((1 << len(tau.alphabet)) - 1)
         assert 0 < len(calls) <= bound(tau)
         calls.clear()
-        tau.image_of_exact(tau.alphabet.symbols)
+        tau.image_of_exact((1 << len(tau.alphabet)) - 1)
         assert not calls  # the tables are kept
 
 
@@ -405,7 +412,7 @@ def test_word_image_closure_keeps_its_cap():
     # (ab)+ has 6 monoid elements, each met by several word alphabets
     ext = rm_from_multiset([nfa_of("(ab)+", "ab")])
     with pytest.raises(SaturationCapError) as info:
-        ext.tau.image_of_star("ab", Caps(max_elements=3))
+        ext.tau.image_of_star(mask_of(AB, "ab"), Caps(max_elements=3))
     assert "word-image closure" in str(info.value)
 
 
@@ -416,15 +423,15 @@ def test_word_image_closure_checks_the_caps_of_every_call():
         return rm_from_multiset([nfa_of("(ab)+", "ab"), nfa_of("a+", "ab")]).tau
 
     with pytest.raises(SaturationCapError):
-        fresh().image_of_star("ab", Caps(max_elements=2))
+        fresh().image_of_star(mask_of(AB, "ab"), Caps(max_elements=2))
     tau = fresh()
-    star = tau.image_of_star("ab")
+    star = tau.image_of_star(mask_of(AB, "ab"))
     with pytest.raises(SaturationCapError) as info:
-        tau.image_of_star("ab", Caps(max_elements=2))
+        tau.image_of_star(mask_of(AB, "ab"), Caps(max_elements=2))
     assert "word-image closure" in str(info.value)
     with pytest.raises(SaturationCapError):
-        tau.image_of_exact("a", Caps(max_elements=2))
-    assert tau.image_of_star("ab") == star
+        tau.image_of_exact(mask_of(AB, "a"), Caps(max_elements=2))
+    assert tau.image_of_star(mask_of(AB, "ab")) == star
 
 
 @given(data=st.data())
