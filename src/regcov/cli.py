@@ -18,9 +18,10 @@ from typing import Optional
 from .errors import Caps, DEFAULT_CAPS, InputError, ResourceCapError
 from . import rx
 from .fa import (Alphabet, Nfa, alphabet_exact, includes, is_empty,
-                 nfa_complement, nfa_from_json, regex_to_nfa, transition_monoid,
-                 universal_language, upward_closure)
-from .covers import at_cover, bsigma1_cover, fo2_cover, sigma1_cover, verify_cover
+                 nfa_complement, nfa_from_json, nfa_to_regex, regex_to_nfa,
+                 transition_monoid, universal_language, upward_closure)
+from .covers import (Cover, at_cover, at_machine, bsigma1_cover, bsigma1_machine, fo2_cover,
+                     fo2_machine, separator, sigma1_cover, sigma1_machine, verify_cover)
 from .rating import rm_from_multiset
 from .saturation import (ClassId, _mask_subsets,
                          decide_pointed_covering, decide_universal_covering)
@@ -167,13 +168,16 @@ def load_instance(args) -> Instance:
 # -- pipelines ------------------------------------------------------------------------
 
 def _run(inst: Instance, separate: bool) -> Verdict:
-    """Decide the covering instance once, and synthesize a cover at most once.
+    """Decide the covering instance once, and synthesize at most once.
 
-    The cover of the target is synthesized and verified when it is asked
-    for, or under `separate`, where its pieces make the separator.  A
-    resource cap met by a synthesis nobody asked for skips it, and so does
-    a class without a synthesizer; the decision stands, and `stats` says
-    why no cover came out."""
+    A cover asked for (`--emit-cover` or `--verify`) is synthesized, cut
+    for the target and verified.  A bare `separate` builds only the
+    labelled DFA its separator is read off, and no piece.  Either way the
+    separator is the smaller of two unions of pieces, read off that one
+    DFA and checked as printed (`_separator`).  A resource cap met by a
+    synthesis nobody asked for skips it, and so does a class without a
+    synthesizer; the decision stands, and `stats` says why no cover came
+    out."""
     t0 = time.perf_counter()
     if not inst.against:
         raise InputError("covering needs at least one language to separate against")
@@ -192,59 +196,119 @@ def _run(inst: Instance, separate: bool) -> Verdict:
         decision = decide_universal_covering(ext, class_id, caps, None if universal else 0)
     stats = dict(decision.stats)
 
-    cover = None
+    report = cover_doc = text = None
     wanted = (inst.emit_cover or separate) and decision.coverable
     if wanted and not class_id.synthesizable:
         stats["synthesis"] = {"skipped": "no synthesizer"}
     elif wanted:
-        # the pieces of a cover of A* that meet the target cover it
-        restrict = None if universal else target_nfa
+        failed = None
         try:
-            if class_id is ClassId.SIGMA1:
-                cover = sigma1_cover(target_nfa, decision.rating_map, caps)
-            elif class_id is ClassId.AT:
-                cover = at_cover(inst.alphabet, caps, restrict)
-            elif class_id is ClassId.BSIGMA1:
-                cover = bsigma1_cover(decision.rating_map, decision.raw_imprint, caps, restrict)
+            if inst.emit_cover or inst.verify:
+                # the pieces of a cover of A* that meet the target cover it
+                synthesized = _cover(class_id, decision, inst.alphabet, target_nfa,
+                                     None if universal else target_nfa, caps)
+                report = verify_cover(synthesized, target_nfa, inst.against, caps=caps)
+                failed = None if report.ok else "synthesized cover failed verification"
+                if inst.emit_cover:
+                    cover_doc = synthesized.to_json()
             else:
-                cover = fo2_cover(decision.rating_map, decision.raw_imprint, caps, restrict)
-            report = verify_cover(cover, target_nfa, inst.against, caps=caps)
+                synthesized = _machine(class_id, decision, inst.alphabet, target_nfa, caps)
+            if separate and failed is None:
+                texts = {} if cover_doc is None else dict(
+                    zip(synthesized.pieces, (p["regex"] for p in cover_doc["pieces"])))
+                text, stats["separator"], failed = _separator(
+                    synthesized, target_nfa, inst.against[0], decision.rating_map, texts, caps)
         except ResourceCapError as exc:
             if inst.emit_cover:
                 raise
-            cover = None
+            report = cover_doc = text = None
             stats["synthesis"] = {"skipped": exc.cap_name}
-    if cover is not None and not report.ok:
-        if cover.optimal:
-            raise AssertionError("synthesized cover failed verification")
-        # depth cap hit before the imprint converged; drop the cover
-        cover = None
-        stats["synthesis"] = {"dropped": "not optimal"}
+        if failed is not None:
+            if synthesized.optimal:
+                raise AssertionError(failed)
+            # depth cap hit before the imprint converged; drop the cover
+            report = cover_doc = text = None
+            stats.pop("separator", None)
+            stats["synthesis"] = {"dropped": "not optimal"}
 
-    cover_doc = verified_doc = separator = None
-    if cover is not None:
-        cover_doc = cover.to_json()
-        if inst.verify:
-            verified_doc = cover_doc["verified"] = asdict(report)
-        if separate:
-            # the separator is checked exactly as printed
-            separator = "|".join(p["regex"] for p in cover_doc["pieces"]) or "%empty"
-            sep_nfa = regex_to_nfa(rx.regex_parse(separator, inst.alphabet.symbols),
-                                   inst.alphabet)
-            if not includes(target_nfa, sep_nfa, caps):
-                raise AssertionError("separator does not contain the first language")
-            if not is_empty(sep_nfa, inst.against[0]):
-                raise AssertionError("separator meets the second language")
+    verified_doc = None
+    if report is not None and inst.verify:
+        verified_doc = asdict(report)
+        if cover_doc is not None:
+            cover_doc["verified"] = verified_doc
     stats["wall_ms"] = _ms_since(t0)
     return Verdict(
         class_name=class_id.value,
         coverable=decision.coverable,
         imprint=_masks_to_lists(decision.imprint_masks),
-        cover=cover_doc if inst.emit_cover else None,
+        cover=cover_doc,
         verified=verified_doc,
-        separator=separator,
+        separator=text,
         stats=stats,
     )
+
+
+def _cover(class_id: ClassId, decision, alphabet: Alphabet, target: Nfa,
+           restrict: Optional[Nfa], caps: Caps) -> Cover:
+    """The class's cover of the target: cut for `restrict`, or of A*."""
+    if class_id is ClassId.SIGMA1:
+        return sigma1_cover(target, decision.rating_map, caps)
+    if class_id is ClassId.AT:
+        return at_cover(alphabet, caps, restrict)
+    if class_id is ClassId.BSIGMA1:
+        return bsigma1_cover(decision.rating_map, decision.raw_imprint, caps, restrict)
+    return fo2_cover(decision.rating_map, decision.raw_imprint, caps, restrict)
+
+
+def _machine(class_id: ClassId, decision, alphabet: Alphabet, target: Nfa,
+             caps: Caps) -> Cover:
+    """The labelled DFA that `_cover` cuts its pieces from, uncut."""
+    if class_id is ClassId.SIGMA1:
+        return sigma1_machine(target, caps)
+    if class_id is ClassId.AT:
+        return at_machine(alphabet, caps)
+    if class_id is ClassId.BSIGMA1:
+        return bsigma1_machine(decision.rating_map, decision.raw_imprint, caps)
+    return fo2_machine(decision.rating_map, decision.raw_imprint, caps)
+
+
+def _separator(synthesized: Cover, target: Nfa, against: Nfa, rho, texts: dict,
+               caps: Caps) -> tuple:
+    """(text, stats, failure) of the separator read off the cover's
+    machine (`covers.separator`), rendered once, or its text taken from
+    the piece of the same automaton.  The text is parsed and compiled
+    again and checked as printed: it includes the target, misses the
+    other language, and is in the class.  For at and bsigma1 the class
+    check is `are_unions_of_classes` on the cover's partition, for sigma1
+    closure under superwords; fo2 is certified by construction.  With no
+    piece built, an fo2 or bsigma1 separator stands in for the pieces that
+    `fo2_cover` evaluates: each label is its piece's image, so the
+    separator's image, evaluated on the compiled text, must be the sum of
+    the labels it unites.  The failure says which check failed first, or
+    is None."""
+    sep = separator(synthesized, target, against)
+    text = texts.get(sep.nfa) or rx.regex_to_text(nfa_to_regex(sep.nfa))
+    alphabet = target.alphabet
+    nfa = regex_to_nfa(rx.regex_parse(text, alphabet.symbols), alphabet)
+    stats = {"union": sep.union, "states": sep.nfa.state_count}
+    if not includes(target, nfa, caps):
+        return text, stats, "separator does not contain the first language"
+    if not is_empty(nfa, against):
+        return text, stats, "separator meets the second language"
+    class_id = synthesized.class_id
+    if class_id is ClassId.SIGMA1:
+        class_ok = includes(upward_closure(nfa), nfa, caps)
+    elif synthesized.partition is not None:
+        class_ok = are_unions_of_classes([nfa], synthesized.partition, caps)
+    else:
+        class_ok = True
+    if not class_ok:
+        return text, stats, "separator is not in the class"
+    if synthesized.pieces is None and class_id in (ClassId.BSIGMA1, ClassId.FO2):
+        image = functools.reduce(rho.semiring.add, sep.labels, rho.semiring.zero)
+        if rho.eval_nfa(nfa, caps) != image:
+            return text, stats, "separator's image is not the sum of its labels"
+    return text, stats, None
 
 
 def run_cover(inst: Instance) -> Verdict:

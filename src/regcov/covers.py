@@ -6,17 +6,19 @@ target automaton, united per rating image, for level-1 existential
 sentences, piece-equivalence classes, each refined only while its image
 misses the goal, for their Boolean closure, and the recursive left-factor
 construction for two-variable logic.  A cover is its list of pieces, each
-the trimmed minimal DFA of its language.  The last three cut a cover of A*
-from one labelled DFA; given a target, they cut only the pieces that meet
-it, found in one walk of the target beside that DFA, and build nothing for
-the others.  `verify_cover` re-checks everything with automata only,
-against the target its caller holds.
+the trimmed minimal DFA of its language.  The last three build a cover of
+A* as one labelled DFA (`*_machine`) and cut pieces from it; given a
+target, they cut only the pieces that meet it, found in one walk of the
+target beside that DFA, and build nothing for the others.  A separator is
+one union of pieces read off the same DFA (`separator`), with no piece
+built.  `verify_cover` re-checks everything with automata only, against
+the target its caller holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (Caps, DEFAULT_CAPS, DeterminizationCapError, InputError, PieceCapError,
                      PtStateCapError, SaturationCapError)
@@ -29,10 +31,29 @@ from .rating import RatingMap, reach
 from .saturation import ClassId
 
 
+class Labelled(NamedTuple):
+    """A complete DFA whose states carry labels (a Moore machine), every
+    state reachable.  The piece of a label other than None is the set of
+    words that lead to a state of that label."""
+
+    alphabet: Alphabet
+    delta: tuple
+    initial: int
+    labels: list
+
+
 @dataclass
 class Cover:
     """A list of pieces whose union includes the target, each the trimmed
-    minimal DFA of its language.
+    minimal DFA of its language, and the labelled DFA that separators are
+    read off (`machine`).
+
+    For at, bsigma1 and fo2 the machine is a cover of A*, and the pieces
+    are cut from it.  When they were cut for a target, `met` holds the
+    labels that the target meets, so that a separator does not walk the
+    target again.  A cover built by `*_machine` is not cut yet, and its
+    pieces are None.  For sigma1 the machine is ↑L, the union of the
+    pieces, with the one label True.
 
     Every synthesizer builds its pieces as trimmed minimal DFAs
     (`_label_pieces`, and the superword closures of its pieces for Σ1), so
@@ -42,12 +63,14 @@ class Cover:
     builds a regex nested too deeply to print."""
 
     class_id: ClassId
-    pieces: list
+    pieces: Optional[list]
     k: Optional[int] = None          # piece bound, for piecewise covers
     # the partition DFA whose classes every piece is a union of (at, bsigma1)
     partition: Optional[Dfa] = None
     optimal: bool = True
     provenance: str = ""
+    machine: Optional[Labelled] = None
+    met: Optional[frozenset] = None
 
     def to_json(self) -> dict:
         doc = {
@@ -62,19 +85,48 @@ class Cover:
         return doc
 
 
+def _cut(machine_cover: Cover, target: Optional[Nfa]) -> Cover:
+    """The cover with its pieces cut from its machine: all of them, or
+    with a target only those that meet it."""
+    machine = machine_cover.machine
+    met = None
+    if target is not None:
+        met = frozenset(_met_labels(machine, target))
+    return replace(machine_cover, pieces=_label_pieces(*machine, met), met=met,
+                   provenance=machine_cover.provenance + _restricted(target))
+
+
 # -- alphabet-testable covers ---------------------------------------------------------
+
+def at_machine(alphabet: Alphabet, caps: Caps = DEFAULT_CAPS) -> Cover:
+    """Atoms of the alphabet-testable algebra: the 1-piece partition, each
+    class its own label."""
+    pa, _ = pt_partition(1, alphabet, caps)
+    return Cover(ClassId.AT, None, partition=pa, provenance="alphabet atoms",
+                 machine=Labelled(alphabet, pa.delta, pa.initial, list(range(pa.state_count))))
+
 
 def at_cover(alphabet: Alphabet, caps: Caps = DEFAULT_CAPS,
              target: Optional[Nfa] = None) -> Cover:
     """Atoms of the alphabet-testable algebra: the classes of the 1-piece
     partition; with a target, only the atoms that meet it."""
-    pa, _ = pt_partition(1, alphabet, caps)
-    pieces = _label_pieces(alphabet, pa.delta, pa.initial, list(range(pa.state_count)), target)
-    return Cover(ClassId.AT, pieces, partition=pa,
-                 provenance="alphabet atoms" + _restricted(target))
+    return _cut(at_machine(alphabet, caps), target)
 
 
 # -- superword-closure covers ---------------------------------------------------------
+
+def sigma1_machine(target: Nfa, caps: Caps = DEFAULT_CAPS) -> Cover:
+    """↑L, the union of the pieces of `sigma1_cover`, with no piece built."""
+    return Cover(ClassId.SIGMA1, None,
+                 machine=_up_machine(upward_closure(minimize(target, caps).as_nfa()), caps))
+
+
+def _up_machine(up: Nfa, caps: Caps) -> Labelled:
+    """The minimal DFA of ↑L, its finals labelled True and the others None."""
+    dfa = minimize(up, caps)
+    return Labelled(dfa.alphabet, dfa.delta, dfa.initial,
+                    [True if q in dfa.finals else None for q in range(dfa.state_count)])
+
 
 def sigma1_cover(target: Nfa, rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> Cover:
     """Cover of the target L by upward-closed pieces, one for each
@@ -134,7 +186,7 @@ def sigma1_cover(target: Nfa, rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> Cove
     labels = [u if q in least.finals else None for q, u in pairs]
     pieces = [minimize(upward_closure(p), caps).as_nfa()
               for p in _label_pieces(alphabet, tuple(rows), 0, labels)]
-    return Cover(ClassId.SIGMA1, pieces,
+    return Cover(ClassId.SIGMA1, pieces, machine=_up_machine(up, caps),
                  provenance="superword closures of the minimal words, one per image")
 
 
@@ -142,9 +194,14 @@ def sigma1_cover(target: Nfa, rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> Cove
 
 def bsigma1_cover(rho: RatingMap, goal: ImprintSet, caps: Caps = DEFAULT_CAPS,
                   target: Optional[Nfa] = None) -> Cover:
+    """The pieces of `bsigma1_machine`; with a target, only those that
+    meet the target."""
+    return _cut(bsigma1_machine(rho, goal, caps), target)
+
+
+def bsigma1_machine(rho: RatingMap, goal: ImprintSet, caps: Caps = DEFAULT_CAPS) -> Cover:
     """Universal cover by unions of piece-equivalence classes, each class
-    refined only while its image lies outside the saturated goal; with a
-    target, only its pieces that meet the target.
+    refined only while its image lies outside the saturated goal.
 
     Level K = 0, 1, … is the partition deepened to K under the open classes
     of the levels before it (`pieces.pt_partition`).  Open_K is the set of
@@ -177,14 +234,14 @@ def bsigma1_cover(rho: RatingMap, goal: ImprintSet, caps: Caps = DEFAULT_CAPS,
         except PtStateCapError as exc:
             if k == 0:                     # no level to fall back on
                 raise
-            return _partition_cover(pa, k - 1, images, target, optimal=False,
-                                    stop=f" | k={k} passed {exc.cap_name}")
+            return _partition_machine(pa, k - 1, images, optimal=False,
+                                      stop=f" | k={k} passed {exc.cap_name}")
         images = _partition_images(pa, rho, caps)
         missed = {c for q, c in enumerate(classes) if c[0] == k and images[q] not in goal}
         if not missed:
-            return _partition_cover(pa, k, images, target, optimal=True)
+            return _partition_machine(pa, k, images, optimal=True)
         open_classes |= missed
-    return _partition_cover(pa, k, images, target, optimal=False)
+    return _partition_machine(pa, k, images, optimal=False)
 
 
 def _partition_images(pa: Dfa, rho: RatingMap, caps: Caps) -> dict:
@@ -196,8 +253,7 @@ def _partition_images(pa: Dfa, rho: RatingMap, caps: Caps) -> dict:
     return sums
 
 
-def _partition_cover(pa: Dfa, k: int, images: dict, target: Optional[Nfa], optimal: bool,
-                     stop: str = "") -> Cover:
+def _partition_machine(pa: Dfa, k: int, images: dict, optimal: bool, stop: str = "") -> Cover:
     """One piece per distinct image: the union of the partition's classes
     of that image, which is the partition DFA with those classes as finals.
 
@@ -211,16 +267,16 @@ def _partition_cover(pa: Dfa, k: int, images: dict, target: Optional[Nfa], optim
     - classes with equal images meet the same languages, so separation and
       restriction to the target are unchanged.
 
-    The pieces are cut from the partition labelled by images and minimized
-    (`fa.minimize_labelled`), as `fo2_cover` cuts its own: the languages
-    are the same, and a few dozen states stand for thousands of classes in
-    restriction, verification and rendering.
+    The machine is the partition labelled by images and minimized
+    (`fa.minimize_labelled`), as `fo2_machine` labels its own: the
+    languages are the same, and a few dozen states stand for thousands of
+    classes in restriction, verification and rendering.
     """
     delta, labels = minimize_labelled(pa.delta, pa.initial,
                                       [images[q] for q in range(pa.state_count)])
-    pieces = _label_pieces(pa.alphabet, delta, 0, labels, target)
-    return Cover(ClassId.BSIGMA1, pieces, k=k, partition=pa, optimal=optimal,
-                 provenance=f"piece-equivalence partition at k={k}{stop}" + _restricted(target))
+    return Cover(ClassId.BSIGMA1, None, k=k, partition=pa, optimal=optimal,
+                 provenance=f"piece-equivalence partition at k={k}{stop}",
+                 machine=Labelled(pa.alphabet, delta, 0, labels))
 
 
 def _restricted(target: Optional[Nfa]) -> str:
@@ -228,63 +284,88 @@ def _restricted(target: Optional[Nfa]) -> str:
 
 
 def _label_pieces(alphabet: Alphabet, delta: tuple, initial: int, labels: list,
-                  target: Optional[Nfa] = None) -> list:
+                  met: Optional[frozenset] = None) -> list:
     """One piece for each distinct label but None of a complete DFA's
     states, in order of first appearance: the words that lead to a state of
-    that label.  With a target, only the pieces that meet it: the labels
-    read at a final state of the target in one walk of the pairs (target
-    state, DFA state), which stops once every label is met.
+    that label.  Given the labels `met` that a target meets
+    (`_met_labels`), only their pieces.
 
-    Each is the trimmed minimal DFA of its language, built with no subset
-    construction.  Every state is reachable, so the trimmed states are the
-    ones that reach a final, found backwards from the finals; on them and a
-    sink, the DFA with those states as finals is minimized by
-    `fa.minimize_labelled`.  The minimal DFA has at most one dead state,
-    which is not accepting and loops on every letter; the others are
-    numbered in order.
+    Each is the trimmed minimal DFA of its language (`_trimmed`), built
+    with no subset construction.  So is a union of pieces (`separator`):
+    the words that lead to a state of one of its labels.
+
+    A cover that the decision proves optimal for a coverable instance
+    separates.  The rating map is built on the target L1 and the language
+    L2 to avoid, and the image of each piece lies in the optimal imprint,
+    which lacks {L1, L2}: no piece meets both.  So the pieces fall in three
+    kinds, those that meet L1, those that meet L2 and those that meet
+    neither, and U_target, the union of the first, lies inside U_miss, the
+    union of the pieces that miss L2.  Then L1 ⊆ U_target ⊆ U_miss and
+    U_miss misses L2: both separate, as does any union of pieces between
+    them.  Each piece is in the class, and so is a union of pieces: the
+    alphabet-testable, piecewise-testable and FO2 languages are Boolean
+    algebras, and a union of upward-closed languages is upward closed.
     """
     by_label: dict = {}
     for q, x in enumerate(labels):
-        if x is not None:
+        if x is not None and (met is None or x in met):
             by_label.setdefault(x, []).append(q)
-    if target is not None:
-        met = _met_labels(alphabet, delta, initial, labels, target, len(by_label))
-        by_label = {x: states for x, states in by_label.items() if x in met}
+    preds = _preds(delta)
+    return [_trimmed(alphabet, delta, initial, preds, states) for states in by_label.values()]
+
+
+def _preds(delta: tuple) -> list:
+    """The predecessors of every state of a DFA."""
     preds: list = [[] for _ in delta]
     for q, row in enumerate(delta):
         for r in set(row):
             preds[r].append(q)
-    out = []
-    for states in by_label.values():
-        live = set(states)
-        work = list(states)
-        while work:
-            for q in preds[work.pop()]:
-                if q not in live:
-                    live.add(q)
-                    work.append(q)
-        num = {q: i for i, q in enumerate(live)}
-        sink = len(num)
-        rows = [tuple(num.get(r, sink) for r in delta[q]) for q in num]
-        rows.append((sink,) * len(alphabet))
-        finals = frozenset(states)
-        rows, accepting = minimize_labelled(rows, num[initial], [q in finals for q in num] + [False])
-        kept = {q: i for i, q in enumerate(q for q, row in enumerate(rows)
-                                           if accepting[q] or any(r != q for r in row))}
-        trans = frozenset((kept[q], a, kept[r]) for q in kept
-                          for a, r in zip(alphabet.symbols, rows[q]) if r in kept)
-        out.append(Nfa(alphabet, len(kept), frozenset([0]),
-                       frozenset(kept[q] for q in kept if accepting[q]), trans))
-    return out
+    return preds
 
 
-def _met_labels(alphabet: Alphabet, delta: tuple, initial: int, labels: list, target: Nfa,
-                count: int) -> set:
-    """The labels of the states that the target's words lead to, of the
-    `count` distinct labels but None."""
-    step, finals = target.step_map(), target.finals
+def _trimmed(alphabet: Alphabet, delta: tuple, initial: int, preds: list, finals: list) -> Nfa:
+    """The trimmed minimal DFA of the words that lead to `finals` in a
+    complete DFA whose states are all reachable, with no subset
+    construction.
+
+    The trimmed states are the ones that reach a final, found backwards
+    from the finals; on them and a sink, the DFA with those finals is
+    minimized by `fa.minimize_labelled`.  The minimal DFA has at most one
+    dead state, which is not accepting and loops on every letter; the
+    others are numbered in order.  With no final reachable the language is
+    empty, and so is the automaton."""
+    live = set(finals)
+    work = list(finals)
+    while work:
+        for q in preds[work.pop()]:
+            if q not in live:
+                live.add(q)
+                work.append(q)
+    if initial not in live:
+        return Nfa(alphabet, 0, frozenset(), frozenset(), frozenset())
+    num = {q: i for i, q in enumerate(live)}
+    sinks = (len(num),) * len(alphabet)
+    rows = [tuple(map(num.get, delta[q], sinks)) for q in num]
+    rows.append(sinks)
+    accepting = frozenset(finals)
+    rows, accepting = minimize_labelled(rows, num[initial], [q in accepting for q in num] + [False])
+    kept = {q: i for i, q in enumerate(q for q, row in enumerate(rows)
+                                       if accepting[q] or any(r != q for r in row))}
+    trans = frozenset((kept[q], a, kept[r]) for q in kept
+                      for a, r in zip(alphabet.symbols, rows[q]) if r in kept)
+    return Nfa(alphabet, len(kept), frozenset([0]),
+               frozenset(kept[q] for q in kept if accepting[q]), trans)
+
+
+def _met_labels(machine: Labelled, lang: Nfa) -> set:
+    """The labels but None of the states that the language's words lead
+    to: one walk of the pairs (state of the language, state of the
+    machine), which stops once every label is met."""
+    alphabet, delta, initial, labels = machine
+    count = len(set(labels) - {None})
+    step, finals = lang.step_map(), lang.finals
     met: set = set()
-    seen = {(p, initial) for p in target.initials}
+    seen = {(p, initial) for p in lang.initials}
     work = list(seen)
     while work and len(met) < count:
         p, q = work.pop()
@@ -298,28 +379,69 @@ def _met_labels(alphabet: Alphabet, delta: tuple, initial: int, labels: list, ta
     return met
 
 
+class Separator(NamedTuple):
+    nfa: Nfa                       # the trimmed minimal DFA of the union
+    union: str                     # "meets-target" or "misses-against"
+    labels: frozenset              # the labels of the pieces it unites
+
+
+def separator(cover: Cover, target: Nfa, against: Nfa) -> Separator:
+    """The smaller of the two unions of the pieces of the cover's machine
+    that `_label_pieces` shows to separate the target from `against`:
+    U_target, the pieces that meet the target, and U_miss, the pieces that
+    miss `against`.  Fewer states win, and a tie goes to U_target.
+
+    No piece is built, and nothing twice: the target's walk is the cut's
+    (`met`) when the cover was cut for it, the union of one cut piece is
+    that piece, and where the two unions unite the same labels, U_miss is
+    U_target.
+    """
+    machine = cover.machine
+    met = cover.met if cover.met is not None else _met_labels(machine, target)
+    missed = set(machine.labels) - {None} - _met_labels(machine, against)
+    preds = None
+    best = None
+    for union, kept in (("meets-target", frozenset(met)), ("misses-against", frozenset(missed))):
+        if best is not None and kept == best.labels:
+            continue
+        if kept == cover.met and len(cover.pieces) == 1:
+            nfa = cover.pieces[0]
+        else:
+            preds = preds or _preds(machine.delta)
+            nfa = _trimmed(machine.alphabet, machine.delta, machine.initial, preds,
+                           [q for q, x in enumerate(machine.labels) if x in kept])
+        if best is None or nfa.state_count < best.nfa.state_count:
+            best = Separator(nfa, union, kept)
+    return best
+
+
 # -- two-variable covers -----------------------------------------------------------------
 
 def fo2_cover(rho: RatingMap, saturated: ImprintSet, caps: Caps = DEFAULT_CAPS,
               target: Optional[Nfa] = None) -> Cover:
-    """Cover of A* whose pieces K all have ρ(K) in the saturated set; with
-    a target, only its pieces that meet the target.
+    """The pieces of `fo2_machine`; with a target, only those that meet
+    the target.  The image of each piece returned is re-evaluated on its
+    automaton and checked against the saturated set."""
+    cover = _cut(fo2_machine(rho, saturated, caps), target)
+    for p in cover.pieces:
+        if rho.eval_nfa(p, caps) not in saturated:
+            raise AssertionError("fo2 synthesis produced a piece outside the saturated set")
+    return cover
 
-    Requires an alphabet-compatible rating map.  The pieces have pairwise
-    distinct images; the image of each piece returned is re-evaluated on
-    its automaton and checked against the saturated set.
-    """
+
+def fo2_machine(rho: RatingMap, saturated: ImprintSet, caps: Caps = DEFAULT_CAPS) -> Cover:
+    """Cover of A* whose pieces K all have ρ(K) in the saturated set, with
+    pairwise distinct images; each piece is labelled by its image.
+
+    Requires an alphabet-compatible rating map."""
     if rho.cont is None:
         raise InputError("fo2 cover synthesis needs an alphabet-compatible rating map; "
                          "augment it first")
     sr = rho.semiring
     delta, labels = _Fo2State(rho, saturated, caps).machine(
         (1 << len(rho.alphabet)) - 1, sr.one, sr.one, True)
-    pieces = _label_pieces(rho.alphabet, delta, 0, labels, target)
-    for p in pieces:
-        if rho.eval_nfa(p, caps) not in saturated:
-            raise AssertionError("fo2 synthesis produced a piece outside the saturated set")
-    return Cover(ClassId.FO2, pieces, provenance="left-factor recursion" + _restricted(target))
+    return Cover(ClassId.FO2, None, provenance="left-factor recursion",
+                 machine=Labelled(rho.alphabet, delta, 0, labels))
 
 
 class _Fo2State:
@@ -379,7 +501,8 @@ class _Fo2State:
     image in context, and a union of FO2 languages is FO2.  At the top node
     left = right = 1, so the labels there are the images of the pieces;
     `fo2_cover` re-evaluates every piece it returns and checks that its
-    image lies in the saturated set.
+    image lies in the saturated set; a separator read off the machine with
+    no piece built is evaluated instead, against the sum of its labels.
 
     A right-peel node reads left to right, and its machine is deterministic
     without a subset construction: the first b read is the peeled one, and

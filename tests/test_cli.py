@@ -1,6 +1,7 @@
 """CLI subcommands, verdict serialization and exit codes."""
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from regcov import (DEFAULT_CAPS, Alphabet, ClassId, ResourceCapError, equivalent,
+from regcov import (DEFAULT_CAPS, Alphabet, ClassId, ResourceCapError, equivalent, includes,
                     upward_closure)
 from regcov import cli, covers, pieces, rx
 from regcov.cli import Instance, Verdict, _masks_to_lists, main
@@ -628,6 +629,39 @@ def test_fo2_separators_are_synthesized(capsys, argv):
     assert "synthesis" not in doc["stats"]
 
 
+@pytest.mark.parametrize("cls", ["bsigma1", "fo2"])
+def test_a_corrupted_label_fails_the_separator_image_check(monkeypatch, capsys, cls):
+    # a bare separate builds no piece to evaluate; the separator's image,
+    # evaluated on its compiled text, must be the sum of the labels it
+    # unites, so a label that is not its piece's image is caught
+    argv = ["separate", "--class", cls, "--alphabet", "abc", "--target", "(ab)+",
+            "--against", "c(ac)+"]
+    name = f"{cls}_machine"
+    build = getattr(cli, name)
+    built = []
+
+    def record(*args):
+        built.append((args, build(*args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(cli, name, record)
+    assert main(argv) == 0
+    capsys.readouterr()
+    (rho, *_), cover = built[0]
+    machine, zero = cover.machine, rho.semiring.zero
+    sep = covers.separator(cover, nfa_of("(ab)+", "abc"), nfa_of("c(ac)+", "abc"))
+    add = rho.semiring.add
+    image = functools.reduce(add, sep.labels, zero)
+    # a label that the others' sum does not absorb, set to zero
+    x = next(x for x in sorted(sep.labels)
+             if functools.reduce(add, sep.labels - {x}, zero) != image)
+    wrong = [zero if label == x else label for label in machine.labels]
+    monkeypatch.setattr(cli, name,
+                        lambda *args: replace(cover, machine=machine._replace(labels=wrong)))
+    with pytest.raises(AssertionError, match="image is not the sum of its labels"):
+        main(argv)
+
+
 def regcov_env(**extra) -> dict:
     """Environment for a `python -m regcov` subprocess on this source tree."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -696,14 +730,37 @@ def test_a_closed_stdout_is_not_a_traceback():
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
-def run_limited(argv):
-    """Run the CLI in a subprocess whose address space is capped at 384 MiB,
-    so that a blow-up ends in MemoryError instead of exhausting the machine."""
+def run_limited(argv, mib: int = 384):
+    """Run the CLI in a subprocess whose address space is capped at `mib`
+    MiB, so that a blow-up ends in MemoryError instead of exhausting the
+    machine."""
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (384 << 20, 384 << 20))
+        resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
     return subprocess.run([sys.executable, "-m", "regcov"] + argv + ["--json"],
                           env=regcov_env(), preexec_fn=limit,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_ten_letter_at_separator_builds_no_piece(tmp_path):
+    # the restricted cover has 1,020 pieces and 59,040 states; checking the
+    # separator as their joined text ran out of a gigabyte (exit 1, a
+    # MemoryError traceback)
+    path = tmp_path / "wide.json"
+    wide_alphabet_instance(path)
+    proc = run_limited(["separate", "--class", "at", "--instance", str(path)], mib=1024)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["coverable"] is True and doc["separator"] and doc["cover"] is None
+
+
+def test_dense_fo2_separator_is_short():
+    # the separator joined from the pieces printed 222,112 characters and
+    # took 2.0 GB to check
+    proc = run_limited(["separate", "--class", "fo2", "--alphabet", "abc",
+                        "--target", "(((a|b)(b|c))*(c|(c*)+))+", "--against", "b"])
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["coverable"] is True and 0 < len(doc["separator"]) <= 40
 
 
 def test_bsigma1_member_on_a_large_partition():
@@ -949,15 +1006,19 @@ def test_fo2_universal_cover_renders_every_piece():
 
 def test_fo2_cover_text_stays_short(capsys):
     # states are eliminated by weight: the cover and separator of this
-    # instance printed 24,925 characters in all when eliminated by degree
+    # instance printed 24,925 characters in all when eliminated by degree;
+    # the separator is no longer the pieces joined by "|" (6,236
+    # characters) but the 9-state union of the pieces that miss the
+    # against language, which holds the 44-state union of the pieces
     code, out, _ = run(capsys, ["separate", "--class", "fo2", "--alphabet", "abc",
                                 "--target", "((a|c)bb)+", "--against", "((ac)*)*",
                                 "--emit-cover", "--verify", "--json"])
     assert code == 0
     doc = json.loads(out)
     texts = [p["regex"] for p in doc["cover"]["pieces"]]
-    assert doc["separator"] == "|".join(texts)
-    assert sum(map(len, texts)) + len(doc["separator"]) <= 14_000
+    assert sum(map(len, texts)) <= 7_000 and len(doc["separator"]) <= 120
+    assert doc["stats"]["separator"] == {"union": "misses-against", "states": 9}
+    assert includes(nfa_of("|".join(texts), "abc"), nfa_of(doc["separator"], "abc"))
     assert doc["cover"]["verified"]["covers_target"] and doc["cover"]["verified"]["separating"]
 
 

@@ -12,7 +12,8 @@ from hypothesis import assume, given, reject, strategies as st
 from regcov import (DEFAULT_CAPS, Alphabet, Caps, ClassId, Cover, InputError,
                     PtStateCapError, RatingMap, ResourceCapError, SaturationCapError,
                     at_cover, at_imprint, bsigma1_cover, decide_universal_covering, equivalent,
-                    fo2_cover, includes, is_empty, nfa_complement, nfa_intersection, nfa_union,
+                    fo2_cover, includes, is_empty, minimize, nfa_complement, nfa_intersection,
+                    nfa_union,
                     restrict_cover, rm_alphabet_augment, rm_from_multiset,
                     saturate_pointed, saturate_universal, sigma1_cover,
                     transition_monoid, universal_language, upward_closure,
@@ -762,6 +763,50 @@ def test_cover_cut_for_a_target_is_the_restricted_universal_cover(cls, data):
     assert cut.to_json() == restrict_cover(full, target).to_json()
     assert cut.partition == full.partition
     assert all(not is_empty(p, target) for p in cut.pieces)
+
+
+def trimmed_states(n) -> int:
+    """The states of the trimmed minimal DFA of n's language."""
+    return 0 if is_empty(n) else trim(minimize(n).as_nfa()).state_count
+
+
+@pytest.mark.parametrize("cls", [ClassId.AT, ClassId.BSIGMA1, ClassId.FO2],
+                         ids=lambda c: c.value)
+@given(data=st.data())
+def test_separate_prints_the_smaller_of_two_separating_unions(cls, data):
+    # U_target unites the pieces of the cover of A* that meet the target,
+    # U_miss those that miss the other language; both are built here from
+    # the pieces, independently of `covers.separator`.  Half the against
+    # languages are cut off the target, so that more queries are coverable
+    import oracles
+
+    alphabet = data.draw(st.sampled_from([AB, ABC]))
+    target, against = data.draw(nfas(alphabet)), data.draw(nfas(alphabet))
+    if data.draw(st.booleans()):
+        against = minimize(nfa_intersection(against, nfa_complement(target))).as_nfa()
+    inst = cli.Instance(alphabet, cls, target, [against])
+    try:
+        bare = cli.run_separate(inst)
+        full, _ = universal_and_cut_covers(cls, target, [against])
+    except ResourceCapError:
+        reject()
+    if not bare.coverable:
+        assert bare.separator is None and "separator" not in bare.stats
+        return
+    unions = {}
+    for name, pieces in (("meets-target", [p for p in full.pieces if not is_empty(p, target)]),
+                         ("misses-against", [p for p in full.pieces if is_empty(p, against)])):
+        unions[name] = nfa_union(*pieces) if pieces else fa.empty_language(alphabet)
+        assert includes(target, unions[name]) and is_empty(unions[name], against)
+        assert getattr(oracles, f"member_{cls.value}")(unions[name])
+    assert includes(unions["meets-target"], unions["misses-against"])
+    states = {name: trimmed_states(u) for name, u in unions.items()}
+    smaller = min(states, key=lambda name: (states[name], name != "meets-target"))
+    assert bare.stats["separator"] == {"union": smaller, "states": states[smaller]}
+    assert equivalent(nfa_of(bare.separator, alphabet.symbols), unions[smaller])
+    emitted = cli.run_separate(replace(inst, emit_cover=True, verify=True))
+    assert emitted.separator == bare.separator
+    assert emitted.stats["separator"] == bare.stats["separator"]
 
 
 def test_fo2_cover_cut_for_a_target_checks_only_the_pieces_it_keeps(monkeypatch):
