@@ -6,7 +6,7 @@ imprints over finite idempotent semirings, and synthesizes verified
 separating covers for the constructive classes.
 """
 
-from .errors import (AlphabetCapError, Caps, DEFAULT_CAPS,
+from .errors import (Caps, DEFAULT_CAPS,
                      DeterminizationCapError, InputError, MonoidCapError,
                      PieceCapError, PtStateCapError, RegcovError,
                      ResourceCapError, SaturationCapError)
@@ -16,10 +16,9 @@ from .fa import (Alphabet, Dfa, MonoidMorphism, Nfa, alphabet_exact,
                  minimize, nfa_complement, nfa_concat, nfa_from_json,
                  nfa_intersection, nfa_to_regex, nfa_union, regex_to_nfa,
                  transition_monoid, universal_language, upward_closure)
-from .semiring import (AlphabetSemiring, PowersetMonoidSemiring,
-                       ProductSemiring, RelationSemiring, Semiring)
+from .semiring import PowersetMonoidSemiring, ProductSemiring, RelationSemiring, Semiring
 from .imprints import ImprintSet
-from .rating import (Extension, RatingMap, rm_alphabet_augment,
+from .rating import (AlphabetSemiring, Extension, RatingMap, rm_alphabet_augment,
                      rm_from_morphism, rm_from_multiset, rm_from_nfa)
 from .saturation import (ClassId, CoverDecision, at_imprint,
                          decide_pointed_covering, decide_universal_covering,

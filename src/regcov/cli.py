@@ -1,7 +1,9 @@
 """Batch front door: decide covering/separation/membership instances and
 emit verdicts as text or JSON.
 
-Exit codes: 0 decided (either way), 2 input error, 3 resource cap.
+Exit codes: 0 decided (either way), 2 input error, 3 resource cap.  Running
+out of memory is the last resort of the caps: it exits 3 too, naming the
+phase that ran out.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import Caps, DEFAULT_CAPS, InputError, ResourceCapError
 from . import rx
 from .fa import (Alphabet, Nfa, alphabet_exact, includes, is_empty,
                  nfa_complement, nfa_from_json, nfa_to_regex, regex_to_nfa,
-                 transition_monoid, universal_language, upward_closure)
+                 universal_language, upward_closure)
 from .covers import (Cover, at_cover, at_machine, bsigma1_cover, bsigma1_machine, fo2_cover,
                      fo2_machine, separator, sigma1_cover, sigma1_machine, verify_cover)
 from .rating import rm_from_multiset
@@ -28,6 +30,11 @@ from .saturation import (ClassId, _mask_subsets,
 from .pieces import are_unions_of_classes, pt_partition
 
 UNIVERSAL = "%universal"
+
+# the phase running, named when memory runs out: decide (input parsing
+# included), synthesize, verify, render (of the cover or the separator) or
+# separator check
+_PHASE = ["decide"]
 
 
 @dataclass
@@ -187,9 +194,8 @@ def _run(inst: Instance, separate: bool) -> Verdict:
     universal = inst.target is UNIVERSAL
     target_nfa = universal_language(inst.alphabet) if universal else inst.target
     if class_id.pointed:
-        alpha, accepting = transition_monoid(target_nfa, caps)
         ext = rm_from_multiset(inst.against, caps)
-        decision = decide_pointed_covering(alpha, accepting, ext, class_id, caps)
+        decision = decide_pointed_covering(target_nfa, ext, class_id, caps)
     else:
         items = inst.against if universal else [inst.target] + inst.against
         ext = rm_from_multiset(items, caps)
@@ -203,13 +209,16 @@ def _run(inst: Instance, separate: bool) -> Verdict:
     elif wanted:
         failed = None
         try:
+            _PHASE[0] = "synthesize"
             if inst.emit_cover or inst.verify:
                 # the pieces of a cover of A* that meet the target cover it
                 synthesized = _cover(class_id, decision, inst.alphabet, target_nfa,
                                      None if universal else target_nfa, caps)
+                _PHASE[0] = "verify"
                 report = verify_cover(synthesized, target_nfa, inst.against, caps=caps)
                 failed = None if report.ok else "synthesized cover failed verification"
                 if inst.emit_cover:
+                    _PHASE[0] = "render"
                     cover_doc = synthesized.to_json()
             else:
                 synthesized = _machine(class_id, decision, inst.alphabet, target_nfa, caps)
@@ -284,10 +293,14 @@ def _separator(synthesized: Cover, target: Nfa, against: Nfa, rho, texts: dict,
     piece built, an fo2 or bsigma1 separator stands in for the pieces that
     `fo2_cover` evaluates: each label is its piece's image, so the
     separator's image, evaluated on the compiled text, must be the sum of
-    the labels it unites.  The failure says which check failed first, or
+    the labels it unites; for fo2, whose labels are (content, image) pairs,
+    content by content.  The failure says which check failed first, or
     is None."""
+    _PHASE[0] = "synthesize"
     sep = separator(synthesized, target, against)
+    _PHASE[0] = "render"
     text = texts.get(sep.nfa) or rx.regex_to_text(nfa_to_regex(sep.nfa))
+    _PHASE[0] = "separator check"
     alphabet = target.alphabet
     nfa = regex_to_nfa(rx.regex_parse(text, alphabet.symbols), alphabet)
     stats = {"union": sep.union, "states": sep.nfa.state_count}
@@ -305,8 +318,13 @@ def _separator(synthesized: Cover, target: Nfa, against: Nfa, rho, texts: dict,
     if not class_ok:
         return text, stats, "separator is not in the class"
     if synthesized.pieces is None and class_id in (ClassId.BSIGMA1, ClassId.FO2):
-        image = functools.reduce(rho.semiring.add, sep.labels, rho.semiring.zero)
-        if rho.eval_nfa(nfa, caps) != image:
+        if class_id is ClassId.FO2:     # (content, image) labels, summed per content
+            image: dict = {}
+            for content, r in sep.labels:
+                image[content] = image.get(content, 0) | r
+        else:
+            image = functools.reduce(rho.semiring.add, sep.labels, rho.semiring.zero)
+        if rho.eval_nfa(nfa, caps, class_id is ClassId.FO2) != image:
             return text, stats, "separator's image is not the sum of its labels"
     return text, stats, None
 
@@ -455,6 +473,7 @@ def _emit(doc, as_json: bool):
 def main(argv=None) -> int:
     t0 = time.perf_counter()
     args = _build_parser().parse_args(argv)
+    _PHASE[0] = "decide"
     try:
         inst = load_instance(args)
         as_json = inst.json_output
@@ -472,6 +491,9 @@ def main(argv=None) -> int:
         return 2
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"resource cap: cap 'memory' exceeded during {_PHASE[0]}", file=sys.stderr)
         return 3
     try:
         _emit(doc, as_json)

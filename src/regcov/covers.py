@@ -27,7 +27,7 @@ from .fa import (Alphabet, Dfa, Nfa, explore, includes, is_empty, minimize, mini
                  nfa_complement, nfa_intersection, nfa_to_regex, nfa_union, upward_closure)
 from .imprints import ImprintSet
 from .pieces import are_unions_of_classes, pt_partition
-from .rating import RatingMap, reach
+from .rating import RatingMap, content_pairs, reach
 from .saturation import ClassId
 
 
@@ -420,26 +420,25 @@ def separator(cover: Cover, target: Nfa, against: Nfa) -> Separator:
 def fo2_cover(rho: RatingMap, saturated: ImprintSet, caps: Caps = DEFAULT_CAPS,
               target: Optional[Nfa] = None) -> Cover:
     """The pieces of `fo2_machine`; with a target, only those that meet
-    the target.  The image of each piece returned is re-evaluated on its
-    automaton and checked against the saturated set."""
+    the target.  The content-resolved image of each piece returned is
+    re-evaluated on its automaton: its words must have one content B, and
+    (B, ρ(K)) must lie in the saturated set."""
     cover = _cut(fo2_machine(rho, saturated, caps), target)
     for p in cover.pieces:
-        if rho.eval_nfa(p, caps) not in saturated:
+        if [item in saturated for item in rho.eval_nfa(p, caps, True).items()] != [True]:
             raise AssertionError("fo2 synthesis produced a piece outside the saturated set")
     return cover
 
 
 def fo2_machine(rho: RatingMap, saturated: ImprintSet, caps: Caps = DEFAULT_CAPS) -> Cover:
-    """Cover of A* whose pieces K all have ρ(K) in the saturated set, with
-    pairwise distinct images; each piece is labelled by its image.
-
-    Requires an alphabet-compatible rating map."""
-    if rho.cont is None:
-        raise InputError("fo2 cover synthesis needs an alphabet-compatible rating map; "
-                         "augment it first")
-    sr = rho.semiring
-    delta, labels = _Fo2State(rho, saturated, caps).machine(
-        (1 << len(rho.alphabet)) - 1, sr.one, sr.one, True)
+    """Cover of A* whose pieces K all have (content, ρ(K)) in the saturated
+    set of (content mask, rating element) pairs, with pairwise distinct
+    labels; each piece is labelled by its content and image."""
+    if not saturated.keyed:
+        raise InputError("fo2 cover synthesis needs an alphabet-compatible imprint: "
+                         "the fo2 one, keyed by content")
+    state = _Fo2State(rho, saturated, caps)
+    delta, labels = state.machine((1 << len(rho.alphabet)) - 1, state.one, state.one, True)
     return Cover(ClassId.FO2, None, provenance="left-factor recursion",
                  machine=Labelled(rho.alphabet, delta, 0, labels))
 
@@ -449,6 +448,9 @@ class _Fo2State:
 
     A sub-alphabet B is its bitmask and a letter its alphabet position, as
     in `RatingMap`: nodes, machines, loop sets and peels are keyed by mask.
+    Labels, contexts and loop sets are items of the saturated set: (content
+    mask, rating element) pairs, multiplied as (B, r)·(C, s) = (B | C, r·s);
+    a word's item is its content and its image.
 
     A node (B, left, right) stands for a partition of B* into pieces K, each
     with left·ρ(K)·right in the saturated set, and with pairwise distinct
@@ -460,11 +462,11 @@ class _Fo2State:
     multiplication, never read off an automaton; the recursion evaluates no
     automaton but the one-state B* of each base case.
 
-    Let s_b be the images of the nonempty languages over B* that lie in the
-    saturated set (`s_b`), and call s_b·ρ(b)·s_b the loop set of a letter b
-    of B.  A left context t is saturated over B when each letter b of B has
-    some p in its loop set with t·p = t, and a right context t when some p
-    has p·t = t:
+    Let s_b be the items of the nonempty languages over B* of one content
+    that lie in the saturated set (`s_b`), and call s_b·ρ(b)·s_b the loop
+    set of a letter b of B.  A left context t is saturated over B when each
+    letter b of B has some p in its loop set with t·p = t, and a right
+    context t when some p has p·t = t:
 
     - one set serves both sides.  On the left, b passes when some x, y in
       s_b give (t·x·ρ(b))·y = t; on the right, when y·(ρ(b)·(x·t)) = t.  By
@@ -475,13 +477,19 @@ class _Fo2State:
     - the loop set lies inside s_b, so it is no larger than s_b, which
       `max_elements` bounds.  s_b holds ρ(b), a word image, and is closed
       under products: the saturated set is a multiplicative submonoid, and
-      a product of two sums of word images, each below a maximum, is a sum
-      of word images below the product of those maxima.
+      a product of two sums of word items of one content, each below a
+      maximum, is a sum of word items of one content below the product of
+      those maxima;
+    - a p in the loop set of b has b in its content, so t·p = t or p·t = t
+      puts b in the content of t: a context saturated over B holds B in
+      its content.
 
     The recursion, on (|B|, right-index of left, left-index of right):
 
     - Base case, both contexts saturated: the one piece B*, labelled
-      left·ρ(B*)·right.
+      (cont(left) | cont(right), left·ρ(B*)·right).  Every word of B* has
+      a content C ⊆ B, which the saturated contexts hold, so the words in
+      context all have that one content.
     - Right peel, the first occurrence of a letter b.  Every word of B* is
       either in (B∖b)* or splits uniquely as h·b·k with h in (B∖b)*.  The
       factor node F = (B∖b, 1, 1) labels h, and the child node
@@ -499,10 +507,12 @@ class _Fo2State:
     the union of the pieces K' of one image in context.  Addition is
     idempotent and distributes over multiplication, so the union has that
     image in context, and a union of FO2 languages is FO2.  At the top node
-    left = right = 1, so the labels there are the images of the pieces;
-    `fo2_cover` re-evaluates every piece it returns and checks that its
-    image lies in the saturated set; a separator read off the machine with
-    no piece built is evaluated instead, against the sum of its labels.
+    left = right = (∅, 1), so the labels there are the contents and images
+    of the pieces; `fo2_cover` re-evaluates every piece it returns, content
+    by content, and checks that it has one content and that its label lies
+    in the saturated set; a separator read off the machine with no piece
+    built is evaluated instead, content by content, against the sums of its
+    labels of each content.
 
     A right-peel node reads left to right, and its machine is deterministic
     without a subset construction: the first b read is the peeled one, and
@@ -536,6 +546,9 @@ class _Fo2State:
     def __init__(self, rho: RatingMap, saturated: ImprintSet, caps: Caps):
         self.rho = rho
         self.sr = rho.semiring
+        smul = self.sr.mul
+        self.mul = lambda x, y: (x[0] | y[0], smul(x[1], y[1]))
+        self.one = (0, self.sr.one)
         self.sat = saturated
         self.caps = caps
         self.count = 0
@@ -545,27 +558,26 @@ class _Fo2State:
         self._machines: dict = {}
 
     def _word_images(self, subset: int) -> set:
-        """Images of the words over B: the monoid generated by B's letters,
-        closed over a one-state automaton."""
-        letters = [img for k, img in enumerate(self.rho.letter_image) if subset >> k & 1]
-        return {elem for _, elem in reach(self.sr, [[0] * len(letters)], 0, letters,
-                                          self.caps.max_elements, "fo2 word images")}
+        """Items of the words over B: their (content, image) pairs, closed
+        over the automaton of the contents (`rating.content_pairs`)."""
+        return content_pairs(self.sr, self.rho.letter_image, subset, self.caps.max_elements,
+                             "fo2 word images")
 
     def s_b(self, subset: int) -> frozenset:
-        """Images of the nonempty languages over B* that lie in the saturated
-        set.
+        """Items of the nonempty languages over B* of one content that lie
+        in the saturated set.
 
-        Such an image is a nonempty sum of word images over B (niceness), and
-        a sum lies below a maximum m of the saturated set exactly when each
-        of its terms does.  So the set is the union, over the maxima m, of
-        the sums of the word images below m.  Elements of the augmented
-        product are their own masks: w <= m is w | m == m.
+        Such an item is (C, a nonempty sum of the images of words of content
+        C over B) (niceness), and it lies below a maximum (C, m) of the
+        saturated set exactly when each of its terms does, w <= m being
+        w | m == m.  So the set is the union, over the maxima (C, m), of
+        the sums of the images of content C below m, each paired with C.
         """
         sr = self.sr
         words = self._word_images(subset)
         out: set = set()
-        for m in self.sat.maximal_elements():
-            below = [w for w in words if w | m == m]
+        for c, m in self.sat.maximal_elements():
+            below = [w for d, w in words if d == c and w | m == m]
             sums = set(below)
             work = list(below)
             while work:
@@ -578,18 +590,18 @@ class _Fo2State:
                                                      "fo2-language-sums")
                         sums.add(x)
                         work.append(x)
-            out |= sums
+            out.update((c, x) for x in sums)
         return frozenset(out)
 
     def _loops(self, subset: int) -> list:
         """(b, s_b·ρ(b)·s_b) for the position b of each letter of B, in
         alphabet order; built once per sub-alphabet."""
         if subset not in self._loop_sets:
-            mul = self.sr.mul
+            mul = self.mul
             sb = self.s_b(subset)
             self._loop_sets[subset] = [
-                (b, frozenset(mul(xb, y) for xb in {mul(x, self.rho.letter_image[b]) for x in sb}
-                              for y in sb))
+                (b, frozenset(mul(xb, y) for xb in {mul(x, (1 << b, self.rho.letter_image[b]))
+                                                    for x in sb} for y in sb))
                 for b in range(len(self.rho.alphabet)) if subset >> b & 1]
         return self._loop_sets[subset]
 
@@ -601,7 +613,7 @@ class _Fo2State:
         letter.  Computed once per (t, B, side)."""
         key = (t, subset, forward)
         if key not in self._peels:
-            mul = self.sr.mul
+            mul = self.mul
             self._peels[key] = next(
                 (b for b, loops in self._loops(subset)
                  if not any((mul(t, p) if forward else mul(p, t)) == t for p in loops)), None)
@@ -655,8 +667,9 @@ class _Fo2State:
         return self._nodes[top]
 
     def _base(self, subset: int, left, right):
-        """B*: one state for its words, and a sink for the letters outside B."""
-        img = self.sr.mul(self.sr.mul(left, self.rho.image_of_star(subset, self.caps)), right)
+        """B*: one state for its words, and a sink for the letters outside B.
+        The saturated contexts hold B in their content."""
+        img = self.mul(self.mul(left, (0, self.rho.image_of_star(subset, self.caps))), right)
         inside = tuple(0 if subset >> k & 1 else 1 for k in range(len(self.rho.alphabet)))
         return minimize_labelled((inside, (1,) * len(inside)), 0, [img, None])
 
@@ -664,8 +677,8 @@ class _Fo2State:
         """F's machine, and the child nodes in order of appearance: the
         label x of a live state of F fixes the child context, left·x·ρ(b)
         for a right peel and ρ(b)·x·right for a left peel."""
-        mul, bimg = self.sr.mul, self.rho.letter_image[b]
-        f = self.machine(subset & ~(1 << b), self.sr.one, self.sr.one, forward)
+        mul, bimg = self.mul, (1 << b, self.rho.letter_image[b])
+        f = self.machine(subset & ~(1 << b), self.one, self.one, forward)
         return f, {x: (subset, mul(left, mul(x, bimg)), right) if forward
                    else (subset, left, mul(mul(bimg, x), right))
                    for x in f[1] if x is not None}
@@ -674,7 +687,7 @@ class _Fo2State:
         """The minimal machine of a peel node whose children are built: a
         copy of F labelled in context, whose letter b leads to one copy of
         each distinct child, minimized."""
-        mul = self.sr.mul
+        mul = self.mul
         (f_delta, f_labels), children = f_and_children
         rows = [list(row) for row in f_delta]
         in_context = {x: mul(mul(left, x), right) for x in children}

@@ -39,10 +39,6 @@ class MonoidCapError(ResourceCapError):
     pass
 
 
-class AlphabetCapError(ResourceCapError):
-    pass
-
-
 class SaturationCapError(ResourceCapError):
     """Raised when a fixpoint engine would enumerate too many elements."""
 
@@ -76,9 +72,6 @@ class Caps:
                                        # before minimization and each
                                        # conversion between directions
     max_monoid: int = 4096             # transition-monoid elements
-    max_alphabet_sets: int = 8         # |A| for alphabet-set semirings, whose
-                                       # elements have 2^|A| bits (fo2 and
-                                       # sigma2 only)
     max_elements: int = 200_000        # maximal elements of an imprint, and
                                        # the pairs of every (state, word
                                        # image) closure (`rating.reach`);

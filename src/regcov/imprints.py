@@ -3,9 +3,10 @@
 An imprint is a downward-closed subset of a finite rating set, so its
 maximal elements determine it.  `ImprintSet` keeps only those maxima: `r in
 imprint` means "r lies below some maximal element", and inserting an element
-drops the maxima it dominates.  Pointed imprints (subsets of M x R for a
-monoid M, downward closed in the R component only) are the same structure
-keyed by the discrete monoid element.
+drops the maxima it dominates.  Keyed imprints (subsets of K x R for a
+finite set K, downward closed in the R component only) are the same
+structure, one fiber per discrete key: a target DFA state, a content mask,
+or a monoid element paired with a content mask.
 
 A rating-set element is an int bitmask ordered by inclusion, so `x <= m` is
 `x | m == m`.  The element cap counts maxima.
@@ -14,21 +15,20 @@ A rating-set element is an int bitmask ordered by inclusion, so `x <= m` is
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from .errors import DEFAULT_CAPS, SaturationCapError
-from .fa import MonoidMorphism
 from .semiring import Semiring
 
 
 class ImprintSet:
-    """Downward-closed subset of a rating set, or of monoid x rating-set
-    pairs when `monoid` is given, held as its antichain of maximal elements.
+    """Downward-closed subset of a rating set, or of key x rating-set pairs
+    when `keyed`, held as its antichain of maximal elements.
 
-    Items are rating-set elements in universal mode and (monoid element,
-    rating-set element) pairs in pointed mode.  For sets produced by the
-    saturation engines the set is a multiplicative submonoid containing the
-    trivial imprint.
+    Items are rating-set elements, or (key, rating-set element) pairs when
+    keyed; a key is any hashable value, and items of distinct keys are
+    incomparable.  A set produced by the saturation engines contains the
+    trivial imprint, and is a multiplicative submonoid unless keyed by a
+    DFA state.
 
     The set only grows, so whatever lies below a mask that was in it stays
     in it.  Two tests before the scan use this.  An item offered before is
@@ -38,22 +38,22 @@ class ImprintSet:
     still be maximal.
     """
 
-    def __init__(self, semiring: Semiring, monoid: Optional[MonoidMorphism] = None,
+    def __init__(self, semiring: Semiring, keyed: bool = False,
                  cap: int = DEFAULT_CAPS.max_elements, label: str = "imprint"):
         self.semiring = semiring
-        self.monoid = monoid
+        self.keyed = keyed
         self.cap = cap
         self.label = label
-        self._fibers: dict = {}   # monoid element (None when universal) -> {element: item}
-        self._widest: dict = {}   # monoid element -> most bits of a maximum in its fiber
-        self._hint: dict = {}     # monoid element -> last element that dominated an insert
+        self._fibers: dict = {}   # key (None when not keyed) -> {element: item}
+        self._widest: dict = {}   # key -> most bits of a maximum in its fiber
+        self._hint: dict = {}     # key -> last element that dominated an insert
         self._offered: set = set()  # every item ever offered to `insert`
         self._count = 0
         self.queue: deque = deque()
         self.sweeps = 0
 
     def __contains__(self, item) -> bool:
-        key, x = (None, item) if self.monoid is None else item
+        key, x = item if self.keyed else (None, item)
         fiber = self._fibers.get(key)
         # a mask with more bits than every maximum is below none of them,
         # which settles most failed lookups without a scan
@@ -69,7 +69,7 @@ class ImprintSet:
         if item in self._offered:
             return False
         self._offered.add(item)
-        key, x = (None, item) if self.monoid is None else item
+        key, x = item if self.keyed else (None, item)
         fiber = self._fibers.get(key)
         if fiber is None:
             fiber = self._fibers[key] = {}
@@ -100,7 +100,7 @@ class ImprintSet:
 
     def is_maximal(self, item) -> bool:
         """True if item is one of the maximal items now."""
-        key, x = (None, item) if self.monoid is None else item
+        key, x = item if self.keyed else (None, item)
         return x in self._fibers.get(key, ())
 
     def pop_pending(self):
@@ -125,5 +125,5 @@ class ImprintSet:
 
     def __eq__(self, other):
         """Equal downsets; the antichain of a downset is unique."""
-        return (isinstance(other, ImprintSet) and (self.monoid is None) == (other.monoid is None)
+        return (isinstance(other, ImprintSet) and self.keyed == other.keyed
                 and self._antichain() == other._antichain())

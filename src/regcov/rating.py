@@ -15,8 +15,7 @@ from typing import Iterable, Optional
 from .errors import (Caps, DEFAULT_CAPS, DeterminizationCapError, InputError,
                      SaturationCapError)
 from .fa import Alphabet, MonoidMorphism, Nfa, _bits, _dfa_monoid, _subset_successors, minimize
-from .semiring import (AlphabetSemiring, PowersetMonoidSemiring,
-                       ProductSemiring, RelationSemiring, Semiring)
+from .semiring import PowersetMonoidSemiring, ProductSemiring, RelationSemiring, Semiring
 
 
 @dataclass
@@ -27,10 +26,6 @@ class RatingMap:
     bit k for letter k: `letter_image` holds one image per letter in
     alphabet order, and `image_of_star` and `image_of_exact` take B's mask.
 
-    `cont`, when present, is the alphabet semiring whose field holds the
-    lowest bits of every element: x & ((1 << cont.nbits) - 1) is the set of
-    word alphabets x accounts for (the map is then alphabet compatible).
-
     The images of B* and of the exact-alphabet words, for every
     sub-alphabet B, are built on first use and kept (`_word_images`):
     in closed form on the relation parts, by a capped closure on the
@@ -40,7 +35,6 @@ class RatingMap:
     alphabet: Alphabet
     semiring: Semiring
     letter_image: tuple
-    cont: Optional[AlphabetSemiring] = None
     _images: Optional[tuple] = field(default=None, repr=False)
     _closure_size: int = field(default=0, repr=False)
 
@@ -49,37 +43,42 @@ class RatingMap:
             raise InputError(f"{len(self.letter_image)} letter images for "
                              f"{len(self.alphabet)} letters")
 
-    def eval_nfa(self, nfa: Nfa, caps: Caps = DEFAULT_CAPS):
+    def eval_nfa(self, nfa: Nfa, caps: Caps = DEFAULT_CAPS, by_content: bool = False):
         """Image of a regular language: sum of the word images of its members.
 
-        Tracks reachable (state subset, element) pairs of the determinized
-        input, the subset a bitmask stepped as in `fa.determinize`; every
-        accepted word contributes its image through an accepting pair.
+        Tracks reachable (state subset, content, element) triples of the
+        determinized input, the subset a bitmask stepped as in
+        `fa.determinize`; every accepted word contributes its image through
+        an accepting triple.  The content is the mask of the letters read,
+        tracked only `by_content`: the result is then the content-resolved
+        image, a dict from each content mask of an accepted word to the sum
+        of the images of the accepted words of that content.
         """
         if nfa.alphabet != self.alphabet:
             raise InputError("rating map / automaton alphabet mismatch")
         sr = self.semiring
         successors = _subset_successors(nfa)
         final = _bits(nfa.finals)
-        start = (_bits(nfa.initials), sr.one)
+        bits = [by_content << k for k in range(len(self.alphabet))]
+        start = (_bits(nfa.initials), 0, sr.one)
         seen = {start}
         work = [start]
-        total = sr.zero
+        totals: dict = {}
         while work:
-            subset, elem = work.pop()
+            subset, content, elem = work.pop()
             if subset & final:
-                total = sr.add(total, elem)
-            for nxt, img in zip(successors(subset), self.letter_image):
+                totals[content] = sr.add(totals.get(content, sr.zero), elem)
+            for nxt, img, bit in zip(successors(subset), self.letter_image, bits):
                 if not nxt:
                     continue
-                pair = (nxt, sr.mul(elem, img))
-                if pair not in seen:
+                triple = (nxt, content | bit, sr.mul(elem, img))
+                if triple not in seen:
                     if len(seen) >= caps.max_det_states:
                         raise DeterminizationCapError(
                             "max_det_states", caps.max_det_states, "rating-map evaluation")
-                    seen.add(pair)
-                    work.append(pair)
-        return total
+                    seen.add(triple)
+                    work.append(triple)
+        return totals if by_content else totals.get(0, sr.zero)
 
     def _word_images(self, caps: Caps = DEFAULT_CAPS):
         """(stars, exacts), two lists indexed by sub-alphabet mask B: the
@@ -104,8 +103,8 @@ class RatingMap:
         of exact(C∖{a})·ρ(a), times ρ(C*).  A relation part thus costs at
         most 2^|A|·(|A| + ⌈log2 n²⌉ + 2) products, whatever its monoid.
 
-        A monoid-powerset or alphabet-set part closes its (alphabet mask,
-        word image) pairs instead (`reach`): its word images are at most
+        A monoid-powerset part closes its (alphabet mask, word image) pairs
+        instead (`content_pairs`): its word images are at most
         `max_monoid` singletons, and a singleton times a letter is one table
         row.  The words with alphabet exactly B sum to the pairs of mask B.
         The tables are kept, and so is the size of the largest closure,
@@ -121,17 +120,14 @@ class RatingMap:
             product = isinstance(sr, ProductSemiring)
             images = [sr.unpack(img) if product else (img,) for img in self.letter_image]
             cols = []
-            delta = None
             for j, part in enumerate(sr.parts if product else (sr,)):
                 letters = [img[j] for img in images]
                 if isinstance(part, RelationSemiring):
                     cols.append(_exact_images(part, letters))
                     continue
-                if delta is None:
-                    # an automaton whose states are the alphabets of the words read
-                    delta = [[mask | bit for bit in bits] for mask in range(nsub)]
                 col = [0] * nsub
-                pairs = reach(part, delta, 0, letters, caps.max_elements, "word-image closure")
+                pairs = content_pairs(part, letters, nsub - 1, caps.max_elements,
+                                      "word-image closure")
                 for mask, elem in pairs:
                     col[mask] |= elem
                 cols.append(col)
@@ -208,6 +204,16 @@ def reach(sr: Semiring, delta, initial: int, letter_images: list, cap: int, what
                 seen.add(pair)
                 work.append(pair)
     return seen
+
+
+def content_pairs(sr: Semiring, letter_images, subset: int, cap: int, what: str) -> set:
+    """The (content mask, word image) pairs of the words over the
+    sub-alphabet mask B: `reach` on the automaton whose states are the
+    contents of the words read, the submasks of B (the masks up to B are
+    its states)."""
+    ks = [k for k in range(len(letter_images)) if subset >> k & 1]
+    delta = [[mask | 1 << k for k in ks] for mask in range(subset + 1)]
+    return reach(sr, delta, 0, [letter_images[k] for k in ks], cap, what)
 
 
 @dataclass
@@ -317,26 +323,28 @@ def _group_parts(nfas: list, dfas: list, caps: Caps) -> list:
     return [rm_from_nfa(nfa) for nfa in nfas]
 
 
-def rm_alphabet_augment(ext: Extension, caps: Caps = DEFAULT_CAPS) -> Extension:
+class AlphabetSemiring(PowersetMonoidSemiring):
+    """Sets of sub-alphabet masks; union / pairwise union: the powerset of
+    the monoid of sub-alphabets under union, whose identity is ∅.  Bit B
+    holds the mask B, so its elements take 2^|A| bits."""
+
+    def __init__(self, alphabet: Alphabet):
+        nsub = 1 << len(alphabet)
+        super().__init__(MonoidMorphism(
+            nsub, 0, [[b | c for c in range(nsub)] for b in range(nsub)], {}))
+
+
+def rm_alphabet_augment(ext: Extension) -> Extension:
     """Alphabet-compatible extension: pair every value with the set of word
-    alphabets it accounts for.
+    alphabets it accounts for, an `AlphabetSemiring` element in the lowest
+    2^|A| bits, below the value and the acceptance masks.
 
-    The content is the lowest field of the augmented element, `nbits` of the
-    alphabet semiring wide; the value sits above it, and so do the
-    acceptance masks.
-    """
+    The engines key their items by content instead (see `saturation`), so
+    no query builds this map; it is the wide form that their tests compare
+    them with."""
     rho = ext.tau
-    alph_sr = AlphabetSemiring(rho.alphabet, caps)
-    sr = ProductSemiring([rho.semiring, alph_sr])
-    width = alph_sr.nbits
-    letter_image = tuple(img << width | alph_sr.singleton(1 << k)
-                         for k, img in enumerate(rho.letter_image))
-    tau = RatingMap(rho.alphabet, sr, letter_image, cont=alph_sr)
-    return Extension(tau, tuple(acc << width for acc in ext.accepts))
-
-
-def with_content(r: int, sub_mask: int, width: int) -> int:
-    """Element of an alphabet-compatible map with r's value and content
-    exactly {B}, for the sub-alphabet mask B; `width` is the width of the
-    content field."""
-    return r >> width << width | 1 << sub_mask
+    width = 1 << len(rho.alphabet)
+    sr = ProductSemiring([rho.semiring, AlphabetSemiring(rho.alphabet)])
+    letter_image = tuple(img << width | 1 << (1 << k) for k, img in enumerate(rho.letter_image))
+    return Extension(RatingMap(rho.alphabet, sr, letter_image),
+                     tuple(acc << width for acc in ext.accepts))

@@ -2,9 +2,35 @@
 
 The universal engine closes a subset of the rating semiring under downset,
 multiplication and one class-specific rule; the pointed engine does the same
-over monoid/semiring pairs.  Both contain the trivial imprint (the word
-images, downset-closed) and are monotone, so the least fixpoint is
-independent of scheduling.
+over (key, rating element) pairs, the key pointing the imprint at the
+target.  Both contain the trivial imprint (the word images, downset-closed)
+and are monotone, so the least fixpoint is independent of scheduling.
+
+Every engine keys its items by the smallest discrete index its decision
+reads (BΣ1 and FO need none), and the plain product of the rating map is
+its rating semiring:
+
+- Σ1 by the state of the target's minimal DFA.  The paper points the
+  imprint by the target's recognizing monoid: pairs (m, r), closed under
+  right multiplication by the letters (α(a), ρ(a)) and by (1, ρ(A*)), with
+  no rule, and read at the m that accept.  The map (m, r) ↦ (q0·m, r),
+  where q0·m is the state that the minimal DFA reaches from its initial
+  state q0 by a word of image m, commutes with right multiplication by
+  every generator: q0·(m·α(a)) = (q0·m)·a, and 1 leaves the state fixed.
+  So the image of the least fixpoint over pairs is the least fixpoint of
+  the same loop run on (state, r) pairs, and m accepts exactly when q0·m is
+  final.  Fibers of one state merge, which unites only downsets that the
+  decision unites anyway.
+- FO2 by the content mask B of the words an element accounts for: items
+  (B, r), with (B, r)·(C, s) = (B | C, r·s); Σ2 by (m, B).  The
+  alphabet-compatible map of the paper pairs every element with a set of
+  word alphabets, 2^|A| bits wide, yet every item the loop builds has one
+  content: a letter image has one, a product of single contents B and C
+  has the single content B ∪ C, and the rule outputs below have the
+  content of their idempotents.  Only the downward closure adds smaller
+  sets, and the maxima are built by the loop.  So the 2^|A|-bit field held
+  one bit in every maximum, and {B} ⊆ {C} only for B = C: the order is the
+  one of the items keyed by content.
 
 Both run one loop over the antichain of maximal elements (`ImprintSet`);
 no rule ever looks below a maximum.  This is complete because products are
@@ -13,8 +39,8 @@ s^n <= t^n for every n, and s^ω = s^N, t^ω = t^N for any N that is a large
 enough common multiple of both idempotent exponents, so s^ω <= t^ω.
 
 - Multiplication, by generators.  Let G hold the letter images, the seeds
-  (the BΣ1 idempotents, Σ1's (1, ρ(A*))) and every rule output that became
-  maximal, and ⟨G⟩ the submonoid it generates.  ↓⟨G⟩ is closed under
+  (the BΣ1 idempotents, Σ1's (q, ρ(A*)) step) and every rule output that
+  became maximal, and ⟨G⟩ the items 1·g1···gk.  ↓⟨G⟩ is closed under
   products: x <= a and y <= b with a, b in ⟨G⟩ give xy <= ab, which lies
   in ⟨G⟩.  Every downset that holds G and is closed under products holds
   ↓⟨G⟩, so ↓⟨G⟩ is the least one.  A rule output h that is dominated when
@@ -27,7 +53,9 @@ enough common multiple of both idempotent exponents, so s^ω <= t^ω.
   maximum x has x·g below a maximum for each g in G, and so has the unit,
   so by induction on k every 1·g1···gk lies below a maximum.  That is
   O(N·|G|) products for N maxima, against O(N²) for multiplying every pair
-  of maxima.  Three shortcuts keep the same fixpoint:
+  of maxima.  Σ1 multiplies only on the right, which is why its key may be
+  a state rather than a monoid element.  Three shortcuts keep the same
+  fixpoint:
   (a) `ImprintSet.insert` refuses an item offered before at once: the set
       only grows, so the item is still in it.
   (b) Only the rule outputs still maximal after the round join G; a later
@@ -44,19 +72,18 @@ enough common multiple of both idempotent exponents, so s^ω <= t^ω.
       monotone, so that item's product dominates the skipped one.
 - FO (e + e·s with e = s^ω): the right-hand side is monotone in s, so the
   rule over the maxima dominates the rule over the whole set.
-- FO2 (e·B*·f for idempotents e, f of content exactly {B}): let (r, C) be
-  maximal, with content C, and (r^ω, D) its idempotent power, which lies in
-  the fixpoint by multiplicative closure.  For B ∈ D the pair (r^ω, {B}) is
-  below (r^ω, D), hence in the fixpoint, and it is an idempotent of content
-  {B}.  Any idempotent e = (x, {B}) of the fixpoint lies below some maximum
-  (r, C); then e = e^ω <= (r^ω, D), so x <= r^ω and B ∈ D, i.e. e lies below
-  the candidate (r^ω, {B}).  The rule is monotone in e and f, so ranging
-  over pairs of candidates is complete, and every candidate pair is a real
-  instance of the rule.
-- Σ2 ((m, r·B*·r) for idempotent m and r, B ∈ cont(r)): for a maximal
-  (m, r) with m idempotent, (m, r)^k = (m, r^k), so (m, r^ω) lies in the
-  fixpoint.  Any idempotent (m, s) below (m, r) has s = s^ω <= r^ω and
-  cont(s) ⊆ cont(r^ω), so (m, r^ω) with every B in cont(r^ω) dominates it.
+- FO2 (e·B*·f for idempotents e, f of content B): let (B, r) be maximal;
+  its idempotent power (B, r^ω) lies in the fixpoint by multiplicative
+  closure, and it is an idempotent of content B.  Any idempotent (B, x) of
+  the fixpoint lies below some maximum (B, r); then x = x^ω <= r^ω, i.e.
+  it lies below the candidate (B, r^ω).  The rule is monotone in e and f,
+  so ranging over pairs of candidates of one content is complete, and every
+  candidate pair is a real instance of the rule.  The output has content
+  B ∪ C ∪ B = B for every C ⊆ B.
+- Σ2 (((m, B), r·B*·r) for idempotent m and r, B the content of r): for a
+  maximal ((m, B), r) with m idempotent, ((m, B), r)^k = ((m, B), r^k), so
+  ((m, B), r^ω) lies in the fixpoint.  Any idempotent ((m, B), s) below it
+  has s = s^ω <= r^ω, so the candidate ((m, B), r^ω) dominates it.
 """
 
 from __future__ import annotations
@@ -66,9 +93,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import Caps, DEFAULT_CAPS, InputError
-from .fa import MonoidMorphism
+from .fa import Nfa, minimize, transition_monoid
 from .imprints import ImprintSet
-from .rating import Extension, RatingMap, rm_alphabet_augment, with_content
+from .rating import Extension, RatingMap
 
 
 class ClassId(enum.Enum):
@@ -96,38 +123,26 @@ class ClassId(enum.Enum):
                              f"{', '.join(c.value for c in cls)}") from None
 
 
-# -- word images ---------------------------------------------------------------
-
-def _words(rho: RatingMap, alpha: Optional[MonoidMorphism]):
-    """(unit, letter images, product) of the word images: rating-set
-    elements, or (monoid image, rating image) pairs when `alpha` is given."""
-    sr = rho.semiring
-    if alpha is None:
-        return sr.one, list(rho.letter_image), sr.mul
-    if set(alpha.letter_image) != set(rho.alphabet.symbols):
-        raise InputError("morphism and rating map alphabets differ")
-    mmul = alpha.mul
-
-    def mul(x, y):
-        return (mmul[x[0]][y[0]], sr.mul(x[1], y[1]))
-
-    letters = [(alpha.letter_image[a], img) for a, img in zip(rho.alphabet, rho.letter_image)]
-    return (alpha.identity, sr.one), letters, mul
-
-
 # -- fixpoint engines ----------------------------------------------------------------
 
 def saturate_universal(rho: RatingMap, class_id: ClassId,
                        caps: Caps = DEFAULT_CAPS) -> ImprintSet:
-    """Least class-saturated subset of the rating semiring."""
+    """Least class-saturated subset of the rating semiring; for FO2, of
+    (content mask, rating element) pairs."""
     if class_id not in (ClassId.BSIGMA1, ClassId.FO2, ClassId.FO):
         raise InputError(f"{class_id.value} is not handled by the universal engine")
-    if class_id is ClassId.FO2 and rho.cont is None:
-        raise InputError("fo2 saturation needs an alphabet-compatible rating map; "
-                         "augment it first")
     sr = rho.semiring
-    out = ImprintSet(sr, cap=caps.max_elements, label=class_id.value)
-    one, gens, mul = _words(rho, None)
+    smul = sr.mul
+    keyed = class_id is ClassId.FO2
+    out = ImprintSet(sr, keyed, cap=caps.max_elements, label=class_id.value)
+    if keyed:
+        # (content mask, rating element) items; letter k has content {k}
+        one, gens = (0, sr.one), [(1 << k, img) for k, img in enumerate(rho.letter_image)]
+
+        def mul(x, y):
+            return (x[0] | y[0], smul(x[1], y[1]))
+    else:
+        one, gens, mul = sr.one, list(rho.letter_image), smul
 
     if class_id is ClassId.BSIGMA1:
         # unconditional rule: fires once per sub-alphabet, so its outputs
@@ -141,52 +156,66 @@ def saturate_universal(rho: RatingMap, class_id: ClassId,
                 e = sr.idempotent_power(s)
                 yield sr.add(e, sr.mul(e, s))
     else:
-        width = rho.cont.nbits
-        content = (1 << width) - 1
-
         def rule(maxima):
-            candidates: dict = {}   # B -> the idempotents (r^ω, {B})
-            for s in maxima:
-                e = sr.idempotent_power(s)
-                for bmask in rho.cont.members(e & content):
-                    candidates.setdefault(bmask, set()).add(with_content(e, bmask, width))
+            candidates: dict = {}   # B -> the idempotents r^ω of the maxima (B, r)
+            for bmask, r in maxima:
+                candidates.setdefault(bmask, set()).add(sr.idempotent_power(r))
             for bmask, idems in candidates.items():
                 star = rho.image_of_star(bmask, caps)
-                for e in idems:
-                    es = sr.mul(e, star)
-                    for f in idems:
-                        yield sr.mul(es, f)
+                starred = [sr.mul(e, star) for e in idems]
+                # each product once, in the order of first appearance: an
+                # item offered again is refused at once (shortcut (a))
+                products = dict.fromkeys(sr.mul(es, f) for es in starred for f in idems)
+                yield from ((bmask, r) for r in products)
 
     _saturate(out, one, gens, mul, rule)
     return out
 
 
-def saturate_pointed(alpha: MonoidMorphism, rho: RatingMap, class_id: ClassId,
+def saturate_pointed(pointer, rho: RatingMap, class_id: ClassId,
                      caps: Caps = DEFAULT_CAPS) -> ImprintSet:
-    """Least class-saturated subset of monoid x rating-semiring pairs."""
+    """Least class-saturated subset of (key, rating element) pairs: keyed
+    by the states of the complete DFA `pointer` (the target's minimal DFA)
+    for Σ1, and by (element of the monoid morphism `pointer`, content mask)
+    for Σ2."""
     if class_id not in (ClassId.SIGMA1, ClassId.SIGMA2):
         raise InputError(f"{class_id.value} is not handled by the pointed engine")
-    if class_id is ClassId.SIGMA2 and rho.cont is None:
-        raise InputError("sigma2 saturation needs an alphabet-compatible rating map; "
-                         "augment it first")
     sr = rho.semiring
-    out = ImprintSet(sr, alpha, cap=caps.max_elements, label=class_id.value)
-    one, gens, mul = _words(rho, alpha)
+    smul = sr.mul
+    out = ImprintSet(sr, True, cap=caps.max_elements, label=class_id.value)
 
     if class_id is ClassId.SIGMA1:
-        gens.append((alpha.identity, rho.image_of_star((1 << len(rho.alphabet)) - 1, caps)))
+        if pointer.alphabet != rho.alphabet:
+            raise InputError("target automaton and rating map alphabets differ")
+        # a generator's key is the column of the transition table that maps
+        # the state on its left: a letter's, or the identity for the
+        # (1, ρ(A*)) step, which keeps the state
+        one = (pointer.initial, sr.one)
+        gens = list(zip(zip(*pointer.delta), rho.letter_image))
+        gens.append((tuple(range(pointer.state_count)),
+                     rho.image_of_star((1 << len(rho.alphabet)) - 1, caps)))
+
+        def mul(x, g):
+            return (g[0][x[0]], smul(x[1], g[1]))
         rule = None
     else:
-        content = (1 << rho.cont.nbits) - 1
+        if set(pointer.letter_image) != set(rho.alphabet.symbols):
+            raise InputError("morphism and rating map alphabets differ")
+        mmul = pointer.mul
+        one = ((pointer.identity, 0), sr.one)
+        gens = [((pointer.letter_image[a], 1 << k), img)
+                for k, (a, img) in enumerate(zip(rho.alphabet, rho.letter_image))]
+
+        def mul(x, y):
+            (m, b), (n, c) = x[0], y[0]
+            return ((mmul[m][n], b | c), smul(x[1], y[1]))
 
         def rule(maxima):
-            for (m, r) in maxima:
-                if alpha.mul[m][m] != m:
+            for (m, bmask), r in maxima:
+                if mmul[m][m] != m:
                     continue
                 e = sr.idempotent_power(r)
-                for bmask in rho.cont.members(e & content):
-                    star = rho.image_of_star(bmask, caps)
-                    yield (m, sr.mul(sr.mul(e, star), e))
+                yield ((m, bmask), sr.mul(sr.mul(e, rho.image_of_star(bmask, caps)), e))
 
     _saturate(out, one, gens, mul, rule)
     return out
@@ -303,12 +332,10 @@ def decide_universal_covering(ext: Extension, class_id: ClassId,
     if class_id is ClassId.AT:
         imprint = at_imprint(ext.tau, caps=caps)
     elif class_id in (ClassId.BSIGMA1, ClassId.FO, ClassId.FO2):
-        if class_id is ClassId.FO2:
-            ext = rm_alphabet_augment(ext, caps)
         imprint = saturate_universal(ext.tau, class_id, caps)
     else:
         raise InputError(f"{class_id.value} does not route through universal covering")
-    images = {ext.index_set(r) for r in imprint.maximal_elements()}
+    images = {ext.index_set(x[1] if imprint.keyed else x) for x in imprint.maximal_elements()}
     noncov, hit_full = _against_table(images, len(ext.accepts), target_index)
     return CoverDecision(
         class_id=class_id,
@@ -321,18 +348,23 @@ def decide_universal_covering(ext: Extension, class_id: ClassId,
     )
 
 
-def decide_pointed_covering(alpha: MonoidMorphism, accepting: Iterable[int],
-                            ext: Extension, class_id: ClassId,
+def decide_pointed_covering(target: Nfa, ext: Extension, class_id: ClassId,
                             caps: Caps = DEFAULT_CAPS) -> CoverDecision:
-    """Lattice-class covering decision: target via its recognizing morphism,
-    quality measure via the multiset extension."""
-    accepting = frozenset(accepting)
-    if class_id not in (ClassId.SIGMA1, ClassId.SIGMA2):
+    """Lattice-class covering decision: the imprint pointed at the target by
+    its minimal DFA (Σ1) or its transition monoid (Σ2), the quality measure
+    via the multiset extension."""
+    if class_id is ClassId.SIGMA1:
+        dfa = minimize(target, caps)
+        pointed = saturate_pointed(dfa, ext.tau, class_id, caps)
+        images = {ext.index_set(r) for q, r in pointed.maximal_elements() if q in dfa.finals}
+        stats = {}
+    elif class_id is ClassId.SIGMA2:
+        alpha, accepting = transition_monoid(target, caps)
+        pointed = saturate_pointed(alpha, ext.tau, class_id, caps)
+        images = {ext.index_set(r) for (m, _), r in pointed.maximal_elements() if m in accepting}
+        stats = {"monoid_size": alpha.size}
+    else:
         raise InputError(f"{class_id.value} does not route through pointed covering")
-    if class_id is ClassId.SIGMA2:
-        ext = rm_alphabet_augment(ext, caps)
-    pointed = saturate_pointed(alpha, ext.tau, class_id, caps)
-    images = {ext.index_set(r) for (m, r) in pointed.maximal_elements() if m in accepting}
     noncov, hit_full = _against_table(images, len(ext.accepts), None)
     return CoverDecision(
         class_id=class_id,
@@ -341,6 +373,5 @@ def decide_pointed_covering(alpha: MonoidMorphism, accepting: Iterable[int],
         raw_imprint=pointed,
         rating_map=ext.tau,
         stats={"elements": len(pointed), "sweeps": pointed.sweeps,
-               "rating_set_log2": ext.tau.semiring.log2_size(),
-               "monoid_size": alpha.size},
+               "rating_set_log2": ext.tau.semiring.log2_size(), **stats},
     )

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import AlphabetCapError, Caps, DEFAULT_CAPS, InputError
-from .fa import Alphabet, MonoidMorphism
+from .errors import InputError
+from .fa import MonoidMorphism
 
 
 class Semiring:
@@ -159,30 +159,6 @@ class RelationSemiring(Semiring):
 
     def pair(self, i: int, j: int) -> int:
         return 1 << (i * self.q + j)
-
-
-class AlphabetSemiring(PowersetMonoidSemiring):
-    """Sets of sub-alphabets; union / pairwise sub-alphabet union.  This is
-    the powerset of the monoid of sub-alphabets under union, whose identity
-    is ∅.
-
-    Bit B (a sub-alphabet mask) encodes membership of B in the set; the
-    multiplicative unit is {∅}.
-    """
-
-    def __init__(self, alphabet: Alphabet, caps: Caps = DEFAULT_CAPS):
-        if len(alphabet) > caps.max_alphabet_sets:
-            raise AlphabetCapError("max_alphabet_sets", caps.max_alphabet_sets,
-                                   f"alphabet has {len(alphabet)} symbols")
-        nsub = 1 << len(alphabet)
-        super().__init__(MonoidMorphism(nsub, 0, [[b | c for c in range(nsub)] for b in range(nsub)],
-                                        {a: 1 << k for k, a in enumerate(alphabet.symbols)}))
-        self.alphabet = alphabet
-        self.nsub = nsub
-
-    def members(self, x: int):
-        """The sub-alphabet masks collected in x."""
-        return _bits(x)
 
 
 class ProductSemiring(Semiring):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 
 from regcov import ClassId, ImprintSet
-from regcov.semiring import AlphabetSemiring
+from regcov.rating import AlphabetSemiring
 
 from reference_semiring import TableSemiring
 
@@ -52,6 +52,14 @@ def word_pairs(alpha, rho) -> set:
     return seen
 
 
+def contents(rho, x: int) -> list:
+    """The sub-alphabet masks held in an element of an alphabet
+    augmentation (`rm_alphabet_augment`): its lowest 2^|A| bits, the field
+    of the `AlphabetSemiring` part."""
+    assert isinstance(rho.semiring.parts[-1], AlphabetSemiring)
+    return [b for b in range(1 << len(rho.alphabet)) if x >> b & 1]
+
+
 def submasks(x: int):
     """All submasks of x, including 0 and x."""
     sub = x
@@ -75,7 +83,7 @@ def members(imprint: ImprintSet) -> set:
     sr = imprint.semiring
     out = set()
     for item in imprint.maximal_elements():
-        if imprint.monoid is None:
+        if not imprint.keyed:
             out.update(downset(sr, item))
         else:
             m, r = item
@@ -128,7 +136,7 @@ class ExplicitImprint:
 
 def same_imprint(explicit: ExplicitImprint, imprint: ImprintSet) -> bool:
     """Both downsets are equal: a downset is determined by its maxima."""
-    return (imprint.monoid is not None) == explicit.pointed and \
+    return imprint.keyed == explicit.pointed and \
         explicit.maximal_elements() == set(imprint.maximal_elements())
 
 
@@ -152,14 +160,11 @@ def saturate_universal(rho, class_id: ClassId, lifo: bool = False) -> ExplicitIm
         return added
 
     def fo2_rule(snapshot):
-        cont = rho.cont
-        assert isinstance(cont, AlphabetSemiring)
-        content = (1 << cont.nbits) - 1
         groups: dict = {}
         for s in snapshot:
             if sr.mul(s, s) != s:
                 continue
-            found = cont.members(s & content)
+            found = contents(rho, s)
             if len(found) == 1:
                 groups.setdefault(found[0], []).append(s)
         added = False
@@ -195,13 +200,11 @@ def saturate_pointed(alpha, rho, class_id: ClassId, lifo: bool = False) -> Expli
         rule = None
     else:
         def rule(snapshot):
-            cont = rho.cont
-            content = (1 << cont.nbits) - 1
             added = False
             for (m, r) in snapshot:
                 if alpha.mul[m][m] != m or sr.mul(r, r) != r:
                     continue
-                for bmask in cont.members(r & content):
+                for bmask in contents(rho, r):
                     star = rho.image_of_star(bmask)
                     added |= out.insert((m, sr.mul(sr.mul(r, star), r)))
             return added

@@ -9,11 +9,13 @@ from dataclasses import replace
 
 from hypothesis import strategies as st
 
-from regcov import (Alphabet, DEFAULT_CAPS, Extension, ImprintSet, Nfa, ProductSemiring,
+from regcov import (Alphabet, DEFAULT_CAPS, Dfa, Extension, ImprintSet, Nfa, ProductSemiring,
                     RatingMap, alphabet_exact, alphabet_star, includes, is_empty,
-                    nfa_intersection, nfa_union, regex_parse, regex_to_nfa)
+                    nfa_intersection, nfa_union, regex_parse, regex_to_nfa,
+                    rm_alphabet_augment)
 from regcov import rx, saturation
 from regcov.fa import empty_language
+from reference_saturation import words
 from regcov.pieces import are_unions_of_classes, pt_partition
 
 
@@ -56,11 +58,12 @@ def random_nfa(rng: random.Random, alphabet: Alphabet, max_states: int,
 
 
 @st.composite
-def nfas(draw, alphabet, max_states=4):
-    """Hypothesis strategy: an NFA of at most `max_states` states, one
-    initial state, at least one final state and at most three transitions
-    per state on average; it shrinks towards fewer states and transitions."""
-    n = draw(st.integers(1, max_states))
+def nfas(draw, alphabet, max_states=4, min_states=1):
+    """Hypothesis strategy: an NFA of `min_states` to `max_states` states,
+    one initial state, at least one final state and at most three
+    transitions per state on average; it shrinks towards fewer states and
+    transitions."""
+    n = draw(st.integers(min_states, max_states))
     states = st.integers(0, n - 1)
     trans = draw(st.frozensets(st.tuples(states, st.sampled_from(alphabet.symbols), states),
                                max_size=3 * n))
@@ -232,8 +235,9 @@ def rm_trivial_imprint(rho, alpha=None) -> ImprintSet:
 
     Passing a morphism gives the pointed variant over monoid/value pairs.
     """
-    out = ImprintSet(rho.semiring, alpha, cap=DEFAULT_CAPS.max_elements, label="trivial")
-    saturation._saturate(out, *saturation._words(rho, alpha), None)
+    out = ImprintSet(rho.semiring, alpha is not None, cap=DEFAULT_CAPS.max_elements,
+                     label="trivial")
+    saturation._saturate(out, *words(rho, alpha), None)
     return out
 
 
@@ -241,10 +245,11 @@ def _map_imprint(imprint: ImprintSet, fn, semiring, label: str) -> ImprintSet:
     """Image of a universal or pointed imprint under a monotone map of its
     rating-set elements, downset-closed: the images of the maxima generate
     it."""
-    out = ImprintSet(semiring, imprint.monoid, cap=imprint.cap,
+    out = ImprintSet(semiring, imprint.keyed, cap=imprint.cap,
                      label=f"{imprint.label}-{label}")
     for item in imprint.maximal_elements():
-        out.insert(fn(item) if imprint.monoid is None else (item[0], fn(item[1])))
+        out.insert((item[0], fn(item[1])) if imprint.keyed else fn(item))
+    out.sweeps = imprint.sweeps
     return out
 
 
@@ -256,12 +261,64 @@ def imprint_pullback(ext, imprint: ImprintSet) -> ImprintSet:
     return _map_imprint(imprint, ext.index_set, None, "pullback")
 
 
-def strip_content(aug, imprint: ImprintSet, semiring) -> ImprintSet:
-    """An imprint over the alphabet augmentation `aug` with the content field
-    shifted off: the same kind of imprint over the base values, elements of
-    `semiring`."""
-    width = aug.tau.cont.nbits
-    return _map_imprint(imprint, lambda x: x >> width, semiring, "base")
+def strip_content(imprint: ImprintSet, semiring) -> ImprintSet:
+    """A content-keyed imprint (fo2's (B, r), or sigma2's ((m, B), r)) with
+    the content dropped: the imprint of the rating elements r, or of the
+    pairs (m, r), over `semiring`."""
+    pointed = isinstance(imprint.maximal_elements()[0][0], tuple)
+    out = ImprintSet(semiring, pointed, cap=imprint.cap, label=f"{imprint.label}-base")
+    for key, r in imprint.maximal_elements():
+        out.insert((key[0], r) if pointed else r)
+    return out
+
+
+def augment(rho):
+    """The alphabet augmentation of a rating map (`rm_alphabet_augment`),
+    with no acceptance mask: the wide form the content-keyed engines are
+    compared in."""
+    return rm_alphabet_augment(Extension(rho, ()))
+
+
+def widen_item(item, width: int) -> int:
+    """A content-keyed item (B, r) as an element of the alphabet
+    augmentation whose content field is `width` bits wide: r with the
+    content {B} below it."""
+    bmask, r = item
+    return r << width | 1 << bmask
+
+
+def narrow_item(x: int, width: int) -> tuple:
+    """The content-keyed item of an element of an alphabet augmentation
+    whose content field holds one sub-alphabet: the inverse of
+    `widen_item`."""
+    content = x & (1 << width) - 1
+    assert content and content & content - 1 == 0, "not one content"
+    return content.bit_length() - 1, x >> width
+
+
+def widen(imprint: ImprintSet, aug) -> ImprintSet:
+    """A content-keyed imprint in the wide form of the alphabet augmentation
+    `aug` (`rm_alphabet_augment`): (B, r) as `widen_item`, and ((m, B), r)
+    as (m, that element), with the same sweep count.  Every item of the
+    keyed engines has one content, so this is the imprint that the wide
+    engines computed."""
+    width = 1 << len(aug.tau.alphabet)
+    pointed = isinstance(imprint.maximal_elements()[0][0], tuple)
+    out = ImprintSet(aug.tau.semiring, pointed, cap=imprint.cap, label=imprint.label)
+    for key, r in imprint.maximal_elements():
+        out.insert((key[0], widen_item((key[1], r), width)) if pointed
+                   else widen_item((key, r), width))
+    out.sweeps = imprint.sweeps
+    return out
+
+
+def cayley(alpha, alphabet: Alphabet) -> Dfa:
+    """The right Cayley graph of a monoid morphism as a complete DFA rooted
+    at the identity: the Σ1 engine pointed by it keys its items by monoid
+    element, as the engine pointed by the monoid did."""
+    return Dfa(alphabet, alpha.size, alpha.identity, frozenset(),
+               tuple(tuple(alpha.mul[m][alpha.letter_image[a]] for a in alphabet)
+                     for m in range(alpha.size)))
 
 
 # -- small constructions that the library does not need ------------------------
@@ -359,18 +416,18 @@ def cover_index_masks(cover, ext) -> frozenset:
                      for sub in saturation._mask_subsets(ext.index_set(ext.tau.eval_nfa(p))))
 
 
-def is_submonoid(imprint: ImprintSet) -> bool:
+def is_submonoid(imprint: ImprintSet, mon=None) -> bool:
     """True iff the unit lies in the imprint and the imprint is closed under
-    multiplication.
+    multiplication; a keyed imprint is over pairs of the monoid `mon` and
+    the rating set.
 
     Products are monotone in both arguments, so closure over the maximal
     elements together with downward closure implies full closure.
     """
     sr = imprint.semiring
     maxes = imprint.maximal_elements()
-    if imprint.monoid is None:
+    if not imprint.keyed:
         return sr.one in imprint and all(sr.mul(x, y) in imprint for x in maxes for y in maxes)
-    mon = imprint.monoid
     return ((mon.identity, sr.one) in imprint
             and all((mon.mul[m1][m2], sr.mul(r1, r2)) in imprint
                     for (m1, r1) in maxes for (m2, r2) in maxes))

@@ -11,14 +11,17 @@ equal images are merged into one: a union automaton of copies of the
 members (pieces, and (left, right) pairs that stand for left·letter·right)
 is determinized, minimized and trimmed.  Pieces carry no regex here.  Its
 saturation tests search each side apart, the reference for the one loop
-set per letter of `_Fo2State.peel_letter`.
+set per letter of `_Fo2State.peel_letter`.  It runs over the wide form:
+the alphabet augmentation (`rm_alphabet_augment`) and the saturated set in
+it, whose elements carry the set of word alphabets where `_Fo2State` keys
+its items by content.
 """
 
 from __future__ import annotations
 
-from regcov import DEFAULT_CAPS
-from regcov.covers import _Fo2State
+from regcov import DEFAULT_CAPS, SaturationCapError
 from regcov.fa import Nfa, alphabet_star, minimize
+from regcov.rating import reach
 
 from helpers import is_piece, trim
 
@@ -65,20 +68,53 @@ def letters(rho, subset: int) -> list:
     return [b for b in range(len(rho.alphabet)) if subset >> b & 1]
 
 
-class MergingFo2(_Fo2State):
-    """`_Fo2State` whose `build` merges pieces per image, and whose
+class MergingFo2:
+    """The fo2 recursion over an alphabet augmentation `rho` and its
+    saturated set, whose `build` merges pieces per image, and whose
     saturation tests on the left and right contexts search s_b·ρ(b)·s_b
     through the products t·x·ρ(b)·s_b and s_b·ρ(b)·x·t."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def __init__(self, rho, saturated, caps):
+        self.rho = rho
+        self.sr = rho.semiring
+        self.sat = saturated
+        self.caps = caps
         self._build_memo: dict = {}
         self._sb_memo: dict = {}
         self._reach_cache: dict = {}
 
+    def word_images(self, subset: int) -> set:
+        """Images of the words over B: the monoid generated by B's letters,
+        closed over a one-state automaton."""
+        letters = [img for k, img in enumerate(self.rho.letter_image) if subset >> k & 1]
+        return {elem for _, elem in reach(self.sr, [[0] * len(letters)], 0, letters,
+                                          self.caps.max_elements, "fo2 word images")}
+
     def s_b(self, subset: int) -> frozenset:
+        """Images of the nonempty languages over B* that lie in the saturated
+        set: the union, over the maxima m, of the sums of the word images
+        below m.  Elements of the augmented product are their own masks:
+        w <= m is w | m == m."""
         if subset not in self._sb_memo:
-            self._sb_memo[subset] = super().s_b(subset)
+            sr = self.sr
+            words = self.word_images(subset)
+            out: set = set()
+            for m in self.sat.maximal_elements():
+                below = [w for w in words if w | m == m]
+                sums = set(below)
+                work = list(below)
+                while work:
+                    e = work.pop()
+                    for w in below:
+                        x = sr.add(e, w)
+                        if x not in sums:
+                            if len(sums) >= self.caps.max_elements:
+                                raise SaturationCapError(self.caps.max_elements,
+                                                         "fo2-language-sums")
+                            sums.add(x)
+                            work.append(x)
+                out |= sums
+            self._sb_memo[subset] = frozenset(out)
         return self._sb_memo[subset]
 
     def right_reach(self, t, subset: int) -> frozenset:

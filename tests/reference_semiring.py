@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import random
 
-from regcov import InputError
-from regcov.semiring import (AlphabetSemiring, PowersetMonoidSemiring,
-                             RelationSemiring, Semiring)
+from regcov import Alphabet, InputError
+from regcov.rating import AlphabetSemiring
+from regcov.semiring import PowersetMonoidSemiring, RelationSemiring, Semiring
 
 
 class ScanRelationSemiring(RelationSemiring):
@@ -57,6 +57,10 @@ class ScanPowersetMonoidSemiring(PowersetMonoidSemiring):
 class ScanAlphabetSemiring(AlphabetSemiring):
     """Pairwise unions found by scanning every sub-alphabet."""
 
+    def __init__(self, alphabet: Alphabet):
+        super().__init__(alphabet)
+        self.nsub = 1 << len(alphabet)
+
     def mul(self, x, y):
         out = 0
         xs = [b for b in range(self.nsub) if x >> b & 1]
@@ -72,7 +76,8 @@ def scan_twin(part: Semiring) -> Semiring:
     if isinstance(part, RelationSemiring):
         return ScanRelationSemiring(part.q)
     if isinstance(part, AlphabetSemiring):       # a monoid powerset too
-        return ScanAlphabetSemiring(part.alphabet)
+        letters = part.nbits.bit_length() - 1    # nbits = 2^|A|
+        return ScanAlphabetSemiring(Alphabet("abcdefghijklmnop"[:letters]))
     if isinstance(part, PowersetMonoidSemiring):
         return ScanPowersetMonoidSemiring(part.monoid)
     raise TypeError(f"no scanning twin for {type(part).__name__}")

@@ -19,8 +19,9 @@ from regcov.fa import alphabet_exact
 
 import explicit_engine as explicit
 from explicit_engine import members, same_imprint, submasks
-from helpers import (cover_imprint, imprint_pullback, is_submonoid, piece_images_distinct,
-                     random_nfa, random_regex, rm_trivial_imprint, strip_content, union_nfa)
+from helpers import (cayley, cover_imprint, imprint_pullback, is_submonoid, piece_images_distinct,
+                     random_nfa, random_regex, rm_trivial_imprint, strip_content, union_nfa,
+                     widen)
 from templates import bsigma1_template_witness, template_unambiguous
 
 AB = Alphabet("ab")
@@ -112,11 +113,12 @@ def test_criterion_3_sigma1_oracle_equivalence(capsys):
 
 # -- criteria 4-6 share one corpus ------------------------------------------------------
 
-def _imprint_invariants_ok(imprint, oracle, trivial) -> bool:
-    """Equal to the explicit engine's imprint, a submonoid, and above the
+def _imprint_invariants_ok(imprint, oracle, trivial, mon=None) -> bool:
+    """Equal to the explicit engine's imprint, a submonoid (of pairs of the
+    monoid `mon` and the rating set, for a keyed imprint), and above the
     trivial imprint."""
     return (same_imprint(oracle, imprint)
-            and is_submonoid(imprint)
+            and is_submonoid(imprint, mon)
             and all(x in imprint for x in trivial))
 
 
@@ -151,8 +153,9 @@ def test_criteria_4_5_6_piecewise_corpus(capsys):
         i_at = at_imprint(tau)
         i_fo = saturate_universal(tau, ClassId.FO)
         aug = rm_alphabet_augment(ext)
-        s_fo2 = saturate_universal(aug.tau, ClassId.FO2)
-        i_fo2 = strip_content(aug, s_fo2, tau.semiring)
+        keyed_fo2 = saturate_universal(tau, ClassId.FO2)
+        s_fo2 = widen(keyed_fo2, aug)
+        i_fo2 = strip_content(keyed_fo2, tau.semiring)
         i_b1 = dec.raw_imprint
         if not (members(i_fo) <= members(i_fo2) <= members(i_at)):
             c5_viol += 1
@@ -166,17 +169,18 @@ def test_criteria_4_5_6_piecewise_corpus(capsys):
             c6_viol += 1
 
         alpha, _ = transition_monoid(target)
-        p1 = saturate_pointed(alpha, tau, ClassId.SIGMA1)
-        p2raw = saturate_pointed(alpha, aug.tau, ClassId.SIGMA2)
-        p2 = strip_content(aug, p2raw, tau.semiring)
+        p1 = saturate_pointed(cayley(alpha, AB), tau, ClassId.SIGMA1)
+        keyed_p2 = saturate_pointed(alpha, tau, ClassId.SIGMA2)
+        p2raw = widen(keyed_p2, aug)
+        p2 = strip_content(keyed_p2, tau.semiring)
         if not (members(p2) <= members(p1)):
             c5_viol += 1
         ptriv = members(rm_trivial_imprint(tau, alpha))
         if not _imprint_invariants_ok(p1, explicit.saturate_pointed(alpha, tau, ClassId.SIGMA1),
-                                      ptriv):
+                                      ptriv, alpha):
             c6_viol += 1
         if not (same_imprint(explicit.saturate_pointed(alpha, aug.tau, ClassId.SIGMA2), p2raw)
-                and is_submonoid(p2raw)):
+                and is_submonoid(p2raw, alpha)):
             c6_viol += 1
     elapsed = time.perf_counter() - t0
     with capsys.disabled():
@@ -200,9 +204,9 @@ def test_criterion_7_fo2_cover_optimality(capsys):
         ext = rm_from_multiset(langs)
         aug = rm_alphabet_augment(ext)
         assert aug.tau.semiring.log2_size() <= 12.3  # |R_augmented| <= 5000
-        sat = saturate_universal(aug.tau, ClassId.FO2)
-        cover = fo2_cover(aug.tau, sat)
-        if members(cover_imprint(cover, aug.tau)) != members(sat):
+        sat = saturate_universal(ext.tau, ClassId.FO2)
+        cover = fo2_cover(ext.tau, sat)
+        if members(cover_imprint(cover, aug.tau)) != members(widen(sat, aug)):
             failures += 1
         if not includes(universal_language(AB), union_nfa(cover, AB)):
             failures += 1

@@ -422,11 +422,11 @@ def test_a_class_without_synthesizer_says_why_it_gives_no_cover(capsys, cls):
         assert "synthesis" not in json.loads(out)["stats"]
 
 
-def wide_alphabet_instance(path) -> None:
-    """A target and an against language of 4 states over ten letters, each
-    transition drawn in (state, letter, state) order."""
+def wide_alphabet_instance(path, letters: str = "abcdefghij") -> None:
+    """A target and an against language of 4 states over ten letters (or
+    the letters given), each transition drawn in (state, letter, state)
+    order."""
     rng = random.Random(185)
-    letters = "abcdefghij"
 
     def lang(p):
         return {"alphabet": letters, "states": 4, "initials": [0], "finals": [3],
@@ -455,6 +455,64 @@ def test_relation_parts_over_ten_letters_decide(tmp_path, capsys):
     assert imprints["fo"] <= imprints["bsigma1"] <= imprints["at"]
 
 
+@pytest.mark.parametrize("letters, coverable", [("abcdefghij", True),
+                                                  ("abcdefghijklmnop", False)])
+def test_sigma1_over_wide_alphabets_decides_as_the_oracle(tmp_path, capsys, letters, coverable):
+    # the target's minimal DFA has 15 states over ten letters, and its
+    # transition monoid more than max_monoid elements: pointed by the
+    # monoid, both exited 3
+    path = tmp_path / "wide.json"
+    wide_alphabet_instance(path, letters)
+    code, out, err = run(capsys, ["cover", "--class", "sigma1", "--instance", str(path), "--json"])
+    assert code == 0, err
+    assert json.loads(out)["coverable"] is coverable
+    code, out, _ = run(capsys, ["oracle", "--which", "sigma1-sep", "--instance", str(path),
+                                "--json"])
+    assert code == 0 and json.loads(out)["separable"] is coverable
+
+
+def test_fo2_and_sigma2_over_ten_letters_decide(tmp_path, capsys):
+    # over the alphabet augmentation, 2^10 bits per element, both exited 3
+    # on max_alphabet_sets
+    path = tmp_path / "wide.json"
+    wide_alphabet_instance(path)
+    code, out, err = run(capsys, ["cover", "--class", "fo2", "--instance", str(path), "--json"])
+    assert code == 0, err
+    assert json.loads(out)["coverable"] is True
+    code, out, err = run(capsys, ["cover", "--class", "sigma2", "--alphabet", "abcdefghij",
+                                  "--target", "ab", "--against", "ba", "--json"])
+    assert code == 0, err
+    assert json.loads(out)["coverable"] is True
+
+
+def test_no_query_builds_the_wide_forms(monkeypatch, capsys):
+    # fo2 and sigma2 key their items by content and build no alphabet-set
+    # semiring; sigma1 points by the target's minimal DFA and builds no
+    # transition monoid of the target
+    from regcov import fa, rating, saturation
+
+    def wide(*args, **kwargs):
+        raise AssertionError("an alphabet-set semiring was built")
+
+    def monoid(*args, **kwargs):
+        raise AssertionError("a transition monoid was built")
+
+    monkeypatch.setattr(rating.AlphabetSemiring, "__init__", wide)
+    query = ["--alphabet", "abc", "--target", "(ab)+", "--against", "c(ac)+", "--json"]
+    argvs = [["cover", "--class", cls.value] + query for cls in ClassId]
+    argvs += [["cover", "--class", cls, "--emit-cover", "--verify"] + query
+              for cls in ("at", "sigma1", "bsigma1", "fo2")]
+    argvs.append(["separate", "--class", "fo2"] + query)
+    for argv in argvs:
+        with monkeypatch.context() as m:
+            if argv[2] == "sigma1":
+                m.setattr(fa, "transition_monoid", monoid)
+                m.setattr(saturation, "transition_monoid", monoid)
+            code, out, err = run(capsys, argv)
+        assert code == 0 and json.loads(out)["coverable"], (argv, err)
+    assert json.loads(out)["separator"]
+
+
 def test_a_decision_never_spells_out_a_sub_alphabet(monkeypatch, capsys):
     # below the parser a sub-alphabet is its bitmask: with the conversion to
     # text gone, every class decides, and every synthesizer builds and
@@ -475,25 +533,26 @@ def test_a_decision_never_spells_out_a_sub_alphabet(monkeypatch, capsys):
 
 
 def test_rating_set_log2_is_the_width_saturated_over(capsys):
-    # fo2 and sigma2 saturate over the alphabet augmentation, 2^|A| = 4 bits
-    # wider than the base map; a+, b+ and the complement of a+ each take a
-    # 3-element monoid.  A universal member query shares one part between
-    # the target and its complement: (ab)+ takes its 6-element monoid once,
-    # a^170+ its 171-element one (2 + 171 with the augmentation).  Two
+    # fo2 and sigma2 key their items by content, so they saturate over the
+    # base map, as the other classes do (over the alphabet augmentation they
+    # took 2^|A| = 4 more bits, and 2 more for a^170+); a+, b+ and the
+    # complement of a+ each take a 3-element monoid.  A universal member
+    # query shares one part between the target and its complement: (ab)+
+    # takes its 6-element monoid once, a^170+ its 171-element one.  Two
     # languages with one 2,048-state minimal DFA but raw NFAs of 24 and 44
     # states keep a relation part each: 24² + 44² = 2,512 bits
     tail = "(a|b)" * 10
     for argv, bits in (
             (["member", "--class", "bsigma1", "--alphabet", "ab", "--target", "(ab)+"], 6.0),
             (["member", "--class", "fo2", "--alphabet", "a", "--target", "a" * 170 + "+"],
-             173.0),
+             171.0),
             (["separate", "--class", "at", "--alphabet", "ab", "--target", "(a|b)*a" + tail,
               "--against", "(a|b)*b" + tail + "|" + "(a|b|%eps)" * 10], 2512.0),
             (["separate", "--class", "fo2", "--alphabet", "ab", "--target", "a+",
-              "--against", "b+"], 10.0),
+              "--against", "b+"], 6.0),
             (["separate", "--class", "fo", "--alphabet", "ab", "--target", "a+",
               "--against", "b+"], 6.0),
-            (["member", "--class", "sigma2", "--alphabet", "ab", "--target", "a+"], 7.0),
+            (["member", "--class", "sigma2", "--alphabet", "ab", "--target", "a+"], 3.0),
             (["member", "--class", "sigma1", "--alphabet", "ab", "--target", "a+"], 3.0)):
         code, out, _ = run(capsys, argv + ["--json"])
         assert code == 0
@@ -651,11 +710,20 @@ def test_a_corrupted_label_fails_the_separator_image_check(monkeypatch, capsys, 
     machine, zero = cover.machine, rho.semiring.zero
     sep = covers.separator(cover, nfa_of("(ab)+", "abc"), nfa_of("c(ac)+", "abc"))
     add = rho.semiring.add
-    image = functools.reduce(add, sep.labels, zero)
+    # an fo2 label is a (content, image) pair, summed per content; its image
+    # is the part corrupted
+    keyed = cls == "fo2"
+    content = (lambda label: label[0]) if keyed else (lambda label: None)
+    value = (lambda label: label[1]) if keyed else (lambda label: label)
+
+    def image(labels, key):
+        return functools.reduce(add, [value(y) for y in labels if content(y) == key], zero)
+
     # a label that the others' sum does not absorb, set to zero
     x = next(x for x in sorted(sep.labels)
-             if functools.reduce(add, sep.labels - {x}, zero) != image)
-    wrong = [zero if label == x else label for label in machine.labels]
+             if image(sep.labels - {x}, content(x)) != image(sep.labels, content(x)))
+    bad = (x[0], zero) if keyed else zero
+    wrong = [bad if label == x else label for label in machine.labels]
     monkeypatch.setattr(cli, name,
                         lambda *args: replace(cover, machine=machine._replace(labels=wrong)))
     with pytest.raises(AssertionError, match="image is not the sum of its labels"):
@@ -751,6 +819,18 @@ def test_ten_letter_at_separator_builds_no_piece(tmp_path):
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["coverable"] is True and doc["separator"] and doc["cover"] is None
+
+
+def test_ten_letter_at_cover_out_of_memory_exits_3(tmp_path):
+    # verifying the 1,020 pieces of the restricted cover runs out of a
+    # gigabyte in the subset tables of `fa.includes`; the last resort
+    # names the phase instead of printing a traceback (exit 1)
+    path = tmp_path / "wide.json"
+    wide_alphabet_instance(path)
+    proc = run_limited(["separate", "--class", "at", "--instance", str(path), "--emit-cover",
+                        "--verify"], mib=1024)
+    assert proc.returncode == 3 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.splitlines() == ["resource cap: cap 'memory' exceeded during verify"]
 
 
 def test_dense_fo2_separator_is_short():

@@ -26,8 +26,9 @@ from regcov.pieces import are_unions_of_classes, pt_partition
 import reference_covers
 import reference_fa
 from explicit_engine import downset, fo2_language_sums, members
-from helpers import (cover_imprint, cover_index_masks, eval_word, fiber_nfa, mask_of, nfa_of,
-                     nfas, piece_images_distinct, random_nfa, trim, union_nfa)
+from helpers import (augment, cayley, cover_imprint, cover_index_masks, eval_word, fiber_nfa,
+                     mask_of, narrow_item, nfa_of, nfas, piece_images_distinct, random_nfa,
+                     trim, union_nfa, widen, widen_item)
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -101,7 +102,7 @@ def test_sigma1_cover_optimality_matches_pointed_imprint():
         others = [random_nfa(rng, AB, 3) for _ in range(rng.randint(1, 3))]
         alpha, acc = transition_monoid(target)
         ext = rm_from_multiset(others)
-        pointed = saturate_pointed(alpha, ext.tau, ClassId.SIGMA1)
+        pointed = saturate_pointed(cayley(alpha, AB), ext.tau, ClassId.SIGMA1)
         want = {r for (m, r) in members(pointed) if m in acc}
         cov = sigma1_cover(target, ext.tau)
         sr = ext.tau.semiring
@@ -368,15 +369,20 @@ def test_run_cover_refuses_an_optimal_cover_that_fails_the_class_check(
 
 def fo2_node_pieces(rho, sat, subset: int, left, right, state=None) -> list:
     """The pieces of one node of the fo2 recursion, for the sub-alphabet
-    mask B: a cover of B* whose pieces K are labelled by their images in
-    context, left·ρ(K)·right, all in the saturated set."""
+    mask B: a cover of B* whose pieces K are labelled by their contents and
+    images in context, left·ρ(K)·right, all in the saturated set.  The
+    images are evaluated in the alphabet augmentation, where each label is
+    the element with its one content (`widen_item`)."""
     state = state or covers._Fo2State(rho, sat, DEFAULT_CAPS)
     delta, labels = state.machine(subset, left, right, True)
     pieces = covers._label_pieces(rho.alphabet, delta, 0, labels)
-    sr = rho.semiring
-    in_context = [sr.mul(sr.mul(left, rho.eval_nfa(p)), right) for p in pieces]
-    assert in_context == [x for x in dict.fromkeys(labels) if x is not None]
-    assert all(x in sat for x in in_context)
+    wide, width = augment(rho).tau, 1 << len(rho.alphabet)
+    sr = wide.semiring
+    in_context = [sr.mul(sr.mul(widen_item(left, width), wide.eval_nfa(p)),
+                         widen_item(right, width)) for p in pieces]
+    distinct = [x for x in dict.fromkeys(labels) if x is not None]
+    assert in_context == [widen_item(x, width) for x in distinct]
+    assert all(x in sat for x in distinct)
     return pieces
 
 
@@ -384,17 +390,17 @@ def test_fo2_cover_base_case_emits_whole_star():
     # with saturated context elements the recursion stops at {B*} right away
     ext = rm_from_multiset([nfa_of("a*", "a")])
     aug = rm_alphabet_augment(ext)
-    tau = aug.tau
+    tau = ext.tau
     sat = saturate_universal(tau, ClassId.FO2)
-    e = tau.semiring.idempotent_power(eval_word(tau, "a"))
+    e = (mask_of(A1, "a"), tau.semiring.idempotent_power(eval_word(tau, "a")))
     assert e in sat
     pieces = fo2_node_pieces(tau, sat, mask_of(A1, "a"), e, e)
     assert len(pieces) == 1
     assert equivalent(pieces[0], universal_language(A1))
     # the top-level cover is optimal regardless of how many pieces it takes
     top = fo2_cover(tau, sat)
-    assert members(cover_imprint(top, tau)) == members(sat)
-    assert piece_images_distinct(top, tau)
+    assert members(cover_imprint(top, aug.tau)) == members(widen(sat, aug))
+    assert piece_images_distinct(top, aug.tau)
     assert includes(universal_language(A1), union_nfa(top, A1))
 
 
@@ -403,7 +409,7 @@ def test_fo2_every_node_labels_its_pieces_in_context():
     dec = decide_universal_covering(rm_from_multiset(langs), ClassId.FO2, target_index=0)
     rho, sat = dec.rating_map, dec.raw_imprint
     state = covers._Fo2State(rho, sat, DEFAULT_CAPS)
-    one = rho.semiring.one
+    one = (0, rho.semiring.one)
     state.node(0b111, one, one)
     nodes = list(state._nodes)
     assert sum(key[1:] != (one, one) for key in nodes) > 10
@@ -413,10 +419,9 @@ def test_fo2_every_node_labels_its_pieces_in_context():
 
 def test_fo2_cover_empty_subalphabet():
     ext = rm_from_multiset([nfa_of("a+", "ab")])
-    aug = rm_alphabet_augment(ext)
-    sat = saturate_universal(aug.tau, ClassId.FO2)
-    one = aug.tau.semiring.one
-    pieces = fo2_node_pieces(aug.tau, sat, 0, one, one)
+    sat = saturate_universal(ext.tau, ClassId.FO2)
+    one = (0, ext.tau.semiring.one)
+    pieces = fo2_node_pieces(ext.tau, sat, 0, one, one)
     assert len(pieces) == 1
     nfa = pieces[0]
     assert nfa.accepts("") and is_empty(nfa_intersection(nfa, nfa_of("a|b", "ab")))
@@ -428,9 +433,9 @@ def test_fo2_cover_top_level_imprint_equals_saturation():
         langs = [random_nfa(rng, AB, 2) for _ in range(rng.randint(1, 2))]
         ext = rm_from_multiset(langs)
         aug = rm_alphabet_augment(ext)
-        sat = saturate_universal(aug.tau, ClassId.FO2)
-        cov = fo2_cover(aug.tau, sat)
-        assert members(cover_imprint(cov, aug.tau)) == members(sat)
+        sat = saturate_universal(ext.tau, ClassId.FO2)
+        cov = fo2_cover(ext.tau, sat)
+        assert members(cover_imprint(cov, aug.tau)) == members(widen(sat, aug))
         assert includes(universal_language(AB), union_nfa(cov, AB))
         assert piece_images_distinct(cov, aug.tau)
 
@@ -439,11 +444,12 @@ def test_fo2_cover_merges_same_image_pieces():
     # the worked example: before merging, the recursion built more than
     # max_pieces pieces; now each node keeps one piece per image
     langs = [nfa_of("(ab)+", "abc"), nfa_of("c(ac)+", "abc")]
-    aug = rm_alphabet_augment(rm_from_multiset(langs))
-    sat = saturate_universal(aug.tau, ClassId.FO2)
-    cov = fo2_cover(aug.tau, sat)
+    ext = rm_from_multiset(langs)
+    aug = rm_alphabet_augment(ext)
+    sat = saturate_universal(ext.tau, ClassId.FO2)
+    cov = fo2_cover(ext.tau, sat)
     assert piece_images_distinct(cov, aug.tau)
-    assert members(cover_imprint(cov, aug.tau)) == members(sat)
+    assert members(cover_imprint(cov, aug.tau)) == members(widen(sat, aug))
     assert includes(universal_language(ABC), union_nfa(cov, ABC))
 
 
@@ -482,14 +488,15 @@ def test_fo2_pieces_match_the_merging_reference(monkeypatch):
     for langs in fo2_instances():
         dec = decide_universal_covering(rm_from_multiset(langs), ClassId.FO2, target_index=0)
         rho = dec.rating_map
+        aug = augment(rho)
         peeled.clear()
         flipped.clear()
         cov = fo2_cover(rho, dec.raw_imprint)
         keys = [key for key, _ in peeled]
         assert len(set(keys)) == len(keys) and len(set(flipped)) == len(flipped)
         assert {forward for _, forward in peeled} == {True, False}
-        want = reference_covers.fo2_pieces(rho, dec.raw_imprint)
-        images = [rho.eval_nfa(p) for p in cov.pieces]
+        want = reference_covers.fo2_pieces(aug.tau, widen(dec.raw_imprint, aug))
+        images = [aug.tau.eval_nfa(p) for p in cov.pieces]
         assert len(images) == len(want) and set(images) == set(want)
         for img, piece in zip(images, cov.pieces):   # equal minimal DFAs: equivalent
             assert fa.minimize(piece) == fa.minimize(want[img])
@@ -499,9 +506,10 @@ def test_fo2_pieces_match_the_merging_reference(monkeypatch):
 def test_fo2_pieces_match_the_merging_reference_on_shrinking_nfas(langs):
     dec = decide_universal_covering(rm_from_multiset(langs), ClassId.FO2, target_index=0)
     rho = dec.rating_map
+    aug = augment(rho)
     cov = fo2_cover(rho, dec.raw_imprint)
-    want = reference_covers.fo2_pieces(rho, dec.raw_imprint)
-    images = [rho.eval_nfa(p) for p in cov.pieces]
+    want = reference_covers.fo2_pieces(aug.tau, widen(dec.raw_imprint, aug))
+    images = [aug.tau.eval_nfa(p) for p in cov.pieces]
     assert len(images) == len(want) and set(images) == set(want)
     for img, piece in zip(images, cov.pieces):   # both trimmed minimal DFAs
         assert piece == want[img]
@@ -520,8 +528,8 @@ def test_fo2_peel_copies_each_child_context_once(monkeypatch):
         frames.append(([], []))
         out = peel(self, subset, left, right, b, forward, f_and_children)
         child_keys, calls = frames.pop()
-        mul, bimg = self.sr.mul, self.rho.letter_image[b]
-        f_key = (subset & ~(1 << b), self.sr.one, self.sr.one, forward)
+        mul, bimg = self.mul, (1 << b, self.rho.letter_image[b])
+        f_key = (subset & ~(1 << b), self.one, self.one, forward)
         assert f_and_children[0] is self._machines[f_key]
         f_delta, f_labels = self._machines[f_key]
         contexts = {mul(mul(left, x), bimg) if forward else mul(mul(bimg, x), right)
@@ -569,11 +577,13 @@ def test_fo2_cover_of_many_node_labels_fits_the_default_caps():
     langs = [random_nfa(rng, ABC, 3, 0.35) for _ in range(rng.randint(2, 3))]
     dec = decide_universal_covering(rm_from_multiset(langs), ClassId.FO2, target_index=0)
     rho, sat = dec.rating_map, dec.raw_imprint
+    aug = augment(rho)
     cov = fo2_cover(rho, sat)
     assert len(cov.pieces) == 101
-    assert set(cover_imprint(cov, rho).maximal_elements()) == set(sat.maximal_elements())
+    assert (set(cover_imprint(cov, aug.tau).maximal_elements())
+            == set(widen(sat, aug).maximal_elements()))
     assert includes(universal_language(ABC), union_nfa(cov, ABC))
-    assert piece_images_distinct(cov, rho)
+    assert piece_images_distinct(cov, aug.tau)
 
 
 @pytest.mark.parametrize("target, against", [
@@ -598,10 +608,11 @@ def test_fo2_merges_once_per_group(monkeypatch, target, against):
 
     monkeypatch.setattr(covers._Fo2State, "_peel", counted)
     cov = fo2_cover(rho, dec.raw_imprint)
+    aug = augment(rho)
     assert keys and len(keys) == len(set(keys))
-    assert piece_images_distinct(cov, rho)
-    want = reference_covers.fo2_pieces(rho, dec.raw_imprint)
-    images = [rho.eval_nfa(p) for p in cov.pieces]
+    assert piece_images_distinct(cov, aug.tau)
+    want = reference_covers.fo2_pieces(aug.tau, widen(dec.raw_imprint, aug))
+    images = [aug.tau.eval_nfa(p) for p in cov.pieces]
     assert set(images) == set(want)
     for img, piece in zip(images, cov.pieces):
         assert fa.minimize(piece) == fa.minimize(want[img])
@@ -629,7 +640,7 @@ def test_flipped_node_machine_is_minimal():
     langs = [nfa_of("(a*|bc)*", "abc"), nfa_of("cc(b|c)c", "abc")]
     dec = decide_universal_covering(rm_from_multiset(langs), ClassId.FO2, target_index=0)
     state = covers._Fo2State(dec.rating_map, dec.raw_imprint, DEFAULT_CAPS)
-    state.node(0b111, dec.rating_map.semiring.one, dec.rating_map.semiring.one)
+    state.node(0b111, (0, dec.rating_map.semiring.one), (0, dec.rating_map.semiring.one))
     machines = [m for _, m in state._nodes.values()]
     assert len(machines) > 20
     for delta, labels in machines:
@@ -647,12 +658,14 @@ def test_fo2_per_maximum_sums_equal_the_full_closure():
     for alphabet in (AB, ABC):
         for _ in range(12):
             langs = [random_nfa(rng, alphabet, 2, 0.35) for _ in range(rng.randint(1, 2))]
-            aug = rm_alphabet_augment(rm_from_multiset(langs))
-            sat = saturate_universal(aug.tau, ClassId.FO2)
-            state = _Fo2State(aug.tau, sat, DEFAULT_CAPS)
+            ext = rm_from_multiset(langs)
+            aug = rm_alphabet_augment(ext)
+            sat = saturate_universal(ext.tau, ClassId.FO2)
+            state = _Fo2State(ext.tau, sat, DEFAULT_CAPS)
+            wide, width = widen(sat, aug), 1 << len(alphabet)
             for subset in range(1 << len(alphabet)):
-                expected = {x for x in fo2_language_sums(aug.tau, subset) if x in sat}
-                assert state.s_b(subset) == expected
+                expected = {x for x in fo2_language_sums(aug.tau, subset) if x in wide}
+                assert {widen_item(x, width) for x in state.s_b(subset)} == expected
 
 
 @given(st.sampled_from([AB, ABC]).flatmap(
@@ -662,18 +675,22 @@ def test_fo2_peel_letter_matches_the_two_sided_reference(langs, data):
     # one loop set s_b·ρ(b)·s_b per letter answers the saturation test on
     # either side: the first letter at which a context is not saturated is
     # the one the reference finds through t·x·ρ(b)·s_b and s_b·ρ(b)·x·t
-    rho = rm_alphabet_augment(rm_from_multiset(langs)).tau
+    ext = rm_from_multiset(langs)
+    aug = rm_alphabet_augment(ext)
+    rho, width = ext.tau, 1 << len(ext.tau.alphabet)
     sat = saturate_universal(rho, ClassId.FO2)
     state = covers._Fo2State(rho, sat, DEFAULT_CAPS)
-    ref = reference_covers.MergingFo2(rho, sat, DEFAULT_CAPS)
-    mul = rho.semiring.mul
-    words = st.sampled_from(sorted(state._word_images((1 << len(rho.alphabet)) - 1)))
+    ref = reference_covers.MergingFo2(aug.tau, widen(sat, aug), DEFAULT_CAPS)
+    mul = aug.tau.semiring.mul
+    words = st.sampled_from(sorted(widen_item(x, width) for x in
+                                   state._word_images((1 << len(rho.alphabet)) - 1)))
     for subset in range(1 << len(rho.alphabet)):
         sb = st.sampled_from(sorted(ref.s_b(subset)))
         contexts = st.one_of(words, st.tuples(sb, sb).map(lambda xy: mul(*xy)))
         for t in data.draw(st.lists(contexts, min_size=1, max_size=6)):
-            assert state.peel_letter(t, subset, True) == ref.right_saturated(t, subset)
-            assert state.peel_letter(t, subset, False) == ref.left_saturated(t, subset)
+            item = narrow_item(t, width)
+            assert state.peel_letter(item, subset, True) == ref.right_saturated(t, subset)
+            assert state.peel_letter(item, subset, False) == ref.left_saturated(t, subset)
 
 
 def test_fo2_language_sums_cap_allows_exactly_max_elements():
@@ -682,20 +699,20 @@ def test_fo2_language_sums_cap_allows_exactly_max_elements():
     from regcov.covers import _Fo2State
 
     a_or_bb = fa.Nfa(AB, 2, {0}, {0}, {(0, "a", 0), (0, "b", 1), (1, "b", 0)})
-    aug = rm_alphabet_augment(rm_from_multiset([universal_language(AB), a_or_bb]))
-    sat = saturate_universal(aug.tau, ClassId.FO2)
+    rho = rm_from_multiset([universal_language(AB), a_or_bb]).tau
+    sat = saturate_universal(rho, ClassId.FO2)
     subset = 0b11
-    words = _Fo2State(aug.tau, sat, DEFAULT_CAPS)._word_images(subset)
+    words = _Fo2State(rho, sat, DEFAULT_CAPS)._word_images(subset)
     most = max(len({functools.reduce(operator.or_, combo)
                     for n in range(1, len(below) + 1)
                     for combo in itertools.combinations(below, n)})
-               for m in sat.maximal_elements()
-               for below in [[w for w in words if w | m == m]])
+               for c, m in sat.maximal_elements()
+               for below in [[w for d, w in words if d == c and w | m == m]])
     assert len(words) < most == 16
-    full = _Fo2State(aug.tau, sat, DEFAULT_CAPS).s_b(subset)
-    assert _Fo2State(aug.tau, sat, Caps(max_elements=most)).s_b(subset) == full
+    full = _Fo2State(rho, sat, DEFAULT_CAPS).s_b(subset)
+    assert _Fo2State(rho, sat, Caps(max_elements=most)).s_b(subset) == full
     with pytest.raises(SaturationCapError, match="fo2-language-sums"):
-        _Fo2State(aug.tau, sat, Caps(max_elements=most - 1)).s_b(subset)
+        _Fo2State(rho, sat, Caps(max_elements=most - 1)).s_b(subset)
 
 
 def test_every_synthesizer_builds_trimmed_minimal_pieces():

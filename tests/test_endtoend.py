@@ -40,8 +40,8 @@ def test_fo2_decide_iff_cover_separating():
         ext = rm_from_multiset(langs)
         dec = decide_universal_covering(ext, ClassId.FO2)
         aug = rm_alphabet_augment(ext)
-        sat = saturate_universal(aug.tau, ClassId.FO2)
-        cover = fo2_cover(aug.tau, sat)
+        sat = saturate_universal(ext.tau, ClassId.FO2)
+        cover = fo2_cover(ext.tau, sat)
         assert piece_images_distinct(cover, aug.tau)
         report = verify_cover(cover, universal_language(AB), langs)
         assert report.covers_target
@@ -143,16 +143,15 @@ def test_downward_closure_oracle_semantics():
 def test_sigma1_full_covering_matches_downclosure_oracle():
     # the whole per-subset verdict table agrees with the independent
     # piece-closure characterization, for multisets up to three languages
-    from regcov import ClassId, decide_pointed_covering, transition_monoid
+    from regcov import ClassId, decide_pointed_covering
     import oracles
 
     rng = random.Random(887)
     for _ in range(15):
         target = random_nfa(rng, AB, 2, 0.4)
         langs = [random_nfa(rng, AB, 2, 0.35) for _ in range(rng.randint(1, 3))]
-        alpha, acc = transition_monoid(target)
         ext = rm_from_multiset(langs)
-        dec = decide_pointed_covering(alpha, acc, ext, ClassId.SIGMA1)
+        dec = decide_pointed_covering(target, ext, ClassId.SIGMA1)
         n = len(langs)
         for mask in range(1, 1 << n):
             subset = [langs[i] for i in range(n) if mask >> i & 1]
@@ -183,7 +182,7 @@ def test_cover_mask_imprints_equal_decision_tables():
 
         dec_f2 = decide_universal_covering(ext, ClassId.FO2)
         aug = rm_alphabet_augment(ext)
-        cov = fo2_cover(aug.tau, saturate_universal(aug.tau, ClassId.FO2))
+        cov = fo2_cover(ext.tau, saturate_universal(ext.tau, ClassId.FO2))
         assert piece_images_distinct(cov, aug.tau)
         assert cover_index_masks(cov, ext) == dec_f2.imprint_masks
 
@@ -196,14 +195,13 @@ def construction_verdicts(langs, target) -> list:
     from regcov import (decide_pointed_covering, minimize, rm_from_morphism, rm_from_nfa,
                         transition_monoid)
 
-    alpha, acc = transition_monoid(target)
     out = []
     for build in (lambda l: rm_from_nfa(minimize(l).as_nfa()), rm_from_nfa,
                   lambda l: rm_from_morphism(*transition_monoid(l))):
         ext = multiset_ext([build(l) for l in langs])
         ds = [decide_universal_covering(ext, cid)
               for cid in (ClassId.AT, ClassId.BSIGMA1, ClassId.FO, ClassId.FO2)]
-        ds += [decide_pointed_covering(alpha, acc, ext, cid)
+        ds += [decide_pointed_covering(target, ext, cid)
                for cid in (ClassId.SIGMA1, ClassId.SIGMA2)]
         out.append({d.class_id: (d.imprint_masks, d.coverable) for d in ds})
     return out
@@ -232,15 +230,14 @@ def test_decisions_independent_of_rating_construction():
 
 def six_class_verdicts(target, langs):
     """Whether the target is coverable against langs, for all six classes."""
-    from regcov import decide_pointed_covering, transition_monoid
+    from regcov import decide_pointed_covering
 
     ext = rm_from_multiset([target] + langs)
     verdicts = {cid: decide_universal_covering(ext, cid, target_index=0).coverable
                 for cid in (ClassId.AT, ClassId.BSIGMA1, ClassId.FO, ClassId.FO2)}
-    alpha, acc = transition_monoid(target)
     ext2 = rm_from_multiset(langs)
     for cid in (ClassId.SIGMA1, ClassId.SIGMA2):
-        verdicts[cid] = decide_pointed_covering(alpha, acc, ext2, cid).coverable
+        verdicts[cid] = decide_pointed_covering(target, ext2, cid).coverable
     return verdicts
 
 

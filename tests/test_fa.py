@@ -390,7 +390,7 @@ def _fo2_state(caps):
     langs = [nfa_of("(ab)+", "abc"), nfa_of("c(ac)+", "abc")]
     dec = decide_universal_covering(rm_from_multiset(langs), ClassId.FO2, target_index=0)
     state = _Fo2State(dec.rating_map, dec.raw_imprint, DEFAULT_CAPS)
-    one = dec.rating_map.semiring.one
+    one = (0, dec.rating_map.semiring.one)
     state.node(0b111, one, one)
     machine = max((m for _, m in state._nodes.values()), key=lambda m: len(m[0]))
     return _Fo2State(dec.rating_map, dec.raw_imprint, caps), machine

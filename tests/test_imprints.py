@@ -1,10 +1,10 @@
-"""Antichain imprints: dominance, membership, pointed fibers and the cap."""
+"""Antichain imprints: dominance, membership, keyed fibers and the cap."""
 
 import random
 
 import pytest
 
-from regcov import ImprintSet, MonoidMorphism, SaturationCapError
+from regcov import ImprintSet, SaturationCapError
 from regcov.semiring import RelationSemiring
 
 from explicit_engine import members
@@ -28,8 +28,7 @@ def test_insert_keeps_only_maxima():
 
 def test_pointed_fibers_are_separate():
     sr = RelationSemiring(2)
-    z2 = MonoidMorphism(2, 0, ((0, 1), (1, 0)), {"a": 1})
-    imp = ImprintSet(sr, monoid=z2)
+    imp = ImprintSet(sr, keyed=True)
     x = sr.pair(0, 0) | sr.pair(1, 1)
     imp.insert((0, x))
     imp.insert((1, sr.pair(0, 0)))
@@ -67,9 +66,8 @@ def test_cap_counts_maxima():
 
 def test_inserting_a_maximum_again_queues_nothing():
     sr = RelationSemiring(2)
-    z2 = MonoidMorphism(2, 0, ((0, 1), (1, 0)), {"a": 1})
     for imp, item in ((ImprintSet(RelationSemiring(2)), 0b0110),
-                      (ImprintSet(sr, monoid=z2), (1, sr.pair(0, 1)))):
+                      (ImprintSet(sr, keyed=True), (1, sr.pair(0, 1)))):
         assert imp.insert(item)
         queued = len(imp.queue)
         assert not imp.insert(item)
@@ -78,8 +76,7 @@ def test_inserting_a_maximum_again_queues_nothing():
 
 def test_widest_tracks_the_widest_maximum_of_each_fiber():
     sr = RelationSemiring(3)
-    z3 = MonoidMorphism(3, 0, ((0, 1, 2), (1, 2, 0), (2, 0, 1)), {"a": 1})
-    imp = ImprintSet(sr, monoid=z3)
+    imp = ImprintSet(sr, keyed=True)
     rng = random.Random(4242)
     for _ in range(400):
         bits = rng.getrandbits(9) & rng.getrandbits(9)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from regcov import (DEFAULT_CAPS, Alphabet, Caps, ClassId, InputError, MonoidCapError,
-                    Nfa, PowersetMonoidSemiring, ProductSemiring, RatingMap, RelationSemiring,
-                    SaturationCapError, at_imprint, decide_universal_covering,
+from regcov import (DEFAULT_CAPS, Alphabet, AlphabetSemiring, Caps, ClassId, InputError,
+                    MonoidCapError, Nfa, PowersetMonoidSemiring, ProductSemiring, RatingMap,
+                    RelationSemiring, SaturationCapError, at_imprint, decide_universal_covering,
                     is_empty, minimize, nfa_complement, nfa_intersection, nfa_union, regex_to_nfa,
                     rm_alphabet_augment, rm_from_morphism, rm_from_multiset,
                     rm_from_nfa, transition_monoid, universal_language)
@@ -150,8 +150,8 @@ def test_alphabet_augment():
     ext = rm_from_multiset([nfa_of("a+", "ab")])
     aug = rm_alphabet_augment(ext)
     tau = aug.tau
-    assert tau.cont is not None
-    width = tau.cont.nbits
+    assert isinstance(tau.semiring.parts[-1], AlphabetSemiring)
+    width = tau.semiring.parts[-1].nbits
     assert eval_word(tau, "") == tau.semiring.one
     # cont of the image of exactly-B words is {B}
     for subset_mask, subset in [(0, ""), (1, "a"), (2, "b"), (3, "ab")]:
@@ -170,13 +170,29 @@ def test_cont_matches_alphabets_of_words():
     rng = random.Random(7)
     for _ in range(15):
         k = regex_to_nfa(random_regex(rng, "ab", 3), AB)
-        got = aug.tau.eval_nfa(k) & (1 << aug.tau.cont.nbits) - 1
+        got = aug.tau.eval_nfa(k) & (1 << (1 << len(AB))) - 1
         want = 0
         for mask in range(4):
             atom = alphabet_exact(AB, AB.from_mask(mask))
             if not is_empty(nfa_intersection(k, atom)):
                 want |= 1 << mask
         assert got == want
+
+
+def test_content_resolved_image_sums_each_alphabet_atom():
+    # eval_nfa by content maps each content of the accepted words to the
+    # image of the words of that content: the image of the language cut to
+    # the atom of words of exactly that alphabet
+    ext = rm_from_multiset([nfa_of("a+", "abc"), nfa_of("(ab)+c", "abc")])
+    rng = random.Random(8)
+    for _ in range(20):
+        k = regex_to_nfa(random_regex(rng, "abc", 3), ABC)
+        want = {}
+        for mask in range(8):
+            cut = nfa_intersection(k, alphabet_exact(ABC, ABC.from_mask(mask)))
+            if not is_empty(cut):
+                want[mask] = ext.tau.eval_nfa(cut)
+        assert ext.tau.eval_nfa(k, by_content=True) == want
 
 
 def test_trivial_imprint_brute_force():
@@ -223,7 +239,9 @@ def test_imprint_pullback_identity_and_zero():
     imp2 = ImprintSet(aug.tau.semiring)
     imp2.insert(aug.tau.semiring.zero)
     assert members(imprint_pullback(aug, imp2)) == {0}
-    assert members(strip_content(aug, imp2, tau.semiring)) == {tau.semiring.zero}
+    keyed = ImprintSet(tau.semiring, keyed=True)
+    keyed.insert((0, tau.semiring.zero))
+    assert members(strip_content(keyed, tau.semiring)) == {tau.semiring.zero}
 
 
 def test_extension_pullback_at_imprint():

@@ -3,18 +3,19 @@
 import random
 
 import pytest
+from hypothesis import given, reject, strategies as st
 
-from regcov import (Alphabet, ClassId, ImprintSet, InputError, at_imprint,
+from regcov import (Alphabet, ClassId, ImprintSet, InputError, ResourceCapError, at_imprint,
                     alphabet_exact, decide_pointed_covering, decide_universal_covering,
-                    is_empty, nfa_concat, nfa_intersection, regex_to_nfa,
+                    is_empty, minimize, nfa_concat, nfa_intersection, regex_to_nfa,
                     rm_alphabet_augment, rm_from_multiset, saturate_pointed,
                     saturate_universal, transition_monoid, upward_closure)
 from regcov import saturation
 import explicit_engine as explicit
 import reference_saturation as reference
 from explicit_engine import downset, members, same_imprint
-from helpers import (LifoImprintSet, eval_word, is_submonoid, leq, nfa_of, random_nfa,
-                     random_regex, rm_trivial_imprint, strip_content)
+from helpers import (LifoImprintSet, cayley, eval_word, is_submonoid, leq, nfa_of, nfas,
+                     random_nfa, random_regex, rm_trivial_imprint, strip_content, widen)
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -40,9 +41,8 @@ def test_single_letter_all_classes_full_lattice():
     for cid in (ClassId.BSIGMA1, ClassId.FO):
         got = saturate_universal(tau, cid)
         assert members(got) == want, cid
-    aug = rm_alphabet_augment(ext)
-    got2 = saturate_universal(aug.tau, ClassId.FO2)
-    assert members(strip_content(aug, got2, tau.semiring)) == want
+    got2 = saturate_universal(tau, ClassId.FO2)
+    assert members(strip_content(got2, tau.semiring)) == want
 
 
 def test_bsigma1_rule_fires_for_every_subalphabet():
@@ -55,12 +55,13 @@ def test_bsigma1_rule_fires_for_every_subalphabet():
         assert sr.idempotent_power(exact) in got
 
 
-def test_fo2_requires_alphabet_compatibility():
-    ext = rm_from_multiset([nfa_of("a+", "ab")])
-    with pytest.raises(InputError, match="alphabet-compatible"):
-        saturate_universal(ext.tau, ClassId.FO2)
-    alpha, _ = transition_monoid(nfa_of("a+", "ab"))
-    with pytest.raises(InputError, match="alphabet-compatible"):
+def test_pointed_engines_refuse_a_pointer_over_another_alphabet():
+    ext = rm_from_multiset([nfa_of("a+", "abc")])
+    target = nfa_of("a+", "ab")
+    with pytest.raises(InputError, match="alphabets differ"):
+        saturate_pointed(minimize(target), ext.tau, ClassId.SIGMA1)
+    alpha, _ = transition_monoid(target)
+    with pytest.raises(InputError, match="alphabets differ"):
         saturate_pointed(alpha, ext.tau, ClassId.SIGMA2)
 
 
@@ -83,7 +84,7 @@ def test_structural_invariants_universal():
             assert is_submonoid(got)
             assert all(x in got for x in members(triv))
         aug = rm_alphabet_augment(ext)
-        got = saturate_universal(aug.tau, ClassId.FO2)
+        got = widen(saturate_universal(ext.tau, ClassId.FO2), aug)
         assert same_imprint(explicit.saturate_universal(aug.tau, ClassId.FO2), got)
         assert is_submonoid(got)
         assert all(x in got for x in members(rm_trivial_imprint(aug.tau)))
@@ -95,20 +96,20 @@ def test_structural_invariants_pointed():
         target = random_nfa(rng, AB, 2)
         alpha, _ = transition_monoid(target)
         ext = rm_from_multiset(nfas)
-        p1 = saturate_pointed(alpha, ext.tau, ClassId.SIGMA1)
+        p1 = saturate_pointed(cayley(alpha, AB), ext.tau, ClassId.SIGMA1)
         assert same_imprint(explicit.saturate_pointed(alpha, ext.tau, ClassId.SIGMA1), p1)
-        assert is_submonoid(p1)
+        assert is_submonoid(p1, alpha)
         assert all(x in p1 for x in members(rm_trivial_imprint(ext.tau, alpha)))
         aug = rm_alphabet_augment(ext)
-        p2 = saturate_pointed(alpha, aug.tau, ClassId.SIGMA2)
+        p2 = widen(saturate_pointed(alpha, ext.tau, ClassId.SIGMA2), aug)
         assert same_imprint(explicit.saturate_pointed(alpha, aug.tau, ClassId.SIGMA2), p2)
-        assert is_submonoid(p2)
+        assert is_submonoid(p2, alpha)
 
 
 def test_sigma1_rule_element_present():
     ext = rm_from_multiset([nfa_of("b+", "ab")])
     alpha, _ = transition_monoid(nfa_of("a+", "ab"))
-    got = saturate_pointed(alpha, ext.tau, ClassId.SIGMA1)
+    got = saturate_pointed(cayley(alpha, AB), ext.tau, ClassId.SIGMA1)
     assert (alpha.identity, ext.tau.image_of_star(0b11)) in got
 
 
@@ -125,8 +126,7 @@ def test_determinism_under_reversed_worklist(monkeypatch):
         ext = rm_from_multiset(nfas)
         a, b = both_orders(ext.tau, ClassId.BSIGMA1)
         assert a == b
-        aug = rm_alphabet_augment(ext)
-        a2, b2 = both_orders(aug.tau, ClassId.FO2)
+        a2, b2 = both_orders(ext.tau, ClassId.FO2)
         assert a2 == b2
 
 
@@ -137,8 +137,7 @@ def test_class_chain_monotone():
         i_at = at_imprint(tau)
         i_fo = saturate_universal(tau, ClassId.FO)
         i_bs1 = saturate_universal(tau, ClassId.BSIGMA1)
-        aug = rm_alphabet_augment(ext)
-        i_fo2 = strip_content(aug, saturate_universal(aug.tau, ClassId.FO2), tau.semiring)
+        i_fo2 = strip_content(saturate_universal(tau, ClassId.FO2), tau.semiring)
         assert members(i_fo) <= members(i_fo2)
         assert members(i_fo) <= members(i_bs1)
         assert members(i_fo2) <= members(i_at)
@@ -151,10 +150,8 @@ def test_pointed_chain_sigma2_below_sigma1():
         target = random_nfa(rng, AB, 2)
         alpha, _ = transition_monoid(target)
         ext = rm_from_multiset(nfas)
-        p1 = saturate_pointed(alpha, ext.tau, ClassId.SIGMA1)
-        aug = rm_alphabet_augment(ext)
-        p2raw = saturate_pointed(alpha, aug.tau, ClassId.SIGMA2)
-        p2 = strip_content(aug, p2raw, ext.tau.semiring)
+        p1 = saturate_pointed(cayley(alpha, AB), ext.tau, ClassId.SIGMA1)
+        p2 = strip_content(saturate_pointed(alpha, ext.tau, ClassId.SIGMA2), ext.tau.semiring)
         assert members(p2) <= members(p1)
 
 
@@ -265,14 +262,13 @@ def test_decide_pointed_examples():
     alpha, acc = transition_monoid(empty)
     assert acc == frozenset()
     ext = rm_from_multiset([nfa_of("a+", "ab")])
-    dec = decide_pointed_covering(alpha, acc, ext, ClassId.SIGMA1)
+    dec = decide_pointed_covering(empty, ext, ClassId.SIGMA1)
     assert dec.coverable
     # a+ vs b+ separable; a+ vs its superword closure not
-    alpha, acc = transition_monoid(nfa_of("a+", "ab"))
     ext = rm_from_multiset([nfa_of("b+", "ab")])
-    assert decide_pointed_covering(alpha, acc, ext, ClassId.SIGMA1).coverable
+    assert decide_pointed_covering(nfa_of("a+", "ab"), ext, ClassId.SIGMA1).coverable
     ext = rm_from_multiset([nfa_of("(a|b)*a(a|b)*", "ab")])
-    assert not decide_pointed_covering(alpha, acc, ext, ClassId.SIGMA1).coverable
+    assert not decide_pointed_covering(nfa_of("a+", "ab"), ext, ClassId.SIGMA1).coverable
 
 
 def test_sigma1_matches_upward_oracle_on_random_pairs():
@@ -280,9 +276,8 @@ def test_sigma1_matches_upward_oracle_on_random_pairs():
     for _ in range(25):
         l1 = regex_to_nfa(random_regex(rng, "ab", 3), AB)
         l2 = regex_to_nfa(random_regex(rng, "ab", 3), AB)
-        alpha, acc = transition_monoid(l1)
         ext = rm_from_multiset([l2])
-        got = decide_pointed_covering(alpha, acc, ext, ClassId.SIGMA1).coverable
+        got = decide_pointed_covering(l1, ext, ClassId.SIGMA1).coverable
         want = is_empty(nfa_intersection(upward_closure(l1), l2))
         assert got == want
 
@@ -330,11 +325,11 @@ def _engine_pairs(target, other):
     yield at_imprint(tau), explicit.at_imprint(tau)
     for cid in (ClassId.BSIGMA1, ClassId.FO):
         yield saturate_universal(tau, cid), explicit.saturate_universal(tau, cid)
-    yield (saturate_universal(aug.tau, ClassId.FO2),
+    yield (widen(saturate_universal(tau, ClassId.FO2), aug),
            explicit.saturate_universal(aug.tau, ClassId.FO2))
-    yield (saturate_pointed(alpha, pointed_tau, ClassId.SIGMA1),
+    yield (saturate_pointed(cayley(alpha, target.alphabet), pointed_tau, ClassId.SIGMA1),
            explicit.saturate_pointed(alpha, pointed_tau, ClassId.SIGMA1))
-    yield (saturate_pointed(alpha, pointed_aug.tau, ClassId.SIGMA2),
+    yield (widen(saturate_pointed(alpha, pointed_tau, ClassId.SIGMA2), pointed_aug),
            explicit.saturate_pointed(alpha, pointed_aug.tau, ClassId.SIGMA2))
 
 
@@ -373,21 +368,28 @@ def test_generator_loop_matches_all_pairs_reference(monkeypatch):
         pointed_tau = pointed_ext.tau
         pointed_aug = rm_alphabet_augment(pointed_ext)
         alpha, _ = transition_monoid(target)
-        runs = [(saturate_universal, reference.saturate_universal, (tau, ClassId.BSIGMA1)),
-                (saturate_universal, reference.saturate_universal, (tau, ClassId.FO)),
-                (saturate_universal, reference.saturate_universal, (aug.tau, ClassId.FO2)),
-                (saturate_pointed, reference.saturate_pointed,
-                 (alpha, pointed_tau, ClassId.SIGMA1)),
-                (saturate_pointed, reference.saturate_pointed,
-                 (alpha, pointed_aug.tau, ClassId.SIGMA2))]
-        for engine, all_pairs, args in runs:
+        # (engine, its arguments, the wide form it is compared in, all-pairs
+        # reference, its arguments)
+        runs = [(saturate_universal, (tau, ClassId.BSIGMA1), None,
+                 reference.saturate_universal, (tau, ClassId.BSIGMA1)),
+                (saturate_universal, (tau, ClassId.FO), None,
+                 reference.saturate_universal, (tau, ClassId.FO)),
+                (saturate_universal, (tau, ClassId.FO2), aug,
+                 reference.saturate_universal, (aug.tau, ClassId.FO2)),
+                (saturate_pointed, (cayley(alpha, ABC), pointed_tau, ClassId.SIGMA1), None,
+                 reference.saturate_pointed, (alpha, pointed_tau, ClassId.SIGMA1)),
+                (saturate_pointed, (alpha, pointed_tau, ClassId.SIGMA2), pointed_aug,
+                 reference.saturate_pointed, (alpha, pointed_aug.tau, ClassId.SIGMA2))]
+        for engine, args, wide, all_pairs, ref_args in runs:
             for lifo in (False, True):
                 with monkeypatch.context() as m:
                     if lifo:
                         m.setattr(saturation, "ImprintSet", LifoImprintSet)
                         m.setattr(reference, "ImprintSet", LifoImprintSet)
-                    got, want = engine(*args), all_pairs(*args)
+                    got, want = engine(*args), all_pairs(*ref_args)
                 assert type(got) is type(want) is (LifoImprintSet if lifo else ImprintSet)
+                if wide is not None:
+                    got = widen(got, wide)
                 assert set(got.maximal_elements()) == set(want.maximal_elements()), \
                     (target, other, got.label, lifo)
                 assert got.sweeps == want.sweeps, (target, other, got.label, lifo)
@@ -420,10 +422,13 @@ def test_rule_outputs_dominated_later_in_their_round_do_not_join(monkeypatch):
             pair = random_nfa(rng, symbols, 4), random_nfa(rng, symbols, 4)
         return pair
 
-    target, other = draw(4, 1, AB)
-    aug = rm_alphabet_augment(rm_from_multiset([target, other]))
+    # which output of a round comes first follows the order of the rule's
+    # candidates; this draw drops one in the order of the content-keyed rule
+    target, other = draw(31, 2, AB)
+    ext = rm_from_multiset([target, other])
+    aug = rm_alphabet_augment(ext)
     assert aug.tau.semiring.log2_size() <= 16
-    got = saturate_universal(aug.tau, ClassId.FO2)
+    got = widen(saturate_universal(ext.tau, ClassId.FO2), aug)
     assert dropped
     assert same_imprint(explicit.saturate_universal(aug.tau, ClassId.FO2), got)
     want = reference.saturate_universal(aug.tau, ClassId.FO2)
@@ -431,11 +436,33 @@ def test_rule_outputs_dominated_later_in_their_round_do_not_join(monkeypatch):
     assert got.sweeps == want.sweeps
 
     target, other = draw(7, 2, AB)
-    aug = rm_alphabet_augment(rm_from_multiset([other]))
+    ext = rm_from_multiset([other])
+    aug = rm_alphabet_augment(ext)
     alpha, _ = transition_monoid(target)
     dropped.clear()
-    got = saturate_pointed(alpha, aug.tau, ClassId.SIGMA2)
+    got = widen(saturate_pointed(alpha, ext.tau, ClassId.SIGMA2), aug)
     assert dropped
     want = reference.saturate_pointed(alpha, aug.tau, ClassId.SIGMA2)
     assert set(got.maximal_elements()) == set(want.maximal_elements())
     assert got.sweeps == want.sweeps
+
+
+@given(st.sampled_from([AB, ABC]).flatmap(
+    lambda a: st.tuples(nfas(a, 6, 2), st.lists(nfas(a, 6, 2), min_size=1, max_size=2))))
+def test_keyed_engines_decide_as_the_wide_engines(drawn):
+    # Σ1 keyed by the state of the target's minimal DFA, FO2 by content and
+    # Σ2 by (monoid element, content) give the imprint masks and verdicts of
+    # the engines they replaced: Σ1 pointed by the transition monoid, FO2
+    # and Σ2 over the alphabet augmentation
+    target, against = drawn
+    try:
+        for cid in (ClassId.FO2, ClassId.SIGMA1, ClassId.SIGMA2):
+            if cid is ClassId.FO2:
+                dec = decide_universal_covering(rm_from_multiset([target] + against), cid,
+                                                target_index=0)
+            else:
+                dec = decide_pointed_covering(target, rm_from_multiset(against), cid)
+            want = reference.decide_wide(cid, target, against)
+            assert (dec.imprint_masks, dec.coverable) == want, cid
+    except ResourceCapError:
+        reject()        # both sides build the same transition monoid

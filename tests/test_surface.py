@@ -195,7 +195,7 @@ def test_decision_probe_reads_resolve():
     # a missing key would read 0 through `.get` and go unnoticed
     from helpers import nfa_of
     from regcov import (ClassId, decide_pointed_covering, decide_universal_covering,
-                        rm_from_multiset, transition_monoid)
+                        rm_from_multiset)
 
     tree = ast.parse(source("perfbench", "spans.py"))
     probe = next(node for node in tree.body
@@ -218,11 +218,10 @@ def test_decision_probe_reads_resolve():
     assert ("raw_imprint", "maximal_elements") in chains
     assert keys == {"elements", "sweeps"}
     target, other = nfa_of("a+", "ab"), nfa_of("(ab)+", "ab")
-    alpha, accepting = transition_monoid(target)
     universal = rm_from_multiset([target, other])
     decisions = [decide_universal_covering(universal, cid, target_index=0)
                  for cid in (ClassId.AT, ClassId.BSIGMA1, ClassId.FO, ClassId.FO2)]
-    decisions += [decide_pointed_covering(alpha, accepting, rm_from_multiset([other]), cid)
+    decisions += [decide_pointed_covering(target, rm_from_multiset([other]), cid)
                   for cid in (ClassId.SIGMA1, ClassId.SIGMA2)]
     assert {d.class_id for d in decisions} == set(ClassId)
     for d in decisions:
