@@ -177,14 +177,14 @@ def load_instance(args) -> Instance:
 def _run(inst: Instance, separate: bool) -> Verdict:
     """Decide the covering instance once, and synthesize at most once.
 
-    A cover asked for (`--emit-cover` or `--verify`) is synthesized, cut
-    for the target and verified.  A bare `separate` builds only the
-    labelled DFA its separator is read off, and no piece.  Either way the
-    separator is the smaller of two unions of pieces, read off that one
-    DFA and checked as printed (`_separator`).  A resource cap met by a
-    synthesis nobody asked for skips it, and so does a class without a
-    synthesizer; the decision stands, and `stats` says why no cover came
-    out."""
+    A cover asked for (`--emit-cover` or `--verify`, on every command) is
+    synthesized, cut for the target and verified.  A bare `separate` builds
+    only the labelled DFA its separator is read off, and no piece.  Either
+    way the separator is the smaller of two unions of pieces, read off that
+    one DFA, rendered on its own and checked as printed (`_separator`).  A
+    resource cap met by a synthesis that `--emit-cover` did not ask for
+    skips it, and so does a class without a synthesizer; the decision
+    stands, and `stats` says why no cover came out."""
     t0 = time.perf_counter()
     if not inst.against:
         raise InputError("covering needs at least one language to separate against")
@@ -203,7 +203,7 @@ def _run(inst: Instance, separate: bool) -> Verdict:
     stats = dict(decision.stats)
 
     report = cover_doc = text = None
-    wanted = (inst.emit_cover or separate) and decision.coverable
+    wanted = (inst.emit_cover or inst.verify or separate) and decision.coverable
     if wanted and not class_id.synthesizable:
         stats["synthesis"] = {"skipped": "no synthesizer"}
     elif wanted:
@@ -223,10 +223,8 @@ def _run(inst: Instance, separate: bool) -> Verdict:
             else:
                 synthesized = _machine(class_id, decision, inst.alphabet, target_nfa, caps)
             if separate and failed is None:
-                texts = {} if cover_doc is None else dict(
-                    zip(synthesized.pieces, (p["regex"] for p in cover_doc["pieces"])))
                 text, stats["separator"], failed = _separator(
-                    synthesized, target_nfa, inst.against[0], decision.rating_map, texts, caps)
+                    synthesized, target_nfa, inst.against[0], decision.rating_map, caps)
         except ResourceCapError as exc:
             if inst.emit_cover:
                 raise
@@ -281,25 +279,23 @@ def _machine(class_id: ClassId, decision, alphabet: Alphabet, target: Nfa,
     return fo2_machine(decision.rating_map, decision.raw_imprint, caps)
 
 
-def _separator(synthesized: Cover, target: Nfa, against: Nfa, rho, texts: dict,
-               caps: Caps) -> tuple:
+def _separator(synthesized: Cover, target: Nfa, against: Nfa, rho, caps: Caps) -> tuple:
     """(text, stats, failure) of the separator read off the cover's
-    machine (`covers.separator`), rendered once, or its text taken from
-    the piece of the same automaton.  The text is parsed and compiled
-    again and checked as printed: it includes the target, misses the
-    other language, and is in the class.  For at and bsigma1 the class
+    machine (`covers.separator`), rendered once.  The text is parsed and
+    compiled again and checked as printed: it includes the target, misses
+    the other language, and is in the class.  For at and bsigma1 the class
     check is `are_unions_of_classes` on the cover's partition, for sigma1
-    closure under superwords; fo2 is certified by construction.  With no
-    piece built, an fo2 or bsigma1 separator stands in for the pieces that
-    `fo2_cover` evaluates: each label is its piece's image, so the
-    separator's image, evaluated on the compiled text, must be the sum of
-    the labels it unites; for fo2, whose labels are (content, image) pairs,
-    content by content.  The failure says which check failed first, or
-    is None."""
+    closure under superwords; fo2 is certified by construction.  Every fo2
+    and bsigma1 separator, whether or not the cover's pieces were built, has
+    its image checked: each label is its piece's image, so the separator's
+    image, evaluated on the compiled text, must be the sum of the labels it
+    unites; for fo2, whose labels are (content, image) pairs, content by
+    content.  The failure says which
+    check failed first, or is None."""
     _PHASE[0] = "synthesize"
     sep = separator(synthesized, target, against)
     _PHASE[0] = "render"
-    text = texts.get(sep.nfa) or rx.regex_to_text(nfa_to_regex(sep.nfa))
+    text = rx.regex_to_text(nfa_to_regex(sep.nfa))
     _PHASE[0] = "separator check"
     alphabet = target.alphabet
     nfa = regex_to_nfa(rx.regex_parse(text, alphabet.symbols), alphabet)
@@ -317,7 +313,7 @@ def _separator(synthesized: Cover, target: Nfa, against: Nfa, rho, texts: dict,
         class_ok = True
     if not class_ok:
         return text, stats, "separator is not in the class"
-    if synthesized.pieces is None and class_id in (ClassId.BSIGMA1, ClassId.FO2):
+    if class_id in (ClassId.BSIGMA1, ClassId.FO2):
         if class_id is ClassId.FO2:     # (content, image) labels, summed per content
             image: dict = {}
             for content, r in sep.labels:

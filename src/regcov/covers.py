@@ -49,9 +49,7 @@ class Cover:
     read off (`machine`).
 
     For at, bsigma1 and fo2 the machine is a cover of A*, and the pieces
-    are cut from it.  When they were cut for a target, `met` holds the
-    labels that the target meets, so that a separator does not walk the
-    target again.  A cover built by `*_machine` is not cut yet, and its
+    are cut from it.  A cover built by `*_machine` is not cut yet, and its
     pieces are None.  For sigma1 the machine is ↑L, the union of the
     pieces, with the one label True.
 
@@ -70,7 +68,6 @@ class Cover:
     optimal: bool = True
     provenance: str = ""
     machine: Optional[Labelled] = None
-    met: Optional[frozenset] = None
 
     def to_json(self) -> dict:
         doc = {
@@ -89,10 +86,8 @@ def _cut(machine_cover: Cover, target: Optional[Nfa]) -> Cover:
     """The cover with its pieces cut from its machine: all of them, or
     with a target only those that meet it."""
     machine = machine_cover.machine
-    met = None
-    if target is not None:
-        met = frozenset(_met_labels(machine, target))
-    return replace(machine_cover, pieces=_label_pieces(*machine, met), met=met,
+    met = None if target is None else _met_labels(machine, target)
+    return replace(machine_cover, pieces=_label_pieces(*machine, met),
                    provenance=machine_cover.provenance + _restricted(target))
 
 
@@ -284,7 +279,7 @@ def _restricted(target: Optional[Nfa]) -> str:
 
 
 def _label_pieces(alphabet: Alphabet, delta: tuple, initial: int, labels: list,
-                  met: Optional[frozenset] = None) -> list:
+                  met: Optional[set] = None) -> list:
     """One piece for each distinct label but None of a complete DFA's
     states, in order of first appearance: the words that lead to a state of
     that label.  Given the labels `met` that a target meets
@@ -391,25 +386,20 @@ def separator(cover: Cover, target: Nfa, against: Nfa) -> Separator:
     U_target, the pieces that meet the target, and U_miss, the pieces that
     miss `against`.  Fewer states win, and a tie goes to U_target.
 
-    No piece is built, and nothing twice: the target's walk is the cut's
-    (`met`) when the cover was cut for it, the union of one cut piece is
-    that piece, and where the two unions unite the same labels, U_miss is
-    U_target.
+    Only the machine is read, never the cover's pieces, so the target is
+    walked here; where the two unions unite the same labels, U_miss is
+    U_target and is built once.
     """
     machine = cover.machine
-    met = cover.met if cover.met is not None else _met_labels(machine, target)
+    met = _met_labels(machine, target)
     missed = set(machine.labels) - {None} - _met_labels(machine, against)
-    preds = None
+    preds = _preds(machine.delta)
     best = None
     for union, kept in (("meets-target", frozenset(met)), ("misses-against", frozenset(missed))):
         if best is not None and kept == best.labels:
             continue
-        if kept == cover.met and len(cover.pieces) == 1:
-            nfa = cover.pieces[0]
-        else:
-            preds = preds or _preds(machine.delta)
-            nfa = _trimmed(machine.alphabet, machine.delta, machine.initial, preds,
-                           [q for q, x in enumerate(machine.labels) if x in kept])
+        nfa = _trimmed(machine.alphabet, machine.delta, machine.initial, preds,
+                       [q for q, x in enumerate(machine.labels) if x in kept])
         if best is None or nfa.state_count < best.nfa.state_count:
             best = Separator(nfa, union, kept)
     return best
@@ -539,8 +529,8 @@ class _Fo2State:
     Every node is built once per synthesis; `max_det_states` bounds the
     states of each node machine before minimization and of each conversion,
     `max_pieces` the distinct labels in context of the nodes (their
-    pieces), summed, and `max_elements` the word images over each
-    sub-alphabet.
+    pieces), summed, and `max_elements` the word items, closed once over
+    the whole alphabet.
     """
 
     def __init__(self, rho: RatingMap, saturated: ImprintSet, caps: Caps):
@@ -552,16 +542,22 @@ class _Fo2State:
         self.sat = saturated
         self.caps = caps
         self.count = 0
+        self._words = None
         self._loop_sets: dict = {}
+        # kept: without it an in-process pass over the synth corpus runs 6 % slower
         self._peels: dict = {}
         self._nodes: dict = {}
         self._machines: dict = {}
 
-    def _word_images(self, subset: int) -> set:
-        """Items of the words over B: their (content, image) pairs, closed
-        over the automaton of the contents (`rating.content_pairs`)."""
-        return content_pairs(self.sr, self.rho.letter_image, subset, self.caps.max_elements,
-                             "fo2 word images")
+    def _word_images(self) -> set:
+        """Items of all words: their (content, image) pairs, closed over the
+        automaton of the contents (`rating.content_pairs`) once per
+        synthesis.  The items of the words over B are those whose content
+        lies in B."""
+        if self._words is None:
+            self._words = content_pairs(self.sr, self.rho.letter_image, self.caps.max_elements,
+                                        "fo2 word images")
+        return self._words
 
     def s_b(self, subset: int) -> frozenset:
         """Items of the nonempty languages over B* of one content that lie
@@ -570,13 +566,16 @@ class _Fo2State:
         Such an item is (C, a nonempty sum of the images of words of content
         C over B) (niceness), and it lies below a maximum (C, m) of the
         saturated set exactly when each of its terms does, w <= m being
-        w | m == m.  So the set is the union, over the maxima (C, m), of
-        the sums of the images of content C below m, each paired with C.
+        w | m == m.  So the set is the union, over the maxima (C, m) with
+        C ⊆ B, of the sums of the images of content C below m, each paired
+        with C.
         """
         sr = self.sr
-        words = self._word_images(subset)
+        words = self._word_images()
         out: set = set()
         for c, m in self.sat.maximal_elements():
+            if c & ~subset:
+                continue
             below = [w for d, w in words if d == c and w | m == m]
             sums = set(below)
             work = list(below)

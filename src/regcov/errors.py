@@ -40,11 +40,12 @@ class MonoidCapError(ResourceCapError):
 
 
 class SaturationCapError(ResourceCapError):
-    """Raised when a fixpoint engine would enumerate too many elements."""
+    """Raised when a fixpoint or closure would enumerate too many elements;
+    `what` names it as printed, such as "class fo2" or "fo2 word images"."""
 
-    def __init__(self, cap: int, class_name: str, detail: str = ""):
-        self.class_name = class_name
-        super().__init__("max_elements", cap, f"class {class_name}: {detail}" if detail else f"class {class_name}")
+    def __init__(self, cap: int, what: str, detail: str = ""):
+        self.what = what
+        super().__init__("max_elements", cap, f"{what}: {detail}" if detail else what)
 
 
 class PieceCapError(ResourceCapError):

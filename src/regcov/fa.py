@@ -84,20 +84,12 @@ class Nfa:
                 raise InputError(f"transition symbol {a!r} not in alphabet")
 
     def step_map(self) -> dict:
-        """dict (state, symbol) -> set of successor states.
-
-        Built once per automaton and shared by every caller, so it must not
-        be mutated.  The cache is an instance attribute, not a field, so it
-        takes no part in equality or hashing.
-        """
-        try:
-            return self._step_map
-        except AttributeError:
-            out: dict = {}
-            for (q, a, r) in self.transitions:
-                out.setdefault((q, a), set()).add(r)
-            object.__setattr__(self, "_step_map", out)
-            return out
+        """dict (state, symbol) -> set of successor states, built anew on
+        every call, so the caller may keep or change it."""
+        out: dict = {}
+        for (q, a, r) in self.transitions:
+            out.setdefault((q, a), set()).add(r)
+        return out
 
     def accepts(self, word: str) -> bool:
         step = self.step_map()

@@ -30,12 +30,8 @@ class ImprintSet:
     trivial imprint, and is a multiplicative submonoid unless keyed by a
     DFA state.
 
-    The set only grows, so whatever lies below a mask that was in it stays
-    in it.  Two tests before the scan use this.  An item offered before is
-    refused at once: it is in the set since its first offer.  And runs of
-    inserts tend to be dominated by the same maximum, so each fiber keeps
-    the last mask that dominated an insert as a hint; the hint need not
-    still be maximal.
+    The set only grows, so an item offered before is refused at once,
+    before the scan: it is in the set since its first offer.
     """
 
     def __init__(self, semiring: Semiring, keyed: bool = False,
@@ -45,8 +41,7 @@ class ImprintSet:
         self.cap = cap
         self.label = label
         self._fibers: dict = {}   # key (None when not keyed) -> {element: item}
-        self._widest: dict = {}   # key -> most bits of a maximum in its fiber
-        self._hint: dict = {}     # key -> last element that dominated an insert
+        # kept: without it the (7, 1) fo2 member sweep draw runs 2.8x slower
         self._offered: set = set()  # every item ever offered to `insert`
         self._count = 0
         self.queue: deque = deque()
@@ -54,11 +49,7 @@ class ImprintSet:
 
     def __contains__(self, item) -> bool:
         key, x = item if self.keyed else (None, item)
-        fiber = self._fibers.get(key)
-        # a mask with more bits than every maximum is below none of them,
-        # which settles most failed lookups without a scan
-        return (fiber is not None and x.bit_count() <= self._widest[key]
-                and any(x | m == m for m in fiber))
+        return any(x | m == m for m in self._fibers.get(key, ()))
 
     def __len__(self) -> int:
         """Number of maximal elements."""
@@ -70,28 +61,16 @@ class ImprintSet:
             return False
         self._offered.add(item)
         key, x = item if self.keyed else (None, item)
-        fiber = self._fibers.get(key)
-        if fiber is None:
-            fiber = self._fibers[key] = {}
-            self._widest[key] = 0
-            self._hint[key] = x
-        else:
-            # below a mask that was once in the set, so still in it
-            hint = self._hint[key]
-            if x | hint == hint:
-                return False
+        fiber = self._fibers.setdefault(key, {})
         below = []
         for m in fiber:
             if x | m == m:
-                self._hint[key] = m
                 return False
             if x | m == x:
                 below.append(m)
         for m in below:
             del fiber[m]
         fiber[x] = item
-        # the dropped maxima lie below x, so they were no wider than x
-        self._widest[key] = max(self._widest[key], x.bit_count())
         self._count += 1 - len(below)
         if self._count > self.cap:
             raise SaturationCapError(self.cap, self.label, f"{self._count} maximal elements")

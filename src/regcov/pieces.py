@@ -44,6 +44,7 @@ def pt_partition(k: int, alphabet: Alphabet, caps: Caps = DEFAULT_CAPS, open=Non
     """
     n = len(alphabet)
     short = [sum(n ** i for i in range(j)) for j in range(k + 2)]   # pieces shorter than j
+    # kept: without it the pt-k oracle at k = 6 over ab runs 4.5x slower
     spread = [0] * (1 << min(8, short[k]))   # the bits t of a byte moved to n·t
     for v in range(1, len(spread)):
         low = v & -v

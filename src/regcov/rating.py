@@ -126,8 +126,7 @@ class RatingMap:
                     cols.append(_exact_images(part, letters))
                     continue
                 col = [0] * nsub
-                pairs = content_pairs(part, letters, nsub - 1, caps.max_elements,
-                                      "word-image closure")
+                pairs = content_pairs(part, letters, caps.max_elements, "word-image closure")
                 for mask, elem in pairs:
                     col[mask] |= elem
                 cols.append(col)
@@ -206,14 +205,12 @@ def reach(sr: Semiring, delta, initial: int, letter_images: list, cap: int, what
     return seen
 
 
-def content_pairs(sr: Semiring, letter_images, subset: int, cap: int, what: str) -> set:
-    """The (content mask, word image) pairs of the words over the
-    sub-alphabet mask B: `reach` on the automaton whose states are the
-    contents of the words read, the submasks of B (the masks up to B are
-    its states)."""
-    ks = [k for k in range(len(letter_images)) if subset >> k & 1]
-    delta = [[mask | 1 << k for k in ks] for mask in range(subset + 1)]
-    return reach(sr, delta, 0, [letter_images[k] for k in ks], cap, what)
+def content_pairs(sr: Semiring, letter_images, cap: int, what: str) -> set:
+    """The (content mask, word image) pairs of all words: `reach` on the
+    automaton whose states are the contents of the words read."""
+    n = len(letter_images)
+    delta = [[mask | 1 << k for k in range(n)] for mask in range(1 << n)]
+    return reach(sr, delta, 0, letter_images, cap, what)
 
 
 @dataclass

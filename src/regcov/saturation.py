@@ -134,7 +134,7 @@ def saturate_universal(rho: RatingMap, class_id: ClassId,
     sr = rho.semiring
     smul = sr.mul
     keyed = class_id is ClassId.FO2
-    out = ImprintSet(sr, keyed, cap=caps.max_elements, label=class_id.value)
+    out = ImprintSet(sr, keyed, cap=caps.max_elements, label=f"class {class_id.value}")
     if keyed:
         # (content mask, rating element) items; letter k has content {k}
         one, gens = (0, sr.one), [(1 << k, img) for k, img in enumerate(rho.letter_image)]
@@ -182,7 +182,7 @@ def saturate_pointed(pointer, rho: RatingMap, class_id: ClassId,
         raise InputError(f"{class_id.value} is not handled by the pointed engine")
     sr = rho.semiring
     smul = sr.mul
-    out = ImprintSet(sr, True, cap=caps.max_elements, label=class_id.value)
+    out = ImprintSet(sr, True, cap=caps.max_elements, label=f"class {class_id.value}")
 
     if class_id is ClassId.SIGMA1:
         if pointer.alphabet != rho.alphabet:
@@ -245,12 +245,13 @@ def _saturate(out: ImprintSet, one, gens: list, mul, rule):
             return
         done = out.maximal_elements()
         new = [h for h in rule(done) if out.insert(h)]
+        # shortcut (b), kept with (c): without both the (9, 7) sigma2 sweep draw runs 1.8x slower
         new = [h for h in new if out.is_maximal(h)]
         if not new:
             return
         gens += new
         for y in done:
-            if not out.is_maximal(y):
+            if not out.is_maximal(y):     # shortcut (c)
                 continue
             for h in new:
                 out.insert(mul(y, h))
@@ -261,7 +262,7 @@ def _saturate(out: ImprintSet, one, gens: list, mul, rule):
 def at_imprint(rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> ImprintSet:
     """Optimal alphabet-testable imprint of the whole word set, computed
     directly from the atoms, one per sub-alphabet."""
-    out = ImprintSet(rho.semiring, cap=caps.max_elements, label="at")
+    out = ImprintSet(rho.semiring, cap=caps.max_elements, label="class at")
     out.insert(rho.semiring.zero)
     for mask in range(1 << len(rho.alphabet)):
         out.insert(rho.image_of_exact(mask, caps))

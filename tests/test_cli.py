@@ -688,22 +688,30 @@ def test_fo2_separators_are_synthesized(capsys, argv):
     assert "synthesis" not in doc["stats"]
 
 
-@pytest.mark.parametrize("cls", ["bsigma1", "fo2"])
-def test_a_corrupted_label_fails_the_separator_image_check(monkeypatch, capsys, cls):
-    # a bare separate builds no piece to evaluate; the separator's image,
-    # evaluated on its compiled text, must be the sum of the labels it
-    # unites, so a label that is not its piece's image is caught
+@pytest.mark.parametrize("cls, flags", [
+    pytest.param("bsigma1", [], id="bsigma1"),
+    pytest.param("fo2", [], id="fo2"),
+    pytest.param("bsigma1", ["--emit-cover", "--verify"], id="bsigma1-emit-cover"),
+    pytest.param("fo2", ["--emit-cover", "--verify"], id="fo2-emit-cover"),
+])
+def test_a_corrupted_label_fails_the_separator_image_check(monkeypatch, capsys, cls, flags):
+    # the separator's image, evaluated on its compiled text, must be the sum
+    # of the labels it unites, so a label that is not its piece's image is
+    # caught: on a bare separate, which builds no piece to evaluate, and on
+    # a separator read off a cover whose pieces were built.  A bare separate
+    # takes the machine from the cli, a cover cut from it from `covers`
     argv = ["separate", "--class", cls, "--alphabet", "abc", "--target", "(ab)+",
-            "--against", "c(ac)+"]
+            "--against", "c(ac)+"] + flags
     name = f"{cls}_machine"
-    build = getattr(cli, name)
+    module = covers if flags else cli
+    build = getattr(module, name)
     built = []
 
     def record(*args):
         built.append((args, build(*args)))
         return built[-1][1]
 
-    monkeypatch.setattr(cli, name, record)
+    monkeypatch.setattr(module, name, record)
     assert main(argv) == 0
     capsys.readouterr()
     (rho, *_), cover = built[0]
@@ -724,10 +732,30 @@ def test_a_corrupted_label_fails_the_separator_image_check(monkeypatch, capsys, 
              if image(sep.labels - {x}, content(x)) != image(sep.labels, content(x)))
     bad = (x[0], zero) if keyed else zero
     wrong = [bad if label == x else label for label in machine.labels]
-    monkeypatch.setattr(cli, name,
+    monkeypatch.setattr(module, name,
                         lambda *args: replace(cover, machine=machine._replace(labels=wrong)))
     with pytest.raises(AssertionError, match="image is not the sum of its labels"):
         main(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "--class", "at", "--alphabet", "ab", "--target", "a*", "--against", "b"],
+    ["member", "--class", "at", "--alphabet", "ab", "--target", "(a|b)*"],
+    ["member", "--class", "sigma1", "--alphabet", "ab", "--target", "(a|b)*a(a|b)*"],
+    ["cover", "--class", "bsigma1", "--alphabet", "abc", "--target", "(ab)+",
+     "--against", "c(ac)+"],
+])
+def test_verify_without_emit_cover_verifies_the_cover(capsys, argv):
+    # --verify asks for the cover's verification on every command; only
+    # --emit-cover prints the cover itself
+    code, out, _ = run(capsys, argv + ["--verify", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["coverable"] is True and doc["cover"] is None
+    verified = doc["verified"]
+    assert verified["covers_target"] is verified["separating"] is verified["class_ok"] is True
+    assert verified["piece_witnesses"] and None not in verified["piece_witnesses"]
+    assert "synthesis" not in doc["stats"]
 
 
 def regcov_env(**extra) -> dict:
@@ -1259,3 +1287,15 @@ def test_wall_ms_covers_parsing_the_instance(monkeypatch, capsys):
                                 "--target", "a*", "--json"])
     assert code == 0
     assert json.loads(out)["stats"]["wall_ms"] >= 50.0
+
+
+def test_cap_messages_name_the_closure_or_the_class(capsys):
+    # a closure is named as it is, a saturation engine by its class
+    code, _, err = run(capsys, ["cover", "--class", "at", "--alphabet", "ab", "--target", "a",
+                                "--against", "b", "--max-elements", "1"])
+    assert (code, err) == (3, "resource cap: cap 'max_elements' exceeded (limit 1): "
+                              "word-image closure\n")
+    code, _, err = run(capsys, ["cover", "--class", "fo2", "--alphabet", "ab", "--target",
+                                "a(a|b)*", "--against", "b(a|b)*", "--max-elements", "3"])
+    assert code == 3
+    assert err.startswith("resource cap: cap 'max_elements' exceeded (limit 3): class fo2: ")

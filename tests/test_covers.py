@@ -683,7 +683,7 @@ def test_fo2_peel_letter_matches_the_two_sided_reference(langs, data):
     ref = reference_covers.MergingFo2(aug.tau, widen(sat, aug), DEFAULT_CAPS)
     mul = aug.tau.semiring.mul
     words = st.sampled_from(sorted(widen_item(x, width) for x in
-                                   state._word_images((1 << len(rho.alphabet)) - 1)))
+                                   state._word_images()))
     for subset in range(1 << len(rho.alphabet)):
         sb = st.sampled_from(sorted(ref.s_b(subset)))
         contexts = st.one_of(words, st.tuples(sb, sb).map(lambda xy: mul(*xy)))
@@ -702,7 +702,7 @@ def test_fo2_language_sums_cap_allows_exactly_max_elements():
     rho = rm_from_multiset([universal_language(AB), a_or_bb]).tau
     sat = saturate_universal(rho, ClassId.FO2)
     subset = 0b11
-    words = _Fo2State(rho, sat, DEFAULT_CAPS)._word_images(subset)
+    words = _Fo2State(rho, sat, DEFAULT_CAPS)._word_images()
     most = max(len({functools.reduce(operator.or_, combo)
                     for n in range(1, len(below) + 1)
                     for combo in itertools.combinations(below, n)})

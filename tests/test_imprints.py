@@ -1,7 +1,5 @@
 """Antichain imprints: dominance, membership, keyed fibers and the cap."""
 
-import random
-
 import pytest
 
 from regcov import ImprintSet, SaturationCapError
@@ -72,15 +70,3 @@ def test_inserting_a_maximum_again_queues_nothing():
         queued = len(imp.queue)
         assert not imp.insert(item)
         assert len(imp.queue) == queued and len(imp) == 1
-
-
-def test_widest_tracks_the_widest_maximum_of_each_fiber():
-    sr = RelationSemiring(3)
-    imp = ImprintSet(sr, keyed=True)
-    rng = random.Random(4242)
-    for _ in range(400):
-        bits = rng.getrandbits(9) & rng.getrandbits(9)
-        imp.insert((rng.randrange(3), bits))
-        for key, fiber in imp._fibers.items():
-            assert imp._widest[key] == max(m.bit_count() for m in fiber)
-    assert len(imp._fibers) == 3

@@ -279,8 +279,8 @@ def test_right_multiplication_is_the_union_of_the_rows_of_its_bits(data):
 @given(st.data())
 def test_powerset_rows_are_kept_per_right_factor(data):
     # one semiring multiplies a sequence of pairs whose right factors come
-    # from a small pool, so rows made for one right factor are met again;
-    # every product must be the scanning reference's
+    # from a small pool, as the saturation loop's generators do, so a right
+    # factor is met again; every product must be the scanning reference's
     alphabet = data.draw(st.sampled_from([Alphabet("ab"), Alphabet("abc")]))
     monoid, _ = transition_monoid(data.draw(nfas(alphabet, 3)))
     sr, ref = PowersetMonoidSemiring(monoid), ScanPowersetMonoidSemiring(monoid)
