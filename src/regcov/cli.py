@@ -212,7 +212,7 @@ def _run(inst: Instance, separate: bool) -> Verdict:
             _PHASE[0] = "synthesize"
             if inst.emit_cover or inst.verify:
                 # the pieces of a cover of A* that meet the target cover it
-                synthesized = _cover(class_id, decision, inst.alphabet, target_nfa,
+                synthesized = _cover(class_id, decision, inst.alphabet,
                                      None if universal else target_nfa, caps)
                 _PHASE[0] = "verify"
                 report = verify_cover(synthesized, target_nfa, inst.against, caps=caps)
@@ -221,7 +221,7 @@ def _run(inst: Instance, separate: bool) -> Verdict:
                     _PHASE[0] = "render"
                     cover_doc = synthesized.to_json()
             else:
-                synthesized = _machine(class_id, decision, inst.alphabet, target_nfa, caps)
+                synthesized = _machine(class_id, decision, inst.alphabet, caps)
             if separate and failed is None:
                 text, stats["separator"], failed = _separator(
                     synthesized, target_nfa, inst.against[0], decision.rating_map, caps)
@@ -255,11 +255,12 @@ def _run(inst: Instance, separate: bool) -> Verdict:
     )
 
 
-def _cover(class_id: ClassId, decision, alphabet: Alphabet, target: Nfa,
-           restrict: Optional[Nfa], caps: Caps) -> Cover:
-    """The class's cover of the target: cut for `restrict`, or of A*."""
+def _cover(class_id: ClassId, decision, alphabet: Alphabet, restrict: Optional[Nfa],
+           caps: Caps) -> Cover:
+    """The class's cover of the target: cut for `restrict`, or of A*.  Σ1
+    builds on the minimal DFA its decision pointed by."""
     if class_id is ClassId.SIGMA1:
-        return sigma1_cover(target, decision.rating_map, caps)
+        return sigma1_cover(decision.target_dfa, decision.rating_map, caps)
     if class_id is ClassId.AT:
         return at_cover(alphabet, caps, restrict)
     if class_id is ClassId.BSIGMA1:
@@ -267,11 +268,10 @@ def _cover(class_id: ClassId, decision, alphabet: Alphabet, target: Nfa,
     return fo2_cover(decision.rating_map, decision.raw_imprint, caps, restrict)
 
 
-def _machine(class_id: ClassId, decision, alphabet: Alphabet, target: Nfa,
-             caps: Caps) -> Cover:
+def _machine(class_id: ClassId, decision, alphabet: Alphabet, caps: Caps) -> Cover:
     """The labelled DFA that `_cover` cuts its pieces from, uncut."""
     if class_id is ClassId.SIGMA1:
-        return sigma1_machine(target, caps)
+        return sigma1_machine(decision.target_dfa, caps)
     if class_id is ClassId.AT:
         return at_machine(alphabet, caps)
     if class_id is ClassId.BSIGMA1:

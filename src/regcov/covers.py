@@ -18,6 +18,7 @@ the target its caller holds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .errors import (Caps, DEFAULT_CAPS, DeterminizationCapError, InputError, PieceCapError,
@@ -110,10 +111,10 @@ def at_cover(alphabet: Alphabet, caps: Caps = DEFAULT_CAPS,
 
 # -- superword-closure covers ---------------------------------------------------------
 
-def sigma1_machine(target: Nfa, caps: Caps = DEFAULT_CAPS) -> Cover:
-    """↑L, the union of the pieces of `sigma1_cover`, with no piece built."""
-    return Cover(ClassId.SIGMA1, None,
-                 machine=_up_machine(upward_closure(minimize(target, caps).as_nfa()), caps))
+def sigma1_machine(target: Dfa, caps: Caps = DEFAULT_CAPS) -> Cover:
+    """↑L, the union of the pieces of `sigma1_cover`, with no piece built,
+    from the target's minimal DFA."""
+    return Cover(ClassId.SIGMA1, None, machine=_up_machine(upward_closure(target.as_nfa()), caps))
 
 
 def _up_machine(up: Nfa, caps: Caps) -> Labelled:
@@ -123,13 +124,14 @@ def _up_machine(up: Nfa, caps: Caps) -> Labelled:
                     [True if q in dfa.finals else None for q in range(dfa.state_count)])
 
 
-def sigma1_cover(target: Nfa, rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> Cover:
+def sigma1_cover(target: Dfa, rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> Cover:
     """Cover of the target L by upward-closed pieces, one for each
     distinct image ρ(↑w) over the words w of min(L), the subword-minimal
     words of L: the piece of image r is the union of the superword closures
     ↑w of the minimal words w with ρ(↑w) = r.  The construction starts from
-    the target's minimal DFA, so the pieces depend on L only, not on the
-    automaton that spells it.
+    the target's minimal DFA, which the caller passes (the CLI passes the
+    one the Σ1 decision pointed by), so the pieces depend on L only, not on
+    the automaton that spells it.
 
     The canonical Σ1 cover {↑w : w ∈ min(L)} is finite by Higman's lemma
     and optimal for every rating map: any Σ1 cover of L has a piece K that
@@ -153,7 +155,7 @@ def sigma1_cover(target: Nfa, rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> Cove
     form a finite language, and its superword closure is the piece.
     """
     alphabet = target.alphabet
-    dfa = minimize(target, caps).as_nfa()
+    dfa = target.as_nfa()
     up = upward_closure(dfa)
     n = up.state_count
     inserted = Nfa(alphabet, 2 * n, up.initials, frozenset(q + n for q in up.finals),
@@ -666,11 +668,14 @@ class _Fo2State:
         return self._nodes[top]
 
     def _base(self, subset: int, left, right):
-        """B*: one state for its words, and a sink for the letters outside B.
-        The saturated contexts hold B in their content."""
+        """B*, written down minimal: one state for its words, and a sink
+        for the letters outside B unless B is the whole alphabet.  The
+        saturated contexts hold B in their content."""
         img = self.mul(self.mul(left, (0, self.rho.image_of_star(subset, self.caps))), right)
-        inside = tuple(0 if subset >> k & 1 else 1 for k in range(len(self.rho.alphabet)))
-        return minimize_labelled((inside, (1,) * len(inside)), 0, [img, None])
+        n = len(self.rho.alphabet)
+        if subset == (1 << n) - 1:
+            return ((0,) * n,), [img]
+        return (tuple(0 if subset >> k & 1 else 1 for k in range(n)), (1,) * n), [img, None]
 
     def _children(self, subset: int, left, right, b: int, forward: bool):
         """F's machine, and the child nodes in order of appearance: the
@@ -709,13 +714,16 @@ class _Fo2State:
 
     def _flip(self, m):
         """The machine reading in the other direction (see the class
-        docstring); labels are numbered by first appearance in the vectors."""
+        docstring); labels are numbered by first appearance in the vectors,
+        and a vector steps by one `operator.itemgetter` per letter."""
         delta, labels = m
+        if len(delta) == 1:                # itemgetter of one index returns no tuple
+            return delta, list(labels)
         ids: dict = {}
         start = tuple(ids.setdefault(x, len(ids)) for x in labels)
         names = list(ids)
-        cols = list(zip(*delta))
-        found = explore(start, lambda vec: [tuple(map(vec.__getitem__, col)) for col in cols],
+        steps = [itemgetter(*col) for col in zip(*delta)]
+        found = explore(start, lambda vec: [step(vec) for step in steps],
                         self.caps.max_det_states)
         if found is None:
             raise DeterminizationCapError("max_det_states", self.caps.max_det_states,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import Caps, DEFAULT_CAPS, DeterminizationCapError, InputError, MonoidCapError
@@ -340,30 +341,45 @@ def minimize_labelled(delta: tuple, initial: int, labels: list) -> tuple:
     """Minimal form of a complete DFA whose states carry labels (a Moore
     machine; a plain DFA labels its states final or not).
 
-    Moore partition refinement from the partition by label, then the blocks
-    reachable from the initial state, numbered by BFS in letter order.
-    Returns (delta, labels) of the result, whose initial state is 0.
+    Moore partition refinement from the partition by label: each round, a
+    state's signature is its block and the blocks of its successors, one
+    column per letter, gathered by an `operator.itemgetter` of that letter's
+    targets.  Then the blocks reachable from the initial state, numbered by
+    BFS in letter order.  Returns (delta, labels) of the result, whose
+    initial state is 0.
     """
+    if len(delta) == 1:                    # itemgetter of one index returns no tuple
+        return (tuple(delta[0]),), [labels[0]]
     ids: dict = {}
     block = [ids.setdefault(x, len(ids)) for x in labels]
     nblocks = len(ids)
-    cols = list(zip(*delta))
+    gathers = [itemgetter(*col) for col in zip(*delta)]
     while True:
-        # a state's signature: its block and the blocks of its successors
-        sigs = list(zip(block, *[map(block.__getitem__, col) for col in cols]))
         ids = {}
-        newblock = [ids.setdefault(sig, len(ids)) for sig in sigs]
+        newblock = [ids.setdefault(sig, len(ids))
+                    for sig in zip(block, *[gather(block) for gather in gathers])]
         if len(ids) == nblocks:
             break
         block = newblock
         nblocks = len(ids)
-    # collapse and renumber canonically by BFS from the initial block
-    rep: dict = {}
-    for sig, x in zip(sigs, labels):
-        if sig[0] not in rep:
-            rep[sig[0]] = (sig[1:], x)
-    order, rows = explore(block[initial], lambda b: rep[b][0], len(rep))
-    return tuple(rows), [rep[b][1] for b in order]
+    # the partition is stable: ids holds one signature per block, and the
+    # states of one block share their label; collapse and renumber by BFS
+    # from the initial block
+    sig_of = {sig[0]: sig for sig in ids}
+    label_of = dict(zip(block, labels))
+    num = {block[initial]: 0}
+    order = [block[initial]]
+    rows = []
+    for b in order:                        # order grows while it is read
+        row = []
+        for c in sig_of[b][1:]:
+            j = num.get(c)
+            if j is None:
+                j = num[c] = len(order)
+                order.append(c)
+            row.append(j)
+        rows.append(tuple(row))
+    return tuple(rows), [label_of[b] for b in order]
 
 
 def nfa_complement(n: Nfa, caps: Caps = DEFAULT_CAPS) -> Nfa:

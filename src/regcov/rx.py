@@ -175,27 +175,40 @@ def precedence(node: Regex) -> int:
 
 def regex_to_text(node: Regex) -> str:
     """Render a regex in the surface grammar (reparsing yields the same
-    language; association of chained operators is not preserved)."""
+    language; association of chained operators is not preserved).
+
+    State elimination shares sub-expressions, so the regex is a DAG whose
+    tree can be exponentially larger.  Each (node, context) pair is
+    rendered once, keyed by the node's identity, and its text reused: a
+    node is rendered at most three times, once per context (union operand,
+    concatenation factor, starred atom), so the cost is linear in the size
+    of the DAG plus the text built, not in the size of the tree.  A leaf is
+    an atom, never parenthesized, and is not kept."""
+    done: dict = {0: {}, 1: {}, 3: {}}     # context -> id of a node -> its text
 
     def render(n: Regex, ctx: int) -> str:
+        if isinstance(n, Letter):
+            return n.symbol
+        if isinstance(n, Epsilon):
+            return "%eps"
         if isinstance(n, Empty):
-            s = "%empty"
-        elif isinstance(n, Epsilon):
-            s = "%eps"
-        elif isinstance(n, Letter):
-            s = n.symbol
-        elif isinstance(n, Union):
-            s = "|".join([render(m, 0) for m in chain(n)])
-        elif isinstance(n, Concat):
-            s = "".join([render(m, 1) for m in chain(n)])
-        elif isinstance(n, Star):
-            s = render(n.inner, 3) + "*"
-        elif isinstance(n, Plus):
-            s = render(n.inner, 3) + "+"
-        else:  # pragma: no cover
-            raise TypeError(n)
-        if precedence(n) < ctx:
-            s = "(" + s + ")"
+            return "%empty"
+        texts = done[ctx]
+        s = texts.get(id(n))
+        if s is None:
+            if isinstance(n, Union):
+                s = "|".join([render(m, 0) for m in chain(n)])
+            elif isinstance(n, Concat):
+                s = "".join([render(m, 1) for m in chain(n)])
+            elif isinstance(n, Star):
+                s = render(n.inner, 3) + "*"
+            elif isinstance(n, Plus):
+                s = render(n.inner, 3) + "+"
+            else:  # pragma: no cover
+                raise TypeError(n)
+            if precedence(n) < ctx:
+                s = "(" + s + ")"
+            texts[id(n)] = s
         return s
 
     return render(node, 0)

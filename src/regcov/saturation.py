@@ -93,7 +93,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import Caps, DEFAULT_CAPS, InputError
-from .fa import Nfa, minimize, transition_monoid
+from .fa import Dfa, Nfa, minimize, transition_monoid
 from .imprints import ImprintSet
 from .rating import Extension, RatingMap
 
@@ -285,6 +285,7 @@ class CoverDecision:
     raw_imprint: object
     rating_map: object = None     # map the raw imprint was computed over
     stats: dict = field(default_factory=dict)
+    target_dfa: Optional[Dfa] = None  # the minimal DFA Σ1 points by, which its synthesis reads
 
 
 def _mask_subsets(mask: int):
@@ -354,6 +355,7 @@ def decide_pointed_covering(target: Nfa, ext: Extension, class_id: ClassId,
     """Lattice-class covering decision: the imprint pointed at the target by
     its minimal DFA (Σ1) or its transition monoid (Σ2), the quality measure
     via the multiset extension."""
+    dfa = None
     if class_id is ClassId.SIGMA1:
         dfa = minimize(target, caps)
         pointed = saturate_pointed(dfa, ext.tau, class_id, caps)
@@ -375,4 +377,5 @@ def decide_pointed_covering(target: Nfa, ext: Extension, class_id: ClassId,
         rating_map=ext.tau,
         stats={"elements": len(pointed), "sweeps": pointed.sweeps,
                "rating_set_log2": ext.tau.semiring.log2_size(), **stats},
+        target_dfa=dfa,
     )

@@ -9,7 +9,10 @@ by the whole subset construction; `transition_monoid` composes and hashes
 the two transformations of every product in its table; `pt_partition`
 keeps piece sets as frozensets of strings, and `is_refined_partition`
 checks a partition of mixed depths with them; `partition_piece` trims the
-whole partition DFA with the given finals.
+whole partition DFA with the given finals; `minimize_labelled` gathers each
+signature column by `map` and numbers the blocks through `fa.explore`, and
+`flip`, the label-vector reversal of `covers._Fo2State._flip`, steps a
+vector by `map` too.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from regcov import rx
-from regcov.fa import (Alphabet, Dfa, MonoidMorphism, Nfa, is_empty, minimize,
+from regcov.errors import DeterminizationCapError
+from regcov.fa import (Alphabet, Dfa, MonoidMorphism, Nfa, explore, is_empty, minimize,
                        nfa_complement, nfa_intersection)
 
 from helpers import concat, star, trim, union
@@ -190,3 +194,38 @@ def is_refined_partition(pa: Dfa, classes: list, k: int) -> bool:
 
 def partition_piece(pa: Dfa, finals) -> Nfa:
     return trim(replace(pa, finals=frozenset(finals)).as_nfa())
+
+
+def minimize_labelled(delta: tuple, initial: int, labels: list) -> tuple:
+    ids: dict = {}
+    block = [ids.setdefault(x, len(ids)) for x in labels]
+    nblocks = len(ids)
+    cols = list(zip(*delta))
+    while True:
+        sigs = list(zip(block, *[map(block.__getitem__, col) for col in cols]))
+        ids = {}
+        newblock = [ids.setdefault(sig, len(ids)) for sig in sigs]
+        if len(ids) == nblocks:
+            break
+        block = newblock
+        nblocks = len(ids)
+    rep: dict = {}
+    for sig, x in zip(sigs, labels):
+        if sig[0] not in rep:
+            rep[sig[0]] = (sig[1:], x)
+    order, rows = explore(block[initial], lambda b: rep[b][0], len(rep))
+    return tuple(rows), [rep[b][1] for b in order]
+
+
+def flip(m: tuple, cap: int) -> tuple:
+    delta, labels = m
+    ids: dict = {}
+    start = tuple(ids.setdefault(x, len(ids)) for x in labels)
+    names = list(ids)
+    cols = list(zip(*delta))
+    found = explore(start, lambda vec: [tuple(map(vec.__getitem__, col)) for col in cols], cap)
+    if found is None:
+        raise DeterminizationCapError("max_det_states", cap,
+                                      f"reversing a {len(delta)}-state fo2 node machine")
+    order, rows = found
+    return tuple(rows), [names[vec[0]] for vec in order]

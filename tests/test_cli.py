@@ -2,10 +2,13 @@
 
 import contextlib
 import functools
+import hashlib
+import importlib.util
 import io
 import json
 import os
 import random
+import re
 import resource
 import shlex
 import subprocess
@@ -812,6 +815,54 @@ def test_corpus_outputs_do_not_follow_the_hash_seed(tmp_path):
                            capture_output=True, text=True, check=True, timeout=120).stdout
             for seed in ("1", "2")]
     assert outs[0].count("\n") == 220 and outs[0] == outs[1]
+
+
+# sha256 of every decide, synth and plain query of the benchmark corpus at
+# seed 1, in qid order: its qid, exit status, stdout with wall_ms masked and
+# stderr.  A change that means to change what the program prints updates it.
+CORPUS_DIGEST = "594ecfe12df95eb63cede160c4f0b7de208ae1069842bd288f71769d4955567b"
+
+
+def test_corpus_outputs_are_unchanged(monkeypatch, tmp_path):
+    # the benchmark's own queries, in process; its module writes nothing
+    # under perfbench/, only the decide instances under tmp_path
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    digest = hashlib.sha256()
+    count = 0
+    for workload in ("decide", "synth", "plain"):
+        for q in sorted(workloads.corpus(workload, 1, str(tmp_path)), key=lambda q: q.qid):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(list(q.argv))
+            stdout = re.sub(r'"wall_ms": [^,}]+', '"wall_ms": 0', out.getvalue())
+            digest.update(repr((workload, q.qid, code, stdout, err.getvalue())).encode() + b"\n")
+            count += 1
+    assert (count, digest.hexdigest()) == (364, CORPUS_DIGEST)
+
+
+@pytest.mark.parametrize("flags", [[], ["--emit-cover", "--verify"]], ids=["bare", "emit-cover"])
+def test_sigma1_minimizes_its_target_once(monkeypatch, capsys, flags):
+    # the synthesis builds on the minimal DFA that the decision pointed by
+    from regcov import fa, rating, saturation
+
+    minimized = []
+    minimize = fa.minimize
+
+    def counted(nfa, *args):
+        minimized.append(nfa)
+        return minimize(nfa, *args)
+
+    for module in (fa, pieces, rating, saturation, covers):
+        monkeypatch.setattr(module, "minimize", counted)
+    code, out, _ = run(capsys, ["separate", "--class", "sigma1", "--alphabet", "ab",
+                                "--target", "(ab)+", "--against", "b+"] + flags)
+    assert code == 0 and "separator: " in out
+    assert minimized.count(nfa_of("(ab)+", "ab")) == 1
+    assert len(set(minimized)) == len(minimized)
 
 
 def test_a_closed_stdout_is_not_a_traceback():

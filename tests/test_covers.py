@@ -69,7 +69,7 @@ def superwords(alphabet: Alphabet, word: str):
 
 
 def test_sigma1_cover_trivial_monoid():
-    cov = sigma1_cover(universal_language(AB), complement_map(universal_language(AB)))
+    cov = sigma1_cover(minimize(universal_language(AB)), complement_map(universal_language(AB)))
     assert len(cov.pieces) == 1
     assert equivalent(cov.pieces[0], universal_language(AB))
 
@@ -77,7 +77,7 @@ def test_sigma1_cover_trivial_monoid():
 def test_sigma1_cover_covers_fiber():
     lang = nfa_of("a+", "ab")
     against = [nfa_of("b+", "ab")]
-    cov = sigma1_cover(lang, rm_from_multiset(against).tau)
+    cov = sigma1_cover(minimize(lang), rm_from_multiset(against).tau)
     assert includes(lang, union_nfa(cov, AB))
     assert [rx.regex_to_text(fa.nfa_to_regex(p)) for p in cov.pieces] == ["b*a(a|b)*"]
     assert equivalent(cov.pieces[0], nfa_of("(a|b)*a(a|b)*", "ab"))
@@ -87,7 +87,7 @@ def test_sigma1_cover_covers_fiber():
 
 def test_sigma1_pieces_upward_closed():
     lang = nfa_of("ab|ba", "ab")
-    cov = sigma1_cover(lang, complement_map(lang))
+    cov = sigma1_cover(minimize(lang), complement_map(lang))
     for p in cov.pieces:
         assert equivalent(upward_closure(p), p)
 
@@ -104,7 +104,7 @@ def test_sigma1_cover_optimality_matches_pointed_imprint():
         ext = rm_from_multiset(others)
         pointed = saturate_pointed(cayley(alpha, AB), ext.tau, ClassId.SIGMA1)
         want = {r for (m, r) in members(pointed) if m in acc}
-        cov = sigma1_cover(target, ext.tau)
+        cov = sigma1_cover(minimize(target), ext.tau)
         sr = ext.tau.semiring
         got = set()
         for p in cov.pieces:
@@ -129,7 +129,7 @@ def test_sigma1_pieces_unite_the_minimal_words_of_one_image(drawn, data):
         by_image: dict = {}
         for w in reference_covers.sigma1_words(alpha, targets, alphabet):
             by_image.setdefault(rho.eval_nfa(superwords(alphabet, w)), []).append(w)
-        cov = sigma1_cover(fiber_nfa(alpha, targets, alphabet), rho)
+        cov = sigma1_cover(minimize(fiber_nfa(alpha, targets, alphabet)), rho)
         images = [rho.eval_nfa(p) for p in cov.pieces]
         assert sorted(images) == sorted(by_image)
         for img, p in zip(images, cov.pieces):
@@ -144,7 +144,7 @@ def test_sigma1_covers_depend_only_on_the_target_language(drawn):
     target, other = drawn
     rho = rm_from_multiset([other]).tau
     alpha, acc = transition_monoid(target)
-    texts = [sigma1_cover(t, rho).to_json()["pieces"]
+    texts = [sigma1_cover(minimize(t), rho).to_json()["pieces"]
              for t in (target, fa.determinize(target).as_nfa(),
                        fiber_nfa(alpha, acc, target.alphabet))]
     assert texts[0] == texts[1] == texts[2]
@@ -154,7 +154,7 @@ def test_sigma1_words_of_one_image_share_a_piece():
     # against the words ending in a, ↑a and ↑b have one image, though A*·a
     # and A*·b do not: the image of ↑w is read with A* after every letter
     lang = nfa_of("a|b", "ab")
-    cov = sigma1_cover(lang, rm_from_multiset([nfa_of("(a|b)*a", "ab")]).tau)
+    cov = sigma1_cover(minimize(lang), rm_from_multiset([nfa_of("(a|b)*a", "ab")]).tau)
     assert len(cov.pieces) == 1 and equivalent(cov.pieces[0], nfa_of("(a|b)+", "ab"))
 
 
@@ -167,7 +167,7 @@ def test_sigma1_cover_of_a_large_monoid_is_verified():
     alpha, _ = transition_monoid(nfa)
     assert alpha.size == 1101
     against = [nfa_complement(nfa)]
-    cov = sigma1_cover(nfa, rm_from_multiset(against).tau)
+    cov = sigma1_cover(minimize(nfa), rm_from_multiset(against).tau)
     report = verify_cover(cov, nfa, against)
     assert cov.pieces and report.covers_target and report.class_ok
 
@@ -180,7 +180,7 @@ def test_sigma1_cover_has_one_piece_per_image(n):
     alpha, _ = transition_monoid(target)
     assert alpha.size == n + 1
     against = [nfa_of("(a|b)*", "abc"), nfa_of("c*", "abc")]
-    cov = sigma1_cover(target, rm_from_multiset(against).tau)
+    cov = sigma1_cover(minimize(target), rm_from_multiset(against).tau)
     report = verify_cover(cov, target, against)
     assert len(cov.pieces) == 3 and report.ok and report.piece_witnesses == [1, 0, 0]
 
@@ -402,6 +402,30 @@ def test_fo2_cover_base_case_emits_whole_star():
     assert members(cover_imprint(top, aug.tau)) == members(widen(sat, aug))
     assert piece_images_distinct(top, aug.tau)
     assert includes(universal_language(A1), union_nfa(top, A1))
+
+
+@pytest.mark.parametrize("symbols", ["abc", "abcdefghijklmnop"])
+def test_fo2_base_case_is_the_minimized_two_state_machine(symbols):
+    # B* written down directly: for every sub-alphabet mask, the machine
+    # that minimizing B*'s state and a sink for the letters outside B gives
+    n = len(symbols)
+    if n == 3:
+        langs = [nfa_of("(ab)+", symbols), nfa_of("c(ac)+", symbols)]
+        dec = decide_universal_covering(rm_from_multiset(langs), ClassId.FO2, target_index=0)
+        state = covers._Fo2State(dec.rating_map, dec.raw_imprint, DEFAULT_CAPS)
+        contexts = [state.one] + sorted(dec.raw_imprint.maximal_elements())[:2]
+    else:                                  # no synthesis: _base reads the map only
+        state = covers._Fo2State(rm_from_multiset([nfa_of("ab", symbols)]).tau, None,
+                                 DEFAULT_CAPS)
+        contexts = [state.one]
+    sink = (1,) * n
+    for left, right in itertools.product(contexts, repeat=2):
+        for subset in range(1 << n):
+            star = (0, state.rho.image_of_star(subset, DEFAULT_CAPS))
+            img = state.mul(state.mul(left, star), right)
+            inside = tuple(0 if subset >> k & 1 else 1 for k in range(n))
+            assert state._base(subset, left, right) == reference_fa.minimize_labelled(
+                (inside, sink), 0, [img, None])
 
 
 def test_fo2_every_node_labels_its_pieces_in_context():
@@ -720,7 +744,7 @@ def test_every_synthesizer_builds_trimmed_minimal_pieces():
     # the trimmed minimal DFA of the piece's language
     covs = [at_cover(A1), at_cover(ABC)]
     for text in ("a+", "ab|ba", "(ab)+"):
-        covs.append(sigma1_cover(nfa_of(text, "ab"), complement_map(nfa_of(text, "ab"))))
+        covs.append(sigma1_cover(minimize(nfa_of(text, "ab")), complement_map(nfa_of(text, "ab"))))
     for langs in ([nfa_of("a+", "ab"), nfa_of("b+", "ab")],
                   [nfa_of("(ab)+", "abc"), nfa_of("c(ac)+", "abc")]):
         dec = decide_universal_covering(rm_from_multiset(langs), ClassId.BSIGMA1)
@@ -854,7 +878,7 @@ def test_union_covers():
     lang = nfa_of("a+|ab", "ab")
     alpha, acc = transition_monoid(lang)
     rho = complement_map(lang)
-    per_element = [sigma1_cover(fiber_nfa(alpha, {s}, AB), rho) for s in sorted(acc)]
+    per_element = [sigma1_cover(minimize(fiber_nfa(alpha, {s}, AB)), rho) for s in sorted(acc)]
     merged = union_covers(per_element)
     assert includes(lang, union_nfa(merged, AB))
 

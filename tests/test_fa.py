@@ -1,6 +1,7 @@
 """Automaton constructions, decisions, the transition monoid and the special
 languages."""
 
+import dataclasses
 import functools
 import random
 
@@ -13,7 +14,7 @@ from regcov import (DEFAULT_CAPS, Alphabet, DeterminizationCapError, InputError,
                     nfa_complement, nfa_concat, nfa_from_json, nfa_intersection,
                     nfa_to_regex, nfa_union, regex_to_nfa, transition_monoid,
                     universal_language, upward_closure)
-from regcov import rx
+from regcov import fa, rx
 from regcov.fa import Nfa, empty_language
 
 import reference_fa
@@ -394,6 +395,50 @@ def _fo2_state(caps):
     state.node(0b111, one, one)
     machine = max((m for _, m in state._nodes.values()), key=lambda m: len(m[0]))
     return _Fo2State(dec.rating_map, dec.raw_imprint, caps), machine
+
+
+@st.composite
+def labelled_dfas(draw):
+    """(delta, initial, labels) of a complete DFA of 1 to 40 states over 1
+    to 16 letters whose states carry labels drawn with None; the palette
+    (None,) gives the machines that are one sink.  The transitions and
+    labels come from a drawn `random.Random`, as lists of draws shrink
+    towards machines of one label."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 16))
+    palette = draw(st.sampled_from([(None, 0, 1, 2), (0, 1), (None, 0), (None,)]))
+    rng = draw(st.randoms(use_true_random=False))
+    delta = tuple(tuple(rng.randrange(n) for _ in range(k)) for _ in range(n))
+    return delta, rng.randrange(n), [rng.choice(palette) for _ in range(n)]
+
+
+@given(labelled_dfas())
+def test_moore_kernels_match_their_references(drawn):
+    # the column-gathering minimization and reversal give the machines of
+    # the map-based references, and stop on max_det_states at the same cap
+    from types import SimpleNamespace
+
+    from regcov.covers import _Fo2State
+
+    want = reference_fa.minimize_labelled(*drawn)
+    assert fa.minimize_labelled(*drawn) == want
+
+    def outcome(flip, cap):
+        try:
+            return flip(cap)
+        except DeterminizationCapError as exc:
+            return exc.cap
+
+    def flip(cap):
+        caps = dataclasses.replace(DEFAULT_CAPS, max_det_states=cap)
+        return _Fo2State._flip(SimpleNamespace(caps=caps), want)
+
+    reference = functools.partial(reference_fa.flip, want)
+    full = outcome(reference, 2_000)
+    assert outcome(flip, 2_000) == full
+    if type(full) is tuple:
+        n = len(full[0])
+        assert [outcome(flip, cap) for cap in (n - 1, n)] == [outcome(reference, n - 1), full]
 
 
 def _cap_case(name):
