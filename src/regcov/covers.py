@@ -113,7 +113,7 @@ def at_cover(alphabet: Alphabet, caps: Caps = DEFAULT_CAPS,
 
 def sigma1_machine(target: Dfa, caps: Caps = DEFAULT_CAPS) -> Cover:
     """↑L, the union of the pieces of `sigma1_cover`, with no piece built,
-    from the target's minimal DFA."""
+    from a DFA of the target."""
     return Cover(ClassId.SIGMA1, None, machine=_up_machine(upward_closure(target.as_nfa()), caps))
 
 
@@ -128,10 +128,10 @@ def sigma1_cover(target: Dfa, rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> Cove
     """Cover of the target L by upward-closed pieces, one for each
     distinct image ρ(↑w) over the words w of min(L), the subword-minimal
     words of L: the piece of image r is the union of the superword closures
-    ↑w of the minimal words w with ρ(↑w) = r.  The construction starts from
-    the target's minimal DFA, which the caller passes (the CLI passes the
-    one the Σ1 decision pointed by), so the pieces depend on L only, not on
-    the automaton that spells it.
+    ↑w of the minimal words w with ρ(↑w) = r.  The construction reads any
+    DFA of L (the CLI passes the minimal one the Σ1 decision pointed by);
+    the pieces are cut from min(L)'s minimal DFA and minimized, so they
+    depend on L only, not on the automaton that spells it.
 
     The canonical Σ1 cover {↑w : w ∈ min(L)} is finite by Higman's lemma
     and optimal for every rating map: any Σ1 cover of L has a piece K that

@@ -3,12 +3,10 @@
 import contextlib
 import functools
 import hashlib
-import importlib.util
 import io
 import json
 import os
 import random
-import re
 import resource
 import shlex
 import subprocess
@@ -791,21 +789,27 @@ def test_fo2_separator_does_not_follow_the_hash_seed(argv):
     assert json.loads(outs[0])["separator"]
 
 
-# every synth and plain query of the benchmark corpus through `main`, one
-# line each with its exit status and output, wall_ms masked; the corpus
-# module is imported from perfbench/ and writes nothing there
+# every decide, synth and plain query of the benchmark corpus at seed 1
+# through `main`, in qid order, one line each with its exit status, stdout
+# with wall_ms masked and stderr; the corpus module is imported from
+# perfbench/ and writes nothing there, only the decide instances to argv[2]
 CORPUS_OUTPUTS = """
 import contextlib, io, re, sys
 sys.path.insert(0, sys.argv[1])
 import workloads
 from regcov import cli
-for workload in ("synth", "plain"):
-    for q in workloads.corpus(workload, 1, sys.argv[2]):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+for workload in ("decide", "synth", "plain"):
+    for q in sorted(workloads.corpus(workload, 1, sys.argv[2]), key=lambda q: q.qid):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(q.argv)
-        print(q.qid, code, repr(re.sub(r'"wall_ms": [^,}]+', '"wall_ms": 0', out.getvalue())))
+        stdout = re.sub(r'"wall_ms": [^,}]+', '"wall_ms": 0', out.getvalue())
+        print(workload, q.qid, code, repr(stdout), repr(err.getvalue()))
 """
+
+# sha256 of what CORPUS_OUTPUTS prints.  A change that means to change what
+# the program prints updates it.
+CORPUS_DIGEST = "930f057005c0236fb4a4d0952c5cc1a3569ada38ac81fdc0736c8b56239e851b"
 
 
 def test_corpus_outputs_do_not_follow_the_hash_seed(tmp_path):
@@ -814,34 +818,8 @@ def test_corpus_outputs_do_not_follow_the_hash_seed(tmp_path):
                            env=regcov_env(PYTHONHASHSEED=seed, PYTHONDONTWRITEBYTECODE="1"),
                            capture_output=True, text=True, check=True, timeout=120).stdout
             for seed in ("1", "2")]
-    assert outs[0].count("\n") == 220 and outs[0] == outs[1]
-
-
-# sha256 of every decide, synth and plain query of the benchmark corpus at
-# seed 1, in qid order: its qid, exit status, stdout with wall_ms masked and
-# stderr.  A change that means to change what the program prints updates it.
-CORPUS_DIGEST = "594ecfe12df95eb63cede160c4f0b7de208ae1069842bd288f71769d4955567b"
-
-
-def test_corpus_outputs_are_unchanged(monkeypatch, tmp_path):
-    # the benchmark's own queries, in process; its module writes nothing
-    # under perfbench/, only the decide instances under tmp_path
-    spec = importlib.util.spec_from_file_location(
-        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
-    spec.loader.exec_module(workloads)
-    digest = hashlib.sha256()
-    count = 0
-    for workload in ("decide", "synth", "plain"):
-        for q in sorted(workloads.corpus(workload, 1, str(tmp_path)), key=lambda q: q.qid):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(list(q.argv))
-            stdout = re.sub(r'"wall_ms": [^,}]+', '"wall_ms": 0', out.getvalue())
-            digest.update(repr((workload, q.qid, code, stdout, err.getvalue())).encode() + b"\n")
-            count += 1
-    assert (count, digest.hexdigest()) == (364, CORPUS_DIGEST)
+    assert outs[0].count("\n") == 364 and outs[0] == outs[1]
+    assert hashlib.sha256(outs[0].encode()).hexdigest() == CORPUS_DIGEST
 
 
 @pytest.mark.parametrize("flags", [[], ["--emit-cover", "--verify"]], ids=["bare", "emit-cover"])

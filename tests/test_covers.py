@@ -137,17 +137,36 @@ def test_sigma1_pieces_unite_the_minimal_words_of_one_image(drawn, data):
                                                  for w in by_image[img])))
 
 
+def _with_parity(d: fa.Dfa) -> fa.Dfa:
+    # d run beside the parity of the length read, its states numbered
+    # backwards: a DFA of the same language with twice d's states
+    n = d.state_count
+
+    def num(q, p):
+        return 2 * n - 1 - (2 * q + p)
+
+    delta = [()] * (2 * n)
+    for q, row in enumerate(d.delta):
+        for p in (0, 1):
+            delta[num(q, p)] = tuple(num(r, 1 - p) for r in row)
+    return fa.Dfa(d.alphabet, 2 * n, num(d.initial, 0),
+                  frozenset(num(q, p) for q in d.finals for p in (0, 1)), tuple(delta))
+
+
 @given(st.sampled_from([AB, ABC]).flatmap(lambda a: st.tuples(nfas(a), nfas(a, 3))))
 def test_sigma1_covers_depend_only_on_the_target_language(drawn):
-    # the NFA, its subset construction and the Cayley graph of its
-    # transition monoid spell one language, and give the same pieces
+    # the minimal DFA, the subset construction of the NFA, that of the
+    # Cayley graph of its transition monoid and the minimal DFA doubled by
+    # a parity bit spell one language, and give the same pieces
     target, other = drawn
     rho = rm_from_multiset([other]).tau
     alpha, acc = transition_monoid(target)
-    texts = [sigma1_cover(minimize(t), rho).to_json()["pieces"]
-             for t in (target, fa.determinize(target).as_nfa(),
-                       fiber_nfa(alpha, acc, target.alphabet))]
-    assert texts[0] == texts[1] == texts[2]
+    least = minimize(target)
+    dfas = (least, fa.determinize(target),
+            fa.determinize(fiber_nfa(alpha, acc, target.alphabet)), _with_parity(least))
+    assert equivalent(dfas[3].as_nfa(), target)
+    texts = [sigma1_cover(t, rho).to_json()["pieces"] for t in dfas]
+    assert texts[0] == texts[1] == texts[2] == texts[3]
 
 
 def test_sigma1_words_of_one_image_share_a_piece():
