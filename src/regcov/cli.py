@@ -19,9 +19,8 @@ from typing import Optional
 
 from .errors import Caps, DEFAULT_CAPS, InputError, ResourceCapError
 from . import rx
-from .fa import (Alphabet, Nfa, alphabet_exact, includes, is_empty,
-                 nfa_complement, nfa_from_json, nfa_to_regex, regex_to_nfa,
-                 universal_language, upward_closure)
+from .fa import (Alphabet, Nfa, alphabet_exact, is_empty, nfa_complement, nfa_from_json,
+                 nfa_to_regex, regex_to_nfa, universal_language, upward_closure)
 from .covers import (Cover, at_cover, at_machine, bsigma1_cover, bsigma1_machine, fo2_cover,
                      fo2_machine, separator, sigma1_cover, sigma1_machine, verify_cover)
 from .rating import rm_from_multiset
@@ -282,16 +281,14 @@ def _machine(class_id: ClassId, decision, alphabet: Alphabet, caps: Caps) -> Cov
 def _separator(synthesized: Cover, target: Nfa, against: Nfa, rho, caps: Caps) -> tuple:
     """(text, stats, failure) of the separator read off the cover's
     machine (`covers.separator`), rendered once.  The text is parsed and
-    compiled again and checked as printed: it includes the target, misses
-    the other language, and is in the class.  For at and bsigma1 the class
-    check is `are_unions_of_classes` on the cover's partition, for sigma1
-    closure under superwords; fo2 is certified by construction.  Every fo2
+    compiled again and checked as printed, as the one-piece cover of the
+    target separating for the other language (`verify_cover`): it includes
+    the target, misses the other language, and is in the class.  Every fo2
     and bsigma1 separator, whether or not the cover's pieces were built, has
     its image checked: each label is its piece's image, so the separator's
     image, evaluated on the compiled text, must be the sum of the labels it
     unites; for fo2, whose labels are (content, image) pairs, content by
-    content.  The failure says which
-    check failed first, or is None."""
+    content.  The failure says which check failed first, or is None."""
     _PHASE[0] = "synthesize"
     sep = separator(synthesized, target, against)
     _PHASE[0] = "render"
@@ -300,26 +297,21 @@ def _separator(synthesized: Cover, target: Nfa, against: Nfa, rho, caps: Caps) -
     alphabet = target.alphabet
     nfa = regex_to_nfa(rx.regex_parse(text, alphabet.symbols), alphabet)
     stats = {"union": sep.union, "states": sep.nfa.state_count}
-    if not includes(target, nfa, caps):
+    report = verify_cover(replace(synthesized, pieces=[nfa]), target, [against], caps)
+    if not report.covers_target:
         return text, stats, "separator does not contain the first language"
-    if not is_empty(nfa, against):
+    if not report.separating:
         return text, stats, "separator meets the second language"
-    class_id = synthesized.class_id
-    if class_id is ClassId.SIGMA1:
-        class_ok = includes(upward_closure(nfa), nfa, caps)
-    elif synthesized.partition is not None:
-        class_ok = are_unions_of_classes([nfa], synthesized.partition, caps)
-    else:
-        class_ok = True
-    if not class_ok:
+    if report.class_ok is False:
         return text, stats, "separator is not in the class"
+    class_id = synthesized.class_id
     if class_id in (ClassId.BSIGMA1, ClassId.FO2):
         if class_id is ClassId.FO2:     # (content, image) labels, summed per content
             image: dict = {}
             for content, r in sep.labels:
                 image[content] = image.get(content, 0) | r
         else:
-            image = functools.reduce(rho.semiring.add, sep.labels, rho.semiring.zero)
+            image = rho.semiring.sum(sep.labels)
         if rho.eval_nfa(nfa, caps, class_id is ClassId.FO2) != image:
             return text, stats, "separator's image is not the sum of its labels"
     return text, stats, None

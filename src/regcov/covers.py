@@ -29,7 +29,7 @@ from .fa import (Alphabet, Dfa, Nfa, explore, includes, is_empty, minimize, mini
 from .imprints import ImprintSet
 from .pieces import are_unions_of_classes, pt_partition
 from .rating import RatingMap, content_pairs, reach
-from .saturation import ClassId
+from .saturation import ClassId, _item_mul
 
 
 class Labelled(NamedTuple):
@@ -538,8 +538,7 @@ class _Fo2State:
     def __init__(self, rho: RatingMap, saturated: ImprintSet, caps: Caps):
         self.rho = rho
         self.sr = rho.semiring
-        smul = self.sr.mul
-        self.mul = lambda x, y: (x[0] | y[0], smul(x[1], y[1]))
+        self.mul = _item_mul(self.sr)
         self.one = (0, self.sr.one)
         self.sat = saturated
         self.caps = caps
@@ -551,7 +550,7 @@ class _Fo2State:
         self._nodes: dict = {}
         self._machines: dict = {}
 
-    def _word_images(self) -> set:
+    def _word_images(self) -> list:
         """Items of all words: their (content, image) pairs, closed over the
         automaton of the contents (`rating.content_pairs`) once per
         synthesis.  The items of the words over B are those whose content
@@ -759,7 +758,8 @@ class VerifyReport:
 def verify_cover(cover: Cover, target: Nfa, against: list,
                  caps: Caps = DEFAULT_CAPS) -> VerifyReport:
     """Machine-check a cover: coverage, separation witnesses and the class
-    discipline of each piece.
+    discipline of each piece.  A separator is checked here too, as the
+    one-piece cover of the target separating for the other language.
 
     The pieces of a sigma1 cover are checked closed under superwords.  The
     pieces of a cover that carries its partition (at, bsigma1) are checked

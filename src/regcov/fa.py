@@ -287,6 +287,17 @@ def _bits(states) -> int:
     return mask
 
 
+def _positions(mask: int) -> list:
+    """The positions of the set bits of a mask, lowest first: the inverse
+    of `_bits`."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _subset_successors(n: Nfa):
     """The step of n's subset construction: a function from a bitmask of
     states to the list of its successors, one per letter in alphabet
@@ -297,11 +308,7 @@ def _subset_successors(n: Nfa):
     tables = [succ[a] for a in n.alphabet.symbols]
 
     def successors(subset):
-        members = []
-        while subset:
-            low = subset & -subset
-            members.append(low.bit_length() - 1)
-            subset ^= low
+        members = _positions(subset)
         row = []
         for table in tables:
             nxt = 0
@@ -549,13 +556,19 @@ def upward_closure(n: Nfa) -> Nfa:
     return Nfa(n.alphabet, n.state_count, n.initials, n.finals, frozenset(trans))
 
 
-def alphabet_star(alphabet: Alphabet, subset: Iterable[str]) -> Nfa:
-    """B* for B a sub-alphabet."""
+def _checked_letters(alphabet: Alphabet, subset: Iterable[str]) -> list:
+    """The letters of a sub-alphabet, sorted, each checked to be in the
+    alphabet."""
     syms = sorted(set(subset))
     for s in syms:
         if s not in alphabet:
             raise InputError(f"symbol {s!r} not in alphabet")
-    trans = {(0, a, 0) for a in syms}
+    return syms
+
+
+def alphabet_star(alphabet: Alphabet, subset: Iterable[str]) -> Nfa:
+    """B* for B a sub-alphabet."""
+    trans = {(0, a, 0) for a in _checked_letters(alphabet, subset)}
     return Nfa(alphabet, 1, frozenset([0]), frozenset([0]), frozenset(trans))
 
 
@@ -566,10 +579,7 @@ def alphabet_exact(alphabet: Alphabet, subset: Iterable[str]) -> Nfa:
     The state is the set of letters of B read so far, numbered in BFS
     order, so this is the trimmed minimal DFA of the language: distinct
     sets miss different letters."""
-    syms = sorted(set(subset))
-    for s in syms:
-        if s not in alphabet:
-            raise InputError(f"symbol {s!r} not in alphabet")
+    syms = _checked_letters(alphabet, subset)
     k = len(syms)
     _, rows = explore(0, lambda seen: [seen | 1 << i for i in range(k)], 1 << k)
     trans = {(q, a, r) for q, row in enumerate(rows) for a, r in zip(syms, row)}

@@ -14,7 +14,8 @@ from typing import Iterable, Optional
 
 from .errors import (Caps, DEFAULT_CAPS, DeterminizationCapError, InputError,
                      SaturationCapError)
-from .fa import Alphabet, MonoidMorphism, Nfa, _bits, _dfa_monoid, _subset_successors, minimize
+from .fa import (Alphabet, MonoidMorphism, Nfa, _bits, _dfa_monoid, _subset_successors, explore,
+                 minimize)
 from .semiring import PowersetMonoidSemiring, ProductSemiring, RelationSemiring, Semiring
 
 
@@ -182,30 +183,24 @@ def _exact_images(sr: Semiring, letter_images: list) -> list:
     return exact
 
 
-def reach(sr: Semiring, delta, initial: int, letter_images: list, cap: int, what: str) -> set:
-    """The (state, word image) pairs of the words over a complete automaton:
-    delta[q][k] is the state that letter k leads to from q, and
-    letter_images[k] the letter's image in `sr`.  More than `cap` pairs
-    raise SaturationCapError naming `what`."""
+def reach(sr: Semiring, delta, initial: int, letter_images: list, cap: int, what: str) -> list:
+    """The (state, word image) pairs of the words over a complete automaton,
+    numbered by `fa.explore`: delta[q][k] is the state that letter k leads
+    to from q, and letter_images[k] the letter's image in `sr`.  More than
+    `cap` pairs raise SaturationCapError naming `what`."""
     mul = sr.mul
-    letters = list(enumerate(letter_images))
-    start = (initial, sr.one)
-    seen = {start}
-    work = [start]
-    while work:
-        q, elem = work.pop()
-        row = delta[q]
-        for k, img in letters:
-            pair = (row[k], mul(elem, img))
-            if pair not in seen:
-                if len(seen) >= cap:
-                    raise SaturationCapError(cap, what)
-                seen.add(pair)
-                work.append(pair)
-    return seen
+
+    def successors(pair):
+        q, elem = pair
+        return [(r, mul(elem, img)) for r, img in zip(delta[q], letter_images)]
+
+    found = explore((initial, sr.one), successors, cap)
+    if found is None:
+        raise SaturationCapError(cap, what)
+    return found[0]
 
 
-def content_pairs(sr: Semiring, letter_images, cap: int, what: str) -> set:
+def content_pairs(sr: Semiring, letter_images, cap: int, what: str) -> list:
     """The (content mask, word image) pairs of all words: `reach` on the
     automaton whose states are the contents of the words read."""
     n = len(letter_images)

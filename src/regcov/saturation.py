@@ -125,6 +125,12 @@ class ClassId(enum.Enum):
 
 # -- fixpoint engines ----------------------------------------------------------------
 
+def _item_mul(sr):
+    """The product of FO2 items: (B, r)·(C, s) = (B ∪ C, r·s)."""
+    smul = sr.mul
+    return lambda x, y: (x[0] | y[0], smul(x[1], y[1]))
+
+
 def saturate_universal(rho: RatingMap, class_id: ClassId,
                        caps: Caps = DEFAULT_CAPS) -> ImprintSet:
     """Least class-saturated subset of the rating semiring; for FO2, of
@@ -132,17 +138,14 @@ def saturate_universal(rho: RatingMap, class_id: ClassId,
     if class_id not in (ClassId.BSIGMA1, ClassId.FO2, ClassId.FO):
         raise InputError(f"{class_id.value} is not handled by the universal engine")
     sr = rho.semiring
-    smul = sr.mul
     keyed = class_id is ClassId.FO2
     out = ImprintSet(sr, keyed, cap=caps.max_elements, label=f"class {class_id.value}")
     if keyed:
         # (content mask, rating element) items; letter k has content {k}
         one, gens = (0, sr.one), [(1 << k, img) for k, img in enumerate(rho.letter_image)]
-
-        def mul(x, y):
-            return (x[0] | y[0], smul(x[1], y[1]))
+        mul = _item_mul(sr)
     else:
-        one, gens, mul = sr.one, list(rho.letter_image), smul
+        one, gens, mul = sr.one, list(rho.letter_image), sr.mul
 
     if class_id is ClassId.BSIGMA1:
         # unconditional rule: fires once per sub-alphabet, so its outputs
@@ -323,21 +326,11 @@ def _against_table(image_masks: Iterable[int], n_total: int, target_index: Optio
     return frozenset(closed), (1 << n_against) - 1 in closed
 
 
-def decide_universal_covering(ext: Extension, class_id: ClassId,
-                              caps: Caps = DEFAULT_CAPS,
-                              target_index: Optional[int] = None) -> CoverDecision:
-    """Boolean-algebra covering decision over a multiset extension.
-
-    With `target_index` set, the extension was built over {target} ∪ against
-    and the verdict answers the full covering question for the target.
-    """
-    if class_id is ClassId.AT:
-        imprint = at_imprint(ext.tau, caps=caps)
-    elif class_id in (ClassId.BSIGMA1, ClassId.FO, ClassId.FO2):
-        imprint = saturate_universal(ext.tau, class_id, caps)
-    else:
-        raise InputError(f"{class_id.value} does not route through universal covering")
-    images = {ext.index_set(x[1] if imprint.keyed else x) for x in imprint.maximal_elements()}
+def _decision(class_id: ClassId, ext: Extension, imprint: ImprintSet, images: set,
+              target_index: Optional[int], stats: dict, dfa: Optional[Dfa]) -> CoverDecision:
+    """The decision record of a saturated imprint whose maxima meet the
+    index masks `images` (`_against_table`), with its counters and any
+    `stats` the engine adds."""
     noncov, hit_full = _against_table(images, len(ext.accepts), target_index)
     return CoverDecision(
         class_id=class_id,
@@ -346,8 +339,23 @@ def decide_universal_covering(ext: Extension, class_id: ClassId,
         raw_imprint=imprint,
         rating_map=ext.tau,
         stats={"elements": len(imprint), "sweeps": imprint.sweeps,
-               "rating_set_log2": ext.tau.semiring.log2_size()},
+               "rating_set_log2": ext.tau.semiring.log2_size(), **stats},
+        target_dfa=dfa,
     )
+
+
+def decide_universal_covering(ext: Extension, class_id: ClassId,
+                              caps: Caps = DEFAULT_CAPS,
+                              target_index: Optional[int] = None) -> CoverDecision:
+    """Boolean-algebra covering decision over a multiset extension.
+
+    With `target_index` set, the extension was built over {target} ∪ against
+    and the verdict answers the full covering question for the target.
+    """
+    imprint = (at_imprint(ext.tau, caps=caps) if class_id is ClassId.AT
+               else saturate_universal(ext.tau, class_id, caps))
+    images = {ext.index_set(x[1] if imprint.keyed else x) for x in imprint.maximal_elements()}
+    return _decision(class_id, ext, imprint, images, target_index, {}, None)
 
 
 def decide_pointed_covering(target: Nfa, ext: Extension, class_id: ClassId,
@@ -355,27 +363,14 @@ def decide_pointed_covering(target: Nfa, ext: Extension, class_id: ClassId,
     """Lattice-class covering decision: the imprint pointed at the target by
     its minimal DFA (Σ1) or its transition monoid (Σ2), the quality measure
     via the multiset extension."""
-    dfa = None
     if class_id is ClassId.SIGMA1:
         dfa = minimize(target, caps)
         pointed = saturate_pointed(dfa, ext.tau, class_id, caps)
         images = {ext.index_set(r) for q, r in pointed.maximal_elements() if q in dfa.finals}
-        stats = {}
-    elif class_id is ClassId.SIGMA2:
+        return _decision(class_id, ext, pointed, images, None, {}, dfa)
+    if class_id is ClassId.SIGMA2:
         alpha, accepting = transition_monoid(target, caps)
         pointed = saturate_pointed(alpha, ext.tau, class_id, caps)
         images = {ext.index_set(r) for (m, _), r in pointed.maximal_elements() if m in accepting}
-        stats = {"monoid_size": alpha.size}
-    else:
-        raise InputError(f"{class_id.value} does not route through pointed covering")
-    noncov, hit_full = _against_table(images, len(ext.accepts), None)
-    return CoverDecision(
-        class_id=class_id,
-        coverable=not hit_full,
-        imprint_masks=noncov,
-        raw_imprint=pointed,
-        rating_map=ext.tau,
-        stats={"elements": len(pointed), "sweeps": pointed.sweeps,
-               "rating_set_log2": ext.tau.semiring.log2_size(), **stats},
-        target_dfa=dfa,
-    )
+        return _decision(class_id, ext, pointed, images, None, {"monoid_size": alpha.size}, None)
+    raise InputError(f"{class_id.value} does not route through pointed covering")

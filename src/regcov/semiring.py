@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import InputError
-from .fa import MonoidMorphism
+from .fa import MonoidMorphism, _positions
 
 
 class Semiring:
@@ -61,16 +61,6 @@ class Semiring:
         raise AssertionError("no idempotent in power cycle")  # pragma: no cover
 
 
-def _bits(x: int) -> list:
-    """Positions of the set bits of x, lowest first."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
-
-
 # -- concrete kinds -----------------------------------------------------------
 
 class PowersetMonoidSemiring(Semiring):
@@ -100,17 +90,17 @@ class PowersetMonoidSemiring(Semiring):
         out = 0
         if y & y - 1:
             rows = self._rows.setdefault(y, {})
-            for i in _bits(x):
+            for i in _positions(x):
                 row = rows.get(i)
                 if row is None:
                     row = 0
-                    for j in _bits(y):
+                    for j in _positions(y):
                         row |= 1 << mul[i][j]
                     rows[i] = row
                 out |= row
         elif y:
             j = y.bit_length() - 1
-            for i in _bits(x):
+            for i in _positions(x):
                 out |= 1 << mul[i][j]
         return out
 

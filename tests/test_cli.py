@@ -19,9 +19,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from regcov import (DEFAULT_CAPS, Alphabet, ClassId, ResourceCapError, equivalent, includes,
-                    upward_closure)
+                    nfa_union, upward_closure)
 from regcov import cli, covers, pieces, rx
 from regcov.cli import Instance, Verdict, _masks_to_lists, main
+from regcov.fa import empty_language
 from regcov.pieces import pt_partition
 
 from helpers import nfa_of, random_nfa
@@ -737,6 +738,29 @@ def test_a_corrupted_label_fails_the_separator_image_check(monkeypatch, capsys, 
                         lambda *args: replace(cover, machine=machine._replace(labels=wrong)))
     with pytest.raises(AssertionError, match="image is not the sum of its labels"):
         main(argv)
+
+
+@pytest.mark.parametrize("cls, alphabet, target, against, make, message", [
+    pytest.param("at", "abc", "(ab)+", "c(ac)+", lambda t, o: empty_language(t.alphabet),
+                 "separator does not contain the first language", id="misses-target"),
+    pytest.param("at", "abc", "(ab)+", "c(ac)+", nfa_union,
+                 "separator meets the second language", id="meets-against"),
+    pytest.param("at", "abc", "(ab)+", "c(ac)+", lambda t, o: t,
+                 "separator is not in the class", id="at-outside-class"),
+    pytest.param("sigma1", "ab", "a+", "b+", lambda t, o: t,
+                 "separator is not in the class", id="sigma1-outside-class"),
+])
+def test_a_wrong_separator_fails_its_check(monkeypatch, cls, alphabet, target, against, make,
+                                           message):
+    # the printed separator is parsed again and checked to include the
+    # target, miss the other language and lie in the class, in that order;
+    # each check names itself when a separator fails it
+    nfa = make(nfa_of(target, alphabet), nfa_of(against, alphabet))
+    monkeypatch.setattr(cli, "separator",
+                        lambda *args: covers.Separator(nfa, "meets-target", frozenset()))
+    with pytest.raises(AssertionError, match=message):
+        main(["separate", "--class", cls, "--alphabet", alphabet, "--target", target,
+              "--against", against])
 
 
 @pytest.mark.parametrize("argv", [

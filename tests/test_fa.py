@@ -444,7 +444,9 @@ def test_moore_kernels_match_their_references(drawn):
 def _cap_case(name):
     """(run(caps), the cap field, which is also the name the error gives,
     the size the cap bounds, error type) of each closure that `fa.explore`
-    or `rating.reach` runs."""
+    runs, directly or through `rating.reach`: "fo2 word images" reaches
+    (content, image) pairs, "partition-imprint" the (class, image) pairs of
+    a bsigma1 partition, both bounded by `max_elements`."""
     from regcov import (DeterminizationCapError, MonoidCapError, PtStateCapError,
                         SaturationCapError)
     from regcov.pieces import pt_partition
@@ -465,13 +467,27 @@ def _cap_case(name):
         nfa = nfa_of("(ab)+|a(ba)*b", "ab")
         return (lambda caps: transition_monoid(nfa, caps), "max_monoid",
                 lambda built: built[0].size, MonoidCapError)
+    if name == "partition-imprint":
+        from regcov import ClassId, decide_universal_covering, rm_from_multiset
+        from regcov.covers import _partition_images
+        from regcov.rating import reach
+
+        langs = [nfa_of("(ab)+", "abc"), nfa_of("c(ac)+", "abc")]
+        rho = decide_universal_covering(rm_from_multiset(langs), ClassId.BSIGMA1,
+                                        target_index=0).rating_map
+        pa, _ = pt_partition(2, rho.alphabet)
+        pairs = reach(rho.semiring, pa.delta, pa.initial, rho.letter_image,
+                      DEFAULT_CAPS.max_elements, name)
+        return (lambda caps: _partition_images(pa, rho, caps), "max_elements",
+                lambda images: len(pairs), SaturationCapError)
     assert name == "fo2 word images"
     return (lambda caps: _fo2_state(caps)[0]._word_images(), "max_elements",
             len, SaturationCapError)
 
 
 @pytest.mark.parametrize("name", ["determinize", "pt_partition", "flip",
-                                  "transition_monoid", "fo2 word images"])
+                                  "transition_monoid", "fo2 word images",
+                                  "partition-imprint"])
 def test_closure_caps_bound_the_exact_count(name):
     # a cap equal to the size of the closure lets it through unchanged, one
     # less stops it with the cap's own error
@@ -487,8 +503,8 @@ def test_closure_caps_bound_the_exact_count(name):
     with pytest.raises(error) as raised:
         run(replace(DEFAULT_CAPS, **{field: n - 1}))
     assert raised.value.cap_name == field and raised.value.cap == n - 1
-    if name == "fo2 word images":
-        assert raised.value.what == "fo2 word images"
+    if field == "max_elements":
+        assert raised.value.what == name
     if name == "transition_monoid":
         dfa = minimize(nfa_of("(ab)+|a(ba)*b", "ab"))
         morphism, reached = _dfa_monoid(dfa, n)
