@@ -1,20 +1,21 @@
 """Batch front door: decide covering/separation/membership instances and
 emit verdicts as text or JSON.
 
-Exit codes: 0 decided (either way), 2 input error, 3 resource cap.  Running
-out of memory is the last resort of the caps: it exits 3 too, naming the
-phase that ran out.
+Exit codes: 0 decided (either way), 2 input or usage error, 3 resource cap.
+Running out of memory is the last resort of the caps: it exits 3 too,
+naming the phase that ran out.  The argv is read by one flag table
+(`_FLAGS`), which also writes the usage.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
+from types import SimpleNamespace
 from typing import Optional
 
 from .errors import Caps, DEFAULT_CAPS, InputError, ResourceCapError
@@ -146,6 +147,8 @@ def load_instance(args) -> Instance:
     target_spec = args.target if args.target is not None else doc.get("target")
     against_specs = args.against or doc.get("against", [])
     options = doc.get("options", {})
+    if args.command == "member" and "against" in doc:
+        raise InputError("member takes no against field")
     if args.command in ("imprint", "oracle"):
         for key in ("emit_cover", "verify"):
             if options.get(key):
@@ -413,35 +416,120 @@ def run_oracle(inst: Instance, which: str, k: Optional[int]) -> dict:
 
 # -- entry point -------------------------------------------------------------------------
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls."""
-    parser = argparse.ArgumentParser(
-        prog="regcov",
-        description="Decide covering, separation and membership of regular "
-                    "languages for the classes at, sigma1, bsigma1, sigma2, fo2, fo.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("cover", "separate", "member", "imprint", "oracle"):
-        p = sub.add_parser(name)
-        if name == "oracle":
-            p.add_argument("--which", required=True,
-                           choices=["sigma1-sep", "pt-k", "at"])
+_CAPS = ("--max-elements", "--max-k", "--max-states")
+_ORACLES = ("sigma1-sep", "pt-k", "at")
+
+# command -> (valued flags, switches): what each command reads, and so all
+# that it accepts.  `member` decides its target against the complement, so
+# it takes no `--against`.
+_FLAGS = {
+    "cover": (("--class", "--alphabet", "--target", "--against", "--instance", *_CAPS),
+              ("--emit-cover", "--verify", "--json")),
+    "separate": (("--class", "--alphabet", "--target", "--against", "--instance", *_CAPS),
+                 ("--emit-cover", "--verify", "--json")),
+    "member": (("--class", "--alphabet", "--target", "--instance", *_CAPS),
+               ("--emit-cover", "--verify", "--json")),
+    "imprint": (("--class", "--alphabet", "--target", "--against", "--instance", *_CAPS),
+                ("--json",)),
+    "oracle": (("--which", "--alphabet", "--target", "--against", "--instance", *_CAPS),
+               ("--json",)),
+}
+
+
+def _dest(flag: str) -> str:
+    return "cls" if flag == "--class" else flag[2:].replace("-", "_")
+
+
+# every field that `load_instance` and `main` read, unset
+_UNSET = {_dest(flag): value for valued, switches in _FLAGS.values()
+          for flags, value in ((valued, None), (switches, False)) for flag in flags}
+
+# a negative number is a value, not a flag
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
+
+_HELP = """Decide covering, separation and membership of regular languages for the
+classes at, sigma1, bsigma1, sigma2, fo2, fo.
+
+Each flag is given by its full name, after the command and in any order.  A
+valued flag takes the next word (--flag value) or the rest of its own word
+(--flag=value).  --against may be given more than once; any other flag given
+twice keeps its last value.  Exit codes: 0 decided, 2 input or usage error,
+3 resource cap."""
+
+
+class _Usage(Exception):
+    """An argv that the flag table refuses (an error), or a help request
+    (no error), for one command or for none."""
+
+
+def _usage(command: Optional[str]) -> str:
+    """The usage lines of one command, or of every command for None."""
+    lines = []
+    for name in [command] if command else _FLAGS:
+        valued, switches = _FLAGS[name]
+        words = [f"--which {{{','.join(_ORACLES)}}}" if flag == "--which"
+                 else f"[{flag} {'N' if flag in _CAPS else flag[2:].upper()}]"
+                 for flag in valued]
+        line = f"regcov {name} [-h]"
+        for word in words + [f"[{flag}]" for flag in switches]:
+            if len(line) + len(word) >= 72:
+                lines.append(line)
+                line = " " * len(f"regcov {name}")
+            line += " " + word
+        lines.append(line)
+    return "usage: " + "\n       ".join(lines)
+
+
+def _read_argv(argv: list) -> SimpleNamespace:
+    """The fields of an argv, read by the flag table.  The command comes
+    first; then, in any order, the command's flags, each by its full name.
+    A valued flag takes the next word, or what follows `=` in its own
+    word; the next word is no value if it begins with `-` and is neither
+    `-` alone nor a negative number.  `--against` collects its values, and
+    any other repeated flag keeps its last value."""
+    if not argv or argv[0] in ("-h", "--help"):
+        raise _Usage(None, "a command is required" if not argv else None)
+    command = argv[0]
+    if command not in _FLAGS:
+        raise _Usage(None, f"invalid command {command!r} (choose from {', '.join(_FLAGS)})")
+    valued, switches = _FLAGS[command]
+    fields = dict(_UNSET, command=command)
+    unknown = []
+    i, n = 1, len(argv)
+    while i < n:
+        word = argv[i]
+        i += 1
+        flag, joined, value = word.partition("=")
+        if word in ("-h", "--help"):
+            raise _Usage(command, None)
+        if word in switches:
+            fields[_dest(word)] = True
+            continue
+        if flag not in valued:
+            unknown.append(word)
+            continue
+        if not joined:
+            if i == n or (argv[i][:1] == "-" and argv[i] != "-"
+                          and not _NEGATIVE.match(argv[i])):
+                raise _Usage(command, f"argument {flag}: expected one argument")
+            value = argv[i]
+            i += 1
+        if flag in _CAPS:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _Usage(command, f"argument {flag}: invalid int value: {value!r}") from None
+        elif flag == "--which" and value not in _ORACLES:
+            raise _Usage(command, f"argument --which: invalid choice: {value!r}")
+        if flag == "--against":
+            fields["against"] = (fields["against"] or []) + [value]
         else:
-            p.add_argument("--class", dest="cls", help="language class (or 'chain' for imprint)")
-        p.add_argument("--alphabet")
-        p.add_argument("--target")
-        p.add_argument("--against", action="append")
-        p.add_argument("--instance", help="JSON instance file")
-        if name in ("cover", "separate", "member"):
-            p.add_argument("--emit-cover", action="store_true")
-            p.add_argument("--verify", action="store_true")
-        else:
-            p.set_defaults(emit_cover=False, verify=False)
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--max-elements", type=int)
-        p.add_argument("--max-k", type=int)
-        p.add_argument("--max-states", type=int)
-    return parser
+            fields[_dest(flag)] = value
+    if unknown:
+        raise _Usage(command, "unrecognized arguments: " + " ".join(unknown))
+    if command == "oracle" and fields["which"] is None:
+        raise _Usage(command, "the following arguments are required: --which")
+    return SimpleNamespace(**fields)
 
 
 def _emit(doc, as_json: bool):
@@ -460,7 +548,15 @@ def _emit(doc, as_json: bool):
 
 def main(argv=None) -> int:
     t0 = time.perf_counter()
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _read_argv(sys.argv[1:] if argv is None else argv)
+    except _Usage as exc:
+        command, error = exc.args
+        if error is None:
+            print(f"{_usage(command)}\n\n{_HELP}")
+            return 0
+        print(f"{_usage(command)}\nregcov: error: {error}", file=sys.stderr)
+        return 2
     _PHASE[0] = "decide"
     try:
         inst = load_instance(args)

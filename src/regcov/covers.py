@@ -768,8 +768,11 @@ def verify_cover(cover: Cover, target: Nfa, against: list,
     partition is one j-piece-equivalence class with j ≤ k, a union of
     k-classes, so each piece is k-piecewise testable.  Any other cover's
     class is certified by construction only."""
-    covers_target = (includes(target, nfa_union(*cover.pieces), caps)
-                     if cover.pieces else is_empty(target))
+    if not cover.pieces:
+        covers_target = is_empty(target)
+    else:   # one piece (a separator) is its own union, uncopied
+        union = nfa_union(*cover.pieces) if len(cover.pieces) > 1 else cover.pieces[0]
+        covers_target = includes(target, union, caps)
     witnesses = [next((i for i, lang in enumerate(against) if is_empty(p, lang)), None)
                  for p in cover.pieces]
     separating = None not in witnesses

@@ -25,6 +25,7 @@ from regcov.cli import Instance, Verdict, _masks_to_lists, main
 from regcov.fa import empty_language
 from regcov.pieces import pt_partition
 
+import reference_cli
 from helpers import nfa_of, random_nfa
 
 
@@ -225,22 +226,24 @@ README_ORACLES = [shlex.split(line)[1:] for line in
     (["oracle", "--which", "at", "--alphabet", "ab", "--against", "a+", "--emit-cover"], 2),
     (["oracle", "--which", "at", "--alphabet", "ab", "--against", "a+", "--verify"], 2),
     (["oracle", "--which", "at", "--alphabet", "ab", "--against", "a+", "--class", "fo"], 2),
-] + [(argv, 0) for argv in README_ORACLES])
+] + [(argv, 0) for argv in README_ORACLES] + [
+    (["member", "--class", "at", "--alphabet", "ab", "--target", "a+", "--against", "b+"], 2),
+])
 def test_flags_a_command_ignores_are_usage_errors(capsys, argv, code):
     # a flag that a command would not read is refused, not ignored
-    try:
-        got = main(argv)
-    except SystemExit as exc:
-        got = exc.code
-    assert got == code
-    assert (code == 2) == ("unrecognized arguments" in capsys.readouterr().err)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert (code == 2) == ("unrecognized arguments" in err) == err.startswith("usage:")
 
 
-@pytest.mark.parametrize("command", ["imprint", "oracle"])
-@pytest.mark.parametrize("option", ["emit_cover", "verify"])
-def test_instance_options_a_command_ignores_are_input_errors(tmp_path, capsys, command, option):
+@pytest.mark.parametrize("option, command", [
+    ("emit_cover", "imprint"), ("emit_cover", "oracle"), ("verify", "imprint"),
+    ("verify", "oracle"), ("against", "member")])
+def test_instance_options_a_command_ignores_are_input_errors(tmp_path, capsys, option, command):
     # the instance-file form of the flags above is refused the same way
-    doc = {"alphabet": "ab", "class": "at", "against": ["a+"], "options": {option: True}}
+    doc = {"alphabet": "ab", "class": "at", "target": "a+", "against": ["a+"], "options": {}}
+    if command != "member":
+        doc["options"][option] = True
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(doc))
     argv = [command, "--instance", str(path)]
@@ -248,8 +251,12 @@ def test_instance_options_a_command_ignores_are_input_errors(tmp_path, capsys, c
         argv += ["--which", "at"]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
-    assert err == f"input error: {command} takes no {option} option\n"
-    doc["options"][option] = False
+    kind = "field" if command == "member" else "option"
+    assert err == f"input error: {command} takes no {option} {kind}\n"
+    if command == "member":
+        del doc["against"]
+    else:
+        doc["options"][option] = False
     path.write_text(json.dumps(doc))
     assert run(capsys, argv)[0] == 0
 
@@ -1066,17 +1073,19 @@ def fuzz_argvs(draw, command, path):
     symbols = draw(st.sampled_from(sorted(FUZZ_REGEXES)))
     lang = FUZZ_REGEXES[symbols].map(lambda text: (text, False)) | fuzz_nfa_docs(symbols)
     target = draw(lang | st.sampled_from([None, cli.UNIVERSAL, "a("]).map(lambda t: (t, False)))
-    against = draw(st.lists(lang, min_size=1, max_size=2))
+    # member decides its target against the complement and takes no against
+    against = draw(st.lists(lang, min_size=1, max_size=2)) if command[0] != "member" else []
     defective = any(bad for _, bad in [target] + against)
     fields = {"alphabet": symbols,
               "class": draw(st.sampled_from([c.value for c in ClassId] + ["chain", "x"])),
-              "target": target[0],
-              "against": [spec for spec, _ in against]}
+              "target": target[0]}
+    if against:
+        fields["against"] = [spec for spec, _ in against]
     flags = ("json",) if command[0] in ("imprint", "oracle") else ("emit_cover", "verify", "json")
     options = draw(st.sets(st.sampled_from(flags)))
     in_file = draw(st.sets(st.sampled_from(sorted(fields) + sorted(options))))
     # NFA JSON comes in instance files only
-    specs = {"target": [fields["target"]], "against": fields["against"]}
+    specs = {"target": [fields["target"]], "against": fields.get("against", [])}
     in_file |= {key for key, values in specs.items() if any(isinstance(x, dict) for x in values)}
     argv = list(command)
     for key, value in fields.items():
@@ -1099,18 +1108,118 @@ def fuzz_argvs(draw, command, path):
 @pytest.mark.parametrize("command", FUZZ_COMMANDS, ids=lambda argv: argv[-1])
 @given(data=st.data())
 def test_any_argv_exits_0_2_or_3(tmp_path_factory, command, data):
-    # a verdict, an input error or a resource cap, and no exception; argparse
-    # refuses an argv it cannot parse with SystemExit(2), and a defective NFA
+    # a verdict, an input error or a resource cap, and no exception; the flag
+    # table refuses an argv it cannot read with exit 2, and a defective NFA
     # JSON object is an input error
     argv, defective = data.draw(fuzz_argvs(command,
                                            tmp_path_factory.getbasetemp() / "instance.json"))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     assert code == 2 if defective else code in (0, 2, 3), (argv, err.getvalue())
+
+
+# groups of words that mangle a drawn argv: flags a command ignores, an
+# unknown flag, a stray word, values that are no integer or no oracle, and
+# values that begin with "-" yet are no flag
+FUZZ_EXTRA_FLAGS = [["--against", "a"], ["--class", "at"], ["--which", "at"], ["--which", "x"],
+                    ["--emit-cover"], ["--verify"], ["--json"], ["--max-k", "x"],
+                    ["--max-states", "1.5"], ["--max-elements", "-1"], ["--target", "-"],
+                    ["--bogus"], ["stray"]]
+
+
+@st.composite
+def mangled_argvs(draw, command, path):
+    """An argv of `fuzz_argvs` with flags added, repeated and reordered,
+    some values joined to their flag with `=` or left out, and now and then
+    an unknown or missing command."""
+    argv, _ = draw(fuzz_argvs(command, path))
+    groups = []
+    for word in argv[1:]:
+        if word.startswith("--"):
+            groups.append([word])
+        else:
+            groups[-1].append(word)
+    groups += draw(st.lists(st.sampled_from(FUZZ_EXTRA_FLAGS), max_size=2))
+    groups += draw(st.lists(st.sampled_from(groups), max_size=2)) if groups else []
+    words = []
+    for group in draw(st.permutations(groups)):
+        form = draw(st.sampled_from(["apart"] * 6 + ["joined"] * 3 + ["bare"]))
+        if len(group) == 2 and form == "joined":
+            words.append("=".join(group))
+        else:
+            words += group[:1] if form == "bare" else group
+    head = draw(st.sampled_from([argv[:1]] * 8 + [[], ["covers"], ["Cover"]]))
+    return head + words
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS, ids=lambda argv: argv[-1])
+@given(data=st.data())
+def test_the_flag_table_reads_what_argparse_read(tmp_path_factory, command, data):
+    # where the argparse parser accepts an argv, the flag table reads the same
+    # fields and leaves the rest unset; where it refuses one, main exits 2 with
+    # the usage.  member's --against, once ignored, is refused.
+    argv = data.draw(mangled_argvs(command, tmp_path_factory.getbasetemp() / "flags.json"))
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            ref = vars(reference_cli._build_parser().parse_args(argv))
+        except SystemExit as exc:
+            assert exc.code == 2
+            ref = None
+    dropped = argv[:1] == ["member"] and any(w.partition("=")[0] == "--against" for w in argv)
+    if ref is not None and not dropped:
+        got = vars(cli._read_argv(argv))
+        assert {key: got[key] for key in ref} == ref, argv
+        assert all(got[key] is None for key in got.keys() - ref.keys()), argv
+    else:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(argv) == 2, argv
+        assert err.getvalue().startswith("usage: regcov"), argv
+
+
+def test_a_flag_prefix_is_no_flag(capsys):
+    # argparse read --emit as --emit-cover; the flag table takes full names only
+    argv = ["cover", "--class", "at", "--alphabet", "ab", "--target", "a", "--against", "b"]
+    assert vars(reference_cli._build_parser().parse_args(argv + ["--emit"]))["emit_cover"]
+    assert main(argv + ["--emit"]) == 2
+    assert "unrecognized arguments: --emit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    (None, ["cover", "separate", "member", "imprint", "oracle"]),
+    ("cover", ["--class", "--alphabet", "--target", "--against", "--instance", "--emit-cover",
+               "--verify", "--json", "--max-elements", "--max-k", "--max-states"]),
+    ("member", ["--class", "--alphabet", "--target", "--instance", "--emit-cover", "--verify",
+                "--json", "--max-elements", "--max-k", "--max-states"]),
+    ("imprint", ["--class", "--alphabet", "--target", "--against", "--instance", "--json",
+                 "--max-elements", "--max-k", "--max-states"]),
+    ("oracle", ["--which", "sigma1-sep,pt-k,at", "--alphabet", "--target", "--against",
+                "--instance", "--json", "--max-elements", "--max-k", "--max-states"])])
+@pytest.mark.parametrize("help_flag", ["-h", "--help"])
+def test_help_lists_the_flags_of_a_command(capsys, command, flags, help_flag):
+    assert main(([command] if command else []) + [help_flag]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: regcov") and err == ""
+    usage = out.split("\n\n")[0]
+    listed = usage.replace("[", " ").replace("]", " ").replace("{", " ").replace("}", " ").split()
+    assert all(flag in listed for flag in flags)
+    if command == "member":
+        assert "--against" not in listed
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "a command is required"),
+    (["decide", "--alphabet", "ab"], "invalid command 'decide'"),
+    (["oracle", "--alphabet", "ab", "--against", "a"], "required: --which"),
+    (["oracle", "--which", "all", "--alphabet", "ab"], "invalid choice: 'all'"),
+    (["cover", "--alphabet"], "--alphabet: expected one argument"),
+    (["cover", "--target", "--json"], "--target: expected one argument"),
+    (["cover", "--max-k=two"], "--max-k: invalid int value: 'two'")])
+def test_usage_errors_exit_2_with_the_usage(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: regcov") and message in err
 
 
 def test_bsigma1_cover_over_twelve_letters_fits_the_address_space():

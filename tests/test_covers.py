@@ -914,6 +914,22 @@ def test_verify_cover_failure_modes():
     assert not report2.covers_target
 
 
+def test_a_one_piece_cover_is_checked_without_a_union(monkeypatch):
+    # a separator is checked as the one-piece cover of the target, and is its
+    # own union: no copy of it is made
+    unions = []
+    real_union = covers.nfa_union
+    monkeypatch.setattr(covers, "nfa_union", lambda *ns: unions.append(len(ns)) or real_union(*ns))
+    target, against = nfa_of("a+", "ab"), nfa_of("b+", "ab")
+    piece = nfa_of("(a|b)*a(a|b)*", "ab")
+    report = verify_cover(Cover(ClassId.SIGMA1, [piece]), target, [against])
+    assert report.covers_target and report.separating and report.class_ok
+    assert not verify_cover(Cover(ClassId.SIGMA1, [against]), target, [against]).covers_target
+    assert unions == []
+    report = verify_cover(Cover(ClassId.SIGMA1, [piece, against]), target, [against])
+    assert report.covers_target and not report.separating and unions == [2]
+
+
 def test_cover_index_masks_equal_the_decision_table():
     langs = [nfa_of("a+", "ab"), nfa_of("b+", "ab")]
     ext = rm_from_multiset(langs)
