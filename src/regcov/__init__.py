@@ -6,10 +6,8 @@ imprints over finite idempotent semirings, and synthesizes verified
 separating covers for the constructive classes.
 """
 
-from .errors import (Caps, DEFAULT_CAPS,
-                     DeterminizationCapError, InputError, MonoidCapError,
-                     PieceCapError, PtStateCapError, RegcovError,
-                     ResourceCapError, SaturationCapError)
+from .errors import (Caps, DEFAULT_CAPS, InputError, RegcovError, ResourceCapError,
+                     SaturationCapError)
 from .rx import Regex, regex_parse, regex_to_text
 from .fa import (Alphabet, Dfa, MonoidMorphism, Nfa, alphabet_exact,
                  alphabet_star, determinize, equivalent, includes, is_empty,

@@ -105,11 +105,18 @@ def parse_language(spec, alphabet: Alphabet):
     raise InputError(f"cannot interpret language spec {spec!r}")
 
 
-_FIELD_TYPES = (("alphabet", str, "string"), ("class", str, "string"),
-                ("against", list, "array"), ("options", dict, "object"))
+# every field of an instance file, with its JSON type; `parse_language`
+# reads the target, null as none
+_FIELD_TYPES = {"alphabet": (str, "string"), "class": (str, "string"), "target": (object, ""),
+                "against": (list, "array"), "options": (dict, "object")}
+_SWITCHES = ("emit_cover", "verify", "json")
+_OPTIONS = _SWITCHES + ("max_elements", "max_states", "max_k")
 
 
 def _read_instance(path: str) -> dict:
+    """The instance file's object.  A field or option outside the schema is
+    refused, so that a misspelt one is not dropped; the switches are JSON
+    Booleans."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -117,9 +124,17 @@ def _read_instance(path: str) -> dict:
         raise InputError(f"cannot read instance file: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("an instance file must hold a JSON object")
-    for key, kind, name in _FIELD_TYPES:
-        if key in doc and not isinstance(doc[key], kind):
+    for key, value in doc.items():
+        if key not in _FIELD_TYPES:
+            raise InputError(f"unknown instance field {key!r}")
+        kind, name = _FIELD_TYPES[key]
+        if not isinstance(value, kind):
             raise InputError(f"instance field {key!r} must be a JSON {name}")
+    for key, value in doc.get("options", {}).items():
+        if key not in _OPTIONS:
+            raise InputError(f"unknown option {key!r}")
+        if key in _SWITCHES and type(value) is not bool:
+            raise InputError(f"option {key!r} must be true or false, got {value!r}")
     return doc
 
 
@@ -153,10 +168,13 @@ def load_instance(args) -> Instance:
         for key in ("emit_cover", "verify"):
             if options.get(key):
                 raise InputError(f"{args.command} takes no {key} option")
+    max_k = _cap_value("max_k", args.max_k, options, 0)
+    if args.command == "oracle" and args.which == "pt-k" and max_k is None:
+        raise InputError("pt-k needs --max-k (the piece bound)")
     caps = DEFAULT_CAPS.with_overrides(
         max_elements=_cap_value("max_elements", args.max_elements, options, 1),
         max_det_states=_cap_value("max_states", args.max_states, options, 1),
-        max_k=_cap_value("max_k", args.max_k, options, 0),
+        max_k=max_k,
     )
     target = parse_language(target_spec, alphabet) if target_spec is not None else None
     against = [parse_language(s, alphabet) for s in against_specs]
@@ -167,9 +185,9 @@ def load_instance(args) -> Instance:
         class_id=class_id,
         target=target,
         against=against,
-        emit_cover=bool(args.emit_cover or options.get("emit_cover")),
-        verify=bool(args.verify or options.get("verify")),
-        json_output=bool(args.json or options.get("json")),
+        emit_cover=args.emit_cover or options.get("emit_cover", False),
+        verify=args.verify or options.get("verify", False),
+        json_output=args.json or options.get("json", False),
         caps=caps,
     )
 
@@ -390,7 +408,7 @@ def oracle_at_imprint(alphabet: Alphabet, langs: list) -> list:
     return _masks_to_lists(masks)
 
 
-def run_oracle(inst: Instance, which: str, k: Optional[int]) -> dict:
+def run_oracle(inst: Instance, which: str) -> dict:
     if which == "sigma1-sep":
         if inst.target is None or len(inst.against) != 1:
             raise InputError("sigma1-sep needs --target and exactly one --against")
@@ -398,9 +416,8 @@ def run_oracle(inst: Instance, which: str, k: Optional[int]) -> dict:
                   else inst.target)
         sep = oracle_sigma1_sep(target, inst.against[0])
         return {"oracle": which, "separable": sep}
-    if which == "pt-k":
-        if k is None:
-            raise InputError("pt-k needs --max-k (the piece bound)")
+    if which == "pt-k":                    # `load_instance` saw the bound given
+        k = inst.caps.max_k
         pa, _ = pt_partition(k, inst.alphabet, inst.caps)
         doc = {"oracle": which, "k": k, "classes": pa.state_count}
         if inst.target is not None and inst.target is not UNIVERSAL:
@@ -562,7 +579,7 @@ def main(argv=None) -> int:
         inst = load_instance(args)
         as_json = inst.json_output
         if args.command == "oracle":
-            doc = run_oracle(inst, args.which, args.max_k)
+            doc = run_oracle(inst, args.which)
         elif inst.class_id is None:
             doc, as_json = run_imprint_chain(inst), True
         else:

@@ -21,8 +21,7 @@ from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .errors import (Caps, DEFAULT_CAPS, DeterminizationCapError, InputError, PieceCapError,
-                     PtStateCapError, SaturationCapError)
+from .errors import Caps, DEFAULT_CAPS, InputError, ResourceCapError, SaturationCapError
 from . import rx
 from .fa import (Alphabet, Dfa, Nfa, explore, includes, is_empty, minimize, minimize_labelled,
                  nfa_complement, nfa_intersection, nfa_to_regex, nfa_union, upward_closure)
@@ -177,8 +176,8 @@ def sigma1_cover(target: Dfa, rho: RatingMap, caps: Caps = DEFAULT_CAPS) -> Cove
 
     found = explore((least.initial, star), successors, caps.max_det_states)
     if found is None:
-        raise DeterminizationCapError("max_det_states", caps.max_det_states,
-                                      "sigma1 cover synthesis")
+        raise ResourceCapError("max_det_states", caps.max_det_states,
+                               "sigma1 cover synthesis")
     pairs, rows = found
     labels = [u if q in least.finals else None for q, u in pairs]
     pieces = [minimize(upward_closure(p), caps).as_nfa()
@@ -228,7 +227,7 @@ def bsigma1_machine(rho: RatingMap, goal: ImprintSet, caps: Caps = DEFAULT_CAPS)
     for k in range(caps.max_k + 1):
         try:
             pa, classes = pt_partition(k, rho.alphabet, caps, open_classes)
-        except PtStateCapError as exc:
+        except ResourceCapError as exc:
             if k == 0:                     # no level to fall back on
                 raise
             return _partition_machine(pa, k - 1, images, optimal=False,
@@ -530,9 +529,8 @@ class _Fo2State:
 
     Every node is built once per synthesis; `max_det_states` bounds the
     states of each node machine before minimization and of each conversion,
-    `max_pieces` the distinct labels in context of the nodes (their
-    pieces), summed, and `max_elements` the word items, closed once over
-    the whole alphabet.
+    and `max_elements` the word items, closed once over the whole alphabet,
+    and the sums of `s_b`.  No cap counts the nodes or their labels.
     """
 
     def __init__(self, rho: RatingMap, saturated: ImprintSet, caps: Caps):
@@ -542,7 +540,6 @@ class _Fo2State:
         self.one = (0, self.sr.one)
         self.sat = saturated
         self.caps = caps
-        self.count = 0
         self._words = None
         self._loop_sets: dict = {}
         # kept: without it an in-process pass over the synth corpus runs 6 % slower
@@ -619,11 +616,6 @@ class _Fo2State:
                  if not any((mul(t, p) if forward else mul(p, t)) == t for p in loops)), None)
         return self._peels[key]
 
-    def _bump(self, n: int):
-        self.count += n
-        if self.count > self.caps.max_pieces:
-            raise PieceCapError("max_pieces", self.caps.max_pieces, "fo2 cover synthesis")
-
     def machine(self, subset: int, left, right, forward: bool):
         """The node's (delta, labels), reading left to right when forward,
         else right to left; built once, and converted once if need be."""
@@ -662,7 +654,6 @@ class _Fo2State:
                 stack.pop()
                 b, forward, children = peeled.pop(key)
                 m = self._base(*key) if b is None else self._peel(*key, b, forward, children)
-                self._bump(len(set(m[1]) - {None}))
                 self._nodes[key] = (forward, m)
         return self._nodes[top]
 
@@ -703,7 +694,7 @@ class _Fo2State:
                 c_delta, c_labels = self.machine(*children[x], forward)
                 off = starts[children[x]] = len(rows)
                 if off + len(c_delta) > self.caps.max_det_states:
-                    raise DeterminizationCapError(
+                    raise ResourceCapError(
                         "max_det_states", self.caps.max_det_states,
                         f"fo2 node machine over {self.rho.alphabet.from_mask(subset)}")
                 rows += [[t + off for t in row] for row in c_delta]
@@ -725,8 +716,8 @@ class _Fo2State:
         found = explore(start, lambda vec: [step(vec) for step in steps],
                         self.caps.max_det_states)
         if found is None:
-            raise DeterminizationCapError("max_det_states", self.caps.max_det_states,
-                                          f"reversing a {len(delta)}-state fo2 node machine")
+            raise ResourceCapError("max_det_states", self.caps.max_det_states,
+                                   f"reversing a {len(delta)}-state fo2 node machine")
         order, rows = found
         return tuple(rows), [names[vec[0]] for vec in order]
 

@@ -1,8 +1,9 @@
 """Error types and resource caps.
 
 Every hard limit in the library is a named cap carried by a :class:`Caps`
-value.  Exceeding a cap raises a dedicated error naming the cap; nothing is
-ever truncated silently.
+value.  Exceeding a cap raises a :class:`ResourceCapError` whose
+`cap_name` names the cap (a :class:`SaturationCapError` for `max_elements`,
+which also names what was enumerated); nothing is ever truncated silently.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ class InputError(RegcovError):
 
 
 class ResourceCapError(RegcovError):
-    """A configured resource cap was exceeded."""
+    """A configured resource cap was exceeded; `cap_name` is the `Caps`
+    field, `cap` its limit."""
 
     def __init__(self, cap_name: str, cap: int, detail: str = ""):
         self.cap_name = cap_name
@@ -31,14 +33,6 @@ class ResourceCapError(RegcovError):
         super().__init__(msg)
 
 
-class DeterminizationCapError(ResourceCapError):
-    pass
-
-
-class MonoidCapError(ResourceCapError):
-    pass
-
-
 class SaturationCapError(ResourceCapError):
     """Raised when a fixpoint or closure would enumerate too many elements;
     `what` names it as printed, such as "class fo2" or "fo2 word images"."""
@@ -46,14 +40,6 @@ class SaturationCapError(ResourceCapError):
     def __init__(self, cap: int, what: str, detail: str = ""):
         self.what = what
         super().__init__("max_elements", cap, f"{what}: {detail}" if detail else what)
-
-
-class PieceCapError(ResourceCapError):
-    pass
-
-
-class PtStateCapError(ResourceCapError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -64,7 +50,8 @@ class Caps:
     overridden per call; `max_elements`, `max_det_states` (`--max-states`)
     and `max_k` also through the CLI flags or an instance file's options.
     Each cap bounds a structure that the constructions build; no
-    construction lists words.
+    construction lists words, and no cap counts a cover's pieces, each cut
+    from a labelled DFA that the caps bound.
     """
 
     max_det_states: int = 1 << 20      # subset-construction states; for
@@ -78,9 +65,6 @@ class Caps:
                                        # image) closure (`rating.reach`);
                                        # a relation part's word-image tables
                                        # are solved in closed form, uncapped
-    max_pieces: int = 10_000           # fo2 cover pieces: the distinct
-                                       # labels in context of each recursion
-                                       # node, summed over the nodes
     max_pt_states: int = 50_000        # states of each level's partition
                                        # for bsigma1 covers (the deepening
                                        # stops at the first level past it),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .errors import Caps, DEFAULT_CAPS, DeterminizationCapError, InputError, MonoidCapError
+from .errors import Caps, DEFAULT_CAPS, InputError, ResourceCapError
 from . import rx
 from .rx import Regex
 
@@ -327,8 +327,8 @@ def determinize(n: Nfa, caps: Caps = DEFAULT_CAPS) -> Dfa:
     """
     found = explore(_bits(n.initials), _subset_successors(n), caps.max_det_states)
     if found is None:
-        raise DeterminizationCapError("max_det_states", caps.max_det_states,
-                                      f"subset construction on {n.state_count}-state NFA")
+        raise ResourceCapError("max_det_states", caps.max_det_states,
+                               f"subset construction on {n.state_count}-state NFA")
     order, rows = found
     final_mask = _bits(n.finals)
     finals = frozenset(i for i, subset in enumerate(order) if subset & final_mask)
@@ -426,7 +426,8 @@ def includes(lhs: Nfa, rhs: Nfa, caps: Caps = DEFAULT_CAPS) -> bool:
     words of lhs, as pairs (state of lhs, subset of rhs), and the search
     stops at the first pair that lhs accepts and rhs does not.  More than
     `max_det_states` distinct subsets of rhs, which the full subset
-    construction would meet too, raise DeterminizationCapError."""
+    construction would meet too, raise a ResourceCapError on
+    `max_det_states`."""
     _check_same_alphabet(lhs, rhs)
     lstep = lhs.step_map()
     successors = _subset_successors(rhs)
@@ -442,8 +443,8 @@ def includes(lhs: Nfa, rhs: Nfa, caps: Caps = DEFAULT_CAPS) -> bool:
         row = rows.get(subset)
         if row is None:
             if len(rows) >= caps.max_det_states:
-                raise DeterminizationCapError("max_det_states", caps.max_det_states,
-                                              f"inclusion in a {rhs.state_count}-state NFA")
+                raise ResourceCapError("max_det_states", caps.max_det_states,
+                                       f"inclusion in a {rhs.state_count}-state NFA")
             row = rows[subset] = successors(subset)
         for k, a in letters:
             for r in lstep.get((q, a), ()):
@@ -505,8 +506,8 @@ def transition_monoid(n: Nfa, caps: Caps = DEFAULT_CAPS):
     dfa = minimize(n, caps)
     built = _dfa_monoid(dfa, caps.max_monoid)
     if built is None:
-        raise MonoidCapError("max_monoid", caps.max_monoid,
-                             f"transition monoid of {dfa.state_count}-state minimal DFA")
+        raise ResourceCapError("max_monoid", caps.max_monoid,
+                               f"transition monoid of {dfa.state_count}-state minimal DFA")
     morphism, reached = built
     return morphism, frozenset(i for i, q in enumerate(reached) if q in dfa.finals)
 

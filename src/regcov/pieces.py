@@ -8,7 +8,7 @@ depth that its open classes call for.
 
 from __future__ import annotations
 
-from .errors import Caps, DEFAULT_CAPS, PtStateCapError
+from .errors import Caps, DEFAULT_CAPS, ResourceCapError
 from .fa import Alphabet, Dfa, explore, minimize
 
 
@@ -40,7 +40,7 @@ def pt_partition(k: int, alphabet: Alphabet, caps: Caps = DEFAULT_CAPS, open=Non
     1 + (the position of a), are the bits of their extensions.
 
     More states than `max_pt_states`, or more pieces of length at most k,
-    raise PtStateCapError.
+    raise a ResourceCapError on `max_pt_states`.
     """
     n = len(alphabet)
     short = [sum(n ** i for i in range(j)) for j in range(k + 2)]   # pieces shorter than j
@@ -95,7 +95,7 @@ def pt_partition(k: int, alphabet: Alphabet, caps: Caps = DEFAULT_CAPS, open=Non
     if short[k + 1] <= caps.max_pt_states:
         found = explore(settle(k, 1), successors, caps.max_pt_states)   # bit 0: the empty piece
     if found is None:
-        raise PtStateCapError("max_pt_states", caps.max_pt_states, f"piece automaton at k={k}")
+        raise ResourceCapError("max_pt_states", caps.max_pt_states, f"piece automaton at k={k}")
     order, rows = found
     return (Dfa(alphabet, len(order), 0, frozenset(), tuple(rows)),
             [(s & depth_mask, s >> shift) for s in order])

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .errors import (Caps, DEFAULT_CAPS, DeterminizationCapError, InputError,
-                     SaturationCapError)
+from .errors import Caps, DEFAULT_CAPS, InputError, ResourceCapError, SaturationCapError
 from .fa import (Alphabet, MonoidMorphism, Nfa, _bits, _dfa_monoid, _subset_successors, explore,
                  minimize)
 from .semiring import PowersetMonoidSemiring, ProductSemiring, RelationSemiring, Semiring
@@ -75,7 +74,7 @@ class RatingMap:
                 triple = (nxt, content | bit, sr.mul(elem, img))
                 if triple not in seen:
                     if len(seen) >= caps.max_det_states:
-                        raise DeterminizationCapError(
+                        raise ResourceCapError(
                             "max_det_states", caps.max_det_states, "rating-map evaluation")
                     seen.add(triple)
                     work.append(triple)

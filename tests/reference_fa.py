@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from regcov import rx
-from regcov.errors import DeterminizationCapError
+from regcov.errors import ResourceCapError
 from regcov.fa import (Alphabet, Dfa, MonoidMorphism, Nfa, explore, is_empty, minimize,
                        nfa_complement, nfa_intersection)
 
@@ -225,7 +225,7 @@ def flip(m: tuple, cap: int) -> tuple:
     cols = list(zip(*delta))
     found = explore(start, lambda vec: [tuple(map(vec.__getitem__, col)) for col in cols], cap)
     if found is None:
-        raise DeterminizationCapError("max_det_states", cap,
-                                      f"reversing a {len(delta)}-state fo2 node machine")
+        raise ResourceCapError("max_det_states", cap,
+                               f"reversing a {len(delta)}-state fo2 node machine")
     order, rows = found
     return tuple(rows), [names[vec[0]] for vec in order]

@@ -12,7 +12,7 @@ closed form; tests check that both give the same maps and the same images.
 
 from __future__ import annotations
 
-from regcov import (DEFAULT_CAPS, MonoidCapError, SaturationCapError, minimize,
+from regcov import (DEFAULT_CAPS, ResourceCapError, SaturationCapError, minimize,
                     rm_from_morphism, rm_from_nfa, transition_monoid)
 
 
@@ -23,8 +23,9 @@ def reference_extension(nfa, caps=DEFAULT_CAPS):
     try:
         alpha, accepting = transition_monoid(nfa, caps)
         candidates.append((alpha.size, 1, "monoid"))
-    except MonoidCapError:
-        pass
+    except ResourceCapError as exc:
+        if exc.cap_name != "max_monoid":
+            raise
     _, _, kind = min(candidates)
     if kind == "dfa":
         return kind, rm_from_nfa(dfa.as_nfa())

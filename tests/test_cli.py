@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from regcov import (DEFAULT_CAPS, Alphabet, ClassId, ResourceCapError, equivalent, includes,
-                    nfa_union, upward_closure)
+                    is_empty, nfa_union, upward_closure)
 from regcov import cli, covers, pieces, rx
 from regcov.cli import Instance, Verdict, _masks_to_lists, main
 from regcov.fa import empty_language
@@ -165,6 +165,20 @@ def test_oracle_pt_k(capsys):
         "--alphabet", "ab", "--max-k", "1", "--json"])
     assert code == 0
     assert json.loads(out)["classes"] == 4
+
+
+def test_oracle_pt_k_reads_the_bound_of_an_instance_file(tmp_path, capsys):
+    # the piece bound comes from --max-k or the max_k option, as the caps do
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"alphabet": "ab", "options": {"max_k": 1}}))
+    argv = ["oracle", "--which", "pt-k", "--instance", str(path), "--json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)["classes"] == 4
+    code, out, _ = run(capsys, argv + ["--max-k", "2"])
+    assert code == 0 and json.loads(out)["classes"] == 16
+    path.write_text(json.dumps({"alphabet": "ab"}))
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and err == "input error: pt-k needs --max-k (the piece bound)\n"
 
 
 def count_partitions(monkeypatch) -> list:
@@ -602,9 +616,9 @@ def test_cover_doc_carries_verification(capsys):
 
 @pytest.mark.parametrize("command", ["separate", "member"])
 def test_a_capped_unasked_separator_keeps_the_one_decision(monkeypatch, capsys, command):
-    # max_pieces=1 makes the opportunistic separator synthesis hit its cap;
-    # the decision made before it stands and is not made again; member
-    # builds no separator unasked
+    # max_det_states=3 passes the decision but makes the opportunistic
+    # separator synthesis hit its cap; the decision made before it stands
+    # and is not made again; member builds no separator unasked
     decisions = []
     real_decide = cli.decide_universal_covering
 
@@ -618,23 +632,22 @@ def test_a_capped_unasked_separator_keeps_the_one_decision(monkeypatch, capsys, 
     monkeypatch.setattr(cli, "decide_universal_covering", timed_decide)
     inst = Instance(alphabet=Alphabet("ab"), class_id=ClassId.FO2, target=nfa_of("a+", "ab"),
                     against=[nfa_of("b+", "ab")] if command == "separate" else [],
-                    caps=DEFAULT_CAPS.with_overrides(max_pieces=1))
+                    caps=DEFAULT_CAPS.with_overrides(max_det_states=3))
     run = cli.run_separate if command == "separate" else cli.run_member
     verdict = run(inst)
     assert verdict.coverable and verdict.separator is None
     assert len(decisions) == 1
     assert verdict.stats["wall_ms"] >= round(decisions[0] * 1000.0, 3) - 0.001
     if command == "separate":
-        assert verdict.stats["synthesis"] == {"skipped": "max_pieces"}
+        assert verdict.stats["synthesis"] == {"skipped": "max_det_states"}
         return
     assert "synthesis" not in verdict.stats
     # a cover that was asked for is not skipped: the cap is the answer
     with pytest.raises(ResourceCapError):
         cli.run_member(replace(inst, emit_cover=True))
-    monkeypatch.setattr(cli, "DEFAULT_CAPS", inst.caps)
     assert main(["member", "--class", "fo2", "--alphabet", "ab", "--target", "a+",
-                 "--emit-cover"]) == 3
-    assert "max_pieces" in capsys.readouterr().err
+                 "--emit-cover", "--max-states", "3"]) == 3
+    assert "max_det_states" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cls", ["at", "sigma1", "bsigma1", "fo2"])
@@ -1342,7 +1355,7 @@ def test_sigma1_covers_from_the_minimal_words(capsys, argv, piece):
 def test_sigma1_cover_has_one_piece_per_image(capsys):
     # the 3^9 minimal words of (a|b|c)^9(a|b|c)* fall into three images
     # against (a|b)* and c*: those with no c, those with no a or b, and the
-    # rest; one word per piece would be past max_pieces (exit 3)
+    # rest; one piece per word would make 3^9 pieces
     code, out, err = run(capsys, ["cover", "--class", "sigma1", "--alphabet", "abc",
                                   "--target", "(a|b|c)" * 9 + "(a|b|c)*",
                                   "--against", "(a|b)*", "--against", "c*",
@@ -1390,21 +1403,34 @@ def test_bsigma1_cover_of_a_long_power_stops_at_the_depth_bound(capsys):
     assert doc["stats"]["synthesis"] == {"dropped": "not optimal"}
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["member", "--class", "fo2", "--alphabet", "a", "--target", "a" * 170 + "+",
-      "--emit-cover"], 3),
-    (["separate", "--class", "fo2"] + DENSE, 0),
-], ids=["member-emit-cover", "separate"])
-def test_fo2_synthesis_over_many_contexts_keeps_a_shallow_stack(argv, code):
+@pytest.mark.parametrize("argv", [
+    ["member", "--class", "fo2", "--alphabet", "a", "--target", "a" * 170 + "+",
+     "--emit-cover", "--verify"],
+    ["separate", "--class", "fo2"] + DENSE,
+    ["member", "--class", "fo2", "--alphabet", "a", "--target", "a" * 150 + "+",
+     "--emit-cover", "--verify"],
+], ids=["member-emit-cover", "separate", "member-emit-cover-150"])
+def test_fo2_synthesis_over_many_contexts_keeps_a_shallow_stack(argv):
     # a^n+ gives one child context per power of a within one sub-alphabet;
-    # a recursion per context ended in a RecursionError (exit 1) from n = 170
+    # a recursion per context ended in a RecursionError (exit 1) from n = 170;
+    # a cap on the labels summed over the contexts then stopped every n from
+    # 150 (exit 3) and skipped the separator of DENSE, though each cover has
+    # one piece
     proc = subprocess.run([sys.executable, "-m", "regcov"] + argv + ["--json"],
                           env=regcov_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == code and "Traceback" not in proc.stderr, proc.stderr
-    if code == 3:
-        assert "max_pieces" in proc.stderr
-    else:                                  # the separator was opportunistic
-        assert json.loads(proc.stdout)["stats"]["synthesis"] == {"skipped": "max_pieces"}
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["coverable"] is True and "synthesis" not in doc["stats"]
+    target = nfa_of(argv[argv.index("--target") + 1], "a")
+    if argv[0] == "member":                # the cover of a^n+ is a^n+ itself
+        pieces = doc["cover"]["pieces"]
+        assert len(pieces) == 1 and equivalent(nfa_of(pieces[0]["regex"], "a"), target)
+        verified = doc["cover"]["verified"]
+        assert verified["covers_target"] and verified["separating"]
+    else:                                  # the separator, checked here once more
+        separator = nfa_of(doc["separator"], "a")
+        against = nfa_of(argv[argv.index("--against") + 1], "a")
+        assert includes(target, separator) and is_empty(separator, against)
 
 
 GOOD_INSTANCE = {"alphabet": "ab", "class": "at", "target": "a+", "against": ["b+"]}
@@ -1420,6 +1446,15 @@ FLAGS = ["--class", "bsigma1", "--alphabet", "ab", "--target", "a+", "--against"
     ({**GOOD_INSTANCE, "against": "ab"}, []),
     (None, FLAGS + ["--emit-cover", "--max-k", "-3"]),
     (None, FLAGS + ["--max-elements", "0"]),
+    # a misspelt option or field is refused, not dropped: without its cap
+    # the first would decide (exit 0) where --max-elements 1 exits 3
+    ({**GOOD_INSTANCE, "options": {"max_elemnts": 1}}, []),
+    ({**GOOD_INSTANCE, "targett": "a+"}, []),
+    ({**GOOD_INSTANCE, "options": {"max_states": 1, "emit": True}}, []),
+    # a switch is a JSON Boolean, not a truthy value
+    ({**GOOD_INSTANCE, "options": {"emit_cover": "no"}}, []),
+    ({**GOOD_INSTANCE, "options": {"verify": 1}}, []),
+    ({**GOOD_INSTANCE, "options": {"json": None}}, []),
 ])
 def test_bad_input_is_an_input_error(tmp_path, capsys, instance, flags):
     argv = ["cover"] + flags

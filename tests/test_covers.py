@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, reject, strategies as st
 
 from regcov import (DEFAULT_CAPS, Alphabet, Caps, ClassId, Cover, InputError,
-                    PtStateCapError, RatingMap, ResourceCapError, SaturationCapError,
+                    RatingMap, ResourceCapError, SaturationCapError,
                     at_cover, at_imprint, bsigma1_cover, decide_universal_covering, equivalent,
                     fo2_cover, includes, is_empty, minimize, nfa_complement, nfa_intersection,
                     nfa_union,
@@ -325,8 +325,9 @@ def test_bsigma1_cover_stops_before_the_level_past_max_pt_states():
     assert bsigma1_cover(ext.tau, goal, Caps(max_pt_states=230)).optimal is False
     assert bsigma1_cover(ext.tau, goal, Caps(max_pt_states=266)).optimal is True
     # with no level to fall back on, the stop is the cap's own error
-    with pytest.raises(PtStateCapError):
+    with pytest.raises(ResourceCapError) as stop:
         bsigma1_cover(ext.tau, goal, Caps(max_pt_states=0))
+    assert stop.value.cap_name == "max_pt_states"
 
 
 @pytest.mark.parametrize("symbols, k, optimal", [("a", 21, True), ("abc", 9, False)])
@@ -615,7 +616,8 @@ def test_fo2_peel_copies_each_child_context_once(monkeypatch):
 
 def test_fo2_cover_of_many_node_labels_fits_the_default_caps():
     # the nodes of this cover have 2,149 distinct labels in context, summed;
-    # labelled out of context they had 21,015, past max_pieces (10,000)
+    # labelled out of context they had 21,015, past the 10,000 that a cap on
+    # the summed labels allowed then
     rng = random.Random(9002)
     langs = [random_nfa(rng, ABC, 3, 0.35) for _ in range(rng.randint(2, 3))]
     dec = decide_universal_covering(rm_from_multiset(langs), ClassId.FO2, target_index=0)

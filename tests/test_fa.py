@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from regcov import (DEFAULT_CAPS, Alphabet, DeterminizationCapError, InputError,
+from regcov import (DEFAULT_CAPS, Alphabet, InputError, ResourceCapError,
                     alphabet_exact, alphabet_star,
                     determinize, equivalent, includes, is_empty, minimize,
                     nfa_complement, nfa_concat, nfa_from_json, nfa_intersection,
@@ -303,10 +303,12 @@ def test_includes_counts_only_the_subsets_it_visits():
     lhs = nfa_of("a" * (n - 1), "abc")
     caps = DEFAULT_CAPS.with_overrides(max_det_states=n)
     assert includes(lhs, rhs, caps)
-    with pytest.raises(DeterminizationCapError):
+    with pytest.raises(ResourceCapError) as stop:
         includes(lhs, rhs, caps.with_overrides(max_det_states=n - 1))
-    with pytest.raises(DeterminizationCapError):
+    assert stop.value.cap_name == "max_det_states"
+    with pytest.raises(ResourceCapError) as stop:
         nfa_complement(rhs, caps)
+    assert stop.value.cap_name == "max_det_states"
 
 
 def test_transition_monoid_matches_the_reference():
@@ -426,7 +428,8 @@ def test_moore_kernels_match_their_references(drawn):
     def outcome(flip, cap):
         try:
             return flip(cap)
-        except DeterminizationCapError as exc:
+        except ResourceCapError as exc:
+            assert exc.cap_name == "max_det_states"
             return exc.cap
 
     def flip(cap):
@@ -447,26 +450,25 @@ def _cap_case(name):
     runs, directly or through `rating.reach`: "fo2 word images" reaches
     (content, image) pairs, "partition-imprint" the (class, image) pairs of
     a bsigma1 partition, both bounded by `max_elements`."""
-    from regcov import (DeterminizationCapError, MonoidCapError, PtStateCapError,
-                        SaturationCapError)
+    from regcov import SaturationCapError
     from regcov.pieces import pt_partition
 
     if name == "determinize":
         nfa = nfa_of("(a|b)*a(a|b)(a|b)", "ab")
         return (lambda caps: determinize(nfa, caps), "max_det_states",
-                lambda d: d.state_count, DeterminizationCapError)
+                lambda d: d.state_count, ResourceCapError)
     if name == "pt_partition":
         return (lambda caps: pt_partition(3, AB, caps), "max_pt_states",
-                lambda built: built[0].state_count, PtStateCapError)
+                lambda built: built[0].state_count, ResourceCapError)
     if name == "flip":
         def flip(caps):
             state, machine = _fo2_state(caps)
             return state._flip(machine)
-        return flip, "max_det_states", lambda m: len(m[0]), DeterminizationCapError
+        return flip, "max_det_states", lambda m: len(m[0]), ResourceCapError
     if name == "transition_monoid":
         nfa = nfa_of("(ab)+|a(ba)*b", "ab")
         return (lambda caps: transition_monoid(nfa, caps), "max_monoid",
-                lambda built: built[0].size, MonoidCapError)
+                lambda built: built[0].size, ResourceCapError)
     if name == "partition-imprint":
         from regcov import ClassId, decide_universal_covering, rm_from_multiset
         from regcov.covers import _partition_images

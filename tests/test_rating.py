@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from regcov import (DEFAULT_CAPS, Alphabet, AlphabetSemiring, Caps, ClassId, InputError,
-                    MonoidCapError, Nfa, PowersetMonoidSemiring, ProductSemiring, RatingMap,
-                    RelationSemiring, SaturationCapError, at_imprint, decide_universal_covering,
+                    Nfa, PowersetMonoidSemiring, ProductSemiring, RatingMap, RelationSemiring,
+                    ResourceCapError, SaturationCapError, at_imprint, decide_universal_covering,
                     is_empty, minimize, nfa_complement, nfa_intersection, nfa_union, regex_to_nfa,
                     rm_alphabet_augment, rm_from_morphism, rm_from_multiset,
                     rm_from_nfa, transition_monoid, universal_language)
@@ -361,8 +361,9 @@ def test_construction_choice_matches_full_candidate_rule():
 def test_transition_monoid_raises_past_max_monoid():
     pair = nfa_of("(ab)+", "ab")
     assert transition_monoid(pair, Caps(max_monoid=6))[0].size == 6
-    with pytest.raises(MonoidCapError):
+    with pytest.raises(ResourceCapError) as stop:
         transition_monoid(pair, Caps(max_monoid=5))
+    assert stop.value.cap_name == "max_monoid"
 
 
 def test_word_images_per_part_match_joint_closure():

@@ -342,3 +342,36 @@ def test_every_public_callable_and_keyword_is_used_outside_tests():
                 unused_keywords.append(f"{cls + '.' if cls else ''}{name}({param}=)")
     assert unused_callables == []
     assert unused_keywords == []
+
+
+def test_readme_names_every_cap_and_no_retired_one(tmp_path):
+    # a cap the README leaves out goes unexplained, and a max_* it names that
+    # is neither a Caps field nor an instance option is one that was retired.
+    # A field is named by itself, or by the instance option that sets it or
+    # that option's flag
+    import json
+
+    from regcov import cli
+
+    fields = [f.name for f in dataclasses.fields(regcov.Caps)]
+    option = {}
+    path = tmp_path / "instance.json"
+    for name in cli._OPTIONS:
+        if name not in cli._SWITCHES:
+            path.write_text(json.dumps({"alphabet": "ab", "options": {name: 7}}))
+            caps = cli.load_instance(cli._read_argv(["oracle", "--which", "at",
+                                                     "--instance", str(path)])).caps
+            [field] = [f for f in fields if getattr(caps, f) != getattr(regcov.DEFAULT_CAPS, f)]
+            option[field] = name
+    assert option["max_det_states"] == "max_states"
+    assert sorted("--" + name.replace("_", "-") for name in option.values()) == sorted(cli._CAPS)
+    readme = source("README.md")
+    named = set(re.findall(r"\bmax_\w+", readme)) | set(re.findall(r"--max-[\w-]+", readme))
+
+    def names(field) -> set:
+        if field not in option:
+            return {field}
+        return {field, option[field], "--" + option[field].replace("_", "-")}
+
+    assert [f for f in fields if not names(f) & named] == []
+    assert sorted(named - set(fields) - set(cli._OPTIONS) - set(cli._CAPS)) == []
